@@ -4,9 +4,7 @@ Sweeps the cell grid (1, 4, 9 base stations) against the population (50,
 100, 200 users) with ``controller_mode="handover"``: users hand over via the
 hysteresis + time-to-trigger policy, logical multicast groups are scoped per
 serving cell, and resource-block budgets are rebalanced across cells every
-interval.  ``channel_draw_mode="fast"`` is used deliberately -- the
-controller path has no scalar-era stream to stay compatible with, so the
-benchmark takes the ~1.5x faster whole-array channel draws.
+interval.
 
 Per configuration the harness JSON record (``results/multicell_handover.json``)
 carries wall-clock cost, handover/split/merge counts and the per-cell
@@ -55,7 +53,6 @@ def _build_simulator(cells: int, users: int) -> StreamingSimulator:
             area_width_m=1500.0,
             area_height_m=1200.0,
             controller_mode="handover",
-            channel_draw_mode="fast",
             seed=SEED,
         )
     )

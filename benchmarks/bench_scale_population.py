@@ -1,51 +1,31 @@
-"""Population-scale benchmark of the vectorized simulation engine.
+"""Population-scale benchmark of the interval engine.
 
 Times full reservation intervals (ground-truth playback, SNR sampling,
 digital-twin collection) at 25/50/100/200 users and emits a machine-readable
 JSON record via the harness so per-interval cost is tracked across PRs.
 
-At 100 users the vectorized engine is additionally compared against a
-faithful re-implementation of the pre-vectorization (seed) hot path — scalar
-per-sample mobility/SNR/collection loops — both for wall-clock speedup and
-for identical-seed ``IntervalResult`` totals (the compat draw mode consumes
-the shared generator in exactly the scalar order).  The legacy twin stores
-remain array-backed; store appends are a negligible share of interval cost,
-so the comparison is conservative.
+The **worker sweep** plays the same multicast grouping under 1/2/4 workers
+(``playback_workers``) at 500/1000/2000 users: per-interval wall clock, plus
+a gating check that every worker count produces identical interval totals
+(the per-group RNG streams make shard boundaries draw-exact).  Each record
+carries the machine's ``cpu_count``; the >=1.5x speedup assertion at 1000
+users / 4 workers only gates when the machine actually has >= 4 cores — on
+fewer cores the sweep still runs and records the honest (likely flat)
+numbers.
 
-PR 3 adds two comparisons of the **batched interval engine** under a
-multicast grouping (users/10 groups, the pipeline's shape):
-
-* ``channel_draw_mode="fast"`` (one SNR tensor per base station per interval
-  plus whole-array watch-duration draws) against ``"compat"`` — the PR 2
-  sequential per-group path, which is preserved bit-for-bit — at 100 and 500
-  users, and
-* the incremental twin feature cache against full recomputes over the
-  prediction pipeline's sliding feature-tensor windows.
-
-PR 4 adds the **worker sweep** over the grouped engine
-(``channel_draw_mode="grouped"`` + ``playback_workers``): per-interval wall
-clock at 500/1000/2000 users for 1/2/4 playback workers, with a gating check
-that every worker count produces identical interval totals (the per-group
-RNG streams make shard boundaries draw-exact).  Each record carries the
-machine's ``cpu_count``; the >=1.5x speedup assertion at 1000 users / 4
-workers only gates when the machine actually has >= 4 cores — on fewer
-cores the sweep still runs and records the honest (likely flat) numbers.
-
-PR 8 extends the sweep to the **full-interval sharded engine**
-(``shard_stages="full"``, the grouped default): every stage of an interval
-— channel draws, playback, status collection — runs on the worker pool over
-shared-memory plan buffers, and workers keep population state (mobility,
-preferences) resident between tasks.  The large sweep times one warm plus
-one timed interval at 10k/50k/100k users, recording per-stage seconds
-(``stage1_s``/``playback_s``/``collection_s`` from ``IntervalResult.timing``),
-``cpu_count`` and peak RSS (self + children) per run — honest numbers even
-on machines where extra workers cannot pay for themselves.
+The **large sweep** times sharded intervals at 10k/50k/100k users: every
+stage of an interval — channel draws, playback, status collection — runs on
+the worker pool over shared-memory plan buffers, and workers keep
+population state (mobility) resident between tasks.  It times one warm plus
+one timed interval per (population, worker count), recording per-stage
+seconds (``stage1_s``/``playback_s``/``collection_s`` from
+``IntervalResult.timing``), ``cpu_count`` and peak RSS (self + children).
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_scale_population.py``)
 or under pytest-benchmark like the other benches.  ``--quick`` runs a
-CI-sized smoke variant (small populations, no legacy comparison) and writes
-``benchmarks/results/scale_population_quick.json`` instead, leaving the
-committed full record untouched.
+CI-sized smoke variant (small populations, one 2-worker datapoint) and
+writes ``benchmarks/results/scale_population_quick.json`` instead, leaving
+the committed full record untouched.
 """
 
 from __future__ import annotations
@@ -56,18 +36,13 @@ import sys
 import time
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from harness import benchmark_record, run_once, write_benchmark_json
 
 from repro import SimulationConfig, StreamingSimulator
 from repro.sim.simulator import singleton_grouping
-from repro.twin.attributes import CHANNEL_CONDITION, LOCATION, PREFERENCE
 
 POPULATIONS = (25, 50, 100, 200)
 INTERVALS = 3
-COMPARISON_USERS = 100
-BATCHED_POPULATIONS = (100, 500)
 WORKER_POPULATIONS = (500, 1000, 2000)
 WORKER_COUNTS = (1, 2, 4)
 WORKER_SWEEP_INTERVALS = 2
@@ -76,10 +51,8 @@ WORKER_SWEEP_INTERVALS = 2
 MIN_WORKER_SPEEDUP = 1.5
 WORKER_SPEEDUP_USERS = 1000
 WORKER_SPEEDUP_WORKERS = 4
-MIN_SPEEDUP = 5.0
-MIN_BATCHED_SPEEDUP = 1.1
 SEED = 7
-#: The PR 8 large sweep: ``(users, worker counts)`` pairs.  10k carries a
+#: The large sweep: ``(users, worker counts)`` pairs.  10k carries a
 #: serial baseline; 50k/100k run sharded-only (a serial interval at 100k
 #: would roughly double the bench's wall clock for one datapoint).
 LARGE_POPULATIONS = ((10_000, (1, 2)), (50_000, (2,)), (100_000, (2,)))
@@ -88,270 +61,19 @@ LARGE_GROUP_SIZE = 100
 STAGE_KEYS = ("stage1_s", "playback_s", "collection_s")
 
 
-# --------------------------------------------------------------- legacy path
-def _legacy_position(mobility):
-    """The seed engine's scalar position query: a linear scan over legs."""
-
-    def position(time_s: float) -> np.ndarray:
-        if time_s < 0:
-            raise ValueError("time_s must be non-negative")
-        mobility._extend_until(time_s)
-        for leg in mobility._legs:
-            if leg.start_time_s <= time_s <= leg.end_time_s:
-                return leg.position(time_s)
-        return mobility._last_position.copy()
-
-    return position
-
-
-def _legacy_sample_member_snrs(sim: StreamingSimulator):
-    """The seed engine's per-sample SNR loop (one Python call per sample)."""
-
-    def sample(member_ids: Sequence[int], start_s: float, end_s: float) -> Dict[int, np.ndarray]:
-        times = np.arange(start_s, end_s, sim.config.channel_sample_period_s)
-        snrs: Dict[int, np.ndarray] = {}
-        for user_id in member_ids:
-            user = sim.users[user_id]
-            bs = sim._base_station(user.serving_bs_id)
-            samples = []
-            for t in times:
-                position = user.mobility.position(float(t))
-                samples.append(bs.sample_snr_db(position, rng=sim._rng))
-            snrs[user_id] = np.array(samples)
-        return snrs
-
-    return sample
-
-
-def _legacy_associate_users(sim: StreamingSimulator):
-    """The seed engine's per-(user, base station) association loop."""
-
-    def associate(time_s: float) -> None:
-        for user in sim.users.values():
-            position = user.mobility.position(time_s)
-            best = max(sim.base_stations, key=lambda bs: bs.mean_snr_db(position))
-            user.serving_bs_id = best.bs_id
-
-    return associate
-
-
-def _legacy_record_watch(udt, record) -> None:
-    """The seed twin's watch mirror: latest() object churn per record."""
-    from repro.twin.attributes import WATCHING_DURATION
-
-    udt._watch_records.append(record)
-    if WATCHING_DURATION in udt._stores:
-        store = udt._stores[WATCHING_DURATION]
-        timestamp = record.timestamp_s
-        if len(store) and timestamp < store.latest().timestamp_s:
-            timestamp = store.latest().timestamp_s
-        store.append(timestamp, [record.watch_duration_s])
-
-
-def _legacy_collect_interval(sim: StreamingSimulator):
-    """The seed collector: one Python call per collected sample."""
-    collector = sim.collector
-
-    def collect(udt, mobility, base_station, preference, events, start_s, end_s,
-                rng=None, keep_rng=None, serving_cell=None):
-        rng = rng if rng is not None else collector._rng
-        delay = collector.policy.delay_s
-        if CHANNEL_CONDITION in udt.attributes:
-            spec = udt.attributes[CHANNEL_CONDITION]
-            for t in collector._sample_times(start_s, end_s, spec.collection_period_s):
-                if not collector._keep_sample():
-                    continue
-                position = mobility.position(float(t))
-                snr_db = base_station.sample_snr_db(position, rng=rng)
-                udt.record(CHANNEL_CONDITION, float(t) + delay, [snr_db])
-        if LOCATION in udt.attributes:
-            spec = udt.attributes[LOCATION]
-            for t in collector._sample_times(start_s, end_s, spec.collection_period_s):
-                if not collector._keep_sample():
-                    continue
-                udt.record(LOCATION, float(t) + delay, mobility.position(float(t)))
-        for event in events:
-            if not collector._keep_sample():
-                continue
-            _legacy_record_watch(udt, event.record)
-        if PREFERENCE in udt.attributes:
-            spec = udt.attributes[PREFERENCE]
-            vector = preference.as_array()
-            for t in collector._sample_times(start_s, end_s, spec.collection_period_s):
-                if not collector._keep_sample():
-                    continue
-                udt.record(PREFERENCE, float(t) + delay, vector)
-
-    return collect
-
-
-def _legacy_group_link_state(sim: StreamingSimulator):
-    """The seed link-state path: percentile-based worst-member rule."""
-    from repro.net.mcs import spectral_efficiency
-
-    def link_state(member_ids, start_s, end_s):
-        snr_traces = sim.sample_member_snrs(member_ids, start_s, end_s)
-        mean_snrs = {uid: float(trace.mean()) for uid, trace in snr_traces.items()}
-        snrs = np.asarray(list(mean_snrs.values()), dtype=np.float64)
-        target_snr = float(np.percentile(snrs, 0.0))
-        efficiency = spectral_efficiency(
-            target_snr, implementation_loss=sim.config.implementation_loss
-        )
-        ladder = sim.catalog.get(sim.catalog.video_ids()[0]).ladder
-        representation = ladder.best_fitting(efficiency * sim.config.stream_bandwidth_hz)
-        return efficiency, representation, mean_snrs
-
-    return link_state
-
-
-def _legacy_sample_watch_duration(model):
-    """The seed watch-duration sampler: dict-rebuilding preference lookups."""
-
-    def sample(video, preference, rng):
-        weight = preference.as_dict().get(video.category, 0.0)
-        if rng.random() < model.completion_probability(weight):
-            return float(video.duration_s)
-        mean = model.mean_watched_fraction(weight)
-        alpha = mean * model.concentration
-        beta = (1.0 - mean) * model.concentration
-        fraction = float(rng.beta(alpha, beta))
-        return float(fraction * video.duration_s)
-
-    return sample
-
-
-def _legacy_bits_watched(video, representation, watch_duration_s: float) -> float:
-    """The seed per-call prefix sum (no memoization)."""
-    watch_duration_s = min(watch_duration_s, video.duration_s)
-    segments_needed = int(np.ceil(watch_duration_s / video.segment_duration_s))
-    return float(video.sizes_for(representation)[:segments_needed].sum())
-
-
-def _legacy_play_group_stream(sim: StreamingSimulator):
-    """The seed engine's shared-stream playback.
-
-    Rebuilds the popularity/preference mixture from Python dicts per group
-    and draws videos with ``rng.choice(p=...)`` — the exact pre-cache code
-    path (including the boundary-swipe accounting of the seed engine, which
-    does not affect the compared interval totals).
-    """
-    from repro.behavior.watching import WatchRecord
-    from repro.behavior.session import ViewingEvent
-    from repro.net.multicast import resource_blocks_for_traffic
-    from repro.sim.simulator import GroupIntervalUsage
-
-    def play(group_id, member_ids, representation, efficiency, start_s, end_s,
-             events_by_user, transcode_requests):
-        group_preference = sim._group_preference(member_ids)
-        video_ids = sim.catalog.video_ids()
-        popularity = sim.catalog.popularity.probabilities()
-        pop = np.array([popularity.get(vid, 0.0) for vid in video_ids])
-        # Seed-era weight(): rebuilt the whole preference dict per lookup.
-        pref = np.array(
-            [
-                group_preference.as_dict().get(sim.catalog.get(vid).category, 0.0)
-                for vid in video_ids
-            ]
-        )
-        if pop.sum() > 0:
-            pop = pop / pop.sum()
-        if pref.sum() > 0:
-            pref = pref / pref.sum()
-        w = sim.config.recommendation_popularity_weight
-        mixture = w * pop + (1.0 - w) * pref
-        probabilities = mixture / mixture.sum()
-
-        sample_watch_duration = _legacy_sample_watch_duration(sim.watching_model)
-        now = start_s
-        traffic_bits = 0.0
-        videos_played = 0
-        engagement_seconds = 0.0
-        requests = []
-        while now < end_s:
-            video = sim.catalog.get(int(sim._rng.choice(video_ids, p=probabilities)))
-            member_durations = {}
-            for uid in member_ids:
-                member_durations[uid] = sample_watch_duration(
-                    video, sim.users[uid].preference, sim._rng
-                )
-            transmitted = min(max(member_durations.values()), end_s - now)
-            for uid, duration in member_durations.items():
-                duration = min(duration, end_s - now)
-                record = WatchRecord(
-                    user_id=uid,
-                    video_id=video.video_id,
-                    category=video.category,
-                    watch_duration_s=duration,
-                    video_duration_s=video.duration_s,
-                    swiped=duration < video.duration_s - 1e-9,
-                    timestamp_s=now,
-                )
-                events_by_user[uid].append(ViewingEvent(record=record, start_time_s=now))
-                engagement_seconds += duration
-            traffic_bits += _legacy_bits_watched(video, representation, transmitted)
-            requests.append((video, representation, transmitted))
-            videos_played += 1
-            now += transmitted + sim.config.swipe_gap_s
-
-        transcode_requests[group_id] = requests
-        blocks = resource_blocks_for_traffic(
-            traffic_bits,
-            efficiency,
-            rb_bandwidth_hz=sim.config.rb_bandwidth_hz,
-            interval_s=sim.config.interval_s,
-        )
-        return GroupIntervalUsage(
-            group_id=group_id,
-            member_ids=member_ids,
-            traffic_bits=traffic_bits,
-            efficiency_bps_hz=efficiency,
-            representation_name=representation.name,
-            resource_blocks=blocks,
-            computing_cycles=0.0,
-            videos_played=videos_played,
-            engagement_seconds=engagement_seconds,
-        )
-
-    return play
-
-
-def build_simulator(
-    users: int, legacy: bool = False, draw_mode: str = "compat"
-) -> StreamingSimulator:
-    sim = StreamingSimulator(
-        SimulationConfig(
-            num_users=users,
-            num_intervals=INTERVALS,
-            seed=SEED,
-            channel_draw_mode=draw_mode,
-        )
+def build_simulator(users: int) -> StreamingSimulator:
+    return StreamingSimulator(
+        SimulationConfig(num_users=users, num_intervals=INTERVALS, seed=SEED)
     )
-    if legacy:
-        sim.sample_member_snrs = _legacy_sample_member_snrs(sim)
-        sim._associate_users = _legacy_associate_users(sim)
-        sim.collector.collect_interval = _legacy_collect_interval(sim)
-        sim._play_group_stream = _legacy_play_group_stream(sim)
-        sim.group_link_state = _legacy_group_link_state(sim)
-        for user in sim.users.values():
-            user.mobility.position = _legacy_position(user.mobility)
-    return sim
 
 
 # -------------------------------------------------------------- measurement
-def run_intervals(sim: StreamingSimulator, intervals: int = INTERVALS) -> tuple:
-    """``(elapsed_s, per_interval_totals)`` over ``intervals`` intervals."""
-    totals: List[tuple] = []
+def run_intervals(sim: StreamingSimulator, intervals: int = INTERVALS) -> float:
+    """Wall-clock seconds of ``intervals`` unicast intervals."""
     started = time.perf_counter()
     for _ in range(intervals):
-        result = sim.run_interval(singleton_grouping(sim.user_ids()))
-        totals.append(
-            (
-                result.total_traffic_bits,
-                result.total_resource_blocks,
-                result.total_computing_cycles,
-            )
-        )
-    return time.perf_counter() - started, totals
+        sim.run_interval(singleton_grouping(sim.user_ids()))
+    return time.perf_counter() - started
 
 
 def _multicast_grouping(sim: StreamingSimulator, group_size: int = 10) -> Dict[int, List[int]]:
@@ -364,47 +86,12 @@ def _multicast_grouping(sim: StreamingSimulator, group_size: int = 10) -> Dict[i
     return grouping
 
 
-def run_multicast_intervals(sim: StreamingSimulator, intervals: int = INTERVALS) -> float:
-    grouping = _multicast_grouping(sim)
-    started = time.perf_counter()
-    for _ in range(intervals):
-        sim.run_interval(grouping)
-    return time.perf_counter() - started
-
-
-def batched_engine_experiment(records: List[dict], populations=BATCHED_POPULATIONS,
-                              intervals: int = INTERVALS) -> Dict[int, float]:
-    """Batched (fast) engine vs the sequential PR 2 (compat) hot path."""
-    speedups: Dict[int, float] = {}
-    for users in populations:
-        compat_elapsed = run_multicast_intervals(
-            build_simulator(users, draw_mode="compat"), intervals
-        )
-        fast_elapsed = run_multicast_intervals(
-            build_simulator(users, draw_mode="fast"), intervals
-        )
-        speedups[users] = compat_elapsed / fast_elapsed
-        records.append(
-            benchmark_record(
-                "scale_population_batched_engine",
-                elapsed_s=fast_elapsed,
-                users=users,
-                intervals=intervals,
-                engine="batched",
-                compat_elapsed_s=compat_elapsed,
-                speedup=speedups[users],
-            )
-        )
-    return speedups
-
-
 def _worker_sweep_simulator(users: int, workers: int) -> StreamingSimulator:
     return StreamingSimulator(
         SimulationConfig(
             num_users=users,
             num_intervals=WORKER_SWEEP_INTERVALS + 1,
             seed=SEED,
-            channel_draw_mode="grouped",
             playback_workers=workers,
         )
     )
@@ -416,10 +103,10 @@ def playback_workers_experiment(
     workers: Sequence[int] = WORKER_COUNTS,
     intervals: int = WORKER_SWEEP_INTERVALS,
 ) -> dict:
-    """Process-sharded grouped playback versus the serial grouped engine.
+    """Process-sharded intervals versus the inline engine.
 
     For each population the same multicast grouping is played under every
-    worker count (same seed, grouped draw mode): one warm interval first —
+    worker count (same seed): one warm interval first —
     pool spin-up and lazy mobility-leg generation happen there — then
     ``intervals`` timed intervals.  Returns per-population ``{"speedups":
     {workers: x}, "totals_identical": bool}``; identical totals across
@@ -500,7 +187,7 @@ def large_population_experiment(
     populations=LARGE_POPULATIONS,
     intervals: int = 1,
 ) -> dict:
-    """The PR 8 scale sweep: full-shard intervals at 10k/50k/100k users.
+    """The scale sweep: sharded intervals at 10k/50k/100k users.
 
     One warm interval (pool spin-up, shm plan allocation, worker-side
     mobility construction) then ``intervals`` timed ones per (population,
@@ -521,7 +208,6 @@ def large_population_experiment(
                     num_intervals=intervals + 1,
                     interval_s=LARGE_INTERVAL_S,
                     seed=SEED,
-                    channel_draw_mode="grouped",
                     playback_workers=worker_count,
                 )
             )
@@ -562,112 +248,27 @@ def large_population_experiment(
     return sweep
 
 
-def feature_cache_experiment(records: List[dict], users: int = COMPARISON_USERS,
-                             intervals: int = 8, history: int = 4) -> Dict[str, float]:
-    """Feature-tensor access patterns with vs without the incremental cache.
-
-    Two patterns, against the twins a simulated run produced:
-
-    * ``slide`` — the prediction pipeline's pattern: a fixed-width history
-      window of ``history`` intervals advancing one interval at a time (32
-      grid steps, so the slide stays grid-aligned and only ``32/history``
-      of the rows carry new data), and
-    * ``requery`` — repeated queries of an unchanged window (the documented
-      predict-inspect-then-step flow and analytics re-reads), which the
-      cache serves without touching the stores at all.
-
-    Returns the uncached/cached speedup per pattern.
-    """
-    sim = build_simulator(users, draw_mode="fast")
-    run_multicast_intervals(sim, intervals)
-    interval_s = sim.config.interval_s
-    slide = [
-        ((k - history) * interval_s, k * interval_s)
-        for k in range(history, intervals + 1)
-    ]
-    patterns = {"slide": (slide, True), "requery": ([slide[-1]] * len(slide), False)}
-    speedups: Dict[str, float] = {}
-    for pattern, (windows, reset_between_passes) in patterns.items():
-        timings = {}
-        for cached in (False, True):
-            sim.twins.feature_cache_enabled = cached
-            sim.twins._feature_cache.clear()
-            started = time.perf_counter()
-            for _ in range(5):
-                if reset_between_passes:
-                    sim.twins._feature_cache.clear()
-                for start_s, end_s in windows:
-                    sim.twins.feature_tensor(start_s, end_s, num_steps=32)
-            timings[cached] = time.perf_counter() - started
-        speedups[pattern] = timings[False] / timings[True]
-        records.append(
-            benchmark_record(
-                "scale_population_feature_cache",
-                elapsed_s=timings[True],
-                users=users,
-                intervals=intervals,
-                engine="feature-cache",
-                pattern=pattern,
-                uncached_elapsed_s=timings[False],
-                windows=len(windows),
-                speedup=speedups[pattern],
-            )
-        )
-    return speedups
-
-
 def scale_experiment() -> dict:
     records = []
     summary: dict = {}
     for users in POPULATIONS:
-        elapsed, _ = run_intervals(build_simulator(users))
+        elapsed = run_intervals(build_simulator(users))
         records.append(
             benchmark_record(
                 "scale_population",
                 elapsed_s=elapsed,
                 users=users,
                 intervals=INTERVALS,
-                engine="vectorized",
+                engine="grouped",
             )
         )
         summary[users] = elapsed / INTERVALS
-
-    vec_elapsed, vec_totals = run_intervals(build_simulator(COMPARISON_USERS))
-    legacy_elapsed, legacy_totals = run_intervals(build_simulator(COMPARISON_USERS, legacy=True))
-    records.append(
-        benchmark_record(
-            "scale_population",
-            elapsed_s=legacy_elapsed,
-            users=COMPARISON_USERS,
-            intervals=INTERVALS,
-            engine="legacy",
-        )
-    )
-    speedup = legacy_elapsed / vec_elapsed
-    records.append(
-        benchmark_record(
-            "scale_population_speedup",
-            elapsed_s=vec_elapsed,
-            users=COMPARISON_USERS,
-            intervals=INTERVALS,
-            engine="vectorized",
-            legacy_elapsed_s=legacy_elapsed,
-            speedup=speedup,
-            totals_identical=vec_totals == legacy_totals,
-        )
-    )
-    batched_speedups = batched_engine_experiment(records)
-    cache_speedups = feature_cache_experiment(records)
     worker_sweep = playback_workers_experiment(records)
     large_sweep = large_population_experiment(records)
 
     path = write_benchmark_json("scale_population", records)
     return {
         "summary": summary,
-        "speedup": speedup,
-        "totals_identical": vec_totals == legacy_totals,
-        "batched_speedups": batched_speedups,
-        "feature_cache_speedups": cache_speedups,
         "worker_sweep": worker_sweep,
         "large_sweep": large_sweep,
         "json_path": str(path),
@@ -675,33 +276,27 @@ def scale_experiment() -> dict:
 
 
 def quick_experiment() -> dict:
-    """CI smoke variant: tiny populations, no legacy comparison.
+    """CI smoke variant: tiny populations and one 2-worker datapoint.
 
-    Exercises the same record format and the batched-engine / feature-cache
-    comparisons so the harness JSON stays covered, but completes in seconds.
-    Writes ``scale_population_quick.json`` so the committed full record is
-    not clobbered by CI runs.
+    Exercises the same record format so the harness JSON stays covered, but
+    completes in seconds.  Writes ``scale_population_quick.json`` so the
+    committed full record is not clobbered by CI runs.
     """
     records = []
     summary: dict = {}
     for users in (25, 50):
-        elapsed, _ = run_intervals(build_simulator(users), intervals=1)
+        elapsed = run_intervals(build_simulator(users), intervals=1)
         records.append(
             benchmark_record(
                 "scale_population",
                 elapsed_s=elapsed,
                 users=users,
                 intervals=1,
-                engine="vectorized",
+                engine="grouped",
                 quick=True,
             )
         )
         summary[users] = elapsed
-    batched_speedups = batched_engine_experiment(records, populations=(50,), intervals=1)
-    # history=2 keeps the 32-step grid aligned across a 16-row slide, so the
-    # quick record exercises the cache's partial-reuse path, not just
-    # full recomputes.
-    cache_speedups = feature_cache_experiment(records, users=50, intervals=3, history=2)
     # One small 2-worker datapoint so CI exercises the sharded engine and
     # its identical-totals guarantee on every run.
     worker_sweep = playback_workers_experiment(
@@ -712,34 +307,18 @@ def quick_experiment() -> dict:
         assert entry["totals_identical"], (
             f"sharded playback diverged from serial at {users} users (quick)"
         )
-    return {
-        "summary": summary,
-        "batched_speedups": batched_speedups,
-        "feature_cache_speedups": cache_speedups,
-        "worker_sweep": worker_sweep,
-        "json_path": str(path),
-    }
+    return {"summary": summary, "worker_sweep": worker_sweep, "json_path": str(path)}
 
 
 def report(result: dict) -> None:
     print()
-    print("Population scale — per-interval wall clock (vectorized engine)")
+    print("Population scale — per-interval wall clock")
     print(f"{'users':>6s} {'s/interval':>11s}")
     for users, per_interval in sorted(result["summary"].items()):
         print(f"{users:>6d} {per_interval:>11.3f}")
-    if "speedup" in result:
-        print(
-            f"vs legacy engine at {COMPARISON_USERS} users: "
-            f"{result['speedup']:.1f}x faster, identical-seed totals "
-            f"{'preserved' if result['totals_identical'] else 'DIVERGED'}"
-        )
-    for users, value in sorted(result["batched_speedups"].items()):
-        print(f"batched engine (fast vs compat, multicast) at {users} users: {value:.2f}x")
-    for pattern, value in sorted(result["feature_cache_speedups"].items()):
-        print(f"incremental feature cache ({pattern} windows): {value:.2f}x")
     if "worker_sweep" in result:
         sweep = result["worker_sweep"]
-        print(f"sharded grouped playback ({sweep['cpu_count']} cpu core(s)):")
+        print(f"sharded intervals ({sweep['cpu_count']} cpu core(s)):")
         for users, entry in sorted(sweep["populations"].items()):
             line = ", ".join(
                 f"{workers}w {value:.2f}x"
@@ -749,7 +328,7 @@ def report(result: dict) -> None:
             print(f"  {users} users: {line} (totals {identical})")
     if "large_sweep" in result:
         sweep = result["large_sweep"]
-        print(f"full-shard large sweep ({sweep['cpu_count']} cpu core(s)):")
+        print(f"large sweep ({sweep['cpu_count']} cpu core(s)):")
         for users, entry in sorted(sweep["populations"].items()):
             for workers, run in sorted(entry.items()):
                 stages = ", ".join(
@@ -763,20 +342,6 @@ def report(result: dict) -> None:
 
 
 def _assertions(result: dict) -> None:
-    assert result["totals_identical"], "vectorized engine diverged from the legacy engine"
-    assert result["speedup"] >= MIN_SPEEDUP, (
-        f"expected >= {MIN_SPEEDUP}x speedup at {COMPARISON_USERS} users, "
-        f"got {result['speedup']:.2f}x"
-    )
-    for users, value in result["batched_speedups"].items():
-        assert value >= MIN_BATCHED_SPEEDUP, (
-            f"expected >= {MIN_BATCHED_SPEEDUP}x batched-engine speedup at "
-            f"{users} users, got {value:.2f}x"
-        )
-    assert result["feature_cache_speedups"]["requery"] >= 2.0, (
-        "expected the feature cache to serve unchanged windows >= 2x faster, got "
-        f"{result['feature_cache_speedups']['requery']:.2f}x"
-    )
     sweep = result["worker_sweep"]
     for users, entry in sweep["populations"].items():
         assert entry["totals_identical"], (

@@ -131,17 +131,12 @@ def run_fig3_experiment(
     num_eval_intervals: int = 6,
     interval_s: float = 150.0,
     scheme_config: Optional[SchemeConfig] = None,
-    channel_draw_mode: Optional[str] = None,
     playback_workers: int = 1,
 ) -> Fig3Result:
     """Run the paper's Fig. 3 scenario and return both panels' data.
 
-    ``channel_draw_mode="fast"`` trades seed compatibility with the scalar
-    -era generator streams for ~1.5x faster channel sampling; ``"grouped"``
-    switches to the per-group RNG streams whose results are identical for
-    any worker count.  The default ``None`` lets the config resolve the
-    mode — ``"grouped"`` when ``playback_workers > 1``, else the historical
-    ``"compat"`` (see :class:`repro.sim.config.SimulationConfig`).
+    ``playback_workers`` shards each interval over that many processes;
+    results are identical for any worker count.
     """
     spec = _fig3_spec(
         seed,
@@ -149,7 +144,6 @@ def run_fig3_experiment(
         **{
             "interval_s": interval_s,
             "population.num_users": num_users,
-            "engine.channel_draw_mode": channel_draw_mode,
             "engine.playback_workers": playback_workers,
         },
     )

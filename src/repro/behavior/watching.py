@@ -107,9 +107,7 @@ class WatchingDurationModel:
 
         ``rng`` is required.  The historical ``None`` fallback built a
         *fresh* seed-0 generator per call, so repeated calls without a
-        generator all returned the same draw.  Every simulator path supplies
-        its own stream — the shared generator in compat/fast draw modes, the
-        per-(interval, group) watch stream in grouped mode.
+        generator all returned the same draw.
         """
         if rng is None:
             raise ValueError(
@@ -144,8 +142,8 @@ class WatchingDurationModel:
         ``video``'s category.  The marginal distribution of every entry is
         identical to :meth:`sample_watch_duration`; only the generator walk
         differs (one ``random`` array and one ``beta`` array per call instead
-        of interleaved scalar draws), which is what the batched interval
-        engine ("fast" draw mode) wants on its hot path.
+        of interleaved scalar draws), which is what the interval engine's
+        playback loop wants on its hot path.
         """
         weights = np.asarray(preference_weights, dtype=np.float64)
         completion = np.minimum(

@@ -51,26 +51,12 @@ def _add_fig3_parser(subparsers) -> None:
         "--interval-seconds", type=float, default=150.0, help="reservation interval length"
     )
     parser.add_argument(
-        "--channel-draw-mode",
-        choices=("compat", "fast", "grouped"),
-        default=None,
-        help=(
-            "how channel randomness is drawn: 'compat' reproduces the scalar-era "
-            "generator streams for a given seed, 'fast' is ~1.5x quicker but walks "
-            "the generator differently (same statistics, different per-seed totals), "
-            "'grouped' derives per-(interval, group) streams so results are "
-            "order-independent and identical for any --playback-workers count. "
-            "Default: 'grouped' when --playback-workers > 1, else 'compat'"
-        ),
-    )
-    parser.add_argument(
         "--playback-workers",
         type=int,
         default=1,
         help=(
-            "processes interval playback is sharded over (requires "
-            "--channel-draw-mode grouped when > 1; results are identical to a "
-            "single-worker run for the same seed)"
+            "processes each interval is sharded over (results are identical "
+            "to a single-worker run for the same seed)"
         ),
     )
     parser.add_argument(
@@ -375,7 +361,6 @@ def _run_fig3(args: argparse.Namespace) -> int:
         num_users=args.users,
         num_eval_intervals=args.intervals,
         interval_s=args.interval_seconds,
-        channel_draw_mode=args.channel_draw_mode,
         playback_workers=args.playback_workers,
     )
     _emit_json(result.to_dict(), args.json)

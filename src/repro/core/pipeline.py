@@ -301,10 +301,9 @@ class DTResourcePredictionScheme:
     def __enter__(self) -> "DTResourcePredictionScheme":
         """Context-manager entry: the scheme adopts the simulator's lifetime.
 
-        Under ``channel_draw_mode="grouped"`` with ``playback_workers > 1``
-        the ground-truth simulator lazily starts a process pool; running the
-        scheme inside a ``with`` block guarantees the pool is shut down when
-        the evaluation finishes::
+        With ``playback_workers > 1`` the ground-truth simulator lazily
+        starts a process pool; running the scheme inside a ``with`` block
+        guarantees the pool is shut down when the evaluation finishes::
 
             with DTResourcePredictionScheme(simulator, config) as scheme:
                 result = scheme.run(num_intervals=5)

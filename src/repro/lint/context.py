@@ -29,8 +29,7 @@ class LintConfig:
     #: Package roots, relative to ``root``, scanned for ``*.py`` files.
     source_dirs: Tuple[str, ...] = ("src",)
     #: Modules allowed to construct generators directly: the registry
-    #: itself.  Everything else must derive streams through it (legacy
-    #: compat/fast shims are grandfathered via the baseline, not here).
+    #: itself.  Everything else must derive streams through it.
     rng_allowed_modules: Tuple[str, ...] = ("repro.sim.rng",)
     #: Modules whose transitive imports define the worker-reachable set.
     worker_entry_modules: Tuple[str, ...] = ("repro.sim.shard",)

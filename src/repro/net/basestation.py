@@ -82,23 +82,13 @@ class BaseStation:
         )
 
     def sample_snr_db_batch(
-        self,
-        points,
-        rng: Optional[np.random.Generator] = None,
-        interleaved: bool = True,
+        self, points, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        """Vectorized :meth:`sample_snr_db` over ``(n, 2)`` points.
-
-        ``interleaved=True`` preserves the exact generator stream a loop of
-        scalar :meth:`sample_snr_db` calls would consume (see
-        :meth:`repro.net.channel.ChannelModel.sample_snr_db_batch`).
-        """
+        """Vectorized :meth:`sample_snr_db` over ``(n, 2)`` points (see
+        :meth:`repro.net.channel.ChannelModel.sample_snr_db_batch`)."""
         assert self.channel is not None
         return self.channel.sample_snr_db_batch(
-            self.config.tx_power_dbm,
-            self.distances_to(points),
-            rng=rng,
-            interleaved=interleaved,
+            self.config.tx_power_dbm, self.distances_to(points), rng=rng
         )
 
     def sample_snr_traces(
@@ -111,17 +101,15 @@ class BaseStation:
         Flattens the block row-major, draws the shadowing and fading for
         *all* ``users x times`` samples as two whole-array calls against the
         explicitly supplied ``rng`` and reshapes back to ``(users, times)``.
-        This is the batched-engine primitive: both the ``"fast"`` per-station
-        tensors and the ``"grouped"`` per-group streams are one call each,
-        and because ``rng`` is explicit the caller fully owns which stream
-        (shared or per-group) the draws consume.
+        This is the interval engine's stage-1 primitive: one call per
+        (group, serving station) block, against the group's channel stream.
         """
         block = np.asarray(points_block, dtype=np.float64)
         if block.ndim != 3 or block.shape[-1] != 2:
             raise ValueError("points_block must have shape (users, times, 2)")
         num_users, num_times = block.shape[:2]
         flat = block.reshape(num_users * num_times, 2)
-        traces = self.sample_snr_db_batch(flat, rng=rng, interleaved=False)
+        traces = self.sample_snr_db_batch(flat, rng=rng)
         return traces.reshape(num_users, num_times)
 
 

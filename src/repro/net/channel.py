@@ -138,20 +138,17 @@ class ChannelModel:
         tx_power_dbm: float,
         distances_m,
         rng: Optional[np.random.Generator] = None,
-        interleaved: bool = True,
     ) -> np.ndarray:
         """Sample one instantaneous SNR per distance (vectorized hot path).
 
-        With ``interleaved=True`` (the default) the shadowing and fading
-        draws alternate per sample — exactly the stream a loop of
-        :meth:`sample_snr_db` calls consumes — so batched and per-sample
-        sampling produce identical values from the same generator state.
-        ``interleaved=False`` draws each distribution as one array call,
-        which is faster but walks the generator in a different order.
+        Draws all shadowing values as one array call, then all fading
+        values as another: the same per-sample distributions as
+        :meth:`sample_snr_db`, but a different walk of the generator than a
+        loop of scalar calls for more than one sample.
 
-        Callers that need order-independent results (the grouped interval
-        engine, process-sharded playback) must pass ``rng`` explicitly —
-        the implicit fallback to this channel's own generator reintroduces
+        Callers that need order-independent results (the interval engine,
+        process-sharded playback) must pass ``rng`` explicitly — the
+        implicit fallback to this channel's own generator reintroduces
         shared mutable draw state across callers.
         """
         rng = rng if rng is not None else self._rng
@@ -161,27 +158,10 @@ class ChannelModel:
         if count == 0:
             return snr_db
         config = self.config
-        shadowing = config.shadowing_std_db > 0
-        if shadowing and config.rayleigh_fading and interleaved:
-            # standard_normal/standard_exponential walk the generator exactly
-            # like normal(0, std)/exponential(1) but skip per-call argument
-            # processing; scaling by std afterwards is bitwise identical.
-            shadow = np.empty(count)
-            fading = np.empty(count)
-            standard_normal = rng.standard_normal
-            standard_exponential = rng.standard_exponential
-            for i in range(count):
-                shadow[i] = standard_normal()
-                fading[i] = standard_exponential()
-            snr_db = snr_db + config.shadowing_std_db * shadow
-        else:
-            if shadowing:
-                snr_db = snr_db + rng.normal(0.0, config.shadowing_std_db, size=count)
-            fading = (
-                rng.exponential(1.0, size=count) if config.rayleigh_fading else None
-            )
+        if config.shadowing_std_db > 0:
+            snr_db = snr_db + rng.normal(0.0, config.shadowing_std_db, size=count)
         if config.rayleigh_fading:
-            fading = np.maximum(fading, 1e-6)
+            fading = np.maximum(rng.exponential(1.0, size=count), 1e-6)
             snr_db = snr_db + 10.0 * np.log10(fading)
         return snr_db
 

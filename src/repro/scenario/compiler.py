@@ -69,10 +69,7 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
         stream_bandwidth_hz=spec.topology.stream_bandwidth_hz,
         implementation_loss=spec.topology.implementation_loss,
         channel_sample_period_s=spec.topology.channel_sample_period_s,
-        channel_draw_mode=spec.engine.channel_draw_mode,
         playback_workers=spec.engine.playback_workers,
-        shard_stages=spec.engine.shard_stages,
-        shared_memory_buffers=spec.engine.shared_memory_buffers,
         controller_mode=spec.controller.mode,
         handover_hysteresis_db=spec.controller.handover_hysteresis_db,
         handover_time_to_trigger_s=spec.controller.handover_time_to_trigger_s,

@@ -26,7 +26,6 @@ from repro.scenario.spec import (
     ControllerAppSpec,
     ControllerSpec,
     EdgeSpec,
-    EngineSpec,
     FlashCrowd,
     GroupingSpec,
     MassDeparture,
@@ -132,7 +131,6 @@ def multicell_campus() -> ScenarioSpec:
         ),
         catalog=CatalogSpec(num_videos=80),
         controller=ControllerSpec(mode="handover"),
-        engine=EngineSpec(channel_draw_mode="fast"),
         grouping=GroupingSpec(policy="preference", num_groups=4),
         timeline=(CellOutage(interval=4, cell="busiest", budget_blocks=0.0),),
     )
@@ -163,7 +161,6 @@ def flash_crowd() -> ScenarioSpec:
         ),
         catalog=CatalogSpec(num_videos=80),
         controller=ControllerSpec(mode="handover"),
-        engine=EngineSpec(channel_draw_mode="fast"),
         scheme=SchemeSpec(cnn_epochs=4, ddqn_episodes=8, mc_rollouts=8),
         timeline=(FlashCrowd(interval=2, arrivals=20, favourite="Sports"),),
     )
@@ -197,7 +194,6 @@ def stadium_egress() -> ScenarioSpec:
         ),
         catalog=CatalogSpec(num_videos=60),
         controller=ControllerSpec(mode="handover"),
-        engine=EngineSpec(channel_draw_mode="fast"),
         grouping=GroupingSpec(policy="preference", num_groups=4),
         timeline=(MassDeparture(interval=5, departures=20),),
     )
@@ -236,7 +232,6 @@ def commuter_rush() -> ScenarioSpec:
         ),
         catalog=CatalogSpec(num_videos=70),
         controller=ControllerSpec(mode="handover"),
-        engine=EngineSpec(channel_draw_mode="fast"),
         grouping=GroupingSpec(policy="preference", num_groups=3),
     )
 
@@ -266,7 +261,6 @@ def cell_outage_storm() -> ScenarioSpec:
             handover_load_bias_db=6.0,
             handover_time_to_trigger_s=5.0,
         ),
-        engine=EngineSpec(channel_draw_mode="fast"),
         grouping=GroupingSpec(policy="preference", num_groups=4),
         timeline=(
             CellOutage(interval=2, cell="busiest", budget_blocks=0.0),
@@ -313,7 +307,6 @@ def weak_signal_demotion() -> ScenarioSpec:
                 ControllerAppSpec(name="prorata_rebalance"),
             ),
         ),
-        engine=EngineSpec(channel_draw_mode="fast"),
         grouping=GroupingSpec(policy="preference", num_groups=4),
     )
 
@@ -341,7 +334,6 @@ def edge_flash_crowd() -> ScenarioSpec:
         ),
         catalog=CatalogSpec(num_videos=60),
         controller=ControllerSpec(mode="handover"),
-        engine=EngineSpec(channel_draw_mode="fast"),
         grouping=GroupingSpec(policy="preference", num_groups=6),
         edge=EdgeSpec(
             num_servers=3,

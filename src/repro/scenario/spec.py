@@ -228,28 +228,31 @@ class PlacementSpec:
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Per-interval engine selection and twin-collection imperfections.
+    """Interval sharding and twin-collection imperfections.
 
-    ``channel_draw_mode`` / ``playback_workers`` select the interval engine
-    (see :class:`~repro.sim.config.SimulationConfig`); the ``collection_*``
-    knobs degrade digital-twin status collection (the staleness ablation's
-    axis): a period multiplier (slower twins), a drop probability (lossy
-    uplink) and a reporting delay.
+    ``playback_workers`` is the number of processes an interval is sharded
+    over (see :class:`~repro.sim.config.SimulationConfig`); the
+    ``collection_*`` knobs degrade digital-twin status collection (the
+    staleness ablation's axis): a period multiplier (slower twins), a drop
+    probability (lossy uplink) and a reporting delay.
     """
 
+    #: Names the draw engine.  The per-group keyed-stream engine is the only
+    #: one, so this accepts ``None`` or ``"grouped"`` (as older specs and
+    #: overrides spell it) and selects nothing.
     channel_draw_mode: Optional[str] = None
     playback_workers: int = 1
-    #: Which stages run on the worker pool: ``"playback"`` (stage 2 only),
-    #: ``"full"`` (whole interval, grouped mode only) or ``None`` for the
-    #: mode default (see :class:`~repro.sim.config.SimulationConfig`).
-    shard_stages: Optional[str] = None
-    #: Back the full-shard interval plan with shared-memory segments
-    #: (``False``: pickle the plan arrays instead, identical results).
-    shared_memory_buffers: bool = True
     feature_steps: int = 32
     collection_period_multiplier: float = 1.0
     collection_drop_probability: float = 0.0
     collection_delay_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.channel_draw_mode not in (None, "grouped"):
+            raise ValueError(
+                "engine.channel_draw_mode must be None or 'grouped' (the only "
+                f"draw engine), got {self.channel_draw_mode!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -46,48 +46,15 @@ class SimulationConfig:
     stream_bandwidth_hz: float = 1.8e6  # bandwidth assumed per multicast stream
     implementation_loss: float = 0.9
     channel_sample_period_s: float = 5.0
-    #: How shadowing/fading randomness is drawn, which also selects the
-    #: per-interval engine.  ``"compat"`` draws per sample in the exact
-    #: order of the pre-vectorization scalar path from one shared
-    #: generator, so any seed reproduces the scalar-era streams
-    #: bit-for-bit -- the mode every identical-seed regression (goldens,
-    #: engine-equivalence benchmarks) relies on.  ``"fast"`` activates the
-    #: batched interval engine: one SNR tensor per (base station, interval)
-    #: instead of per group member, and whole-array watch-duration draws
-    #: per video -- same channel/behaviour statistics, different shared-
-    #: generator walk.  ``"grouped"`` replaces the shared generator on the
-    #: playback path with per-``(seed, interval, scoped group)`` streams
-    #: derived via :mod:`repro.sim.rng` (plus per-user setup/collection
-    #: streams), making results order-independent across groups and
-    #: identical for any ``playback_workers`` count; its totals differ from
-    #: both other modes for a given seed.  The default ``None`` resolves to
-    #: ``"grouped"`` when ``playback_workers > 1``, else ``"fast"`` in
-    #: ``controller_mode="handover"`` (nothing there depends on scalar-era
-    #: streams) and ``"compat"`` in ``"boundary"`` mode.
-    channel_draw_mode: Optional[str] = None
-    #: Number of processes interval playback is sharded over (``"grouped"``
-    #: draw mode only -- the other modes walk one shared generator and are
-    #: inherently sequential).  ``1`` plays the same per-group streams
-    #: serially; any value yields identical results for identical seeds.
+    #: Number of processes an interval is sharded over.  Every random draw
+    #: comes from a keyed stream of :mod:`repro.sim.rng` (per ``(seed,
+    #: interval, scoped group)`` for channel and playback, per ``(seed,
+    #: interval, user)`` for collection), so ``1`` runs the same streams
+    #: inline and any value yields identical results for identical seeds.
+    #: With more than one worker the whole interval (channel draws,
+    #: playback, twin collection) runs on a persistent worker pool fed
+    #: through shared-memory plans (see :mod:`repro.sim.shard`).
     playback_workers: int = 1
-    #: Which interval stages shard across the worker pool.  ``"playback"``
-    #: is the legacy scheme: only stage-2 playback runs in workers, with
-    #: per-task pickled arrays; stage 1 (channel draws) and twin collection
-    #: stay in the parent.  ``"full"`` moves the whole interval onto a
-    #: persistent per-worker runtime (see :mod:`repro.sim.shard`): tasks
-    #: shrink to ``(plan handle, group index)`` messages, workers rebuild
-    #: mobility/collection state from registry keys, and stage 1 + stage 3
-    #: shard too.  Results are bit-identical between the two (and to
-    #: serial).  ``None`` resolves to ``"full"`` in ``"grouped"`` draw mode
-    #: and ``"playback"`` otherwise; ``"full"`` requires ``"grouped"``.
-    shard_stages: Optional[str] = None
-    #: Back the per-interval plan (member layout, preference weights,
-    #: sampling CDFs, mean-SNR output) with ``multiprocessing.shared_memory``
-    #: segments ring-reused across intervals.  ``False`` falls back to
-    #: pickling the same arrays inside the plan handle — identical results,
-    #: useful where /dev/shm is unavailable.  Only the ``"full"`` shard
-    #: path reads it.
-    shared_memory_buffers: bool = True
 
     # Multi-cell RAN controller (see repro.net.controller).
     #: ``"boundary"`` keeps the pre-controller behaviour (strongest-cell
@@ -170,39 +137,6 @@ class SimulationConfig:
             raise ValueError("controller_mode must be 'boundary' or 'handover'")
         if self.playback_workers < 1:
             raise ValueError("playback_workers must be at least 1")
-        if self.channel_draw_mode is None:
-            if self.playback_workers > 1:
-                self.channel_draw_mode = "grouped"
-            else:
-                self.channel_draw_mode = (
-                    "fast" if self.controller_mode == "handover" else "compat"
-                )
-        if self.channel_draw_mode not in ("compat", "fast", "grouped"):
-            raise ValueError(
-                "channel_draw_mode must be 'compat', 'fast' or 'grouped' (or "
-                f"None for the mode default), got {self.channel_draw_mode!r}"
-            )
-        if self.playback_workers > 1 and self.channel_draw_mode != "grouped":
-            raise ValueError(
-                "playback_workers > 1 requires channel_draw_mode='grouped': the "
-                "compat/fast modes consume one shared generator and cannot be "
-                "sharded without changing results"
-            )
-        if self.shard_stages is None:
-            self.shard_stages = (
-                "full" if self.channel_draw_mode == "grouped" else "playback"
-            )
-        if self.shard_stages not in ("playback", "full"):
-            raise ValueError(
-                "shard_stages must be 'playback' or 'full' (or None for the "
-                f"mode default), got {self.shard_stages!r}"
-            )
-        if self.shard_stages == "full" and self.channel_draw_mode != "grouped":
-            raise ValueError(
-                "shard_stages='full' requires channel_draw_mode='grouped': "
-                "only the keyed registry streams let workers recompute stage "
-                "1 and collection independently"
-            )
         if self.controller_apps is not None:
             if self.controller_mode != "handover":
                 raise ValueError("controller_apps requires controller_mode='handover'")

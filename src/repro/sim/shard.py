@@ -1,19 +1,27 @@
-"""Full-interval sharded engine: shared-memory fabric + worker runtime.
+"""The interval engine's per-group stages, its shared-memory fabric and worker runtime.
 
-The grouped interval engine (``channel_draw_mode="grouped"``) derives every
-random draw from a structured key (:mod:`repro.sim.rng`), so any stage of an
-interval can be recomputed anywhere — a worker process needs *keys*, not
-generator state.  This module supplies the two pieces that turn that
-property into a fully sharded interval:
+Every random draw of an interval comes from a structured key
+(:mod:`repro.sim.rng`), so any stage of an interval can be recomputed
+anywhere — a worker process needs *keys*, not generator state.  This module
+holds the pieces both the inline and the sharded interval run on:
+
+* :func:`build_interval_plan` — the parent-side plan of one interval: the
+  member-slot layout (group offsets, user ids, serving cells), the
+  per-member preference-weight matrix and the per-group video-sampling
+  CDFs.
+
+* :func:`play_group_interval` — stages 1 and 2 of one group's interval:
+  channel draws from the group's ``(seed, interval, group)`` stream with
+  the worst-member rule, then multicast playback from its watch stream.
+  The inline engine calls it in the parent; shard workers call it from
+  :func:`_run_shard_task`.
 
 * :class:`SharedIntervalPlan` — the parent-owned shared-memory fabric.  Per
-  interval the :class:`~repro.sim.simulator.StreamingSimulator` publishes one
-  *plan*: the member-slot layout (group offsets, user ids, serving cells),
-  the per-member preference-weight matrix, the per-group video-sampling CDFs
-  and an output slot for per-member mean SNR.  Segments are ring-reused
-  across intervals (reallocated only when the population outgrows them) and
-  unlinked by ``close()``.  Tasks shrink to ``(plan handle, group index)`` —
-  no arrays are pickled per task.
+  sharded interval the :class:`~repro.sim.simulator.StreamingSimulator`
+  publishes the plan plus an output slot for per-member mean SNR.
+  Segments are ring-reused across intervals (reallocated only when the
+  population outgrows them) and unlinked by ``close()``.  Tasks shrink to
+  ``(plan handle, group index)`` — no arrays are pickled per task.
 
 * :class:`ShardWorkerRuntime` — the persistent per-worker population state.
   Each worker lazily reconstructs per-user mobility models from their
@@ -26,13 +34,11 @@ property into a fully sharded interval:
   delta and ships no state at all.
 
 A shard task runs all three stages of one group's interval in the worker:
-stage 1 (channel draws from the group's ``(seed, interval, group)`` stream,
-mean SNR written into the plan's shared output), stage 2 (multicast playback
-via :func:`~repro.sim.simulator.play_group_task`, reading its CDF row and
-weight slice zero-copy from the plan) and stage 3 (twin status collection
-from the per-``(interval, user)`` streams, returned as an op log the parent
-replays onto the real twins).  Serial and sharded runs are bit-identical for
-every worker count.
+stages 1 and 2 via :func:`play_group_interval` (mean SNR written into the
+plan's shared output, CDF row and weight slice read zero-copy from the
+plan) and stage 3 (twin status collection from the per-``(interval,
+user)`` streams, returned as an op log the parent replays onto the real
+twins).  Serial and sharded runs are bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -41,24 +47,218 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.behavior.preference import PreferenceVector
+from repro.behavior.session import ViewingEvent
+from repro.behavior.watching import WatchingDurationModel, WatchRecord
 from repro.mobility.campus import CampusMap
-from repro.mobility.trajectory import GraphTrajectoryMobility
+from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
 from repro.net.basestation import BaseStation
-from repro.net.multicast import group_spectral_efficiency
-from repro.sim.rng import RngRegistry, grouped_channel_stream
+from repro.net.multicast import group_spectral_efficiency, resource_blocks_for_traffic
+from repro.sim.rng import RngRegistry, grouped_channel_stream, grouped_watch_stream
 from repro.timegrid import time_grid
 from repro.twin.attributes import AttributeSpec
 from repro.twin.collector import CollectionPolicy, StatusCollector
+from repro.video.catalog import VideoCatalog
+from repro.video.popularity import sample_index, sampling_cdf
 
 #: Prefix of every shared-memory segment this module creates; the /dev/shm
 #: leak regression test keys on it.
 SEGMENT_PREFIX = "repro-shard"
 
 _PLAN_KEYS = ("idx", "wts", "cdf", "snr")
+
+
+# --------------------------------------------------------------------------
+# Static per-interval state + the per-group stages (inline and worker side)
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class ShardStatic:
+    """Content/config state of the interval engine, fixed for a simulator's life.
+
+    The parent builds it once; the inline path reads it directly and each
+    shard worker receives a copy at pool start.
+    """
+
+    seed: int
+    catalog: VideoCatalog
+    watching_model: WatchingDurationModel
+    video_ids: np.ndarray
+    category_indices: np.ndarray
+    #: Column permutation mapping the catalog's sampling-category order onto
+    #: the config-category order the plan's weight matrix uses.
+    sampling_perm: np.ndarray
+    swipe_gap_s: float
+    rb_bandwidth_hz: float
+    interval_s: float
+    stream_bandwidth_hz: float
+    implementation_loss: float
+    channel_sample_period_s: float
+    campus: CampusMap
+    base_stations: Sequence[BaseStation]
+    attributes: Dict[str, AttributeSpec]
+    collection_policy: CollectionPolicy
+    report_cells: bool
+
+
+def build_interval_plan(
+    members: Sequence[Sequence[int]],
+    users: Mapping[int, Any],
+    categories: Sequence[str],
+    catalog: VideoCatalog,
+    popularity_weight: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, user_ids, serving, weights, cdf)`` of one interval's groups.
+
+    ``members`` lists each group's member ids, groups in sorted scoped-id
+    order; ``users`` maps a user id to its live state (``serving_bs_id``,
+    ``preference``).  ``weights`` holds one preference row per member slot
+    in config-category order (the collector's order); ``cdf`` holds one
+    video-sampling CDF per group: the group's mean preference mixed with
+    the catalog's live popularity.
+    """
+    offsets = np.zeros(len(members) + 1, dtype=np.int64)
+    np.cumsum([len(group) for group in members], out=offsets[1:])
+    flat = [uid for group in members for uid in group]
+    serving = np.array([users[uid].serving_bs_id for uid in flat], dtype=np.int64)
+    weights = np.vstack([users[uid].preference.as_array(categories) for uid in flat])
+    _, popularity, category_indices, sampling_categories = catalog.sampling_arrays()
+    cdf = np.empty((len(members), popularity.shape[0]))
+    for row in range(len(members)):
+        mean = weights[offsets[row] : offsets[row + 1]].mean(axis=0)
+        group_preference = PreferenceVector(
+            dict(zip(categories, mean)), categories=categories
+        )
+        # One weight lookup per *category*, gathered out to per-video scores.
+        preference = np.array(
+            [group_preference.weight(category) for category in sampling_categories]
+        )[category_indices]
+        if preference.sum() > 0:
+            preference = preference / preference.sum()
+        mixture = popularity_weight * popularity + (1.0 - popularity_weight) * preference
+        cdf[row] = sampling_cdf(mixture / mixture.sum())
+    return offsets, np.array(flat, dtype=np.int64), serving, weights, cdf
+
+
+def play_group_interval(
+    static: ShardStatic,
+    bs_by_id: Mapping[int, BaseStation],
+    mobility_for: Callable[[int], MobilityModel],
+    interval_index: int,
+    start_s: float,
+    end_s: float,
+    group_id: int,
+    member_ids: List[int],
+    serving: Sequence[int],
+    weights: np.ndarray,
+    cdf: np.ndarray,
+) -> tuple:
+    """Stages 1 and 2 of one group's interval, as a pure function of its key.
+
+    Stage 1 draws every member's SNR trace from the group's channel stream:
+    one ``sample_snr_traces`` block per serving station, stations sorted so
+    the stream walk depends only on (members, associations).  The
+    worst-member rule over the per-member mean SNRs then fixes the group's
+    efficiency and representation.  Stage 2 plays the group's shared
+    multicast stream: video choices and watch durations come from the
+    group's watch stream, per-member weights from ``weights`` (the plan's
+    rows, config-category order) and video choices from its ``cdf`` row.
+
+    Returns ``(usage, events_by_member, requests, representation,
+    mean_snrs, (stage1_s, playback_s))``: ``requests`` holds picklable
+    ``(video_id, transmitted_s)`` pairs (the parent re-resolves videos for
+    edge transcoding) and ``mean_snrs`` follows ``member_ids`` order.
+    """
+    # Imported lazily: repro.sim.simulator imports this module at load time.
+    from repro.sim.simulator import GroupIntervalUsage
+
+    started = time.perf_counter()
+    times = time_grid(start_s, end_s, static.channel_sample_period_s)
+    rng = grouped_channel_stream(static.seed, interval_index, group_id)
+    by_station: Dict[int, List[int]] = {}
+    for uid, bs_id in zip(member_ids, serving):
+        by_station.setdefault(int(bs_id), []).append(uid)
+    mean_by_user: Dict[int, float] = {}
+    for bs_id in sorted(by_station):
+        served = by_station[bs_id]
+        traces = bs_by_id[bs_id].sample_snr_traces(
+            np.stack([mobility_for(uid).positions(times) for uid in served], axis=0),
+            rng=rng,
+        )
+        for row, uid in enumerate(served):
+            mean_by_user[uid] = float(traces[row].mean())
+    mean_snrs = [mean_by_user[uid] for uid in member_ids]
+    efficiency = group_spectral_efficiency(
+        mean_snrs, implementation_loss=static.implementation_loss
+    )
+    representation = static.catalog.reference_ladder().best_fitting(
+        efficiency * static.stream_bandwidth_hz
+    )
+    stage1_done = time.perf_counter()
+
+    rng = grouped_watch_stream(static.seed, interval_index, group_id)
+    catalog = static.catalog
+    # Gathered into the catalog's sampling-category order once per group.
+    member_weights = weights[:, static.sampling_perm]
+    events: Dict[int, List[ViewingEvent]] = {uid: [] for uid in member_ids}
+    now = start_s
+    traffic_bits = 0.0
+    videos_played = 0
+    engagement_seconds = 0.0
+    requests: List[tuple] = []
+    while now < end_s:
+        row = sample_index(cdf, rng)
+        video = catalog.get(int(static.video_ids[row]))
+        durations = static.watching_model.sample_watch_durations(
+            video, member_weights[:, static.category_indices[row]], rng
+        )
+        member_durations: Dict[int, float] = dict(zip(member_ids, durations.tolist()))
+        transmitted = min(max(member_durations.values()), end_s - now)
+        for uid, duration in member_durations.items():
+            # `swiped` reflects the user's *intended* (uncapped) duration: a
+            # watch cut short only by the interval boundary is not a swipe.
+            # Engagement and traffic use the interval-capped time.
+            swiped = duration < video.duration_s - 1e-9
+            duration = min(duration, end_s - now)
+            record = WatchRecord(
+                user_id=uid,
+                video_id=video.video_id,
+                category=video.category,
+                watch_duration_s=duration,
+                video_duration_s=video.duration_s,
+                swiped=swiped,
+                timestamp_s=now,
+            )
+            events[uid].append(ViewingEvent(record=record, start_time_s=now))
+            engagement_seconds += duration
+        traffic_bits += video.bits_watched(representation, transmitted)
+        requests.append((video.video_id, transmitted))
+        videos_played += 1
+        now += transmitted + static.swipe_gap_s
+
+    usage = GroupIntervalUsage(
+        group_id=group_id,
+        member_ids=list(member_ids),
+        traffic_bits=traffic_bits,
+        efficiency_bps_hz=efficiency,
+        representation_name=representation.name,
+        resource_blocks=resource_blocks_for_traffic(
+            traffic_bits,
+            efficiency,
+            rb_bandwidth_hz=static.rb_bandwidth_hz,
+            interval_s=static.interval_s,
+        ),
+        computing_cycles=0.0,  # filled in after edge processing
+        videos_played=videos_played,
+        engagement_seconds=engagement_seconds,
+    )
+    stage_times = (stage1_done - started, time.perf_counter() - stage1_done)
+    return usage, events, requests, representation, mean_snrs, stage_times
 
 
 # --------------------------------------------------------------------------
@@ -71,8 +271,7 @@ class PlanHandle:
     """Picklable descriptor of one interval's published plan.
 
     Carries only names, shapes and scalars (a few hundred bytes); the
-    arrays themselves live in the shared segments — or, when shared memory
-    is disabled, ride along in ``inline`` (the pickled-array fallback).
+    arrays themselves live in the shared segments.
     """
 
     token: str
@@ -85,11 +284,8 @@ class PlanHandle:
     num_groups: int
     num_categories: int
     num_videos: int
-    #: ``{key: segment name}`` for the shm fabric, ``None`` in inline mode.
-    names: Optional[Mapping[str, str]] = None
-    #: ``(offsets, group_ids, user_ids, serving, weights, cdf)`` when shared
-    #: memory is disabled; ``None`` otherwise.
-    inline: Optional[tuple] = None
+    #: ``{key: segment name}`` of the plan's shared-memory segments.
+    names: Mapping[str, str]
 
 
 class SharedIntervalPlan:
@@ -103,9 +299,8 @@ class SharedIntervalPlan:
     ``close()``/``__exit__``.
     """
 
-    def __init__(self, token: str, use_shared_memory: bool = True) -> None:
+    def __init__(self, token: str) -> None:
         self.token = token
-        self.use_shared_memory = use_shared_memory
         self.version = 0
         self._segments: Dict[str, shared_memory.SharedMemory] = {}
         self._capacity: Dict[str, int] = {}
@@ -127,30 +322,6 @@ class SharedIntervalPlan:
     ) -> PlanHandle:
         num_users, num_categories = weights.shape
         num_groups, num_videos = cdf.shape
-        base = dict(
-            token=self.token,
-            version=self.version,
-            epoch=epoch,
-            interval_index=interval_index,
-            start_s=float(start_s),
-            end_s=float(end_s),
-            num_users=int(num_users),
-            num_groups=int(num_groups),
-            num_categories=int(num_categories),
-            num_videos=int(num_videos),
-        )
-        if not self.use_shared_memory:
-            return PlanHandle(
-                **base,
-                inline=(
-                    offsets.astype(np.int64),
-                    group_ids.astype(np.int64),
-                    user_ids.astype(np.int64),
-                    serving.astype(np.int64),
-                    weights,
-                    cdf,
-                ),
-            )
         index = np.concatenate([offsets, group_ids, user_ids, serving]).astype(np.int64)
         sizes = {
             "idx": index.nbytes,
@@ -162,13 +333,22 @@ class SharedIntervalPlan:
             sizes[key] > self._capacity.get(key, -1) for key in _PLAN_KEYS
         ):
             self._reallocate(sizes)
-        base["version"] = self.version
         self._write("idx", index)
         self._write("wts", np.ascontiguousarray(weights, dtype=np.float64))
         self._write("cdf", np.ascontiguousarray(cdf, dtype=np.float64))
         self._write("snr", np.zeros(num_users, dtype=np.float64))
         return PlanHandle(
-            **base, names={key: seg.name for key, seg in self._segments.items()}
+            token=self.token,
+            version=self.version,
+            epoch=epoch,
+            interval_index=interval_index,
+            start_s=float(start_s),
+            end_s=float(end_s),
+            num_users=int(num_users),
+            num_groups=int(num_groups),
+            num_categories=int(num_categories),
+            num_videos=int(num_videos),
+            names={key: seg.name for key, seg in self._segments.items()},
         )
 
     def mean_snr(self, handle: PlanHandle) -> np.ndarray:
@@ -221,33 +401,8 @@ class SharedIntervalPlan:
 
 
 # --------------------------------------------------------------------------
-# Static worker state + runtime (worker side)
+# Worker runtime (worker side)
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class ShardStatic:
-    """Content/config state shipped to each worker once, at pool start."""
-
-    seed: int
-    catalog: object
-    watching_model: object
-    video_ids: np.ndarray
-    category_indices: np.ndarray
-    #: Column permutation mapping the catalog's sampling-category order onto
-    #: the config-category order the plan's weight matrix uses.
-    sampling_perm: np.ndarray
-    swipe_gap_s: float
-    rb_bandwidth_hz: float
-    interval_s: float
-    stream_bandwidth_hz: float
-    implementation_loss: float
-    channel_sample_period_s: float
-    campus: CampusMap
-    base_stations: Sequence[BaseStation]
-    attributes: Dict[str, AttributeSpec]
-    collection_policy: CollectionPolicy
-    report_cells: bool
 
 
 class _ArrayPreference:
@@ -318,12 +473,7 @@ class ShardWorkerRuntime:
         #: parent's models no matter when they are built.
         self.mobility: Dict[int, GraphTrajectoryMobility] = {}
         self.bs_by_id = {bs.bs_id: bs for bs in static.base_stations}
-        self.ladder = static.catalog.reference_ladder()
-        self.collector = StatusCollector(
-            policy=static.collection_policy,
-            seed=0,  # never drawn from: grouped mode routes keep draws too
-            interleaved_snr_draws=False,
-        )
+        self.collector = StatusCollector(policy=static.collection_policy)
         self._attached: Optional[dict] = None
 
     # ------------------------------------------------------------ population
@@ -350,58 +500,47 @@ class ShardWorkerRuntime:
         """Attach (cached by version) and slice the plan's arrays."""
         num_users = handle.num_users
         num_groups = handle.num_groups
-        if handle.names is None:
-            offsets, group_ids, user_ids, serving, weights, cdf = handle.inline
-            snr_out = None
-        else:
-            attached = self._attached
-            if (
-                attached is None
-                or attached["token"] != handle.token
-                or attached["version"] != handle.version
-            ):
-                self._close_attachments()
-                attached = {
-                    "token": handle.token,
-                    "version": handle.version,
-                    "segments": {
-                        key: _attach_segment(name)
-                        for key, name in handle.names.items()
-                    },
-                }
-                self._attached = attached
-            segments = attached["segments"]
-            index = np.ndarray(
-                (num_groups + 1 + num_groups + 2 * num_users,),
-                dtype=np.int64,
-                buffer=segments["idx"].buf,
-            )
-            offsets = index[: num_groups + 1]
-            group_ids = index[num_groups + 1 : 2 * num_groups + 1]
-            user_ids = index[2 * num_groups + 1 : 2 * num_groups + 1 + num_users]
-            serving = index[2 * num_groups + 1 + num_users :]
-            weights = np.ndarray(
+        attached = self._attached
+        if (
+            attached is None
+            or attached["token"] != handle.token
+            or attached["version"] != handle.version
+        ):
+            self._close_attachments()
+            attached = {
+                "token": handle.token,
+                "version": handle.version,
+                "segments": {
+                    key: _attach_segment(name) for key, name in handle.names.items()
+                },
+            }
+            self._attached = attached
+        segments = attached["segments"]
+        index = np.ndarray(
+            (num_groups + 1 + num_groups + 2 * num_users,),
+            dtype=np.int64,
+            buffer=segments["idx"].buf,
+        )
+        user_ids = index[2 * num_groups + 1 : 2 * num_groups + 1 + num_users]
+        self._resync_population(handle.epoch, user_ids)
+        return {
+            "offsets": index[: num_groups + 1],
+            "group_ids": index[num_groups + 1 : 2 * num_groups + 1],
+            "user_ids": user_ids,
+            "serving": index[2 * num_groups + 1 + num_users :],
+            "weights": np.ndarray(
                 (num_users, handle.num_categories),
                 dtype=np.float64,
                 buffer=segments["wts"].buf,
-            )
-            cdf = np.ndarray(
+            ),
+            "cdf": np.ndarray(
                 (num_groups, handle.num_videos),
                 dtype=np.float64,
                 buffer=segments["cdf"].buf,
-            )
-            snr_out = np.ndarray(
+            ),
+            "snr_out": np.ndarray(
                 (num_users,), dtype=np.float64, buffer=segments["snr"].buf
-            )
-        self._resync_population(handle.epoch, user_ids)
-        return {
-            "offsets": offsets,
-            "group_ids": group_ids,
-            "user_ids": user_ids,
-            "serving": serving,
-            "weights": weights,
-            "cdf": cdf,
-            "snr_out": snr_out,
+            ),
         }
 
     def _close_attachments(self) -> None:
@@ -443,17 +582,13 @@ def _run_shard_task(task: tuple) -> tuple:
     """Run all three stages of one group's interval inside the worker.
 
     Returns ``(group_id, usage, events_by_member, requests, representation,
-    mean_snrs_or_None, collection_ops, stage_times)``.  ``mean_snrs`` is
-    ``None`` when the plan is shm-backed (the worker wrote them into the
-    plan's output slots instead).
+    collection_ops, stage_times)``; the members' mean SNRs go into the
+    plan's shared output slots.
     """
     handle, group_index = task
     runtime = _WorkerRuntimeSlot.runtime
     assert runtime is not None, "shard worker not initialized"
     static = runtime.static
-    # Imported lazily: repro.sim.simulator imports this module at load time.
-    from repro.sim.simulator import GroupPlaybackTask, play_group_task
-
     arrays = runtime.plan_arrays(handle)
     offsets = arrays["offsets"]
     lo = int(offsets[group_index])
@@ -461,65 +596,27 @@ def _run_shard_task(task: tuple) -> tuple:
     group_id = int(arrays["group_ids"][group_index])
     member_ids = [int(uid) for uid in arrays["user_ids"][lo:hi]]
     serving = arrays["serving"][lo:hi]
-
-    # Stage 1: per-group channel stream, mobility from the persistent cache.
-    started = time.perf_counter()
-    times = time_grid(handle.start_s, handle.end_s, static.channel_sample_period_s)
-    positions = {
-        uid: runtime.mobility_for(uid).positions(times) for uid in member_ids
-    }
-    rng = grouped_channel_stream(static.seed, handle.interval_index, group_id)
-    by_station: Dict[int, List[int]] = {}
-    for uid, bs_id in zip(member_ids, serving):
-        by_station.setdefault(int(bs_id), []).append(uid)
-    mean_by_user: Dict[int, float] = {}
-    for bs_id in sorted(by_station):
-        served = by_station[bs_id]
-        traces = runtime.bs_by_id[bs_id].sample_snr_traces(
-            np.stack([positions[uid] for uid in served], axis=0), rng=rng
-        )
-        for row, uid in enumerate(served):
-            mean_by_user[uid] = float(traces[row].mean())
-    mean_snrs = [mean_by_user[uid] for uid in member_ids]
-    efficiency = group_spectral_efficiency(
-        mean_snrs, implementation_loss=static.implementation_loss
-    )
-    representation = runtime.ladder.best_fitting(
-        efficiency * static.stream_bandwidth_hz
-    )
-    if arrays["snr_out"] is not None:
-        arrays["snr_out"][lo:hi] = mean_snrs
-        mean_out: Optional[List[float]] = None
-    else:
-        mean_out = mean_snrs
-    stage1_done = time.perf_counter()
-
-    # Stage 2: playback.  The CDF row is read zero-copy from the plan; the
-    # weight slice is gathered into the catalog's sampling-category order.
     weight_rows = arrays["weights"][lo:hi]
-    playback_task = GroupPlaybackTask(
-        group_id=group_id,
-        member_ids=tuple(member_ids),
-        representation=representation,
-        efficiency=efficiency,
-        start_s=handle.start_s,
-        end_s=handle.end_s,
-        cdf=arrays["cdf"][group_index],
-        weights=weight_rows[:, static.sampling_perm],
-        seed=static.seed,
-        interval_index=handle.interval_index,
+
+    # Stages 1 and 2: mobility from the persistent cache, the CDF row and
+    # weight slice read zero-copy from the plan.
+    usage, events, requests, representation, mean_snrs, stage_times = (
+        play_group_interval(
+            static,
+            runtime.bs_by_id,
+            runtime.mobility_for,
+            handle.interval_index,
+            handle.start_s,
+            handle.end_s,
+            group_id,
+            member_ids,
+            serving,
+            weight_rows,
+            arrays["cdf"][group_index],
+        )
     )
-    usage, events, requests = play_group_task(
-        playback_task,
-        static.catalog,
-        static.watching_model,
-        static.video_ids,
-        static.category_indices,
-        static.swipe_gap_s,
-        static.rb_bandwidth_hz,
-        static.interval_s,
-    )
-    playback_done = time.perf_counter()
+    arrays["snr_out"][lo:hi] = mean_snrs
+    collect_started = time.perf_counter()
 
     # Stage 3: twin collection from the per-(interval, user) streams.  The
     # real collector runs against a recording twin, so the stream walk is
@@ -553,7 +650,6 @@ def _run_shard_task(task: tuple) -> tuple:
                 cursor += 1
             ops.append(("watches", tuple(kept)))
         collection[uid] = ops
-    collect_done = time.perf_counter()
 
     return (
         group_id,
@@ -561,11 +657,6 @@ def _run_shard_task(task: tuple) -> tuple:
         events,
         requests,
         representation,
-        mean_out,
         collection,
-        (
-            stage1_done - started,
-            playback_done - stage1_done,
-            collect_done - playback_done,
-        ),
+        (*stage_times, time.perf_counter() - collect_started),
     )

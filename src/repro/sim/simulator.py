@@ -29,13 +29,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.behavior.preference import PreferenceModel, PreferenceVector, random_preference
 from repro.behavior.session import ViewingEvent
-from repro.behavior.watching import WatchingDurationModel, WatchRecord
+from repro.behavior.watching import WatchingDurationModel
 from repro.edge.server import EdgeServer, EdgeServerConfig
 from repro.placement.fleet import EdgeFleet
 from repro.placement.manager import PlacementConfig, PlacementManager, ReprovisionEvent
@@ -52,23 +52,22 @@ from repro.net.controller import (
     RanController,
 )
 from repro.net.handover import HandoverConfig
-from repro.net.multicast import group_spectral_efficiency, resource_blocks_for_traffic
 from repro.sim.clock import SimulationClock
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import MetricRecorder
-from repro.sim.rng import RngRegistry, grouped_watch_stream, legacy_stream
+from repro.sim.rng import RngRegistry
 from repro.sim.shard import (
     SharedIntervalPlan,
     ShardStatic,
     _init_shard_worker,
     _run_shard_task,
+    build_interval_plan,
+    play_group_interval,
 )
-from repro.timegrid import time_grid
 from repro.twin.collector import StatusCollector
 from repro.twin.manager import DigitalTwinManager
 from repro.twin.attributes import SERVING_CELL, serving_cell_attribute, standard_attributes
 from repro.video.catalog import CatalogConfig, VideoCatalog
-from repro.video.popularity import sample_index, sampling_cdf
 from repro.video.representations import Representation
 
 
@@ -202,156 +201,8 @@ def singleton_grouping(user_ids: Sequence[int]) -> Dict[int, List[int]]:
     return {index: [user_id] for index, user_id in enumerate(user_ids)}
 
 
-# --------------------------------------------------------------------------
-# Grouped playback: one self-contained, picklable task per (interval, group).
-#
-# In ``channel_draw_mode="grouped"`` every random draw a group's playback
-# consumes comes from its own ``(seed, interval, scoped group)`` stream
-# (:mod:`repro.sim.rng`), re-derived from the key inside the play function.
-# A task therefore carries *data only* — no generator state — which is what
-# makes process-shard boundaries draw-exact: a worker produces bit-identical
-# results to the serial path, for any worker count and any group order.
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupPlaybackTask:
-    """Everything one group's interval playback needs, picklable."""
-
-    group_id: int
-    member_ids: Tuple[int, ...]
-    representation: Representation
-    efficiency: float
-    start_s: float
-    end_s: float
-    #: Cumulative video-sampling distribution of this group (popularity x
-    #: group preference), computed against the parent's live popularity.
-    cdf: np.ndarray
-    #: ``(members, categories)`` preference-weight matrix, rows in
-    #: ``member_ids`` order, columns in the catalog's category order.
-    weights: np.ndarray
-    seed: int
-    interval_index: int
-
-
-def play_group_task(
-    task: GroupPlaybackTask,
-    catalog: "VideoCatalog",
-    watching_model: WatchingDurationModel,
-    video_ids: np.ndarray,
-    category_indices: np.ndarray,
-    swipe_gap_s: float,
-    rb_bandwidth_hz: float,
-    interval_s: float,
-) -> tuple:
-    """Play one group's shared multicast stream from its own streams.
-
-    Pure function of the task plus static content state: the video-choice
-    and watch-duration draws come from the task's ``(seed, interval,
-    group)`` watch stream, so the result is independent of every other
-    group and of which process runs it.  Returns ``(usage,
-    events_by_member, requests)`` where ``requests`` holds picklable
-    ``(video_id, transmitted_s)`` pairs (the parent re-resolves videos for
-    edge transcoding).
-    """
-    rng = grouped_watch_stream(task.seed, task.interval_index, task.group_id)
-    member_ids = list(task.member_ids)
-    events: Dict[int, List[ViewingEvent]] = {uid: [] for uid in member_ids}
-    now = task.start_s
-    end_s = task.end_s
-    traffic_bits = 0.0
-    videos_played = 0
-    engagement_seconds = 0.0
-    requests: List[tuple] = []
-    while now < end_s:
-        row = sample_index(task.cdf, rng)
-        video = catalog.get(int(video_ids[row]))
-        durations = watching_model.sample_watch_durations(
-            video, task.weights[:, category_indices[row]], rng
-        )
-        member_durations: Dict[int, float] = dict(zip(member_ids, durations.tolist()))
-        transmitted = max(member_durations.values())
-        transmitted = min(transmitted, end_s - now)
-        for uid, duration in member_durations.items():
-            # Same boundary rule as the shared-generator engines: `swiped`
-            # reflects the intended (uncapped) duration, engagement and
-            # traffic use the interval-capped time.
-            swiped = duration < video.duration_s - 1e-9
-            duration = min(duration, end_s - now)
-            record = WatchRecord(
-                user_id=uid,
-                video_id=video.video_id,
-                category=video.category,
-                watch_duration_s=duration,
-                video_duration_s=video.duration_s,
-                swiped=swiped,
-                timestamp_s=now,
-            )
-            events[uid].append(ViewingEvent(record=record, start_time_s=now))
-            engagement_seconds += duration
-        traffic_bits += video.bits_watched(task.representation, transmitted)
-        requests.append((video.video_id, transmitted))
-        videos_played += 1
-        now += transmitted + swipe_gap_s
-
-    blocks = resource_blocks_for_traffic(
-        traffic_bits,
-        task.efficiency,
-        rb_bandwidth_hz=rb_bandwidth_hz,
-        interval_s=interval_s,
-    )
-    usage = GroupIntervalUsage(
-        group_id=task.group_id,
-        member_ids=member_ids,
-        traffic_bits=traffic_bits,
-        efficiency_bps_hz=task.efficiency,
-        representation_name=task.representation.name,
-        resource_blocks=blocks,
-        computing_cycles=0.0,  # filled in after edge processing
-        videos_played=videos_played,
-        engagement_seconds=engagement_seconds,
-    )
-    return usage, events, requests
-
-
-class _PlaybackWorkerSlot:
-    """Holder for static per-worker playback state, set once by the pool
-    initializer.  A class-attribute slot rather than a module global keeps
-    the worker-reachable module namespace free of mutable bindings
-    (SHARD003); the single assignment happens in a freshly-forked worker.
-    """
-
-    state: Optional[tuple] = None
-
-
 #: Monotonic suffix keeping concurrent simulators' plan segments distinct.
 _PLAN_SEQ = itertools.count()
-
-
-def _init_playback_worker(
-    catalog: "VideoCatalog",
-    watching_model: WatchingDurationModel,
-    video_ids: np.ndarray,
-    category_indices: np.ndarray,
-    swipe_gap_s: float,
-    rb_bandwidth_hz: float,
-    interval_s: float,
-) -> None:
-    _PlaybackWorkerSlot.state = (
-        catalog,
-        watching_model,
-        video_ids,
-        category_indices,
-        swipe_gap_s,
-        rb_bandwidth_hz,
-        interval_s,
-    )
-
-
-def _play_group_task_in_worker(task: GroupPlaybackTask) -> tuple:
-    state = _PlaybackWorkerSlot.state
-    assert state is not None, "playback worker not initialized"
-    return play_group_task(task, *state)
 
 
 class StreamingSimulator:
@@ -360,18 +211,19 @@ class StreamingSimulator:
     def __init__(self, config: Optional[SimulationConfig] = None) -> None:
         self.config = config if config is not None else SimulationConfig()
         config = self.config
-        self._rng = legacy_stream(config.seed)
-        #: SeedSequence-derived stream registry (see repro.sim.rng).  The
-        #: grouped engine draws *everything* from keyed child streams; the
-        #: compat/fast engines keep walking the shared generator above so
-        #: their identical-seed goldens stay bit-for-bit.
+        #: SeedSequence-derived stream registry (see repro.sim.rng): every
+        #: draw of the simulation comes from a keyed child stream.
         self._registry = RngRegistry(config.seed)
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Shared-memory interval plan (full-shard engine only, lazy).
+        #: Shared-memory interval plan (sharded intervals only, lazy).
         self._plan: Optional[SharedIntervalPlan] = None
         #: Bumped on every add_user/remove_user; shipped in each plan handle
         #: so workers resync their population caches exactly on churn.
         self._population_epoch = 0
+        #: Id the next add_user() without an explicit id receives.  It only
+        #: grows, so a departed user's id (and with it their keyed streams
+        #: and kept twin) is never handed to a newcomer.
+        self._next_user_id = config.num_users
         #: Collection op logs returned by shard workers for the current
         #: interval, consumed (replayed onto the twins) by _collect_status.
         self._pending_collection: Optional[Dict[int, list]] = None
@@ -417,23 +269,7 @@ class StreamingSimulator:
                 if config.favourite_category is not None and user_id < num_favoured
                 else None
             )
-            preference = random_preference(
-                self._user_setup_rng(user_id),
-                categories=config.categories,
-                concentration=config.preference_concentration,
-                favourite=favourite,
-                favourite_boost=config.favourite_boost,
-            )
-            mobility = GraphTrajectoryMobility(
-                self.campus, seed=self._mobility_seed(user_id)
-            )
-            self.users[user_id] = UserState(
-                user_id=user_id,
-                mobility=mobility,
-                preference_model=PreferenceModel(
-                    preference, learning_rate=config.preference_learning_rate
-                ),
-            )
+            self.users[user_id] = self._new_user(user_id, favourite)
         self._associate_users(time_s=0.0)
 
         # Event-driven multi-cell RAN controller (handover mode only; the
@@ -498,17 +334,41 @@ class StreamingSimulator:
             attributes[SERVING_CELL] = serving_cell_attribute()
         self.twins = DigitalTwinManager(attributes=attributes)
         self.twins.register_users(self.users.keys())
-        self.collector = StatusCollector(
-            policy=config.collection_policy,
-            seed=config.seed + 7,
-            interleaved_snr_draws=config.channel_draw_mode == "compat",
-        )
+        self.collector = StatusCollector(policy=config.collection_policy)
 
         # Behaviour and bookkeeping.
         self.watching_model = WatchingDurationModel()
         self.clock = SimulationClock(interval_s=config.interval_s)
         self.metrics = MetricRecorder()
         self.history: List[IntervalResult] = []
+
+        # Static state of the per-group interval stages, read inline and
+        # shipped to each shard worker at pool start.
+        video_ids, _, category_indices, sampling_categories = (
+            self.catalog.sampling_arrays()
+        )
+        config_index = {c: i for i, c in enumerate(config.categories)}
+        self._static = ShardStatic(
+            seed=config.seed,
+            catalog=self.catalog,
+            watching_model=self.watching_model,
+            video_ids=video_ids,
+            category_indices=category_indices,
+            sampling_perm=np.array(
+                [config_index[c] for c in sampling_categories], dtype=np.intp
+            ),
+            swipe_gap_s=config.swipe_gap_s,
+            rb_bandwidth_hz=config.rb_bandwidth_hz,
+            interval_s=config.interval_s,
+            stream_bandwidth_hz=config.stream_bandwidth_hz,
+            implementation_loss=config.implementation_loss,
+            channel_sample_period_s=config.channel_sample_period_s,
+            campus=self.campus,
+            base_stations=self.base_stations,
+            attributes=dict(self.twins.attributes),
+            collection_policy=self.collector.policy,
+            report_cells=self.controller is not None,
+        )
 
     # ------------------------------------------------------------------ edge
     @property
@@ -521,35 +381,31 @@ class StreamingSimulator:
         """
         return self.edge_fleet.servers[0]
 
-    # ----------------------------------------------------------- rng streams
-    @property
-    def _grouped(self) -> bool:
-        return self.config.channel_draw_mode == "grouped"
+    def _new_user(self, user_id: int, favourite: Optional[str]) -> UserState:
+        """A fresh user drawn from their own keyed streams.
 
-    def _user_setup_rng(self, user_id: int) -> np.random.Generator:
-        """Stream for one user's setup draws (preference vector).
-
-        Grouped mode keys it per user so population churn never perturbs
-        another user's draws; the compat/fast modes keep consuming the
-        shared generator in registration order (their goldens pin it).
+        The preference draw uses the ``(seed, user, tag)`` setup stream and
+        the trajectory ``SeedSequence((seed, user_id))``, so population churn
+        never perturbs another user's draws and no two (seed, user) pairs
+        share a walk.
         """
-        if self._grouped:
-            return self._registry.preference_stream(user_id)
-        return self._rng
-
-    def _mobility_seed(self, user_id: int):
-        """Seed of one user's trajectory stream.
-
-        Grouped mode derives ``SeedSequence((seed, user_id))`` via the
-        registry, which is collision-free across (seed, user) pairs.  The
-        legacy ``seed * 1000 + user_id`` arithmetic — under which user 1000
-        at seed ``s`` replays user 0's walk at seed ``s + 1`` — is kept
-        *only* as the compat/fast shim, because the identical-seed goldens
-        of those modes pin the old trajectories.
-        """
-        if self._grouped:
-            return self._registry.mobility_seed(user_id)
-        return self.config.seed * 1000 + user_id
+        config = self.config
+        preference = random_preference(
+            self._registry.preference_stream(user_id),
+            categories=config.categories,
+            concentration=config.preference_concentration,
+            favourite=favourite,
+            favourite_boost=config.favourite_boost,
+        )
+        return UserState(
+            user_id=user_id,
+            mobility=GraphTrajectoryMobility(
+                self.campus, seed=self._registry.mobility_seed(user_id)
+            ),
+            preference_model=PreferenceModel(
+                preference, learning_rate=config.preference_learning_rate
+            ),
+        )
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -581,81 +437,29 @@ class StreamingSimulator:
     def _playback_pool(self) -> ProcessPoolExecutor:
         """The lazily-started process pool the interval is sharded over.
 
-        ``shard_stages="playback"`` workers are initialised once with the
-        static content state (catalog, watching model, per-video sampling
-        arrays); everything that changes between intervals travels inside
-        each :class:`GroupPlaybackTask`.  ``shard_stages="full"`` workers
-        instead boot a persistent :class:`repro.sim.shard.ShardWorkerRuntime`
-        — the population state (mobility, collector, registry streams) lives
-        in the worker and tasks shrink to ``(plan handle, group index)``.
-        The pool survives across intervals and is torn down by :meth:`close`.
+        Each worker boots a persistent
+        :class:`repro.sim.shard.ShardWorkerRuntime` from the simulator's
+        static state: the population state (mobility, collector, registry
+        streams) lives in the worker and tasks shrink to ``(plan handle,
+        group index)``.  The pool survives across intervals and is torn
+        down by :meth:`close`.
         """
         if self._pool is None:
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(
                 "fork" if "fork" in methods else None
             )
-            if self.config.shard_stages == "full":
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.config.playback_workers,
-                    mp_context=context,
-                    initializer=_init_shard_worker,
-                    initargs=(self._build_shard_static(),),
-                )
-            else:
-                video_ids, _, category_indices, _ = self.catalog.sampling_arrays()
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.config.playback_workers,
-                    mp_context=context,
-                    initializer=_init_playback_worker,
-                    initargs=(
-                        self.catalog,
-                        self.watching_model,
-                        video_ids,
-                        category_indices,
-                        self.config.swipe_gap_s,
-                        self.config.rb_bandwidth_hz,
-                        self.config.interval_s,
-                    ),
-                )
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.config.playback_workers,
+                mp_context=context,
+                initializer=_init_shard_worker,
+                initargs=(self._static,),
+            )
         return self._pool
-
-    def _build_shard_static(self) -> ShardStatic:
-        """Static per-worker state for the full-shard runtime (pool start)."""
-        config = self.config
-        video_ids, _, category_indices, sampling_categories = (
-            self.catalog.sampling_arrays()
-        )
-        config_index = {c: i for i, c in enumerate(config.categories)}
-        sampling_perm = np.array(
-            [config_index[c] for c in sampling_categories], dtype=np.intp
-        )
-        return ShardStatic(
-            seed=config.seed,
-            catalog=self.catalog,
-            watching_model=self.watching_model,
-            video_ids=video_ids,
-            category_indices=category_indices,
-            sampling_perm=sampling_perm,
-            swipe_gap_s=config.swipe_gap_s,
-            rb_bandwidth_hz=config.rb_bandwidth_hz,
-            interval_s=config.interval_s,
-            stream_bandwidth_hz=config.stream_bandwidth_hz,
-            implementation_loss=config.implementation_loss,
-            channel_sample_period_s=config.channel_sample_period_s,
-            campus=self.campus,
-            base_stations=self.base_stations,
-            attributes=dict(self.twins.attributes),
-            collection_policy=self.collector.policy,
-            report_cells=self.controller is not None,
-        )
 
     def _interval_plan(self) -> SharedIntervalPlan:
         if self._plan is None:
-            self._plan = SharedIntervalPlan(
-                token=f"{os.getpid()}-{next(_PLAN_SEQ)}",
-                use_shared_memory=self.config.shared_memory_buffers,
-            )
+            self._plan = SharedIntervalPlan(token=f"{os.getpid()}-{next(_PLAN_SEQ)}")
         return self._plan
 
     # ------------------------------------------------------------ population
@@ -669,34 +473,23 @@ class StreamingSimulator:
     ) -> int:
         """Add a user mid-simulation (churn) and register their digital twin.
 
-        Returns the new user's id.  The user starts at a random campus node
-        and is associated with a base station at the current simulation time.
+        Returns the new user's id: ``user_id`` when given, else the next id
+        no user of this simulation has held.  The user starts at a random
+        campus node and is associated with a base station at the current
+        simulation time.
         """
         config = self.config
         if user_id is None:
-            user_id = max(self.users.keys(), default=-1) + 1
+            user_id = self._next_user_id
         if user_id in self.users:
             raise ValueError(f"user {user_id} already exists")
         if favourite is not None and favourite not in config.categories:
             raise ValueError(f"favourite {favourite!r} not in configured categories")
-        preference = random_preference(
-            self._user_setup_rng(user_id),
-            categories=config.categories,
-            concentration=config.preference_concentration,
-            favourite=favourite,
-            favourite_boost=config.favourite_boost,
-        )
-        mobility = GraphTrajectoryMobility(self.campus, seed=self._mobility_seed(user_id))
-        self.users[user_id] = UserState(
-            user_id=user_id,
-            mobility=mobility,
-            preference_model=PreferenceModel(
-                preference, learning_rate=config.preference_learning_rate
-            ),
-        )
+        self.users[user_id] = self._new_user(user_id, favourite)
+        self._next_user_id = max(self._next_user_id, user_id + 1)
         self.twins.register_user(user_id)
         self._population_epoch += 1
-        position = mobility.position(self.clock.now_s)
+        position = self.users[user_id].mobility.position(self.clock.now_s)
         best = max(self.base_stations, key=lambda bs: bs.mean_snr_db(position))
         self.users[user_id].serving_bs_id = best.bs_id
         if self.controller is not None:
@@ -739,165 +532,6 @@ class StreamingSimulator:
             return self._bs_by_id[bs_id]
         except KeyError:
             raise KeyError(f"unknown base station {bs_id}") from None
-
-    # ------------------------------------------------------------ radio side
-    def sample_member_snrs(
-        self, member_ids: Sequence[int], start_s: float, end_s: float
-    ) -> Dict[int, np.ndarray]:
-        """Sample each member's SNR trace over ``[start_s, end_s)``.
-
-        Vectorized: one batched position query and one batched SNR sampling
-        call per member (instead of one Python call per channel sample).
-        The batched sampler consumes the shared generator in the exact
-        per-sample order of the scalar path, so results are identical for
-        identical seeds.
-        """
-        times = time_grid(start_s, end_s, self.config.channel_sample_period_s)
-        interleaved = self.config.channel_draw_mode == "compat"
-        snrs: Dict[int, np.ndarray] = {}
-        for user_id in member_ids:
-            user = self.users[user_id]
-            bs = self._base_station(user.serving_bs_id)
-            positions = user.mobility.positions(times)
-            snrs[user_id] = bs.sample_snr_db_batch(
-                positions, rng=self._rng, interleaved=interleaved
-            )
-        return snrs
-
-    def group_link_state(
-        self, member_ids: Sequence[int], start_s: float, end_s: float
-    ) -> tuple:
-        """``(efficiency, representation, mean_snr_by_user)`` for a group."""
-        snr_traces = self.sample_member_snrs(member_ids, start_s, end_s)
-        mean_snrs = {uid: float(trace.mean()) for uid, trace in snr_traces.items()}
-        efficiency = group_spectral_efficiency(
-            list(mean_snrs.values()), implementation_loss=self.config.implementation_loss
-        )
-        ladder = self.catalog.reference_ladder()
-        representation = ladder.best_fitting(efficiency * self.config.stream_bandwidth_hz)
-        return efficiency, representation, mean_snrs
-
-    def _interval_link_states(
-        self, grouping: Mapping[int, Sequence[int]], start_s: float, end_s: float
-    ) -> Dict[int, tuple]:
-        """Stage 1 of the batched interval engine: every group's link state at once.
-
-        One batched :meth:`~repro.mobility.trajectory.MobilityModel.positions`
-        query per user and one ``sample_snr_db_batch`` tensor per base
-        station covering *all* the users it serves this interval (flattened
-        over ``(user, time)``), sliced back per user and reduced per group —
-        instead of one generator call per group member.  Only used in
-        ``channel_draw_mode="fast"``: the per-station whole-array draws walk
-        the shared generator differently from the compat (scalar-order)
-        stream, with identical channel statistics.
-
-        Returns ``{group_id: (efficiency, representation, mean_snr_by_user)}``
-        exactly as :meth:`group_link_state` would per group.
-        """
-        times = time_grid(start_s, end_s, self.config.channel_sample_period_s)
-        member_order = [uid for member_ids in grouping.values() for uid in member_ids]
-        positions = {
-            uid: self.users[uid].mobility.positions(times) for uid in member_order
-        }
-        by_station: Dict[int, List[int]] = {}
-        for uid in member_order:
-            by_station.setdefault(self.users[uid].serving_bs_id, []).append(uid)
-        mean_snr: Dict[int, float] = {}
-        for bs in self.base_stations:
-            served = by_station.get(bs.bs_id)
-            if not served:
-                continue
-            traces = bs.sample_snr_traces(
-                np.stack([positions[uid] for uid in served], axis=0), rng=self._rng
-            )
-            for row, uid in enumerate(served):
-                mean_snr[uid] = float(traces[row].mean())
-        ladder = self.catalog.reference_ladder()
-        link_states: Dict[int, tuple] = {}
-        for group_id, member_ids in grouping.items():
-            mean_snrs = {uid: mean_snr[uid] for uid in member_ids}
-            efficiency = group_spectral_efficiency(
-                list(mean_snrs.values()),
-                implementation_loss=self.config.implementation_loss,
-            )
-            representation = ladder.best_fitting(
-                efficiency * self.config.stream_bandwidth_hz
-            )
-            link_states[group_id] = (efficiency, representation, mean_snrs)
-        return link_states
-
-    def _grouped_link_states(
-        self,
-        grouping: Mapping[int, Sequence[int]],
-        start_s: float,
-        end_s: float,
-        interval_index: int,
-    ) -> Dict[int, tuple]:
-        """Stage 1 of the grouped engine: per-group channel streams.
-
-        Like :meth:`_interval_link_states` this batches position queries per
-        user and SNR draws per (group, station) block, but every group's
-        fading comes from its own ``(seed, interval, scoped group)`` channel
-        stream instead of the shared generator.  Groups are walked in sorted
-        scoped-id order for a deterministic result layout, yet because no
-        stream is shared the values themselves are independent of that
-        order — the property the sharded playback (and any future stage-1
-        parallelism) rests on.
-        """
-        times = time_grid(start_s, end_s, self.config.channel_sample_period_s)
-        member_order = [uid for member_ids in grouping.values() for uid in member_ids]
-        positions = {
-            uid: self.users[uid].mobility.positions(times) for uid in member_order
-        }
-        ladder = self.catalog.reference_ladder()
-        link_states: Dict[int, tuple] = {}
-        for group_id in sorted(grouping):
-            member_ids = list(grouping[group_id])
-            rng = self._registry.channel_stream(interval_index, group_id)
-            by_station: Dict[int, List[int]] = {}
-            for uid in member_ids:
-                by_station.setdefault(self.users[uid].serving_bs_id, []).append(uid)
-            mean_by_user: Dict[int, float] = {}
-            # Station order is sorted so the group's stream walk is a pure
-            # function of (members, associations), never of dict history.
-            for bs_id in sorted(by_station):
-                served = by_station[bs_id]
-                traces = self._base_station(bs_id).sample_snr_traces(
-                    np.stack([positions[uid] for uid in served], axis=0), rng=rng
-                )
-                for row, uid in enumerate(served):
-                    mean_by_user[uid] = float(traces[row].mean())
-            mean_snrs = {uid: mean_by_user[uid] for uid in member_ids}
-            efficiency = group_spectral_efficiency(
-                list(mean_snrs.values()),
-                implementation_loss=self.config.implementation_loss,
-            )
-            representation = ladder.best_fitting(
-                efficiency * self.config.stream_bandwidth_hz
-            )
-            link_states[group_id] = (efficiency, representation, mean_snrs)
-        return link_states
-
-    # -------------------------------------------------------------- content
-    def _group_preference(self, member_ids: Sequence[int]) -> PreferenceVector:
-        """Mean preference of the group's members (ground-truth preferences)."""
-        categories = tuple(self.config.categories)
-        stacks = np.vstack(
-            [self.users[uid].preference.as_array(categories) for uid in member_ids]
-        )
-        mean = stacks.mean(axis=0)
-        return PreferenceVector(dict(zip(categories, mean)), categories=categories)
-
-    def _video_sampling_probabilities(self, group_preference: PreferenceVector) -> np.ndarray:
-        _, pop, category_indices, categories = self.catalog.sampling_arrays()
-        # One weight lookup per *category*, gathered out to per-video scores.
-        weights = np.array([group_preference.weight(category) for category in categories])
-        pref = weights[category_indices]
-        if pref.sum() > 0:
-            pref = pref / pref.sum()
-        w = self.config.recommendation_popularity_weight
-        mixture = w * pop + (1.0 - w) * pref
-        return mixture / mixture.sum()
 
     # ------------------------------------------------------------- intervals
     def preview_scoped_grouping(
@@ -962,59 +596,24 @@ class StreamingSimulator:
                 interval_index, list(played_grouping.keys()), time_s=start_s
             )
 
-        # Grouped draw mode runs the per-group-stream engine (serial or
-        # process-sharded, identical results either way).  Fast mode runs
-        # the staged shared-generator engine: one SNR tensor per base
-        # station for the whole interval instead of per-member sampling
-        # inside the group loop.  Compat mode keeps the sequential per-group
-        # path so the scalar-era generator stream is preserved bit-for-bit.
-        if self._grouped:
-            self._run_grouped_playback(
-                played_grouping,
-                start_s,
-                end_s,
-                interval_index,
-                result,
-                events_by_user,
-                transcode_requests,
-            )
+        # Every group plays from its own keyed streams, in sorted scoped-id
+        # order, inline or on the worker pool: identical results either way.
+        group_ids = sorted(played_grouping)
+        members = [list(played_grouping[gid]) for gid in group_ids]
+        if self.config.playback_workers > 1 and len(members) > 1:
+            play = self._run_full_shard_interval
         else:
-            playback_started = time.perf_counter()
-            stage1_s = 0.0
-            if self.config.channel_draw_mode == "fast":
-                link_states = self._interval_link_states(
-                    played_grouping, start_s, end_s
-                )
-                stage1_s = time.perf_counter() - playback_started
-            else:
-                link_states = None
-
-            for group_id, member_ids in played_grouping.items():
-                member_ids = list(member_ids)
-                if link_states is not None:
-                    efficiency, representation, mean_snrs = link_states[group_id]
-                else:
-                    stage_started = time.perf_counter()
-                    efficiency, representation, mean_snrs = self.group_link_state(
-                        member_ids, start_s, end_s
-                    )
-                    stage1_s += time.perf_counter() - stage_started
-                result.mean_snr_by_user.update(mean_snrs)
-                usage = self._play_group_stream(
-                    group_id,
-                    member_ids,
-                    representation,
-                    efficiency,
-                    start_s,
-                    end_s,
-                    events_by_user,
-                    transcode_requests,
-                )
-                result.usage_by_group[group_id] = usage
-            result.timing["stage1_s"] = stage1_s
-            result.timing["playback_s"] = (
-                time.perf_counter() - playback_started - stage1_s
-            )
+            play = self._run_inline_interval
+        play(
+            group_ids,
+            members,
+            start_s,
+            end_s,
+            interval_index,
+            result,
+            events_by_user,
+            transcode_requests,
+        )
 
         # Edge transcoding for all groups of this interval, routed over the
         # fleet (all groups on server 0 when placement is disabled — the
@@ -1095,9 +694,39 @@ class StreamingSimulator:
         self.clock.advance_interval()
         return result
 
-    def _run_grouped_playback(
+    def _build_plan(self, members: List[List[int]]) -> tuple:
+        """The interval plan of :func:`repro.sim.shard.build_interval_plan`."""
+        return build_interval_plan(
+            members,
+            self.users,
+            tuple(self.config.categories),
+            self.catalog,
+            self.config.recommendation_popularity_weight,
+        )
+
+    def _merge_group(
         self,
-        grouping: Mapping[int, Sequence[int]],
+        result: IntervalResult,
+        events_by_user: Dict[int, List[ViewingEvent]],
+        transcode_requests: Dict[int, List[tuple]],
+        usage: GroupIntervalUsage,
+        events: Dict[int, List[ViewingEvent]],
+        requests: List[tuple],
+        representation: Representation,
+    ) -> None:
+        """Fold one group's playback outcome into the interval's records."""
+        result.usage_by_group[usage.group_id] = usage
+        for uid, user_events in events.items():
+            events_by_user[uid].extend(user_events)
+        transcode_requests[usage.group_id] = [
+            (self.catalog.get(video_id), representation, transmitted)
+            for video_id, transmitted in requests
+        ]
+
+    def _run_inline_interval(
+        self,
+        group_ids: List[int],
+        members: List[List[int]],
         start_s: float,
         end_s: float,
         interval_index: int,
@@ -1105,104 +734,51 @@ class StreamingSimulator:
         events_by_user: Dict[int, List[ViewingEvent]],
         transcode_requests: Dict[int, List[tuple]],
     ) -> None:
-        """Play one interval with per-group streams, optionally sharded.
+        """Play every group in this process, in sorted scoped-group order.
 
-        Stage 1 (:meth:`_grouped_link_states`) runs once in the parent —
-        mobility models are stateful and stay here.  Stage 2 builds one
-        picklable :class:`GroupPlaybackTask` per scoped group and maps
-        :func:`play_group_task` over them, either in-process
-        (``playback_workers == 1``) or over the process pool.  Outcomes are
-        merged in sorted scoped-group order, so collector appends, usage
-        totals and transcode requests are assembled identically for every
-        worker count.
-
-        With ``shard_stages="full"`` and more than one worker the whole
-        interval — stage 1 included — is delegated to the shard runtime
-        instead (see :meth:`_run_full_shard_interval`); results are
-        bit-identical between the two paths.
+        The same plan and per-group function
+        (:func:`~repro.sim.shard.play_group_interval`) the shard workers
+        run, against the parent's own mobility models; collection follows
+        in :meth:`_collect_status`, straight into the twins.
         """
-        if (
-            self.config.shard_stages == "full"
-            and self.config.playback_workers > 1
-            and len(grouping) > 1
-        ):
-            self._run_full_shard_interval(
-                grouping,
-                start_s,
-                end_s,
-                interval_index,
+        started = time.perf_counter()
+        offsets, _, serving, weights, cdf = self._build_plan(members)
+        stage1_s = 0.0
+        for index, (group_id, member_ids) in enumerate(zip(group_ids, members)):
+            lo, hi = offsets[index], offsets[index + 1]
+            usage, events, requests, representation, mean_snrs, stage_times = (
+                play_group_interval(
+                    self._static,
+                    self._bs_by_id,
+                    lambda uid: self.users[uid].mobility,
+                    interval_index,
+                    start_s,
+                    end_s,
+                    group_id,
+                    member_ids,
+                    serving[lo:hi],
+                    weights[lo:hi],
+                    cdf[index],
+                )
+            )
+            result.mean_snr_by_user.update(zip(member_ids, mean_snrs))
+            self._merge_group(
                 result,
                 events_by_user,
                 transcode_requests,
+                usage,
+                events,
+                requests,
+                representation,
             )
-            return
-        stage_started = time.perf_counter()
-        link_states = self._grouped_link_states(
-            grouping, start_s, end_s, interval_index
-        )
-        playback_started = time.perf_counter()
-        result.timing["stage1_s"] = playback_started - stage_started
-        video_ids, _, category_indices, categories = self.catalog.sampling_arrays()
-        tasks: List[GroupPlaybackTask] = []
-        for group_id in sorted(grouping):
-            member_ids = tuple(grouping[group_id])
-            efficiency, representation, _ = link_states[group_id]
-            group_preference = self._group_preference(member_ids)
-            cdf = sampling_cdf(self._video_sampling_probabilities(group_preference))
-            weights = np.vstack(
-                [self.users[uid].preference.as_array(categories) for uid in member_ids]
-            )
-            tasks.append(
-                GroupPlaybackTask(
-                    group_id=group_id,
-                    member_ids=member_ids,
-                    representation=representation,
-                    efficiency=efficiency,
-                    start_s=start_s,
-                    end_s=end_s,
-                    cdf=cdf,
-                    weights=weights,
-                    seed=self.config.seed,
-                    interval_index=interval_index,
-                )
-            )
-
-        if self.config.playback_workers > 1 and len(tasks) > 1:
-            chunksize = max(1, len(tasks) // (self.config.playback_workers * 4))
-            outcomes = list(
-                self._playback_pool().map(
-                    _play_group_task_in_worker, tasks, chunksize=chunksize
-                )
-            )
-        else:
-            outcomes = [
-                play_group_task(
-                    task,
-                    self.catalog,
-                    self.watching_model,
-                    video_ids,
-                    category_indices,
-                    self.config.swipe_gap_s,
-                    self.config.rb_bandwidth_hz,
-                    self.config.interval_s,
-                )
-                for task in tasks
-            ]
-
-        for task, (usage, events, requests) in zip(tasks, outcomes):
-            result.mean_snr_by_user.update(link_states[task.group_id][2])
-            result.usage_by_group[task.group_id] = usage
-            for uid, user_events in events.items():
-                events_by_user[uid].extend(user_events)
-            transcode_requests[task.group_id] = [
-                (self.catalog.get(video_id), task.representation, transmitted)
-                for video_id, transmitted in requests
-            ]
-        result.timing["playback_s"] = time.perf_counter() - playback_started
+            stage1_s += stage_times[0]
+        result.timing["stage1_s"] = stage1_s
+        result.timing["playback_s"] = time.perf_counter() - started - stage1_s
 
     def _run_full_shard_interval(
         self,
-        grouping: Mapping[int, Sequence[int]],
+        group_ids: List[int],
+        members: List[List[int]],
         start_s: float,
         end_s: float,
         interval_index: int,
@@ -1216,51 +792,21 @@ class StreamingSimulator:
         layout, per-member preference weights against the live preferences,
         per-group sampling CDFs against the live popularity), mapping
         ``(plan handle, group index)`` tasks over the pool, and merging the
-        outcomes in sorted scoped-group order — the same order the serial
+        outcomes in sorted scoped-group order — the same order the inline
         path uses, so the assembled result is bit-identical.  Twin state
         stays parent-side: workers return collection op logs that
         :meth:`_collect_status` replays.
         """
         pool = self._playback_pool()
         plan_started = time.perf_counter()
-        categories = tuple(self.config.categories)
-        sorted_group_ids = sorted(grouping)
-        members = [list(grouping[gid]) for gid in sorted_group_ids]
-        offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum([len(m) for m in members], out=offsets[1:])
-        user_ids = np.array(
-            [uid for member_ids in members for uid in member_ids], dtype=np.int64
-        )
-        serving = np.array(
-            [
-                self.users[uid].serving_bs_id
-                for member_ids in members
-                for uid in member_ids
-            ],
-            dtype=np.int64,
-        )
-        weights = np.vstack(
-            [
-                self.users[uid].preference.as_array(categories)
-                for member_ids in members
-                for uid in member_ids
-            ]
-        )
-        sampling_video_ids, _, _, _ = self.catalog.sampling_arrays()
-        cdf = np.empty((len(members), sampling_video_ids.shape[0]))
-        for row, member_ids in enumerate(members):
-            cdf[row] = sampling_cdf(
-                self._video_sampling_probabilities(
-                    self._group_preference(member_ids)
-                )
-            )
+        offsets, user_ids, serving, weights, cdf = self._build_plan(members)
         handle = self._interval_plan().publish(
             epoch=self._population_epoch,
             interval_index=interval_index,
             start_s=start_s,
             end_s=end_s,
             offsets=offsets,
-            group_ids=np.array(sorted_group_ids, dtype=np.int64),
+            group_ids=np.array(group_ids, dtype=np.int64),
             user_ids=user_ids,
             serving=serving,
             weights=weights,
@@ -1268,13 +814,11 @@ class StreamingSimulator:
         )
         plan_s = time.perf_counter() - plan_started
 
-        chunksize = max(
-            1, len(sorted_group_ids) // (self.config.playback_workers * 4)
-        )
+        chunksize = max(1, len(group_ids) // (self.config.playback_workers * 4))
         outcomes = list(
             pool.map(
                 _run_shard_task,
-                [(handle, index) for index in range(len(sorted_group_ids))],
+                [(handle, index) for index in range(len(group_ids))],
                 chunksize=chunksize,
             )
         )
@@ -1282,35 +826,26 @@ class StreamingSimulator:
         merge_started = time.perf_counter()
         stage1_s = playback_s = collection_s = 0.0
         pending: Dict[int, list] = {}
-        for member_ids, outcome in zip(members, outcomes):
-            (
-                group_id,
+        for _, usage, events, requests, representation, collection, stage_times in (
+            outcomes
+        ):
+            self._merge_group(
+                result,
+                events_by_user,
+                transcode_requests,
                 usage,
                 events,
                 requests,
                 representation,
-                mean_snrs,
-                collection,
-                stage_times,
-            ) = outcome
-            result.usage_by_group[group_id] = usage
-            for uid, user_events in events.items():
-                events_by_user[uid].extend(user_events)
-            transcode_requests[group_id] = [
-                (self.catalog.get(video_id), representation, transmitted)
-                for video_id, transmitted in requests
-            ]
-            if mean_snrs is not None:  # inline plan: SNR rode the outcome
-                result.mean_snr_by_user.update(zip(member_ids, mean_snrs))
+            )
             pending.update(collection)
             stage1_s += stage_times[0]
             playback_s += stage_times[1]
             collection_s += stage_times[2]
-        if handle.names is not None:
-            snr = self._interval_plan().mean_snr(handle)
-            result.mean_snr_by_user.update(
-                (int(uid), float(value)) for uid, value in zip(user_ids, snr)
-            )
+        snr = self._interval_plan().mean_snr(handle)
+        result.mean_snr_by_user.update(
+            (int(uid), float(value)) for uid, value in zip(user_ids, snr)
+        )
         self._pending_collection = pending
         result.timing["stage1_s"] = stage1_s
         result.timing["playback_s"] = (
@@ -1434,106 +969,6 @@ class StreamingSimulator:
         if missing:
             raise ValueError(f"grouping does not cover users {sorted(missing)}")
 
-    def _play_group_stream(
-        self,
-        group_id: int,
-        member_ids: List[int],
-        representation: Representation,
-        efficiency: float,
-        start_s: float,
-        end_s: float,
-        events_by_user: Dict[int, List[ViewingEvent]],
-        transcode_requests: Dict[int, List[tuple]],
-    ) -> GroupIntervalUsage:
-        """Play the shared multicast stream of one group for one interval.
-
-        In ``channel_draw_mode="fast"`` the per-member watch-duration
-        sampling is batched: one preference-weight matrix per group per
-        interval and one whole-array ``random``/``beta`` draw per video
-        (:meth:`~repro.behavior.watching.WatchingDurationModel.sample_watch_durations`)
-        instead of two scalar generator calls per member.  Compat mode keeps
-        the interleaved scalar draws so identical seeds reproduce the
-        sequential engine bit-for-bit.
-        """
-        group_preference = self._group_preference(member_ids)
-        probabilities = self._video_sampling_probabilities(group_preference)
-        video_ids, _, category_indices, categories = self.catalog.sampling_arrays()
-        # One cumulative distribution per group instead of re-validating the
-        # probability vector per draw; each draw consumes exactly one
-        # uniform, like Generator.choice(p=...) does.
-        cdf = sampling_cdf(probabilities)
-        batched = self.config.channel_draw_mode == "fast"
-        if batched:
-            # Preferences only change between intervals, so the per-member
-            # weight of every category can be gathered once per group.
-            weight_matrix = np.vstack(
-                [self.users[uid].preference.as_array(categories) for uid in member_ids]
-            )
-
-        now = start_s
-        traffic_bits = 0.0
-        videos_played = 0
-        engagement_seconds = 0.0
-        requests: List[tuple] = []
-        while now < end_s:
-            row = sample_index(cdf, self._rng)
-            video = self.catalog.get(int(video_ids[row]))
-            if batched:
-                durations = self.watching_model.sample_watch_durations(
-                    video, weight_matrix[:, category_indices[row]], self._rng
-                )
-                member_durations: Dict[int, float] = dict(
-                    zip(member_ids, durations.tolist())
-                )
-            else:
-                member_durations = {}
-                for uid in member_ids:
-                    member_durations[uid] = self.watching_model.sample_watch_duration(
-                        video, self.users[uid].preference, self._rng
-                    )
-            transmitted = max(member_durations.values())
-            transmitted = min(transmitted, end_s - now)
-            for uid, duration in member_durations.items():
-                # `swiped` reflects the user's *intended* (uncapped) duration:
-                # a watch cut short only by the interval boundary is not a
-                # swipe.  Engagement and traffic still use the capped time.
-                swiped = duration < video.duration_s - 1e-9
-                duration = min(duration, end_s - now)
-                record = WatchRecord(
-                    user_id=uid,
-                    video_id=video.video_id,
-                    category=video.category,
-                    watch_duration_s=duration,
-                    video_duration_s=video.duration_s,
-                    swiped=swiped,
-                    timestamp_s=now,
-                )
-                events_by_user[uid].append(ViewingEvent(record=record, start_time_s=now))
-                engagement_seconds += duration
-            traffic_bits += video.bits_watched(representation, transmitted)
-            requests.append((video, representation, transmitted))
-            videos_played += 1
-            now += transmitted + self.config.swipe_gap_s
-
-        transcode_requests[group_id] = requests
-        blocks = resource_blocks_for_traffic(
-            traffic_bits,
-            efficiency,
-            rb_bandwidth_hz=self.config.rb_bandwidth_hz,
-            interval_s=self.config.interval_s,
-        )
-        return GroupIntervalUsage(
-            group_id=group_id,
-            member_ids=member_ids,
-            traffic_bits=traffic_bits,
-            efficiency_bps_hz=efficiency,
-            representation_name=representation.name,
-            resource_blocks=blocks,
-            computing_cycles=0.0,  # filled in after edge processing
-            videos_played=videos_played,
-            engagement_seconds=engagement_seconds,
-        )
-
     def _collect_status(
         self,
         events_by_user: Dict[int, List[ViewingEvent]],
@@ -1559,20 +994,13 @@ class StreamingSimulator:
                         )
             return
         report_cells = self.controller is not None
-        grouped = self._grouped
         interval_index = self.clock.current_interval
         for uid, user in self.users.items():
-            # Grouped mode hands the collector a per-(interval, user) stream
-            # so one user's channel-report draws never depend on how many
-            # samples any other user (or any group) consumed; the shared
-            # generator remains the compat/fast behaviour.  The same stream
-            # also takes the drop decisions (keep_rng), making a lossy
-            # policy's draw walk worker-replayable.
-            rng = (
-                self._registry.collection_stream(interval_index, uid)
-                if grouped
-                else self._rng
-            )
+            # A per-(interval, user) stream, so one user's channel-report
+            # draws never depend on how many samples any other user (or any
+            # group) consumed.  The same stream also takes the drop decisions
+            # (keep_rng), making a lossy policy's draw walk worker-replayable.
+            rng = self._registry.collection_stream(interval_index, uid)
             self.collector.collect_interval(
                 self.twins.twin(uid),
                 user.mobility,
@@ -1582,7 +1010,7 @@ class StreamingSimulator:
                 start_s,
                 end_s,
                 rng=rng,
-                keep_rng=rng if grouped else None,
+                keep_rng=rng,
                 serving_cell=user.serving_bs_id if report_cells else None,
             )
 

@@ -60,39 +60,14 @@ class CollectionPolicy:
 class StatusCollector:
     """Collects user status into UDTs over a reservation interval."""
 
-    def __init__(
-        self,
-        policy: Optional[CollectionPolicy] = None,
-        seed: int = 0,
-        interleaved_snr_draws: bool = True,
-    ) -> None:
+    def __init__(self, policy: Optional[CollectionPolicy] = None) -> None:
         self.policy = policy if policy is not None else CollectionPolicy.perfect()
-        # Imported lazily: repro.sim.shard imports this module at load time.
-        from repro.sim.rng import legacy_stream
-
-        self._rng = legacy_stream(seed)
-        #: Whether batched SNR sampling preserves the scalar per-sample draw
-        #: order of the shared generator (see ChannelModel.sample_snr_db_batch).
-        self.interleaved_snr_draws = interleaved_snr_draws
 
     # ------------------------------------------------------------ sampling
-    def _keep_sample(self, rng: Optional[np.random.Generator] = None) -> bool:
-        if self.policy.drop_probability == 0.0:
-            return True
-        rng = rng if rng is not None else self._rng
-        return rng.random() >= self.policy.drop_probability
-
-    def _keep_mask(
-        self, count: int, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`_keep_sample`: one boolean per sample.
-
-        Draws the same generator values a loop of scalar calls would, and
-        draws nothing at all when samples are never dropped.
-        """
+    def _keep_mask(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """One keep decision per sample; draws nothing when nothing is dropped."""
         if self.policy.drop_probability == 0.0:
             return np.ones(count, dtype=bool)
-        rng = rng if rng is not None else self._rng
         return rng.random(count) >= self.policy.drop_probability
 
     def _sample_times(self, start_s: float, end_s: float, period_s: float) -> np.ndarray:
@@ -110,7 +85,7 @@ class StatusCollector:
         attribute: str,
         start_s: float,
         end_s: float,
-        keep_rng: Optional[np.random.Generator] = None,
+        keep_rng: np.random.Generator,
     ) -> np.ndarray:
         spec = udt.attributes[attribute]
         times = self._sample_times(start_s, end_s, spec.collection_period_s)
@@ -125,8 +100,8 @@ class StatusCollector:
         events: Sequence[ViewingEvent],
         start_s: float,
         end_s: float,
-        rng: Optional[np.random.Generator] = None,
-        keep_rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
+        keep_rng: np.random.Generator,
         serving_cell: Optional[int] = None,
     ) -> None:
         """Collect one reservation interval's worth of status for one user.
@@ -135,25 +110,16 @@ class StatusCollector:
         and one bulk append into the twin's time-series store, instead of a
         Python loop over individual samples.
 
-        ``rng`` is the stream the channel-condition draws consume.  The
-        grouped simulation engine passes a dedicated per-(interval, user)
-        stream here (see :class:`repro.sim.rng.RngRegistry`), which makes
-        each user's collected status independent of every other user's —
-        the property that lets collection results merge deterministically
-        no matter how the interval itself was executed.  The legacy modes
-        pass their shared generator, preserving the historical streams.
-
-        ``keep_rng`` is the stream drop decisions consume.  It defaults to
-        the collector's own generator (the historical behaviour, shared
-        across users and therefore order-dependent).  The grouped engine
-        passes the same per-(interval, user) stream as ``rng``, so with a
-        lossy policy the interleaved keep/sample draws are a deterministic
-        per-user walk a shard worker can replay exactly.  With
-        ``drop_probability == 0`` neither generator is touched for keeps.
+        ``rng`` is the stream the channel-condition draws consume and
+        ``keep_rng`` the one the drop decisions consume.  The simulator
+        passes the same per-(interval, user) stream as both (see
+        :class:`repro.sim.rng.RngRegistry`), which makes each user's
+        collected status independent of every other user's and a
+        deterministic per-user walk a shard worker can replay exactly.  With
+        ``drop_probability == 0`` no keep decision is drawn.
         """
         if end_s <= start_s:
             raise ValueError("end_s must be greater than start_s")
-        rng = rng if rng is not None else self._rng
         delay = self.policy.delay_s
 
         # Channel condition: sample SNR at the attribute's own frequency.
@@ -161,9 +127,7 @@ class StatusCollector:
             times = self._kept_times(udt, CHANNEL_CONDITION, start_s, end_s, keep_rng)
             if times.size:
                 positions = mobility.positions(times)
-                snrs = base_station.sample_snr_db_batch(
-                    positions, rng=rng, interleaved=self.interleaved_snr_draws
-                )
+                snrs = base_station.sample_snr_db_batch(positions, rng=rng)
                 udt.record_batch(CHANNEL_CONDITION, times + delay, snrs[:, None])
 
         # Location.
@@ -177,8 +141,11 @@ class StatusCollector:
             if self.policy.drop_probability == 0.0:
                 kept_records = [event.record for event in events]
             else:
+                # One scalar draw per record, in record order.
                 kept_records = [
-                    event.record for event in events if self._keep_sample(keep_rng)
+                    event.record
+                    for event in events
+                    if keep_rng.random() >= self.policy.drop_probability
                 ]
             udt.record_watches(kept_records)
 

@@ -8,32 +8,13 @@ watch-record collections, and staleness reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.behavior.watching import WatchRecord
 from repro.twin.attributes import AttributeSpec, DEFAULT_ATTRIBUTES
 from repro.twin.udt import UserDigitalTwin
-
-
-@dataclass
-class _FeatureCacheEntry:
-    """Last feature matrix computed for one user, with store snapshots.
-
-    ``appended`` / ``discarded`` pin each attribute store's monotone
-    counters at computation time, so a later call can prove which cached
-    grid rows are still valid (zero-order-hold rows only change when a
-    sample with a timestamp at or before the row's grid time arrives, and
-    appends are time-ordered).
-    """
-
-    order: Tuple[str, ...]
-    times: np.ndarray
-    matrix: np.ndarray
-    appended: Dict[str, int]
-    discarded: Dict[str, int]
 
 
 class DigitalTwinManager:
@@ -43,17 +24,12 @@ class DigitalTwinManager:
         self,
         attributes: Optional[Mapping[str, AttributeSpec]] = None,
         max_samples_per_attribute: Optional[int] = None,
-        feature_cache_enabled: bool = True,
     ) -> None:
         self.attributes: Dict[str, AttributeSpec] = dict(
             attributes if attributes is not None else DEFAULT_ATTRIBUTES
         )
         self.max_samples_per_attribute = max_samples_per_attribute
         self._twins: Dict[int, UserDigitalTwin] = {}
-        #: Incremental per-user feature-matrix cache (see
-        #: :meth:`user_feature_matrix`); disable to force full recomputes.
-        self.feature_cache_enabled = feature_cache_enabled
-        self._feature_cache: Dict[int, _FeatureCacheEntry] = {}
 
     # ------------------------------------------------------------ registry
     def __len__(self) -> int:
@@ -73,7 +49,6 @@ class DigitalTwinManager:
                 attributes=self.attributes,
                 max_samples_per_attribute=self.max_samples_per_attribute,
             )
-            self._feature_cache.pop(user_id, None)
         return self._twins[user_id]
 
     def register_users(self, user_ids: Iterable[int]) -> List[UserDigitalTwin]:
@@ -86,7 +61,6 @@ class DigitalTwinManager:
 
     def remove_user(self, user_id: int) -> None:
         self._twins.pop(user_id, None)
-        self._feature_cache.pop(user_id, None)
 
     # --------------------------------------------------------- aggregation
     def feature_tensor(
@@ -96,26 +70,30 @@ class DigitalTwinManager:
         num_steps: int = 32,
         attribute_order: Optional[Sequence[str]] = None,
         user_ids: Optional[Sequence[int]] = None,
-        batched: Optional[bool] = None,
     ) -> np.ndarray:
         """Stacked per-user feature matrices, shape ``(users, num_steps, channels)``.
 
         Users are ordered by ``user_ids`` (default: sorted registry order),
         which is also the row order of everything derived downstream
-        (compressed features, cluster labels, multicast groups).
+        (compressed features, cluster labels, multicast groups).  Row ``u``
+        equals ``twin(u).feature_matrix(...)`` bit for bit.
 
-        ``batched`` selects the resampling engine.  ``True`` runs the pure
-        cross-user batched path (:meth:`batched_feature_tensor`): one
-        ``searchsorted`` per *attribute* over the stacked population instead
-        of one per (user, attribute), bypassing the per-user cache.
-        ``False`` forces the per-user (cache-backed) path.  The default
-        ``None`` runs the hybrid: rows the per-user cache can prove
-        unchanged are served from it, and only the remaining (user, tail)
-        rows go through one batched resample per attribute — so a fresh
-        window (warm-up) gets full batching while a sliding window pays only
-        for its new rows (plain batched when the cache is disabled).  All
-        paths produce bit-identical tensors (zero-order hold is
-        deterministic), pinned by the equivalence tests.
+        Zero-order-hold resampling is two ``searchsorted`` lookups plus a
+        gather per store; dispatching that pair once per ``(user,
+        attribute)`` would make NumPy call overhead — not the resampling
+        arithmetic — dominate at population scale.  Instead every user's
+        timestamps of an attribute are concatenated into one ascending array
+        (each user's block shifted by a constant offset larger than the
+        global time span, so blocks cannot interleave), *all* users' grid
+        rows are resolved with a single ``searchsorted`` over it, and the
+        values are gathered with one ``take``: one NumPy dispatch sequence
+        per attribute for the entire population.
+
+        Caveat: the shift arithmetic compares timestamps at a magnitude of
+        roughly ``population x time span``, so two *distinct* timestamps
+        closer than the float64 rounding granularity there (sub-microsecond
+        at millions of user-hours) could collapse; simulation timestamps
+        are multiples of collection periods, far above that.
         """
         ids = list(user_ids) if user_ids is not None else self.user_ids()
         if not ids:
@@ -125,57 +103,6 @@ class DigitalTwinManager:
         if num_steps <= 0:
             raise ValueError("num_steps must be positive")
         times = np.linspace(start_s, end_s, num_steps, endpoint=False)
-        if batched is None:
-            if self.feature_cache_enabled:
-                return self._cached_batched_tensor(ids, times, attribute_order)
-            return self._batched_feature_tensor(ids, times, attribute_order)
-        if batched:
-            return self._batched_feature_tensor(ids, times, attribute_order)
-        matrices = [self._user_feature_matrix(uid, times, attribute_order) for uid in ids]
-        return np.stack(matrices, axis=0)
-
-    def batched_feature_tensor(
-        self,
-        start_s: float,
-        end_s: float,
-        num_steps: int = 32,
-        attribute_order: Optional[Sequence[str]] = None,
-        user_ids: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """:meth:`feature_tensor` via the cross-user batched resample.
-
-        Zero-order-hold resampling is two ``searchsorted`` lookups plus a
-        gather per store; the per-user path dispatches that pair once per
-        ``(user, attribute)``, so at population scale NumPy call overhead —
-        not the resampling arithmetic — dominates.  This path concatenates
-        every user's timestamps per attribute into one ascending array (each
-        user's block shifted by a constant offset larger than the global
-        time span, so blocks cannot interleave), resolves *all* users' grid
-        rows with a single ``searchsorted`` over it, and gathers the values
-        with one ``take``: one NumPy dispatch sequence per attribute for the
-        entire population.
-
-        Caveat: the shift arithmetic compares timestamps at a magnitude of
-        roughly ``population x time span``, so two *distinct* timestamps
-        closer than the float64 rounding granularity there (sub-microsecond
-        at millions of user-hours) could collapse; simulation timestamps
-        are multiples of collection periods, far above that.
-        """
-        return self.feature_tensor(
-            start_s,
-            end_s,
-            num_steps=num_steps,
-            attribute_order=attribute_order,
-            user_ids=user_ids,
-            batched=True,
-        )
-
-    def _batched_feature_tensor(
-        self,
-        ids: Sequence[int],
-        times: np.ndarray,
-        attribute_order: Optional[Sequence[str]] = None,
-    ) -> np.ndarray:
         twins = [self.twin(uid) for uid in ids]
         order = (
             tuple(attribute_order)
@@ -183,7 +110,6 @@ class DigitalTwinManager:
             else tuple(twins[0].attributes)
         )
         num_users = len(twins)
-        num_steps = times.shape[0]
         dims = [twins[0].store(name).dimension for name in order]
         tensor = np.empty((num_users, num_steps, int(sum(dims))))
         column = 0
@@ -221,278 +147,6 @@ class DigitalTwinManager:
                 out[~filled] = 0.0
             column += dim
         return tensor
-
-    def _cached_batched_tensor(
-        self,
-        ids: Sequence[int],
-        times: np.ndarray,
-        attribute_order: Optional[Sequence[str]] = None,
-    ) -> np.ndarray:
-        """Cache-cooperative batched tensor: batch only unprovable rows.
-
-        Per user, :meth:`_reusable_rows` proves how many leading grid rows
-        the cached matrix still covers; those are copied (or, on a full hit,
-        the cached matrix is returned uncopied, exactly like the per-user
-        path).  The remaining ragged (user, tail-rows) set is resampled with
-        the same offset-stacked ``searchsorted`` trick as
-        :meth:`_batched_feature_tensor`, one dispatch sequence per attribute
-        — variable-length query blocks per user instead of a fixed grid.
-        Cache entries are refreshed with the per-user path's semantics, so
-        interleaving the two paths stays consistent.
-        """
-        twins = [self.twin(uid) for uid in ids]
-        order = (
-            tuple(attribute_order)
-            if attribute_order is not None
-            else tuple(twins[0].attributes)
-        )
-        num_steps = times.shape[0]
-        stores_by_user = [[twin.store(name) for name in order] for twin in twins]
-        width = int(sum(store.dimension for store in stores_by_user[0]))
-        plans = [
-            self._reusable_rows(uid, times, order, stores)
-            for uid, stores in zip(ids, stores_by_user)
-        ]
-        matrices: List[np.ndarray] = []
-        stale: List[int] = []
-        for index, (reused, shift, entry) in enumerate(plans):
-            if reused == num_steps:
-                # Full hit: serve the cached matrix as-is, counters
-                # untouched (see _user_feature_matrix).
-                matrices.append(entry.matrix)
-                continue
-            matrix = np.empty((num_steps, width))
-            if reused:
-                matrix[:reused] = entry.matrix[shift : shift + reused]
-            matrices.append(matrix)
-            stale.append(index)
-        if stale:
-            self._batched_tail_resample(
-                times, order, stores_by_user, plans, matrices, stale
-            )
-            for index in stale:
-                entry = plans[index][2]
-                stores = stores_by_user[index]
-                if entry is not None and entry.order == order:
-                    entry.times = times
-                    entry.matrix = matrices[index]
-                    for name, store in zip(order, stores):
-                        entry.appended[name] = store.append_count
-                        entry.discarded[name] = store.discard_count
-                else:
-                    self._feature_cache[ids[index]] = _FeatureCacheEntry(
-                        order=order,
-                        times=times,
-                        matrix=matrices[index],
-                        appended={
-                            name: store.append_count
-                            for name, store in zip(order, stores)
-                        },
-                        discarded={
-                            name: store.discard_count
-                            for name, store in zip(order, stores)
-                        },
-                    )
-        return np.stack(matrices, axis=0)
-
-    def _batched_tail_resample(
-        self,
-        times: np.ndarray,
-        order: Tuple[str, ...],
-        stores_by_user: Sequence[Sequence],
-        plans: Sequence[tuple],
-        matrices: Sequence[np.ndarray],
-        stale: Sequence[int],
-    ) -> None:
-        """Fill the non-reusable tail rows of the stale users, batched.
-
-        Same arithmetic as :meth:`_batched_feature_tensor` (offset-shifted
-        block concatenation, one ``searchsorted`` + gather per attribute,
-        per-block zero-order-hold clamp via ``np.repeat``), generalised to
-        a different query count per user.
-        """
-        column = 0
-        for position, _name in enumerate(order):
-            stores = [stores_by_user[index][position] for index in stale]
-            dim = stores[0].dimension
-            outs = [
-                matrices[index][plans[index][0] :, column : column + dim]
-                for index in stale
-            ]
-            sizes = np.array([len(store) for store in stores])
-            filled = sizes > 0
-            for out, keep in zip(outs, filled):
-                if not keep:
-                    out[:] = 0.0  # empty store resamples to zeros
-            if filled.any():
-                kept = [j for j, keep in enumerate(filled) if keep]
-                time_blocks = [stores[j].time_view() for j in kept]
-                value_blocks = [stores[j].value_view() for j in kept]
-                query_blocks = [times[plans[stale[j]][0] :] for j in kept]
-                low = min(
-                    min(float(block[0]) for block in query_blocks),
-                    min(float(block[0]) for block in time_blocks),
-                )
-                high = max(
-                    max(float(block[-1]) for block in query_blocks),
-                    max(float(block[-1]) for block in time_blocks),
-                )
-                offset = (high - low) + 1.0
-                shifts = offset * np.arange(len(kept))
-                stacked_times = np.concatenate(
-                    [block + shift for block, shift in zip(time_blocks, shifts)]
-                )
-                queries = np.concatenate(
-                    [block + shift for block, shift in zip(query_blocks, shifts)]
-                )
-                rows = stacked_times.searchsorted(queries, side="right") - 1
-                counts = np.array([block.shape[0] for block in query_blocks])
-                starts = np.concatenate(([0], np.cumsum(sizes[filled])))[:-1]
-                np.maximum(rows, np.repeat(starts, counts), out=rows)
-                gathered = np.concatenate(value_blocks, axis=0)[rows]
-                for j, piece in zip(kept, np.split(gathered, np.cumsum(counts)[:-1])):
-                    outs[j][:] = piece
-            column += dim
-
-    def user_feature_matrix(
-        self,
-        user_id: int,
-        start_s: float,
-        end_s: float,
-        num_steps: int = 32,
-        attribute_order: Optional[Sequence[str]] = None,
-    ) -> np.ndarray:
-        """One user's feature matrix, served through the incremental cache.
-
-        Equivalent to ``twin(user_id).feature_matrix(...)`` but reuses grid
-        rows from the previous call when the new history window overlaps it
-        on an aligned grid (the sliding-window pattern of the prediction
-        pipeline): with zero-order-hold resampling and time-ordered appends,
-        a cached row can only change when a sample arrives whose timestamp
-        is at or before the row's grid time, so every overlapping row older
-        than the oldest new sample is returned as-is and only the remaining
-        rows are resampled.  Any misalignment, ring eviction or
-        ``clear()`` falls back to a full recompute, and the cache entry is
-        dropped on :meth:`remove_user` / re-:meth:`register_user`.
-
-        The returned array is shared with the cache — treat it as read-only
-        (population-level consumers copy via ``np.stack`` anyway).
-        """
-        if end_s <= start_s:
-            raise ValueError("end_s must be greater than start_s")
-        if num_steps <= 0:
-            raise ValueError("num_steps must be positive")
-        times = np.linspace(start_s, end_s, num_steps, endpoint=False)
-        return self._user_feature_matrix(user_id, times, attribute_order)
-
-    def _user_feature_matrix(
-        self,
-        user_id: int,
-        times: np.ndarray,
-        attribute_order: Optional[Sequence[str]] = None,
-    ) -> np.ndarray:
-        twin = self.twin(user_id)
-        order = (
-            tuple(attribute_order) if attribute_order is not None else tuple(twin.attributes)
-        )
-        if not self.feature_cache_enabled:
-            return twin.feature_rows(times, order)
-        stores = [twin.store(name) for name in order]
-        reused, shift, entry = self._reusable_rows(user_id, times, order, stores)
-        num_steps = times.shape[0]
-        if reused == num_steps:
-            # Full hit (same window, no sample at or before any grid time
-            # arrived): serve the cached matrix as-is.  The snapshot is left
-            # untouched — keeping the older counters is conservative, it can
-            # only shrink what a later call reuses.
-            return entry.matrix
-        if reused:
-            matrix = np.empty((num_steps, entry.matrix.shape[1]))
-            matrix[:reused] = entry.matrix[shift : shift + reused]
-            tail_times = times[reused:]
-            column = 0
-            for store in stores:
-                store.resample_into(
-                    tail_times, matrix[reused:, column : column + store.dimension]
-                )
-                column += store.dimension
-        else:
-            matrix = twin.feature_rows(times, order)
-        if entry is not None and entry.order == order:
-            # Refresh the existing entry in place (the steady-state sliding
-            # pattern) instead of reallocating it every interval.
-            entry.times = times
-            entry.matrix = matrix
-            for name, store in zip(order, stores):
-                entry.appended[name] = store.append_count
-                entry.discarded[name] = store.discard_count
-        else:
-            self._feature_cache[user_id] = _FeatureCacheEntry(
-                order=order,
-                times=times,
-                matrix=matrix,
-                appended={name: store.append_count for name, store in zip(order, stores)},
-                discarded={name: store.discard_count for name, store in zip(order, stores)},
-            )
-        return matrix
-
-    def _reusable_rows(
-        self,
-        user_id: int,
-        times: np.ndarray,
-        order: Tuple[str, ...],
-        stores: Sequence,
-    ) -> tuple:
-        """``(row_count, cache_row_shift, entry)`` reusable for this request."""
-        entry = self._feature_cache.get(user_id)
-        num_steps = times.shape[0]
-        if entry is None or entry.order != order or entry.times.shape[0] != num_steps:
-            return 0, 0, entry
-        # Grid alignment: the new window must start on a grid point of the
-        # cached window (the sliding-history pattern); `shift` is how many
-        # rows the window advanced.  Endpoint checks suffice: both grids are
-        # uniform with the same step, so matching first and last overlapping
-        # points pins the whole overlap (scalar comparisons keep this O(1)
-        # on the per-user hot path).
-        first = float(times[0])
-        if num_steps > 1:
-            step = float(times[1] - times[0])
-            if step <= 0 or abs(float(entry.times[1] - entry.times[0]) - step) > 1e-9 * step:
-                return 0, 0, entry
-            shift = int(round((first - float(entry.times[0])) / step))
-            tolerance = 1e-9 * max(step, 1.0)
-        else:
-            shift = 0
-            tolerance = 1e-9
-        if not 0 <= shift < num_steps:
-            return 0, 0, entry
-        overlap = num_steps - shift
-        last = float(times[overlap - 1])
-        if (
-            abs(float(entry.times[shift]) - first) > tolerance
-            or abs(float(entry.times[num_steps - 1]) - last) > tolerance
-        ):
-            return 0, 0, entry
-        # Store freshness: discards invalidate everything; otherwise rows
-        # strictly older than the first sample appended since the snapshot
-        # are untouched by construction (appends are time-ordered).  One
-        # exception: a store that was *empty* at snapshot time resampled to
-        # zeros, and its first real sample backfills every grid row via the
-        # zero-order-hold clamp — nothing cached for it can be reused.
-        valid_until = np.inf
-        for name, store in zip(order, stores):
-            if store.discard_count != entry.discarded.get(name, -1):
-                return 0, 0, entry
-            first_new = store.first_timestamp_appended_after(entry.appended[name])
-            if first_new is not None:
-                if entry.appended[name] == entry.discarded[name]:
-                    return 0, 0, entry
-                if first_new < valid_until:
-                    valid_until = first_new
-        if valid_until > last:
-            return overlap, shift, entry
-        reused = int(np.searchsorted(times[:overlap], valid_until, side="left"))
-        return reused, shift, entry
 
     def watch_records(
         self,

@@ -63,11 +63,6 @@ class TimeSeriesStore:
         self._values = np.empty((capacity, dimension), dtype=np.float64)
         self._start = 0
         self._size = 0
-        #: Monotone counters consumed by incremental readers (the feature
-        #: cache): how many samples were ever appended, and how many of them
-        #: were discarded again (ring eviction or clear()).
-        self._append_count = 0
-        self._discard_count = 0
 
     # ---------------------------------------------------------- buffer admin
     def _active_times(self) -> np.ndarray:
@@ -102,7 +97,6 @@ class TimeSeriesStore:
             overflow = self._size - self.max_samples
             self._start += overflow
             self._size = self.max_samples
-            self._discard_count += overflow
 
     # ------------------------------------------------------------ mutation
     def append(self, timestamp_s: float, value) -> TimestampedValue:
@@ -120,7 +114,6 @@ class TimeSeriesStore:
         self._times[row] = timestamp_s
         self._values[row] = value
         self._size += 1
-        self._append_count += 1
         self._enforce_ring()
         return TimestampedValue(timestamp_s=timestamp_s, value=value)
 
@@ -150,41 +143,12 @@ class TimeSeriesStore:
         self._times[row : row + count] = timestamps
         self._values[row : row + count] = values
         self._size += count
-        self._append_count += count
         self._enforce_ring()
         return count
 
     def clear(self) -> None:
-        self._discard_count += self._size
         self._start = 0
         self._size = 0
-
-    # --------------------------------------------------- incremental readers
-    @property
-    def append_count(self) -> int:
-        """Total number of samples ever appended (never decreases)."""
-        return self._append_count
-
-    @property
-    def discard_count(self) -> int:
-        """Total number of appended samples since discarded (ring / clear)."""
-        return self._discard_count
-
-    def first_timestamp_appended_after(self, append_count: int) -> Optional[float]:
-        """Timestamp of the first sample appended after ``append_count``.
-
-        ``None`` when nothing was appended since that snapshot.  Only valid
-        while all of those newer samples are still stored (callers must
-        check :attr:`discard_count` against their snapshot first).
-        """
-        delta = self._append_count - append_count
-        if delta <= 0:
-            return None
-        if delta > self._size:
-            raise ValueError(
-                "samples appended after the snapshot were already discarded"
-            )
-        return float(self._times[self._start + self._size - delta])
 
     # ------------------------------------------------------------ accessors
     def __len__(self) -> int:
@@ -293,8 +257,8 @@ class TimeSeriesStore:
     def resample_into(self, times_s: np.ndarray, out: np.ndarray) -> None:
         """:meth:`resample` writing into a preallocated ``out`` slice.
 
-        The feature hot path (one call per attribute per user per interval)
-        assembles directly into the stacked feature matrix, skipping the
+        A twin's feature matrix assembles directly into its stacked
+        columns this way, skipping the
         input re-validation and the intermediate allocation of
         :meth:`resample`.  ``times_s`` must already be a sorted 1-D float
         array and ``out`` a ``(len(times_s), dimension)`` view.

@@ -156,23 +156,9 @@ class UserDigitalTwin:
         if num_steps <= 0:
             raise ValueError("num_steps must be positive")
         times = np.linspace(start_s, end_s, num_steps, endpoint=False)
-        return self.feature_rows(times, attribute_order)
-
-    def feature_rows(
-        self,
-        times_s: np.ndarray,
-        attribute_order: Optional[Sequence[str]] = None,
-    ) -> np.ndarray:
-        """Resample all attributes at arbitrary ``times_s`` and stack channels.
-
-        The building block of :meth:`feature_matrix`; the manager's
-        incremental feature cache calls it directly to recompute only the
-        grid rows a sliding history window actually changed.
-        """
         order = list(attribute_order) if attribute_order is not None else list(self.attributes)
-        times = np.asarray(times_s, dtype=np.float64)
         stores = [self.store(name) for name in order]
-        matrix = np.empty((times.shape[0], sum(store.dimension for store in stores)))
+        matrix = np.empty((num_steps, sum(store.dimension for store in stores)))
         column = 0
         for store in stores:
             store.resample_into(times, matrix[:, column : column + store.dimension])

@@ -2,10 +2,10 @@
 
 Covers the tentpole and its satellites:
 
-* ``shard_stages="full"``: the whole interval (channel draws, playback,
-  status collection) runs on the worker pool, and the results are
-  bit-identical to the serial grouped engine — pinned here at 10k users,
-  including a shuffled-grouping run and the inline (non-shm) fallback,
+* sharded intervals: the whole interval (channel draws, playback, status
+  collection) runs on the worker pool, and the results are bit-identical
+  to the inline run — pinned here at 10k users, including a
+  shuffled-grouping run,
 * persistent worker population state: mobility models and preference
   state live across tasks inside each worker, keyed by a population
   epoch that ``add_user``/``remove_user`` bump — workers prune by set
@@ -13,15 +13,14 @@ Covers the tentpole and its satellites:
 * shared-memory plan hygiene: every ``repro-shard-*`` segment the plan
   publishes is unlinked by ``close()`` even when the run dies mid-flight,
   and ``close()`` is idempotent,
-* per-stage timing: every engine path reports ``stage1_s`` /
+* per-stage timing: the inline and the sharded path report ``stage1_s`` /
   ``playback_s`` / ``collection_s`` on ``IntervalResult.timing``, the
   scheme accumulates ``predict_s``, and the scenario runner aggregates
   both into ``RunResult.timing`` (a new top-level ``to_dict`` key that
   stays outside the golden digests),
-* hybrid feature tensor: ``feature_tensor(batched=None)`` cooperates
-  with the per-user cache (full hits are served from it; only stale
-  tails go through the batched resample) and stays bit-identical to the
-  per-user and pure-batched paths.
+* the population feature tensor: the one cross-user batched resample
+  stays bit-identical to each twin's own ``feature_matrix``, on fresh and
+  sliding windows and across churn.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ def _config(workers: int = 1, **overrides) -> SimulationConfig:
         num_intervals=2,
         interval_s=60.0,
         seed=23,
-        channel_draw_mode="grouped",
         playback_workers=workers,
     )
     options.update(overrides)
@@ -139,31 +137,6 @@ class TestFullShardBitIdentity:
         assert shuffled == serial
         np.testing.assert_array_equal(shuffled_tensor, serial_tensor)
 
-    def test_inline_buffers_match_shared_memory(self):
-        """``shared_memory_buffers=False`` pickles the plan arrays instead
-        of publishing shm segments; results must be bit-identical."""
-
-        def run(**overrides):
-            with StreamingSimulator(_config(2, **overrides)) as sim:
-                grouping = _grouping(sim.user_ids(), 10)
-                return [
-                    _fingerprint(sim.run_interval(grouping)) for _ in range(2)
-                ]
-
-        assert run(shared_memory_buffers=False) == run()
-
-    def test_full_shard_matches_legacy_playback_sharding(self):
-        """``shard_stages`` never changes results, only where stages run."""
-
-        def run(stages):
-            with StreamingSimulator(_config(2, shard_stages=stages)) as sim:
-                grouping = _grouping(sim.user_ids(), 10)
-                return [
-                    _fingerprint(sim.run_interval(grouping)) for _ in range(2)
-                ]
-
-        assert run("full") == run("playback")
-
 
 # ------------------------------------------------ worker population state
 class TestWorkerPopulationEpochs:
@@ -237,13 +210,8 @@ class TestSharedMemoryHygiene:
 class TestStageTiming:
     @pytest.mark.parametrize(
         "overrides",
-        [
-            dict(playback_workers=1, channel_draw_mode="compat"),
-            dict(playback_workers=1, channel_draw_mode="fast"),
-            dict(playback_workers=1, channel_draw_mode="grouped"),
-            dict(playback_workers=2),
-        ],
-        ids=["compat", "fast", "grouped-serial", "grouped-sharded"],
+        [dict(playback_workers=1), dict(playback_workers=2)],
+        ids=["grouped-serial", "grouped-sharded"],
     )
     def test_every_engine_path_reports_stage_times(self, overrides):
         options = dict(
@@ -294,7 +262,7 @@ class TestStageTiming:
             mode="playback",
             num_intervals=2,
             population=PopulationSpec(num_users=12),
-            engine=EngineSpec(channel_draw_mode="grouped", playback_workers=2),
+            engine=EngineSpec(playback_workers=2),
             seed=11,
         )
         result = run_spec(spec)
@@ -306,79 +274,46 @@ class TestStageTiming:
         assert "timing" not in exported["intervals"][0]
 
 
-# ------------------------------------------------- hybrid feature tensor
+# ------------------------------------------------- population feature tensor
+def _per_twin_tensor(twins, start_s, end_s, num_steps):
+    """The reference: every twin's own zero-order-hold feature matrix."""
+    return np.stack(
+        [
+            twins.twin(uid).feature_matrix(start_s, end_s, num_steps=num_steps)
+            for uid in twins.user_ids()
+        ]
+    )
+
+
 class TestHybridFeatureTensor:
+    """The population tensor equals the per-twin reference bit for bit."""
+
     def _simulator(self, **overrides):
         return StreamingSimulator(
             _config(1, num_users=10, num_intervals=3, **overrides)
         )
 
     def test_hybrid_matches_per_user_and_batched(self):
-        """All three resampling engines must agree bit-for-bit, on fresh
-        windows (warm-up shape) and sliding windows (cache-hit shape)."""
+        """Fresh windows (warm-up shape) and sliding or repeated windows
+        (the prediction loop's shape) all match the per-twin reference."""
         with self._simulator() as sim:
             for _ in range(2):
                 sim.run_interval(_grouping(sim.user_ids(), 5))
             windows = [(0.0, 120.0), (30.0, 90.0), (60.0, 120.0), (60.0, 120.0)]
             for start, end in windows:
-                hybrid = sim.twins.feature_tensor(start, end, num_steps=16)
-                per_user = sim.twins.feature_tensor(
-                    start, end, num_steps=16, batched=False
+                np.testing.assert_array_equal(
+                    sim.twins.feature_tensor(start, end, num_steps=16),
+                    _per_twin_tensor(sim.twins, start, end, 16),
                 )
-                batched = sim.twins.feature_tensor(
-                    start, end, num_steps=16, batched=True
-                )
-                np.testing.assert_array_equal(hybrid, per_user)
-                np.testing.assert_array_equal(hybrid, batched)
-
-    def test_hybrid_serves_full_hits_from_cache(self):
-        """A repeated identical window is answered from the per-user cache.
-
-        White-box: poison one user's cached matrix between two identical
-        calls — the second call must return the poisoned values, proving
-        the row came from the cache and not a fresh resample.
-        """
-        with self._simulator() as sim:
-            sim.run_interval(_grouping(sim.user_ids(), 5))
-            sim.twins.feature_tensor(0.0, 60.0, num_steps=16)
-            uid = sim.user_ids()[0]
-            sim.twins._feature_cache[uid].matrix[:] = -123.0
-            repeated = sim.twins.feature_tensor(0.0, 60.0, num_steps=16)
-            np.testing.assert_array_equal(repeated[0], -123.0)
-            # Fresh resamples still replace the poison once the window moves.
-            del sim.twins._feature_cache[uid]
-            clean = sim.twins.feature_tensor(0.0, 60.0, num_steps=16)
-            assert not np.any(clean[0] == -123.0) or not np.array_equal(
-                clean[0], repeated[0]
-            )
 
     def test_hybrid_survives_churn(self):
         with self._simulator() as sim:
             sim.run_interval(_grouping(sim.user_ids(), 5))
             sim.twins.feature_tensor(0.0, 60.0, num_steps=16)
             sim.remove_user(sim.user_ids()[2])
-            sim.add_user()  # fresh user: empty stores, no cache entry
+            sim.add_user()  # fresh user: empty stores
             sim.run_interval(_grouping(sim.user_ids(), 5))
-            hybrid = sim.twins.feature_tensor(30.0, 120.0, num_steps=16)
-            per_user = sim.twins.feature_tensor(
-                30.0, 120.0, num_steps=16, batched=False
+            np.testing.assert_array_equal(
+                sim.twins.feature_tensor(30.0, 120.0, num_steps=16),
+                _per_twin_tensor(sim.twins, 30.0, 120.0, 16),
             )
-            np.testing.assert_array_equal(hybrid, per_user)
-
-
-# ------------------------------------------------------ config validation
-class TestShardStagesConfig:
-    def test_defaults_follow_draw_mode(self):
-        assert SimulationConfig().shard_stages == "playback"  # compat default
-        assert (
-            SimulationConfig(channel_draw_mode="grouped").shard_stages == "full"
-        )
-        assert SimulationConfig(playback_workers=2).shard_stages == "full"
-
-    def test_unknown_stage_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="shard_stages"):
-            SimulationConfig(channel_draw_mode="grouped", shard_stages="half")
-
-    def test_full_sharding_requires_grouped_draws(self):
-        with pytest.raises(ValueError, match="grouped"):
-            SimulationConfig(channel_draw_mode="compat", shard_stages="full")

@@ -1,20 +1,20 @@
-"""Tests for the staged batched interval engine (PR 3).
+"""Tests for the interval engine and the population feature tensor.
 
-Covers the three tentpole layers plus their satellites:
+Covers:
 
-* the incremental per-user feature-matrix cache in
-  :class:`~repro.twin.manager.DigitalTwinManager`: exact equivalence with a
-  full recompute across overlapping sliding history windows, invalidation on
-  ``remove_user`` / ``register_user`` and on ring eviction,
-* the batched playback path (``channel_draw_mode="fast"``): per-station SNR
-  tensors and whole-array watch-duration draws, with same-seed determinism
-  and bit-for-bit compat-mode equivalence against a sequential (PR 2 style)
-  reference implementation,
+* the population feature tensor of
+  :class:`~repro.twin.manager.DigitalTwinManager`: exact equality with each
+  twin's own ``feature_matrix`` across overlapping sliding history windows,
+  misaligned and resized windows, late samples, ring eviction, empty
+  stores and ``remove_user`` / ``register_user``,
+* the interval engine: per-group keyed channel and watch streams with
+  whole-array watch-duration draws, same-seed determinism and sound
+  interval records,
 * the scoped predict-then-observe loop: ``preview_scope`` purity and the
   full :class:`DTResourcePredictionScheme` run under
   ``controller_mode="handover"`` with per-cell series, and
-* the satellites: ``Catalog.reference_ladder`` and the draw-mode defaulting
-  / validation rules.
+* the satellites: ``Catalog.reference_ladder`` and rejection of the retired
+  draw-engine names.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro import (
     StreamingSimulator,
 )
 from repro.behavior.watching import WatchingDurationModel
+from repro.scenario.registry import get_scenario
 from repro.sim.simulator import singleton_grouping
 from repro.twin.attributes import (
     CHANNEL_CONDITION,
@@ -37,17 +38,15 @@ from repro.twin.attributes import (
     standard_attributes,
 )
 from repro.twin.manager import DigitalTwinManager
-from repro.twin.timeseries import TimeSeriesStore
 from repro.video.catalog import CatalogConfig, Video, VideoCatalog
 from repro.video.representations import DEFAULT_LADDER, Representation, RepresentationLadder
 
 
-# ---------------------------------------------------------------- twin cache
-def _filled_manager(num_users: int = 6, cache: bool = True, max_samples=None):
+# ------------------------------------------------------------ feature tensor
+def _filled_manager(num_users: int = 6, max_samples=None):
     manager = DigitalTwinManager(
         attributes=standard_attributes(num_categories=4),
         max_samples_per_attribute=max_samples,
-        feature_cache_enabled=cache,
     )
     manager.register_users(range(num_users))
     return manager
@@ -64,206 +63,91 @@ def _feed_interval(manager: DigitalTwinManager, start_s: float, end_s: float, se
         twin.record_batch(PREFERENCE, [start_s], rng.dirichlet(np.ones(4))[None, :])
 
 
-def _twin_pair(max_samples=None):
-    """Two managers fed identical data: one cached, one recompute-only."""
-    cached = _filled_manager(cache=True, max_samples=max_samples)
-    plain = _filled_manager(cache=False, max_samples=max_samples)
+def _fed_manager(max_samples=None):
+    manager = _filled_manager(max_samples=max_samples)
     for k in range(4):
-        _feed_interval(cached, k * 120.0, (k + 1) * 120.0, seed=k)
-        _feed_interval(plain, k * 120.0, (k + 1) * 120.0, seed=k)
-    return cached, plain
+        _feed_interval(manager, k * 120.0, (k + 1) * 120.0, seed=k)
+    return manager
+
+
+def _assert_matches_twins(manager, start_s, end_s, num_steps=32):
+    """The population tensor equals every twin's own feature matrix."""
+    tensor = manager.feature_tensor(start_s, end_s, num_steps=num_steps)
+    for row, uid in enumerate(manager.user_ids()):
+        np.testing.assert_array_equal(
+            tensor[row],
+            manager.twin(uid).feature_matrix(start_s, end_s, num_steps=num_steps),
+        )
 
 
 class TestIncrementalFeatureCache:
+    """Window patterns the retired per-user cache special-cased.
+
+    The batched tensor carries no state between calls, so each pattern
+    must simply match the per-twin reference.
+    """
+
     def test_sliding_windows_match_full_recompute_exactly(self):
-        cached, plain = _twin_pair()
+        manager = _fed_manager()
         # Window of 4 intervals sliding by 1 interval: 32 steps over 480 s
         # gives dt=15 s and an 8-row slide, the pipeline's exact pattern.
         for k in range(4, 9):
             end = (k + 1) * 120.0
-            _feed_interval(cached, end - 120.0, end, seed=k)
-            _feed_interval(plain, end - 120.0, end, seed=k)
-            np.testing.assert_array_equal(
-                cached.feature_tensor(end - 480.0, end, num_steps=32),
-                plain.feature_tensor(end - 480.0, end, num_steps=32),
-            )
-
-    def test_exact_window_rehit_is_served_from_cache(self):
-        cached, plain = _twin_pair()
-        uid = cached.user_ids()[0]
-        first = cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        second = cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        # No new samples: the very same cached array comes back.
-        assert second is first
-        np.testing.assert_array_equal(
-            first, plain.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        )
+            _feed_interval(manager, end - 120.0, end, seed=k)
+            _assert_matches_twins(manager, end - 480.0, end)
 
     def test_mid_window_append_recomputes_affected_rows(self):
-        cached, plain = _twin_pair()
-        uid = cached.user_ids()[0]
-        cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        # A late sample lands inside the cached window (t=300): every grid
-        # row at or after it must be recomputed, earlier rows reused.
-        for manager in (cached, plain):
-            manager.twin(uid).record(CHANNEL_CONDITION, 480.0, [99.0])
-            manager.twin(uid).store(CHANNEL_CONDITION)._times[-1]  # no-op touch
-        np.testing.assert_array_equal(
-            cached.user_feature_matrix(uid, 120.0, 600.0, num_steps=32),
-            plain.user_feature_matrix(uid, 120.0, 600.0, num_steps=32),
-        )
+        manager = _fed_manager()
+        uid = manager.user_ids()[0]
+        _assert_matches_twins(manager, 0.0, 480.0)
+        # A late sample lands inside the next window.
+        manager.twin(uid).record(CHANNEL_CONDITION, 480.0, [99.0])
+        _assert_matches_twins(manager, 120.0, 600.0)
 
     def test_misaligned_and_resized_windows_fall_back_correctly(self):
-        cached, plain = _twin_pair()
-        for window in [(0.0, 480.0, 32), (7.0, 481.0, 32), (0.0, 480.0, 16), (3.3, 477.7, 31)]:
-            start, end, steps = window
-            np.testing.assert_array_equal(
-                cached.feature_tensor(start, end, num_steps=steps),
-                plain.feature_tensor(start, end, num_steps=steps),
-            )
+        manager = _fed_manager()
+        for start, end, steps in [(0.0, 480.0, 32), (7.0, 481.0, 32), (0.0, 480.0, 16), (3.3, 477.7, 31)]:
+            _assert_matches_twins(manager, start, end, num_steps=steps)
 
     def test_ring_eviction_invalidates_cache(self):
-        cached, plain = _twin_pair(max_samples=40)
+        manager = _fed_manager(max_samples=40)
         for k in range(4, 8):
             end = (k + 1) * 120.0
-            _feed_interval(cached, end - 120.0, end, seed=k)
-            _feed_interval(plain, end - 120.0, end, seed=k)
-            np.testing.assert_array_equal(
-                cached.feature_tensor(end - 480.0, end, num_steps=32),
-                plain.feature_tensor(end - 480.0, end, num_steps=32),
-            )
+            _feed_interval(manager, end - 120.0, end, seed=k)
+            _assert_matches_twins(manager, end - 480.0, end)
 
     def test_first_sample_into_empty_store_backfills_cached_rows(self):
-        """ZOH backfill: a store empty at snapshot time invalidates fully.
-
-        An empty store resamples to zeros; its very first sample then
-        backfills every grid row *before* its timestamp via the
-        clamp-to-first-sample rule, so nothing cached for that attribute may
-        be reused — not even rows older than the new sample.
-        """
-        cached = _filled_manager(num_users=1, cache=True)
-        plain = _filled_manager(num_users=1, cache=False)
-        uid = 0
-        for manager in (cached, plain):
-            # Channel data only; the other stores stay empty (zeros).
-            times = np.arange(0.0, 480.0, 5.0)
-            manager.twin(uid).record_batch(
-                CHANNEL_CONDITION, times, np.full((times.size, 1), 20.0)
-            )
-        cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        for manager in (cached, plain):
-            # First-ever preference sample lands after the whole window.
-            manager.twin(uid).record(PREFERENCE, 500.0, [0.7, 0.1, 0.1, 0.1])
-        np.testing.assert_array_equal(
-            cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32),
-            plain.user_feature_matrix(uid, 0.0, 480.0, num_steps=32),
-        )
-        # Same for the sliding-overlap path with a mid-window first sample.
-        for manager in (cached, plain):
-            manager.twin(uid).record(LOCATION, 530.0, [5.0, 6.0])
-        np.testing.assert_array_equal(
-            cached.user_feature_matrix(uid, 120.0, 600.0, num_steps=32),
-            plain.user_feature_matrix(uid, 120.0, 600.0, num_steps=32),
-        )
+        """ZOH backfill: an empty store resamples to zeros, and its very
+        first sample then fills every grid row before its timestamp via the
+        clamp-to-first-sample rule."""
+        manager = _filled_manager(num_users=1)
+        times = np.arange(0.0, 480.0, 5.0)
+        # Channel data only; the other stores stay empty (zeros).
+        manager.twin(0).record_batch(CHANNEL_CONDITION, times, np.full((times.size, 1), 20.0))
+        _assert_matches_twins(manager, 0.0, 480.0)
+        # First-ever preference sample lands after the whole window.
+        manager.twin(0).record(PREFERENCE, 500.0, [0.7, 0.1, 0.1, 0.1])
+        tensor = manager.feature_tensor(0.0, 480.0, num_steps=32)
+        np.testing.assert_array_equal(tensor[0, :, -4:], [[0.7, 0.1, 0.1, 0.1]] * 32)
+        _assert_matches_twins(manager, 0.0, 480.0)
+        # Same for a mid-window first sample.
+        manager.twin(0).record(LOCATION, 530.0, [5.0, 6.0])
+        _assert_matches_twins(manager, 120.0, 600.0)
 
     def test_remove_and_reregister_invalidates(self):
-        cached, _ = _twin_pair()
-        uid = cached.user_ids()[0]
-        stale = cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32).copy()
-        cached.remove_user(uid)
-        cached.register_user(uid)
-        fresh = cached.user_feature_matrix(uid, 0.0, 480.0, num_steps=32)
-        # The new twin is empty, so the matrix must be all zeros — any reuse
+        manager = _fed_manager()
+        uid = manager.user_ids()[0]
+        stale = manager.feature_tensor(0.0, 480.0, num_steps=32)[0].copy()
+        manager.remove_user(uid)
+        manager.register_user(uid)
+        fresh = manager.feature_tensor(0.0, 480.0, num_steps=32)[0]
+        # The new twin is empty, so its rows must be all zeros — any reuse
         # of the removed user's rows would leak the old data.
         np.testing.assert_array_equal(fresh, np.zeros_like(stale))
         assert not np.array_equal(stale, fresh)
 
-    def test_store_counters(self):
-        store = TimeSeriesStore(dimension=1, max_samples=3)
-        assert store.append_count == 0 and store.discard_count == 0
-        store.append_batch([0.0, 1.0], [[1.0], [2.0]])
-        snapshot = store.append_count
-        assert store.first_timestamp_appended_after(snapshot) is None
-        store.append(2.0, [3.0])
-        store.append(3.0, [4.0])  # evicts the t=0 sample
-        assert store.append_count == 4 and store.discard_count == 1
-        assert store.first_timestamp_appended_after(snapshot) == 2.0
-        store.clear()
-        assert store.discard_count == 4
-        with pytest.raises(ValueError):
-            # The samples newer than the snapshot were discarded by clear().
-            store.append(9.0, [1.0])
-            store.first_timestamp_appended_after(snapshot)
 
-
-# ------------------------------------------------------------ batched engine
-def _pr2_sequential_play_group_stream(sim: StreamingSimulator):
-    """The PR 2 sequential playback loop (scalar per-member duration draws)."""
-    from repro.behavior.session import ViewingEvent
-    from repro.behavior.watching import WatchRecord
-    from repro.net.multicast import resource_blocks_for_traffic
-    from repro.sim.simulator import GroupIntervalUsage
-    from repro.video.popularity import sample_index, sampling_cdf
-
-    def play(group_id, member_ids, representation, efficiency, start_s, end_s,
-             events_by_user, transcode_requests):
-        group_preference = sim._group_preference(member_ids)
-        probabilities = sim._video_sampling_probabilities(group_preference)
-        video_ids = sim.catalog.sampling_arrays()[0]
-        cdf = sampling_cdf(probabilities)
-        now = start_s
-        traffic_bits = 0.0
-        videos_played = 0
-        engagement_seconds = 0.0
-        requests = []
-        while now < end_s:
-            video = sim.catalog.get(int(video_ids[sample_index(cdf, sim._rng)]))
-            member_durations = {}
-            for uid in member_ids:
-                member_durations[uid] = sim.watching_model.sample_watch_duration(
-                    video, sim.users[uid].preference, sim._rng
-                )
-            transmitted = min(max(member_durations.values()), end_s - now)
-            for uid, duration in member_durations.items():
-                swiped = duration < video.duration_s - 1e-9
-                duration = min(duration, end_s - now)
-                record = WatchRecord(
-                    user_id=uid,
-                    video_id=video.video_id,
-                    category=video.category,
-                    watch_duration_s=duration,
-                    video_duration_s=video.duration_s,
-                    swiped=swiped,
-                    timestamp_s=now,
-                )
-                events_by_user[uid].append(ViewingEvent(record=record, start_time_s=now))
-                engagement_seconds += duration
-            traffic_bits += video.bits_watched(representation, transmitted)
-            requests.append((video, representation, transmitted))
-            videos_played += 1
-            now += transmitted + sim.config.swipe_gap_s
-        transcode_requests[group_id] = requests
-        blocks = resource_blocks_for_traffic(
-            traffic_bits,
-            efficiency,
-            rb_bandwidth_hz=sim.config.rb_bandwidth_hz,
-            interval_s=sim.config.interval_s,
-        )
-        return GroupIntervalUsage(
-            group_id=group_id,
-            member_ids=member_ids,
-            traffic_bits=traffic_bits,
-            efficiency_bps_hz=efficiency,
-            representation_name=representation.name,
-            resource_blocks=blocks,
-            computing_cycles=0.0,
-            videos_played=videos_played,
-            engagement_seconds=engagement_seconds,
-        )
-
-    return play
-
-
+# ------------------------------------------------------------ interval engine
 def _interval_signature(result):
     return (
         result.total_traffic_bits,
@@ -285,19 +169,9 @@ class TestBatchedPlaybackEngine:
         ids = sim.user_ids()
         return {0: ids[: len(ids) // 2], 1: ids[len(ids) // 2 :]}
 
-    def test_compat_mode_matches_pr2_sequential_engine_bit_for_bit(self):
-        """Same-seed golden equivalence with the PR 2 engine in compat mode."""
-        engine = StreamingSimulator(self._config(channel_draw_mode="compat"))
-        reference = StreamingSimulator(self._config(channel_draw_mode="compat"))
-        reference._play_group_stream = _pr2_sequential_play_group_stream(reference)
-        for _ in range(2):
-            observed = engine.run_interval(self._grouping(engine))
-            expected = reference.run_interval(self._grouping(reference))
-            assert _interval_signature(observed) == _interval_signature(expected)
-
     def test_fast_mode_is_deterministic_across_runs(self):
         def run():
-            sim = StreamingSimulator(self._config(channel_draw_mode="fast"))
+            sim = StreamingSimulator(self._config())
             return [
                 _interval_signature(sim.run_interval(self._grouping(sim)))
                 for _ in range(2)
@@ -306,7 +180,7 @@ class TestBatchedPlaybackEngine:
         assert run() == run()
 
     def test_fast_mode_produces_sound_intervals(self):
-        sim = StreamingSimulator(self._config(channel_draw_mode="fast"))
+        sim = StreamingSimulator(self._config())
         result = sim.run_interval(self._grouping(sim))
         assert set(result.mean_snr_by_user) == set(sim.user_ids())
         assert result.total_traffic_bits > 0.0
@@ -314,13 +188,13 @@ class TestBatchedPlaybackEngine:
             for event in events:
                 record = event.record
                 assert 0.0 <= record.watch_duration_s <= record.video_duration_s + 1e-9
-        # The batched engine must respect the worst-member rule per group.
+        # The engine must respect the worst-member rule per group.
         for usage in result.usage_by_group.values():
             member_mean = min(result.mean_snr_by_user[uid] for uid in usage.member_ids)
             assert np.isfinite(member_mean)
 
     def test_fast_mode_handles_singleton_groups(self):
-        sim = StreamingSimulator(self._config(channel_draw_mode="fast", num_users=4))
+        sim = StreamingSimulator(self._config(num_users=4))
         result = sim.run_interval(singleton_grouping(sim.user_ids()))
         assert len(result.usage_by_group) == 4
 
@@ -492,20 +366,10 @@ class TestReferenceLadder:
 
 
 class TestDrawModeDefaults:
-    def test_boundary_defaults_to_compat(self):
-        assert SimulationConfig().channel_draw_mode == "compat"
-
-    def test_handover_defaults_to_fast(self):
-        assert (
-            SimulationConfig(controller_mode="handover").channel_draw_mode == "fast"
-        )
-
-    def test_explicit_mode_wins_over_default(self):
-        config = SimulationConfig(
-            controller_mode="handover", channel_draw_mode="compat"
-        )
-        assert config.channel_draw_mode == "compat"
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="channel_draw_mode"):
-            SimulationConfig(channel_draw_mode="scalar")
+        """Retired or unknown engine names fail at spec level, overrides included."""
+        for mode in ("compat", "fast", "scalar"):
+            with pytest.raises(ValueError, match="channel_draw_mode"):
+                get_scenario("campus_fig3", {"engine.channel_draw_mode": mode})
+        spec = get_scenario("campus_fig3", {"engine.channel_draw_mode": "grouped"})
+        assert spec.engine.channel_draw_mode == "grouped"

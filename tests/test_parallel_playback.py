@@ -2,7 +2,7 @@
 
 Covers the tentpole and the three ground-truth fixes that ride with it:
 
-* ``channel_draw_mode="grouped"``: identical ``IntervalResult`` content for
+* the keyed-stream interval engine: identical ``IntervalResult`` content for
   any ``playback_workers`` count (serial == sharded), for shuffled group
   order, and across repeated runs — the per-``(seed, interval, scoped
   group)`` streams of :mod:`repro.sim.rng` make playback order-independent,
@@ -23,6 +23,7 @@ deduplicated, so ``1`` or ``2`` are no-ops).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -33,6 +34,8 @@ from repro.core.pipeline import DTResourcePredictionScheme
 from repro.core.config import SchemeConfig
 from repro.mobility.trajectory import GraphTrajectoryMobility
 from repro.net.handover import HandoverConfig, HandoverPolicy, StreakState
+from repro.scenario.compiler import compile_spec
+from repro.scenario.spec import EngineSpec, ScenarioSpec
 from repro.sim.rng import RngRegistry, derive_stream
 from repro.timegrid import num_grid_steps, time_grid
 
@@ -50,7 +53,6 @@ def _grouped_config(workers: int = 1, **overrides) -> SimulationConfig:
         num_intervals=2,
         interval_s=90.0,
         seed=31,
-        channel_draw_mode="grouped",
         playback_workers=workers,
     )
     options.update(overrides)
@@ -149,13 +151,23 @@ class TestShardedPlaybackDeterminism:
             assert run(workers) == serial
 
     def test_workers_require_grouped_mode(self):
+        """The retired shared-generator engines are rejected by name."""
         for mode in ("compat", "fast"):
-            with pytest.raises(ValueError, match="playback_workers"):
-                SimulationConfig(channel_draw_mode=mode, playback_workers=2)
+            with pytest.raises(ValueError, match="grouped"):
+                EngineSpec(channel_draw_mode=mode, playback_workers=2)
 
     def test_default_mode_resolution_with_workers(self):
-        assert SimulationConfig(playback_workers=2).channel_draw_mode == "grouped"
-        assert SimulationConfig(playback_workers=1).channel_draw_mode == "compat"
+        """``"grouped"`` and ``None`` name the same (only) engine."""
+        for workers in (1, 2):
+            spec = ScenarioSpec(
+                name="engine-name-probe",
+                engine=EngineSpec(playback_workers=workers),
+            )
+            named = dataclasses.replace(
+                spec,
+                engine=EngineSpec(channel_draw_mode="grouped", playback_workers=workers),
+            )
+            assert compile_spec(named).sim_config == compile_spec(spec).sim_config
 
     def test_close_is_idempotent(self):
         sim = StreamingSimulator(_grouped_config(2, num_intervals=1))

@@ -164,7 +164,6 @@ class TestCompile:
             favourite_category="News",
             favourite_user_fraction=0.5,
             controller_mode="handover",
-            channel_draw_mode="fast",
             seed=17,
         )
 
@@ -340,11 +339,11 @@ class TestRegistry:
 class TestCli:
     def test_parse_overrides(self):
         overrides = parse_overrides(
-            ["population.num_users=12", "engine.channel_draw_mode=fast", "seed=3"]
+            ["population.num_users=12", "engine.playback_workers=2", "seed=3"]
         )
         assert overrides == {
             "population.num_users": 12,
-            "engine.channel_draw_mode": "fast",
+            "engine.playback_workers": 2,
             "seed": 3,
         }
         with pytest.raises(ValueError):

@@ -202,11 +202,38 @@ class TestStreamingSimulator:
         assert simulator.metrics.series("radio.total_resource_blocks").shape == (2,)
 
     def test_group_link_state_worst_member_rule(self, tiny_simulator):
+        from repro.net.multicast import group_spectral_efficiency
+
         user_ids = tiny_simulator.user_ids()
-        efficiency, representation, snrs = tiny_simulator.group_link_state(user_ids, 0.0, 30.0)
-        assert efficiency >= 0.0
-        assert representation.name in {"240p", "360p", "480p", "720p", "1080p"}
+        result = tiny_simulator.run_interval({0: user_ids})
+        usage = result.usage_by_group[0]
+        snrs = result.mean_snr_by_user
         assert set(snrs) == set(user_ids)
+        assert usage.efficiency_bps_hz == group_spectral_efficiency(
+            [snrs[uid] for uid in user_ids],
+            implementation_loss=tiny_simulator.config.implementation_loss,
+        )
+        assert usage.efficiency_bps_hz >= 0.0
+        assert usage.representation_name in {"240p", "360p", "480p", "720p", "1080p"}
+
+    def test_add_user_never_reuses_a_departed_id(self):
+        """Regression: ids came from ``max(live ids) + 1``, so after the
+        highest-id user left, the next arrival took over their id — their
+        kept twin (watch history included) and their keyed streams."""
+        sim = StreamingSimulator(
+            SimulationConfig(num_users=5, num_videos=20, num_intervals=2, seed=3)
+        )
+        sim.run_interval(singleton_grouping(sim.user_ids()))
+        departed_records = sim.twins.twin(4).watch_records()
+        assert departed_records
+        sim.remove_user(4)
+        new_id = sim.add_user()
+        assert new_id == 5
+        assert sim.twins.twin(new_id).watch_records() == []
+        assert sim.twins.twin(4).watch_records() == departed_records
+        # An explicit id above the counter moves it past that id too.
+        assert sim.add_user(user_id=9) == 9
+        assert sim.add_user() == 10
 
     def test_invalid_simulation_config(self):
         with pytest.raises(ValueError):

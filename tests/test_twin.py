@@ -173,11 +173,14 @@ class TestUserDigitalTwin:
 class TestStatusCollector:
     def _collect(self, policy, interval=(0.0, 60.0)):
         twin = UserDigitalTwin(0, attributes=standard_attributes(num_categories=8))
-        collector = StatusCollector(policy=policy, seed=1)
+        collector = StatusCollector(policy=policy)
         mobility = StaticMobility([100.0, 100.0])
         bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
         preference = random_preference(np.random.default_rng(0))
-        collector.collect_interval(twin, mobility, bs, preference, [], *interval)
+        rng = np.random.default_rng(1)
+        collector.collect_interval(
+            twin, mobility, bs, preference, [], *interval, rng=rng, keep_rng=rng
+        )
         return twin
 
     def test_perfect_policy_collects_at_attribute_rates(self):
@@ -208,15 +211,24 @@ class TestStatusCollector:
 
     def test_watch_events_recorded(self):
         twin = UserDigitalTwin(0)
-        collector = StatusCollector(seed=1)
+        collector = StatusCollector()
         mobility = StaticMobility([10.0, 10.0])
         bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
         preference = random_preference(np.random.default_rng(0))
         from repro.behavior.session import ViewingEvent
 
         record = WatchRecord(0, 5, "News", 3.0, 10.0, swiped=True, timestamp_s=1.0)
+        rng = np.random.default_rng(1)
         collector.collect_interval(
-            twin, mobility, bs, preference, [ViewingEvent(record=record, start_time_s=1.0)], 0.0, 30.0
+            twin,
+            mobility,
+            bs,
+            preference,
+            [ViewingEvent(record=record, start_time_s=1.0)],
+            0.0,
+            30.0,
+            rng=rng,
+            keep_rng=rng,
         )
         assert twin.watch_records() == [record]
 
@@ -274,7 +286,7 @@ class TestDigitalTwinManager:
 
 
 class TestBatchedFeatureTensor:
-    """Cross-user batched resample == per-user path, bit for bit."""
+    """Cross-user batched resample == per-twin ``feature_matrix``, bit for bit."""
 
     @staticmethod
     def _populated_manager(num_users=9, seed=0):
@@ -295,45 +307,47 @@ class TestBatchedFeatureTensor:
                 )
         return manager
 
+    @staticmethod
+    def _per_user(manager, start_s, end_s, num_steps, attribute_order=None, user_ids=None):
+        ids = user_ids if user_ids is not None else manager.user_ids()
+        return np.stack(
+            [
+                manager.twin(uid).feature_matrix(
+                    start_s, end_s, num_steps=num_steps, attribute_order=attribute_order
+                )
+                for uid in ids
+            ]
+        )
+
     def test_batched_equals_per_user_path(self):
         manager = self._populated_manager()
         for window in [(0.0, 900.0), (100.0, 400.0), (850.0, 1200.0), (950.0, 1000.0)]:
-            per_user = manager.feature_tensor(*window, num_steps=32, batched=False)
-            batched = manager.feature_tensor(*window, num_steps=32, batched=True)
+            per_user = self._per_user(manager, *window, 32)
+            batched = manager.feature_tensor(*window, num_steps=32)
             assert np.array_equal(per_user, batched)
 
     def test_batched_respects_user_and_attribute_order(self):
         manager = self._populated_manager()
         order = [WATCHING_DURATION, PREFERENCE, CHANNEL_CONDITION, LOCATION]
         ids = [7, 0, 4, 2]
-        per_user = manager.feature_tensor(
-            50.0, 500.0, num_steps=17, attribute_order=order, user_ids=ids, batched=False
+        per_user = self._per_user(
+            manager, 50.0, 500.0, 17, attribute_order=order, user_ids=ids
         )
         batched = manager.feature_tensor(
-            50.0, 500.0, num_steps=17, attribute_order=order, user_ids=ids, batched=True
+            50.0, 500.0, num_steps=17, attribute_order=order, user_ids=ids
         )
         assert np.array_equal(per_user, batched)
 
     def test_batched_equals_twin_feature_matrix(self):
         manager = self._populated_manager(num_users=3, seed=5)
-        tensor = manager.feature_tensor(0.0, 300.0, num_steps=16, batched=True)
+        tensor = manager.feature_tensor(0.0, 300.0, num_steps=16)
         for row, uid in enumerate(manager.user_ids()):
             direct = manager.twin(uid).feature_matrix(0.0, 300.0, num_steps=16)
             assert np.array_equal(tensor[row], direct)
 
-    def test_default_resolution_tracks_cache_flag(self):
-        cached = self._populated_manager()
-        uncached = self._populated_manager()
-        uncached.feature_cache_enabled = False
-        a = cached.feature_tensor(0.0, 500.0, num_steps=8)
-        b = uncached.feature_tensor(0.0, 500.0, num_steps=8)
-        assert np.array_equal(a, b)
-        # The cache-backed path populated its cache; the batched one did not.
-        assert cached._feature_cache and not uncached._feature_cache
-
     def test_batched_after_appends_sees_new_samples(self):
         manager = self._populated_manager(num_users=4, seed=2)
-        before = manager.feature_tensor(0.0, 1200.0, num_steps=12, batched=True)
+        before = manager.feature_tensor(0.0, 1200.0, num_steps=12)
         manager.twin(0).record(CHANNEL_CONDITION, 950.0, [99.0])
-        after = manager.feature_tensor(0.0, 1200.0, num_steps=12, batched=True)
+        after = manager.feature_tensor(0.0, 1200.0, num_steps=12)
         assert not np.array_equal(before, after)
