@@ -47,8 +47,7 @@ class BaseStation:
             raise ValueError("position must be a 2-D coordinate")
         if self.channel is None:
             self.channel = ChannelModel(
-                ChannelConfig(bandwidth_hz=self.config.resource_block_bandwidth_hz),
-                seed=self.bs_id,
+                ChannelConfig(bandwidth_hz=self.config.resource_block_bandwidth_hz)
             )
 
     def distance_to(self, point: Sequence[float]) -> float:
@@ -72,18 +71,14 @@ class BaseStation:
             self.config.tx_power_dbm, self.distances_to(points)
         )
 
-    def sample_snr_db(
-        self, point: Sequence[float], rng: Optional[np.random.Generator] = None
-    ) -> float:
+    def sample_snr_db(self, point: Sequence[float], rng: np.random.Generator) -> float:
         """Instantaneous SNR sample for a user at ``point``."""
         assert self.channel is not None
         return self.channel.sample_snr_db(
             self.config.tx_power_dbm, self.distance_to(point), rng=rng
         )
 
-    def sample_snr_db_batch(
-        self, points, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
+    def sample_snr_db_batch(self, points, rng: np.random.Generator) -> np.ndarray:
         """Vectorized :meth:`sample_snr_db` over ``(n, 2)`` points (see
         :meth:`repro.net.channel.ChannelModel.sample_snr_db_batch`)."""
         assert self.channel is not None

@@ -9,7 +9,7 @@ attribute the user digital twins collect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -66,14 +66,14 @@ class ChannelConfig:
 
 
 class ChannelModel:
-    """Stochastic downlink channel producing per-sample SNR values."""
+    """Stochastic downlink channel producing per-sample SNR values.
 
-    def __init__(self, config: Optional[ChannelConfig] = None, seed: int = 0) -> None:
+    The model holds no generator: every sampling call draws from the
+    ``rng`` its caller passes, a keyed stream of :mod:`repro.sim.rng`.
+    """
+
+    def __init__(self, config: Optional[ChannelConfig] = None) -> None:
         self.config = config if config is not None else ChannelConfig()
-        # Imported lazily: repro.sim imports the net package at load time.
-        from repro.sim.rng import legacy_stream
-
-        self._rng = legacy_stream(seed)
 
     # ------------------------------------------------------------ path loss
     def _reference_loss_db(self) -> float:
@@ -111,13 +111,9 @@ class ChannelModel:
         return float(received - self.config.noise_power_dbm)
 
     def sample_snr_db(
-        self,
-        tx_power_dbm: float,
-        distance_m: float,
-        rng: Optional[np.random.Generator] = None,
+        self, tx_power_dbm: float, distance_m: float, rng: np.random.Generator
     ) -> float:
         """Sample an instantaneous SNR including shadowing and fast fading."""
-        rng = rng if rng is not None else self._rng
         snr_db = self.mean_snr_db(tx_power_dbm, distance_m)
         if self.config.shadowing_std_db > 0:
             snr_db += float(rng.normal(0.0, self.config.shadowing_std_db))
@@ -134,10 +130,7 @@ class ChannelModel:
         return received - self.config.noise_power_dbm
 
     def sample_snr_db_batch(
-        self,
-        tx_power_dbm: float,
-        distances_m,
-        rng: Optional[np.random.Generator] = None,
+        self, tx_power_dbm: float, distances_m, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample one instantaneous SNR per distance (vectorized hot path).
 
@@ -145,13 +138,7 @@ class ChannelModel:
         values as another: the same per-sample distributions as
         :meth:`sample_snr_db`, but a different walk of the generator than a
         loop of scalar calls for more than one sample.
-
-        Callers that need order-independent results (the interval engine,
-        process-sharded playback) must pass ``rng`` explicitly — the
-        implicit fallback to this channel's own generator reintroduces
-        shared mutable draw state across callers.
         """
-        rng = rng if rng is not None else self._rng
         distances = np.asarray(distances_m, dtype=np.float64).reshape(-1)
         snr_db = self.mean_snr_db_batch(tx_power_dbm, distances)
         count = distances.shape[0]
@@ -164,18 +151,6 @@ class ChannelModel:
             fading = np.maximum(rng.exponential(1.0, size=count), 1e-6)
             snr_db = snr_db + 10.0 * np.log10(fading)
         return snr_db
-
-    def sample_snr_series_db(
-        self,
-        tx_power_dbm: float,
-        distances_m: Sequence[float],
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Sample one SNR per distance sample (a user's channel-condition trace)."""
-        rng = rng if rng is not None else self._rng
-        return np.asarray(
-            self.sample_snr_db_batch(tx_power_dbm, distances_m, rng=rng)
-        )
 
     def shannon_rate_bps(self, snr_db: float, bandwidth_hz: Optional[float] = None) -> float:
         """Shannon capacity at the given SNR (upper bound used in sanity checks)."""

@@ -49,11 +49,11 @@ class SimulationConfig:
     #: Number of processes an interval is sharded over.  Every random draw
     #: comes from a keyed stream of :mod:`repro.sim.rng` (per ``(seed,
     #: interval, scoped group)`` for channel and playback, per ``(seed,
-    #: interval, user)`` for collection), so ``1`` runs the same streams
-    #: inline and any value yields identical results for identical seeds.
-    #: With more than one worker the whole interval (channel draws,
-    #: playback, twin collection) runs on a persistent worker pool fed
-    #: through shared-memory plans (see :mod:`repro.sim.shard`).
+    #: interval, user)`` for collection), so any value yields identical
+    #: results for identical seeds.  ``1`` runs each group's task (channel
+    #: draws, playback, twin collection) in this process; more than one
+    #: runs the same tasks on a persistent worker pool fed through
+    #: shared-memory plans (see :mod:`repro.sim.shard`).
     playback_workers: int = 1
 
     # Multi-cell RAN controller (see repro.net.controller).

@@ -1,27 +1,31 @@
-"""The interval engine's per-group stages, its shared-memory fabric and worker runtime.
+"""The interval engine's per-group task, its shared-memory fabric and worker runtime.
 
 Every random draw of an interval comes from a structured key
-(:mod:`repro.sim.rng`), so any stage of an interval can be recomputed
-anywhere — a worker process needs *keys*, not generator state.  This module
-holds the pieces both the inline and the sharded interval run on:
+(:mod:`repro.sim.rng`), so any group's interval can be computed anywhere —
+a worker process needs *keys*, not generator state.  An interval runs one
+way whether it stays in the parent or goes to the worker pool:
 
-* :func:`build_interval_plan` — the parent-side plan of one interval: the
-  member-slot layout (group offsets, user ids, serving cells), the
-  per-member preference-weight matrix and the per-group video-sampling
+* :func:`build_interval_plan` — the parent-side :class:`IntervalPlan`: the
+  member-slot layout (group offsets, group ids, user ids, serving cells),
+  the per-member preference-weight matrix and the per-group video-sampling
   CDFs.
 
-* :func:`play_group_interval` — stages 1 and 2 of one group's interval:
-  channel draws from the group's ``(seed, interval, group)`` stream with
-  the worst-member rule, then multicast playback from its watch stream.
-  The inline engine calls it in the parent; shard workers call it from
-  :func:`_run_shard_task`.
+* :func:`run_group_interval` — one group's whole interval as a pure
+  function of its plan slices and keys: channel draws from the group's
+  ``(seed, interval, group)`` stream with the worst-member rule, multicast
+  playback from its watch stream, and twin status collection from each
+  member's ``(seed, interval, user)`` stream against a recording twin.  It
+  returns a :class:`GroupOutcome`; the parent folds outcomes in group
+  order and replays each collection op log onto the real twins, which are
+  written nowhere else.  Inline intervals map it over the in-process plan
+  with the parent's mobility models; sharded intervals map
+  :func:`_run_shard_task` over the pool.
 
-* :class:`SharedIntervalPlan` — the parent-owned shared-memory fabric.  Per
-  sharded interval the :class:`~repro.sim.simulator.StreamingSimulator`
-  publishes the plan plus an output slot for per-member mean SNR.
-  Segments are ring-reused across intervals (reallocated only when the
-  population outgrows them) and unlinked by ``close()``.  Tasks shrink to
-  ``(plan handle, group index)`` — no arrays are pickled per task.
+* :class:`SharedIntervalPlan` — the parent-owned shared-memory fabric a
+  sharded interval publishes its plan through.  Segments are ring-reused
+  across intervals (reallocated only when the population outgrows them)
+  and unlinked by ``close()``.  Tasks shrink to ``(plan handle, group
+  index)`` — no arrays are pickled per task.
 
 * :class:`ShardWorkerRuntime` — the persistent per-worker population state.
   Each worker lazily reconstructs per-user mobility models from their
@@ -33,12 +37,7 @@ holds the pieces both the inline and the sharded interval run on:
   users materialise lazily on first touch, so churn resyncs exactly the
   delta and ships no state at all.
 
-A shard task runs all three stages of one group's interval in the worker:
-stages 1 and 2 via :func:`play_group_interval` (mean SNR written into the
-plan's shared output, CDF row and weight slice read zero-copy from the
-plan) and stage 3 (twin status collection from the per-``(interval,
-user)`` streams, returned as an op log the parent replays onto the real
-twins).  Serial and sharded runs are bit-identical for every worker count.
+Serial and sharded runs are bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -47,7 +46,18 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -58,22 +68,26 @@ from repro.mobility.campus import CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
 from repro.net.basestation import BaseStation
 from repro.net.multicast import group_spectral_efficiency, resource_blocks_for_traffic
-from repro.sim.rng import RngRegistry, grouped_channel_stream, grouped_watch_stream
+from repro.sim.rng import RngRegistry
 from repro.timegrid import time_grid
 from repro.twin.attributes import AttributeSpec
-from repro.twin.collector import CollectionPolicy, StatusCollector
+from repro.twin.collector import StatusCollector
 from repro.video.catalog import VideoCatalog
 from repro.video.popularity import sample_index, sampling_cdf
+from repro.video.representations import Representation
+
+if TYPE_CHECKING:
+    from repro.sim.simulator import GroupIntervalUsage
 
 #: Prefix of every shared-memory segment this module creates; the /dev/shm
 #: leak regression test keys on it.
 SEGMENT_PREFIX = "repro-shard"
 
-_PLAN_KEYS = ("idx", "wts", "cdf", "snr")
+_PLAN_KEYS = ("idx", "wts", "cdf")
 
 
 # --------------------------------------------------------------------------
-# Static per-interval state + the per-group stages (inline and worker side)
+# Static state, the interval plan and the per-group task
 # --------------------------------------------------------------------------
 
 
@@ -85,7 +99,7 @@ class ShardStatic:
     shard worker receives a copy at pool start.
     """
 
-    seed: int
+    registry: RngRegistry
     catalog: VideoCatalog
     watching_model: WatchingDurationModel
     video_ids: np.ndarray
@@ -100,28 +114,63 @@ class ShardStatic:
     implementation_loss: float
     channel_sample_period_s: float
     campus: CampusMap
-    base_stations: Sequence[BaseStation]
+    bs_by_id: Mapping[int, BaseStation]
     attributes: Dict[str, AttributeSpec]
-    collection_policy: CollectionPolicy
+    collector: StatusCollector
     report_cells: bool
 
 
+class IntervalPlan(NamedTuple):
+    """One interval's groups as flat arrays, groups in sorted scoped-id order.
+
+    Member slots ``offsets[g]:offsets[g + 1]`` of ``user_ids``, ``serving``
+    and ``weights`` belong to group ``group_ids[g]``, whose video-sampling
+    CDF is ``cdf[g]``.
+    """
+
+    offsets: np.ndarray
+    group_ids: np.ndarray
+    user_ids: np.ndarray
+    serving: np.ndarray
+    weights: np.ndarray
+    cdf: np.ndarray
+
+
+class GroupOutcome(NamedTuple):
+    """Everything one group's interval produced, for the parent to fold."""
+
+    usage: GroupIntervalUsage
+    events: Dict[int, List[ViewingEvent]]
+    #: ``(video_id, transmitted_s)`` pairs; the parent re-resolves videos
+    #: for edge transcoding.
+    requests: List[Tuple[int, float]]
+    representation: Representation
+    #: Per-member mean SNR in dB, in ``usage.member_ids`` order.
+    mean_snrs: List[float]
+    #: Per-member twin writes, ``{user_id: [(method, *args), ...]}`` in the
+    #: order the collector made them.
+    collection: Dict[int, List[tuple]]
+    #: ``(stage1_s, playback_s, collection_s)`` of this task.
+    stage_times: Tuple[float, float, float]
+
+
 def build_interval_plan(
-    members: Sequence[Sequence[int]],
+    grouping: Mapping[int, Sequence[int]],
     users: Mapping[int, Any],
     categories: Sequence[str],
     catalog: VideoCatalog,
     popularity_weight: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(offsets, user_ids, serving, weights, cdf)`` of one interval's groups.
+) -> IntervalPlan:
+    """The :class:`IntervalPlan` of one interval's played grouping.
 
-    ``members`` lists each group's member ids, groups in sorted scoped-id
-    order; ``users`` maps a user id to its live state (``serving_bs_id``,
+    ``users`` maps a user id to its live state (``serving_bs_id``,
     ``preference``).  ``weights`` holds one preference row per member slot
     in config-category order (the collector's order); ``cdf`` holds one
     video-sampling CDF per group: the group's mean preference mixed with
     the catalog's live popularity.
     """
+    group_ids = sorted(grouping)
+    members = [grouping[gid] for gid in group_ids]
     offsets = np.zeros(len(members) + 1, dtype=np.int64)
     np.cumsum([len(group) for group in members], out=offsets[1:])
     flat = [uid for group in members for uid in group]
@@ -142,23 +191,49 @@ def build_interval_plan(
             preference = preference / preference.sum()
         mixture = popularity_weight * popularity + (1.0 - popularity_weight) * preference
         cdf[row] = sampling_cdf(mixture / mixture.sum())
-    return offsets, np.array(flat, dtype=np.int64), serving, weights, cdf
+    return IntervalPlan(
+        offsets=offsets,
+        group_ids=np.array(group_ids, dtype=np.int64),
+        user_ids=np.array(flat, dtype=np.int64),
+        serving=serving,
+        weights=weights,
+        cdf=cdf,
+    )
 
 
-def play_group_interval(
+class _RecordingTwin:
+    """Twin stand-in that records collector writes instead of storing them.
+
+    Lets the group task run the *actual* :class:`StatusCollector` code — so
+    the per-user stream walk is the same wherever the task runs — while the
+    real twin state stays in the parent, which replays the recorded op log.
+    """
+
+    __slots__ = ("attributes", "ops")
+
+    def __init__(self, attributes: Dict[str, AttributeSpec]) -> None:
+        self.attributes = attributes
+        self.ops: List[tuple] = []
+
+    def record_batch(self, attribute: str, timestamps_s, values) -> None:
+        self.ops.append(
+            ("record_batch", attribute, np.asarray(timestamps_s), np.asarray(values))
+        )
+
+    def record_watches(self, records: Sequence[WatchRecord]) -> None:
+        self.ops.append(("record_watches", list(records)))
+
+
+def run_group_interval(
     static: ShardStatic,
-    bs_by_id: Mapping[int, BaseStation],
     mobility_for: Callable[[int], MobilityModel],
+    plan: IntervalPlan,
     interval_index: int,
     start_s: float,
     end_s: float,
-    group_id: int,
-    member_ids: List[int],
-    serving: Sequence[int],
-    weights: np.ndarray,
-    cdf: np.ndarray,
-) -> tuple:
-    """Stages 1 and 2 of one group's interval, as a pure function of its key.
+    group_index: int,
+) -> GroupOutcome:
+    """One group's whole interval, as a pure function of its plan slices and keys.
 
     Stage 1 draws every member's SNR trace from the group's channel stream:
     one ``sample_snr_traces`` block per serving station, stations sorted so
@@ -166,27 +241,33 @@ def play_group_interval(
     worst-member rule over the per-member mean SNRs then fixes the group's
     efficiency and representation.  Stage 2 plays the group's shared
     multicast stream: video choices and watch durations come from the
-    group's watch stream, per-member weights from ``weights`` (the plan's
-    rows, config-category order) and video choices from its ``cdf`` row.
-
-    Returns ``(usage, events_by_member, requests, representation,
-    mean_snrs, (stage1_s, playback_s))``: ``requests`` holds picklable
-    ``(video_id, transmitted_s)`` pairs (the parent re-resolves videos for
-    edge transcoding) and ``mean_snrs`` follows ``member_ids`` order.
+    group's watch stream, per-member weights from the plan's weight rows
+    (config-category order) and video choices from its CDF row.  Stage 3
+    runs the status collector for every member from their ``(interval,
+    user)`` stream — passed as both sample and keep stream, so a lossy
+    policy's drop walk is per user too — into a recording twin.
     """
     # Imported lazily: repro.sim.simulator imports this module at load time.
     from repro.sim.simulator import GroupIntervalUsage
 
     started = time.perf_counter()
+    lo = int(plan.offsets[group_index])
+    hi = int(plan.offsets[group_index + 1])
+    group_id = int(plan.group_ids[group_index])
+    member_ids = [int(uid) for uid in plan.user_ids[lo:hi]]
+    serving = [int(bs_id) for bs_id in plan.serving[lo:hi]]
+    weights = plan.weights[lo:hi]
+    registry = static.registry
+
     times = time_grid(start_s, end_s, static.channel_sample_period_s)
-    rng = grouped_channel_stream(static.seed, interval_index, group_id)
+    rng = registry.channel_stream(interval_index, group_id)
     by_station: Dict[int, List[int]] = {}
     for uid, bs_id in zip(member_ids, serving):
-        by_station.setdefault(int(bs_id), []).append(uid)
+        by_station.setdefault(bs_id, []).append(uid)
     mean_by_user: Dict[int, float] = {}
     for bs_id in sorted(by_station):
         served = by_station[bs_id]
-        traces = bs_by_id[bs_id].sample_snr_traces(
+        traces = static.bs_by_id[bs_id].sample_snr_traces(
             np.stack([mobility_for(uid).positions(times) for uid in served], axis=0),
             rng=rng,
         )
@@ -201,8 +282,9 @@ def play_group_interval(
     )
     stage1_done = time.perf_counter()
 
-    rng = grouped_watch_stream(static.seed, interval_index, group_id)
+    rng = registry.watch_stream(interval_index, group_id)
     catalog = static.catalog
+    cdf = plan.cdf[group_index]
     # Gathered into the catalog's sampling-category order once per group.
     member_weights = weights[:, static.sampling_perm]
     events: Dict[int, List[ViewingEvent]] = {uid: [] for uid in member_ids}
@@ -210,7 +292,7 @@ def play_group_interval(
     traffic_bits = 0.0
     videos_played = 0
     engagement_seconds = 0.0
-    requests: List[tuple] = []
+    requests: List[Tuple[int, float]] = []
     while now < end_s:
         row = sample_index(cdf, rng)
         video = catalog.get(int(static.video_ids[row]))
@@ -240,10 +322,9 @@ def play_group_interval(
         requests.append((video.video_id, transmitted))
         videos_played += 1
         now += transmitted + static.swipe_gap_s
-
     usage = GroupIntervalUsage(
         group_id=group_id,
-        member_ids=list(member_ids),
+        member_ids=member_ids,
         traffic_bits=traffic_bits,
         efficiency_bps_hz=efficiency,
         representation_name=representation.name,
@@ -257,8 +338,34 @@ def play_group_interval(
         videos_played=videos_played,
         engagement_seconds=engagement_seconds,
     )
-    stage_times = (stage1_done - started, time.perf_counter() - stage1_done)
-    return usage, events, requests, representation, mean_snrs, stage_times
+    playback_done = time.perf_counter()
+
+    collection: Dict[int, List[tuple]] = {}
+    for row, uid in enumerate(member_ids):
+        stream = registry.collection_stream(interval_index, uid)
+        recorder = _RecordingTwin(static.attributes)
+        static.collector.collect_interval(
+            recorder,
+            mobility_for(uid),
+            static.bs_by_id[serving[row]],
+            weights[row],
+            events[uid],
+            start_s,
+            end_s,
+            rng=stream,
+            keep_rng=stream,
+            serving_cell=serving[row] if static.report_cells else None,
+        )
+        collection[uid] = recorder.ops
+
+    stage_times = (
+        stage1_done - started,
+        playback_done - stage1_done,
+        time.perf_counter() - playback_done,
+    )
+    return GroupOutcome(
+        usage, events, requests, representation, mean_snrs, collection, stage_times
+    )
 
 
 # --------------------------------------------------------------------------
@@ -323,12 +430,7 @@ class SharedIntervalPlan:
         num_users, num_categories = weights.shape
         num_groups, num_videos = cdf.shape
         index = np.concatenate([offsets, group_ids, user_ids, serving]).astype(np.int64)
-        sizes = {
-            "idx": index.nbytes,
-            "wts": weights.nbytes,
-            "cdf": cdf.nbytes,
-            "snr": int(num_users) * 8,
-        }
+        sizes = {"idx": index.nbytes, "wts": weights.nbytes, "cdf": cdf.nbytes}
         if not self._segments or any(
             sizes[key] > self._capacity.get(key, -1) for key in _PLAN_KEYS
         ):
@@ -336,7 +438,6 @@ class SharedIntervalPlan:
         self._write("idx", index)
         self._write("wts", np.ascontiguousarray(weights, dtype=np.float64))
         self._write("cdf", np.ascontiguousarray(cdf, dtype=np.float64))
-        self._write("snr", np.zeros(num_users, dtype=np.float64))
         return PlanHandle(
             token=self.token,
             version=self.version,
@@ -350,16 +451,6 @@ class SharedIntervalPlan:
             num_videos=int(num_videos),
             names={key: seg.name for key, seg in self._segments.items()},
         )
-
-    def mean_snr(self, handle: PlanHandle) -> np.ndarray:
-        """Copy of the per-member mean-SNR output slots (post shard run)."""
-        segment = self._segments["snr"]
-        view = np.ndarray(
-            (handle.num_users,), dtype=np.float64, buffer=segment.buf
-        )
-        out = np.array(view)
-        del view
-        return out
 
     # ------------------------------------------------------------ internals
     def _write(self, key: str, array: np.ndarray) -> None:
@@ -405,48 +496,6 @@ class SharedIntervalPlan:
 # --------------------------------------------------------------------------
 
 
-class _ArrayPreference:
-    """Duck-typed preference exposing exactly ``as_array()`` over a row.
-
-    The collector only reads the weight vector; rebuilding a
-    :class:`~repro.behavior.preference.PreferenceVector` would renormalise
-    and could flip low-order bits, so the plan's row is served verbatim.
-    """
-
-    __slots__ = ("_array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        self._array = array
-
-    def as_array(self, categories=None) -> np.ndarray:
-        return self._array
-
-
-class _RecordingTwin:
-    """Twin stand-in that records collector appends instead of storing them.
-
-    Lets the worker run the *actual* :class:`StatusCollector` code — so the
-    per-user stream walk is byte-for-byte the serial one — while the real
-    twin state stays in the parent, which replays the recorded op log.
-    """
-
-    __slots__ = ("attributes", "batches", "watches")
-
-    def __init__(self, attributes: Dict[str, AttributeSpec]) -> None:
-        self.attributes = attributes
-        self.batches: List[tuple] = []
-        self.watches: List[object] = []
-
-    def record_batch(self, attribute: str, timestamps_s, values) -> int:
-        self.batches.append(
-            (attribute, np.asarray(timestamps_s), np.asarray(values))
-        )
-        return len(self.batches)
-
-    def record_watches(self, records) -> None:
-        self.watches.extend(records)
-
-
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     # Attaching registers the segment with the (fork-shared) resource
     # tracker, which would race the parent's own register/unlink pair and
@@ -466,14 +515,11 @@ class ShardWorkerRuntime:
 
     def __init__(self, static: ShardStatic) -> None:
         self.static = static
-        self.registry = RngRegistry(static.seed)
         self.epoch = -1
         #: Lazily reconstructed per-user mobility models.  Pure functions of
         #: (campus, per-user seed), so entries are bit-identical to the
         #: parent's models no matter when they are built.
         self.mobility: Dict[int, GraphTrajectoryMobility] = {}
-        self.bs_by_id = {bs.bs_id: bs for bs in static.base_stations}
-        self.collector = StatusCollector(policy=static.collection_policy)
         self._attached: Optional[dict] = None
 
     # ------------------------------------------------------------ population
@@ -481,7 +527,7 @@ class ShardWorkerRuntime:
         model = self.mobility.get(user_id)
         if model is None:
             model = GraphTrajectoryMobility(
-                self.static.campus, seed=self.registry.mobility_seed(user_id)
+                self.static.campus, seed=self.static.registry.mobility_seed(user_id)
             )
             self.mobility[user_id] = model
         return model
@@ -496,8 +542,8 @@ class ShardWorkerRuntime:
         self.epoch = epoch
 
     # ----------------------------------------------------------------- plans
-    def plan_arrays(self, handle: PlanHandle) -> dict:
-        """Attach (cached by version) and slice the plan's arrays."""
+    def plan_arrays(self, handle: PlanHandle) -> IntervalPlan:
+        """Attach (cached by version) and view the published plan, zero-copy."""
         num_users = handle.num_users
         num_groups = handle.num_groups
         attached = self._attached
@@ -523,25 +569,22 @@ class ShardWorkerRuntime:
         )
         user_ids = index[2 * num_groups + 1 : 2 * num_groups + 1 + num_users]
         self._resync_population(handle.epoch, user_ids)
-        return {
-            "offsets": index[: num_groups + 1],
-            "group_ids": index[num_groups + 1 : 2 * num_groups + 1],
-            "user_ids": user_ids,
-            "serving": index[2 * num_groups + 1 + num_users :],
-            "weights": np.ndarray(
+        return IntervalPlan(
+            offsets=index[: num_groups + 1],
+            group_ids=index[num_groups + 1 : 2 * num_groups + 1],
+            user_ids=user_ids,
+            serving=index[2 * num_groups + 1 + num_users :],
+            weights=np.ndarray(
                 (num_users, handle.num_categories),
                 dtype=np.float64,
                 buffer=segments["wts"].buf,
             ),
-            "cdf": np.ndarray(
+            cdf=np.ndarray(
                 (num_groups, handle.num_videos),
                 dtype=np.float64,
                 buffer=segments["cdf"].buf,
             ),
-            "snr_out": np.ndarray(
-                (num_users,), dtype=np.float64, buffer=segments["snr"].buf
-            ),
-        }
+        )
 
     def _close_attachments(self) -> None:
         if self._attached is None:
@@ -578,85 +621,17 @@ def _probe_shard_worker(_: int) -> tuple:
     return os.getpid(), runtime.epoch, tuple(sorted(runtime.mobility))
 
 
-def _run_shard_task(task: tuple) -> tuple:
-    """Run all three stages of one group's interval inside the worker.
-
-    Returns ``(group_id, usage, events_by_member, requests, representation,
-    collection_ops, stage_times)``; the members' mean SNRs go into the
-    plan's shared output slots.
-    """
+def _run_shard_task(task: tuple) -> GroupOutcome:
+    """One pool task: attach the published plan and run one group's interval."""
     handle, group_index = task
     runtime = _WorkerRuntimeSlot.runtime
     assert runtime is not None, "shard worker not initialized"
-    static = runtime.static
-    arrays = runtime.plan_arrays(handle)
-    offsets = arrays["offsets"]
-    lo = int(offsets[group_index])
-    hi = int(offsets[group_index + 1])
-    group_id = int(arrays["group_ids"][group_index])
-    member_ids = [int(uid) for uid in arrays["user_ids"][lo:hi]]
-    serving = arrays["serving"][lo:hi]
-    weight_rows = arrays["weights"][lo:hi]
-
-    # Stages 1 and 2: mobility from the persistent cache, the CDF row and
-    # weight slice read zero-copy from the plan.
-    usage, events, requests, representation, mean_snrs, stage_times = (
-        play_group_interval(
-            static,
-            runtime.bs_by_id,
-            runtime.mobility_for,
-            handle.interval_index,
-            handle.start_s,
-            handle.end_s,
-            group_id,
-            member_ids,
-            serving,
-            weight_rows,
-            arrays["cdf"][group_index],
-        )
-    )
-    arrays["snr_out"][lo:hi] = mean_snrs
-    collect_started = time.perf_counter()
-
-    # Stage 3: twin collection from the per-(interval, user) streams.  The
-    # real collector runs against a recording twin, so the stream walk is
-    # identical to the serial path; the parent replays the op log.
-    collection: Dict[int, List[tuple]] = {}
-    for row, uid in enumerate(member_ids):
-        stream = runtime.registry.collection_stream(handle.interval_index, uid)
-        recorder = _RecordingTwin(static.attributes)
-        runtime.collector.collect_interval(
-            recorder,
-            runtime.mobility_for(uid),
-            runtime.bs_by_id[int(serving[row])],
-            _ArrayPreference(np.array(weight_rows[row])),
-            events[uid],
-            handle.start_s,
-            handle.end_s,
-            rng=stream,
-            keep_rng=stream,
-            serving_cell=int(serving[row]) if static.report_cells else None,
-        )
-        ops: List[tuple] = [("batch", *batch) for batch in recorder.batches]
-        if events[uid]:
-            # Kept watch records are a subsequence of this user's events;
-            # return indices so the records are not pickled twice.
-            kept: List[int] = []
-            cursor = 0
-            for record in recorder.watches:
-                while events[uid][cursor].record is not record:
-                    cursor += 1
-                kept.append(cursor)
-                cursor += 1
-            ops.append(("watches", tuple(kept)))
-        collection[uid] = ops
-
-    return (
-        group_id,
-        usage,
-        events,
-        requests,
-        representation,
-        collection,
-        (*stage_times, time.perf_counter() - collect_started),
+    return run_group_interval(
+        runtime.static,
+        runtime.mobility_for,
+        runtime.plan_arrays(handle),
+        handle.interval_index,
+        handle.start_s,
+        handle.end_s,
+        group_index,
     )

@@ -23,6 +23,7 @@ prediction scheme is evaluated against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -42,7 +43,7 @@ from repro.placement.manager import PlacementConfig, PlacementManager, Reprovisi
 from repro.placement.planner import ServerCapacity, fragmentation_index
 from repro.mobility.campus import CampusConfig, CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
-from repro.net.basestation import BaseStation, BaseStationConfig, place_base_stations
+from repro.net.basestation import BaseStationConfig, place_base_stations
 from repro.net.apps import AppEvent
 from repro.net.controller import (
     CellLoadEvent,
@@ -62,13 +63,12 @@ from repro.sim.shard import (
     _init_shard_worker,
     _run_shard_task,
     build_interval_plan,
-    play_group_interval,
+    run_group_interval,
 )
 from repro.twin.collector import StatusCollector
 from repro.twin.manager import DigitalTwinManager
 from repro.twin.attributes import SERVING_CELL, serving_cell_attribute, standard_attributes
 from repro.video.catalog import CatalogConfig, VideoCatalog
-from repro.video.representations import Representation
 
 
 @dataclass
@@ -126,11 +126,12 @@ class IntervalResult:
     #: Fleet fragmentation snapshot (``None`` for a single-server fleet).
     edge_fragmentation: Optional[float] = None
     placement_events: List[ReprovisionEvent] = field(default_factory=list)
-    #: Per-stage wall-time breakdown of this interval (``stage1_s`` channel
-    #: draws, ``playback_s`` multicast playback, ``collection_s`` twin
-    #: collection).  In the full-shard engine the stage entries are summed
-    #: worker-side per-task seconds (attributable CPU time per stage) plus
-    #: the parent's plan/merge/replay overhead.
+    #: Per-stage seconds of this interval, defined the same way inline and
+    #: sharded: ``stage1_s`` (channel draws), ``playback_s`` (multicast
+    #: playback) and ``collection_s`` (twin status collection) each sum the
+    #: group tasks' own stage times; ``playback_s`` adds the parent's plan
+    #: build and record merge, ``collection_s`` its op-log replay onto the
+    #: twins.  Time spent waiting on the worker pool counts in none of them.
     timing: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -224,9 +225,6 @@ class StreamingSimulator:
         #: grows, so a departed user's id (and with it their keyed streams
         #: and kept twin) is never handed to a newcomer.
         self._next_user_id = config.num_users
-        #: Collection op logs returned by shard workers for the current
-        #: interval, consumed (replayed onto the twins) by _collect_status.
-        self._pending_collection: Optional[Dict[int, list]] = None
 
         # Content.
         self.catalog = VideoCatalog.generate(
@@ -334,7 +332,6 @@ class StreamingSimulator:
             attributes[SERVING_CELL] = serving_cell_attribute()
         self.twins = DigitalTwinManager(attributes=attributes)
         self.twins.register_users(self.users.keys())
-        self.collector = StatusCollector(policy=config.collection_policy)
 
         # Behaviour and bookkeeping.
         self.watching_model = WatchingDurationModel()
@@ -349,7 +346,7 @@ class StreamingSimulator:
         )
         config_index = {c: i for i, c in enumerate(config.categories)}
         self._static = ShardStatic(
-            seed=config.seed,
+            registry=self._registry,
             catalog=self.catalog,
             watching_model=self.watching_model,
             video_ids=video_ids,
@@ -364,9 +361,9 @@ class StreamingSimulator:
             implementation_loss=config.implementation_loss,
             channel_sample_period_s=config.channel_sample_period_s,
             campus=self.campus,
-            base_stations=self.base_stations,
+            bs_by_id=self._bs_by_id,
             attributes=dict(self.twins.attributes),
-            collection_policy=self.collector.policy,
+            collector=StatusCollector(policy=config.collection_policy),
             report_cells=self.controller is not None,
         )
 
@@ -439,10 +436,9 @@ class StreamingSimulator:
 
         Each worker boots a persistent
         :class:`repro.sim.shard.ShardWorkerRuntime` from the simulator's
-        static state: the population state (mobility, collector, registry
-        streams) lives in the worker and tasks shrink to ``(plan handle,
-        group index)``.  The pool survives across intervals and is torn
-        down by :meth:`close`.
+        static state: the population state (mobility models) lives in the
+        worker and tasks shrink to ``(plan handle, group index)``.  The pool
+        survives across intervals and is torn down by :meth:`close`.
         """
         if self._pool is None:
             methods = multiprocessing.get_all_start_methods()
@@ -525,14 +521,6 @@ class StreamingSimulator:
         for user, bs_index in zip(users, np.argmax(snr, axis=1)):
             user.serving_bs_id = self.base_stations[int(bs_index)].bs_id
 
-    def _base_station(self, bs_id: int) -> BaseStation:
-        # Dict lookup (built once at construction): this runs once per user
-        # per interval, so a linear scan over base stations adds up.
-        try:
-            return self._bs_by_id[bs_id]
-        except KeyError:
-            raise KeyError(f"unknown base station {bs_id}") from None
-
     # ------------------------------------------------------------- intervals
     def preview_scoped_grouping(
         self, grouping: Mapping[int, Sequence[int]]
@@ -582,9 +570,6 @@ class StreamingSimulator:
             result.cell_of_group = cell_of_group
             result.group_scope_events = scope_events
 
-        events_by_user: Dict[int, List[ViewingEvent]] = {uid: [] for uid in self.users}
-        transcode_requests: Dict[int, List[tuple]] = {}
-
         # Predictive placement packs the interval's groups onto the fleet
         # *before* playback (reservation semantics: the assignment is made
         # from forecast demand, not observed demand).  Placement never
@@ -596,24 +581,7 @@ class StreamingSimulator:
                 interval_index, list(played_grouping.keys()), time_s=start_s
             )
 
-        # Every group plays from its own keyed streams, in sorted scoped-id
-        # order, inline or on the worker pool: identical results either way.
-        group_ids = sorted(played_grouping)
-        members = [list(played_grouping[gid]) for gid in group_ids]
-        if self.config.playback_workers > 1 and len(members) > 1:
-            play = self._run_full_shard_interval
-        else:
-            play = self._run_inline_interval
-        play(
-            group_ids,
-            members,
-            start_s,
-            end_s,
-            interval_index,
-            result,
-            events_by_user,
-            transcode_requests,
-        )
+        events_by_user, transcode_requests = self._play_groups(played_grouping, result)
 
         # Edge transcoding for all groups of this interval, routed over the
         # fleet (all groups on server 0 when placement is disabled — the
@@ -639,15 +607,7 @@ class StreamingSimulator:
                 time_s=end_s,
             )
 
-        # Digital-twin collection and behavioural updates.  In the
-        # full-shard engine collection already ran in the workers;
-        # _collect_status then just replays their op logs, and the
-        # worker-side seconds were accumulated at merge time.
-        collect_started = time.perf_counter()
-        self._collect_status(events_by_user, start_s, end_s)
-        result.timing["collection_s"] = result.timing.get("collection_s", 0.0) + (
-            time.perf_counter() - collect_started
-        )
+        # Behavioural updates (the twins were written while folding).
         self._update_preferences(events_by_user)
         self._update_popularity(events_by_user)
 
@@ -694,164 +654,90 @@ class StreamingSimulator:
         self.clock.advance_interval()
         return result
 
-    def _build_plan(self, members: List[List[int]]) -> tuple:
-        """The interval plan of :func:`repro.sim.shard.build_interval_plan`."""
-        return build_interval_plan(
-            members,
+    def _play_groups(
+        self, grouping: Mapping[int, Sequence[int]], result: IntervalResult
+    ) -> tuple:
+        """Play every group of ``grouping``; fold the outcomes into ``result``.
+
+        One driver wherever the work runs.  The parent builds the interval
+        plan; with one worker (or one group) builtin ``map`` runs
+        :func:`~repro.sim.shard.run_group_interval` over it in this process,
+        against the parent's own mobility models, otherwise the plan is
+        published to shared memory and ``pool.map`` runs ``(plan handle,
+        group index)`` tasks on the worker pool.  Either way outcomes arrive
+        in sorted scoped-group order and are folded as they arrive: records
+        merged, and each member's collection op log replayed onto their twin
+        — the only place an interval writes twins.
+
+        Returns ``(events_by_user, transcode_requests)``.
+        """
+        started = time.perf_counter()
+        plan = build_interval_plan(
+            grouping,
             self.users,
             tuple(self.config.categories),
             self.catalog,
             self.config.recommendation_popularity_weight,
         )
-
-    def _merge_group(
-        self,
-        result: IntervalResult,
-        events_by_user: Dict[int, List[ViewingEvent]],
-        transcode_requests: Dict[int, List[tuple]],
-        usage: GroupIntervalUsage,
-        events: Dict[int, List[ViewingEvent]],
-        requests: List[tuple],
-        representation: Representation,
-    ) -> None:
-        """Fold one group's playback outcome into the interval's records."""
-        result.usage_by_group[usage.group_id] = usage
-        for uid, user_events in events.items():
-            events_by_user[uid].extend(user_events)
-        transcode_requests[usage.group_id] = [
-            (self.catalog.get(video_id), representation, transmitted)
-            for video_id, transmitted in requests
-        ]
-
-    def _run_inline_interval(
-        self,
-        group_ids: List[int],
-        members: List[List[int]],
-        start_s: float,
-        end_s: float,
-        interval_index: int,
-        result: IntervalResult,
-        events_by_user: Dict[int, List[ViewingEvent]],
-        transcode_requests: Dict[int, List[tuple]],
-    ) -> None:
-        """Play every group in this process, in sorted scoped-group order.
-
-        The same plan and per-group function
-        (:func:`~repro.sim.shard.play_group_interval`) the shard workers
-        run, against the parent's own mobility models; collection follows
-        in :meth:`_collect_status`, straight into the twins.
-        """
-        started = time.perf_counter()
-        offsets, _, serving, weights, cdf = self._build_plan(members)
-        stage1_s = 0.0
-        for index, (group_id, member_ids) in enumerate(zip(group_ids, members)):
-            lo, hi = offsets[index], offsets[index + 1]
-            usage, events, requests, representation, mean_snrs, stage_times = (
-                play_group_interval(
-                    self._static,
-                    self._bs_by_id,
-                    lambda uid: self.users[uid].mobility,
-                    interval_index,
-                    start_s,
-                    end_s,
-                    group_id,
-                    member_ids,
-                    serving[lo:hi],
-                    weights[lo:hi],
-                    cdf[index],
-                )
+        num_groups = len(plan.group_ids)
+        workers = self.config.playback_workers
+        if workers > 1 and num_groups > 1:
+            handle = self._interval_plan().publish(
+                epoch=self._population_epoch,
+                interval_index=result.interval_index,
+                start_s=result.start_s,
+                end_s=result.end_s,
+                **plan._asdict(),
             )
-            result.mean_snr_by_user.update(zip(member_ids, mean_snrs))
-            self._merge_group(
-                result,
-                events_by_user,
-                transcode_requests,
-                usage,
-                events,
-                requests,
-                representation,
-            )
-            stage1_s += stage_times[0]
-        result.timing["stage1_s"] = stage1_s
-        result.timing["playback_s"] = time.perf_counter() - started - stage1_s
-
-    def _run_full_shard_interval(
-        self,
-        group_ids: List[int],
-        members: List[List[int]],
-        start_s: float,
-        end_s: float,
-        interval_index: int,
-        result: IntervalResult,
-        events_by_user: Dict[int, List[ViewingEvent]],
-        transcode_requests: Dict[int, List[tuple]],
-    ) -> None:
-        """Run every stage of one interval on the shard worker pool.
-
-        The parent's only jobs are publishing the interval plan (member
-        layout, per-member preference weights against the live preferences,
-        per-group sampling CDFs against the live popularity), mapping
-        ``(plan handle, group index)`` tasks over the pool, and merging the
-        outcomes in sorted scoped-group order — the same order the inline
-        path uses, so the assembled result is bit-identical.  Twin state
-        stays parent-side: workers return collection op logs that
-        :meth:`_collect_status` replays.
-        """
-        pool = self._playback_pool()
-        plan_started = time.perf_counter()
-        offsets, user_ids, serving, weights, cdf = self._build_plan(members)
-        handle = self._interval_plan().publish(
-            epoch=self._population_epoch,
-            interval_index=interval_index,
-            start_s=start_s,
-            end_s=end_s,
-            offsets=offsets,
-            group_ids=np.array(group_ids, dtype=np.int64),
-            user_ids=user_ids,
-            serving=serving,
-            weights=weights,
-            cdf=cdf,
-        )
-        plan_s = time.perf_counter() - plan_started
-
-        chunksize = max(1, len(group_ids) // (self.config.playback_workers * 4))
-        outcomes = list(
-            pool.map(
+            plan_s = time.perf_counter() - started
+            outcomes = self._playback_pool().map(
                 _run_shard_task,
-                [(handle, index) for index in range(len(group_ids))],
-                chunksize=chunksize,
+                [(handle, index) for index in range(num_groups)],
+                chunksize=max(1, num_groups // (workers * 4)),
             )
-        )
+        else:
+            plan_s = time.perf_counter() - started
+            outcomes = map(
+                functools.partial(
+                    run_group_interval,
+                    self._static,
+                    lambda uid: self.users[uid].mobility,
+                    plan,
+                    result.interval_index,
+                    result.start_s,
+                    result.end_s,
+                ),
+                range(num_groups),
+            )
 
-        merge_started = time.perf_counter()
-        stage1_s = playback_s = collection_s = 0.0
-        pending: Dict[int, list] = {}
-        for _, usage, events, requests, representation, collection, stage_times in (
-            outcomes
-        ):
-            self._merge_group(
-                result,
-                events_by_user,
-                transcode_requests,
-                usage,
-                events,
-                requests,
-                representation,
-            )
-            pending.update(collection)
-            stage1_s += stage_times[0]
-            playback_s += stage_times[1]
-            collection_s += stage_times[2]
-        snr = self._interval_plan().mean_snr(handle)
-        result.mean_snr_by_user.update(
-            (int(uid), float(value)) for uid, value in zip(user_ids, snr)
+        events_by_user: Dict[int, List[ViewingEvent]] = {uid: [] for uid in self.users}
+        transcode_requests: Dict[int, List[tuple]] = {}
+        stage1_s, playback_s, collection_s = 0.0, plan_s, 0.0
+        for outcome in outcomes:
+            merge_started = time.perf_counter()
+            usage = outcome.usage
+            result.usage_by_group[usage.group_id] = usage
+            result.mean_snr_by_user.update(zip(usage.member_ids, outcome.mean_snrs))
+            for uid, user_events in outcome.events.items():
+                events_by_user[uid].extend(user_events)
+            transcode_requests[usage.group_id] = [
+                (self.catalog.get(video_id), outcome.representation, transmitted)
+                for video_id, transmitted in outcome.requests
+            ]
+            replay_started = time.perf_counter()
+            for uid, ops in outcome.collection.items():
+                twin = self.twins.twin(uid)
+                for method, *args in ops:
+                    getattr(twin, method)(*args)
+            replay_done = time.perf_counter()
+            task_stage1_s, task_playback_s, task_collection_s = outcome.stage_times
+            stage1_s += task_stage1_s
+            playback_s += task_playback_s + (replay_started - merge_started)
+            collection_s += task_collection_s + (replay_done - replay_started)
+        result.timing.update(
+            stage1_s=stage1_s, playback_s=playback_s, collection_s=collection_s
         )
-        self._pending_collection = pending
-        result.timing["stage1_s"] = stage1_s
-        result.timing["playback_s"] = (
-            plan_s + playback_s + (time.perf_counter() - merge_started)
-        )
-        result.timing["collection_s"] = collection_s
+        return events_by_user, transcode_requests
 
     def _controller_mean_snr(self, time_s: float):
         """Lazy per-user serving-cell mean-SNR lookup for controller apps.
@@ -862,10 +748,9 @@ class StreamingSimulator:
         """
         def lookup(user_ids) -> Dict[int, float]:
             controller = self.controller
-            by_id = {bs.bs_id: bs for bs in self.base_stations}
             return {
                 uid: float(
-                    by_id[controller.serving_cell[uid]].mean_snr_db(
+                    self._bs_by_id[controller.serving_cell[uid]].mean_snr_db(
                         self.users[uid].mobility.position(time_s)
                     )
                 )
@@ -968,51 +853,6 @@ class StreamingSimulator:
         missing = set(self.users) - seen
         if missing:
             raise ValueError(f"grouping does not cover users {sorted(missing)}")
-
-    def _collect_status(
-        self,
-        events_by_user: Dict[int, List[ViewingEvent]],
-        start_s: float,
-        end_s: float,
-    ) -> None:
-        if self._pending_collection is not None:
-            # Full-shard engine: the workers already ran the collector from
-            # each user's (interval, user) stream; replay their op logs onto
-            # the real twins, in population order, exactly as the serial
-            # walk would have appended.
-            pending = self._pending_collection
-            self._pending_collection = None
-            for uid in self.users:
-                twin = self.twins.twin(uid)
-                for op in pending.get(uid, ()):
-                    if op[0] == "batch":
-                        twin.record_batch(op[1], op[2], op[3])
-                    else:  # ("watches", kept indices into the user's events)
-                        events = events_by_user.get(uid, [])
-                        twin.record_watches(
-                            [events[index].record for index in op[1]]
-                        )
-            return
-        report_cells = self.controller is not None
-        interval_index = self.clock.current_interval
-        for uid, user in self.users.items():
-            # A per-(interval, user) stream, so one user's channel-report
-            # draws never depend on how many samples any other user (or any
-            # group) consumed.  The same stream also takes the drop decisions
-            # (keep_rng), making a lossy policy's draw walk worker-replayable.
-            rng = self._registry.collection_stream(interval_index, uid)
-            self.collector.collect_interval(
-                self.twins.twin(uid),
-                user.mobility,
-                self._base_station(user.serving_bs_id),
-                user.preference,
-                events_by_user.get(uid, []),
-                start_s,
-                end_s,
-                rng=rng,
-                keep_rng=rng,
-                serving_cell=user.serving_bs_id if report_cells else None,
-            )
 
     def _update_preferences(self, events_by_user: Dict[int, List[ViewingEvent]]) -> None:
         for uid, events in events_by_user.items():

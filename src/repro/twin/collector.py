@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.behavior.preference import PreferenceVector
 from repro.behavior.session import ViewingEvent
 from repro.mobility.trajectory import MobilityModel
 from repro.net.basestation import BaseStation
@@ -96,7 +95,7 @@ class StatusCollector:
         udt: UserDigitalTwin,
         mobility: MobilityModel,
         base_station: BaseStation,
-        preference: PreferenceVector,
+        preference: np.ndarray,
         events: Sequence[ViewingEvent],
         start_s: float,
         end_s: float,
@@ -108,7 +107,8 @@ class StatusCollector:
 
         Each attribute is collected as one batched position/SNR evaluation
         and one bulk append into the twin's time-series store, instead of a
-        Python loop over individual samples.
+        Python loop over individual samples.  ``preference`` is the user's
+        preference weight row, in the twin's category order.
 
         ``rng`` is the stream the channel-condition draws consume and
         ``keep_rng`` the one the drop decisions consume.  The simulator
@@ -151,7 +151,7 @@ class StatusCollector:
 
         # Preference snapshots.
         if PREFERENCE in udt.attributes:
-            vector = preference.as_array()
+            vector = np.asarray(preference, dtype=np.float64)
             expected_dim = udt.attributes[PREFERENCE].dimension
             if vector.shape[0] != expected_dim:
                 raise ValueError(

@@ -378,12 +378,6 @@ class TestSimulatorIntegration:
         assert new_uid not in sim.controller.serving_cell
         sim.run_interval(singleton_grouping(sim.user_ids()))
 
-    def test_base_station_lookup(self, tiny_simulator):
-        for bs in tiny_simulator.base_stations:
-            assert tiny_simulator._base_station(bs.bs_id) is bs
-        with pytest.raises(KeyError):
-            tiny_simulator._base_station(999)
-
     def test_invalid_controller_simulation_config(self):
         with pytest.raises(ValueError):
             SimulationConfig(controller_mode="magic")

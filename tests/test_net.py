@@ -57,16 +57,28 @@ class TestChannelModel:
         sample = channel.sample_snr_db(43.0, 200.0, rng=rng)
         assert sample == pytest.approx(channel.mean_snr_db(43.0, 200.0))
 
-    def test_fading_adds_variance(self):
+    def test_fading_adds_variance(self, rng):
         config = ChannelConfig(shadowing_std_db=0.0, rayleigh_fading=True)
-        channel = ChannelModel(config, seed=1)
-        samples = [channel.sample_snr_db(43.0, 200.0) for _ in range(300)]
+        channel = ChannelModel(config)
+        samples = [channel.sample_snr_db(43.0, 200.0, rng=rng) for _ in range(300)]
         assert np.std(samples) > 1.0
 
     def test_snr_series_length(self, rng):
-        channel = ChannelModel(seed=2)
-        series = channel.sample_snr_series_db(43.0, [100.0, 200.0, 300.0], rng=rng)
+        channel = ChannelModel()
+        series = channel.sample_snr_db_batch(43.0, [100.0, 200.0, 300.0], rng=rng)
         assert series.shape == (3,)
+
+    def test_sampling_requires_an_explicit_stream(self):
+        channel = ChannelModel()
+        bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
+        with pytest.raises(TypeError):
+            channel.sample_snr_db(43.0, 200.0)
+        with pytest.raises(TypeError):
+            channel.sample_snr_db_batch(43.0, [100.0, 200.0])
+        with pytest.raises(TypeError):
+            bs.sample_snr_db([10.0, 0.0])
+        with pytest.raises(TypeError):
+            bs.sample_snr_db_batch([[10.0, 0.0]])
 
     def test_minimum_distance_clamped(self):
         channel = ChannelModel(ChannelConfig(min_distance_m=5.0, shadowing_std_db=0.0, rayleigh_fading=False))

@@ -38,6 +38,7 @@ from repro.scenario.compiler import compile_spec
 from repro.scenario.spec import EngineSpec, ScenarioSpec
 from repro.sim.rng import RngRegistry, derive_stream
 from repro.timegrid import num_grid_steps, time_grid
+from repro.twin.collector import CollectionPolicy
 
 WORKER_COUNTS = [1, 2]
 _extra = os.environ.get("REPRO_TEST_PLAYBACK_WORKERS")
@@ -96,7 +97,7 @@ def _interval_fingerprint(result) -> tuple:
 
 
 def _run_grouped(workers: int, reverse_grouping: bool = False, **overrides):
-    """``(fingerprints, twin_tensor)`` of a 2-interval grouped run."""
+    """``(fingerprints, twin_tensor, watch_records_by_user)`` of a grouped run."""
     config = _grouped_config(workers, **overrides)
     with StreamingSimulator(config) as sim:
         grouping = _grouping(sim, reverse=reverse_grouping)
@@ -107,22 +108,42 @@ def _run_grouped(workers: int, reverse_grouping: bool = False, **overrides):
         tensor = sim.twins.feature_tensor(
             0.0, config.num_intervals * config.interval_s, num_steps=16
         )
-    return fingerprints, tensor
+        watches = {uid: sim.twins.twin(uid).watch_records() for uid in sim.user_ids()}
+    return fingerprints, tensor, watches
 
 
 # --------------------------------------------------- grouped-engine totals
 class TestShardedPlaybackDeterminism:
     def test_serial_equals_sharded_for_every_worker_count(self):
-        """The acceptance pin: identical totals for workers=1 and workers>1."""
-        serial, serial_twins = _run_grouped(1)
-        for workers in [w for w in WORKER_COUNTS if w > 1]:
-            sharded, sharded_twins = _run_grouped(workers)
-            assert sharded == serial, f"workers={workers} diverged from serial"
-            np.testing.assert_array_equal(sharded_twins, serial_twins)
+        """The acceptance pin: identical totals and twins for workers=1 and
+        workers>1, with perfect collection and with a lossy, delayed one in
+        handover mode (the drop walk, the kept watches and the serving-cell
+        attribute all come out of the group tasks' op logs)."""
+        inputs = {
+            "perfect": {},
+            "lossy-handover": dict(
+                num_users=12,
+                num_base_stations=4,
+                area_width_m=1200.0,
+                area_height_m=1000.0,
+                controller_mode="handover",
+                collection_policy=CollectionPolicy(drop_probability=0.3, delay_s=2.0),
+            ),
+        }
+        for name, overrides in inputs.items():
+            serial, serial_twins, serial_watches = _run_grouped(1, **overrides)
+            assert any(serial_watches.values()), name
+            for workers in [w for w in WORKER_COUNTS if w > 1]:
+                sharded, sharded_twins, sharded_watches = _run_grouped(
+                    workers, **overrides
+                )
+                assert sharded == serial, f"{name}: workers={workers} diverged"
+                np.testing.assert_array_equal(sharded_twins, serial_twins)
+                assert sharded_watches == serial_watches, name
 
     def test_group_order_does_not_change_results(self):
-        forward, twins_fwd = _run_grouped(1)
-        reversed_, twins_rev = _run_grouped(1, reverse_grouping=True)
+        forward, twins_fwd, _ = _run_grouped(1)
+        reversed_, twins_rev, _ = _run_grouped(1, reverse_grouping=True)
         assert forward == reversed_
         np.testing.assert_array_equal(twins_fwd, twins_rev)
 

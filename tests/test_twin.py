@@ -176,7 +176,7 @@ class TestStatusCollector:
         collector = StatusCollector(policy=policy)
         mobility = StaticMobility([100.0, 100.0])
         bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
-        preference = random_preference(np.random.default_rng(0))
+        preference = random_preference(np.random.default_rng(0)).as_array()
         rng = np.random.default_rng(1)
         collector.collect_interval(
             twin, mobility, bs, preference, [], *interval, rng=rng, keep_rng=rng
@@ -214,7 +214,7 @@ class TestStatusCollector:
         collector = StatusCollector()
         mobility = StaticMobility([10.0, 10.0])
         bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
-        preference = random_preference(np.random.default_rng(0))
+        preference = random_preference(np.random.default_rng(0)).as_array()
         from repro.behavior.session import ViewingEvent
 
         record = WatchRecord(0, 5, "News", 3.0, 10.0, swiped=True, timestamp_s=1.0)
