@@ -13,7 +13,7 @@ generates those traces:
 * :mod:`repro.behavior.swiping` -- swipe-probability distributions derived
   from watching durations.
 * :mod:`repro.behavior.session` -- a session generator producing the
-  per-user viewing traces the UDTs collect.
+  per-user watch records the UDTs collect.
 """
 
 from repro.behavior.preference import (
@@ -28,7 +28,7 @@ from repro.behavior.swiping import (
     empirical_swipe_distribution,
     swipe_probability_from_durations,
 )
-from repro.behavior.session import SessionConfig, SessionGenerator, ViewingEvent
+from repro.behavior.session import SessionConfig, SessionGenerator
 
 __all__ = [
     "PreferenceModel",
@@ -36,7 +36,6 @@ __all__ = [
     "SessionConfig",
     "SessionGenerator",
     "SwipeProbabilityEstimator",
-    "ViewingEvent",
     "WatchRecord",
     "WatchingDurationModel",
     "cosine_similarity",

@@ -1,9 +1,10 @@
 """Viewing-session generation.
 
 A session is the sequence of short videos a user is served during a
-reservation interval, together with how long each one was watched before the
-user swiped away.  Sessions are what the base stations observe and what the
-user digital twins record; the whole prediction pipeline is driven by them.
+reservation interval, as one :class:`~repro.behavior.watching.WatchRecord`
+per video: when it started and how long it was watched before the user
+swiped away.  Sessions are what the base stations observe and what the user
+digital twins record; the whole prediction pipeline is driven by them.
 """
 
 from __future__ import annotations
@@ -16,18 +17,6 @@ import numpy as np
 from repro.behavior.preference import PreferenceVector
 from repro.behavior.watching import WatchingDurationModel, WatchRecord
 from repro.video.catalog import Video, VideoCatalog
-
-
-@dataclass(frozen=True)
-class ViewingEvent:
-    """One video served to one user within a session."""
-
-    record: WatchRecord
-    start_time_s: float
-
-    @property
-    def end_time_s(self) -> float:
-        return self.start_time_s + self.record.watch_duration_s
 
 
 @dataclass
@@ -104,8 +93,8 @@ class SessionGenerator:
         rng: Optional[np.random.Generator] = None,
         start_time_s: float = 0.0,
         duration_s: Optional[float] = None,
-    ) -> List[ViewingEvent]:
-        """Generate the viewing events of one user for one interval.
+    ) -> List[WatchRecord]:
+        """Generate the watch records of one user for one interval, in time order.
 
         ``rng`` is required: the historical per-user fallback
         (``default_rng(user_id)``) silently decoupled callers from the
@@ -121,7 +110,7 @@ class SessionGenerator:
         duration_s = duration_s if duration_s is not None else self.config.session_duration_s
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        events: List[ViewingEvent] = []
+        records: List[WatchRecord] = []
         now = start_time_s
         end_time = start_time_s + duration_s
         while now < end_time:
@@ -139,9 +128,9 @@ class SessionGenerator:
                 swiped=swiped,
                 timestamp_s=now,
             )
-            events.append(ViewingEvent(record=record, start_time_s=now))
+            records.append(record)
             now += watch + self.config.swipe_gap_s
-        return events
+        return records
 
     def generate_population_sessions(
         self,
@@ -149,7 +138,7 @@ class SessionGenerator:
         rng: Optional[np.random.Generator] = None,
         start_time_s: float = 0.0,
         duration_s: Optional[float] = None,
-    ) -> List[List[ViewingEvent]]:
+    ) -> List[List[WatchRecord]]:
         """Generate one session per user; ``preferences[i]`` belongs to user ``i``."""
         if rng is None:
             raise ValueError(
@@ -171,11 +160,11 @@ class SessionGenerator:
         return sessions
 
 
-def session_engagement_seconds(events: Sequence[ViewingEvent]) -> dict:
+def session_engagement_seconds(records: Sequence[WatchRecord]) -> dict:
     """Total watch time per category across a session."""
     totals: dict = {}
-    for event in events:
-        totals[event.record.category] = (
-            totals.get(event.record.category, 0.0) + event.record.watch_duration_s
+    for record in records:
+        totals[record.category] = (
+            totals.get(record.category, 0.0) + record.watch_duration_s
         )
     return totals

@@ -125,9 +125,8 @@ class ChallengeDatasetGenerator:
             sessions = generator.generate_population_sessions(
                 preferences, rng=rng, start_time_s=start, duration_s=config.interval_s
             )
-            for events in sessions:
-                for event in events:
-                    record = event.record
+            for records in sessions:
+                for record in records:
                     traces.append(
                         SwipeTraceRecord(
                             user_id=record.user_id,

@@ -3,17 +3,15 @@
 The edge server receives, per reservation interval and per multicast group,
 the list of videos that must be prepared at a given target representation
 for a given (expected or actual) watched duration.  It answers with the CPU
-cycles consumed, tracks cache hits/misses (a miss means the highest
-representation must first be fetched from the remote CDN), and keeps a
-history so computing demand can be compared against predictions.
+cycles consumed and tracks cache hits/misses (a miss means the highest
+representation must first be fetched from the remote CDN).  It keeps no
+usage history: the caller records each interval's returned usage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.edge.cache import VideoCache
 from repro.edge.transcoding import TranscodingCostModel
@@ -74,7 +72,6 @@ class EdgeServer:
         self.config = config if config is not None else EdgeServerConfig()
         self.cache = VideoCache(self.config.cache_capacity_gbytes * 1e9)
         self.transcoder = TranscodingCostModel(cycles_per_pixel=self.config.cycles_per_pixel)
-        self.history: List[IntervalComputeUsage] = []
 
     # ------------------------------------------------------------- warm-up
     def warm_cache(self, top_videos: Optional[int] = None) -> int:
@@ -90,7 +87,7 @@ class EdgeServer:
         group_requests: Mapping[int, Sequence[TranscodeRequest]],
         time_s: float = 0.0,
     ) -> IntervalComputeUsage:
-        """Execute one interval's transcoding work and record its cost.
+        """Execute one interval's transcoding work and return its cost.
 
         ``group_requests`` maps group id to the list of (video, target
         representation, duration) tuples that must be prepared for that
@@ -107,19 +104,4 @@ class EdgeServer:
                     self.cache.insert(video, time_s=time_s)
                 cycles += self.transcoder.video_cycles(video, target, duration_s)
             usage.cycles_by_group[group_id] = cycles
-        self.history.append(usage)
         return usage
-
-    # ------------------------------------------------------------ reporting
-    def total_cycles_history(self) -> np.ndarray:
-        """Total cycles per recorded interval."""
-        return np.array([usage.total_cycles for usage in self.history])
-
-    def mean_utilization(self, interval_s: float) -> float:
-        if not self.history:
-            return 0.0
-        utilizations = [
-            usage.utilization(self.config.cpu_capacity_cycles_per_s, interval_s)
-            for usage in self.history
-        ]
-        return float(np.mean(utilizations))

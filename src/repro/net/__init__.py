@@ -18,7 +18,7 @@ videos.  The radio model here is a standard cellular downlink abstraction:
   evaluated on batched mid-interval SNR samples.
 * :mod:`repro.net.controller` -- the event-driven multi-cell RAN
   controller runtime (user association, per-cell state, scoped-id math,
-  event log).
+  event bus).
 * :mod:`repro.net.apps` -- pluggable controller apps over that runtime
   (A3 handover, cell scoping, budget rebalancing, weak-member demotion).
 """

@@ -2,7 +2,7 @@
 
 The RAN controller (:class:`repro.net.controller.RanController`) is a thin
 runtime — association state, per-cell bookkeeping, scoped-id math and one
-time-ordered event log driven by its :class:`repro.sim.events.EventQueue`.
+time-ordered event bus, its :class:`repro.sim.events.EventQueue`.
 Every *policy* lives in a :class:`ControllerApp`: a small component that
 attaches to the runtime and reacts to its lifecycle hooks, the same shape
 SDN controllers (POX/EMPOWER) use for pluggable network applications.

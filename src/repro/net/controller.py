@@ -5,7 +5,9 @@ as implicit: which cell serves each user, and how multicast groups map onto
 cells.  It is driven by records flowing through its own
 :class:`repro.sim.events.EventQueue` instance (the same event machinery the
 simulation substrate exposes), which serialises every state change into one
-time-ordered, logged stream:
+time-ordered stream.  Each call returns (or drains) the events it fired; the
+simulator records them on the interval's result, and the controller keeps
+no log of its own:
 
 * :class:`HandoverEvent` -- a user's serving cell changes after the
   hysteresis + time-to-trigger rule (:mod:`repro.net.handover`) fires on
@@ -20,7 +22,7 @@ time-ordered, logged stream:
   emits (demotions, budget transfers, ...).
 
 :class:`RanController` itself is a thin *runtime*: association state,
-per-cell bookkeeping, scoped-id math and the event log.  Every policy --
+per-cell bookkeeping, scoped-id math and the event bus.  Every policy --
 which handovers fire, how groups are scoped, how budgets rebalance -- lives
 in a pluggable :class:`~repro.net.apps.base.ControllerApp` attached to the
 runtime (see :mod:`repro.net.apps`).  The default app stack
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequ
 
 import numpy as np
 
-from repro.net.handover import HandoverConfig, StreakState, measure_mean_snr
+from repro.net.handover import HandoverConfig, measure_mean_snr
 
 if TYPE_CHECKING:  # imported lazily at runtime -- see RanController.__init__
     from repro.net.apps.base import AppEvent
@@ -92,8 +94,6 @@ class CellState:
     rb_budget: float
     rb_demand: float = 0.0
     served_users: int = 0
-    handovers_in: int = 0
-    handovers_out: int = 0
     outage_groups: int = 0
 
     @property
@@ -134,7 +134,7 @@ class ControllerConfig:
 
 
 class RanController:
-    """Thin controller runtime: association, cell state, event log, apps.
+    """Thin controller runtime: association, cell state, event bus, apps.
 
     ``apps`` selects the policy stack: ``None`` builds the default
     (``a3_handover``, ``cell_scoping``, ``prorata_rebalance``), otherwise
@@ -168,10 +168,6 @@ class RanController:
             bs.bs_id: CellState(cell_id=bs.bs_id, rb_budget=float(bs.config.num_resource_blocks))
             for bs in self.base_stations
         }
-        self.handover_log: List[HandoverEvent] = []
-        self.group_event_log: List[GroupScopeEvent] = []
-        self.load_event_log: List[CellLoadEvent] = []
-        self.app_event_log: List["AppEvent"] = []
         #: Cells flagged overloaded by the most recent load report, captured
         #: *before* budget rebalancing (which by construction pulls a cell
         #: back to the threshold whenever donors suffice — measuring after
@@ -200,24 +196,6 @@ class RanController:
             if app.name == name:
                 return app
         return None
-
-    @property
-    def policy(self):
-        """The A3 handover policy (compat accessor; ``None`` without the app)."""
-        app = self.app("a3_handover")
-        return app.policy if app is not None else None
-
-    @property
-    def _streaks(self) -> StreakState:
-        """The A3 app's carried streak state (compat accessor)."""
-        app = self.app("a3_handover")
-        return app._streaks if app is not None else StreakState.keyed([])
-
-    @property
-    def _group_cells(self) -> Dict[int, FrozenSet[int]]:
-        """The scoping app's per-group footprints (compat accessor)."""
-        app = self.app("cell_scoping")
-        return app._group_cells if app is not None else {}
 
     # ------------------------------------------------------------ association
     def attach_user(self, user_id: int, cell_id: int) -> None:
@@ -330,10 +308,7 @@ class RanController:
     def _apply_handover(self, event: HandoverEvent) -> None:
         self.serving_cell[event.user_id] = event.target_cell
         self.cell_states[event.source_cell].served_users -= 1
-        self.cell_states[event.source_cell].handovers_out += 1
         self.cell_states[event.target_cell].served_users += 1
-        self.cell_states[event.target_cell].handovers_in += 1
-        self.handover_log.append(event)
         if self._handover_sink is not None:
             self._handover_sink.append(event)
         for app in self.apps:
@@ -434,15 +409,12 @@ class RanController:
         return scoped, cell_of_group, self.drain_scope_events()
 
     def emit_scope_event(self, event: GroupScopeEvent) -> None:
-        """Schedule a scope event on the bus; fired events are logged and buffered."""
+        """Schedule a scope event on the bus; fired events are buffered."""
         self.events.schedule(
             event.time_s,
             name=f"group_{event.kind}",
             payload=event,
-            callback=lambda event=event: (
-                self.group_event_log.append(event),
-                self._scope_fired.append(event),
-            ),
+            callback=lambda event=event: self._scope_fired.append(event),
         )
 
     def drain_scope_events(self) -> List[GroupScopeEvent]:
@@ -452,15 +424,12 @@ class RanController:
 
     # ------------------------------------------------------------- app events
     def emit_app_event(self, event: AppEvent) -> None:
-        """Schedule an app event on the bus; fired events are logged and buffered."""
+        """Schedule an app event on the bus; fired events are buffered."""
         self.events.schedule(
             event.time_s,
             name=f"app:{event.app}:{event.name}",
             payload=event,
-            callback=lambda event=event: (
-                self.app_event_log.append(event),
-                self._app_fired.append(event),
-            ),
+            callback=lambda event=event: self._app_fired.append(event),
         )
 
     def drain_app_events(self) -> List[AppEvent]:
@@ -516,10 +485,7 @@ class RanController:
                 time_s,
                 name="cell_load",
                 payload=event,
-                callback=lambda event=event, fired=fired: (
-                    self.load_event_log.append(event),
-                    fired.append(event),
-                ),
+                callback=lambda event=event, fired=fired: fired.append(event),
             )
         self.events.run_until(time_s)
         self._last_overloaded = frozenset(

@@ -4,8 +4,9 @@
 :class:`~repro.edge.server.EdgeServer` to N servers: each interval's
 per-group transcode requests are routed to the assigned server (server 0
 for every group when no assignment is given — bit-identical to the
-historical single-server path), and the fleet keeps per-server usage
-histories so utilization/fragmentation series can be exported.
+historical single-server path).  The fleet keeps no usage history: each
+interval's :class:`FleetComputeUsage` is returned to the caller, which
+derives the per-server utilization it records.
 
 Routing preserves each server's request iteration order (insertion order
 of the incoming mapping), so a one-server fleet walks the cache exactly
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
 
 from repro.edge.cache import video_size_bytes
 from repro.edge.server import (
@@ -75,7 +74,6 @@ class EdgeFleet:
         self.servers: List[EdgeServer] = [
             EdgeServer(catalog, config) for config in configs
         ]
-        self.usage_history: List[FleetComputeUsage] = []
 
     @property
     def num_servers(self) -> int:
@@ -121,40 +119,15 @@ class EdgeFleet:
             for video, _target, _duration in requests:
                 seen.setdefault(video.video_id, video_size_bytes(video))
             usage.cache_bytes_by_group[group_id] = float(sum(seen.values()))
-        self.usage_history.append(usage)
         return usage
 
     # ------------------------------------------------------------ reporting
-    def utilization_by_server(self, interval_s: float) -> Dict[int, List[float]]:
-        """Per-server CPU utilization series over the recorded intervals."""
-        series: Dict[int, List[float]] = {s: [] for s in range(self.num_servers)}
-        for usage in self.usage_history:
-            for server_index, server in enumerate(self.servers):
-                per_server = usage.usage_by_server.get(server_index)
-                value = (
-                    per_server.utilization(
-                        server.config.cpu_capacity_cycles_per_s, interval_s
-                    )
-                    if per_server is not None
-                    else 0.0
-                )
-                series[server_index].append(float(value))
-        return series
-
     def cache_utilization_by_server(self) -> Dict[int, float]:
         """Current cache fill fraction per server."""
         return {
             index: float(server.cache.used_bytes / server.cache.capacity_bytes)
             for index, server in enumerate(self.servers)
         }
-
-    def total_capacity_cycles_per_s(self) -> float:
-        return float(
-            sum(server.config.cpu_capacity_cycles_per_s for server in self.servers)
-        )
-
-    def total_cycles_history(self) -> np.ndarray:
-        return np.array([usage.total_cycles for usage in self.usage_history])
 
     def cache_stats(self) -> Dict[str, float]:
         """Aggregated cache counters over the whole fleet."""

@@ -1,4 +1,4 @@
-"""Simulation substrate: clock, events, the streaming simulator and metrics.
+"""Simulation substrate: clock, events and the streaming simulator.
 
 The simulator is the ground truth the prediction scheme is evaluated
 against.  Per reservation interval it:
@@ -11,13 +11,12 @@ against.  Per reservation interval it:
 4. pushes user status into the digital twins through the status collector.
 
 The per-group radio (resource blocks) and computing (CPU cycles) usage it
-records is what the DT-assisted scheme must predict *before* the interval
-starts.
+records, in one :class:`IntervalResult` per interval, is what the
+DT-assisted scheme must predict *before* the interval starts.
 """
 
 from repro.sim.clock import SimulationClock
 from repro.sim.events import Event, EventQueue
-from repro.sim.metrics import MetricRecorder, SeriesSummary
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import RngRegistry, derive_seed_sequence, derive_stream
 from repro.sim.simulator import (
@@ -33,9 +32,7 @@ __all__ = [
     "EventQueue",
     "GroupIntervalUsage",
     "IntervalResult",
-    "MetricRecorder",
     "RngRegistry",
-    "SeriesSummary",
     "SimulationClock",
     "SimulationConfig",
     "StreamingSimulator",

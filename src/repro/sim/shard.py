@@ -62,7 +62,6 @@ from typing import (
 import numpy as np
 
 from repro.behavior.preference import PreferenceVector
-from repro.behavior.session import ViewingEvent
 from repro.behavior.watching import WatchingDurationModel, WatchRecord
 from repro.mobility.campus import CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
@@ -140,7 +139,8 @@ class GroupOutcome(NamedTuple):
     """Everything one group's interval produced, for the parent to fold."""
 
     usage: GroupIntervalUsage
-    events: Dict[int, List[ViewingEvent]]
+    #: Per-member watch records, in playback order.
+    records: Dict[int, List[WatchRecord]]
     #: ``(video_id, transmitted_s)`` pairs; the parent re-resolves videos
     #: for edge transcoding.
     requests: List[Tuple[int, float]]
@@ -287,7 +287,7 @@ def run_group_interval(
     cdf = plan.cdf[group_index]
     # Gathered into the catalog's sampling-category order once per group.
     member_weights = weights[:, static.sampling_perm]
-    events: Dict[int, List[ViewingEvent]] = {uid: [] for uid in member_ids}
+    records: Dict[int, List[WatchRecord]] = {uid: [] for uid in member_ids}
     now = start_s
     traffic_bits = 0.0
     videos_played = 0
@@ -316,7 +316,7 @@ def run_group_interval(
                 swiped=swiped,
                 timestamp_s=now,
             )
-            events[uid].append(ViewingEvent(record=record, start_time_s=now))
+            records[uid].append(record)
             engagement_seconds += duration
         traffic_bits += video.bits_watched(representation, transmitted)
         requests.append((video.video_id, transmitted))
@@ -349,7 +349,7 @@ def run_group_interval(
             mobility_for(uid),
             static.bs_by_id[serving[row]],
             weights[row],
-            events[uid],
+            records[uid],
             start_s,
             end_s,
             rng=stream,
@@ -364,7 +364,7 @@ def run_group_interval(
         time.perf_counter() - playback_done,
     )
     return GroupOutcome(
-        usage, events, requests, representation, mean_snrs, collection, stage_times
+        usage, records, requests, representation, mean_snrs, collection, stage_times
     )
 
 
@@ -460,12 +460,14 @@ class SharedIntervalPlan:
         del view
 
     def _reallocate(self, sizes: Dict[str, int]) -> None:
+        # Read before _release, which forgets the capacities.
+        previous = self._capacity
         self._release(unlink=True)
         self.version += 1
         for key in _PLAN_KEYS:
             # Grow with headroom so steady churn doesn't reallocate every
             # interval; segments are page-granular anyway.
-            capacity = max(int(sizes[key]), 2 * self._capacity.get(key, 0), 8)
+            capacity = max(int(sizes[key]), 2 * previous.get(key, 0), 8)
             name = f"{SEGMENT_PREFIX}-{self.token}-v{self.version}-{key}"
             self._segments[key] = shared_memory.SharedMemory(
                 name=name, create=True, size=capacity

@@ -35,9 +35,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.behavior.preference import PreferenceModel, PreferenceVector, random_preference
-from repro.behavior.session import ViewingEvent
-from repro.behavior.watching import WatchingDurationModel
-from repro.edge.server import EdgeServer, EdgeServerConfig
+from repro.behavior.watching import WatchingDurationModel, WatchRecord
+from repro.edge.server import EdgeServerConfig
 from repro.placement.fleet import EdgeFleet
 from repro.placement.manager import PlacementConfig, PlacementManager, ReprovisionEvent
 from repro.placement.planner import ServerCapacity, fragmentation_index
@@ -55,7 +54,6 @@ from repro.net.controller import (
 from repro.net.handover import HandoverConfig
 from repro.sim.clock import SimulationClock
 from repro.sim.config import SimulationConfig
-from repro.sim.metrics import MetricRecorder
 from repro.sim.rng import RngRegistry
 from repro.sim.shard import (
     SharedIntervalPlan,
@@ -102,13 +100,18 @@ class GroupIntervalUsage:
 
 @dataclass
 class IntervalResult:
-    """Everything the simulator recorded for one reservation interval."""
+    """Everything the simulator recorded for one reservation interval.
+
+    The only record of an interval: the simulator keeps no other usage,
+    event or metric log, so every consumer reads these fields.
+    """
 
     interval_index: int
     start_s: float
     end_s: float
     usage_by_group: Dict[int, GroupIntervalUsage] = field(default_factory=dict)
-    events_by_user: Dict[int, List[ViewingEvent]] = field(default_factory=dict)
+    #: Each user's watch records of the interval, in playback order.
+    events_by_user: Dict[int, List[WatchRecord]] = field(default_factory=dict)
     mean_snr_by_user: Dict[int, float] = field(default_factory=dict)
     #: RAN-controller outputs; empty in ``controller_mode="boundary"``.
     cell_of_group: Dict[int, int] = field(default_factory=dict)
@@ -336,7 +339,6 @@ class StreamingSimulator:
         # Behaviour and bookkeeping.
         self.watching_model = WatchingDurationModel()
         self.clock = SimulationClock(interval_s=config.interval_s)
-        self.metrics = MetricRecorder()
         self.history: List[IntervalResult] = []
 
         # Static state of the per-group interval stages, read inline and
@@ -366,17 +368,6 @@ class StreamingSimulator:
             collector=StatusCollector(policy=config.collection_policy),
             report_cells=self.controller is not None,
         )
-
-    # ------------------------------------------------------------------ edge
-    @property
-    def edge(self) -> EdgeServer:
-        """The first edge server — the whole fleet when ``edge_servers=1``.
-
-        Kept for the single-server consumers (benchmarks, examples) that
-        predate the fleet; multi-server runs should read
-        :attr:`edge_fleet` instead.
-        """
-        return self.edge_fleet.servers[0]
 
     def _new_user(self, user_id: int, favourite: Optional[str]) -> UserState:
         """A fresh user drawn from their own keyed streams.
@@ -620,22 +611,6 @@ class StreamingSimulator:
             self._run_controller_phase(result, start_s, end_s)
 
         self.history.append(result)
-        self.metrics.record("radio.total_resource_blocks", result.total_resource_blocks)
-        self.metrics.record("radio.outage_groups", float(len(result.outage_groups)))
-        self.metrics.record("compute.total_cycles", result.total_computing_cycles)
-        self.metrics.record("traffic.total_bits", result.total_traffic_bits)
-        # Edge/compute accounting: the per-group cycles were always computed
-        # but never surfaced as edge metrics before the fleet existed.
-        self.metrics.record("edge.total_cycles", compute_usage.total_cycles)
-        self.metrics.record(
-            "edge.utilization",
-            compute_usage.total_cycles
-            / (
-                self.edge_fleet.total_capacity_cycles_per_s()
-                * self.config.interval_s
-            ),
-        )
-        self.metrics.record("edge.cache_misses", float(compute_usage.cache_misses))
         if self.edge_fleet.num_servers > 1:
             cpu_utils = [
                 result.edge_utilization_by_server.get(server, 0.0)
@@ -646,11 +621,6 @@ class StreamingSimulator:
                 for server in range(self.edge_fleet.num_servers)
             ]
             result.edge_fragmentation = fragmentation_index(cpu_utils, cache_utils)
-            self.metrics.record("edge.fragmentation", result.edge_fragmentation)
-        if self.placement is not None:
-            self.metrics.record(
-                "placement.reprovision_events", float(len(result.placement_events))
-            )
         self.clock.advance_interval()
         return result
 
@@ -710,7 +680,7 @@ class StreamingSimulator:
                 range(num_groups),
             )
 
-        events_by_user: Dict[int, List[ViewingEvent]] = {uid: [] for uid in self.users}
+        events_by_user: Dict[int, List[WatchRecord]] = {uid: [] for uid in self.users}
         transcode_requests: Dict[int, List[tuple]] = {}
         stage1_s, playback_s, collection_s = 0.0, plan_s, 0.0
         for outcome in outcomes:
@@ -718,8 +688,8 @@ class StreamingSimulator:
             usage = outcome.usage
             result.usage_by_group[usage.group_id] = usage
             result.mean_snr_by_user.update(zip(usage.member_ids, outcome.mean_snrs))
-            for uid, user_events in outcome.events.items():
-                events_by_user[uid].extend(user_events)
+            for uid, records in outcome.records.items():
+                events_by_user[uid].extend(records)
             transcode_requests[usage.group_id] = [
                 (self.catalog.get(video_id), outcome.representation, transmitted)
                 for video_id, transmitted in outcome.requests
@@ -801,26 +771,6 @@ class StreamingSimulator:
         result.group_scope_events.extend(controller.drain_scope_events())
         result.app_events = controller.drain_app_events()
 
-        splits = sum(1 for e in result.group_scope_events if e.kind == "split")
-        merges = sum(1 for e in result.group_scope_events if e.kind == "merge")
-        moves = sum(1 for e in result.group_scope_events if e.kind == "move")
-        self.metrics.record("ran.handovers", float(result.num_handovers))
-        self.metrics.record("ran.group_splits", float(splits))
-        self.metrics.record("ran.group_merges", float(merges))
-        self.metrics.record("ran.group_moves", float(moves))
-        self.metrics.record(
-            "ran.cells_overloaded", float(sum(1 for e in load_events if e.overloaded))
-        )
-        self.metrics.record("ran.app_events", float(len(result.app_events)))
-        for event in load_events:
-            if np.isfinite(event.utilization):
-                self.metrics.record(
-                    f"ran.cell{event.cell_id}.rb_utilization", event.utilization
-                )
-            self.metrics.record(
-                f"ran.cell{event.cell_id}.outage_groups", float(event.outage_groups)
-            )
-
     def run(
         self,
         grouping_fn: Callable[[int, "StreamingSimulator"], Mapping[int, Sequence[int]]],
@@ -854,22 +804,22 @@ class StreamingSimulator:
         if missing:
             raise ValueError(f"grouping does not cover users {sorted(missing)}")
 
-    def _update_preferences(self, events_by_user: Dict[int, List[ViewingEvent]]) -> None:
-        for uid, events in events_by_user.items():
+    def _update_preferences(self, events_by_user: Dict[int, List[WatchRecord]]) -> None:
+        for uid, records in events_by_user.items():
             engagement: Dict[str, float] = {}
-            for event in events:
-                engagement[event.record.category] = (
-                    engagement.get(event.record.category, 0.0) + event.record.watch_duration_s
+            for record in records:
+                engagement[record.category] = (
+                    engagement.get(record.category, 0.0) + record.watch_duration_s
                 )
             if engagement:
                 self.users[uid].preference_model.update_from_engagement(engagement)
 
-    def _update_popularity(self, events_by_user: Dict[int, List[ViewingEvent]]) -> None:
+    def _update_popularity(self, events_by_user: Dict[int, List[WatchRecord]]) -> None:
         engagement: Dict[int, float] = {}
-        for events in events_by_user.values():
-            for event in events:
-                engagement[event.record.video_id] = (
-                    engagement.get(event.record.video_id, 0.0) + event.record.watch_duration_s
+        for records in events_by_user.values():
+            for record in records:
+                engagement[record.video_id] = (
+                    engagement.get(record.video_id, 0.0) + record.watch_duration_s
                 )
         if engagement:
             self.catalog.popularity.update_from_engagement(engagement)

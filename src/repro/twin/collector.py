@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.behavior.session import ViewingEvent
+from repro.behavior.watching import WatchRecord
 from repro.mobility.trajectory import MobilityModel
 from repro.net.basestation import BaseStation
 from repro.timegrid import time_grid
@@ -96,7 +96,7 @@ class StatusCollector:
         mobility: MobilityModel,
         base_station: BaseStation,
         preference: np.ndarray,
-        events: Sequence[ViewingEvent],
+        records: Sequence[WatchRecord],
         start_s: float,
         end_s: float,
         rng: np.random.Generator,
@@ -137,14 +137,14 @@ class StatusCollector:
                 udt.record_batch(LOCATION, times + delay, mobility.positions(times))
 
         # Watch records (and the mirrored watching-duration series).
-        if events:
+        if records:
             if self.policy.drop_probability == 0.0:
-                kept_records = [event.record for event in events]
+                kept_records = list(records)
             else:
                 # One scalar draw per record, in record order.
                 kept_records = [
-                    event.record
-                    for event in events
+                    record
+                    for record in records
                     if keep_rng.random() >= self.policy.drop_probability
                 ]
             udt.record_watches(kept_records)

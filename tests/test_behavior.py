@@ -225,27 +225,27 @@ class TestSwiping:
 class TestSessions:
     def test_session_covers_requested_duration(self, session_generator, rng):
         preference = random_preference(rng)
-        events = session_generator.generate_session(0, preference, rng=rng, duration_s=60.0)
-        assert events, "session should contain at least one viewing"
-        assert events[-1].end_time_s <= 60.0 + 1e-6
-        last_start = events[-1].start_time_s
+        records = session_generator.generate_session(0, preference, rng=rng, duration_s=60.0)
+        assert records, "session should contain at least one viewing"
+        assert records[-1].timestamp_s + records[-1].watch_duration_s <= 60.0 + 1e-6
+        last_start = records[-1].timestamp_s
         assert last_start < 60.0
 
     def test_events_are_time_ordered(self, session_generator, rng):
-        events = session_generator.generate_session(0, random_preference(rng), rng=rng)
-        starts = [event.start_time_s for event in events]
+        records = session_generator.generate_session(0, random_preference(rng), rng=rng)
+        starts = [record.timestamp_s for record in records]
         assert starts == sorted(starts)
 
     def test_watch_durations_within_video(self, session_generator, rng):
-        events = session_generator.generate_session(1, random_preference(rng), rng=rng)
-        for event in events:
-            assert 0.0 <= event.record.watch_duration_s <= event.record.video_duration_s + 1e-9
+        records = session_generator.generate_session(1, random_preference(rng), rng=rng)
+        for record in records:
+            assert 0.0 <= record.watch_duration_s <= record.video_duration_s + 1e-9
 
     def test_population_sessions_one_per_user(self, session_generator, rng, preferences):
         sessions = session_generator.generate_population_sessions(preferences, rng=rng)
         assert len(sessions) == len(preferences)
-        for user_id, events in enumerate(sessions):
-            assert all(event.record.user_id == user_id for event in events)
+        for user_id, records in enumerate(sessions):
+            assert all(record.user_id == user_id for record in records)
 
     def test_preferred_category_dominates_engagement(self, small_catalog, rng):
         generator = SessionGenerator(
@@ -254,8 +254,8 @@ class TestSessions:
             SessionConfig(session_duration_s=600.0, recommendation_popularity_weight=0.1),
         )
         preference = PreferenceVector({"News": 0.9, **{c: 0.1 for c in DEFAULT_CATEGORIES[1:]}})
-        events = generator.generate_session(0, preference, rng=rng, duration_s=600.0)
-        engagement = session_engagement_seconds(events)
+        records = generator.generate_session(0, preference, rng=rng, duration_s=600.0)
+        engagement = session_engagement_seconds(records)
         assert engagement.get("News", 0.0) == max(engagement.values())
 
     def test_invalid_session_config(self):

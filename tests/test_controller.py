@@ -163,7 +163,7 @@ class TestRanController:
         scoped, cell_of_group, events = controller.scope_grouping({0: [0, 1, 2]}, time_s=300.0)
         assert scoped == {0: [0, 1, 2]} and cell_of_group == {0: 0}
         assert [e.kind for e in events] == ["merge"]
-        assert controller.group_event_log[-1].kind == "merge"
+        assert events[0].previous_cells == (0, 1) and events[0].cells == (0,)
 
     def test_whole_group_cell_change_emits_move_event(self):
         controller = _two_cell_controller()
@@ -204,7 +204,8 @@ class TestRanController:
         # Cell 0 is topped up to exactly the overload threshold.
         assert budgets[0] == pytest.approx(95.0 / 0.9)
         assert budgets[0] + budgets[1] == pytest.approx(200.0)
-        assert controller.load_event_log == events
+        # The returned load reports carry the pre-rebalance budgets.
+        assert [(e.cell_id, e.budget_blocks) for e in events] == [(0, 100.0), (1, 100.0)]
 
     def test_zero_budget_cell_recovers_through_rebalancing(self):
         controller = _two_cell_controller()
@@ -292,7 +293,9 @@ class TestSimulatorIntegration:
             assert result.handover_events == []
             assert result.cell_of_group == {}
             assert result.rb_utilization_by_cell == {}
-        assert not any(name.startswith("ran.") for name in sim.metrics.names())
+            assert result.group_scope_events == []
+            assert result.cell_load_events == []
+            assert result.app_events == []
 
     def test_same_seed_same_handover_event_sequence(self):
         def run():
@@ -307,11 +310,13 @@ class TestSimulatorIntegration:
         second_sim, second = run()
         assert first == second
         assert sum(len(s) for s in first) > 0, "scenario should produce handovers"
-        assert first_sim.metrics.series("ran.handovers").sum() == sum(
-            len(s) for s in first
-        )
-        # Handover log ordering matches the bus firing order (time, then seq).
-        times = [e.time_s for e in first_sim.controller.handover_log]
+        # Every fired handover was applied: each handed-over user is served
+        # by the target cell of their last handover.
+        last_target = {uid: target for s in first for _, uid, _, target in s}
+        for uid, target in last_target.items():
+            assert first_sim.controller.serving_cell[uid] == target
+        # Handovers are recorded in the bus firing order (time, then seq).
+        times = [time_s for s in first for time_s, *_ in s]
         assert times == sorted(times)
 
     def test_handover_mode_records_per_cell_metrics_and_twin_attribute(self):
@@ -320,9 +325,11 @@ class TestSimulatorIntegration:
         cell_ids = [bs.bs_id for bs in sim.base_stations]
         assert set(result.rb_utilization_by_cell) == set(cell_ids)
         assert set(result.rb_budget_by_cell) == set(cell_ids)
-        for cell_id in cell_ids:
-            assert sim.metrics.has(f"ran.cell{cell_id}.outage_groups")
-        assert sim.metrics.has("ran.cells_overloaded")
+        assert [e.cell_id for e in result.cell_load_events] == cell_ids
+        for event in result.cell_load_events:
+            assert event.overloaded == (
+                event.utilization > sim.controller.config.overload_threshold
+            )
         # Demand aggregates to per-cell totals consistent with the usage.
         assert sum(result.rb_demand_by_cell.values()) == pytest.approx(
             result.total_resource_blocks
@@ -362,12 +369,11 @@ class TestSimulatorIntegration:
 
     def test_outage_metric_recorded_in_handover_mode(self):
         sim = StreamingSimulator(_handover_config(seed=7))
-        sim.run_interval(singleton_grouping(sim.user_ids()))
-        recorded = [
-            sim.metrics.last(f"ran.cell{bs.bs_id}.outage_groups")
-            for bs in sim.base_stations
-        ]
-        assert all(value >= 0.0 for value in recorded)
+        result = sim.run_interval(singleton_grouping(sim.user_ids()))
+        recorded = {e.cell_id: e.outage_groups for e in result.cell_load_events}
+        assert set(recorded) == {bs.bs_id for bs in sim.base_stations}
+        for cell_id, count in recorded.items():
+            assert count == len(result.outage_groups_by_cell.get(cell_id, []))
 
     def test_add_and_remove_user_sync_the_controller(self):
         sim = StreamingSimulator(_handover_config(num_users=6))

@@ -160,7 +160,7 @@ class TestGoldenParity:
 class TestA3HandoverApp:
     def test_params_inherit_runtime_config_by_default(self):
         controller = _controller()
-        assert controller.policy.config == controller.config.handover
+        assert controller.app("a3_handover").policy.config == controller.config.handover
 
     def test_param_overrides_replace_config_fields(self):
         controller = _controller(
@@ -170,17 +170,15 @@ class TestA3HandoverApp:
                 "prorata_rebalance",
             ]
         )
-        assert controller.policy.config.hysteresis_db == 7.0
-        assert controller.policy.config.time_to_trigger_s == 0.0
+        policy = controller.app("a3_handover").policy
+        assert policy.config.hysteresis_db == 7.0
+        assert policy.config.time_to_trigger_s == 0.0
         # Unspecified knobs still inherit.
-        assert (
-            controller.policy.config.sample_period_s
-            == controller.config.handover.sample_period_s
-        )
+        assert policy.config.sample_period_s == controller.config.handover.sample_period_s
 
     def test_stack_without_a3_has_no_measurements_or_policy(self):
         controller = _controller(apps=["cell_scoping", "prorata_rebalance"])
-        assert controller.policy is None
+        assert controller.app("a3_handover") is None
         assert controller.measurement_times(0.0, 300.0).size == 0
         fired = controller.observe_interval(
             np.zeros(0), np.zeros((0, 0, 2)), [], end_s=300.0
@@ -316,9 +314,9 @@ class TestWeakMemberDemotion:
         assert preview_ctrl.preview_scope(
             {0: [0, 1, 2]}, time_s=0.0, mean_snr_db=lambda uids: snr
         ) == previewed
+        assert preview_ctrl.events.is_empty
         preview_ctrl.events.run_until(10.0)
         assert preview_ctrl.drain_app_events() == []
-        assert preview_ctrl.app_event_log == []
 
         playback_ctrl = build()
         scoped, cell_of_group, _ = playback_ctrl.scope_grouping(

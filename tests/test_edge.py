@@ -172,7 +172,7 @@ class TestEdgeServer:
         )
         assert usage.cycles_by_group[0] > usage.cycles_by_group[1] > 0.0
         assert usage.total_cycles == pytest.approx(sum(usage.cycles_by_group.values()))
-        assert server.total_cycles_history().shape == (1,)
+        assert usage.interval_index == 0
 
     def test_cache_miss_counted_and_filled(self, small_catalog):
         config = EdgeServerConfig(cache_capacity_gbytes=50.0)
@@ -191,7 +191,9 @@ class TestEdgeServer:
         usage = server.process_interval(0, {0: [(video, target, video.duration_s)]})
         fraction = usage.utilization(server.config.cpu_capacity_cycles_per_s, 300.0)
         assert 0.0 < fraction < 1.0
-        assert server.mean_utilization(300.0) == pytest.approx(fraction)
+        assert fraction == pytest.approx(
+            usage.total_cycles / (server.config.cpu_capacity_cycles_per_s * 300.0)
+        )
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

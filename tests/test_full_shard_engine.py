@@ -12,7 +12,8 @@ Covers the tentpole and its satellites:
   difference on the next task instead of rebuilding,
 * shared-memory plan hygiene: every ``repro-shard-*`` segment the plan
   publishes is unlinked by ``close()`` even when the run dies mid-flight,
-  and ``close()`` is idempotent,
+  ``close()`` is idempotent, and a plan that outgrows its segments grows
+  them with 2x headroom,
 * per-stage timing: the inline and the sharded path report ``stage1_s`` /
   ``playback_s`` / ``collection_s`` on ``IntervalResult.timing``, the
   scheme accumulates ``predict_s``, and the scenario runner aggregates
@@ -26,6 +27,7 @@ Covers the tentpole and its satellites:
 from __future__ import annotations
 
 import glob
+import os
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ import pytest
 from repro import SimulationConfig, StreamingSimulator
 from repro.core.config import SchemeConfig
 from repro.core.pipeline import DTResourcePredictionScheme
-from repro.sim.shard import SEGMENT_PREFIX, _probe_shard_worker
+from repro.sim.shard import SEGMENT_PREFIX, SharedIntervalPlan, _probe_shard_worker
 
 STAGE_KEYS = ("stage1_s", "playback_s", "collection_s")
 
@@ -162,22 +164,35 @@ class TestWorkerPopulationEpochs:
             assert added in sim.user_ids()
 
     def test_churned_run_matches_serial(self):
-        """Bit-identity holds across churn, not just static populations."""
+        """Bit-identity holds across churn, not just static populations,
+        including growth that outgrows the plan segments mid-run."""
 
         def run(workers: int):
             with StreamingSimulator(
                 _config(workers, num_users=20, num_intervals=3)
             ) as sim:
-                fingerprints = [_fingerprint(sim.run_interval(_grouping(sim.user_ids(), 5)))]
+                fingerprints, versions = [], []
+
+                def step():
+                    result = sim.run_interval(_grouping(sim.user_ids(), 5))
+                    fingerprints.append(_fingerprint(result))
+                    versions.append(sim._plan.version if sim._plan else 0)
+
+                step()
                 sim.remove_user(sim.user_ids()[3])
                 sim.add_user()
-                fingerprints += [
-                    _fingerprint(sim.run_interval(_grouping(sim.user_ids(), 5)))
-                    for _ in range(2)
-                ]
-            return fingerprints
+                for growth in (4, 30):
+                    for _ in range(growth):
+                        sim.add_user()
+                    step()
+            return fingerprints, versions
 
-        assert run(2) == run(1)
+        serial, _ = run(1)
+        sharded, versions = run(2)
+        assert sharded == serial
+        # 20 -> 24 -> 54 users: each growth outgrew the plan segments, so
+        # the workers attached a reallocated plan version each interval.
+        assert versions == [1, 2, 3]
 
 
 # ------------------------------------------------------- shm plan hygiene
@@ -196,6 +211,31 @@ class TestSharedMemoryHygiene:
         assert set(_shard_segments()) == before
         assert sim._pool is None
         assert sim._plan is None
+
+    def test_growing_plan_reallocates_with_headroom(self):
+        """Overflow grows every segment 2x, so a population that gains a
+        user per interval reuses the segments instead of reallocating."""
+        plan = SharedIntervalPlan(token=f"{os.getpid()}-headroom")
+        versions = []
+        try:
+            for num_users in (100, 101, 102, 103):
+                handle = plan.publish(
+                    epoch=0,
+                    interval_index=0,
+                    start_s=0.0,
+                    end_s=1.0,
+                    offsets=np.array([0, num_users]),
+                    group_ids=np.array([0]),
+                    user_ids=np.arange(num_users),
+                    serving=np.zeros(num_users, dtype=np.int64),
+                    weights=np.ones((num_users, 4)),
+                    cdf=np.ones((1, 10)),
+                )
+                versions.append(handle.version)
+        finally:
+            plan.close()
+        assert versions == [1, 2, 2, 2]
+        assert not glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-{plan.token}-*")
 
     def test_close_is_idempotent_and_releases_segments(self):
         sim = StreamingSimulator(_config(2, num_intervals=1))

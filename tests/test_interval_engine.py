@@ -184,9 +184,8 @@ class TestBatchedPlaybackEngine:
         result = sim.run_interval(self._grouping(sim))
         assert set(result.mean_snr_by_user) == set(sim.user_ids())
         assert result.total_traffic_bits > 0.0
-        for events in result.events_by_user.values():
-            for event in events:
-                record = event.record
+        for records in result.events_by_user.values():
+            for record in records:
                 assert 0.0 <= record.watch_duration_s <= record.video_duration_s + 1e-9
         # The engine must respect the worst-member rule per group.
         for usage in result.usage_by_group.values():
@@ -271,11 +270,12 @@ class TestScopedPredictionLoop:
         )
         grouping = {0: sim.user_ids()[:5], 1: sim.user_ids()[5:]}
         controller = sim.controller
-        footprints_before = dict(controller._group_cells)
+        scoping = controller.app("cell_scoping")
+        footprints_before = dict(scoping._group_cells)
         preview_scoped, preview_cells = sim.preview_scoped_grouping(grouping)
         # Preview mutates nothing: no events, no footprint state.
-        assert controller.group_event_log == []
-        assert controller._group_cells == footprints_before
+        assert controller.events.is_empty
+        assert scoping._group_cells == footprints_before
         # And it matches what scope_grouping then actually produces.
         scoped, cell_of_group, _ = controller.scope_grouping(grouping, time_s=0.0)
         assert preview_scoped == scoped

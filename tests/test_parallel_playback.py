@@ -376,7 +376,7 @@ class TestChurnSafeStreaks:
             sim.run_interval(_grouping(sim))
             removed = sim.user_ids()[3]
             sim.remove_user(removed)
-            streaks = sim.controller._streaks
+            streaks = sim.controller.app("a3_handover")._streaks
             assert removed not in streaks.user_ids.tolist()
             for _ in range(2):
                 ids = sim.user_ids()
@@ -386,7 +386,7 @@ class TestChurnSafeStreaks:
                 for event in result.handover_events:
                     assert event.user_id in ids
             # Carried streak rows describe exactly the surviving users.
-            carried = set(sim.controller._streaks.user_ids.tolist())
+            carried = set(sim.controller.app("a3_handover")._streaks.user_ids.tolist())
             assert carried == set(sim.user_ids())
 
 

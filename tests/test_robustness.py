@@ -63,9 +63,11 @@ class TestRadioOutage:
         result = simulator.run_interval(singleton_grouping(simulator.user_ids()))
         blocks = [usage.resource_blocks for usage in result.usage_by_group.values()]
         assert all(np.isinf(b) or b >= 0 for b in blocks)
-        # Totals skip outage groups instead of propagating inf into metrics.
+        # Totals skip outage groups instead of propagating inf.
         assert np.isfinite(result.total_resource_blocks)
-        assert np.isfinite(simulator.metrics.last("radio.total_resource_blocks"))
+        assert result.total_resource_blocks == sum(
+            b for b in blocks if np.isfinite(b)
+        )
 
     def test_outage_prediction_scores_zero_accuracy_not_crash(self):
         scheme = small_scheme(sim_overrides={"tx_power_dbm": -100.0})

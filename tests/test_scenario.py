@@ -334,6 +334,19 @@ class TestRegistry:
             assert json.loads(json.dumps(payload)) == payload, name
             assert len(payload["intervals"]) == 1, name
             assert payload["intervals"][0]["actual_radio_blocks"] >= 0.0, name
+            # Usage is finite and non-negative: the traffic, computing and
+            # finite resource-block totals, and every server's utilization.
+            assert run.interval_results, name
+            for result in run.interval_results:
+                values = [
+                    result.total_traffic_bits,
+                    result.total_computing_cycles,
+                    result.total_resource_blocks,
+                    *result.edge_utilization_by_server.values(),
+                ]
+                if result.edge_fragmentation is not None:
+                    values.append(result.edge_fragmentation)
+                assert all(np.isfinite(v) and v >= 0.0 for v in values), name
 
 
 class TestCli:

@@ -1,4 +1,4 @@
-"""Unit tests for the simulation substrate (clock, events, metrics, simulator)."""
+"""Unit tests for the simulation substrate (clock, events, simulator)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.sim import (
     EventQueue,
-    MetricRecorder,
     SimulationClock,
     SimulationConfig,
     StreamingSimulator,
@@ -91,34 +90,6 @@ class TestEventQueue:
         assert queue.pop() is None
 
 
-class TestMetricRecorder:
-    def test_record_and_summary(self):
-        recorder = MetricRecorder()
-        for value in (1.0, 2.0, 3.0):
-            recorder.record("demand", value)
-        summary = recorder.summary("demand")
-        assert summary.count == 3
-        assert summary.mean == pytest.approx(2.0)
-        assert summary.total == pytest.approx(6.0)
-        assert "demand" in recorder.as_table()
-
-    def test_unknown_metric_raises(self):
-        with pytest.raises(KeyError):
-            MetricRecorder().series("nope")
-
-    def test_non_finite_rejected(self):
-        recorder = MetricRecorder()
-        with pytest.raises(ValueError):
-            recorder.record("x", float("inf"))
-
-    def test_record_many_and_last(self):
-        recorder = MetricRecorder()
-        recorder.record_many({"a": 1.0, "b": 2.0})
-        recorder.record("a", 5.0)
-        assert recorder.last("a") == 5.0
-        assert recorder.names() == ["a", "b"]
-
-
 class TestSingletonGrouping:
     def test_one_group_per_user(self):
         grouping = singleton_grouping([4, 7, 9])
@@ -180,9 +151,9 @@ class TestStreamingSimulator:
             tiny_simulator.run_interval(grouping)
 
     def test_watch_records_respect_video_durations(self, populated_simulator):
-        for events in populated_simulator.history[0].events_by_user.values():
-            for event in events:
-                assert event.record.watch_duration_s <= event.record.video_duration_s + 1e-9
+        for records in populated_simulator.history[0].events_by_user.values():
+            for record in records:
+                assert record.watch_duration_s <= record.video_duration_s + 1e-9
 
     def test_fewer_groups_use_fewer_or_equal_radio_blocks_than_unicast(self, tiny_sim_config):
         """Multicast sharing should not need more resource blocks than unicast."""
@@ -199,7 +170,8 @@ class TestStreamingSimulator:
             lambda interval, sim: singleton_grouping(sim.user_ids()), num_intervals=2
         )
         assert len(results) == 2
-        assert simulator.metrics.series("radio.total_resource_blocks").shape == (2,)
+        assert simulator.history == results
+        assert [r.interval_index for r in results] == [0, 1]
 
     def test_group_link_state_worst_member_rule(self, tiny_simulator):
         from repro.net.multicast import group_spectral_efficiency

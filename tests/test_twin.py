@@ -215,8 +215,6 @@ class TestStatusCollector:
         mobility = StaticMobility([10.0, 10.0])
         bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
         preference = random_preference(np.random.default_rng(0)).as_array()
-        from repro.behavior.session import ViewingEvent
-
         record = WatchRecord(0, 5, "News", 3.0, 10.0, swiped=True, timestamp_s=1.0)
         rng = np.random.default_rng(1)
         collector.collect_interval(
@@ -224,7 +222,7 @@ class TestStatusCollector:
             mobility,
             bs,
             preference,
-            [ViewingEvent(record=record, start_time_s=1.0)],
+            [record],
             0.0,
             30.0,
             rng=rng,

@@ -235,7 +235,7 @@ class TestSwipeTruncationFix:
             lambda video, weights, rng: np.full(len(weights), float(video.duration_s))
         )
         result = sim.run_interval(singleton_grouping(sim.user_ids()))
-        records = [e.record for events in result.events_by_user.values() for e in events]
+        records = [r for user_records in result.events_by_user.values() for r in user_records]
         assert records
         truncated = [
             r for r in records if r.watch_duration_s < r.video_duration_s - 1e-9
@@ -253,7 +253,7 @@ class TestSwipeTruncationFix:
             lambda video, weights, rng: np.full(len(weights), float(video.duration_s) * 0.25)
         )
         result = sim.run_interval(singleton_grouping(sim.user_ids()))
-        records = [e.record for events in result.events_by_user.values() for e in events]
+        records = [r for user_records in result.events_by_user.values() for r in user_records]
         assert records
         # All intended durations are strictly below the video duration.
         assert all(r.swiped for r in records)
@@ -309,8 +309,10 @@ class TestOutageAccounting:
         sim = StreamingSimulator(
             SimulationConfig(num_users=2, num_videos=10, num_intervals=1, interval_s=30.0, seed=0)
         )
-        sim.run_interval(singleton_grouping(sim.user_ids()))
-        assert "radio.outage_groups" in sim.metrics.names()
+        result = sim.run_interval(singleton_grouping(sim.user_ids()))
+        for group_id in result.outage_groups:
+            assert np.isinf(result.usage_by_group[group_id].resource_blocks)
+        assert np.isfinite(result.total_resource_blocks)
 
 
 class TestPredictionOrderIndependence:
