@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from harness import (
     benchmark_record,
     build_scheme,

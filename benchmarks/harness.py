@@ -19,8 +19,6 @@ import platform
 import time
 from pathlib import Path
 
-import pytest
-
 from repro import DTResourcePredictionScheme, SchemeConfig, SimulationConfig, StreamingSimulator
 from repro.scenario import compile_scenario
 

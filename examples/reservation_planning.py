@@ -16,8 +16,6 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import DTResourcePredictionScheme, SchemeConfig, SimulationConfig, StreamingSimulator
 from repro.net import ResourceGrid
 from repro.predict import LastValuePredictor

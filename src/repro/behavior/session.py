@@ -56,32 +56,14 @@ class SessionGenerator:
         self.config = config if config is not None else SessionConfig()
 
     # ---------------------------------------------------------- video choice
-    def _video_probabilities(self, preference: PreferenceVector) -> np.ndarray:
-        video_ids = self.catalog.video_ids()
-        popularity = self.catalog.popularity.probabilities()
-        pop = np.array([popularity.get(vid, 0.0) for vid in video_ids])
-        pref = np.array(
-            [preference.weight(self.catalog.get(vid).category) for vid in video_ids]
-        )
-        if pop.sum() > 0:
-            pop = pop / pop.sum()
-        if pref.sum() > 0:
-            pref = pref / pref.sum()
-        w = self.config.recommendation_popularity_weight
-        mixture = w * pop + (1.0 - w) * pref
-        total = mixture.sum()
-        if total <= 0:
-            mixture = np.ones(len(video_ids)) / len(video_ids)
-        else:
-            mixture = mixture / total
-        return mixture
-
     def sample_next_video(
         self, preference: PreferenceVector, rng: np.random.Generator
     ) -> Video:
         """Sample the next video the platform serves to a user."""
         video_ids = self.catalog.video_ids()
-        probabilities = self._video_probabilities(preference)
+        probabilities = self.catalog.sampling_probabilities(
+            preference, self.config.recommendation_popularity_weight
+        )
         chosen = int(rng.choice(video_ids, p=probabilities))
         return self.catalog.get(chosen)
 
@@ -116,9 +98,10 @@ class SessionGenerator:
         while now < end_time:
             video = self.sample_next_video(preference, rng)
             watch = self.watching_model.sample_watch_duration(video, preference, rng)
-            watch = min(watch, end_time - now)
-            watch = max(watch, 0.0)
+            # `swiped` reflects the user's intended duration: a watch cut
+            # short only by the session end is not a swipe.
             swiped = watch < video.duration_s - self.config.completion_tolerance_s
+            watch = max(min(watch, end_time - now), 0.0)
             record = WatchRecord(
                 user_id=user_id,
                 video_id=video.video_id,

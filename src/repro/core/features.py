@@ -22,7 +22,6 @@ import numpy as np
 from repro.ml.layers import (
     Conv1D,
     Dense,
-    Flatten,
     GlobalAveragePool1D,
     Layer,
     MaxPool1D,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.core.demand import DemandPredictorConfig, GroupDemandPrediction, Grou
 from repro.core.features import CompressorConfig, UDTFeatureCompressor
 from repro.core.grouping import GroupingResult, MulticastGroupConstructor
 from repro.core.swiping import GroupSwipingProfile, abstract_group_swiping
-from repro.sim.simulator import IntervalResult, StreamingSimulator
+from repro.sim.simulator import IntervalResult, StreamingSimulator, round_robin_grouping
 
 
 @dataclass
@@ -317,14 +317,6 @@ class DTResourcePredictionScheme:
             self._owns_simulator = False
 
     # --------------------------------------------------------------- warm-up
-    def _round_robin_grouping(self, num_groups: int) -> Dict[int, List[int]]:
-        user_ids = self.simulator.user_ids()
-        num_groups = min(max(num_groups, 1), len(user_ids))
-        grouping: Dict[int, List[int]] = {gid: [] for gid in range(num_groups)}
-        for index, uid in enumerate(user_ids):
-            grouping[index % num_groups].append(uid)
-        return grouping
-
     def _history_window(self) -> tuple:
         """``(start_s, end_s)`` of the twin-data window used for the next prediction."""
         interval_s = self.simulator.config.interval_s
@@ -344,13 +336,12 @@ class DTResourcePredictionScheme:
             return
         interval_s = self.simulator.config.interval_s
         for _ in range(self.config.warmup_intervals):
-            grouping = self._round_robin_grouping(self.config.min_groups)
+            grouping = round_robin_grouping(self.simulator.user_ids(), self.config.min_groups)
             self.simulator.run_interval(grouping)
             end_s = self.simulator.clock.current_interval * interval_s
             start_s = end_s - interval_s
-            # Fresh one-interval windows: served by the hybrid batched
-            # resample (feature_tensor's default path), which batches every
-            # row the per-user cache cannot prove unchanged.
+            # One snapshot per warm-up interval: the interval just played,
+            # resampled for every user in one batched feature_tensor call.
             tensor_started = time.perf_counter()
             tensor = self.simulator.twins.feature_tensor(
                 start_s,

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from repro.behavior.preference import PreferenceVector
 from repro.video.catalog import VideoCatalog
 
@@ -50,22 +48,14 @@ class VideoRecommender:
     def sampling_probabilities(self, preference: PreferenceVector) -> tuple:
         """``(video_ids, probabilities)`` aligned arrays for one group.
 
-        The per-video popularity/category arrays come from the catalog's
-        version-keyed cache (:meth:`VideoCatalog.sampling_arrays`), shared
-        with the ground-truth simulator.
+        The distribution is the catalog's
+        (:meth:`VideoCatalog.sampling_probabilities`), the same one the
+        ground-truth simulator serves videos from.
         """
-        video_ids, pop, category_indices, categories = self.catalog.sampling_arrays()
-        weights = np.array([preference.weight(category) for category in categories])
-        pref = weights[category_indices]
-        if pref.sum() > 0:
-            pref = pref / pref.sum()
-        mixture = self.popularity_weight * pop + (1.0 - self.popularity_weight) * pref
-        total = mixture.sum()
-        if total <= 0:
-            mixture = np.ones(video_ids.shape[0]) / video_ids.shape[0]
-        else:
-            mixture = mixture / total
-        return video_ids, mixture
+        video_ids = self.catalog.sampling_arrays()[0]
+        return video_ids, self.catalog.sampling_probabilities(
+            preference, self.popularity_weight
+        )
 
     def sampling_distribution(self, preference: PreferenceVector) -> Dict[int, float]:
         """Probability of each catalog video being served to a group.

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.lint.context import LintContext, ModuleInfo, resolve_dotted
-from repro.lint.dataflow import ModuleDataflow, ScopeFacts
+from repro.lint.dataflow import ModuleDataflow
 
 
 @dataclass

@@ -33,7 +33,7 @@ from repro.scenario.spec import (
 )
 from repro.sim import StreamingSimulator
 from repro.sim.rng import derive_stream
-from repro.sim.simulator import IntervalResult, singleton_grouping
+from repro.sim.simulator import IntervalResult, round_robin_grouping, singleton_grouping
 
 #: Purpose tag of the scenario runner's churn streams.  Appended as the
 #: *last* key word — ``(seed, step, tag)`` — like every other purpose tag in
@@ -128,7 +128,8 @@ class RunResult:
     evaluation: Optional[EvaluationResult] = None
     interval_results: Optional[List[IntervalResult]] = None
     #: The simulator the run used (worker pool already closed; its twins,
-    #: catalog and metrics stay readable).  Python-side only, not exported.
+    #: catalog and interval history stay readable).  Python-side only, not
+    #: exported.
     simulator: Optional["StreamingSimulator"] = None
     #: The horizon reservation planner, when the spec enabled one
     #: (``placement.reservation_lead_intervals > 0``).  Python-side only.
@@ -365,14 +366,10 @@ class ScenarioRunner:
         if grouping_spec.policy == "singleton":
             return singleton_grouping(user_ids)
         if grouping_spec.policy == "round_robin":
-            num_groups = min(max(grouping_spec.num_groups, 1), len(user_ids))
-            grouping: Dict[int, List[int]] = {gid: [] for gid in range(num_groups)}
-            for index, uid in enumerate(user_ids):
-                grouping[index % num_groups].append(uid)
-            return grouping
+            return round_robin_grouping(user_ids, grouping_spec.num_groups)
         if grouping_spec.policy == "preference":
             categories = tuple(simulator.config.categories)
-            grouping = {}
+            grouping: Dict[int, List[int]] = {}
             for uid in user_ids:
                 weights = simulator.users[uid].preference.as_array(categories)
                 grouping.setdefault(

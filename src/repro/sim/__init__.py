@@ -24,6 +24,7 @@ from repro.sim.simulator import (
     IntervalResult,
     StreamingSimulator,
     UserState,
+    round_robin_grouping,
     singleton_grouping,
 )
 
@@ -39,5 +40,6 @@ __all__ = [
     "UserState",
     "derive_seed_sequence",
     "derive_stream",
+    "round_robin_grouping",
     "singleton_grouping",
 ]

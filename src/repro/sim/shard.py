@@ -14,9 +14,10 @@ way whether it stays in the parent or goes to the worker pool:
   function of its plan slices and keys: channel draws from the group's
   ``(seed, interval, group)`` stream with the worst-member rule, multicast
   playback from its watch stream, and twin status collection from each
-  member's ``(seed, interval, user)`` stream against a recording twin.  It
-  returns a :class:`GroupOutcome`; the parent folds outcomes in group
-  order and replays each collection op log onto the real twins, which are
+  member's ``(seed, interval, user)`` stream.  It returns a
+  :class:`GroupOutcome` carrying each member's
+  :class:`~repro.twin.collector.CollectedStatus`; the parent folds outcomes
+  in group order and appends each status to the member's twin, which is
   written nowhere else.  Inline intervals map it over the in-process plan
   with the parent's mobility models; sharded intervals map
   :func:`_run_shard_task` over the pool.
@@ -70,7 +71,7 @@ from repro.net.multicast import group_spectral_efficiency, resource_blocks_for_t
 from repro.sim.rng import RngRegistry
 from repro.timegrid import time_grid
 from repro.twin.attributes import AttributeSpec
-from repro.twin.collector import StatusCollector
+from repro.twin.collector import CollectedStatus, StatusCollector
 from repro.video.catalog import VideoCatalog
 from repro.video.popularity import sample_index, sampling_cdf
 from repro.video.representations import Representation
@@ -147,9 +148,8 @@ class GroupOutcome(NamedTuple):
     representation: Representation
     #: Per-member mean SNR in dB, in ``usage.member_ids`` order.
     mean_snrs: List[float]
-    #: Per-member twin writes, ``{user_id: [(method, *args), ...]}`` in the
-    #: order the collector made them.
-    collection: Dict[int, List[tuple]]
+    #: Per-member collected status, for the parent to append to the twins.
+    collection: Dict[int, CollectedStatus]
     #: ``(stage1_s, playback_s, collection_s)`` of this task.
     stage_times: Tuple[float, float, float]
 
@@ -166,8 +166,9 @@ def build_interval_plan(
     ``users`` maps a user id to its live state (``serving_bs_id``,
     ``preference``).  ``weights`` holds one preference row per member slot
     in config-category order (the collector's order); ``cdf`` holds one
-    video-sampling CDF per group: the group's mean preference mixed with
-    the catalog's live popularity.
+    video-sampling CDF per group: the catalog's served-video distribution
+    (:meth:`~repro.video.catalog.VideoCatalog.sampling_probabilities`) for
+    the group's mean preference.
     """
     group_ids = sorted(grouping)
     members = [grouping[gid] for gid in group_ids]
@@ -176,21 +177,15 @@ def build_interval_plan(
     flat = [uid for group in members for uid in group]
     serving = np.array([users[uid].serving_bs_id for uid in flat], dtype=np.int64)
     weights = np.vstack([users[uid].preference.as_array(categories) for uid in flat])
-    _, popularity, category_indices, sampling_categories = catalog.sampling_arrays()
-    cdf = np.empty((len(members), popularity.shape[0]))
+    cdf = np.empty((len(members), len(catalog)))
     for row in range(len(members)):
         mean = weights[offsets[row] : offsets[row + 1]].mean(axis=0)
         group_preference = PreferenceVector(
             dict(zip(categories, mean)), categories=categories
         )
-        # One weight lookup per *category*, gathered out to per-video scores.
-        preference = np.array(
-            [group_preference.weight(category) for category in sampling_categories]
-        )[category_indices]
-        if preference.sum() > 0:
-            preference = preference / preference.sum()
-        mixture = popularity_weight * popularity + (1.0 - popularity_weight) * preference
-        cdf[row] = sampling_cdf(mixture / mixture.sum())
+        cdf[row] = sampling_cdf(
+            catalog.sampling_probabilities(group_preference, popularity_weight)
+        )
     return IntervalPlan(
         offsets=offsets,
         group_ids=np.array(group_ids, dtype=np.int64),
@@ -199,29 +194,6 @@ def build_interval_plan(
         weights=weights,
         cdf=cdf,
     )
-
-
-class _RecordingTwin:
-    """Twin stand-in that records collector writes instead of storing them.
-
-    Lets the group task run the *actual* :class:`StatusCollector` code — so
-    the per-user stream walk is the same wherever the task runs — while the
-    real twin state stays in the parent, which replays the recorded op log.
-    """
-
-    __slots__ = ("attributes", "ops")
-
-    def __init__(self, attributes: Dict[str, AttributeSpec]) -> None:
-        self.attributes = attributes
-        self.ops: List[tuple] = []
-
-    def record_batch(self, attribute: str, timestamps_s, values) -> None:
-        self.ops.append(
-            ("record_batch", attribute, np.asarray(timestamps_s), np.asarray(values))
-        )
-
-    def record_watches(self, records: Sequence[WatchRecord]) -> None:
-        self.ops.append(("record_watches", list(records)))
 
 
 def run_group_interval(
@@ -245,7 +217,8 @@ def run_group_interval(
     (config-category order) and video choices from its CDF row.  Stage 3
     runs the status collector for every member from their ``(interval,
     user)`` stream — passed as both sample and keep stream, so a lossy
-    policy's drop walk is per user too — into a recording twin.
+    policy's drop walk is per user too — into one :class:`CollectedStatus`
+    per member; no twin is touched.
     """
     # Imported lazily: repro.sim.simulator imports this module at load time.
     from repro.sim.simulator import GroupIntervalUsage
@@ -340,12 +313,11 @@ def run_group_interval(
     )
     playback_done = time.perf_counter()
 
-    collection: Dict[int, List[tuple]] = {}
+    collection: Dict[int, CollectedStatus] = {}
     for row, uid in enumerate(member_ids):
         stream = registry.collection_stream(interval_index, uid)
-        recorder = _RecordingTwin(static.attributes)
-        static.collector.collect_interval(
-            recorder,
+        collection[uid] = static.collector.collect_interval(
+            static.attributes,
             mobility_for(uid),
             static.bs_by_id[serving[row]],
             weights[row],
@@ -356,7 +328,6 @@ def run_group_interval(
             keep_rng=stream,
             serving_cell=serving[row] if static.report_cells else None,
         )
-        collection[uid] = recorder.ops
 
     stage_times = (
         stage1_done - started,

@@ -133,8 +133,9 @@ class IntervalResult:
     #: sharded: ``stage1_s`` (channel draws), ``playback_s`` (multicast
     #: playback) and ``collection_s`` (twin status collection) each sum the
     #: group tasks' own stage times; ``playback_s`` adds the parent's plan
-    #: build and record merge, ``collection_s`` its op-log replay onto the
-    #: twins.  Time spent waiting on the worker pool counts in none of them.
+    #: build and record merge, ``collection_s`` its appends of the collected
+    #: status to the twins.  Time spent waiting on the worker pool counts in
+    #: none of them.
     timing: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -203,6 +204,15 @@ class IntervalResult:
 def singleton_grouping(user_ids: Sequence[int]) -> Dict[int, List[int]]:
     """The unicast baseline: every user is their own multicast group."""
     return {index: [user_id] for index, user_id in enumerate(user_ids)}
+
+
+def round_robin_grouping(user_ids: Sequence[int], num_groups: int) -> Dict[int, List[int]]:
+    """Deal ``user_ids`` in order over ``num_groups`` groups (clamped to [1, users])."""
+    num_groups = min(max(num_groups, 1), len(user_ids))
+    grouping: Dict[int, List[int]] = {gid: [] for gid in range(num_groups)}
+    for index, uid in enumerate(user_ids):
+        grouping[index % num_groups].append(uid)
+    return grouping
 
 
 #: Monotonic suffix keeping concurrent simulators' plan segments distinct.
@@ -636,8 +646,9 @@ class StreamingSimulator:
         published to shared memory and ``pool.map`` runs ``(plan handle,
         group index)`` tasks on the worker pool.  Either way outcomes arrive
         in sorted scoped-group order and are folded as they arrive: records
-        merged, and each member's collection op log replayed onto their twin
-        — the only place an interval writes twins.
+        merged, and each member's collected status appended to their twin
+        with one ``record_status`` call — the only place an interval writes
+        twins.
 
         Returns ``(events_by_user, transcode_requests)``.
         """
@@ -694,16 +705,14 @@ class StreamingSimulator:
                 (self.catalog.get(video_id), outcome.representation, transmitted)
                 for video_id, transmitted in outcome.requests
             ]
-            replay_started = time.perf_counter()
-            for uid, ops in outcome.collection.items():
-                twin = self.twins.twin(uid)
-                for method, *args in ops:
-                    getattr(twin, method)(*args)
-            replay_done = time.perf_counter()
+            record_started = time.perf_counter()
+            for uid, status in outcome.collection.items():
+                self.twins.twin(uid).record_status(status)
+            record_done = time.perf_counter()
             task_stage1_s, task_playback_s, task_collection_s = outcome.stage_times
             stage1_s += task_stage1_s
-            playback_s += task_playback_s + (replay_started - merge_started)
-            collection_s += task_collection_s + (replay_done - replay_started)
+            playback_s += task_playback_s + (record_started - merge_started)
+            collection_s += task_collection_s + (record_done - record_started)
         result.timing.update(
             stage1_s=stage1_s, playback_s=playback_s, collection_s=collection_s
         )

@@ -11,8 +11,9 @@ about users it learns from these twins, so the twin layer also controls how
 * :mod:`repro.twin.timeseries` -- per-attribute time-series stores with
   window queries and staleness accounting.
 * :mod:`repro.twin.udt` -- :class:`UserDigitalTwin`.
-* :mod:`repro.twin.collector` -- samples live user state into UDTs at each
-  attribute's own frequency, with optional loss and delay.
+* :mod:`repro.twin.collector` -- samples live user state for UDTs at each
+  attribute's own frequency, with optional loss and delay, and returns it
+  for :meth:`UserDigitalTwin.record_status` to append.
 * :mod:`repro.twin.manager` -- the edge-side registry of all UDTs plus
   group-level aggregation helpers.
 """
@@ -23,9 +24,9 @@ from repro.twin.attributes import (
     STANDARD_ATTRIBUTE_NAMES,
     standard_attributes,
 )
-from repro.twin.timeseries import TimeSeriesStore, TimestampedValue
+from repro.twin.timeseries import TimeSeriesStore
 from repro.twin.udt import UserDigitalTwin
-from repro.twin.collector import CollectionPolicy, StatusCollector
+from repro.twin.collector import CollectedStatus, CollectionPolicy, StatusCollector
 from repro.twin.manager import DigitalTwinManager
 from repro.twin.persistence import (
     load_manager,
@@ -38,13 +39,13 @@ from repro.twin.persistence import (
 
 __all__ = [
     "AttributeSpec",
+    "CollectedStatus",
     "CollectionPolicy",
     "DEFAULT_ATTRIBUTES",
     "DigitalTwinManager",
     "STANDARD_ATTRIBUTE_NAMES",
     "StatusCollector",
     "TimeSeriesStore",
-    "TimestampedValue",
     "UserDigitalTwin",
     "load_manager",
     "manager_from_dict",

@@ -9,6 +9,12 @@ process against simulation entities:
 * watch records are pushed as sessions produce them, and
 * preference snapshots are written once per collection period.
 
+Collection is a pure function: :meth:`StatusCollector.collect_interval`
+returns what it collected as a :class:`CollectedStatus`, and the twin
+appends it with :meth:`~repro.twin.udt.UserDigitalTwin.record_status`.  A
+shard worker can therefore collect for a user whose twin lives in another
+process.
+
 The :class:`CollectionPolicy` adds the imperfections the DT-staleness
 ablation varies: a collection-period multiplier (slower twins), a sample
 drop probability (lossy uplink) and a reporting delay.
@@ -17,7 +23,7 @@ drop probability (lossy uplink) and a reporting delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +31,13 @@ from repro.behavior.watching import WatchRecord
 from repro.mobility.trajectory import MobilityModel
 from repro.net.basestation import BaseStation
 from repro.timegrid import time_grid
-from repro.twin.attributes import CHANNEL_CONDITION, LOCATION, PREFERENCE, SERVING_CELL
-from repro.twin.udt import UserDigitalTwin
+from repro.twin.attributes import (
+    CHANNEL_CONDITION,
+    LOCATION,
+    PREFERENCE,
+    SERVING_CELL,
+    AttributeSpec,
+)
 
 
 @dataclass
@@ -56,8 +67,18 @@ class CollectionPolicy:
         return cls()
 
 
+class CollectedStatus(NamedTuple):
+    """One user's status collected over one interval, not yet in their twin."""
+
+    #: ``{attribute: (timestamps, values)}`` for every attribute with at
+    #: least one kept sample; ``values`` has one row per timestamp.
+    samples: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    #: The watch records that survived the drop policy, in playback order.
+    records: List[WatchRecord]
+
+
 class StatusCollector:
-    """Collects user status into UDTs over a reservation interval."""
+    """Collects user status for UDTs over a reservation interval."""
 
     def __init__(self, policy: Optional[CollectionPolicy] = None) -> None:
         self.policy = policy if policy is not None else CollectionPolicy.perfect()
@@ -80,19 +101,17 @@ class StatusCollector:
 
     def _kept_times(
         self,
-        udt: UserDigitalTwin,
-        attribute: str,
+        spec: AttributeSpec,
         start_s: float,
         end_s: float,
         keep_rng: np.random.Generator,
     ) -> np.ndarray:
-        spec = udt.attributes[attribute]
         times = self._sample_times(start_s, end_s, spec.collection_period_s)
         return times[self._keep_mask(times.shape[0], keep_rng)]
 
     def collect_interval(
         self,
-        udt: UserDigitalTwin,
+        attributes: Mapping[str, AttributeSpec],
         mobility: MobilityModel,
         base_station: BaseStation,
         preference: np.ndarray,
@@ -102,13 +121,14 @@ class StatusCollector:
         rng: np.random.Generator,
         keep_rng: np.random.Generator,
         serving_cell: Optional[int] = None,
-    ) -> None:
+    ) -> CollectedStatus:
         """Collect one reservation interval's worth of status for one user.
 
-        Each attribute is collected as one batched position/SNR evaluation
-        and one bulk append into the twin's time-series store, instead of a
-        Python loop over individual samples.  ``preference`` is the user's
-        preference weight row, in the twin's category order.
+        ``attributes`` are the specs of the user's twin; only attributes it
+        has are collected.  Each attribute is collected as one batched
+        position/SNR evaluation, not a Python loop over individual samples.
+        ``preference`` is the user's preference weight row, in the twin's
+        category order.
 
         ``rng`` is the stream the channel-condition draws consume and
         ``keep_rng`` the one the drop decisions consume.  The simulator
@@ -121,55 +141,56 @@ class StatusCollector:
         if end_s <= start_s:
             raise ValueError("end_s must be greater than start_s")
         delay = self.policy.delay_s
+        samples: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
         # Channel condition: sample SNR at the attribute's own frequency.
-        if CHANNEL_CONDITION in udt.attributes:
-            times = self._kept_times(udt, CHANNEL_CONDITION, start_s, end_s, keep_rng)
+        if CHANNEL_CONDITION in attributes:
+            times = self._kept_times(attributes[CHANNEL_CONDITION], start_s, end_s, keep_rng)
             if times.size:
                 positions = mobility.positions(times)
                 snrs = base_station.sample_snr_db_batch(positions, rng=rng)
-                udt.record_batch(CHANNEL_CONDITION, times + delay, snrs[:, None])
+                samples[CHANNEL_CONDITION] = (times + delay, snrs[:, None])
 
         # Location.
-        if LOCATION in udt.attributes:
-            times = self._kept_times(udt, LOCATION, start_s, end_s, keep_rng)
+        if LOCATION in attributes:
+            times = self._kept_times(attributes[LOCATION], start_s, end_s, keep_rng)
             if times.size:
-                udt.record_batch(LOCATION, times + delay, mobility.positions(times))
+                samples[LOCATION] = (times + delay, mobility.positions(times))
 
-        # Watch records (and the mirrored watching-duration series).
-        if records:
-            if self.policy.drop_probability == 0.0:
-                kept_records = list(records)
-            else:
-                # One scalar draw per record, in record order.
-                kept_records = [
-                    record
-                    for record in records
-                    if keep_rng.random() >= self.policy.drop_probability
-                ]
-            udt.record_watches(kept_records)
+        # Watch records (the twin mirrors them into the watching-duration
+        # series).
+        if self.policy.drop_probability == 0.0:
+            kept_records = list(records)
+        else:
+            # One scalar draw per record, in record order.
+            kept_records = [
+                record
+                for record in records
+                if keep_rng.random() >= self.policy.drop_probability
+            ]
 
         # Preference snapshots.
-        if PREFERENCE in udt.attributes:
+        if PREFERENCE in attributes:
             vector = np.asarray(preference, dtype=np.float64)
-            expected_dim = udt.attributes[PREFERENCE].dimension
+            expected_dim = attributes[PREFERENCE].dimension
             if vector.shape[0] != expected_dim:
                 raise ValueError(
                     f"preference dimension {vector.shape[0]} does not match the UDT "
                     f"attribute dimension {expected_dim}"
                 )
-            times = self._kept_times(udt, PREFERENCE, start_s, end_s, keep_rng)
+            times = self._kept_times(attributes[PREFERENCE], start_s, end_s, keep_rng)
             if times.size:
-                udt.record_batch(
-                    PREFERENCE, times + delay, np.tile(vector, (times.shape[0], 1))
+                samples[PREFERENCE] = (
+                    times + delay,
+                    np.tile(vector, (times.shape[0], 1)),
                 )
 
         # Serving cell (only collected when the RAN controller reports it).
-        if serving_cell is not None and SERVING_CELL in udt.attributes:
-            times = self._kept_times(udt, SERVING_CELL, start_s, end_s, keep_rng)
+        if serving_cell is not None and SERVING_CELL in attributes:
+            times = self._kept_times(attributes[SERVING_CELL], start_s, end_s, keep_rng)
             if times.size:
-                udt.record_batch(
-                    SERVING_CELL,
+                samples[SERVING_CELL] = (
                     times + delay,
                     np.full((times.shape[0], 1), float(serving_cell)),
                 )
+        return CollectedStatus(samples=samples, records=kept_records)

@@ -20,15 +20,10 @@ from repro.twin.udt import UserDigitalTwin
 class DigitalTwinManager:
     """Registry and aggregator of user digital twins."""
 
-    def __init__(
-        self,
-        attributes: Optional[Mapping[str, AttributeSpec]] = None,
-        max_samples_per_attribute: Optional[int] = None,
-    ) -> None:
+    def __init__(self, attributes: Optional[Mapping[str, AttributeSpec]] = None) -> None:
         self.attributes: Dict[str, AttributeSpec] = dict(
             attributes if attributes is not None else DEFAULT_ATTRIBUTES
         )
-        self.max_samples_per_attribute = max_samples_per_attribute
         self._twins: Dict[int, UserDigitalTwin] = {}
 
     # ------------------------------------------------------------ registry
@@ -44,11 +39,7 @@ class DigitalTwinManager:
     def register_user(self, user_id: int) -> UserDigitalTwin:
         """Create (or return the existing) twin for ``user_id``."""
         if user_id not in self._twins:
-            self._twins[user_id] = UserDigitalTwin(
-                user_id,
-                attributes=self.attributes,
-                max_samples_per_attribute=self.max_samples_per_attribute,
-            )
+            self._twins[user_id] = UserDigitalTwin(user_id, attributes=self.attributes)
         return self._twins[user_id]
 
     def register_users(self, user_ids: Iterable[int]) -> List[UserDigitalTwin]:
@@ -122,8 +113,8 @@ class DigitalTwinManager:
                 out[:] = 0.0
                 column += dim
                 continue
-            time_blocks = [store.time_view() for store, keep in zip(stores, filled) if keep]
-            value_blocks = [store.value_view() for store, keep in zip(stores, filled) if keep]
+            time_blocks = [store.timestamps() for store, keep in zip(stores, filled) if keep]
+            value_blocks = [store.values() for store, keep in zip(stores, filled) if keep]
             # Offset that strictly separates consecutive users' blocks: any
             # value exceeding the global [min(sample, grid), max] span works,
             # because block u's shifted queries then stay below block u+1's
@@ -160,31 +151,6 @@ class DigitalTwinManager:
         for uid in ids:
             records.extend(self.twin(uid).watch_records(start_s, end_s))
         return records
-
-    def engagement_by_video(
-        self,
-        user_ids: Optional[Sequence[int]] = None,
-        start_s: Optional[float] = None,
-        end_s: Optional[float] = None,
-    ) -> Dict[int, float]:
-        """Total engagement time per video id (drives popularity updates)."""
-        totals: Dict[int, float] = {}
-        for record in self.watch_records(user_ids, start_s, end_s):
-            totals[record.video_id] = totals.get(record.video_id, 0.0) + record.watch_duration_s
-        return totals
-
-    def mean_preferences(
-        self,
-        user_ids: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Mean of the latest preference snapshots across users."""
-        from repro.twin.attributes import PREFERENCE
-
-        ids = list(user_ids) if user_ids is not None else self.user_ids()
-        if not ids:
-            raise ValueError("no users registered")
-        vectors = [self.twin(uid).store(PREFERENCE).latest_value() for uid in ids]
-        return np.mean(np.vstack(vectors), axis=0)
 
     # ------------------------------------------------------------ staleness
     def staleness_report(self, now_s: float) -> Dict[int, float]:

@@ -13,6 +13,8 @@ import json
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from repro.behavior.watching import WatchRecord
 from repro.twin.attributes import AttributeSpec
 from repro.twin.manager import DigitalTwinManager
@@ -42,19 +44,20 @@ def attribute_from_dict(data: dict) -> AttributeSpec:
 def store_to_dict(store: TimeSeriesStore) -> dict:
     return {
         "dimension": store.dimension,
-        "max_samples": store.max_samples,
         "timestamps": store.timestamps().tolist(),
         "values": store.values().tolist(),
     }
 
 
+def _samples(data: dict) -> tuple:
+    """``(timestamps, values)`` of a store serialised by :func:`store_to_dict`."""
+    values = np.asarray(data.get("values", []), dtype=np.float64)
+    return data.get("timestamps", []), values.reshape(-1, int(data["dimension"]))
+
+
 def store_from_dict(data: dict) -> TimeSeriesStore:
-    store = TimeSeriesStore(
-        dimension=int(data["dimension"]),
-        max_samples=data.get("max_samples"),
-    )
-    for timestamp, value in zip(data.get("timestamps", []), data.get("values", [])):
-        store.append(float(timestamp), value)
+    store = TimeSeriesStore(dimension=int(data["dimension"]))
+    store.append_batch(*_samples(data))
     return store
 
 
@@ -100,12 +103,9 @@ def twin_from_dict(data: dict) -> UserDigitalTwin:
     }
     twin = UserDigitalTwin(int(data["user_id"]), attributes=attributes)
     for name, store_data in data.get("stores", {}).items():
-        restored = store_from_dict(store_data)
-        target = twin.store(name)
-        for timestamp, value in zip(restored.timestamps(), restored.values()):
-            target.append(float(timestamp), value)
-    # Watch records are re-attached directly (the mirrored watching-duration
-    # series was already restored above, so bypass record_watch).
+        twin.record_batch(name, *_samples(store_data))
+    # Watch records are re-attached directly: the mirrored watching-duration
+    # series was restored with the other stores, so bypass record_watches.
     twin._watch_records.extend(
         watch_record_from_dict(record) for record in data.get("watch_records", [])
     )

@@ -13,20 +13,16 @@ prediction scheme needs:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.behavior.watching import WatchRecord
-from repro.twin.attributes import (
-    AttributeSpec,
-    CHANNEL_CONDITION,
-    DEFAULT_ATTRIBUTES,
-    LOCATION,
-    PREFERENCE,
-    WATCHING_DURATION,
-)
+from repro.twin.attributes import AttributeSpec, DEFAULT_ATTRIBUTES, WATCHING_DURATION
 from repro.twin.timeseries import TimeSeriesStore
+
+if TYPE_CHECKING:
+    from repro.twin.collector import CollectedStatus
 
 
 class UserDigitalTwin:
@@ -36,7 +32,6 @@ class UserDigitalTwin:
         self,
         user_id: int,
         attributes: Optional[Mapping[str, AttributeSpec]] = None,
-        max_samples_per_attribute: Optional[int] = None,
     ) -> None:
         if user_id < 0:
             raise ValueError("user_id must be non-negative")
@@ -47,8 +42,7 @@ class UserDigitalTwin:
         if not self.attributes:
             raise ValueError("a UDT needs at least one attribute")
         self._stores: Dict[str, TimeSeriesStore] = {
-            name: TimeSeriesStore(spec.dimension, max_samples=max_samples_per_attribute)
-            for name, spec in self.attributes.items()
+            name: TimeSeriesStore(spec.dimension) for name, spec in self.attributes.items()
         }
         self._watch_records: List[WatchRecord] = []
 
@@ -58,30 +52,16 @@ class UserDigitalTwin:
             raise KeyError(f"UDT of user {self.user_id} has no attribute {attribute!r}")
         return self._stores[attribute]
 
-    def record(self, attribute: str, timestamp_s: float, value) -> None:
-        """Append one sample of ``attribute``."""
-        self.store(attribute).append(timestamp_s, value)
-
     def record_batch(self, attribute: str, timestamps_s, values) -> int:
-        """Append many samples of ``attribute`` at once (bulk buffer copy)."""
+        """Append samples of ``attribute`` (bulk buffer copy)."""
         return self.store(attribute).append_batch(timestamps_s, values)
 
-    def record_watch(self, record: WatchRecord) -> None:
-        """Store a watch record and mirror its duration into the time series."""
-        if record.user_id != self.user_id:
-            raise ValueError(
-                f"watch record of user {record.user_id} pushed to UDT of user {self.user_id}"
-            )
-        self._watch_records.append(record)
-        if WATCHING_DURATION in self._stores:
-            store = self._stores[WATCHING_DURATION]
-            timestamp = record.timestamp_s
-            if len(store):
-                timestamp = max(timestamp, store.latest_timestamp_s())
-            store.append(timestamp, [record.watch_duration_s])
-
     def record_watches(self, records: Sequence[WatchRecord]) -> None:
-        """Batch :meth:`record_watch`: one bulk append into the duration series."""
+        """Store watch records and mirror their durations into the time series.
+
+        A record older than the newest watching-duration sample is mirrored
+        at that sample's time, so the series stays non-decreasing.
+        """
         for record in records:
             if record.user_id != self.user_id:
                 raise ValueError(
@@ -95,10 +75,15 @@ class UserDigitalTwin:
             timestamps = np.array([record.timestamp_s for record in records])
             if len(store):
                 timestamps[0] = max(timestamps[0], store.latest_timestamp_s())
-            # Running maximum = the per-record clamp record_watch applies.
             np.maximum.accumulate(timestamps, out=timestamps)
             durations = np.array([[record.watch_duration_s] for record in records])
             store.append_batch(timestamps, durations)
+
+    def record_status(self, status: "CollectedStatus") -> None:
+        """Append one interval's collected status, attribute by attribute."""
+        for attribute, (timestamps, values) in status.samples.items():
+            self.record_batch(attribute, timestamps, values)
+        self.record_watches(status.records)
 
     # -------------------------------------------------------------- queries
     def staleness_s(self, attribute: str, now_s: float) -> float:
@@ -107,10 +92,6 @@ class UserDigitalTwin:
     def max_staleness_s(self, now_s: float) -> float:
         """Worst staleness across attributes (``inf`` if any attribute is empty)."""
         return max(self.store(name).staleness_s(now_s) for name in self.attributes)
-
-    def latest_status(self) -> Dict[str, np.ndarray]:
-        """Newest value of every attribute (zeros for never-collected ones)."""
-        return {name: self.store(name).latest_value() for name in self.attributes}
 
     def watch_records(
         self,
@@ -124,17 +105,6 @@ class UserDigitalTwin:
         if end_s is not None:
             records = [r for r in records if r.timestamp_s < end_s]
         return list(records)
-
-    def engagement_seconds(
-        self,
-        start_s: Optional[float] = None,
-        end_s: Optional[float] = None,
-    ) -> Dict[str, float]:
-        """Total watch time per category over a window."""
-        totals: Dict[str, float] = {}
-        for record in self.watch_records(start_s, end_s):
-            totals[record.category] = totals.get(record.category, 0.0) + record.watch_duration_s
-        return totals
 
     # ------------------------------------------------------------- features
     def feature_matrix(
@@ -164,10 +134,6 @@ class UserDigitalTwin:
             store.resample_into(times, matrix[:, column : column + store.dimension])
             column += store.dimension
         return matrix
-
-    def feature_dimension(self, attribute_order: Optional[Sequence[str]] = None) -> int:
-        order = list(attribute_order) if attribute_order is not None else list(self.attributes)
-        return int(sum(self.attributes[name].dimension for name in order))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         counts = {name: len(store) for name, store in self._stores.items()}

@@ -170,6 +170,28 @@ class VideoCatalog:
         self._sampling_cache = (version, arrays)
         return arrays
 
+    def sampling_probabilities(self, preference, popularity_weight: float) -> np.ndarray:
+        """Probability of serving each video, aligned with ``sampling_arrays()[0]``.
+
+        The platform's recommender mixes normalized global popularity with
+        normalized category preference: ``popularity_weight * popularity +
+        (1 - popularity_weight) * preference``, renormalized (uniform if
+        both are all zero).  ``preference`` is anything with a
+        ``weight(category)`` method, such as a
+        :class:`~repro.behavior.preference.PreferenceVector`.
+        """
+        video_ids, popularity, category_indices, categories = self.sampling_arrays()
+        # One weight lookup per *category*, gathered out to per-video scores.
+        weights = np.array([preference.weight(category) for category in categories])
+        per_video = weights[category_indices]
+        if per_video.sum() > 0:
+            per_video = per_video / per_video.sum()
+        mixture = popularity_weight * popularity + (1.0 - popularity_weight) * per_video
+        total = mixture.sum()
+        if total <= 0:
+            return np.ones(video_ids.shape[0]) / video_ids.shape[0]
+        return mixture / total
+
     # ------------------------------------------------------------ accessors
     def __len__(self) -> int:
         return len(self._videos)

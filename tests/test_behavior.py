@@ -258,6 +258,24 @@ class TestSessions:
         engagement = session_engagement_seconds(records)
         assert engagement.get("News", 0.0) == max(engagement.values())
 
+    def test_watch_cut_by_session_end_is_not_a_swipe(self, small_catalog, rng):
+        """Regression: the session-final watch used to count as a swipe.
+
+        ``swiped`` reflects the intended duration, as in the simulator's
+        playback; only the recorded duration is capped at the session end.
+        """
+
+        class FinishingModel(WatchingDurationModel):
+            def sample_watch_duration(self, video, preference, rng=None):
+                return float(video.duration_s)
+
+        generator = SessionGenerator(small_catalog, FinishingModel())
+        records = generator.generate_session(0, random_preference(rng), rng=rng, duration_s=1.0)
+        assert len(records) == 1
+        assert records[0].watch_duration_s == pytest.approx(1.0)
+        assert records[0].watch_duration_s < records[0].video_duration_s
+        assert not records[0].swiped
+
     def test_invalid_session_config(self):
         with pytest.raises(ValueError):
             SessionConfig(session_duration_s=0.0)

@@ -15,7 +15,6 @@ import pytest
 from repro import SimulationConfig, StreamingSimulator
 from repro.net.basestation import BaseStation, BaseStationConfig
 from repro.net.controller import (
-    CellLoadEvent,
     ControllerConfig,
     RanController,
     cell_utilization,

@@ -8,7 +8,6 @@ import pytest
 from repro.dataset import (
     ChallengeDatasetConfig,
     ChallengeDatasetGenerator,
-    DatasetBundle,
     SwipeTraceRecord,
     UserRecord,
     VideoRecord,

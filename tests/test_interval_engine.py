@@ -5,8 +5,8 @@ Covers:
 * the population feature tensor of
   :class:`~repro.twin.manager.DigitalTwinManager`: exact equality with each
   twin's own ``feature_matrix`` across overlapping sliding history windows,
-  misaligned and resized windows, late samples, ring eviction, empty
-  stores and ``remove_user`` / ``register_user``,
+  misaligned and resized windows, late samples, empty stores and
+  ``remove_user`` / ``register_user``,
 * the interval engine: per-group keyed channel and watch streams with
   whole-array watch-duration draws, same-seed determinism and sound
   interval records,
@@ -43,11 +43,8 @@ from repro.video.representations import DEFAULT_LADDER, Representation, Represen
 
 
 # ------------------------------------------------------------ feature tensor
-def _filled_manager(num_users: int = 6, max_samples=None):
-    manager = DigitalTwinManager(
-        attributes=standard_attributes(num_categories=4),
-        max_samples_per_attribute=max_samples,
-    )
+def _filled_manager(num_users: int = 6):
+    manager = DigitalTwinManager(attributes=standard_attributes(num_categories=4))
     manager.register_users(range(num_users))
     return manager
 
@@ -63,8 +60,8 @@ def _feed_interval(manager: DigitalTwinManager, start_s: float, end_s: float, se
         twin.record_batch(PREFERENCE, [start_s], rng.dirichlet(np.ones(4))[None, :])
 
 
-def _fed_manager(max_samples=None):
-    manager = _filled_manager(max_samples=max_samples)
+def _fed_manager():
+    manager = _filled_manager()
     for k in range(4):
         _feed_interval(manager, k * 120.0, (k + 1) * 120.0, seed=k)
     return manager
@@ -101,20 +98,13 @@ class TestIncrementalFeatureCache:
         uid = manager.user_ids()[0]
         _assert_matches_twins(manager, 0.0, 480.0)
         # A late sample lands inside the next window.
-        manager.twin(uid).record(CHANNEL_CONDITION, 480.0, [99.0])
+        manager.twin(uid).record_batch(CHANNEL_CONDITION, [480.0], [[99.0]])
         _assert_matches_twins(manager, 120.0, 600.0)
 
     def test_misaligned_and_resized_windows_fall_back_correctly(self):
         manager = _fed_manager()
         for start, end, steps in [(0.0, 480.0, 32), (7.0, 481.0, 32), (0.0, 480.0, 16), (3.3, 477.7, 31)]:
             _assert_matches_twins(manager, start, end, num_steps=steps)
-
-    def test_ring_eviction_invalidates_cache(self):
-        manager = _fed_manager(max_samples=40)
-        for k in range(4, 8):
-            end = (k + 1) * 120.0
-            _feed_interval(manager, end - 120.0, end, seed=k)
-            _assert_matches_twins(manager, end - 480.0, end)
 
     def test_first_sample_into_empty_store_backfills_cached_rows(self):
         """ZOH backfill: an empty store resamples to zeros, and its very
@@ -126,12 +116,12 @@ class TestIncrementalFeatureCache:
         manager.twin(0).record_batch(CHANNEL_CONDITION, times, np.full((times.size, 1), 20.0))
         _assert_matches_twins(manager, 0.0, 480.0)
         # First-ever preference sample lands after the whole window.
-        manager.twin(0).record(PREFERENCE, 500.0, [0.7, 0.1, 0.1, 0.1])
+        manager.twin(0).record_batch(PREFERENCE, [500.0], [[0.7, 0.1, 0.1, 0.1]])
         tensor = manager.feature_tensor(0.0, 480.0, num_steps=32)
         np.testing.assert_array_equal(tensor[0, :, -4:], [[0.7, 0.1, 0.1, 0.1]] * 32)
         _assert_matches_twins(manager, 0.0, 480.0)
         # Same for a mid-window first sample.
-        manager.twin(0).record(LOCATION, 530.0, [5.0, 6.0])
+        manager.twin(0).record_batch(LOCATION, [530.0], [[5.0, 6.0]])
         _assert_matches_twins(manager, 120.0, 600.0)
 
     def test_remove_and_reregister_invalidates(self):

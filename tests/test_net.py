@@ -7,7 +7,6 @@ import pytest
 
 from repro.net import (
     BaseStation,
-    BaseStationConfig,
     ChannelConfig,
     ChannelModel,
     MCS_TABLE,

@@ -6,6 +6,8 @@ Covers the tentpole and the three ground-truth fixes that ride with it:
   any ``playback_workers`` count (serial == sharded), for shuffled group
   order, and across repeated runs — the per-``(seed, interval, scoped
   group)`` streams of :mod:`repro.sim.rng` make playback order-independent,
+* the group task's purity: run forward or in reverse, each group's task
+  returns equal outcomes and writes no twin,
 * churn-safe handover streaks: :class:`~repro.net.handover.StreakState` is
   keyed by user id and remapped on churn, so a mid-run ``remove_user`` can
   no longer shift one user's candidate/TTT row onto another,
@@ -24,6 +26,7 @@ deduplicated, so ``1`` or ``2`` are no-ops).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -37,6 +40,7 @@ from repro.net.handover import HandoverConfig, HandoverPolicy, StreakState
 from repro.scenario.compiler import compile_spec
 from repro.scenario.spec import EngineSpec, ScenarioSpec
 from repro.sim.rng import RngRegistry, derive_stream
+from repro.sim.shard import build_interval_plan, run_group_interval
 from repro.timegrid import num_grid_steps, time_grid
 from repro.twin.collector import CollectionPolicy
 
@@ -118,7 +122,7 @@ class TestShardedPlaybackDeterminism:
         """The acceptance pin: identical totals and twins for workers=1 and
         workers>1, with perfect collection and with a lossy, delayed one in
         handover mode (the drop walk, the kept watches and the serving-cell
-        attribute all come out of the group tasks' op logs)."""
+        attribute all come out of the group tasks' collected status)."""
         inputs = {
             "perfect": {},
             "lossy-handover": dict(
@@ -230,6 +234,74 @@ class TestShardedPlaybackDeterminism:
             )
 
         assert run(1) == run(2)
+
+
+# ------------------------------------------------------- group-task purity
+def _twin_sizes(sim: StreamingSimulator) -> dict:
+    """Per user: every store's sample count and the watch-record count."""
+    sizes = {}
+    for uid in sim.user_ids():
+        twin = sim.twins.twin(uid)
+        stores = tuple(len(twin.store(name)) for name in twin.attributes)
+        sizes[uid] = (stores, len(twin.watch_records()))
+    return sizes
+
+
+class TestGroupTaskPurity:
+    def test_group_tasks_are_pure_in_any_order(self):
+        """A group task is a pure function of (plan, group index).
+
+        Running every group's task forward and then in reverse gives equal
+        outcomes, including every array each member's lossy collection
+        returns, and writes no twin: re-running a task (say, one a dead
+        worker never returned) cannot change anything.
+        """
+        config = _grouped_config(
+            1, num_users=12, collection_policy=CollectionPolicy(drop_probability=0.3)
+        )
+        with StreamingSimulator(config) as sim:
+            ids = sim.user_ids()
+            grouping = {0: ids[:4], 1: ids[4:9], 2: ids[9:]}
+            sim.run_interval(grouping)
+            sizes = _twin_sizes(sim)
+            interval = sim.clock.current_interval
+            plan = build_interval_plan(
+                grouping,
+                sim.users,
+                tuple(config.categories),
+                sim.catalog,
+                config.recommendation_popularity_weight,
+            )
+            task = functools.partial(
+                run_group_interval,
+                sim._static,
+                lambda uid: sim.users[uid].mobility,
+                plan,
+                interval,
+                *sim.clock.interval_bounds(interval),
+            )
+            indices = list(range(len(plan.group_ids)))
+            forward = {index: task(index) for index in indices}
+            backward = {index: task(index) for index in reversed(indices)}
+            assert _twin_sizes(sim) == sizes, "a group task wrote a twin"
+
+        dropped = False
+        for index in indices:
+            first, second = forward[index], backward[index]
+            assert first.usage == second.usage
+            assert first.records == second.records
+            assert first.mean_snrs == second.mean_snrs
+            assert first.requests == second.requests
+            assert list(first.collection) == list(second.collection)
+            for uid, status in first.collection.items():
+                other = second.collection[uid]
+                assert status.records == other.records
+                dropped |= len(status.records) < len(first.records[uid])
+                assert list(status.samples) == list(other.samples)
+                for name, (times, values) in status.samples.items():
+                    np.testing.assert_array_equal(times, other.samples[name][0])
+                    np.testing.assert_array_equal(values, other.samples[name][1])
+        assert dropped, "the lossy policy should drop some watch records"
 
 
 # ------------------------------------------------------------- rng registry

@@ -139,9 +139,11 @@ class TestTimeSeriesProperties:
     def test_resample_values_come_from_appended_samples(self, values):
         store = TimeSeriesStore(dimension=1)
         for index, value in enumerate(values):
-            store.append(float(index), [value])
+            store.append_batch([float(index)], [[value]])
         query = np.linspace(0.0, len(values) + 5.0, 17)
-        resampled = store.resample(query)[:, 0]
+        resampled = np.empty((query.shape[0], 1))
+        store.resample_into(query, resampled)
+        resampled = resampled[:, 0]
         assert set(np.round(resampled, 9)).issubset(set(np.round(values, 9)))
 
     @given(
@@ -151,7 +153,7 @@ class TestTimeSeriesProperties:
     def test_staleness_consistent_with_latest_timestamp(self, values, now):
         store = TimeSeriesStore(dimension=1)
         for index, value in enumerate(values):
-            store.append(float(index), [value])
+            store.append_batch([float(index)], [[value]])
         latest = float(len(values) - 1)
         if now >= latest:
             assert store.staleness_s(now) == pytest.approx(now - latest)

@@ -10,6 +10,7 @@ from repro.sim import (
     SimulationClock,
     SimulationConfig,
     StreamingSimulator,
+    round_robin_grouping,
     singleton_grouping,
 )
 from repro.twin.attributes import CHANNEL_CONDITION
@@ -96,6 +97,13 @@ class TestSingletonGrouping:
         assert len(grouping) == 3
         assert sorted(uid for members in grouping.values() for uid in members) == [4, 7, 9]
         assert all(len(members) == 1 for members in grouping.values())
+
+
+class TestRoundRobinGrouping:
+    def test_deals_users_in_order_and_clamps_the_group_count(self):
+        assert round_robin_grouping([4, 7, 9, 2, 5], 2) == {0: [4, 9, 5], 1: [7, 2]}
+        assert round_robin_grouping([4, 7], 5) == {0: [4], 1: [7]}
+        assert round_robin_grouping([4, 7], 0) == {0: [4, 7]}
 
 
 class TestStreamingSimulator:

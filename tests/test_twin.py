@@ -53,79 +53,78 @@ class TestAttributes:
 class TestTimeSeriesStore:
     def test_append_and_latest(self):
         store = TimeSeriesStore(dimension=2)
-        store.append(0.0, [1.0, 2.0])
-        store.append(1.0, [3.0, 4.0])
+        store.append_batch([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
         assert len(store) == 2
         np.testing.assert_allclose(store.latest_value(), [3.0, 4.0])
+        assert store.latest_timestamp_s() == 1.0
 
     def test_non_decreasing_timestamps_enforced(self):
         store = TimeSeriesStore(dimension=1)
-        store.append(5.0, [1.0])
+        store.append_batch([5.0], [[1.0]])
         with pytest.raises(ValueError):
-            store.append(4.0, [2.0])
+            store.append_batch([4.0], [[2.0]])
 
     def test_dimension_enforced(self):
         store = TimeSeriesStore(dimension=2)
         with pytest.raises(ValueError):
-            store.append(0.0, [1.0])
+            store.append_batch([0.0], [[1.0]])
 
     def test_window_query_half_open(self):
         store = TimeSeriesStore(dimension=1)
-        for t in range(5):
-            store.append(float(t), [float(t)])
-        window = store.window(1.0, 3.0)
-        assert [sample.timestamp_s for sample in window] == [1.0, 2.0]
+        store.append_batch(np.arange(5.0), np.arange(5.0)[:, None])
+        np.testing.assert_array_equal(store.window_values(1.0, 3.0)[:, 0], [1.0, 2.0])
 
     def test_staleness(self):
         store = TimeSeriesStore(dimension=1)
         assert store.staleness_s(10.0) == float("inf")
-        store.append(4.0, [1.0])
+        store.append_batch([4.0], [[1.0]])
         assert store.staleness_s(10.0) == pytest.approx(6.0)
 
     def test_resample_zero_order_hold(self):
         store = TimeSeriesStore(dimension=1)
-        store.append(0.0, [1.0])
-        store.append(10.0, [2.0])
-        resampled = store.resample([0.0, 5.0, 10.0, 20.0])
+        store.append_batch([0.0, 10.0], [[1.0], [2.0]])
+        resampled = np.empty((4, 1))
+        store.resample_into(np.array([0.0, 5.0, 10.0, 20.0]), resampled)
         np.testing.assert_allclose(resampled[:, 0], [1.0, 1.0, 2.0, 2.0])
 
     def test_resample_empty_store_is_zeros(self):
         store = TimeSeriesStore(dimension=3)
-        np.testing.assert_allclose(store.resample([0.0, 1.0]), 0.0)
+        resampled = np.ones((2, 3))
+        store.resample_into(np.array([0.0, 1.0]), resampled)
+        np.testing.assert_allclose(resampled, 0.0)
 
-    def test_max_samples_truncates(self):
-        store = TimeSeriesStore(dimension=1, max_samples=3)
-        for t in range(10):
-            store.append(float(t), [float(t)])
-        assert len(store) == 3
-        np.testing.assert_allclose(store.values()[:, 0], [7.0, 8.0, 9.0])
-
-    def test_mean_over_window(self):
-        store = TimeSeriesStore(dimension=1)
-        for t in range(4):
-            store.append(float(t), [float(t)])
-        assert store.mean()[0] == pytest.approx(1.5)
-        assert store.mean(start_s=2.0, end_s=4.0)[0] == pytest.approx(2.5)
+    def test_timestamps_and_values_are_read_only_views(self):
+        store = TimeSeriesStore(dimension=2)
+        store.append_batch([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
+        times, values = store.timestamps(), store.values()
+        with pytest.raises(ValueError):
+            times[0] = 9.0
+        with pytest.raises(ValueError):
+            values[0, 0] = 9.0
+        # Appends never rewrite filled rows, so earlier views stay valid.
+        store.append_batch(np.arange(2.0, 40.0), np.zeros((38, 2)))
+        np.testing.assert_array_equal(times, [0.0, 1.0])
+        np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
+        assert store.values().shape == (40, 2)
 
 
 class TestUserDigitalTwin:
     def test_record_and_latest_status(self):
         twin = UserDigitalTwin(0)
-        twin.record(CHANNEL_CONDITION, 0.0, [12.5])
-        twin.record(LOCATION, 0.0, [10.0, 20.0])
-        status = twin.latest_status()
-        assert status[CHANNEL_CONDITION][0] == pytest.approx(12.5)
-        np.testing.assert_allclose(status[LOCATION], [10.0, 20.0])
+        twin.record_batch(CHANNEL_CONDITION, [0.0], [[12.5]])
+        twin.record_batch(LOCATION, [0.0], [[10.0, 20.0]])
+        assert twin.store(CHANNEL_CONDITION).latest_value()[0] == pytest.approx(12.5)
+        np.testing.assert_allclose(twin.store(LOCATION).latest_value(), [10.0, 20.0])
 
     def test_unknown_attribute_raises(self):
         twin = UserDigitalTwin(0)
         with pytest.raises(KeyError):
-            twin.record("heart_rate", 0.0, [1.0])
+            twin.record_batch("heart_rate", [0.0], [[1.0]])
 
     def test_record_watch_mirrors_duration_series(self):
         twin = UserDigitalTwin(3)
         record = WatchRecord(3, 7, "News", 4.0, 10.0, swiped=True, timestamp_s=2.0)
-        twin.record_watch(record)
+        twin.record_watches([record])
         assert twin.watch_records() == [record]
         assert len(twin.store(WATCHING_DURATION)) == 1
 
@@ -133,31 +132,25 @@ class TestUserDigitalTwin:
         twin = UserDigitalTwin(3)
         record = WatchRecord(4, 7, "News", 4.0, 10.0, swiped=True)
         with pytest.raises(ValueError):
-            twin.record_watch(record)
+            twin.record_watches([record])
 
     def test_watch_records_window_filter(self):
         twin = UserDigitalTwin(0)
-        for t in range(5):
-            twin.record_watch(WatchRecord(0, t, "News", 1.0, 10.0, swiped=True, timestamp_s=float(t)))
+        twin.record_watches(
+            [
+                WatchRecord(0, t, "News", 1.0, 10.0, swiped=True, timestamp_s=float(t))
+                for t in range(5)
+            ]
+        )
         assert len(twin.watch_records(start_s=1.0, end_s=3.0)) == 2
-
-    def test_engagement_seconds_by_category(self):
-        twin = UserDigitalTwin(0)
-        twin.record_watch(WatchRecord(0, 1, "News", 5.0, 10.0, swiped=True, timestamp_s=0.0))
-        twin.record_watch(WatchRecord(0, 2, "Game", 2.0, 10.0, swiped=True, timestamp_s=1.0))
-        twin.record_watch(WatchRecord(0, 3, "News", 3.0, 10.0, swiped=True, timestamp_s=2.0))
-        engagement = twin.engagement_seconds()
-        assert engagement["News"] == pytest.approx(8.0)
-        assert engagement["Game"] == pytest.approx(2.0)
 
     def test_feature_matrix_shape_and_channels(self):
         twin = UserDigitalTwin(0, attributes=standard_attributes(num_categories=4))
-        twin.record(CHANNEL_CONDITION, 0.0, [10.0])
-        twin.record(LOCATION, 0.0, [1.0, 2.0])
-        twin.record(PREFERENCE, 0.0, [0.25, 0.25, 0.25, 0.25])
+        twin.record_batch(CHANNEL_CONDITION, [0.0], [[10.0]])
+        twin.record_batch(LOCATION, [0.0], [[1.0, 2.0]])
+        twin.record_batch(PREFERENCE, [0.0], [[0.25, 0.25, 0.25, 0.25]])
         matrix = twin.feature_matrix(0.0, 60.0, num_steps=16)
-        assert matrix.shape == (16, twin.feature_dimension())
-        assert twin.feature_dimension() == 1 + 2 + 1 + 4
+        assert matrix.shape == (16, 1 + 2 + 1 + 4)
 
     def test_feature_matrix_invalid_window(self):
         twin = UserDigitalTwin(0)
@@ -166,7 +159,7 @@ class TestUserDigitalTwin:
 
     def test_max_staleness(self):
         twin = UserDigitalTwin(0)
-        twin.record(CHANNEL_CONDITION, 0.0, [1.0])
+        twin.record_batch(CHANNEL_CONDITION, [0.0], [[1.0]])
         assert twin.max_staleness_s(5.0) == float("inf")  # other attributes never collected
 
 
@@ -178,8 +171,10 @@ class TestStatusCollector:
         bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
         preference = random_preference(np.random.default_rng(0)).as_array()
         rng = np.random.default_rng(1)
-        collector.collect_interval(
-            twin, mobility, bs, preference, [], *interval, rng=rng, keep_rng=rng
+        twin.record_status(
+            collector.collect_interval(
+                twin.attributes, mobility, bs, preference, [], *interval, rng=rng, keep_rng=rng
+            )
         )
         return twin
 
@@ -217,8 +212,8 @@ class TestStatusCollector:
         preference = random_preference(np.random.default_rng(0)).as_array()
         record = WatchRecord(0, 5, "News", 3.0, 10.0, swiped=True, timestamp_s=1.0)
         rng = np.random.default_rng(1)
-        collector.collect_interval(
-            twin,
+        status = collector.collect_interval(
+            twin.attributes,
             mobility,
             bs,
             preference,
@@ -228,6 +223,8 @@ class TestStatusCollector:
             rng=rng,
             keep_rng=rng,
         )
+        assert status.records == [record]
+        twin.record_status(status)
         assert twin.watch_records() == [record]
 
 
@@ -251,7 +248,7 @@ class TestDigitalTwinManager:
         manager = DigitalTwinManager(attributes=standard_attributes(num_categories=4))
         manager.register_users(range(3))
         for uid in range(3):
-            manager.twin(uid).record(CHANNEL_CONDITION, 0.0, [float(uid)])
+            manager.twin(uid).record_batch(CHANNEL_CONDITION, [0.0], [[float(uid)]])
         tensor = manager.feature_tensor(0.0, 30.0, num_steps=8)
         assert tensor.shape == (3, 8, 1 + 2 + 1 + 4)
 
@@ -263,16 +260,17 @@ class TestDigitalTwinManager:
     def test_watch_records_and_engagement_aggregation(self):
         manager = DigitalTwinManager()
         manager.register_users([0, 1])
-        manager.twin(0).record_watch(WatchRecord(0, 5, "News", 4.0, 10.0, swiped=True, timestamp_s=0.0))
-        manager.twin(1).record_watch(WatchRecord(1, 5, "News", 6.0, 10.0, swiped=True, timestamp_s=0.0))
-        assert len(manager.watch_records()) == 2
-        assert manager.engagement_by_video()[5] == pytest.approx(10.0)
+        manager.twin(0).record_watches([WatchRecord(0, 5, "News", 4.0, 10.0, swiped=True, timestamp_s=0.0)])
+        manager.twin(1).record_watches([WatchRecord(1, 5, "News", 6.0, 10.0, swiped=True, timestamp_s=0.0)])
+        records = manager.watch_records()
+        assert [record.user_id for record in records] == [0, 1]
+        assert sum(record.watch_duration_s for record in records) == pytest.approx(10.0)
 
     def test_staleness_report_and_stale_users(self):
         manager = DigitalTwinManager(attributes={"x": AttributeSpec("x", 1, 1.0)})
         manager.register_users([0, 1])
-        manager.twin(0).record("x", 0.0, [1.0])
-        manager.twin(1).record("x", 90.0, [1.0])
+        manager.twin(0).record_batch("x", [0.0], [[1.0]])
+        manager.twin(1).record_batch("x", [90.0], [[1.0]])
         stale = manager.stale_users(now_s=100.0, threshold_s=50.0)
         assert stale == [0]
 
@@ -346,6 +344,6 @@ class TestBatchedFeatureTensor:
     def test_batched_after_appends_sees_new_samples(self):
         manager = self._populated_manager(num_users=4, seed=2)
         before = manager.feature_tensor(0.0, 1200.0, num_steps=12)
-        manager.twin(0).record(CHANNEL_CONDITION, 950.0, [99.0])
+        manager.twin(0).record_batch(CHANNEL_CONDITION, [950.0], [[99.0]])
         after = manager.feature_tensor(0.0, 1200.0, num_steps=12)
         assert not np.array_equal(before, after)

@@ -24,26 +24,23 @@ from repro.twin.persistence import store_from_dict, store_to_dict
 
 def make_twin(user_id: int = 3) -> UserDigitalTwin:
     twin = UserDigitalTwin(user_id, attributes=standard_attributes(num_categories=4))
-    twin.record(CHANNEL_CONDITION, 0.0, [11.5])
-    twin.record(CHANNEL_CONDITION, 1.0, [12.5])
-    twin.record(LOCATION, 0.0, [100.0, 200.0])
-    twin.record(PREFERENCE, 0.0, [0.4, 0.3, 0.2, 0.1])
-    twin.record_watch(
-        WatchRecord(user_id, 7, "News", 4.0, 10.0, swiped=True, timestamp_s=2.0)
+    twin.record_batch(CHANNEL_CONDITION, [0.0, 1.0], [[11.5], [12.5]])
+    twin.record_batch(LOCATION, [0.0], [[100.0, 200.0]])
+    twin.record_batch(PREFERENCE, [0.0], [[0.4, 0.3, 0.2, 0.1]])
+    twin.record_watches(
+        [WatchRecord(user_id, 7, "News", 4.0, 10.0, swiped=True, timestamp_s=2.0)]
     )
     return twin
 
 
 class TestStoreRoundTrip:
     def test_values_and_timestamps_preserved(self):
-        store = TimeSeriesStore(dimension=2, max_samples=10)
-        store.append(0.0, [1.0, 2.0])
-        store.append(1.5, [3.0, 4.0])
+        store = TimeSeriesStore(dimension=2)
+        store.append_batch([0.0, 1.5], [[1.0, 2.0], [3.0, 4.0]])
         restored = store_from_dict(store_to_dict(store))
         np.testing.assert_allclose(restored.timestamps(), store.timestamps())
         np.testing.assert_allclose(restored.values(), store.values())
         assert restored.dimension == 2
-        assert restored.max_samples == 10
 
     def test_empty_store_roundtrip(self):
         store = TimeSeriesStore(dimension=3)
@@ -77,9 +74,9 @@ class TestManagerRoundTrip:
         manager = DigitalTwinManager(attributes=standard_attributes(num_categories=4))
         for uid in range(3):
             twin = manager.register_user(uid)
-            twin.record(CHANNEL_CONDITION, 0.0, [float(uid)])
-            twin.record_watch(
-                WatchRecord(uid, uid + 10, "Music", 2.0, 8.0, swiped=True, timestamp_s=1.0)
+            twin.record_batch(CHANNEL_CONDITION, [0.0], [[float(uid)]])
+            twin.record_watches(
+                [WatchRecord(uid, uid + 10, "Music", 2.0, 8.0, swiped=True, timestamp_s=1.0)]
             )
         return manager
 

@@ -3,7 +3,7 @@
 Covers four things:
 
 * equivalence of the array-backed :class:`TimeSeriesStore` with the original
-  list-of-dataclasses implementation (kept here as a reference),
+  list-backed implementation (kept here as a reference),
 * equivalence of batched mobility/SNR sampling with the scalar code paths
   (SNR sample by sample on identical seeds, and in distribution over many
   samples), including a pinned-golden end-to-end run of the engine,
@@ -35,9 +35,8 @@ from repro.video.catalog import CatalogConfig, VideoCatalog
 class ReferenceStore:
     """The original list-backed TimeSeriesStore semantics (pre-vectorization)."""
 
-    def __init__(self, dimension, max_samples=None):
+    def __init__(self, dimension):
         self.dimension = dimension
-        self.max_samples = max_samples
         self._samples = []
 
     def append(self, timestamp_s, value):
@@ -45,8 +44,6 @@ class ReferenceStore:
         if self._samples and timestamp_s < self._samples[-1][0]:
             raise ValueError("timestamps must be non-decreasing")
         self._samples.append((float(timestamp_s), value))
-        if self.max_samples is not None and len(self._samples) > self.max_samples:
-            del self._samples[: len(self._samples) - self.max_samples]
 
     def timestamps(self):
         return np.array([t for t, _ in self._samples])
@@ -72,73 +69,53 @@ class ReferenceStore:
         indices = np.clip(indices, 0, len(self._samples) - 1)
         return values[indices]
 
-    def mean(self, start_s=None, end_s=None):
-        if start_s is None and end_s is None:
-            values = self.values()
-        else:
-            values = self.window_values(
-                start_s if start_s is not None else -np.inf,
-                end_s if end_s is not None else np.inf,
-            )
-        if values.shape[0] == 0:
-            return np.zeros(self.dimension)
-        return values.mean(axis=0)
-
 
 class TestTimeSeriesStoreEquivalence:
-    @pytest.mark.parametrize("max_samples", [None, 7])
-    def test_random_workload_matches_reference(self, max_samples):
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_random_workload_matches_reference(self, dimension):
         rng = np.random.default_rng(42)
-        store = TimeSeriesStore(dimension=3, max_samples=max_samples)
-        reference = ReferenceStore(dimension=3, max_samples=max_samples)
+        store = TimeSeriesStore(dimension=dimension)
+        reference = ReferenceStore(dimension=dimension)
         t = 0.0
         for _ in range(200):
             t += float(rng.uniform(0.0, 2.0))
-            value = rng.normal(size=3)
-            store.append(t, value)
+            value = rng.normal(size=dimension)
+            store.append_batch([t], value[None, :])
             reference.append(t, value)
         np.testing.assert_array_equal(store.timestamps(), reference.timestamps())
         np.testing.assert_array_equal(store.values(), reference.values())
+        assert store.latest_timestamp_s() == reference.timestamps()[-1]
+        np.testing.assert_array_equal(store.latest_value(), reference.values()[-1])
         for lo, hi in [(0.0, t), (t / 3, 2 * t / 3), (t, t), (t + 1, t + 2)]:
             np.testing.assert_array_equal(
                 store.window_values(lo, hi), reference.window_values(lo, hi)
             )
-            np.testing.assert_array_equal(store.mean(lo, hi), reference.mean(lo, hi))
         grid = np.linspace(-1.0, t + 5.0, 57)
-        np.testing.assert_array_equal(store.resample(grid), reference.resample(grid))
-        np.testing.assert_array_equal(store.mean(), reference.mean())
+        resampled = np.empty((grid.shape[0], dimension))
+        store.resample_into(grid, resampled)
+        np.testing.assert_array_equal(resampled, reference.resample(grid))
 
     def test_append_batch_matches_sequential_appends(self):
         rng = np.random.default_rng(1)
         timestamps = np.cumsum(rng.uniform(0.0, 1.0, size=50))
         values = rng.normal(size=(50, 2))
-        sequential = TimeSeriesStore(dimension=2, max_samples=20)
-        batched = TimeSeriesStore(dimension=2, max_samples=20)
+        sequential = TimeSeriesStore(dimension=2)
+        batched = TimeSeriesStore(dimension=2)
         for t, v in zip(timestamps, values):
-            sequential.append(t, v)
+            sequential.append_batch([t], v[None, :])
         batched.append_batch(timestamps, values)
         np.testing.assert_array_equal(sequential.timestamps(), batched.timestamps())
         np.testing.assert_array_equal(sequential.values(), batched.values())
-        assert len(batched) == 20
+        assert len(batched) == 50
 
     def test_append_batch_rejects_unsorted_or_stale_timestamps(self):
         store = TimeSeriesStore(dimension=1)
         with pytest.raises(ValueError):
             store.append_batch([1.0, 0.5], [[1.0], [2.0]])
-        store.append(5.0, [1.0])
+        store.append_batch([5.0], [[1.0]])
         with pytest.raises(ValueError):
             store.append_batch([4.0], [[1.0]])
         assert store.append_batch([], np.zeros((0, 1))) == 0
-
-    def test_window_objects_and_latest(self):
-        store = TimeSeriesStore(dimension=2)
-        for t in range(6):
-            store.append(float(t), [float(t), -float(t)])
-        window = store.window(1.0, 4.0)
-        assert [s.timestamp_s for s in window] == [1.0, 2.0, 3.0]
-        np.testing.assert_array_equal(window[0].value, [1.0, -1.0])
-        assert store.latest().timestamp_s == 5.0
-        assert store.latest_timestamp_s() == 5.0
 
 
 class TestBatchedSamplingEquivalence:
@@ -322,23 +299,25 @@ class TestPredictionOrderIndependence:
         rng = np.random.default_rng(17)
         for uid in range(4):
             twin = twins.register_user(uid)
-            for step in range(20):
-                t = float(step * 15)
-                twin.record(CHANNEL_CONDITION, t, [20.0 + rng.normal()])
-            twin.record(PREFERENCE, 0.0, [0.4, 0.3, 0.2, 0.1])
-            for k in range(12):
-                category = categories[k % 4]
-                twin.record_watch(
+            times = np.arange(20) * 15.0
+            twin.record_batch(
+                CHANNEL_CONDITION, times, [[20.0 + rng.normal()] for _ in times]
+            )
+            twin.record_batch(PREFERENCE, [0.0], [[0.4, 0.3, 0.2, 0.1]])
+            twin.record_watches(
+                [
                     WatchRecord(
                         user_id=uid,
                         video_id=k,
-                        category=category,
+                        category=categories[k % 4],
                         watch_duration_s=5.0 + k,
                         video_duration_s=30.0,
                         swiped=k % 3 != 0,
                         timestamp_s=float(k * 20),
                     )
-                )
+                    for k in range(12)
+                ]
+            )
         return twins, categories
 
     def _predictor(self):
@@ -381,6 +360,7 @@ class TestPredictionOrderIndependence:
 
 class TestCollectorBatchEquivalence:
     def test_record_watches_matches_record_watch_loop(self):
+        """One batch equals one call per record, out-of-order times included."""
         from repro.twin.udt import UserDigitalTwin
 
         records = [
@@ -390,7 +370,7 @@ class TestCollectorBatchEquivalence:
         one = UserDigitalTwin(0)
         two = UserDigitalTwin(0)
         for record in records:
-            one.record_watch(record)
+            one.record_watches([record])
         two.record_watches(records)
         assert one.watch_records() == two.watch_records()
         from repro.twin.attributes import WATCHING_DURATION
