@@ -4,57 +4,46 @@ The whole point of hosting user digital twins at the edge is that the
 prediction pipeline works on *fresh* user status.  This benchmark degrades
 the status collection (longer collection periods, dropped samples, delayed
 reports) and measures how the radio-demand prediction accuracy responds.
+The rows come from :func:`repro.analysis.run_staleness_ablation`; each
+record's ``elapsed_s`` is the ablation's wall time split evenly over its
+policies.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from harness import (
-    benchmark_record,
-    build_scheme,
-    default_scheme_config,
-    fig3_simulation_config,
-    run_once,
-    write_benchmark_json,
-)
+from harness import benchmark_record, run_once, write_benchmark_json
+from repro.analysis import run_staleness_ablation
 from repro.twin.collector import CollectionPolicy
 
 
 EVAL_INTERVALS = 4
 SEEDS = (11, 12)
-
-
-def _run_policy(label: str, policy: CollectionPolicy):
-    started = time.perf_counter()
-    accuracies = []
-    for seed in SEEDS:
-        scheme = build_scheme(
-            fig3_simulation_config(
-                seed=seed, num_intervals=EVAL_INTERVALS + 2, collection_policy=policy
-            ),
-            default_scheme_config(mc_rollouts=8),
-        )
-        result = scheme.run(num_intervals=EVAL_INTERVALS)
-        accuracies.append(result.mean_radio_accuracy())
-    return {
-        "label": label,
-        "accuracy": float(np.mean(accuracies)),
-        "runs": len(SEEDS),
-        "period_multiplier": policy.period_multiplier,
-        "drop_probability": policy.drop_probability,
-        "elapsed_s": time.perf_counter() - started,
-    }
+POLICIES = {
+    "fresh twins (paper)": CollectionPolicy.perfect(),
+    "2x collection period": CollectionPolicy(period_multiplier=2.0),
+    "8x period + 30% loss": CollectionPolicy(period_multiplier=8.0, drop_probability=0.3),
+    "20x period + 70% loss": CollectionPolicy(period_multiplier=20.0, drop_probability=0.7),
+}
 
 
 def _experiment():
+    started = time.perf_counter()
+    rows = run_staleness_ablation(
+        seeds=list(SEEDS), num_eval_intervals=EVAL_INTERVALS, policies=POLICIES
+    )
+    elapsed_s = (time.perf_counter() - started) / len(rows)
     return [
-        _run_policy("fresh twins (paper)", CollectionPolicy.perfect()),
-        _run_policy("2x collection period", CollectionPolicy(period_multiplier=2.0)),
-        _run_policy("8x period + 30% loss", CollectionPolicy(period_multiplier=8.0, drop_probability=0.3)),
-        _run_policy("20x period + 70% loss", CollectionPolicy(period_multiplier=20.0, drop_probability=0.7)),
+        {
+            "label": row.label,
+            "accuracy": row.mean_accuracy,
+            "runs": len(SEEDS),
+            "period_multiplier": row.period_multiplier,
+            "drop_probability": row.drop_probability,
+            "elapsed_s": elapsed_s,
+        }
+        for row in rows
     ]
 
 

@@ -5,55 +5,37 @@ to balance intra-group similarity against per-group multicast cost.  This
 benchmark compares grouping strategies on the same population and reports,
 per strategy: the average number of groups, the clustering quality
 (silhouette), the actual radio usage and the demand-prediction accuracy.
-Results land as machine-comparable JSON records in
-``benchmarks/results/ablation_grouping.json``.
+The rows come from :func:`repro.analysis.run_grouping_ablation`.  Results
+land as machine-comparable JSON records in
+``benchmarks/results/ablation_grouping.json``; each record's ``elapsed_s`` is
+the ablation's wall time split evenly over its strategies.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from harness import (
-    benchmark_record,
-    build_scheme,
-    default_scheme_config,
-    fig3_simulation_config,
-    run_once,
-    write_benchmark_json,
-)
+from harness import benchmark_record, run_once, write_benchmark_json
+from repro.analysis import run_grouping_ablation
 
 
 EVAL_INTERVALS = 4
 
 
-def _run_strategy(k_strategy: str, fixed_k=None, seed: int = 77):
-    started = time.perf_counter()
-    scheme = build_scheme(
-        fig3_simulation_config(seed=seed, num_intervals=EVAL_INTERVALS + 2),
-        default_scheme_config(mc_rollouts=8),
-        k_strategy=k_strategy,
-    )
-    scheme.fixed_k = fixed_k
-    result = scheme.run(num_intervals=EVAL_INTERVALS)
-    return {
-        "strategy": f"{k_strategy}" + (f" (K={fixed_k})" if fixed_k else ""),
-        "mean_k": float(np.mean([e.grouping.num_groups for e in result.intervals])),
-        "silhouette": float(np.mean([e.grouping.silhouette for e in result.intervals])),
-        "actual_rbs": float(result.actual_radio_series().mean()),
-        "accuracy": float(result.mean_radio_accuracy()),
-        "elapsed_s": time.perf_counter() - started,
-    }
-
-
 def _experiment():
+    started = time.perf_counter()
+    rows = run_grouping_ablation(seed=77, num_eval_intervals=EVAL_INTERVALS, fixed_ks=[2, 4, 6])
+    elapsed_s = (time.perf_counter() - started) / len(rows)
     return [
-        _run_strategy("ddqn"),
-        _run_strategy("silhouette"),
-        _run_strategy("fixed", fixed_k=2),
-        _run_strategy("fixed", fixed_k=4),
-        _run_strategy("fixed", fixed_k=6),
+        {
+            "strategy": row.strategy,
+            "mean_k": row.mean_groups,
+            "silhouette": row.mean_silhouette,
+            "actual_rbs": row.mean_actual_blocks,
+            "accuracy": row.mean_accuracy,
+            "elapsed_s": elapsed_s,
+        }
+        for row in rows
     ]
 
 

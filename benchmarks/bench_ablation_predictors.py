@@ -10,81 +10,44 @@ Two comparisons the design calls out:
 
 The DT-assisted scheme should at least match the history-only baselines on
 accuracy, and the unicast reservation should cost several times more radio
-resources than the multicast actual usage.
+resources than the multicast actual usage.  The numbers come from
+:func:`repro.analysis.run_predictor_comparison`.
 """
 
 from __future__ import annotations
 
 import time
 
-from harness import (
-    benchmark_record,
-    build_scheme,
-    default_scheme_config,
-    fig3_simulation_config,
-    run_once,
-    write_benchmark_json,
-)
-from repro.core.accuracy import mean_prediction_accuracy
+from harness import benchmark_record, run_once, write_benchmark_json
+from repro.analysis import run_predictor_comparison
 from repro.predict import (
     EwmaPredictor,
     LastValuePredictor,
     LinearTrendPredictor,
     MovingAveragePredictor,
-    PerUserDemandPredictor,
 )
 
 
 def _experiment():
     started = time.perf_counter()
-    scheme = build_scheme(
-        fig3_simulation_config(seed=55, num_intervals=10),
-        default_scheme_config(mc_rollouts=10),
-    )
-    result = scheme.run(num_intervals=8)
-    actual = result.actual_radio_series()
-
-    rows = [
-        {
-            "name": "DT-assisted scheme (paper)",
-            "accuracy": result.mean_radio_accuracy(),
-        }
-    ]
-    warmup = 2
-    for predictor in (
-        LastValuePredictor(),
-        MovingAveragePredictor(window=3),
-        EwmaPredictor(alpha=0.5),
-        LinearTrendPredictor(window=4),
-    ):
-        predictions = predictor.predict_series(actual, warmup=warmup)
-        rows.append(
-            {
-                "name": predictor.name,
-                "accuracy": mean_prediction_accuracy(predictions, actual[warmup:]),
-            }
-        )
-
-    # Per-user (unicast) reservation versus multicast actual usage.
-    sim = scheme.simulator
-    per_user = PerUserDemandPredictor(
-        sim.catalog,
-        interval_s=sim.config.interval_s,
-        rb_bandwidth_hz=sim.config.rb_bandwidth_hz,
-        stream_bandwidth_hz=sim.config.stream_bandwidth_hz,
-        implementation_loss=sim.config.implementation_loss,
-        swipe_gap_s=sim.config.swipe_gap_s,
-    )
-    window_end = sim.clock.current_interval * sim.config.interval_s
-    window_start = window_end - sim.config.interval_s
-    unicast_blocks = per_user.total_resource_blocks(
-        per_user.predict_all(sim.twins, window_start, window_end)
+    comparison = run_predictor_comparison(
+        seed=55,
+        num_eval_intervals=8,
+        baselines=[
+            LastValuePredictor(),
+            MovingAveragePredictor(window=3),
+            EwmaPredictor(alpha=0.5),
+            LinearTrendPredictor(window=4),
+        ],
     )
     elapsed = time.perf_counter() - started
-    return rows, float(unicast_blocks), float(actual.mean()), result, elapsed
+    rows = [{"name": row.name, "accuracy": row.mean_accuracy} for row in comparison.rows]
+    # The runner lists the scheme first.
+    rows[0]["name"] = "DT-assisted scheme (paper)"
+    return rows, comparison.unicast_blocks, comparison.multicast_actual_blocks, elapsed
 
 
-def _report(rows, unicast_blocks, multicast_actual, result, elapsed):
+def _report(rows, unicast_blocks, multicast_actual, elapsed):
     path = write_benchmark_json(
         "ablation_predictors",
         [

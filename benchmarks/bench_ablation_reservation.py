@@ -54,7 +54,7 @@ def _last_value_run(margin: float = 1.1, seed: int = 91):
         default_scheme_config(mc_rollouts=8),
     )
     scheme.warm_up()
-    grid = ResourceGrid(total_blocks=scheme.simulator.config.num_resource_blocks)
+    grid = ResourceGrid()
     history: list = []
     for step in range(EVAL_INTERVALS):
         grouping, _, _ = scheme.predict_next_interval()

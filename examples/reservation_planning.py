@@ -46,9 +46,9 @@ def main() -> None:
     )
     scheme.warm_up()
 
-    dt_grid = ResourceGrid(total_blocks=simulator.config.num_resource_blocks)
-    lastvalue_grid = ResourceGrid(total_blocks=simulator.config.num_resource_blocks)
-    static_grid = ResourceGrid(total_blocks=simulator.config.num_resource_blocks)
+    dt_grid = ResourceGrid()
+    lastvalue_grid = ResourceGrid()
+    static_grid = ResourceGrid()
     static_reservation = 0.9 * simulator.config.num_resource_blocks
 
     actual_history: list[float] = []

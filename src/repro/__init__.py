@@ -43,7 +43,6 @@ from repro.core import (
     MulticastGroupConstructor,
     SchemeConfig,
     UDTFeatureCompressor,
-    VideoRecommender,
 )
 from repro.scenario import (
     RunResult,
@@ -74,7 +73,6 @@ __all__ = [
     "StreamingSimulator",
     "UDTFeatureCompressor",
     "UserDigitalTwin",
-    "VideoRecommender",
     "compile_spec",
     "get_scenario",
     "run_scenario",

@@ -3,8 +3,9 @@
 The benchmark harnesses, the examples and the command-line interface all run
 variations of the same experiments (the Fig. 3 scenario, the grouping /
 staleness / predictor ablations).  This subpackage provides the reusable
-runners that return structured results plus plain-text table formatting, so
-downstream users can script parameter sweeps without copying benchmark code.
+runners that return structured results plus plain-text table formatting.
+Parameter sweeps go through the scenario registry's overrides
+(``repro run <scenario> --override path=value``).
 """
 
 from repro.analysis.experiments import (
@@ -19,7 +20,6 @@ from repro.analysis.experiments import (
     run_staleness_ablation,
     select_news_group,
 )
-from repro.analysis.sweep import SweepPoint, SweepResult, sweep_population_sizes, sweep_scenarios
 from repro.analysis.tables import format_table
 
 __all__ = [
@@ -28,14 +28,10 @@ __all__ = [
     "PredictorComparisonResult",
     "PredictorComparisonRow",
     "StalenessAblationRow",
-    "SweepPoint",
-    "SweepResult",
     "format_table",
     "run_fig3_experiment",
     "run_grouping_ablation",
     "run_predictor_comparison",
     "run_staleness_ablation",
     "select_news_group",
-    "sweep_population_sizes",
-    "sweep_scenarios",
 ]

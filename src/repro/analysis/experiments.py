@@ -12,13 +12,11 @@ recorded numbers are unchanged (pinned by the scenario golden tests).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core import SchemeConfig
 from repro.core.accuracy import mean_prediction_accuracy
 from repro.core.pipeline import EvaluationResult
 from repro.core.swiping import GroupSwipingProfile
@@ -31,8 +29,7 @@ from repro.predict import (
     PerUserDemandPredictor,
     SeriesPredictor,
 )
-from repro.scenario import ScenarioRunner, ScenarioSpec, compile_spec, get_scenario
-from repro.scenario.runner import RunResult
+from repro.scenario import ScenarioRunner, ScenarioSpec, get_scenario
 from repro.twin.collector import CollectionPolicy
 
 
@@ -46,16 +43,6 @@ def _fig3_spec(seed: int, num_eval_intervals: int, **overrides) -> ScenarioSpec:
     options = {"seed": seed, "num_intervals": num_eval_intervals}
     options.update(overrides)
     return get_scenario("campus_fig3", options)
-
-
-def _run_spec(
-    spec: ScenarioSpec, scheme_config: Optional[SchemeConfig] = None
-) -> RunResult:
-    """Compile and run ``spec``, optionally swapping in a full scheme config."""
-    compiled = compile_spec(spec)
-    if scheme_config is not None:
-        compiled = dataclasses.replace(compiled, scheme_config=scheme_config)
-    return ScenarioRunner(compiled).run()
 
 
 # ------------------------------------------------------------------ Fig. 3 scenario
@@ -130,7 +117,6 @@ def run_fig3_experiment(
     num_users: int = 24,
     num_eval_intervals: int = 6,
     interval_s: float = 150.0,
-    scheme_config: Optional[SchemeConfig] = None,
     playback_workers: int = 1,
 ) -> Fig3Result:
     """Run the paper's Fig. 3 scenario and return both panels' data.
@@ -147,8 +133,7 @@ def run_fig3_experiment(
             "engine.playback_workers": playback_workers,
         },
     )
-    run = _run_spec(spec, scheme_config)
-    result = run.evaluation
+    result = ScenarioRunner(spec).run().evaluation
 
     last = result.intervals[-1]
     group_id = select_news_group(last.profiles)

@@ -13,11 +13,11 @@ def _format_cell(value, width: int, numeric: bool) -> str:
     return text.rjust(width) if numeric else text.ljust(width)
 
 
-def format_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence],
-    min_width: int = 6,
-) -> str:
+#: Narrowest column, so short headers still line up.
+MIN_COLUMN_WIDTH = 6
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render ``rows`` as an aligned plain-text table.
 
     Numeric columns (those whose every value is an int/float) are
@@ -38,7 +38,7 @@ def format_table(
     widths: List[int] = []
     for i in range(columns):
         cells = [_format_cell(row[i], 0, numeric[i]).strip() for row in rows]
-        width = max([len(headers[i])] + [len(cell) for cell in cells] + [min_width])
+        width = max([len(headers[i])] + [len(cell) for cell in cells] + [MIN_COLUMN_WIDTH])
         widths.append(width)
 
     lines = []

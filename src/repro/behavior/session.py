@@ -141,13 +141,3 @@ class SessionGenerator:
                 )
             )
         return sessions
-
-
-def session_engagement_seconds(records: Sequence[WatchRecord]) -> dict:
-    """Total watch time per category across a session."""
-    totals: dict = {}
-    for record in records:
-        totals[record.category] = (
-            totals.get(record.category, 0.0) + record.watch_duration_s
-        )
-    return totals

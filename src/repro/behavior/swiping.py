@@ -110,10 +110,6 @@ class SwipeProbabilityEstimator:
             self.observe(record)
 
     # ------------------------------------------------------------ estimates
-    @property
-    def total_observations(self) -> float:
-        return float(sum(self._counts.values()))
-
     def swipe_probability(self, category: str) -> float:
         if category not in self._counts:
             raise KeyError(f"unknown category {category!r}")

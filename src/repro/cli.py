@@ -217,16 +217,18 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
-        spec = get_scenario(args.scenario, overrides)
+        runner = ScenarioRunner(get_scenario(args.scenario, overrides))
     except (KeyError, ValueError, TypeError) as error:
         # Unknown scenario names, unknown override paths and bad override
-        # values are routine user errors: one line, not a traceback.  The
-        # run itself stays outside this handler, so genuine runtime defects
-        # still surface with a full stack trace.
+        # values are routine user errors: one line, not a traceback.  Both
+        # the spec and the configs compiled from it validate their values,
+        # so building the runner surfaces every bad value.  The run itself
+        # stays outside this handler, so genuine runtime defects still
+        # surface with a full stack trace.
         message = error.args[0] if error.args else error
         print(f"error: {message}", file=sys.stderr)
         return 2
-    result = ScenarioRunner(spec).run()
+    result = runner.run()
     _emit_json(result.to_dict(), args.json)
     if args.json == "-":
         return 0

@@ -9,8 +9,8 @@ The pipeline mirrors Fig. 2 of the paper:
    (two-step multicast group construction).
 3. :mod:`repro.core.swiping` -- each group's swiping-probability
    distribution is abstracted from the watching durations in the UDTs.
-4. :mod:`repro.core.recommendation` -- recommended videos per group from
-   popularity and group preference.
+4. :meth:`repro.video.catalog.VideoCatalog.sampling_probabilities` -- the
+   videos a group is served, mixed from popularity and group preference.
 5. :mod:`repro.core.demand` -- group-level radio (resource blocks) and
    computing (CPU cycles) demand prediction from the abstracted
    information.
@@ -31,7 +31,6 @@ from repro.core.config import SchemeConfig
 from repro.core.features import CompressorConfig, UDTFeatureCompressor
 from repro.core.grouping import GroupingResult, MulticastGroupConstructor
 from repro.core.swiping import GroupSwipingProfile, abstract_group_swiping
-from repro.core.recommendation import GroupRecommendation, VideoRecommender
 from repro.core.demand import GroupDemandPrediction, GroupDemandPredictor
 from repro.core.pipeline import (
     DTResourcePredictionScheme,
@@ -57,14 +56,12 @@ __all__ = [
     "EvaluationResult",
     "GroupDemandPrediction",
     "GroupDemandPredictor",
-    "GroupRecommendation",
     "GroupSwipingProfile",
     "GroupingResult",
     "IntervalEvaluation",
     "MulticastGroupConstructor",
     "SchemeConfig",
     "UDTFeatureCompressor",
-    "VideoRecommender",
     "abstract_group_swiping",
     "mean_absolute_percentage_error",
     "mean_prediction_accuracy",

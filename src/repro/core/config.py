@@ -29,7 +29,6 @@ class SchemeConfig:
 
     # Group-based demand prediction.
     mc_rollouts: int = 12
-    recommendation_size: int = 10
     history_intervals: int = 1
     swipe_laplace_smoothing: float = 1.0
 
@@ -49,7 +48,5 @@ class SchemeConfig:
             raise ValueError("ddqn_episodes must be positive")
         if self.mc_rollouts <= 0:
             raise ValueError("mc_rollouts must be positive")
-        if self.recommendation_size <= 0:
-            raise ValueError("recommendation_size must be positive")
         if self.history_intervals <= 0 or self.warmup_intervals <= 0:
             raise ValueError("history_intervals and warmup_intervals must be positive")

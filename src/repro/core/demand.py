@@ -24,8 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.recommendation import VideoRecommender
-from repro.core.swiping import GroupSwipingProfile, abstract_group_swiping
+from repro.core.swiping import GroupSwipingProfile
 from repro.edge.transcoding import TranscodingCostModel
 from repro.net.mcs import spectral_efficiency
 from repro.net.multicast import resource_blocks_for_traffic
@@ -71,6 +70,8 @@ class DemandPredictorConfig:
             raise ValueError("interval and bandwidths must be positive")
         if self.mc_rollouts <= 0:
             raise ValueError("mc_rollouts must be positive")
+        if not 0.0 <= self.recommendation_popularity_weight <= 1.0:
+            raise ValueError("recommendation_popularity_weight must be in [0, 1]")
         if self.beta_concentration <= 0:
             raise ValueError("beta_concentration must be positive")
 
@@ -85,9 +86,6 @@ class GroupDemandPredictor:
     ) -> None:
         self.catalog = catalog
         self.config = config if config is not None else DemandPredictorConfig()
-        self.recommender = VideoRecommender(
-            catalog, popularity_weight=self.config.recommendation_popularity_weight
-        )
         self.transcoder = TranscodingCostModel(cycles_per_pixel=self.config.cycles_per_pixel)
 
     def _rollout_rng(
@@ -208,8 +206,9 @@ class GroupDemandPredictor:
         efficiency, representation = self.predict_link_state(
             profile.member_ids, twins, window_start_s, window_end_s
         )
-        video_ids, probabilities = self.recommender.sampling_probabilities(
-            profile.mean_preference
+        video_ids = self.catalog.sampling_arrays()[0]
+        probabilities = self.catalog.sampling_probabilities(
+            profile.mean_preference, config.recommendation_popularity_weight
         )
         cumulative = sampling_cdf(probabilities)
 
@@ -239,54 +238,14 @@ class GroupDemandPredictor:
             representation_name=representation.name,
         )
 
-    def predict_groups(
-        self,
-        grouping: Mapping[int, Sequence[int]],
-        twins: DigitalTwinManager,
-        categories: Sequence[str],
-        window_start_s: Optional[float] = None,
-        window_end_s: Optional[float] = None,
-        laplace_smoothing: float = 1.0,
-    ) -> Dict[int, GroupDemandPrediction]:
-        """Abstract every group's profile and predict its demand."""
-        predictions: Dict[int, GroupDemandPrediction] = {}
-        for group_id, member_ids in grouping.items():
-            profile = abstract_group_swiping(
-                group_id,
-                member_ids,
-                twins,
-                categories,
-                start_s=window_start_s,
-                end_s=window_end_s,
-                laplace_smoothing=laplace_smoothing,
-            )
-            predictions[group_id] = self.predict_group(
-                profile, twins, window_start_s, window_end_s
-            )
-        return predictions
-
-    @staticmethod
-    def outage_groups(predictions: Mapping[int, GroupDemandPrediction]) -> List[int]:
-        """Groups predicted to be in outage (infinite resource-block demand).
-
-        A zero predicted spectral efficiency with non-zero expected traffic
-        yields ``radio_resource_blocks == inf``; such groups cannot be served
-        by any finite reservation and are surfaced here instead of being
-        folded into :meth:`total_radio_blocks`.
-        """
-        return sorted(
-            group_id
-            for group_id, p in predictions.items()
-            if not np.isfinite(p.radio_resource_blocks)
-        )
-
     @staticmethod
     def total_radio_blocks(predictions: Mapping[int, GroupDemandPrediction]) -> float:
         """Sum of predicted resource blocks over groups with *finite* demand.
 
         Convention: outage groups (``radio_resource_blocks == inf``) are
-        excluded so the total stays a schedulable quantity; they are reported
-        separately via :meth:`outage_groups` rather than silently dropped.
+        excluded so the total stays a schedulable quantity; they stay visible
+        as their own infinite ``radio_resource_blocks`` rather than being
+        silently dropped.
         """
         finite = [
             p.radio_resource_blocks

@@ -27,6 +27,9 @@ from repro.rl.env import (
 )
 from repro.rl.training import TrainingResult, train_agent
 
+#: How the grouping number K is chosen (see :meth:`MulticastGroupConstructor.construct`).
+K_STRATEGIES = ("ddqn", "silhouette", "fixed")
+
 
 @dataclass
 class GroupingResult:
@@ -173,8 +176,8 @@ class MulticastGroupConstructor:
         user_ids = list(user_ids)
         if features.shape[0] != len(user_ids):
             raise ValueError("features and user_ids must have the same length")
-        if k_strategy not in ("ddqn", "silhouette", "fixed"):
-            raise ValueError("k_strategy must be 'ddqn', 'silhouette' or 'fixed'")
+        if k_strategy not in K_STRATEGIES:
+            raise ValueError(f"k_strategy must be one of {', '.join(K_STRATEGIES)}")
 
         if k_strategy == "fixed":
             if num_groups is None:

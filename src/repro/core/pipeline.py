@@ -32,7 +32,7 @@ from repro.core.accuracy import (
 from repro.core.config import SchemeConfig
 from repro.core.demand import DemandPredictorConfig, GroupDemandPrediction, GroupDemandPredictor
 from repro.core.features import CompressorConfig, UDTFeatureCompressor
-from repro.core.grouping import GroupingResult, MulticastGroupConstructor
+from repro.core.grouping import K_STRATEGIES, GroupingResult, MulticastGroupConstructor
 from repro.core.swiping import GroupSwipingProfile, abstract_group_swiping
 from repro.sim.simulator import IntervalResult, StreamingSimulator, round_robin_grouping
 
@@ -67,18 +67,6 @@ class IntervalEvaluation:
         return prediction_accuracy(
             self.predicted_computing_cycles, self.actual_computing_cycles
         )
-
-    @property
-    def radio_accuracy_by_cell(self) -> Dict[int, float]:
-        """Per-cell prediction accuracy over this interval (handover mode)."""
-        cells = set(self.predicted_radio_by_cell) | set(self.actual_radio_by_cell)
-        return {
-            cell_id: prediction_accuracy(
-                self.predicted_radio_by_cell.get(cell_id, 0.0),
-                self.actual_radio_by_cell.get(cell_id, 0.0),
-            )
-            for cell_id in sorted(cells)
-        }
 
     def to_dict(self) -> dict:
         """JSON-canonical export of this interval's prediction-vs-actual record.
@@ -238,8 +226,8 @@ class DTResourcePredictionScheme:
         config: Optional[SchemeConfig] = None,
         k_strategy: str = "ddqn",
     ) -> None:
-        if k_strategy not in ("ddqn", "silhouette", "fixed"):
-            raise ValueError("k_strategy must be 'ddqn', 'silhouette' or 'fixed'")
+        if k_strategy not in K_STRATEGIES:
+            raise ValueError(f"k_strategy must be one of {', '.join(K_STRATEGIES)}")
         self.simulator = simulator
         self.config = config if config is not None else SchemeConfig()
         self.k_strategy = k_strategy

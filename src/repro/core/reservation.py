@@ -74,11 +74,6 @@ class ReservationPolicy:
     ) -> Dict[int, float]:
         return {gid: self.radio_request(p) for gid, p in predictions.items()}
 
-    def compute_requests(
-        self, predictions: Mapping[int, GroupDemandPrediction]
-    ) -> Dict[int, float]:
-        return {gid: self.compute_request(p) for gid, p in predictions.items()}
-
 
 @dataclass
 class AdmissionResult:
@@ -173,7 +168,7 @@ class ReservationPlanner:
             else float(scheme.simulator.config.num_resource_blocks)
         )
         self.admission = AdmissionController(budget)
-        self.grid = ResourceGrid(budget)
+        self.grid = ResourceGrid()
 
     def run(self, num_intervals: int) -> ReservationReport:
         """Run the reservation loop for ``num_intervals`` reservation intervals."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.video.catalog import Video
 
@@ -77,9 +77,6 @@ class VideoCache:
     def free_bytes(self) -> float:
         return self.capacity_bytes - self.used_bytes
 
-    def cached_video_ids(self) -> List[int]:
-        return list(self._entries.keys())
-
     # ------------------------------------------------------------ operations
     def access(self, video_id: int, time_s: float = 0.0) -> bool:
         """Record an access; returns True on hit, False on miss."""
@@ -118,7 +115,7 @@ class VideoCache:
         self._entries.popitem(last=False)
         self.stats.evictions += 1
 
-    def warm_with_popular(self, videos: Iterable[Video], time_s: float = 0.0) -> int:
+    def warm_with_popular(self, videos: Iterable[Video]) -> int:
         """Insert videos (given in popularity order) until the cache is full.
 
         Returns the number of videos actually cached.
@@ -128,6 +125,6 @@ class VideoCache:
             size = video_size_bytes(video)
             if size > self.free_bytes:
                 continue
-            if self.insert(video, time_s=time_s):
+            if self.insert(video):
                 cached += 1
         return cached

@@ -13,8 +13,6 @@ provides the small set of building blocks those two models need:
 * :mod:`repro.ml.network` -- a ``Sequential`` container with ``fit`` /
   ``predict`` helpers.
 * :mod:`repro.ml.initializers` -- weight initialisation schemes.
-* :mod:`repro.ml.gradcheck` -- numerical gradient checking used by the
-  test-suite to validate every analytic backward pass.
 
 The framework is intentionally small but fully functional: every layer
 implements an exact analytic gradient which is verified against finite
@@ -24,7 +22,6 @@ differences in the test-suite.
 from repro.ml.initializers import (
     glorot_uniform,
     he_uniform,
-    normal_init,
     zeros_init,
 )
 from repro.ml.layers import (
@@ -69,6 +66,5 @@ __all__ = [
     "Tanh",
     "glorot_uniform",
     "he_uniform",
-    "normal_init",
     "zeros_init",
 ]

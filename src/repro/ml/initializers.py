@@ -33,19 +33,9 @@ def _fan_in_out(shape: Sequence[int]) -> tuple[int, int]:
     return fan_in, fan_out
 
 
-def zeros_init(shape: Sequence[int], rng: np.random.Generator | None = None) -> np.ndarray:
+def zeros_init(shape: Sequence[int]) -> np.ndarray:
     """Return an all-zero array; the standard choice for bias vectors."""
-    del rng  # unused, kept for a uniform initialiser signature
     return np.zeros(shape, dtype=np.float64)
-
-
-def normal_init(
-    shape: Sequence[int],
-    rng: np.random.Generator,
-    scale: float = 0.01,
-) -> np.ndarray:
-    """Return values drawn from ``N(0, scale^2)``."""
-    return rng.normal(0.0, scale, size=shape).astype(np.float64)
 
 
 def glorot_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
@@ -70,26 +60,3 @@ def he_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     fan_in, _ = _fan_in_out(shape)
     limit = math.sqrt(6.0 / float(fan_in))
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
-INITIALIZERS = {
-    "zeros": zeros_init,
-    "normal": normal_init,
-    "glorot_uniform": glorot_uniform,
-    "he_uniform": he_uniform,
-}
-
-
-def get_initializer(name: str):
-    """Look an initialiser up by name.
-
-    Raises ``KeyError`` with the list of available names when the requested
-    initialiser does not exist, which gives much friendlier error messages
-    than a bare dictionary lookup.
-    """
-    try:
-        return INITIALIZERS[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown initializer {name!r}; available: {sorted(INITIALIZERS)}"
-        ) from exc

@@ -10,7 +10,7 @@ that free-space random waypoint lacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -59,13 +59,6 @@ class CampusMap:
 
     def positions(self) -> Dict:
         return {node: self.position(node) for node in self.graph.nodes}
-
-    def bounding_box(self) -> Tuple[float, float, float, float]:
-        """``(min_x, min_y, max_x, max_y)`` over all node positions."""
-        coords = np.array([self.position(node) for node in self.graph.nodes])
-        mins = coords.min(axis=0)
-        maxs = coords.max(axis=0)
-        return float(mins[0]), float(mins[1]), float(maxs[0]), float(maxs[1])
 
     def random_node(self, rng: np.random.Generator):
         return self.nodes[int(rng.integers(len(self.nodes)))]

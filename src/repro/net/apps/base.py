@@ -146,10 +146,6 @@ class ControllerApp:
         self.runtime = runtime
         self.configure()
 
-    def detach(self) -> None:
-        """Unbind from the runtime (hooks stop firing)."""
-        self.runtime = None
-
     def configure(self) -> None:
         """Post-attach setup; ``self.runtime`` is available here."""
 

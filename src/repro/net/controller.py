@@ -217,9 +217,6 @@ class RanController:
         for app in self.apps:
             app.on_user_detached(user_id)
 
-    def users_of_cell(self, cell_id: int) -> List[int]:
-        return sorted(uid for uid, cid in self.serving_cell.items() if cid == cell_id)
-
     def cell_bias_db(self, bias_db: Optional[float] = None) -> Optional[np.ndarray]:
         """Load-aware handover bias per cell (``None`` when disabled).
 
@@ -443,9 +440,6 @@ class RanController:
         if blocks < 0:
             raise ValueError("blocks must be non-negative")
         self.cell_states[cell_id].rb_budget = float(blocks)
-
-    def total_budget(self) -> float:
-        return float(sum(state.rb_budget for state in self.cell_states.values()))
 
     def rb_budget_by_cell(self) -> Dict[int, float]:
         return {cid: self.cell_states[cid].rb_budget for cid in self.cell_ids}

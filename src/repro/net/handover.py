@@ -148,16 +148,6 @@ class StreakState:
             user_ids=self.user_ids[keep],
         )
 
-    def streak_of(self, user_id: int) -> Tuple[int, float]:
-        """``(candidate, entered_at_s)`` of one user (fresh when unknown)."""
-        if self.user_ids is None:
-            raise ValueError("streak_of() needs an id-keyed StreakState")
-        rows = np.flatnonzero(self.user_ids == int(user_id))
-        if rows.size == 0:
-            return -1, 0.0
-        row = int(rows[0])
-        return int(self.candidate[row]), float(self.entered_at_s[row])
-
 
 @dataclass(frozen=True)
 class HandoverDecision:

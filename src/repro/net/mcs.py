@@ -17,46 +17,40 @@ class McsEntry:
     """One modulation-and-coding-scheme level."""
 
     index: int
-    modulation: str
-    code_rate: float
     spectral_efficiency_bps_hz: float
     min_snr_db: float
 
 
-#: LTE CQI table (index 1..15) with approximate SNR switching thresholds.
+#: LTE CQI table (index 1..15: QPSK for 1-6, 16QAM for 7-9, 64QAM for 10-15)
+#: with approximate SNR switching thresholds.
 MCS_TABLE: List[McsEntry] = [
-    McsEntry(1, "QPSK", 0.076, 0.1523, -6.7),
-    McsEntry(2, "QPSK", 0.12, 0.2344, -4.7),
-    McsEntry(3, "QPSK", 0.19, 0.3770, -2.3),
-    McsEntry(4, "QPSK", 0.30, 0.6016, 0.2),
-    McsEntry(5, "QPSK", 0.44, 0.8770, 2.4),
-    McsEntry(6, "QPSK", 0.59, 1.1758, 4.3),
-    McsEntry(7, "16QAM", 0.37, 1.4766, 5.9),
-    McsEntry(8, "16QAM", 0.48, 1.9141, 8.1),
-    McsEntry(9, "16QAM", 0.60, 2.4063, 10.3),
-    McsEntry(10, "64QAM", 0.45, 2.7305, 11.7),
-    McsEntry(11, "64QAM", 0.55, 3.3223, 14.1),
-    McsEntry(12, "64QAM", 0.65, 3.9023, 16.3),
-    McsEntry(13, "64QAM", 0.75, 4.5234, 18.7),
-    McsEntry(14, "64QAM", 0.85, 5.1152, 21.0),
-    McsEntry(15, "64QAM", 0.93, 5.5547, 22.7),
+    McsEntry(1, 0.1523, -6.7),
+    McsEntry(2, 0.2344, -4.7),
+    McsEntry(3, 0.3770, -2.3),
+    McsEntry(4, 0.6016, 0.2),
+    McsEntry(5, 0.8770, 2.4),
+    McsEntry(6, 1.1758, 4.3),
+    McsEntry(7, 1.4766, 5.9),
+    McsEntry(8, 1.9141, 8.1),
+    McsEntry(9, 2.4063, 10.3),
+    McsEntry(10, 2.7305, 11.7),
+    McsEntry(11, 3.3223, 14.1),
+    McsEntry(12, 3.9023, 16.3),
+    McsEntry(13, 4.5234, 18.7),
+    McsEntry(14, 5.1152, 21.0),
+    McsEntry(15, 5.5547, 22.7),
 ]
 
 
-def select_mcs(snr_db: float, table: Optional[List[McsEntry]] = None) -> Optional[McsEntry]:
+def select_mcs(snr_db: float) -> Optional[McsEntry]:
     """Highest MCS whose threshold is satisfied, or ``None`` when in outage."""
-    table = table if table is not None else MCS_TABLE
-    feasible = [entry for entry in table if snr_db >= entry.min_snr_db]
+    feasible = [entry for entry in MCS_TABLE if snr_db >= entry.min_snr_db]
     if not feasible:
         return None
     return max(feasible, key=lambda entry: entry.spectral_efficiency_bps_hz)
 
 
-def spectral_efficiency(
-    snr_db: float,
-    implementation_loss: float = 1.0,
-    table: Optional[List[McsEntry]] = None,
-) -> float:
+def spectral_efficiency(snr_db: float, implementation_loss: float = 1.0) -> float:
     """Achievable spectral efficiency (bit/s/Hz) at ``snr_db``.
 
     Returns zero when the SNR is below the lowest MCS threshold (outage).
@@ -64,7 +58,7 @@ def spectral_efficiency(
     """
     if not 0.0 < implementation_loss <= 1.0:
         raise ValueError("implementation_loss must be in (0, 1]")
-    entry = select_mcs(snr_db, table)
+    entry = select_mcs(snr_db)
     if entry is None:
         return 0.0
     return entry.spectral_efficiency_bps_hz * implementation_loss

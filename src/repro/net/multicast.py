@@ -22,27 +22,12 @@ from repro.net.mcs import spectral_efficiency
 def group_spectral_efficiency(
     member_snrs_db: Sequence[float],
     implementation_loss: float = 0.9,
-    robustness_percentile: float = 0.0,
 ) -> float:
-    """Spectral efficiency of a multicast group (worst-member rule).
-
-    ``robustness_percentile`` allows the scheduler to target a percentile
-    slightly above the absolute minimum (e.g. 5) when the operator accepts
-    that the very worst user occasionally falls back to unicast repair;
-    ``0`` is the strict worst-user rule used by default.
-    """
+    """Spectral efficiency of a multicast group (worst-member rule)."""
     snrs = np.asarray(member_snrs_db, dtype=np.float64)
     if snrs.size == 0:
         raise ValueError("a multicast group needs at least one member SNR")
-    if not 0.0 <= robustness_percentile < 50.0:
-        raise ValueError("robustness_percentile must be in [0, 50)")
-    if robustness_percentile == 0.0:
-        # Strict worst-user rule: the 0th percentile is the minimum, and
-        # np.min is much cheaper than the general percentile machinery.
-        target_snr = float(snrs.min())
-    else:
-        target_snr = float(np.percentile(snrs, robustness_percentile))
-    return spectral_efficiency(target_snr, implementation_loss=implementation_loss)
+    return spectral_efficiency(float(snrs.min()), implementation_loss=implementation_loss)
 
 
 def resource_blocks_for_traffic(

@@ -91,8 +91,7 @@ class IntervalUsage:
 class ResourceGrid:
     """Per-interval history of reservations and actual usage."""
 
-    def __init__(self, total_blocks: float) -> None:
-        self.budget = ResourceBlockBudget(total_blocks)
+    def __init__(self) -> None:
         self.history: List[IntervalUsage] = []
 
     def record_interval(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,6 @@ class DemandForecaster:
             if math.isfinite(float(v))
         }
 
-    def external_forecast(self, group_id: int) -> Optional[float]:
-        return self._external.get(group_id)
-
     # ------------------------------------------------------------ forecasts
     def forecast(self, group_id: int, horizon: int) -> DemandSeries:
         """Predicted demand series of one group over ``horizon`` intervals."""
@@ -176,6 +173,3 @@ class DemandForecaster:
         """Drop a group's history (group dissolved by churn/merge)."""
         self._history.pop(group_id, None)
         self._external.pop(group_id, None)
-
-    def known_groups(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._history))

@@ -80,9 +80,9 @@ class EdgeFleet:
         return len(self.servers)
 
     # ------------------------------------------------------------- warm-up
-    def warm_caches(self, top_videos: Optional[int] = None) -> int:
+    def warm_caches(self) -> int:
         """Warm every server's cache with the most popular videos."""
-        return sum(server.warm_cache(top_videos) for server in self.servers)
+        return sum(server.warm_cache() for server in self.servers)
 
     # ---------------------------------------------------------- processing
     def process_interval(

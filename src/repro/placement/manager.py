@@ -97,7 +97,6 @@ class PlacementManager:
         self.event_log: List[ReprovisionEvent] = []
         self._placed_forecast: Dict[int, DemandSeries] = {}
         self._placed_with_history: set = set()
-        self._interval_events: List[ReprovisionEvent] = []
 
     @property
     def num_servers(self) -> int:
@@ -131,7 +130,6 @@ class PlacementManager:
         self._placed_with_history = {
             gid for gid in group_ids if self.forecaster.observations(gid) > 0
         }
-        self._interval_events = []
         return dict(self.assignment)
 
     # --------------------------------------------------------------- observe
@@ -193,7 +191,6 @@ class PlacementManager:
         if events:
             self.events.run_until(max(e.time_s for e in events))
         self.event_log.extend(events)
-        self._interval_events = events
         # Drop assignments for groups that vanished this interval so churned
         # ids never pin future packing.
         live = set(cycles_by_group)
@@ -203,10 +200,6 @@ class PlacementManager:
         return events
 
     # ------------------------------------------------------------- reporting
-    def interval_events(self) -> List[ReprovisionEvent]:
-        """Reprovision events of the most recently observed interval."""
-        return list(self._interval_events)
-
     def total_reprovisions(self) -> int:
         return len(self.event_log)
 

@@ -11,7 +11,7 @@ because shared transmissions are not exploited.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -108,14 +108,11 @@ class PerUserDemandPredictor:
         )
 
     def predict_all(
-        self,
-        twins: DigitalTwinManager,
-        start_s: float,
-        end_s: float,
-        user_ids: Optional[Sequence[int]] = None,
+        self, twins: DigitalTwinManager, start_s: float, end_s: float
     ) -> Dict[int, PerUserPrediction]:
-        ids = list(user_ids) if user_ids is not None else twins.user_ids()
-        return {uid: self.predict_user(uid, twins, start_s, end_s) for uid in ids}
+        return {
+            uid: self.predict_user(uid, twins, start_s, end_s) for uid in twins.user_ids()
+        }
 
     def total_resource_blocks(self, predictions: Dict[int, PerUserPrediction]) -> float:
         finite = [p.resource_blocks for p in predictions.values() if np.isfinite(p.resource_blocks)]

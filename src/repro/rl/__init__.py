@@ -23,7 +23,7 @@ from repro.rl.env import (
 )
 from repro.rl.policy import ConstantEpsilon, EpsilonSchedule, ExponentialEpsilonDecay, LinearEpsilonDecay
 from repro.rl.replay import ReplayBuffer, Transition
-from repro.rl.training import TrainingResult, evaluate_agent, train_agent
+from repro.rl.training import TrainingResult, train_agent
 
 __all__ = [
     "ConstantEpsilon",
@@ -40,7 +40,6 @@ __all__ = [
     "StepResult",
     "TrainingResult",
     "Transition",
-    "evaluate_agent",
     "grouping_state",
     "train_agent",
 ]

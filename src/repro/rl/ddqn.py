@@ -77,13 +77,13 @@ class AgentDiagnostics:
     """Rolling training diagnostics exposed for the micro-benchmarks."""
 
     losses: List[float] = field(default_factory=list)
-    epsilons: List[float] = field(default_factory=list)
     target_updates: int = 0
 
-    def recent_loss(self, window: int = 50) -> float:
+    def recent_loss(self) -> float:
+        """Mean training loss over the last 50 learning steps."""
         if not self.losses:
             return float("nan")
-        return float(np.mean(self.losses[-window:]))
+        return float(np.mean(self.losses[-50:]))
 
 
 class DDQNAgent:
@@ -128,7 +128,6 @@ class DDQNAgent:
     def select_action(self, state: np.ndarray, greedy: bool = False) -> int:
         """Epsilon-greedy action selection; set ``greedy=True`` for evaluation."""
         epsilon = 0.0 if greedy else self.epsilon_schedule.value(self.steps)
-        self.diagnostics.epsilons.append(epsilon)
         if not greedy and self.rng.random() < epsilon:
             return int(self.rng.integers(self.config.num_actions))
         values = self.q_values(state)
@@ -187,18 +186,3 @@ class DDQNAgent:
         self.optimizer.step()
         self.diagnostics.losses.append(loss_value)
         return loss_value
-
-    # ------------------------------------------------------------- utilities
-    def greedy_policy(self) -> "GreedyPolicy":
-        """Return a frozen greedy policy backed by the current online network."""
-        return GreedyPolicy(self)
-
-
-class GreedyPolicy:
-    """Thin wrapper exposing only greedy action selection."""
-
-    def __init__(self, agent: DDQNAgent) -> None:
-        self._agent = agent
-
-    def __call__(self, state: np.ndarray) -> int:
-        return self._agent.select_action(state, greedy=True)

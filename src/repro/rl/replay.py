@@ -51,10 +51,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._storage)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._storage) == self.capacity
-
     def push(
         self,
         state: np.ndarray,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -17,7 +17,6 @@ class TrainingResult:
 
     episode_returns: List[float] = field(default_factory=list)
     episode_lengths: List[int] = field(default_factory=list)
-    chosen_actions: List[int] = field(default_factory=list)
 
     @property
     def num_episodes(self) -> int:
@@ -30,22 +29,17 @@ class TrainingResult:
         returns = self.episode_returns if last is None else self.episode_returns[-last:]
         return float(np.mean(returns))
 
-    def improved(self, window: int = 10) -> bool:
-        """Whether the recent mean return beats the early mean return."""
-        if len(self.episode_returns) < 2 * window:
-            return False
-        early = float(np.mean(self.episode_returns[:window]))
-        late = float(np.mean(self.episode_returns[-window:]))
-        return late >= early
+
+#: Hard cap on episode length (protects against environments that never
+#: emit ``done``).
+MAX_STEPS_PER_EPISODE = 100
 
 
 def train_agent(
     agent: DDQNAgent,
     env: Environment,
     episodes: int = 50,
-    max_steps_per_episode: int = 100,
     rng: Optional[np.random.Generator] = None,
-    callback: Optional[Callable[[int, float], None]] = None,
 ) -> TrainingResult:
     """Train ``agent`` on ``env`` for a fixed number of episodes.
 
@@ -57,15 +51,11 @@ def train_agent(
         Any :class:`~repro.rl.env.Environment`; its ``state_dim`` and
         ``num_actions`` must match the agent's configuration.
     episodes:
-        Number of episodes to run.
-    max_steps_per_episode:
-        Hard cap on episode length (protects against environments that
-        never emit ``done``).
-    callback:
-        Optional ``callback(episode_index, episode_return)`` hook.
+        Number of episodes to run, each capped at
+        :data:`MAX_STEPS_PER_EPISODE` steps.
     """
-    if episodes <= 0 or max_steps_per_episode <= 0:
-        raise ValueError("episodes and max_steps_per_episode must be positive")
+    if episodes <= 0:
+        raise ValueError("episodes must be positive")
     if env.state_dim != agent.config.state_dim:
         raise ValueError(
             f"environment state_dim {env.state_dim} != agent state_dim {agent.config.state_dim}"
@@ -82,52 +72,14 @@ def train_agent(
             "for the historical default)"
         )
     result = TrainingResult()
-    for episode in range(episodes):
-        state = env.reset(rng)
-        episode_return = 0.0
-        steps = 0
-        for _ in range(max_steps_per_episode):
-            action = agent.select_action(state)
-            outcome = env.step(action)
-            agent.observe(state, action, outcome.reward, outcome.state, outcome.done)
-            result.chosen_actions.append(action)
-            episode_return += outcome.reward
-            state = outcome.state
-            steps += 1
-            if outcome.done:
-                break
-        result.episode_returns.append(episode_return)
-        result.episode_lengths.append(steps)
-        if callback is not None:
-            callback(episode, episode_return)
-    return result
-
-
-def evaluate_agent(
-    agent: DDQNAgent,
-    env: Environment,
-    episodes: int = 10,
-    rng: Optional[np.random.Generator] = None,
-    max_steps_per_episode: int = 100,
-) -> TrainingResult:
-    """Run the agent greedily (no exploration, no learning) and record returns."""
-    if episodes <= 0:
-        raise ValueError("episodes must be positive")
-    if rng is None:
-        raise ValueError(
-            "evaluate_agent requires an explicit rng; derive one from the "
-            "repro.sim.rng registry (e.g. "
-            "legacy_stream(agent.config.seed + 1) for the historical default)"
-        )
-    result = TrainingResult()
     for _ in range(episodes):
         state = env.reset(rng)
         episode_return = 0.0
         steps = 0
-        for _ in range(max_steps_per_episode):
-            action = agent.select_action(state, greedy=True)
+        for _ in range(MAX_STEPS_PER_EPISODE):
+            action = agent.select_action(state)
             outcome = env.step(action)
-            result.chosen_actions.append(action)
+            agent.observe(state, action, outcome.reward, outcome.state, outcome.done)
             episode_return += outcome.reward
             state = outcome.state
             steps += 1

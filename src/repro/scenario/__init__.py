@@ -22,7 +22,7 @@ from repro.scenario.registry import (
     run_scenario,
     scenario_names,
 )
-from repro.scenario.runner import RunResult, ScenarioRunner, run_spec
+from repro.scenario.runner import RunResult, ScenarioRunner
 from repro.scenario.spec import (
     BudgetChange,
     CatalogSpec,
@@ -71,6 +71,5 @@ __all__ = [
     "get_scenario",
     "register_scenario",
     "run_scenario",
-    "run_spec",
     "scenario_names",
 ]

@@ -367,16 +367,15 @@ class ScenarioRunner:
             return singleton_grouping(user_ids)
         if grouping_spec.policy == "round_robin":
             return round_robin_grouping(user_ids, grouping_spec.num_groups)
-        if grouping_spec.policy == "preference":
-            categories = tuple(simulator.config.categories)
-            grouping: Dict[int, List[int]] = {}
-            for uid in user_ids:
-                weights = simulator.users[uid].preference.as_array(categories)
-                grouping.setdefault(
-                    int(np.argmax(weights)) % grouping_spec.num_groups, []
-                ).append(uid)
-            return {gid: members for gid, members in sorted(grouping.items()) if members}
-        raise ValueError(f"unknown grouping policy {grouping_spec.policy!r}")
+        # "preference", the remaining policy GroupingSpec accepts.
+        categories = tuple(simulator.config.categories)
+        grouping: Dict[int, List[int]] = {}
+        for uid in user_ids:
+            weights = simulator.users[uid].preference.as_array(categories)
+            grouping.setdefault(
+                int(np.argmax(weights)) % grouping_spec.num_groups, []
+            ).append(uid)
+        return {gid: members for gid, members in sorted(grouping.items()) if members}
 
     # -------------------------------------------------------------- reporting
     @staticmethod
@@ -659,8 +658,3 @@ class ScenarioRunner:
                 for cell in cells
             }
         return series
-
-
-def run_spec(spec: ScenarioSpec) -> RunResult:
-    """Compile and run ``spec`` in one call."""
-    return ScenarioRunner(spec).run()

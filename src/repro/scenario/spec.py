@@ -270,6 +270,21 @@ class SchemeSpec:
     fixed_k: Optional[int] = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # Imported lazily, like the placement-strategy check: the spec layer
+        # must stay importable on its own.
+        from repro.core.grouping import K_STRATEGIES
+
+        if self.k_strategy not in K_STRATEGIES:
+            raise ValueError(
+                f"scheme.k_strategy must be one of {', '.join(K_STRATEGIES)}, "
+                f"got {self.k_strategy!r}"
+            )
+
+
+#: Raw-playback grouping policies (see :class:`GroupingSpec`).
+GROUPING_POLICIES = ("preference", "round_robin", "singleton")
+
 
 @dataclass(frozen=True)
 class GroupingSpec:
@@ -283,6 +298,15 @@ class GroupingSpec:
 
     policy: str = "preference"
     num_groups: int = 4
+
+    def __post_init__(self) -> None:
+        if self.policy not in GROUPING_POLICIES:
+            raise ValueError(
+                f"grouping.policy must be one of {', '.join(GROUPING_POLICIES)}, "
+                f"got {self.policy!r}"
+            )
+        if self.num_groups < 1:
+            raise ValueError("grouping.num_groups must be at least 1")
 
 
 # ------------------------------------------------------------ timeline events

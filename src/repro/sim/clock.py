@@ -42,13 +42,6 @@ class SimulationClock:
         self._now_s += duration_s
         return self._now_s
 
-    def advance_to(self, time_s: float) -> float:
-        """Jump forward to an absolute time (must not go backwards)."""
-        if time_s < self._now_s:
-            raise ValueError("cannot move the clock backwards")
-        self._now_s = float(time_s)
-        return self._now_s
-
     def advance_interval(self) -> int:
         """Advance to the start of the next interval and return its index."""
         next_index = self.current_interval + 1

@@ -1,9 +1,10 @@
 """Discrete-event queue.
 
 A small priority-queue event scheduler.  The streaming simulator itself is
-interval-driven, but the event queue is used for finer-grained mechanisms
-(status-collection ticks, cache refresh, user arrivals/departures in the
-churn example) and is exposed as part of the public simulation substrate.
+interval-driven; the queue orders the finer-grained events inside an
+interval.  It has two users: the RAN controller's event bus
+(:class:`repro.net.controller.RanController`) and the placement manager's
+reprovision events (:class:`repro.placement.manager.PlacementManager`).
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class EventQueue:
     @property
     def now_s(self) -> float:
         return self._now_s
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
 
     def schedule(
         self,

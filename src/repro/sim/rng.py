@@ -102,25 +102,6 @@ def window_token(window_start_s: "float | None") -> int:
     return int(round(float(window_start_s) * 1000.0)) & _MASK
 
 
-def grouped_channel_stream(
-    seed: int, interval_index: int, scoped_group_id: int
-) -> np.random.Generator:
-    """Channel-fading stream of one scoped group for one interval."""
-    return derive_stream((seed, interval_index, scoped_group_id, CHANNEL_STREAM))
-
-
-def grouped_watch_stream(
-    seed: int, interval_index: int, scoped_group_id: int
-) -> np.random.Generator:
-    """Watch-duration / video-choice stream of one scoped group for one interval.
-
-    This is the stream a playback worker re-derives locally, which is what
-    makes process-shard boundaries draw-exact: the worker needs no
-    generator state from the parent, only the key.
-    """
-    return derive_stream((seed, interval_index, scoped_group_id, WATCH_STREAM))
-
-
 class RngRegistry:
     """Per-simulation registry of derived random streams.
 
@@ -144,12 +125,23 @@ class RngRegistry:
     def channel_stream(
         self, interval_index: int, scoped_group_id: int
     ) -> np.random.Generator:
-        return grouped_channel_stream(self.seed, interval_index, scoped_group_id)
+        """Channel-fading stream of one scoped group for one interval."""
+        return derive_stream(
+            (self.seed, interval_index, scoped_group_id, CHANNEL_STREAM)
+        )
 
     def watch_stream(
         self, interval_index: int, scoped_group_id: int
     ) -> np.random.Generator:
-        return grouped_watch_stream(self.seed, interval_index, scoped_group_id)
+        """Watch-duration / video-choice stream of one scoped group for one interval.
+
+        This is the stream a playback worker re-derives locally, which is
+        what makes process-shard boundaries draw-exact: the worker needs no
+        generator state from the parent, only the key.
+        """
+        return derive_stream(
+            (self.seed, interval_index, scoped_group_id, WATCH_STREAM)
+        )
 
     def collection_stream(
         self, interval_index: int, user_id: int

@@ -21,7 +21,6 @@ about users it learns from these twins, so the twin layer also controls how
 from repro.twin.attributes import (
     AttributeSpec,
     DEFAULT_ATTRIBUTES,
-    STANDARD_ATTRIBUTE_NAMES,
     standard_attributes,
 )
 from repro.twin.timeseries import TimeSeriesStore
@@ -43,7 +42,6 @@ __all__ = [
     "CollectionPolicy",
     "DEFAULT_ATTRIBUTES",
     "DigitalTwinManager",
-    "STANDARD_ATTRIBUTE_NAMES",
     "StatusCollector",
     "TimeSeriesStore",
     "UserDigitalTwin",

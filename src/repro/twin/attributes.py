@@ -11,7 +11,7 @@ state changes fastest, preferences slowest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -48,59 +48,46 @@ PREFERENCE = "preference"
 #: single-cell twins keep their pre-controller contents bit-for-bit.
 SERVING_CELL = "serving_cell"
 
-STANDARD_ATTRIBUTE_NAMES: Tuple[str, ...] = (
-    CHANNEL_CONDITION,
-    LOCATION,
-    WATCHING_DURATION,
-    PREFERENCE,
-)
 
-
-def standard_attributes(
-    num_categories: int = 8,
-    channel_period_s: float = 1.0,
-    location_period_s: float = 5.0,
-    watching_period_s: float = 15.0,
-    preference_period_s: float = 60.0,
-) -> Dict[str, AttributeSpec]:
-    """The four standard UDT attributes with configurable collection periods."""
+def standard_attributes(num_categories: int = 8) -> Dict[str, AttributeSpec]:
+    """The four standard UDT attributes with their collection periods."""
     if num_categories <= 0:
         raise ValueError("num_categories must be positive")
     specs = (
         AttributeSpec(
             CHANNEL_CONDITION,
             dimension=1,
-            collection_period_s=channel_period_s,
+            collection_period_s=1.0,
             description="downlink SNR in dB",
         ),
         AttributeSpec(
             LOCATION,
             dimension=2,
-            collection_period_s=location_period_s,
+            collection_period_s=5.0,
             description="2-D position in metres",
         ),
         AttributeSpec(
             WATCHING_DURATION,
             dimension=1,
-            collection_period_s=watching_period_s,
+            collection_period_s=15.0,
             description="seconds watched of the most recent video",
         ),
         AttributeSpec(
             PREFERENCE,
             dimension=num_categories,
-            collection_period_s=preference_period_s,
+            collection_period_s=60.0,
             description="preference distribution over video categories",
         ),
     )
     return {spec.name: spec for spec in specs}
 
 
-def serving_cell_attribute(collection_period_s: float = 60.0) -> AttributeSpec:
+def serving_cell_attribute() -> AttributeSpec:
     """Attribute spec for the serving-cell id reported by the RAN controller."""
     return AttributeSpec(
         SERVING_CELL,
         dimension=1,
-        collection_period_s=collection_period_s,
+        collection_period_s=60.0,
         description="id of the base station currently serving the user",
     )
 

@@ -145,7 +145,7 @@ class VideoCatalog:
         ``categories`` is the tuple the index array points into.  Rebuilding
         these from the Python-dict popularity model is only done when the
         model actually changed (tracked via its ``version`` counter), so the
-        simulator and the recommender share one cache instead of rebuilding
+        simulator and the demand predictor share one cache instead of rebuilding
         per group per interval.
         """
         version = getattr(self.popularity, "version", None)

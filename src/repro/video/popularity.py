@@ -1,8 +1,8 @@
 """Video popularity models.
 
 The edge server caches "popular short videos with the highest
-representation", and the per-group video recommendation combines *video
-popularity* with *user preferences*.  Popularity on short-video platforms is
+representation", and the videos served to a group mix *video popularity*
+with *user preferences*.  Popularity on short-video platforms is
 famously heavy-tailed, so the base model is a Zipf distribution over the
 catalog ranking; the model can additionally be updated online from observed
 engagement so popularity drifts with what users actually watch.
@@ -10,7 +10,7 @@ engagement so popularity drifts with what users actually watch.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -126,18 +126,6 @@ class ZipfPopularity(PopularityModel):
         lr = self.engagement_learning_rate
         blended = (1.0 - lr) * self._weights + lr * observed
         self._weights = blended / blended.sum()
-        self._version += 1
-
-    def resample_ranking(self, rng: Optional[np.random.Generator] = None) -> None:
-        """Shuffle which video occupies which popularity rank (keeps weights)."""
-        if rng is None:
-            raise ValueError(
-                "resample_ranking requires an explicit rng; derive one from "
-                "the repro.sim.rng registry (e.g. legacy_stream(0) for the "
-                "historical default)"
-            )
-        order = rng.permutation(len(self._video_ids))
-        self._video_ids = [self._video_ids[i] for i in order]
         self._version += 1
 
 

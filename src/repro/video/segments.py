@@ -34,10 +34,6 @@ class Segment:
         if self.size_bits < 0:
             raise ValueError("segment size must be non-negative")
 
-    @property
-    def bitrate_bps(self) -> float:
-        return self.size_bits / self.duration_s
-
 
 def segment_sizes_bits(
     representation: Representation,

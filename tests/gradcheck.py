@@ -1,8 +1,7 @@
-"""Numerical gradient checking utilities.
+"""Numerical gradient checking for the layer and network tests.
 
 The test-suite validates every layer's analytic backward pass against central
-finite differences.  Keeping the checker in the library (rather than only in
-the tests) also lets downstream users verify custom layers they add.
+finite differences; this module is that finite-difference reference.
 """
 
 from __future__ import annotations

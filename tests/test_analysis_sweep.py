@@ -1,4 +1,9 @@
-"""Tests for parameter sweeps and evaluation-result export."""
+"""Tests for parameter sweeps and evaluation-result export.
+
+A sweep is a set of labelled override maps, each run through the scenario
+registry (``repro run <scenario> --override path=value`` on the command
+line).
+"""
 
 from __future__ import annotations
 
@@ -6,44 +11,50 @@ import json
 
 import pytest
 
-from repro.analysis import SweepResult, sweep_population_sizes, sweep_scenarios
 from repro.core import DTResourcePredictionScheme, SchemeConfig
+from repro.scenario import ScenarioRunner, get_scenario
 from repro.sim import SimulationConfig, StreamingSimulator
+
+#: Shrinks campus_fig3 to a few seconds per point.
+SMALL = {
+    "population.num_users": 6,
+    "catalog.num_videos": 20,
+    "num_intervals": 1,
+    "scheme.cnn_epochs": 2,
+    "scheme.ddqn_episodes": 2,
+    "scheme.mc_rollouts": 4,
+    "scheme.max_groups": 3,
+}
+
+
+def _sweep(points):
+    """Run campus_fig3 once per labelled override map, in order."""
+    return {
+        label: ScenarioRunner(get_scenario("campus_fig3", {**SMALL, **overrides})).run()
+        for label, overrides in points.items()
+    }
 
 
 class TestSweeps:
     def test_sweep_scenarios_produces_one_point_per_label(self):
-        result = sweep_scenarios(
-            {
-                "small": {"num_users": 6, "num_videos": 20, "interval_s": 60.0},
-                "short interval": {"num_users": 6, "num_videos": 20, "interval_s": 45.0},
-            },
-            scheme_overrides={"small": {"cnn_epochs": 2}},
-            num_eval_intervals=1,
+        results = _sweep(
+            {"small": {"interval_s": 60.0}, "short interval": {"interval_s": 45.0}}
         )
-        assert len(result) == 2
-        labels = [point.label for point in result.points]
-        assert labels == ["small", "short interval"]
-        for point in result.points:
-            assert 0.0 <= point.mean_radio_accuracy <= 1.0
-            assert point.mean_actual_blocks > 0.0
-        assert result.best().mean_radio_accuracy == max(
-            point.mean_radio_accuracy for point in result.points
-        )
+        assert list(results) == ["small", "short interval"]
+        for result in results.values():
+            assert 0.0 <= result.summary["mean_radio_accuracy"] <= 1.0
+            assert result.intervals[0]["actual_radio_blocks"] > 0.0
 
     def test_sweep_population_sizes(self):
-        result = sweep_population_sizes([5, 8], num_eval_intervals=1)
-        assert [point.label for point in result.points] == ["5 users", "8 users"]
-        rows = result.as_rows()
-        assert len(rows) == 2 and len(rows[0]) == 5
+        results = _sweep({f"{n} users": {"population.num_users": n} for n in (5, 8)})
+        assert list(results) == ["5 users", "8 users"]
+        assert [result.intervals[0]["num_users"] for result in results.values()] == [5, 8]
 
     def test_invalid_sweep_arguments(self):
+        with pytest.raises(KeyError):
+            get_scenario("campus_fig3", {"population.no_such_field": 1})
         with pytest.raises(ValueError):
-            sweep_scenarios({})
-        with pytest.raises(ValueError):
-            sweep_population_sizes([])
-        with pytest.raises(ValueError):
-            SweepResult().best()
+            ScenarioRunner(get_scenario("campus_fig3", {"population.num_users": 0}))
 
 
 class TestEvaluationExport:

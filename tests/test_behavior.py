@@ -18,7 +18,6 @@ from repro.behavior import (
     random_preference,
     swipe_probability_from_durations,
 )
-from repro.behavior.session import session_engagement_seconds
 from repro.behavior.swiping import expected_transmitted_fraction
 from repro.video import DEFAULT_CATEGORIES
 
@@ -204,7 +203,7 @@ class TestSwiping:
         a.observe(WatchRecord(0, 1, "News", 2.0, 10.0, swiped=True))
         b.observe(WatchRecord(1, 2, "News", 10.0, 10.0, swiped=False))
         merged = a.merge(b)
-        assert merged.total_observations == 2
+        assert merged.mean_watched_fraction("News") == pytest.approx(0.6)
         assert merged.swipe_probability("News") == pytest.approx(0.5)
 
     def test_category_watch_share_sums_to_one(self, rng):
@@ -255,7 +254,11 @@ class TestSessions:
         )
         preference = PreferenceVector({"News": 0.9, **{c: 0.1 for c in DEFAULT_CATEGORIES[1:]}})
         records = generator.generate_session(0, preference, rng=rng, duration_s=600.0)
-        engagement = session_engagement_seconds(records)
+        engagement: dict = {}
+        for record in records:
+            engagement[record.category] = (
+                engagement.get(record.category, 0.0) + record.watch_duration_s
+            )
         assert engagement.get("News", 0.0) == max(engagement.values())
 
     def test_watch_cut_by_session_end_is_not_a_swipe(self, small_catalog, rng):

@@ -314,7 +314,7 @@ class TestWeakMemberDemotion:
         assert preview_ctrl.preview_scope(
             {0: [0, 1, 2]}, time_s=0.0, mean_snr_db=lambda uids: snr
         ) == previewed
-        assert preview_ctrl.events.is_empty
+        assert len(preview_ctrl.events) == 0
         preview_ctrl.events.run_until(10.0)
         assert preview_ctrl.drain_app_events() == []
 

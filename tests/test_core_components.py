@@ -11,7 +11,6 @@ from repro.core import (
     GroupingResult,
     MulticastGroupConstructor,
     UDTFeatureCompressor,
-    VideoRecommender,
     abstract_group_swiping,
     mean_absolute_percentage_error,
     mean_prediction_accuracy,
@@ -19,6 +18,7 @@ from repro.core import (
     prediction_accuracy_series,
     root_mean_squared_error,
 )
+from repro.core.demand import DemandPredictorConfig
 from repro.core.features import summary_targets
 from repro.video import DEFAULT_CATEGORIES
 
@@ -219,40 +219,21 @@ class TestSwipingAbstractionAndRecommendation:
         with pytest.raises(ValueError):
             abstract_group_swiping(0, [], populated_simulator.twins, list(DEFAULT_CATEGORIES))
 
-    def test_recommender_returns_top_videos(self, small_catalog):
-        recommender = VideoRecommender(small_catalog, popularity_weight=0.5)
-        preference = PreferenceVector({c: 1.0 for c in DEFAULT_CATEGORIES})
-        recommendation = recommender.recommend(0, preference, count=5)
-        assert len(recommendation.video_ids) == 5
-        scores = [recommendation.scores[vid] for vid in recommendation.video_ids]
-        assert scores == sorted(scores, reverse=True)
-
     def test_recommender_sampling_distribution_normalised(self, small_catalog):
-        recommender = VideoRecommender(small_catalog)
         preference = PreferenceVector({"News": 1.0})
-        distribution = recommender.sampling_distribution(preference)
-        assert sum(distribution.values()) == pytest.approx(1.0)
+        distribution = small_catalog.sampling_probabilities(preference, 0.5)
+        assert distribution.sum() == pytest.approx(1.0)
 
     def test_preference_only_recommendation_prefers_favourite_category(self, small_catalog):
-        recommender = VideoRecommender(small_catalog, popularity_weight=0.0)
         preference = PreferenceVector({"News": 0.99, **{c: 0.01 for c in DEFAULT_CATEGORIES[1:]}})
-        recommendation = recommender.recommend(0, preference, count=5)
-        categories = [small_catalog.get(vid).category for vid in recommendation.video_ids]
+        video_ids = small_catalog.sampling_arrays()[0]
+        probabilities = small_catalog.sampling_probabilities(preference, 0.0)
+        # The five most likely videos, ties broken by id.
+        top = sorted(zip(video_ids.tolist(), probabilities), key=lambda item: (-item[1], item[0]))
+        categories = [small_catalog.get(vid).category for vid, _ in top[:5]]
         expected_news = min(5, len(small_catalog.by_category("News")))
         assert categories.count("News") >= expected_news
 
-    def test_recommend_for_groups(self, small_catalog):
-        recommender = VideoRecommender(small_catalog)
-        preferences = {
-            0: PreferenceVector({"News": 1.0}),
-            1: PreferenceVector({"Game": 1.0}),
-        }
-        recommendations = recommender.recommend_for_groups(preferences, count=3)
-        assert set(recommendations) == {0, 1}
-
-    def test_invalid_recommendation_args(self, small_catalog):
-        recommender = VideoRecommender(small_catalog)
+    def test_invalid_recommendation_args(self):
         with pytest.raises(ValueError):
-            recommender.recommend(0, PreferenceVector({"News": 1.0}), count=0)
-        with pytest.raises(ValueError):
-            VideoRecommender(small_catalog, popularity_weight=2.0)
+            DemandPredictorConfig(recommendation_popularity_weight=2.0)

@@ -61,25 +61,27 @@ class TestGroupDemandPredictor:
         assert np.isfinite(prediction.radio_resource_blocks)
         assert prediction.representation_name in {"240p", "360p", "480p", "720p", "1080p"}
 
-    def test_predict_groups_covers_grouping(self, module_simulator):
-        sim = module_simulator
-        predictor = self.make_predictor(sim)
-        grouping = {0: sim.user_ids()[:6], 1: sim.user_ids()[6:]}
-        predictions = predictor.predict_groups(
-            grouping, sim.twins, list(sim.config.categories), 0.0, sim.config.interval_s
-        )
-        assert set(predictions) == {0, 1}
-        total = GroupDemandPredictor.total_radio_blocks(predictions)
-        assert total > 0.0
-
     def test_prediction_close_to_actual_usage(self, module_simulator):
         """The predicted group traffic should be within ~35 % of what actually happened."""
         sim = module_simulator
         predictor = self.make_predictor(sim, rollouts=10)
         grouping = {0: sim.user_ids()[:6], 1: sim.user_ids()[6:]}
-        predictions = predictor.predict_groups(
-            grouping, sim.twins, list(sim.config.categories), 0.0, sim.config.interval_s
-        )
+        predictions = {
+            group_id: predictor.predict_group(
+                abstract_group_swiping(
+                    group_id,
+                    member_ids,
+                    sim.twins,
+                    list(sim.config.categories),
+                    0.0,
+                    sim.config.interval_s,
+                ),
+                sim.twins,
+                0.0,
+                sim.config.interval_s,
+            )
+            for group_id, member_ids in grouping.items()
+        }
         actual = sim.run_interval(grouping)
         predicted_total = GroupDemandPredictor.total_radio_blocks(predictions)
         actual_total = actual.total_resource_blocks

@@ -290,7 +290,7 @@ class TestStageTiming:
             assert scheme.timing["predict_s"] > 0.0
 
     def test_run_result_exports_timing(self):
-        from repro.scenario import run_spec
+        from repro.scenario import ScenarioRunner
         from repro.scenario.spec import (
             EngineSpec,
             PopulationSpec,
@@ -305,7 +305,7 @@ class TestStageTiming:
             engine=EngineSpec(playback_workers=2),
             seed=11,
         )
-        result = run_spec(spec)
+        result = ScenarioRunner(spec).run()
         for key in STAGE_KEYS:
             assert result.timing[key] >= 0.0
         exported = result.to_dict()

@@ -264,7 +264,7 @@ class TestScopedPredictionLoop:
         footprints_before = dict(scoping._group_cells)
         preview_scoped, preview_cells = sim.preview_scoped_grouping(grouping)
         # Preview mutates nothing: no events, no footprint state.
-        assert controller.events.is_empty
+        assert len(controller.events) == 0
         assert scoping._group_cells == footprints_before
         # And it matches what scope_grouping then actually produces.
         scoped, cell_of_group, _ = controller.scope_grouping(grouping, time_s=0.0)
@@ -299,8 +299,6 @@ class TestScopedPredictionLoop:
             assert sum(evaluation.actual_radio_by_cell.values()) == pytest.approx(
                 evaluation.actual_radio_blocks
             )
-            for _cell_id, value in evaluation.radio_accuracy_by_cell.items():
-                assert 0.0 <= value <= 1.0
         payload = result.to_dict()
         assert "mean_radio_accuracy_by_cell" in payload["summary"]
         assert payload["intervals"][0]["actual_radio_by_cell"]

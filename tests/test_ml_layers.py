@@ -17,7 +17,7 @@ from repro.ml import (
     Sigmoid,
     Tanh,
 )
-from repro.ml.gradcheck import (
+from gradcheck import (
     check_layer_input_gradient,
     check_layer_parameter_gradients,
 )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ml import Adam, Dense, MSELoss, ReLU, Sequential, Tanh
-from repro.ml.gradcheck import check_network_gradients
+from gradcheck import check_network_gradients
 from repro.ml.network import TrainingHistory
 
 

@@ -28,11 +28,11 @@ class TestCampusMap:
         assert nx.is_connected(campus.graph)
 
     def test_positions_within_bounds(self, campus):
-        min_x, min_y, max_x, max_y = campus.bounding_box()
+        config = CampusConfig()
         for node in campus.nodes:
             x, y = campus.position(node)
-            assert min_x <= x <= max_x
-            assert min_y <= y <= max_y
+            assert 0.0 <= x <= config.width_m
+            assert 0.0 <= y <= config.height_m
 
     def test_num_buildings_respected(self):
         campus = CampusMap.generate(CampusConfig(num_buildings=12, seed=1))
@@ -74,7 +74,8 @@ class TestStaticMobility:
 class TestGraphTrajectoryMobility:
     def test_position_stays_within_campus_bounds(self, campus):
         model = GraphTrajectoryMobility(campus, seed=1)
-        min_x, min_y, max_x, max_y = campus.bounding_box()
+        coords = np.array([campus.position(node) for node in campus.nodes])
+        (min_x, min_y), (max_x, max_y) = coords.min(axis=0), coords.max(axis=0)
         for t in np.linspace(0.0, 600.0, 40):
             x, y = model.position(float(t))
             assert min_x - 1e-6 <= x <= max_x + 1e-6

@@ -169,12 +169,6 @@ class TestMulticast:
         with pytest.raises(ValueError):
             group_spectral_efficiency([])
 
-    def test_robustness_percentile_raises_efficiency(self):
-        snrs = list(np.linspace(0.0, 25.0, 20))
-        strict = group_spectral_efficiency(snrs, robustness_percentile=0.0)
-        relaxed = group_spectral_efficiency(snrs, robustness_percentile=10.0)
-        assert relaxed >= strict
-
     def test_resource_blocks_for_traffic(self):
         blocks = resource_blocks_for_traffic(1e9, 2.0, rb_bandwidth_hz=180e3, interval_s=300.0)
         assert blocks == pytest.approx(1e9 / (2.0 * 180e3 * 300.0))
@@ -245,7 +239,7 @@ class TestResources:
             budget.reserve(0, -1.0)
 
     def test_grid_over_and_under_provisioning(self):
-        grid = ResourceGrid(100.0)
+        grid = ResourceGrid()
         grid.record_interval(0, reserved={0: 50.0, 1: 20.0}, used={0: 30.0, 1: 25.0})
         grid.record_interval(1, reserved={0: 40.0}, used={0: 40.0})
         assert grid.history[0].over_provisioned_blocks() == pytest.approx(20.0)

@@ -388,8 +388,14 @@ class TestChurnSafeStreaks:
             user_ids=users,
         )
         assert decisions == []
-        assert state.streak_of(30) == (1, 0.0)
-        assert state.streak_of(20) == (-1, 0.0)
+        streaks = dict(
+            zip(
+                state.user_ids.tolist(),
+                zip(state.candidate.tolist(), state.entered_at_s.tolist()),
+            )
+        )
+        assert streaks[30] == (1, 0.0)
+        assert streaks[20] == (-1, 0.0)
 
         # User 20 churns out between batches; the survivors keep their rows.
         survivors = [10, 30]
@@ -511,7 +517,7 @@ class TestTimeGrid:
             # Far enough to matter for float grids, near enough that the
             # lazily-generated mobility legs stay cheap to extend.
             far_interval = int(1e5 // config.interval_s)
-            sim.clock.advance_to(far_interval * config.interval_s)
+            sim.clock.advance(far_interval * config.interval_s)
             result = sim.run_interval(_grouping(sim))
         assert result.start_s == far_interval * config.interval_s
         grid = time_grid(

@@ -393,3 +393,24 @@ class TestCli:
                          "--override", "population.num_users=12"]) == 0
         out = capsys.readouterr().out
         assert "actual RBs" in out and "multicell_campus" in out
+
+    @pytest.mark.parametrize(
+        "scenario, override",
+        [
+            ("campus_fig3", "engine.playback_workers=0"),
+            ("campus_fig3", "engine.collection_drop_probability=1.5"),
+            ("campus_fig3", "population.num_users=0"),
+            ("campus_fig3", "scheme.cnn_epochs=0"),
+            ("campus_fig3", "scheme.k_strategy=bogus"),
+            ("campus_fig3", "grouping.policy=bogus"),
+            ("edge_flash_crowd", "grouping.policy=bogus"),
+            ("edge_flash_crowd", "grouping.num_groups=0"),
+        ],
+    )
+    def test_bad_override_value_is_a_one_line_error(self, capsys, scenario, override):
+        code = cli_main(["run", scenario, "--intervals", "1", "--override", override])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

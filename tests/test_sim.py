@@ -32,9 +32,8 @@ class TestClock:
         clock = SimulationClock()
         clock.advance(10.0)
         with pytest.raises(ValueError):
-            clock.advance_to(5.0)
-        with pytest.raises(ValueError):
             clock.advance(-1.0)
+        assert clock.now_s == pytest.approx(10.0)
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
@@ -68,7 +67,7 @@ class TestEventQueue:
         queue.cancel(event)
         queue.run_until(2.0)
         assert fired == []
-        assert queue.is_empty
+        assert len(queue) == 0
 
     def test_cannot_schedule_in_the_past(self):
         queue = EventQueue()

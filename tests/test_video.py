@@ -116,8 +116,8 @@ class TestSegments:
             Segment(video_id=0, index=-1, duration_s=1.0, size_bits=100.0)
         with pytest.raises(ValueError):
             Segment(video_id=0, index=0, duration_s=0.0, size_bits=100.0)
-        segment = Segment(video_id=0, index=0, duration_s=2.0, size_bits=1000.0)
-        assert segment.bitrate_bps == pytest.approx(500.0)
+        with pytest.raises(ValueError):
+            Segment(video_id=0, index=0, duration_s=1.0, size_bits=-1.0)
 
 
 class TestCatalog:
