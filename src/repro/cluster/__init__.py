@@ -9,7 +9,6 @@ the evaluation compares against.
 
 from repro.cluster.kmeans import KMeansPlusPlus, KMeansResult, kmeans_plus_plus_init
 from repro.cluster.metrics import (
-    davies_bouldin_index,
     inertia,
     pairwise_euclidean,
     silhouette_score,
@@ -28,7 +27,6 @@ __all__ = [
     "KMeansResult",
     "RandomGrouper",
     "SingleGroupGrouper",
-    "davies_bouldin_index",
     "inertia",
     "kmeans_plus_plus_init",
     "pairwise_euclidean",

@@ -25,16 +25,10 @@ class KMeansResult:
     labels: np.ndarray
     centroids: np.ndarray
     inertia: float
-    iterations: int
-    converged: bool
 
     @property
     def num_clusters(self) -> int:
         return int(self.centroids.shape[0])
-
-    def cluster_sizes(self) -> np.ndarray:
-        """Number of points assigned to each cluster."""
-        return np.bincount(self.labels, minlength=self.num_clusters)
 
 
 def kmeans_plus_plus_init(
@@ -131,9 +125,7 @@ class KMeansPlusPlus:
     def _single_run(self, points: np.ndarray, rng: np.random.Generator) -> KMeansResult:
         centroids = kmeans_plus_plus_init(points, self.num_clusters, rng)
         labels = _assign(points, centroids)
-        converged = False
-        iteration = 0
-        for _iteration in range(1, self.max_iterations + 1):
+        for _ in range(self.max_iterations):
             new_centroids = centroids.copy()
             for k in range(self.num_clusters):
                 members = points[labels == k]
@@ -150,12 +142,7 @@ class KMeansPlusPlus:
             centroids = new_centroids
             labels = _assign(points, centroids)
             if movement < self.tolerance:
-                converged = True
                 break
         return KMeansResult(
-            labels=labels,
-            centroids=centroids,
-            inertia=inertia(points, labels, centroids),
-            iterations=iteration,
-            converged=converged,
+            labels=labels, centroids=centroids, inertia=inertia(points, labels, centroids)
         )

@@ -7,9 +7,16 @@ These metrics feed two consumers:
   against the number of groups (each group costs a separate multicast
   channel); and
 * the evaluation harness, which compares grouping strategies.
+
+:func:`silhouette_score` reads a pairwise distance matrix.  A caller that
+scores several labelings of one snapshot (every K of a sweep, every DDQN
+step on a replayed snapshot) computes :func:`pairwise_euclidean` once and
+passes it as ``distances``.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -33,66 +40,49 @@ def inertia(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> fl
     return float(np.sum((points - centroids[labels]) ** 2))
 
 
-def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
+def silhouette_score(
+    points: np.ndarray, labels: np.ndarray, distances: Optional[np.ndarray] = None
+) -> float:
     """Mean silhouette coefficient over all points.
 
     Returns 0.0 when there is a single cluster (the coefficient is undefined
     there); returns values in ``[-1, 1]`` otherwise.  Singleton clusters get
     a silhouette of 0 for their lone member, following scikit-learn.
+
+    ``distances`` is the ``(n, n)`` matrix :func:`pairwise_euclidean`
+    returns for ``points``.  It is computed here when omitted; a caller that
+    scores several labelings of one snapshot computes it once and passes
+    it, and gets the same float as if it had not.
+
+    The score costs one gather and one row sum per cluster.  Each gather is
+    copied to C order before the sum, so every row is summed as the
+    contiguous 1-D slice ``distances[i, labels == c]`` would be (numpy's
+    pairwise summation), which keeps the result exactly that of a per-point
+    loop.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     labels = np.asarray(labels, dtype=int)
-    unique = np.unique(labels)
+    unique, cluster_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if unique.shape[0] < 2:
         return 0.0
-    distances = pairwise_euclidean(points)
+    if distances is None:
+        distances = pairwise_euclidean(points)
     n = points.shape[0]
-    scores = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        own = labels[i]
-        own_mask = labels == own
-        own_count = int(own_mask.sum())
-        if own_count <= 1:
-            scores[i] = 0.0
-            continue
-        a = distances[i, own_mask].sum() / (own_count - 1)
-        b = np.inf
-        for other in unique:
-            if other == own:
-                continue
-            other_mask = labels == other
-            b = min(b, float(distances[i, other_mask].mean()))
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    if distances.shape != (n, n):
+        raise ValueError(f"distances must have shape ({n}, {n}), got {distances.shape}")
+    # sums[i, c]: summed distance from point i to the members of cluster c.
+    sums = np.empty((n, unique.shape[0]), dtype=np.float64)
+    for c in range(unique.shape[0]):
+        sums[:, c] = np.ascontiguousarray(distances[:, cluster_of == c]).sum(axis=1)
+    rows = np.arange(n)
+    own_counts = counts[cluster_of]
+    # Singletons divide by zero in a and zero denominators in the score; both
+    # are masked to a score of 0 below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, cluster_of] / (own_counts - 1)
+        means = sums / counts
+        means[rows, cluster_of] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        scores = np.where((own_counts <= 1) | (denom == 0), 0.0, (b - a) / denom)
     return float(scores.mean())
-
-
-def davies_bouldin_index(points: np.ndarray, labels: np.ndarray) -> float:
-    """Davies-Bouldin index (lower is better); 0.0 for a single cluster."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    labels = np.asarray(labels, dtype=int)
-    unique = np.unique(labels)
-    k = unique.shape[0]
-    if k < 2:
-        return 0.0
-    centroids = np.vstack([points[labels == c].mean(axis=0) for c in unique])
-    scatters = np.array(
-        [
-            float(np.mean(np.linalg.norm(points[labels == c] - centroids[i], axis=1)))
-            for i, c in enumerate(unique)
-        ]
-    )
-    index = 0.0
-    for i in range(k):
-        worst = 0.0
-        for j in range(k):
-            if i == j:
-                continue
-            separation = float(np.linalg.norm(centroids[i] - centroids[j]))
-            if separation == 0:
-                ratio = np.inf
-            else:
-                ratio = (scatters[i] + scatters[j]) / separation
-            worst = max(worst, ratio)
-        index += worst
-    return float(index / k)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster import KMeansPlusPlus, silhouette_score
+from repro.cluster import KMeansPlusPlus, pairwise_euclidean, silhouette_score
 from repro.rl.ddqn import DDQNAgent, DDQNConfig
 from repro.rl.env import (
     GroupingEnvConfig,
@@ -53,10 +53,6 @@ class GroupingResult:
         for user_id, label in zip(self.user_ids, self.labels):
             grouping.setdefault(int(label), []).append(user_id)
         return grouping
-
-    def group_of(self, user_id: int) -> int:
-        index = self.user_ids.index(user_id)
-        return int(self.labels[index])
 
     def group_sizes(self) -> Dict[int, int]:
         return {gid: len(members) for gid, members in self.groups().items()}
@@ -136,8 +132,12 @@ class MulticastGroupConstructor:
         k = self.env_config.action_to_k(action)
         return min(k, features.shape[0])
 
-    def select_k_silhouette(self, features: np.ndarray) -> int:
-        """Exhaustive silhouette sweep over the allowed K range (fallback/ablation)."""
+    def select_k_silhouette(self, features: np.ndarray, distances: np.ndarray) -> int:
+        """Exhaustive silhouette sweep over the allowed K range (fallback/ablation).
+
+        ``distances`` is ``pairwise_euclidean(features)``; every K's
+        silhouette reads it.
+        """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         best_k = self.env_config.min_groups
         best_score = -np.inf
@@ -150,7 +150,7 @@ class MulticastGroupConstructor:
                 result = KMeansPlusPlus(k, restarts=self.kmeans_restarts).fit(
                     features, rng=self._rng
                 )
-                score = silhouette_score(features, result.labels)
+                score = silhouette_score(features, result.labels, distances)
             cost = self.env_config.resource_weight * k / self.env_config.max_groups
             score = self.env_config.similarity_weight * score - cost
             if score > best_score:
@@ -179,12 +179,15 @@ class MulticastGroupConstructor:
         if k_strategy not in K_STRATEGIES:
             raise ValueError(f"k_strategy must be one of {', '.join(K_STRATEGIES)}")
 
+        # One distance matrix per feature matrix: the sweep's silhouettes and
+        # the final grouping's all read it.
+        distances = pairwise_euclidean(features)
         if k_strategy == "fixed":
             if num_groups is None:
                 raise ValueError("num_groups is required when k_strategy='fixed'")
             k = num_groups
         elif k_strategy == "silhouette":
-            k = self.select_k_silhouette(features)
+            k = self.select_k_silhouette(features, distances)
         else:
             k = self.select_k_ddqn(features)
         k = int(min(max(k, 1), features.shape[0]))
@@ -197,7 +200,7 @@ class MulticastGroupConstructor:
             result = KMeansPlusPlus(k, restarts=self.kmeans_restarts).fit(features, rng=self._rng)
             labels = result.labels
             centroids = result.centroids
-            quality = silhouette_score(features, labels)
+            quality = silhouette_score(features, labels, distances)
 
         self._last_k = k
         self._last_quality = quality

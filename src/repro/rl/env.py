@@ -8,9 +8,9 @@ problem:
 
 * **State** -- summary statistics of the compressed user-feature matrix
   (number of users, feature spread, mean/min/max pairwise distance and the
-  quality of the previously chosen grouping).  The statistics are cheap to
-  compute and invariant to user ordering, so the same trained agent can be
-  reused across reservation intervals with different user populations.
+  quality of the previously chosen grouping).  The statistics are invariant
+  to user ordering, so the same trained agent can be reused across
+  reservation intervals with different user populations.
 * **Action** -- an index selecting the number of groups ``K`` in
   ``[min_groups, max_groups]``.
 * **Reward** -- a clustering-quality term (silhouette score of the K-means++
@@ -18,16 +18,23 @@ problem:
   always improve intra-group similarity but each extra group costs an extra
   multicast channel, which is exactly the trade-off the paper's DDQN is
   meant to resolve.
+
+The snapshot-only part of the state costs an ``(n, n, d)`` difference
+tensor and the silhouette reward reads an ``(n, n)`` distance matrix, so
+both are computed once per snapshot and read by every step on it: once
+per draw in :class:`GroupingEnvironment`, once per snapshot index in
+:class:`SnapshotReplayEnvironment`, whose episodes replay the same few
+snapshots over and over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster import KMeansPlusPlus, silhouette_score
+from repro.cluster import KMeansPlusPlus, pairwise_euclidean, silhouette_score
 
 #: Dimensionality of the state vector produced by :func:`grouping_state`.
 STATE_DIM = 8
@@ -80,9 +87,20 @@ def grouping_state(
         Upper bound of the action space, used for normalisation.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    return _state(_population_terms(features), previous_k, previous_quality, max_groups)
+
+
+def _population_terms(features: np.ndarray) -> Optional[Tuple[float, ...]]:
+    """The state entries that depend on the snapshot alone.
+
+    Returns ``(num_users, spread, mean, min and max pairwise distance,
+    dimension)`` for a ``(num_users, dim)`` float64 matrix, or ``None`` when
+    it has no users.  The distances come from one ``(n, n, d)`` difference
+    tensor.
+    """
     num_users = features.shape[0]
     if num_users == 0:
-        return np.zeros(STATE_DIM)
+        return None
     centred = features - features.mean(axis=0, keepdims=True)
     spread = float(np.sqrt((centred**2).sum(axis=1)).mean())
     if num_users > 1:
@@ -94,6 +112,19 @@ def grouping_state(
         max_dist = float(upper.max())
     else:
         mean_dist = min_dist = max_dist = 0.0
+    return num_users, spread, mean_dist, min_dist, max_dist, features.shape[1]
+
+
+def _state(
+    terms: Optional[Tuple[float, ...]],
+    previous_k: int,
+    previous_quality: float,
+    max_groups: int,
+) -> np.ndarray:
+    """The state vector from a snapshot's :func:`_population_terms` and the last step."""
+    if terms is None:
+        return np.zeros(STATE_DIM)
+    num_users, spread, mean_dist, min_dist, max_dist, dim = terms
     return np.array(
         [
             num_users / 100.0,
@@ -103,10 +134,24 @@ def grouping_state(
             max_dist,
             previous_k / max(max_groups, 1),
             previous_quality,
-            features.shape[1] / 64.0,
+            dim / 64.0,
         ],
         dtype=np.float64,
     )
+
+
+@dataclass(frozen=True)
+class _Snapshot:
+    """A feature snapshot with what every step on it reads, measured once."""
+
+    features: np.ndarray
+    terms: Optional[Tuple[float, ...]]
+    distances: np.ndarray
+
+
+def _measure(features: np.ndarray) -> _Snapshot:
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    return _Snapshot(features, _population_terms(features), pairwise_euclidean(features))
 
 
 @dataclass
@@ -191,7 +236,7 @@ class GroupingEnvironment(Environment):
 
         self._rng = legacy_stream(self.config.seed)
         self._step_index = 0
-        self._features: Optional[np.ndarray] = None
+        self._snapshot: Optional[_Snapshot] = None
         self._previous_k = 0
         self._previous_quality = 0.0
 
@@ -202,34 +247,38 @@ class GroupingEnvironment(Environment):
         self._step_index = 0
         self._previous_k = 0
         self._previous_quality = 0.0
-        self._features = self.feature_provider(self._rng)
+        self._snapshot = self._draw()
         return self._current_state()
 
     def step(self, action: int) -> StepResult:
-        if self._features is None:
+        if self._snapshot is None:
             raise RuntimeError("call reset() before step()")
         k = self.config.action_to_k(action)
-        reward, quality = self._evaluate(self._features, k)
+        reward, quality = self._evaluate(self._snapshot, k)
         self._previous_k = k
         self._previous_quality = quality
         self._step_index += 1
         done = self._step_index >= self.config.episode_length
         if not done:
-            self._features = self.feature_provider(self._rng)
+            self._snapshot = self._draw()
         state = self._current_state()
         return StepResult(state=state, reward=reward, done=done, info={"k": k, "quality": quality})
 
     # ------------------------------------------------------------ internals
+    def _draw(self) -> _Snapshot:
+        """The next snapshot: a fresh draw from ``feature_provider``, measured."""
+        return _measure(self.feature_provider(self._rng))
+
     def _current_state(self) -> np.ndarray:
-        assert self._features is not None
-        return grouping_state(
-            self._features, self._previous_k, self._previous_quality, self.config.max_groups
+        assert self._snapshot is not None
+        return _state(
+            self._snapshot.terms, self._previous_k, self._previous_quality, self.config.max_groups
         )
 
-    def _evaluate(self, features: np.ndarray, k: int) -> tuple:
-        """Return ``(reward, silhouette)`` for clustering ``features`` into ``k`` groups."""
-        num_users = features.shape[0]
-        if k > num_users:
+    def _evaluate(self, snapshot: _Snapshot, k: int) -> tuple:
+        """Return ``(reward, silhouette)`` for clustering ``snapshot`` into ``k`` groups."""
+        features = snapshot.features
+        if k > features.shape[0]:
             return self.config.invalid_penalty, 0.0
         if k == 1:
             quality = 0.0
@@ -237,38 +286,34 @@ class GroupingEnvironment(Environment):
             result = KMeansPlusPlus(k, restarts=self.config.kmeans_restarts).fit(
                 features, rng=self._rng
             )
-            quality = silhouette_score(features, result.labels)
+            quality = silhouette_score(features, result.labels, snapshot.distances)
         cost = k / max(self.config.max_groups, 1)
         reward = self.config.similarity_weight * quality - self.config.resource_weight * cost
         return float(reward), float(quality)
 
 
-@dataclass
-class SnapshotReplayEnvironment(Environment):
+class SnapshotReplayEnvironment(GroupingEnvironment):
     """Grouping environment that replays a fixed list of feature snapshots.
 
     Useful for training the DDQN on the exact user populations observed by
-    the digital-twin manager rather than on synthetic snapshots.
+    the digital-twin manager rather than on synthetic snapshots.  Steps
+    cycle through ``snapshots`` in order instead of drawing from a feature
+    provider; each snapshot is measured once, when the environment is
+    built, and its measurement is kept by snapshot index.
     """
 
-    snapshots: Sequence[np.ndarray]
-    config: GroupingEnvConfig = field(default_factory=GroupingEnvConfig)
-
-    def __post_init__(self) -> None:
-        if not len(self.snapshots):
+    def __init__(
+        self,
+        snapshots: Sequence[np.ndarray],
+        config: Optional[GroupingEnvConfig] = None,
+    ) -> None:
+        if not len(snapshots):
             raise ValueError("snapshots must not be empty")
-        self.state_dim = STATE_DIM
-        self.num_actions = self.config.num_actions
+        super().__init__(config)
+        self._measured = [_measure(snapshot) for snapshot in snapshots]
         self._cursor = 0
-        self._inner = GroupingEnvironment(self.config, feature_provider=self._next_snapshot)
 
-    def _next_snapshot(self, rng: np.random.Generator) -> np.ndarray:
-        snapshot = np.asarray(self.snapshots[self._cursor % len(self.snapshots)])
+    def _draw(self) -> _Snapshot:
+        snapshot = self._measured[self._cursor % len(self._measured)]
         self._cursor += 1
         return snapshot
-
-    def reset(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        return self._inner.reset(rng)
-
-    def step(self, action: int) -> StepResult:
-        return self._inner.step(action)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.video.categories import DEFAULT_CATEGORIES
 
@@ -280,6 +280,13 @@ class SchemeSpec:
                 f"scheme.k_strategy must be one of {', '.join(K_STRATEGIES)}, "
                 f"got {self.k_strategy!r}"
             )
+        if (self.k_strategy == "fixed") != (self.fixed_k is not None):
+            raise ValueError(
+                "scheme.fixed_k is set exactly when scheme.k_strategy='fixed', got "
+                f"k_strategy={self.k_strategy!r} and fixed_k={self.fixed_k!r}"
+            )
+        if self.fixed_k is not None and self.fixed_k < 1:
+            raise ValueError(f"scheme.fixed_k must be at least 1, got {self.fixed_k}")
 
 
 #: Raw-playback grouping policies (see :class:`GroupingSpec`).
@@ -460,12 +467,13 @@ class ScenarioSpec:
         structured fields (``timeline``, ``population.churn_phases``)
         are not reachable this way, replace them with
         :func:`dataclasses.replace` instead.
+
+        All overrides of one section are applied in a single replace, so the
+        section's cross-field checks (``scheme.fixed_k`` goes with
+        ``scheme.k_strategy="fixed"``) see the final values whatever the
+        order of ``overrides``.
         """
-        spec = self
-        for path, value in overrides.items():
-            parts = path.split(".")
-            spec = _replace_path(spec, parts, value)
-        return spec
+        return _replace_paths(self, [(path.split("."), value) for path, value in overrides.items()])
 
     # ---------------------------------------------------------------- export
     def to_dict(self) -> dict:
@@ -489,36 +497,40 @@ class ScenarioSpec:
         return convert(self)
 
 
-def _replace_path(node: Any, parts, value: Any) -> Any:
-    name = parts[0]
-    if not dataclasses.is_dataclass(node) or name not in {
-        f.name for f in fields(node)
-    }:
-        raise KeyError(f"unknown spec field {name!r}")
-    if len(parts) == 1:
-        current = getattr(node, name)
-        if isinstance(current, tuple):
-            return dataclasses.replace(
-                node, **{name: _coerce_tuple_override(node, name, current, value)}
-            )
-        if dataclasses.is_dataclass(current):
-            raise KeyError(
-                f"field {name!r} is structured; override its leaves instead"
-            )
-        if isinstance(current, bool):
-            value = bool(value)
-        elif isinstance(current, int) and not isinstance(value, bool) and value is not None:
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError(
-                    f"field {name!r} is an integer; got {value!r}"
-                )
-            value = int(value)
-        elif isinstance(current, float) and value is not None:
-            value = float(value)
-        return dataclasses.replace(node, **{name: value})
-    return dataclasses.replace(
-        node, **{name: _replace_path(getattr(node, name), parts[1:], value)}
-    )
+def _replace_paths(node: Any, overrides: List[Tuple[List[str], Any]]) -> Any:
+    """``node`` with every ``(path parts, value)`` override applied in one replace."""
+    names = {f.name for f in fields(node)} if dataclasses.is_dataclass(node) else set()
+    changes: Dict[str, Any] = {}
+    nested: Dict[str, List[Tuple[List[str], Any]]] = {}
+    for parts, value in overrides:
+        name = parts[0]
+        if name not in names:
+            raise KeyError(f"unknown spec field {name!r}")
+        if len(parts) == 1:
+            changes[name] = _leaf_value(node, name, value)
+        else:
+            nested.setdefault(name, []).append((parts[1:], value))
+    for name, items in nested.items():
+        changes[name] = _replace_paths(getattr(node, name), items)
+    return dataclasses.replace(node, **changes)
+
+
+def _leaf_value(node: Any, name: str, value: Any) -> Any:
+    """An override value coerced to the type of leaf field ``name``."""
+    current = getattr(node, name)
+    if isinstance(current, tuple):
+        return _coerce_tuple_override(node, name, current, value)
+    if dataclasses.is_dataclass(current):
+        raise KeyError(f"field {name!r} is structured; override its leaves instead")
+    if isinstance(current, bool):
+        return bool(value)
+    if isinstance(current, int) and not isinstance(value, bool) and value is not None:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"field {name!r} is an integer; got {value!r}")
+        return int(value)
+    if isinstance(current, float) and value is not None:
+        return float(value)
+    return value
 
 
 #: Tuple fields whose elements are event/phase dataclasses; overriding them

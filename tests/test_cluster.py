@@ -11,12 +11,13 @@ from repro.cluster import (
     KMeansPlusPlus,
     RandomGrouper,
     SingleGroupGrouper,
-    davies_bouldin_index,
     inertia,
     kmeans_plus_plus_init,
     pairwise_euclidean,
     silhouette_score,
 )
+
+from silhouette_reference import reference_silhouette
 
 
 @pytest.fixture
@@ -77,10 +78,64 @@ class TestSilhouetteAndDaviesBouldin:
         score = silhouette_score(points, labels)
         assert -1.0 <= score <= 1.0
 
-    def test_davies_bouldin_lower_for_true_labels(self, three_blobs, rng):
-        points, labels = three_blobs
-        shuffled = rng.permutation(labels)
-        assert davies_bouldin_index(points, labels) < davies_bouldin_index(points, shuffled)
+
+class TestSilhouetteMatchesReference:
+    """The per-cluster silhouette is exactly the per-point definition."""
+
+    @staticmethod
+    def assert_exact(points, labels):
+        expected = reference_silhouette(points, labels)
+        assert silhouette_score(points, labels) == expected
+        assert silhouette_score(points, labels, pairwise_euclidean(points)) == expected
+
+    def test_random_cases_are_bit_identical(self):
+        cases = np.random.default_rng(2024)
+        for _ in range(400):
+            n = int(cases.integers(2, 120))
+            d = int(cases.integers(1, 12))
+            k = int(cases.integers(1, min(n, 10) + 1))
+            points = cases.normal(size=(n, d)) * cases.uniform(0.01, 20.0)
+            labels = cases.integers(0, k, size=n)
+            self.assert_exact(points, labels)
+
+    def test_singleton_clusters(self):
+        points = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [9.0, 0.0]])
+        labels = np.array([0, 0, 1, 2])
+        self.assert_exact(points, labels)
+        # The two singletons score 0, so the mean is half the pair's score.
+        assert 0.0 < silhouette_score(points, labels) < 0.5
+
+    def test_single_cluster_is_zero(self):
+        points = np.random.default_rng(1).normal(size=(7, 3))
+        labels = np.full(7, 4)
+        assert silhouette_score(points, labels) == 0.0
+        assert silhouette_score(points, labels, pairwise_euclidean(points)) == 0.0
+
+    def test_coincident_points_have_a_zero_denominator(self):
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        points = np.ones((6, 3))
+        self.assert_exact(points, labels)
+        assert silhouette_score(points, labels) == 0.0
+        # Rounding may leave these distances a hair above zero; still exact.
+        self.assert_exact(np.tile([0.1, 0.7, 1.3], (6, 1)), labels)
+
+    def test_labels_need_not_be_contiguous(self):
+        cases = np.random.default_rng(9)
+        points = cases.normal(size=(30, 4))
+        labels = np.array([2, 7, 9])[cases.integers(0, 3, size=30)]
+        self.assert_exact(points, labels)
+        dense = np.searchsorted([2, 7, 9], labels)
+        assert silhouette_score(points, labels) == silhouette_score(points, dense)
+
+    def test_two_points(self):
+        points = np.array([[0.0, 1.0], [2.0, 3.0]])
+        self.assert_exact(points, np.array([0, 1]))
+        self.assert_exact(points, np.array([3, 3]))
+
+    def test_distances_must_match_the_points(self):
+        points = np.random.default_rng(2).normal(size=(5, 2))
+        with pytest.raises(ValueError, match="shape"):
+            silhouette_score(points, np.array([0, 0, 1, 1, 1]), np.zeros((4, 4)))
 
 
 class TestKMeansPlusPlus:
@@ -104,11 +159,6 @@ class TestKMeansPlusPlus:
         inertia_2 = KMeansPlusPlus(2, restarts=4).fit(points, rng=rng).inertia
         inertia_3 = KMeansPlusPlus(3, restarts=4).fit(points, rng=rng).inertia
         assert inertia_3 < inertia_2
-
-    def test_cluster_sizes_sum_to_points(self, three_blobs, rng):
-        points, _ = three_blobs
-        result = KMeansPlusPlus(3).fit(points, rng=rng)
-        assert result.cluster_sizes().sum() == points.shape[0]
 
     def test_too_few_points_raises(self, rng):
         with pytest.raises(ValueError):

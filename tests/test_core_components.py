@@ -188,7 +188,7 @@ class TestGroupConstructor:
         with pytest.raises(ValueError):
             constructor.construct(rng.normal(size=(5, 3)), list(range(5)), k_strategy="magic")
 
-    def test_grouping_result_group_of(self, rng):
+    def test_grouping_result_groups(self, rng):
         result = GroupingResult(
             user_ids=[10, 11, 12],
             labels=np.array([0, 1, 0]),
@@ -196,7 +196,7 @@ class TestGroupConstructor:
             num_groups=2,
             silhouette=0.5,
         )
-        assert result.group_of(11) == 1
+        assert result.groups() == {0: [10, 12], 1: [11]}
         assert result.group_sizes() == {0: 2, 1: 1}
 
 

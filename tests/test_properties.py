@@ -175,7 +175,7 @@ class TestClusteringProperties:
         assert result.labels.shape == (points.shape[0],)
         assert np.all(result.labels >= 0) and np.all(result.labels < k)
         assert result.inertia >= 0.0
-        assert result.cluster_sizes().sum() == points.shape[0]
+        assert np.bincount(result.labels, minlength=k).sum() == points.shape[0]
         score = silhouette_score(points, result.labels)
         assert -1.0 <= score <= 1.0
 

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+
+import repro.cluster.metrics
+import repro.rl.env
 
 from repro.rl import (
     ConstantEpsilon,
@@ -240,6 +245,70 @@ class TestGroupingEnvironment:
         assert state.shape == (STATE_DIM,)
         outcome = env.step(0)
         assert np.isfinite(outcome.reward)
+
+
+class TestSnapshotReplay:
+    """Replaying snapshots trains as drawing them would, measuring each once."""
+
+    @staticmethod
+    def snapshots():
+        """6 users in 2 blobs (so K = 7, 8 are invalid), then 28 users in 4 blobs."""
+        cases = np.random.default_rng(11)
+        return [
+            np.vstack(
+                [
+                    centre + cases.normal(0.0, 0.4, size=(per_blob, 4))
+                    for centre in cases.normal(0.0, 3.0, size=(blobs, 4))
+                ]
+            )
+            for blobs, per_blob in ((2, 3), (4, 7))
+        ]
+
+    @staticmethod
+    def train(env):
+        agent = DDQNAgent(
+            DDQNConfig(
+                state_dim=STATE_DIM,
+                num_actions=env.num_actions,
+                hidden_sizes=(16,),
+                batch_size=8,
+                min_replay_size=8,
+                seed=4,
+            )
+        )
+        return agent, train_agent(agent, env, episodes=3, rng=np.random.default_rng(7))
+
+    def test_replay_equals_per_draw_and_measures_each_snapshot_once(self, monkeypatch):
+        calls = []
+        original = repro.cluster.metrics.pairwise_euclidean
+
+        def counting(points):
+            calls.append(len(points))
+            return original(points)
+
+        monkeypatch.setattr(repro.cluster.metrics, "pairwise_euclidean", counting)
+        monkeypatch.setattr(repro.rl.env, "pairwise_euclidean", counting, raising=False)
+        snapshots = self.snapshots()
+        config = GroupingEnvConfig(min_groups=2, max_groups=8, episode_length=8, seed=1)
+
+        replay_agent, replayed = self.train(SnapshotReplayEnvironment(snapshots, config))
+        assert calls == [6, 28]
+
+        calls.clear()
+        position = itertools.count()
+        per_draw = GroupingEnvironment(
+            config, feature_provider=lambda rng: snapshots[next(position) % len(snapshots)]
+        )
+        draw_agent, drawn = self.train(per_draw)
+        assert len(calls) == 3 * config.episode_length
+
+        assert replayed.episode_returns == drawn.episode_returns
+        assert replayed.episode_lengths == drawn.episode_lengths == [8, 8, 8]
+        for mine, theirs in zip(
+            replay_agent.online.get_weights(), draw_agent.online.get_weights()
+        ):
+            np.testing.assert_array_equal(mine, theirs)
+        assert replay_agent.diagnostics.target_updates == draw_agent.diagnostics.target_updates
 
 
 class TestTrainingLoop:

@@ -74,6 +74,22 @@ class TestSpec:
             # A non-integral float never silently truncates.
             get_scenario("campus_fig3").with_overrides({"population.num_users": 30.9})
 
+    def test_fixed_k_goes_with_the_fixed_strategy(self):
+        spec = get_scenario("campus_fig3")
+        for overrides in (
+            {"scheme.k_strategy": "fixed", "scheme.fixed_k": 3},
+            {"scheme.fixed_k": 3, "scheme.k_strategy": "fixed"},
+        ):
+            scheme = spec.with_overrides(overrides).scheme
+            assert (scheme.k_strategy, scheme.fixed_k) == ("fixed", 3)
+        for bad in (
+            {"scheme.k_strategy": "fixed"},
+            {"scheme.fixed_k": 3},
+            {"scheme.k_strategy": "fixed", "scheme.fixed_k": 0},
+        ):
+            with pytest.raises(ValueError, match="fixed_k"):
+                spec.with_overrides(bad)
+
     def test_unknown_override_paths_raise(self):
         spec = get_scenario("campus_fig3")
         with pytest.raises(KeyError):
@@ -402,6 +418,8 @@ class TestCli:
             ("campus_fig3", "population.num_users=0"),
             ("campus_fig3", "scheme.cnn_epochs=0"),
             ("campus_fig3", "scheme.k_strategy=bogus"),
+            ("campus_fig3", "scheme.k_strategy=fixed"),
+            ("campus_fig3", "scheme.fixed_k=0"),
             ("campus_fig3", "grouping.policy=bogus"),
             ("edge_flash_crowd", "grouping.policy=bogus"),
             ("edge_flash_crowd", "grouping.num_groups=0"),
