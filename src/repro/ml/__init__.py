@@ -7,8 +7,8 @@ provides the small set of building blocks those two models need:
 
 * :mod:`repro.ml.layers` -- trainable and activation layers with explicit
   ``forward`` / ``backward`` passes (Dense, Conv1D, pooling, dropout, ...).
-* :mod:`repro.ml.losses` -- mean-squared-error, Huber and cross-entropy
-  losses.
+* :mod:`repro.ml.losses` -- the mean-squared-error loss the 1D-CNN trains
+  with and the Huber loss the DDQN trains with.
 * :mod:`repro.ml.optim` -- SGD, momentum SGD and Adam optimisers.
 * :mod:`repro.ml.network` -- a ``Sequential`` container with ``fit`` /
   ``predict`` helpers.
@@ -38,14 +38,13 @@ from repro.ml.layers import (
     Sigmoid,
     Tanh,
 )
-from repro.ml.losses import CrossEntropyLoss, HuberLoss, Loss, MSELoss
+from repro.ml.losses import HuberLoss, Loss, MSELoss
 from repro.ml.network import Sequential
 from repro.ml.optim import SGD, Adam, MomentumSGD, Optimizer
 
 __all__ = [
     "Adam",
     "Conv1D",
-    "CrossEntropyLoss",
     "Dense",
     "Dropout",
     "Flatten",

@@ -68,30 +68,3 @@ class HuberLoss(Loss):
         error = prediction - target
         grad = np.clip(error, -self.delta, self.delta)
         return grad / prediction.size
-
-
-class CrossEntropyLoss(Loss):
-    """Softmax cross-entropy over the last axis.
-
-    ``prediction`` holds unnormalised logits; ``target`` holds one-hot (or
-    soft) label distributions of the same shape.
-    """
-
-    @staticmethod
-    def _softmax(logits: np.ndarray) -> np.ndarray:
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=-1, keepdims=True)
-
-    def value(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        prediction, target = self._validate(prediction, target)
-        probs = self._softmax(prediction)
-        eps = 1e-12
-        batch = prediction.shape[0] if prediction.ndim > 1 else 1
-        return float(-np.sum(target * np.log(probs + eps)) / batch)
-
-    def gradient(self, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-        prediction, target = self._validate(prediction, target)
-        probs = self._softmax(prediction)
-        batch = prediction.shape[0] if prediction.ndim > 1 else 1
-        return (probs - target) / batch

@@ -9,9 +9,10 @@ videos.  The radio model here is a standard cellular downlink abstraction:
 * :mod:`repro.net.mcs` -- SNR to spectral-efficiency mapping (CQI/MCS
   table) with an optional implementation-loss factor.
 * :mod:`repro.net.basestation` -- base stations with position, transmit
-  power and a resource-block budget; strongest-SNR user association.
-* :mod:`repro.net.multicast` -- multicast channels whose rate is limited by
-  the worst user in the group, and the conversion from group traffic to
+  power and a resource-block budget; :func:`associate_users`, the one
+  strongest-mean-SNR association rule.
+* :mod:`repro.net.multicast` -- multicast pricing: the worst-member
+  spectral efficiency of a group and the conversion from group traffic to
   resource-block demand.
 * :mod:`repro.net.resources` -- resource-block accounting / allocation.
 * :mod:`repro.net.handover` -- hysteresis + time-to-trigger handover policy
@@ -45,12 +46,7 @@ from repro.net.apps import (
     create_app,
     register_app,
 )
-from repro.net.multicast import (
-    MulticastChannel,
-    MulticastScheduler,
-    group_spectral_efficiency,
-    resource_blocks_for_traffic,
-)
+from repro.net.multicast import group_spectral_efficiency, resource_blocks_for_traffic
 from repro.net.resources import ResourceBlockBudget, ResourceGrid
 
 __all__ = [
@@ -78,8 +74,6 @@ __all__ = [
     "cell_utilization",
     "MCS_TABLE",
     "McsEntry",
-    "MulticastChannel",
-    "MulticastScheduler",
     "ResourceBlockBudget",
     "ResourceGrid",
     "associate_users",

@@ -9,7 +9,7 @@ selection and determines which BS each multicast group hangs off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -108,27 +108,16 @@ class BaseStation:
         return traces.reshape(num_users, num_times)
 
 
-def associate_users(
-    user_positions: Sequence[Sequence[float]],
-    base_stations: Sequence[BaseStation],
-) -> Dict[int, List[int]]:
-    """Associate each user with the strongest-SNR base station.
+def associate_users(positions, base_stations: Sequence[BaseStation]) -> np.ndarray:
+    """Id of the strongest-mean-SNR base station for each of ``(n, 2)`` positions.
 
-    Returns a mapping ``bs_id -> list of user indices``.  Every base station
-    id appears in the result, possibly with an empty list.
+    One mean-SNR evaluation per station over all positions; ``argmax`` keeps
+    the first best station on ties, as ``max`` over ``base_stations`` would.
     """
     if not base_stations:
         raise ValueError("need at least one base station")
-    association: Dict[int, List[int]] = {bs.bs_id: [] for bs in base_stations}
-    positions = np.asarray(user_positions, dtype=np.float64)
-    if positions.shape[0] == 0:
-        return association
-    # (users, base stations) mean-SNR matrix; argmax keeps the first-best
-    # station, matching max() over the base-station list.
     snr = np.stack([bs.mean_snr_db_batch(positions) for bs in base_stations], axis=1)
-    for user_index, bs_index in enumerate(np.argmax(snr, axis=1)):
-        association[base_stations[int(bs_index)].bs_id].append(user_index)
-    return association
+    return np.array([bs.bs_id for bs in base_stations])[np.argmax(snr, axis=1)]
 
 
 def place_base_stations(

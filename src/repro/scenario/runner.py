@@ -175,6 +175,7 @@ class ScenarioRunner:
         evaluation: Optional[EvaluationResult] = None
         raw_results: List[IntervalResult] = []
         horizon = self._build_horizon()
+        scheme: Optional[DTResourcePredictionScheme] = None
         with simulator:
             if spec.mode == "scheme":
                 scheme = DTResourcePredictionScheme(
@@ -185,44 +186,31 @@ class ScenarioRunner:
                 scheme.fixed_k = spec.scheme.fixed_k
                 scheme.warm_up()
                 evaluation = EvaluationResult()
-                for step in range(spec.num_intervals):
-                    arrivals, departures, applied = self._apply_step_script(simulator, step)
+            for step in range(spec.num_intervals):
+                arrivals, departures, applied = self._apply_step_script(simulator, step)
+                if scheme is not None:
                     interval_eval = scheme.step()
                     evaluation.intervals.append(interval_eval)
-                    raw_results.append(interval_eval.actual)
-                    record = interval_eval.to_dict()
-                    record.update(
-                        self._ground_truth_fields(
-                            simulator, interval_eval.actual, arrivals, departures, applied
-                        )
-                    )
-                    if horizon is not None:
-                        record["horizon_bookings"] = self._horizon_step(
-                            horizon, simulator, interval_eval.actual, step
-                        )
-                    records.append(record)
-            else:
-                for step in range(spec.num_intervals):
-                    arrivals, departures, applied = self._apply_step_script(simulator, step)
-                    grouping = self._build_grouping(simulator)
-                    result = simulator.run_interval(grouping)
-                    raw_results.append(result)
+                    result, record = interval_eval.actual, interval_eval.to_dict()
+                else:
+                    result = simulator.run_interval(self._build_grouping(simulator))
                     record = {
                         "interval_index": int(result.interval_index),
                         "num_groups": len(result.usage_by_group),
                         "actual_radio_blocks": float(result.total_resource_blocks),
                         "actual_computing_cycles": float(result.total_computing_cycles),
                     }
-                    record.update(
-                        self._ground_truth_fields(
-                            simulator, result, arrivals, departures, applied
-                        )
+                raw_results.append(result)
+                record.update(
+                    self._ground_truth_fields(
+                        simulator, result, arrivals, departures, applied
                     )
-                    if horizon is not None:
-                        record["horizon_bookings"] = self._horizon_step(
-                            horizon, simulator, result, step
-                        )
-                    records.append(record)
+                )
+                if horizon is not None:
+                    record["horizon_bookings"] = self._horizon_step(
+                        horizon, simulator, result, step
+                    )
+                records.append(record)
         elapsed = time.perf_counter() - started
 
         # Per-stage totals over every interval the simulator played
@@ -231,7 +219,7 @@ class ScenarioRunner:
         for interval_result in simulator.history:
             for key, value in interval_result.timing.items():
                 timing[key] = timing.get(key, 0.0) + float(value)
-        if spec.mode == "scheme":
+        if scheme is not None:
             timing["predict_s"] = float(scheme.timing["predict_s"])
 
         run_result = RunResult(

@@ -216,9 +216,8 @@ def run_group_interval(
     group's watch stream, per-member weights from the plan's weight rows
     (config-category order) and video choices from its CDF row.  Stage 3
     runs the status collector for every member from their ``(interval,
-    user)`` stream — passed as both sample and keep stream, so a lossy
-    policy's drop walk is per user too — into one :class:`CollectedStatus`
-    per member; no twin is touched.
+    user)`` stream — samples and a lossy policy's drop decisions alike — into
+    one :class:`CollectedStatus` per member; no twin is touched.
     """
     # Imported lazily: repro.sim.simulator imports this module at load time.
     from repro.sim.simulator import GroupIntervalUsage
@@ -315,7 +314,6 @@ def run_group_interval(
 
     collection: Dict[int, CollectedStatus] = {}
     for row, uid in enumerate(member_ids):
-        stream = registry.collection_stream(interval_index, uid)
         collection[uid] = static.collector.collect_interval(
             static.attributes,
             mobility_for(uid),
@@ -324,8 +322,7 @@ def run_group_interval(
             records[uid],
             start_s,
             end_s,
-            rng=stream,
-            keep_rng=stream,
+            rng=registry.collection_stream(interval_index, uid),
             serving_cell=serving[row] if static.report_cells else None,
         )
 

@@ -42,7 +42,7 @@ from repro.placement.manager import PlacementConfig, PlacementManager, Reprovisi
 from repro.placement.planner import ServerCapacity, fragmentation_index
 from repro.mobility.campus import CampusConfig, CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
-from repro.net.basestation import BaseStationConfig, place_base_stations
+from repro.net.basestation import BaseStationConfig, associate_users, place_base_stations
 from repro.net.apps import AppEvent
 from repro.net.controller import (
     CellLoadEvent,
@@ -234,9 +234,9 @@ class StreamingSimulator:
         #: Bumped on every add_user/remove_user; shipped in each plan handle
         #: so workers resync their population caches exactly on churn.
         self._population_epoch = 0
-        #: Id the next add_user() without an explicit id receives.  It only
-        #: grows, so a departed user's id (and with it their keyed streams
-        #: and kept twin) is never handed to a newcomer.
+        #: Id the next add_user() gives out.  It only grows, so a departed
+        #: user's id (and with it their keyed streams and kept twin) is never
+        #: handed to a newcomer.
         self._next_user_id = config.num_users
 
         # Content.
@@ -463,34 +463,25 @@ class StreamingSimulator:
     def user_ids(self) -> List[int]:
         return sorted(self.users.keys())
 
-    def add_user(
-        self,
-        favourite: Optional[str] = None,
-        user_id: Optional[int] = None,
-    ) -> int:
+    def add_user(self, favourite: Optional[str] = None) -> int:
         """Add a user mid-simulation (churn) and register their digital twin.
 
-        Returns the new user's id: ``user_id`` when given, else the next id
-        no user of this simulation has held.  The user starts at a random
-        campus node and is associated with a base station at the current
-        simulation time.
+        Returns the new user's id, the next id no user of this simulation
+        has held.  The user starts at a random campus node and is associated
+        with a base station at the current simulation time.
         """
-        config = self.config
-        if user_id is None:
-            user_id = self._next_user_id
-        if user_id in self.users:
-            raise ValueError(f"user {user_id} already exists")
-        if favourite is not None and favourite not in config.categories:
+        if favourite is not None and favourite not in self.config.categories:
             raise ValueError(f"favourite {favourite!r} not in configured categories")
-        self.users[user_id] = self._new_user(user_id, favourite)
-        self._next_user_id = max(self._next_user_id, user_id + 1)
+        user_id = self._next_user_id
+        self._next_user_id += 1
+        user = self._new_user(user_id, favourite)
+        self.users[user_id] = user
         self.twins.register_user(user_id)
         self._population_epoch += 1
-        position = self.users[user_id].mobility.position(self.clock.now_s)
-        best = max(self.base_stations, key=lambda bs: bs.mean_snr_db(position))
-        self.users[user_id].serving_bs_id = best.bs_id
+        position = user.mobility.position(self.clock.now_s)
+        user.serving_bs_id = int(associate_users([position], self.base_stations)[0])
         if self.controller is not None:
-            self.controller.attach_user(user_id, best.bs_id)
+            self.controller.attach_user(user_id, user.serving_bs_id)
         return user_id
 
     def remove_user(self, user_id: int, keep_twin: bool = True) -> None:
@@ -505,22 +496,13 @@ class StreamingSimulator:
             self.twins.remove_user(user_id)
 
     def _associate_users(self, time_s: float) -> None:
-        """Re-associate every user with their strongest base station.
-
-        One mean-SNR evaluation per base station over the whole population
-        (vectorized), instead of one Python call per (user, base station).
-        """
+        """Re-associate every user with their strongest base station."""
         users = list(self.users.values())
         if not users:
             return
         positions = np.array([user.mobility.position(time_s) for user in users])
-        # (users, base stations); argmax keeps the first-best station,
-        # matching max() over the base-station list.
-        snr = np.stack(
-            [bs.mean_snr_db_batch(positions) for bs in self.base_stations], axis=1
-        )
-        for user, bs_index in zip(users, np.argmax(snr, axis=1)):
-            user.serving_bs_id = self.base_stations[int(bs_index)].bs_id
+        for user, bs_id in zip(users, associate_users(positions, self.base_stations)):
+            user.serving_bs_id = int(bs_id)
 
     # ------------------------------------------------------------- intervals
     def preview_scoped_grouping(

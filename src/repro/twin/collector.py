@@ -104,10 +104,10 @@ class StatusCollector:
         spec: AttributeSpec,
         start_s: float,
         end_s: float,
-        keep_rng: np.random.Generator,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         times = self._sample_times(start_s, end_s, spec.collection_period_s)
-        return times[self._keep_mask(times.shape[0], keep_rng)]
+        return times[self._keep_mask(times.shape[0], rng)]
 
     def collect_interval(
         self,
@@ -119,7 +119,6 @@ class StatusCollector:
         start_s: float,
         end_s: float,
         rng: np.random.Generator,
-        keep_rng: np.random.Generator,
         serving_cell: Optional[int] = None,
     ) -> CollectedStatus:
         """Collect one reservation interval's worth of status for one user.
@@ -130,13 +129,13 @@ class StatusCollector:
         ``preference`` is the user's preference weight row, in the twin's
         category order.
 
-        ``rng`` is the stream the channel-condition draws consume and
-        ``keep_rng`` the one the drop decisions consume.  The simulator
-        passes the same per-(interval, user) stream as both (see
-        :class:`repro.sim.rng.RngRegistry`), which makes each user's
-        collected status independent of every other user's and a
-        deterministic per-user walk a shard worker can replay exactly.  With
-        ``drop_probability == 0`` no keep decision is drawn.
+        ``rng`` is the one stream every draw consumes: the keep decisions
+        and the channel-condition samples, attribute by attribute in the
+        order below.  The simulator passes the user's ``(seed, interval,
+        user)`` collection stream (see :class:`repro.sim.rng.RngRegistry`),
+        which makes each user's collected status independent of every other
+        user's and a deterministic per-user walk a shard worker can replay
+        exactly.  With ``drop_probability == 0`` no keep decision is drawn.
         """
         if end_s <= start_s:
             raise ValueError("end_s must be greater than start_s")
@@ -145,7 +144,7 @@ class StatusCollector:
 
         # Channel condition: sample SNR at the attribute's own frequency.
         if CHANNEL_CONDITION in attributes:
-            times = self._kept_times(attributes[CHANNEL_CONDITION], start_s, end_s, keep_rng)
+            times = self._kept_times(attributes[CHANNEL_CONDITION], start_s, end_s, rng)
             if times.size:
                 positions = mobility.positions(times)
                 snrs = base_station.sample_snr_db_batch(positions, rng=rng)
@@ -153,7 +152,7 @@ class StatusCollector:
 
         # Location.
         if LOCATION in attributes:
-            times = self._kept_times(attributes[LOCATION], start_s, end_s, keep_rng)
+            times = self._kept_times(attributes[LOCATION], start_s, end_s, rng)
             if times.size:
                 samples[LOCATION] = (times + delay, mobility.positions(times))
 
@@ -166,7 +165,7 @@ class StatusCollector:
             kept_records = [
                 record
                 for record in records
-                if keep_rng.random() >= self.policy.drop_probability
+                if rng.random() >= self.policy.drop_probability
             ]
 
         # Preference snapshots.
@@ -178,7 +177,7 @@ class StatusCollector:
                     f"preference dimension {vector.shape[0]} does not match the UDT "
                     f"attribute dimension {expected_dim}"
                 )
-            times = self._kept_times(attributes[PREFERENCE], start_s, end_s, keep_rng)
+            times = self._kept_times(attributes[PREFERENCE], start_s, end_s, rng)
             if times.size:
                 samples[PREFERENCE] = (
                     times + delay,
@@ -187,7 +186,7 @@ class StatusCollector:
 
         # Serving cell (only collected when the RAN controller reports it).
         if serving_cell is not None and SERVING_CELL in attributes:
-            times = self._kept_times(attributes[SERVING_CELL], start_s, end_s, keep_rng)
+            times = self._kept_times(attributes[SERVING_CELL], start_s, end_s, rng)
             if times.size:
                 samples[SERVING_CELL] = (
                     times + delay,

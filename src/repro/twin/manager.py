@@ -2,8 +2,9 @@
 
 The manager owns one :class:`~repro.twin.udt.UserDigitalTwin` per user and
 provides the population-level views the prediction pipeline consumes: the
-stacked feature tensor over all users for a reservation interval, group-level
-watch-record collections, and staleness reports.
+feature tensor over all users for a reservation interval (each twin's own
+feature matrix, stacked), group-level watch-record collections, and staleness
+reports.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class DigitalTwinManager:
         start_s: float,
         end_s: float,
         num_steps: int = 32,
-        attribute_order: Optional[Sequence[str]] = None,
         user_ids: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Stacked per-user feature matrices, shape ``(users, num_steps, channels)``.
@@ -67,24 +67,8 @@ class DigitalTwinManager:
         Users are ordered by ``user_ids`` (default: sorted registry order),
         which is also the row order of everything derived downstream
         (compressed features, cluster labels, multicast groups).  Row ``u``
-        equals ``twin(u).feature_matrix(...)`` bit for bit.
-
-        Zero-order-hold resampling is two ``searchsorted`` lookups plus a
-        gather per store; dispatching that pair once per ``(user,
-        attribute)`` would make NumPy call overhead — not the resampling
-        arithmetic — dominate at population scale.  Instead every user's
-        timestamps of an attribute are concatenated into one ascending array
-        (each user's block shifted by a constant offset larger than the
-        global time span, so blocks cannot interleave), *all* users' grid
-        rows are resolved with a single ``searchsorted`` over it, and the
-        values are gathered with one ``take``: one NumPy dispatch sequence
-        per attribute for the entire population.
-
-        Caveat: the shift arithmetic compares timestamps at a magnitude of
-        roughly ``population x time span``, so two *distinct* timestamps
-        closer than the float64 rounding granularity there (sub-microsecond
-        at millions of user-hours) could collapse; simulation timestamps
-        are multiples of collection periods, far above that.
+        is twin ``u``'s own zero-order hold on one shared grid, so it equals
+        ``twin(u).feature_matrix(...)``.
         """
         ids = list(user_ids) if user_ids is not None else self.user_ids()
         if not ids:
@@ -95,48 +79,10 @@ class DigitalTwinManager:
             raise ValueError("num_steps must be positive")
         times = np.linspace(start_s, end_s, num_steps, endpoint=False)
         twins = [self.twin(uid) for uid in ids]
-        order = (
-            tuple(attribute_order)
-            if attribute_order is not None
-            else tuple(twins[0].attributes)
-        )
-        num_users = len(twins)
-        dims = [twins[0].store(name).dimension for name in order]
-        tensor = np.empty((num_users, num_steps, int(sum(dims))))
-        column = 0
-        for name, dim in zip(order, dims):
-            stores = [twin.store(name) for twin in twins]
-            out = tensor[:, :, column : column + dim]
-            sizes = np.array([len(store) for store in stores])
-            filled = sizes > 0
-            if not filled.any():
-                out[:] = 0.0
-                column += dim
-                continue
-            time_blocks = [store.timestamps() for store, keep in zip(stores, filled) if keep]
-            value_blocks = [store.values() for store, keep in zip(stores, filled) if keep]
-            # Offset that strictly separates consecutive users' blocks: any
-            # value exceeding the global [min(sample, grid), max] span works,
-            # because block u's shifted queries then stay below block u+1's
-            # shifted first timestamp.
-            low = min(float(times[0]), min(float(block[0]) for block in time_blocks))
-            high = max(float(times[-1]), max(float(block[-1]) for block in time_blocks))
-            offset = (high - low) + 1.0
-            shifts = offset * np.arange(filled.sum())
-            stacked_times = np.concatenate(
-                [block + shift for block, shift in zip(time_blocks, shifts)]
-            )
-            queries = (times[None, :] + shifts[:, None]).reshape(-1)
-            rows = stacked_times.searchsorted(queries, side="right") - 1
-            # Per-user clamp to the block's first row (the zero-order-hold
-            # "times before the first sample take the first value" rule).
-            starts = np.concatenate(([0], np.cumsum(sizes[filled])))[:-1]
-            np.maximum(rows, np.repeat(starts, num_steps), out=rows)
-            gathered = np.concatenate(value_blocks, axis=0)[rows]
-            out[filled] = gathered.reshape(int(filled.sum()), num_steps, dim)
-            if not filled.all():
-                out[~filled] = 0.0
-            column += dim
+        channels = sum(spec.dimension for spec in twins[0].attributes.values())
+        tensor = np.empty((len(twins), num_steps, channels))
+        for twin, rows in zip(twins, tensor):
+            twin.resample_into(times, rows)
         return tensor
 
     def watch_records(

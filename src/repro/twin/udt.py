@@ -107,33 +107,32 @@ class UserDigitalTwin:
         return list(records)
 
     # ------------------------------------------------------------- features
-    def feature_matrix(
-        self,
-        start_s: float,
-        end_s: float,
-        num_steps: int = 32,
-        attribute_order: Optional[Sequence[str]] = None,
-    ) -> np.ndarray:
+    def feature_matrix(self, start_s: float, end_s: float, num_steps: int = 32) -> np.ndarray:
         """Resample all attributes onto a common grid and stack channels.
 
-        The result has shape ``(num_steps, total_dimension)`` where
-        ``total_dimension`` is the sum of attribute dimensions in
-        ``attribute_order`` (default: insertion order).  This is the raw
-        per-user input to the 1D-CNN compressor.
+        The result has shape ``(num_steps, total_dimension)``, channels in
+        attribute insertion order (see :meth:`resample_into`).  This is the
+        raw per-user input to the 1D-CNN compressor.
         """
         if end_s <= start_s:
             raise ValueError("end_s must be greater than start_s")
         if num_steps <= 0:
             raise ValueError("num_steps must be positive")
         times = np.linspace(start_s, end_s, num_steps, endpoint=False)
-        order = list(attribute_order) if attribute_order is not None else list(self.attributes)
-        stores = [self.store(name) for name in order]
-        matrix = np.empty((num_steps, sum(store.dimension for store in stores)))
-        column = 0
-        for store in stores:
-            store.resample_into(times, matrix[:, column : column + store.dimension])
-            column += store.dimension
+        matrix = np.empty((num_steps, sum(spec.dimension for spec in self.attributes.values())))
+        self.resample_into(times, matrix)
         return matrix
+
+    def resample_into(self, times_s: np.ndarray, out: np.ndarray) -> None:
+        """Zero-order hold of every attribute onto ``times_s``, written into ``out``.
+
+        ``out`` is a ``(len(times_s), total_dimension)`` view; each
+        attribute's store fills its own columns, in attribute insertion order.
+        """
+        column = 0
+        for store in self._stores.values():
+            store.resample_into(times_s, out[:, column : column + store.dimension])
+            column += store.dimension
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         counts = {name: len(store) for name, store in self._stores.items()}

@@ -81,11 +81,6 @@ class TestSimulatorChurn:
         assert any(new_id in usage.member_ids for usage in result.usage_by_group.values())
         assert tiny_simulator.twins.twin(new_id).watch_records()
 
-    def test_add_existing_user_rejected(self, tiny_simulator):
-        existing = tiny_simulator.user_ids()[0]
-        with pytest.raises(ValueError):
-            tiny_simulator.add_user(user_id=existing)
-
     def test_add_user_unknown_favourite_rejected(self, tiny_simulator):
         with pytest.raises(ValueError):
             tiny_simulator.add_user(favourite="Opera")

@@ -10,8 +10,6 @@ from repro.net import (
     ChannelConfig,
     ChannelModel,
     MCS_TABLE,
-    MulticastChannel,
-    MulticastScheduler,
     ResourceBlockBudget,
     ResourceGrid,
     associate_users,
@@ -135,13 +133,23 @@ class TestBaseStations:
             BaseStation(bs_id=0, position=np.array([0.0, 0.0])),
             BaseStation(bs_id=1, position=np.array([1000.0, 0.0])),
         ]
-        association = associate_users([[10.0, 0.0], [990.0, 0.0]], stations)
-        assert association[0] == [0]
-        assert association[1] == [1]
+        association = associate_users(np.array([[10.0, 0.0], [990.0, 0.0]]), stations)
+        assert association.tolist() == [0, 1]
 
     def test_association_requires_stations(self):
         with pytest.raises(ValueError):
-            associate_users([[0.0, 0.0]], [])
+            associate_users(np.array([[0.0, 0.0]]), [])
+
+    @pytest.mark.parametrize("num_cells", [2, 3, 4])
+    def test_association_matches_max_over_stations(self, num_cells):
+        """The batched rule picks the station a scalar ``max`` over the
+        station list picks (first best on ties), on the simulator's grids."""
+        width, height = 1000.0, 800.0
+        stations = place_base_stations(num_cells, width, height)
+        rng = np.random.default_rng(1900 + num_cells)
+        points = rng.uniform((0.0, 0.0), (width, height), size=(10_000, 2))
+        expected = [max(stations, key=lambda bs: bs.mean_snr_db(p)).bs_id for p in points]
+        assert associate_users(points, stations).tolist() == expected
 
     def test_place_base_stations_grid(self):
         stations = place_base_stations(4, 1000.0, 1000.0)
@@ -184,30 +192,6 @@ class TestMulticast:
             resource_blocks_for_traffic(-1.0, 2.0)
         with pytest.raises(ValueError):
             resource_blocks_for_traffic(1.0, 2.0, interval_s=0.0)
-
-    def test_multicast_channel_efficiency_requires_all_members(self):
-        bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
-        channel = MulticastChannel(group_id=0, base_station=bs, member_user_ids=[1, 2])
-        with pytest.raises(KeyError):
-            channel.efficiency({1: 10.0})
-        assert channel.efficiency({1: 10.0, 2: 20.0}) > 0.0
-
-    def test_scheduler_produces_usage_per_group(self):
-        scheduler = MulticastScheduler(interval_s=300.0)
-        usage = scheduler.schedule(
-            {0: 5e8, 1: 1e8},
-            {0: [10.0, 15.0], 1: [20.0]},
-        )
-        assert set(usage.keys()) == {0, 1}
-        assert usage[0].resource_blocks > usage[1].resource_blocks
-        assert scheduler.total_resource_blocks(usage) == pytest.approx(
-            usage[0].resource_blocks + usage[1].resource_blocks
-        )
-
-    def test_scheduler_missing_snrs_raises(self):
-        scheduler = MulticastScheduler()
-        with pytest.raises(ValueError):
-            scheduler.schedule({0: 1e6}, {})
 
 
 class TestResources:

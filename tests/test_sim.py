@@ -210,9 +210,8 @@ class TestStreamingSimulator:
         assert new_id == 5
         assert sim.twins.twin(new_id).watch_records() == []
         assert sim.twins.twin(4).watch_records() == departed_records
-        # An explicit id above the counter moves it past that id too.
-        assert sim.add_user(user_id=9) == 9
-        assert sim.add_user() == 10
+        # Auto ids keep growing past the departed one.
+        assert [sim.add_user() for _ in range(3)] == [6, 7, 8]
 
     def test_invalid_simulation_config(self):
         with pytest.raises(ValueError):

@@ -173,7 +173,7 @@ class TestStatusCollector:
         rng = np.random.default_rng(1)
         twin.record_status(
             collector.collect_interval(
-                twin.attributes, mobility, bs, preference, [], *interval, rng=rng, keep_rng=rng
+                twin.attributes, mobility, bs, preference, [], *interval, rng=rng
             )
         )
         return twin
@@ -221,7 +221,6 @@ class TestStatusCollector:
             0.0,
             30.0,
             rng=rng,
-            keep_rng=rng,
         )
         assert status.records == [record]
         twin.record_status(status)
@@ -304,15 +303,10 @@ class TestBatchedFeatureTensor:
         return manager
 
     @staticmethod
-    def _per_user(manager, start_s, end_s, num_steps, attribute_order=None, user_ids=None):
+    def _per_user(manager, start_s, end_s, num_steps, user_ids=None):
         ids = user_ids if user_ids is not None else manager.user_ids()
         return np.stack(
-            [
-                manager.twin(uid).feature_matrix(
-                    start_s, end_s, num_steps=num_steps, attribute_order=attribute_order
-                )
-                for uid in ids
-            ]
+            [manager.twin(uid).feature_matrix(start_s, end_s, num_steps=num_steps) for uid in ids]
         )
 
     def test_batched_equals_per_user_path(self):
@@ -323,16 +317,21 @@ class TestBatchedFeatureTensor:
             assert np.array_equal(per_user, batched)
 
     def test_batched_respects_user_and_attribute_order(self):
+        """Rows follow ``user_ids``; each row's channels are the twin's
+        attributes in insertion order, each its own store's zero-order hold."""
         manager = self._populated_manager()
-        order = [WATCHING_DURATION, PREFERENCE, CHANNEL_CONDITION, LOCATION]
         ids = [7, 0, 4, 2]
-        per_user = self._per_user(
-            manager, 50.0, 500.0, 17, attribute_order=order, user_ids=ids
-        )
-        batched = manager.feature_tensor(
-            50.0, 500.0, num_steps=17, attribute_order=order, user_ids=ids
-        )
-        assert np.array_equal(per_user, batched)
+        batched = manager.feature_tensor(50.0, 500.0, num_steps=17, user_ids=ids)
+        assert np.array_equal(batched, self._per_user(manager, 50.0, 500.0, 17, user_ids=ids))
+        times = np.linspace(50.0, 500.0, 17, endpoint=False)
+        for row, uid in enumerate(ids):
+            twin = manager.twin(uid)
+            blocks = []
+            for name in twin.attributes:
+                block = np.empty((17, twin.store(name).dimension))
+                twin.store(name).resample_into(times, block)
+                blocks.append(block)
+            assert np.array_equal(batched[row], np.concatenate(blocks, axis=1))
 
     def test_batched_equals_twin_feature_matrix(self):
         manager = self._populated_manager(num_users=3, seed=5)
