@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from harness import (
     benchmark_record,
     build_scheme,
@@ -38,12 +36,12 @@ def _dt_policy_run(margin: float, seed: int = 91):
         default_scheme_config(mc_rollouts=8),
     )
     planner = ReservationPlanner(scheme, ReservationPolicy(margin=margin, quantise=False))
-    report = planner.run(num_intervals=EVAL_INTERVALS)
+    grid = planner.run(num_intervals=EVAL_INTERVALS)
     return {
         "policy": f"DT prediction, margin {margin:.1f}",
-        "over": report.mean_over_provisioning(),
-        "under": report.mean_under_provisioning(),
-        "shortfall_intervals": report.under_provisioned_fraction(),
+        "over": grid.mean_over_provisioning(),
+        "under": grid.mean_under_provisioning(),
+        "shortfall_intervals": grid.under_provisioned_fraction(),
     }
 
 
@@ -57,9 +55,9 @@ def _last_value_run(margin: float = 1.1, seed: int = 91):
     grid = ResourceGrid()
     history: list = []
     for step in range(EVAL_INTERVALS):
-        grouping, _, _ = scheme.predict_next_interval()
-        groups = grouping.groups()
-        actual = scheme.simulator.run_interval(groups)
+        evaluation = scheme.step()
+        groups = evaluation.grouping.groups()
+        actual = evaluation.actual
         used = {gid: usage.resource_blocks for gid, usage in actual.usage_by_group.items()}
         if history:
             total_reserved = LastValuePredictor().predict_next(history) * margin
@@ -72,9 +70,7 @@ def _last_value_run(margin: float = 1.1, seed: int = 91):
         "policy": f"last-value, margin {margin:.1f}",
         "over": grid.mean_over_provisioning(),
         "under": grid.mean_under_provisioning(),
-        "shortfall_intervals": float(
-            np.mean([usage.under_provisioned_blocks() > 1e-9 for usage in grid.history])
-        ),
+        "shortfall_intervals": grid.under_provisioned_fraction(),
     }
 
 

@@ -54,13 +54,14 @@ def main() -> None:
     actual_history: list[float] = []
     print("interval  DT-reserved  actual  over  under   (resource blocks)")
     for step in range(7):
-        grouping, _, predictions = scheme.predict_next_interval()
-        groups = grouping.groups()
+        evaluation = scheme.step()
+        groups = evaluation.grouping.groups()
         predicted_by_group = {
-            gid: predictions[gid].radio_resource_blocks * safety_margin for gid in groups
+            gid: evaluation.predictions[gid].radio_resource_blocks * safety_margin
+            for gid in groups
         }
 
-        actual = simulator.run_interval(groups)
+        actual = evaluation.actual
         actual_by_group = {
             gid: usage.resource_blocks for gid, usage in actual.usage_by_group.items()
         }

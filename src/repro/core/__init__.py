@@ -42,7 +42,6 @@ from repro.core.reservation import (
     AdmissionResult,
     ReservationPlanner,
     ReservationPolicy,
-    ReservationReport,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "DTResourcePredictionScheme",
     "ReservationPlanner",
     "ReservationPolicy",
-    "ReservationReport",
     "EvaluationResult",
     "GroupDemandPrediction",
     "GroupDemandPredictor",

@@ -28,7 +28,7 @@ from repro.ml.layers import (
     ReLU,
 )
 from repro.ml.losses import MSELoss
-from repro.ml.network import TrainingHistory
+from repro.ml.network import Sequential, TrainingHistory
 from repro.ml.optim import Adam
 
 
@@ -101,23 +101,19 @@ class UDTFeatureCompressor:
             in_channels = out_channels
         encoder.append(GlobalAveragePool1D())
         encoder.append(Dense(in_channels, config.compressed_dim, rng, weight_init="glorot"))
-        self._encoder_layers = encoder
-
-        target_dim = 4 * config.num_channels
-        self._head_layers: List[Layer] = [
+        head: List[Layer] = [
             ReLU(),
-            Dense(config.compressed_dim, target_dim, rng, weight_init="glorot"),
+            Dense(config.compressed_dim, 4 * config.num_channels, rng, weight_init="glorot"),
         ]
-
-        self._all_layers = self._encoder_layers + self._head_layers
-        parameters = [p for layer in self._all_layers for p in layer.parameters()]
-        self._optimizer = Adam(parameters, learning_rate=config.learning_rate)
+        # Training runs encoder + summary-statistics head; compression runs
+        # the same encoder layer objects on their own.
+        self._encoder = Sequential(encoder)
+        self._network = Sequential(encoder + head)
+        self._optimizer = Adam(self._network.parameters(), learning_rate=config.learning_rate)
         self._loss = MSELoss()
         self._rng = rng
         self._channel_mean: Optional[np.ndarray] = None
         self._channel_std: Optional[np.ndarray] = None
-        self._target_mean: Optional[np.ndarray] = None
-        self._target_std: Optional[np.ndarray] = None
         self.fitted = False
 
     # ------------------------------------------------------------ internals
@@ -140,18 +136,6 @@ class UDTFeatureCompressor:
             return tensor
         return (tensor - self._channel_mean) / self._channel_std
 
-    def _forward(self, x: np.ndarray, layers: List[Layer], training: bool) -> np.ndarray:
-        out = x
-        for layer in layers:
-            out = layer.forward(out, training=training)
-        return out
-
-    def _backward(self, grad: np.ndarray, layers: List[Layer]) -> np.ndarray:
-        out = grad
-        for layer in reversed(layers):
-            out = layer.backward(out)
-        return out
-
     # -------------------------------------------------------------- training
     def fit(self, tensor: np.ndarray) -> TrainingHistory:
         """Train the compressor on a population feature tensor.
@@ -161,35 +145,24 @@ class UDTFeatureCompressor:
         over one or more reservation intervals.
         """
         tensor = self._validate_tensor(tensor)
-        config = self.config
 
         # Channel-wise normalisation of inputs and standardised targets.
         self._channel_mean = tensor.mean(axis=(0, 1), keepdims=True)
         self._channel_std = tensor.std(axis=(0, 1), keepdims=True) + 1e-8
         normalised = self._normalise(tensor)
         targets = summary_targets(normalised)
-        self._target_mean = targets.mean(axis=0, keepdims=True)
-        self._target_std = targets.std(axis=0, keepdims=True) + 1e-8
-        targets = (targets - self._target_mean) / self._target_std
-
-        history = TrainingHistory()
-        num_users = normalised.shape[0]
-        for _ in range(config.epochs):
-            order = self._rng.permutation(num_users)
-            epoch_losses = []
-            for start in range(0, num_users, config.batch_size):
-                batch_idx = order[start : start + config.batch_size]
-                x = normalised[batch_idx]
-                y = targets[batch_idx]
-                self._optimizer.zero_grad()
-                prediction = self._forward(x, self._all_layers, training=True)
-                loss_value = self._loss.value(prediction, y)
-                grad = self._loss.gradient(prediction, y)
-                self._backward(grad, self._all_layers)
-                self._optimizer.clip_gradients(5.0)
-                self._optimizer.step()
-                epoch_losses.append(loss_value)
-            history.train_loss.append(float(np.mean(epoch_losses)))
+        target_mean = targets.mean(axis=0, keepdims=True)
+        target_std = targets.std(axis=0, keepdims=True) + 1e-8
+        history = self._network.fit(
+            normalised,
+            (targets - target_mean) / target_std,
+            epochs=self.config.epochs,
+            batch_size=self.config.batch_size,
+            loss=self._loss,
+            optimizer=self._optimizer,
+            rng=self._rng,
+            grad_clip=5.0,
+        )
         self.fitted = True
         return history
 
@@ -206,19 +179,7 @@ class UDTFeatureCompressor:
         if not self.fitted:
             stats = summary_targets(tensor)
             return stats[:, : self.config.compressed_dim]
-        normalised = self._normalise(tensor)
-        return self._forward(normalised, self._encoder_layers, training=False)
-
-    def reconstruction_error(self, tensor: np.ndarray) -> float:
-        """MSE of the summary-statistics head on ``tensor`` (lower is better)."""
-        tensor = self._validate_tensor(tensor)
-        if not self.fitted:
-            raise RuntimeError("compressor must be fitted before computing reconstruction error")
-        normalised = self._normalise(tensor)
-        targets = summary_targets(normalised)
-        targets = (targets - self._target_mean) / self._target_std
-        prediction = self._forward(normalised, self._all_layers, training=False)
-        return float(self._loss.value(prediction, targets))
+        return self._encoder.predict(self._normalise(tensor))
 
     @property
     def compression_ratio(self) -> float:

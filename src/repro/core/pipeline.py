@@ -12,6 +12,11 @@ interval:
 3. the simulator then plays the interval out under that grouping, and the
    predicted demand is scored against the actual usage.
 
+:meth:`DTResourcePredictionScheme.step` is the one predict-then-play step:
+the scenario runner and the reservation planner both drive it, so predictive
+placement always packs against the twin's forecast.  The scheme does not own
+the simulator's worker pool; ``with simulator:`` does.
+
 The per-interval records and the accuracy summary are what the benchmark
 harnesses print (Fig. 3(b) and the headline 95.04 % figure).
 """
@@ -274,9 +279,6 @@ class DTResourcePredictionScheme:
         self.fixed_k: Optional[int] = None
         self.warmed_up = False
         self._warmup_snapshots: List[np.ndarray] = []
-        #: Whether this scheme owns the simulator's worker-pool lifetime
-        #: (set when the scheme is used as a context manager).
-        self._owns_simulator = False
         #: Scoped-group → cell map of the most recent prediction (written by
         #: predict_next_interval, consumed by step; empty in boundary mode).
         self._last_cell_of_group: Dict[int, int] = {}
@@ -284,25 +286,6 @@ class DTResourcePredictionScheme:
         #: tensors + per-step predictions), exported by the scenario runner
         #: as ``RunResult.timing["predict_s"]``.
         self.timing: Dict[str, float] = {"predict_s": 0.0}
-
-    # ------------------------------------------------------------- lifecycle
-    def __enter__(self) -> "DTResourcePredictionScheme":
-        """Context-manager entry: the scheme adopts the simulator's lifetime.
-
-        With ``playback_workers > 1`` the ground-truth simulator lazily
-        starts a process pool; running the scheme inside a ``with`` block
-        guarantees the pool is shut down when the evaluation finishes::
-
-            with DTResourcePredictionScheme(simulator, config) as scheme:
-                result = scheme.run(num_intervals=5)
-        """
-        self._owns_simulator = True
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        if self._owns_simulator:
-            self.simulator.close()
-            self._owns_simulator = False
 
     # --------------------------------------------------------------- warm-up
     def _history_window(self) -> tuple:

@@ -10,20 +10,23 @@ prediction scheme can actually drive a reservation loop:
   blocks, per-group floors),
 * an :class:`AdmissionController` fits the requests into the base station's
   resource-block budget (proportional scale-down when oversubscribed), and
-* a :class:`ReservationPlanner` runs the loop against the simulator and
-  audits over-/under-provisioning per interval.
+* a :class:`ReservationPlanner` runs the loop through the prediction
+  scheme's own ``step`` and audits granted against used blocks in a
+  :class:`~repro.net.resources.ResourceGrid`, the one reserved-versus-used
+  audit (the horizon planner of :mod:`repro.placement.horizon` keeps one
+  too).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.core.demand import GroupDemandPrediction
-from repro.net.resources import IntervalUsage, ResourceGrid
+from repro.net.resources import ResourceGrid
 
 
 @dataclass
@@ -114,44 +117,16 @@ class AdmissionController:
         return AdmissionResult(granted=granted, requested=dict(requests), scaled_down=True)
 
 
-@dataclass
-class ReservationReport:
-    """Audit of a reservation run."""
-
-    intervals: List[IntervalUsage] = field(default_factory=list)
-    scaled_down_intervals: int = 0
-
-    @property
-    def num_intervals(self) -> int:
-        return len(self.intervals)
-
-    def mean_over_provisioning(self) -> float:
-        if not self.intervals:
-            return 0.0
-        return float(np.mean([usage.over_provisioned_blocks() for usage in self.intervals]))
-
-    def mean_under_provisioning(self) -> float:
-        if not self.intervals:
-            return 0.0
-        return float(np.mean([usage.under_provisioned_blocks() for usage in self.intervals]))
-
-    def under_provisioned_fraction(self) -> float:
-        """Fraction of intervals with any under-provisioned group."""
-        if not self.intervals:
-            return 0.0
-        shortfalls = [usage.under_provisioned_blocks() > 1e-9 for usage in self.intervals]
-        return float(np.mean(shortfalls))
-
-
 class ReservationPlanner:
     """Runs the predict → reserve → observe → audit loop against the simulator.
 
-    The planner drives a warmed-up
-    :class:`~repro.core.pipeline.DTResourcePredictionScheme`: each interval it
-    predicts per-group demand, applies the reservation policy, admits the
-    requests against the base-station budget, lets the simulator play the
-    interval out under the predicted grouping, and records reserved-versus-
-    used resource blocks.
+    The planner drives a
+    :class:`~repro.core.pipeline.DTResourcePredictionScheme` through its own
+    ``warm_up`` and ``step``: each step predicts per-group demand, hands it
+    to predictive placement, and plays the interval out under the predicted
+    grouping.  The planner then applies the reservation policy to the
+    predictions, admits the requests against the base-station budget, and
+    records reserved-versus-used resource blocks.
     """
 
     def __init__(
@@ -168,29 +143,24 @@ class ReservationPlanner:
             else float(scheme.simulator.config.num_resource_blocks)
         )
         self.admission = AdmissionController(budget)
-        self.grid = ResourceGrid()
 
-    def run(self, num_intervals: int) -> ReservationReport:
-        """Run the reservation loop for ``num_intervals`` reservation intervals."""
+    def run(self, num_intervals: int) -> ResourceGrid:
+        """Run the reservation loop for ``num_intervals`` reservation intervals.
+
+        Returns a fresh :class:`~repro.net.resources.ResourceGrid` holding
+        one granted-versus-used record per interval.
+        """
         if num_intervals <= 0:
             raise ValueError("num_intervals must be positive")
         self.scheme.warm_up()
-        report = ReservationReport()
+        grid = ResourceGrid()
         for _ in range(num_intervals):
-            grouping, _, predictions = self.scheme.predict_next_interval()
-            requests = self.policy.radio_requests(predictions)
-            admitted = self.admission.admit(requests)
-            if admitted.scaled_down:
-                report.scaled_down_intervals += 1
-
-            actual = self.scheme.simulator.run_interval(grouping.groups())
+            evaluation = self.scheme.step()
+            admitted = self.admission.admit(self.policy.radio_requests(evaluation.predictions))
             used = {
                 gid: usage.resource_blocks
-                for gid, usage in actual.usage_by_group.items()
+                for gid, usage in evaluation.actual.usage_by_group.items()
                 if np.isfinite(usage.resource_blocks)
             }
-            usage_record = self.grid.record_interval(
-                actual.interval_index, admitted.granted, used
-            )
-            report.intervals.append(usage_record)
-        return report
+            grid.record_interval(evaluation.interval_index, admitted.granted, used)
+        return grid

@@ -39,6 +39,9 @@ class Sequential:
 
     The container chains ``forward`` calls in order and ``backward`` calls in
     reverse, which is all the 1D-CNN compressor and DDQN Q-networks require.
+    :meth:`fit` is the one mini-batch training loop: the 1D-CNN compressor
+    trains through it.  The DDQN takes one step per transition on targets
+    from its target network, so it calls ``forward``/``backward`` itself.
     """
 
     def __init__(self, layers: Sequence[Layer]) -> None:

@@ -11,13 +11,16 @@ used before.
 
 The policy itself is pure and deterministic: identical measurement inputs
 produce the identical decision sequence, which is what the controller's
-determinism guarantees (same seed, same handover events) rest on.
+determinism guarantees (same seed, same handover events) rest on.  The
+time-to-trigger streaks it carries between batches (:class:`StreakState`)
+are always keyed by user id, so users joining or leaving between batches
+never shift one user's streak onto another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,34 +70,23 @@ class HandoverConfig:
 class StreakState:
     """Per-user A3 streak state carried across evaluation batches.
 
-    ``candidate[u]`` is the cell index whose margin streak user ``u`` is
-    accumulating (``-1`` when none) and ``entered_at_s[u]`` the absolute
-    time the streak began.  Persisting this between intervals keeps the
-    time-to-trigger window *continuous*: a margin that establishes late in
-    one interval and completes early in the next still triggers.
+    ``candidate[u]`` is the cell index whose margin streak user
+    ``user_ids[u]`` is accumulating (``-1`` when none) and
+    ``entered_at_s[u]`` the absolute time the streak began.  Persisting
+    this between intervals keeps the time-to-trigger window *continuous*: a
+    margin that establishes late in one interval and completes early in the
+    next still triggers.
 
-    **Keying.**  When ``user_ids`` is set the state is keyed by user id:
-    row ``u`` belongs to ``user_ids[u]``, and :meth:`aligned_to` remaps the
-    carried rows onto any later user-id batch — users that joined get a
-    fresh streak, users that left are dropped.  A state *without*
-    ``user_ids`` is purely positional: carrying it across batches is only
-    sound while the user array never changes, because after a mid-run
-    removal the persisted candidate/TTT rows silently apply to the wrong
-    users.  Id-keyed carry is therefore what every churn-capable caller
-    (the RAN controller) uses.
+    The state is keyed by user id: :meth:`aligned_to` remaps the carried
+    rows onto any later user-id batch, so users that joined get a fresh
+    streak and users that left are dropped.  A mid-run removal therefore
+    never applies one user's candidate/TTT row to another.
     """
 
     candidate: np.ndarray
     entered_at_s: np.ndarray
-    #: User id of each row; ``None`` marks a legacy positional state.
-    user_ids: Optional[np.ndarray] = None
-
-    @classmethod
-    def fresh(cls, num_users: int) -> "StreakState":
-        return cls(
-            candidate=np.full(num_users, -1, dtype=int),
-            entered_at_s=np.zeros(num_users),
-        )
+    #: User id of each row.
+    user_ids: np.ndarray
 
     @classmethod
     def keyed(cls, user_ids: Sequence[int]) -> "StreakState":
@@ -112,13 +104,7 @@ class StreakState:
         Each requested user keeps their carried ``(candidate, entered_at)``
         row if present, and starts a fresh ``(-1, 0.0)`` streak otherwise;
         carried rows whose user is absent from ``user_ids`` are dropped.
-        Requires an id-keyed state (``user_ids`` set).
         """
-        if self.user_ids is None:
-            raise ValueError(
-                "aligned_to() needs an id-keyed StreakState; build one with "
-                "StreakState.keyed() or evaluate(..., user_ids=...)"
-            )
         ids = np.asarray(user_ids, dtype=int)
         row_of = {int(uid): row for row, uid in enumerate(self.user_ids)}
         candidate = np.full(ids.shape[0], -1, dtype=int)
@@ -137,8 +123,6 @@ class StreakState:
         backfills a fresh ``(-1, 0.0)`` streak for them, which is exactly
         the (re-)attach semantics the controller wants.
         """
-        if self.user_ids is None:
-            raise ValueError("without() needs an id-keyed StreakState")
         keep = self.user_ids != int(user_id)
         if keep.all():
             return self
@@ -207,8 +191,8 @@ class HandoverPolicy:
         times_s: Sequence[float],
         snr_db: np.ndarray,
         serving_index: Sequence[int],
+        user_ids: Sequence[int],
         state: "StreakState | None" = None,
-        user_ids: "Sequence[int] | None" = None,
         cell_bias_db: "Sequence[float] | None" = None,
     ) -> Tuple[List[HandoverDecision], np.ndarray, StreakState]:
         """Walk the measurement samples and trigger handovers.
@@ -221,18 +205,15 @@ class HandoverPolicy:
             Mean-SNR tensor, shape ``(T, U, C)``.
         serving_index:
             Serving-cell index per user at the first sample, shape ``(U,)``.
+        user_ids:
+            User id of each measurement column, shape ``(U,)``.  The carried
+            ``state`` is remapped *by id* onto this batch
+            (:meth:`StreakState.aligned_to`), so streaks persist correctly
+            while users join and leave between batches.
         state:
             Streak state carried over from the previous batch (fresh state
             when omitted).  Passing the returned state back in keeps
             time-to-trigger windows continuous across batch boundaries.
-        user_ids:
-            User id of each measurement column, shape ``(U,)``.  When given,
-            the carried ``state`` is remapped *by id* onto this batch
-            (:meth:`StreakState.aligned_to`) and the returned state is
-            id-keyed — the churn-safe way to persist streaks while users
-            join and leave between batches.  Without it, ``state`` is
-            applied positionally and must describe the exact same user
-            array as this batch.
         cell_bias_db:
             Optional per-cell additive bias, shape ``(C,)``, applied to the
             whole measurement tensor before the rule runs (load-aware
@@ -262,33 +243,10 @@ class HandoverPolicy:
             if np.any(bias):
                 snr = snr + bias[None, None, :]
         num_users = serving.shape[0]
-        ids = None if user_ids is None else np.asarray(user_ids, dtype=int)
-        if ids is not None:
-            if ids.shape[0] != num_users:
-                raise ValueError("user_ids and serving_index shapes disagree")
-            if state is None:
-                state = StreakState.keyed(ids)
-            elif state.user_ids is not None:
-                state = state.aligned_to(ids)
-            elif state.candidate.shape[0] == num_users:
-                # Positional state adopted as-is: the caller vouches that its
-                # rows line up with this batch; from here on it is id-keyed.
-                state = StreakState(
-                    candidate=state.candidate,
-                    entered_at_s=state.entered_at_s,
-                    user_ids=ids,
-                )
-            else:
-                raise ValueError(
-                    "positional state and user_ids shapes disagree; carry an "
-                    "id-keyed StreakState across batches with churn"
-                )
-        else:
-            state = state if state is not None else StreakState.fresh(num_users)
-            # A keyed state applied positionally keeps its keying on return.
-            ids = state.user_ids
-        if state.candidate.shape[0] != num_users:
-            raise ValueError("state and serving_index shapes disagree")
+        ids = np.asarray(user_ids, dtype=int)
+        if ids.shape[0] != num_users:
+            raise ValueError("user_ids and serving_index shapes disagree")
+        state = StreakState.keyed(ids) if state is None else state.aligned_to(ids)
         if num_users == 0 or times.shape[0] == 0 or snr.shape[2] < 2:
             return [], serving, state
 

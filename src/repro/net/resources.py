@@ -2,9 +2,12 @@
 
 Radio resources are reserved in units of resource blocks (RBs).  The budget
 tracks how many RBs a base station has, how many have been reserved for each
-multicast group, and whether a reservation request can be admitted.  The
-grid additionally keeps a per-interval history so over- and
-under-provisioning can be audited after the fact.
+multicast group, and whether a reservation request can be admitted.
+:class:`ResourceGrid` is the one reserved-versus-used audit: it keeps a
+per-interval history so over- and under-provisioning can be audited after
+the fact.  The reservation planner of :mod:`repro.core.reservation` returns
+one per run, and the horizon planner of :mod:`repro.placement.horizon`
+audits its per-cell bookings in one.
 """
 
 from __future__ import annotations
@@ -118,3 +121,9 @@ class ResourceGrid:
         if not self.history:
             return 0.0
         return float(np.mean([entry.under_provisioned_blocks() for entry in self.history]))
+
+    def under_provisioned_fraction(self) -> float:
+        """Fraction of intervals with any under-provisioned group."""
+        if not self.history:
+            return 0.0
+        return float(np.mean([entry.under_provisioned_blocks() > 1e-9 for entry in self.history]))

@@ -18,7 +18,8 @@ reprovision when prediction error grows):
   :class:`~repro.sim.events.EventQueue` bus on mispredicts;
 * :mod:`repro.placement.horizon` — :class:`HorizonReservationPlanner`
   booking per-cell radio blocks ahead of scripted timeline events via
-  :mod:`repro.core.reservation`.
+  :mod:`repro.core.reservation` and auditing them in a
+  :class:`~repro.net.resources.ResourceGrid`.
 """
 
 from repro.placement.demand import DemandForecaster, DemandSeries
@@ -41,7 +42,6 @@ from repro.placement.planner import (
 #: horizon import keeps that chain acyclic.
 _HORIZON_NAMES = (
     "DemandShock",
-    "HorizonAudit",
     "HorizonReservationPlanner",
     "ReservationBooking",
 )
@@ -60,7 +60,6 @@ __all__ = [
     "DemandShock",
     "EdgeFleet",
     "FleetComputeUsage",
-    "HorizonAudit",
     "HorizonReservationPlanner",
     "PLACEMENT_STRATEGIES",
     "PlacementConfig",

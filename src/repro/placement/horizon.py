@@ -9,9 +9,10 @@ and fitting the requests into each cell's scripted budget with the
 existing :mod:`repro.core.reservation` machinery
 (:class:`~repro.core.reservation.ReservationPolicy` margins +
 :class:`~repro.core.reservation.AdmissionController` proportional
-scale-down).  Booked versus realised demand is audited per interval with
-:class:`~repro.net.resources.IntervalUsage`, the same reserved/used record
-the in-interval reservation loop uses.
+scale-down).  Booked versus realised demand is audited per interval in a
+:class:`~repro.net.resources.ResourceGrid` (:attr:`HorizonReservationPlanner.audit`),
+the same reserved-versus-used audit the in-interval reservation loop
+returns.
 
 The planner is deliberately ignorant of :mod:`repro.scenario` (placement
 sits below the scenario layer): the scenario runner translates its
@@ -21,13 +22,11 @@ timeline events into :class:`DemandShock` descriptors via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.reservation import AdmissionController, ReservationPolicy
-from repro.net.resources import IntervalUsage
+from repro.net.resources import ResourceGrid
 
 
 @dataclass(frozen=True)
@@ -87,23 +86,6 @@ class ReservationBooking:
         }
 
 
-@dataclass
-class HorizonAudit:
-    """Booked-versus-realised audit over the run."""
-
-    intervals: List[IntervalUsage] = field(default_factory=list)
-
-    def mean_over_booking(self) -> float:
-        if not self.intervals:
-            return 0.0
-        return float(np.mean([u.over_provisioned_blocks() for u in self.intervals]))
-
-    def mean_under_booking(self) -> float:
-        if not self.intervals:
-            return 0.0
-        return float(np.mean([u.under_provisioned_blocks() for u in self.intervals]))
-
-
 class HorizonReservationPlanner:
     """Books per-cell radio blocks several intervals ahead of the timeline."""
 
@@ -138,7 +120,8 @@ class HorizonReservationPlanner:
         #: booking made closest to the interval refines earlier ones).
         self._booked: Dict[int, Dict[int, float]] = {}
         self.bookings: List[ReservationBooking] = []
-        self.audit = HorizonAudit()
+        #: Booked-versus-realised blocks, one record per audited interval.
+        self.audit = ResourceGrid()
 
     # -------------------------------------------------------------- scripted
     def scripted_budget(self, cell: int, interval: int) -> float:
@@ -184,9 +167,7 @@ class HorizonReservationPlanner:
         }
         booked = self._booked.pop(interval, None)
         if booked is not None:
-            self.audit.intervals.append(
-                IntervalUsage(interval_index=interval, reserved=booked, used=demand)
-            )
+            self.audit.record_interval(interval, booked, demand)
         if self._seen_intervals == 0:
             self._demand = dict(demand)
         else:
@@ -257,6 +238,6 @@ class HorizonReservationPlanner:
             "event_driven_bookings": int(
                 sum(1 for b in self.bookings if b.reasons)
             ),
-            "mean_over_booking_blocks": self.audit.mean_over_booking(),
-            "mean_under_booking_blocks": self.audit.mean_under_booking(),
+            "mean_over_booking_blocks": self.audit.mean_over_provisioning(),
+            "mean_under_booking_blocks": self.audit.mean_under_provisioning(),
         }

@@ -23,7 +23,7 @@ from repro.ml.layers import Dense, ReLU
 from repro.ml.losses import HuberLoss
 from repro.ml.network import Sequential
 from repro.ml.optim import Adam
-from repro.rl.policy import EpsilonSchedule, LinearEpsilonDecay
+from repro.rl.policy import LinearEpsilonDecay
 from repro.rl.replay import ReplayBuffer
 
 
@@ -41,7 +41,6 @@ class DDQNConfig:
     target_update_interval: int = 50
     min_replay_size: int = 64
     grad_clip: float = 5.0
-    double_q: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -92,7 +91,7 @@ class DDQNAgent:
     def __init__(
         self,
         config: DDQNConfig,
-        epsilon_schedule: Optional[EpsilonSchedule] = None,
+        epsilon_schedule: Optional[LinearEpsilonDecay] = None,
     ) -> None:
         self.config = config
         # Imported lazily: repro.sim pulls in modules that import this one.
@@ -163,12 +162,10 @@ class DDQNAgent:
         batch = self.replay.sample(self.config.batch_size, rng=self.rng)
         q_online = self.online.forward(batch.states, training=True)
 
+        # Double Q-learning: the online network picks the next action, the
+        # target network values it.
         q_next_target = self.target.predict(batch.next_states)
-        if self.config.double_q:
-            q_next_online = self.online.predict(batch.next_states)
-            best_actions = q_next_online.argmax(axis=1)
-        else:
-            best_actions = q_next_target.argmax(axis=1)
+        best_actions = self.online.predict(batch.next_states).argmax(axis=1)
         next_values = q_next_target[np.arange(len(batch)), best_actions]
         targets_for_actions = batch.rewards + self.config.discount * next_values * (
             ~batch.dones

@@ -1,29 +1,9 @@
-"""Exploration schedules for epsilon-greedy action selection."""
+"""Exploration schedule for epsilon-greedy action selection."""
 
 from __future__ import annotations
 
 
-class EpsilonSchedule:
-    """Base class: map a step counter to an exploration probability."""
-
-    def value(self, step: int) -> float:
-        raise NotImplementedError
-
-
-class ConstantEpsilon(EpsilonSchedule):
-    """A fixed exploration probability (useful for evaluation or tests)."""
-
-    def __init__(self, epsilon: float) -> None:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        self.epsilon = float(epsilon)
-
-    def value(self, step: int) -> float:
-        del step
-        return self.epsilon
-
-
-class LinearEpsilonDecay(EpsilonSchedule):
+class LinearEpsilonDecay:
     """Linear decay from ``start`` to ``end`` over ``decay_steps`` steps."""
 
     def __init__(self, start: float = 1.0, end: float = 0.05, decay_steps: int = 1000) -> None:
@@ -40,23 +20,3 @@ class LinearEpsilonDecay(EpsilonSchedule):
             raise ValueError("step must be non-negative")
         fraction = min(1.0, step / self.decay_steps)
         return self.start + fraction * (self.end - self.start)
-
-
-class ExponentialEpsilonDecay(EpsilonSchedule):
-    """Exponential decay ``end + (start - end) * exp(-step / tau)``."""
-
-    def __init__(self, start: float = 1.0, end: float = 0.05, tau: float = 300.0) -> None:
-        if not 0.0 <= end <= start <= 1.0:
-            raise ValueError("need 0 <= end <= start <= 1")
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        self.start = float(start)
-        self.end = float(end)
-        self.tau = float(tau)
-
-    def value(self, step: int) -> float:
-        if step < 0:
-            raise ValueError("step must be non-negative")
-        import math
-
-        return self.end + (self.start - self.end) * math.exp(-step / self.tau)

@@ -23,6 +23,7 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.net.apps.base import normalize_app_entry
 from repro.video.categories import DEFAULT_CATEGORIES
 
 
@@ -112,8 +113,9 @@ class ControllerSpec:
     """RAN-controller mode, handover / load-balancing knobs and app stack.
 
     ``apps`` selects the controller-app stack for ``mode="handover"`` (see
-    :mod:`repro.net.apps`): a tuple of :class:`ControllerAppSpec` entries
-    (bare names and ``{"name", "params"}`` mappings are coerced).  The
+    :mod:`repro.net.apps`): a tuple of :class:`ControllerAppSpec` entries.
+    Any other entry is parsed by :func:`repro.net.apps.normalize_app_entry`,
+    the parser ``SimulationConfig.controller_apps`` uses too.  The
     default empty tuple compiles to the built-in default stack
     (``a3_handover``, ``cell_scoping``, ``prorata_rebalance``), which is
     bit-identical to the historical monolithic controller.  The
@@ -135,26 +137,13 @@ class ControllerSpec:
     apps: Tuple[ControllerAppSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "apps", tuple(_coerce_app_spec(entry) for entry in self.apps)
-        )
-
-
-def _coerce_app_spec(entry: Any) -> ControllerAppSpec:
-    if isinstance(entry, ControllerAppSpec):
-        return entry
-    if isinstance(entry, str):
-        return ControllerAppSpec(name=entry)
-    if isinstance(entry, Mapping):
-        extra = set(entry) - {"name", "params"}
-        if "name" not in entry or extra:
-            raise ValueError(
-                f"app entry mapping needs 'name' (+ optional 'params'), got {dict(entry)!r}"
-            )
-        return ControllerAppSpec(name=str(entry["name"]), params=entry.get("params") or {})
-    raise TypeError(
-        f"controller app entry must be a name, mapping or ControllerAppSpec, got {entry!r}"
-    )
+        apps: List[ControllerAppSpec] = []
+        for entry in self.apps:
+            if not isinstance(entry, ControllerAppSpec):
+                name, params = normalize_app_entry(entry)
+                entry = ControllerAppSpec(name=name, params=params)
+            apps.append(entry)
+        object.__setattr__(self, "apps", tuple(apps))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -761,21 +761,6 @@ class StreamingSimulator:
         # re-scopes on handover) and the interval's app events.
         result.group_scope_events.extend(controller.drain_scope_events())
         result.app_events = controller.drain_app_events()
-
-    def run(
-        self,
-        grouping_fn: Callable[[int, "StreamingSimulator"], Mapping[int, Sequence[int]]],
-        num_intervals: Optional[int] = None,
-    ) -> List[IntervalResult]:
-        """Run several intervals, asking ``grouping_fn`` for each interval's grouping."""
-        count = num_intervals if num_intervals is not None else self.config.num_intervals
-        if count <= 0:
-            raise ValueError("num_intervals must be positive")
-        results = []
-        for _ in range(count):
-            grouping = grouping_fn(self.clock.current_interval, self)
-            results.append(self.run_interval(grouping))
-        return results
 
     # ------------------------------------------------------------ internals
     def _validate_grouping(self, grouping: Mapping[int, Sequence[int]]) -> None:

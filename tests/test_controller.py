@@ -44,7 +44,7 @@ class TestHandoverPolicy:
         times = np.arange(0.0, 40.0, 5.0)
         # Neighbour exceeds serving by 4 dB (> 3 dB hysteresis) from t=5 on.
         snr = _snr_tensor([10.0] * 8, [10.0, 14.0, 14.0, 14.0, 14.0, 14.0, 14.0, 14.0])
-        decisions, serving, _ = _policy().evaluate(times, snr, [0])
+        decisions, serving, _ = _policy().evaluate(times, snr, [0], user_ids=[0])
         assert [d.time_s for d in decisions] == [15.0]
         assert decisions[0].source_index == 0 and decisions[0].target_index == 1
         assert decisions[0].margin_db == pytest.approx(4.0)
@@ -53,21 +53,21 @@ class TestHandoverPolicy:
     def test_hysteresis_blocks_small_margins(self):
         times = np.arange(0.0, 60.0, 5.0)
         snr = _snr_tensor([10.0] * 12, [12.0] * 12)  # margin 2 dB < 3 dB
-        decisions, serving, _ = _policy().evaluate(times, snr, [0])
+        decisions, serving, _ = _policy().evaluate(times, snr, [0], user_ids=[0])
         assert decisions == [] and serving.tolist() == [0]
 
     def test_interrupted_margin_restarts_the_clock(self):
         times = np.arange(0.0, 45.0, 5.0)
         neighbour = [14.0, 14.0, 10.0, 14.0, 14.0, 14.0, 14.0, 14.0, 14.0]
         snr = _snr_tensor([10.0] * 9, neighbour)
-        decisions, _, _ = _policy().evaluate(times, snr, [0])
+        decisions, _, _ = _policy().evaluate(times, snr, [0], user_ids=[0])
         # Dip at t=10 resets the streak; it restarts at t=15 and fires at t=25.
         assert [d.time_s for d in decisions] == [25.0]
 
     def test_zero_ttt_triggers_at_first_qualifying_sample(self):
         times = np.arange(0.0, 15.0, 5.0)
         snr = _snr_tensor([10.0, 10.0, 10.0], [10.0, 15.0, 15.0])
-        decisions, _, _ = _policy(ttt=0.0).evaluate(times, snr, [0])
+        decisions, _, _ = _policy(ttt=0.0).evaluate(times, snr, [0], user_ids=[0])
         assert [d.time_s for d in decisions] == [5.0]
 
     def test_streak_persists_across_evaluation_batches(self):
@@ -77,24 +77,24 @@ class TestHandoverPolicy:
         # complete the 10 s window before the batch ends.
         times_a = np.arange(0.0, 30.0, 5.0)
         snr_a = _snr_tensor([10.0] * 6, [10.0] * 5 + [14.0])
-        decisions, serving, state = policy.evaluate(times_a, snr_a, [0])
+        decisions, serving, state = policy.evaluate(times_a, snr_a, [0], user_ids=[0])
         assert decisions == [] and serving.tolist() == [0]
         # Batch 2: the margin holds; with the carried state the window
         # completes at t=35 (10 s after t=25), not 10 s into the new batch.
         times_b = np.arange(30.0, 60.0, 5.0)
         snr_b = _snr_tensor([10.0] * 6, [14.0] * 6)
-        decisions, serving, _ = policy.evaluate(times_b, snr_b, [0], state=state)
+        decisions, serving, _ = policy.evaluate(times_b, snr_b, [0], user_ids=[0], state=state)
         assert [d.time_s for d in decisions] == [35.0]
         assert serving.tolist() == [1]
         # Without the carried state the trigger would land a full window
         # into the second batch instead.
-        fresh_decisions, _, _ = policy.evaluate(times_b, snr_b, [0])
+        fresh_decisions, _, _ = policy.evaluate(times_b, snr_b, [0], user_ids=[0])
         assert [d.time_s for d in fresh_decisions] == [40.0]
 
     def test_single_cell_never_hands_over(self):
         times = np.arange(0.0, 20.0, 5.0)
         snr = np.full((4, 2, 1), 10.0)
-        decisions, serving, _ = _policy().evaluate(times, snr, [0, 0])
+        decisions, serving, _ = _policy().evaluate(times, snr, [0, 0], user_ids=[0, 1])
         assert decisions == [] and serving.tolist() == [0, 0]
 
     def test_measurement_tensor_shape_and_values(self):
@@ -399,10 +399,10 @@ class TestLoadAwareHandover:
         """A margin that triggers pure-SNR is suppressed by the target's bias."""
         times = np.arange(0.0, 40.0, 5.0)
         snr = _snr_tensor([10.0] * 8, [14.0] * 8)  # 4 dB > 3 dB hysteresis
-        decisions, _, _ = _policy().evaluate(times, snr, [0])
+        decisions, _, _ = _policy().evaluate(times, snr, [0], user_ids=[0])
         assert decisions  # sanity: fires without bias
         decisions, serving, _ = _policy().evaluate(
-            times, snr, [0], cell_bias_db=[0.0, -6.0]
+            times, snr, [0], user_ids=[0], cell_bias_db=[0.0, -6.0]
         )
         assert decisions == [] and serving.tolist() == [0]
 
@@ -410,10 +410,10 @@ class TestLoadAwareHandover:
         """A sub-hysteresis margin fires once the serving cell is discounted."""
         times = np.arange(0.0, 40.0, 5.0)
         snr = _snr_tensor([10.0] * 8, [11.0] * 8)  # 1 dB < 3 dB hysteresis
-        decisions, _, _ = _policy().evaluate(times, snr, [0])
+        decisions, _, _ = _policy().evaluate(times, snr, [0], user_ids=[0])
         assert decisions == []
         decisions, serving, _ = _policy().evaluate(
-            times, snr, [0], cell_bias_db=[-6.0, 0.0]
+            times, snr, [0], user_ids=[0], cell_bias_db=[-6.0, 0.0]
         )
         # Effective margin 1 - (-6) = 7 dB; the reported margin is biased.
         assert [d.time_s for d in decisions] == [10.0]
@@ -424,8 +424,10 @@ class TestLoadAwareHandover:
         times = np.arange(0.0, 60.0, 5.0)
         rng = np.random.default_rng(3)
         snr = rng.normal(12.0, 4.0, size=(12, 3, 2))
-        base = _policy().evaluate(times, snr, [0, 1, 0])
-        biased = _policy().evaluate(times, snr, [0, 1, 0], cell_bias_db=[0.0, 0.0])
+        base = _policy().evaluate(times, snr, [0, 1, 0], user_ids=[0, 1, 2])
+        biased = _policy().evaluate(
+            times, snr, [0, 1, 0], user_ids=[0, 1, 2], cell_bias_db=[0.0, 0.0]
+        )
         assert [d.time_s for d in base[0]] == [d.time_s for d in biased[0]]
         assert base[1].tolist() == biased[1].tolist()
 
@@ -433,7 +435,9 @@ class TestLoadAwareHandover:
         times = np.arange(0.0, 10.0, 5.0)
         snr = _snr_tensor([10.0, 10.0], [14.0, 14.0])
         with pytest.raises(ValueError):
-            _policy().evaluate(times, snr, [0], cell_bias_db=[0.0, 0.0, 0.0])
+            _policy().evaluate(
+                times, snr, [0], user_ids=[0], cell_bias_db=[0.0, 0.0, 0.0]
+            )
 
     def test_controller_derives_bias_from_overload_state(self):
         controller = _two_cell_controller(

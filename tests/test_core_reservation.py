@@ -150,32 +150,104 @@ class TestReservationPlanner:
 
     def test_planner_produces_per_interval_audit(self):
         planner = ReservationPlanner(self.make_scheme(), ReservationPolicy(margin=1.15))
-        report = planner.run(num_intervals=3)
-        assert report.num_intervals == 3
-        assert report.mean_over_provisioning() >= 0.0
-        assert report.mean_under_provisioning() >= 0.0
-        assert 0.0 <= report.under_provisioned_fraction() <= 1.0
+        grid = planner.run(num_intervals=3)
+        assert len(grid.history) == 3
+        assert grid.mean_over_provisioning() >= 0.0
+        assert grid.mean_under_provisioning() >= 0.0
+        assert 0.0 <= grid.under_provisioned_fraction() <= 1.0
 
     def test_accurate_predictions_keep_overprovisioning_small(self):
         planner = ReservationPlanner(self.make_scheme(), ReservationPolicy(margin=1.15))
-        report = planner.run(num_intervals=3)
+        grid = planner.run(num_intervals=3)
         actual_mean = np.mean(
-            [sum(usage.used.values()) for usage in report.intervals]
+            [sum(usage.used.values()) for usage in grid.history]
         )
         # The wasted head-room should be a modest fraction of the actual usage.
-        assert report.mean_over_provisioning() < 0.6 * actual_mean
+        assert grid.mean_over_provisioning() < 0.6 * actual_mean
 
     def test_larger_margin_reduces_underprovisioning(self):
         tight = ReservationPlanner(self.make_scheme(), ReservationPolicy(margin=1.0, quantise=False))
         generous = ReservationPlanner(self.make_scheme(), ReservationPolicy(margin=1.5, quantise=False))
-        tight_report = tight.run(num_intervals=3)
-        generous_report = generous.run(num_intervals=3)
+        tight_grid = tight.run(num_intervals=3)
+        generous_grid = generous.run(num_intervals=3)
         assert (
-            generous_report.mean_under_provisioning()
-            <= tight_report.mean_under_provisioning() + 1e-9
+            generous_grid.mean_under_provisioning()
+            <= tight_grid.mean_under_provisioning() + 1e-9
         )
 
     def test_invalid_interval_count(self):
         planner = ReservationPlanner(self.make_scheme())
         with pytest.raises(ValueError):
             planner.run(num_intervals=0)
+
+
+def _placement_scheme() -> DTResourcePredictionScheme:
+    """Two CPU-starved edge servers under DRR placement."""
+    sim_config = SimulationConfig(
+        num_users=30,
+        num_videos=40,
+        num_intervals=8,
+        interval_s=90.0,
+        seed=13,
+        edge_servers=2,
+        placement_strategy="drr",
+        cpu_capacity_cycles_per_s=2e7,
+    )
+    scheme_config = SchemeConfig(
+        warmup_intervals=1,
+        cnn_epochs=2,
+        ddqn_episodes=2,
+        mc_rollouts=4,
+        min_groups=4,
+        max_groups=6,
+        seed=0,
+    )
+    return DTResourcePredictionScheme(StreamingSimulator(sim_config), scheme_config)
+
+
+def _record_intervals(scheme: DTResourcePredictionScheme) -> list:
+    """Capture every interval the scheme's simulator plays from now on."""
+    simulator = scheme.simulator
+    played = []
+    run_interval = simulator.run_interval
+
+    def recording(grouping):
+        result = run_interval(grouping)
+        played.append(result)
+        return result
+
+    simulator.run_interval = recording
+    return played
+
+
+def _placement_outcome(result) -> tuple:
+    return (
+        result.interval_index,
+        [event.to_record() for event in result.placement_events],
+        dict(result.server_of_group),
+        {gid: usage.computing_cycles for gid, usage in result.usage_by_group.items()},
+        result.total_computing_cycles,
+    )
+
+
+def test_planner_places_from_the_twin_forecast():
+    """The planner's run packs edge jobs exactly like the scheme's step loop.
+
+    Both hand the twin's per-group computing forecast to placement before
+    each interval, so reprovision events, server assignments and computing
+    cycles agree interval by interval.
+    """
+    planned = _placement_scheme()
+    planned_intervals = _record_intervals(planned)
+    ReservationPlanner(planned).run(num_intervals=5)
+
+    stepped = _placement_scheme()
+    stepped_intervals = _record_intervals(stepped)
+    stepped.warm_up()
+    for _ in range(5):
+        stepped.step()
+
+    assert len(planned_intervals) == len(stepped_intervals) == 6
+    assert [_placement_outcome(r) for r in planned_intervals] == [
+        _placement_outcome(r) for r in stepped_intervals
+    ]

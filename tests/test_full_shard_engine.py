@@ -269,22 +269,22 @@ class TestStageTiming:
             assert result.timing[key] >= 0.0
 
     def test_scheme_accumulates_predict_time(self):
-        sim = StreamingSimulator(
+        with StreamingSimulator(
             _config(1, num_users=8, num_videos=20, num_intervals=3)
-        )
-        with DTResourcePredictionScheme(
-            sim,
-            SchemeConfig(
-                warmup_intervals=2,
-                cnn_epochs=2,
-                ddqn_episodes=2,
-                mc_rollouts=2,
-                history_intervals=2,
-                min_groups=2,
-                max_groups=3,
-            ),
-            k_strategy="fixed",
-        ) as scheme:
+        ) as sim:
+            scheme = DTResourcePredictionScheme(
+                sim,
+                SchemeConfig(
+                    warmup_intervals=2,
+                    cnn_epochs=2,
+                    ddqn_episodes=2,
+                    mc_rollouts=2,
+                    history_intervals=2,
+                    min_groups=2,
+                    max_groups=3,
+                ),
+                k_strategy="fixed",
+            )
             scheme.fixed_k = 2
             scheme.run(num_intervals=1)
             assert scheme.timing["predict_s"] > 0.0

@@ -230,3 +230,4 @@ class TestResources:
         assert grid.history[0].under_provisioned_blocks() == pytest.approx(5.0)
         assert grid.mean_over_provisioning() == pytest.approx(10.0)
         assert grid.mean_under_provisioning() == pytest.approx(2.5)
+        assert grid.under_provisioned_fraction() == pytest.approx(0.5)

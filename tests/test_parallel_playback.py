@@ -211,19 +211,20 @@ class TestShardedPlaybackDeterminism:
                     interval_s=60.0,
                 )
             )
-            with DTResourcePredictionScheme(
-                sim,
-                SchemeConfig(
-                    warmup_intervals=2,
-                    cnn_epochs=2,
-                    ddqn_episodes=2,
-                    mc_rollouts=2,
-                    history_intervals=2,
-                    min_groups=2,
-                    max_groups=3,
-                ),
-                k_strategy="fixed",
-            ) as scheme:
+            with sim:
+                scheme = DTResourcePredictionScheme(
+                    sim,
+                    SchemeConfig(
+                        warmup_intervals=2,
+                        cnn_epochs=2,
+                        ddqn_episodes=2,
+                        mc_rollouts=2,
+                        history_intervals=2,
+                        min_groups=2,
+                        max_groups=3,
+                    ),
+                    k_strategy="fixed",
+                )
                 scheme.fixed_k = 2
                 result = scheme.run(num_intervals=1)
             assert sim._pool is None, "context manager must close the pool"
@@ -412,23 +413,6 @@ class TestChurnSafeStreaks:
         assert [d.user_index for d in decisions] == [1]
         assert decisions[0].time_s == 10.0
         assert serving.tolist() == [0, 1]
-
-    def test_positional_carry_across_churn_is_rejected(self):
-        policy = HandoverPolicy(HandoverConfig())
-        _, _, state = policy.evaluate(
-            np.array([0.0]),
-            _snr_tensor(1, np.array([0.0, 6.0, 0.0])),
-            serving_index=[0, 0, 0],
-        )
-        assert state.user_ids is None  # legacy positional state
-        with pytest.raises(ValueError, match="id-keyed"):
-            policy.evaluate(
-                np.array([5.0]),
-                _snr_tensor(1, np.array([0.0, 6.0])),
-                serving_index=[0, 0],
-                state=state,
-                user_ids=[10, 30],
-            )
 
     def test_aligned_to_remaps_drops_and_backfills(self):
         state = StreakState.keyed([1, 2, 3])

@@ -366,8 +366,8 @@ class TestHorizonReservationPlanner:
         planner.observe(0, {0: 40.0, 1: 20.0})
         planner.plan(0)
         planner.observe(1, {0: 45.0, 1: 25.0})
-        assert len(planner.audit.intervals) == 1
-        assert planner.audit.intervals[0].interval_index == 1
+        assert len(planner.audit.history) == 1
+        assert planner.audit.history[0].interval_index == 1
         summary = planner.summary()
         assert summary["total_bookings"] == 4
         assert json.loads(json.dumps(summary)) == summary

@@ -11,11 +11,9 @@ import repro.cluster.metrics
 import repro.rl.env
 
 from repro.rl import (
-    ConstantEpsilon,
     DDQNAgent,
     DDQNConfig,
     Environment,
-    ExponentialEpsilonDecay,
     GroupingEnvConfig,
     GroupingEnvironment,
     LinearEpsilonDecay,
@@ -79,10 +77,6 @@ class TestReplayBuffer:
 
 
 class TestEpsilonSchedules:
-    def test_constant(self):
-        assert ConstantEpsilon(0.3).value(0) == 0.3
-        assert ConstantEpsilon(0.3).value(10_000) == 0.3
-
     def test_linear_decay_endpoints(self):
         schedule = LinearEpsilonDecay(start=1.0, end=0.1, decay_steps=100)
         assert schedule.value(0) == pytest.approx(1.0)
@@ -93,12 +87,6 @@ class TestEpsilonSchedules:
         schedule = LinearEpsilonDecay(start=1.0, end=0.05, decay_steps=50)
         values = [schedule.value(step) for step in range(0, 60, 5)]
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_exponential_decay_monotone(self):
-        schedule = ExponentialEpsilonDecay(start=1.0, end=0.05, tau=20.0)
-        values = [schedule.value(step) for step in range(0, 200, 10)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert values[-1] >= 0.05
 
 
 class _LineEnvironment(Environment):

@@ -191,10 +191,10 @@ class TestGoldenParity:
         run = run_scenario("campus_fig3", overrides)
 
         compiled = compile_spec(get_scenario("campus_fig3", overrides))
-        with DTResourcePredictionScheme(
-            StreamingSimulator(compiled.sim_config), compiled.scheme_config
-        ) as scheme:
-            reference = scheme.run(num_intervals=2)
+        with StreamingSimulator(compiled.sim_config) as simulator:
+            reference = DTResourcePredictionScheme(
+                simulator, compiled.scheme_config
+            ).run(num_intervals=2)
 
         assert np.array_equal(
             run.evaluation.actual_radio_series(), reference.actual_radio_series()

@@ -171,15 +171,6 @@ class TestStreamingSimulator:
         unicast = unicast_sim.run_interval(singleton_grouping(user_ids))
         assert multicast.total_traffic_bits <= unicast.total_traffic_bits * 1.2
 
-    def test_run_with_grouping_function(self, tiny_sim_config):
-        simulator = StreamingSimulator(tiny_sim_config)
-        results = simulator.run(
-            lambda interval, sim: singleton_grouping(sim.user_ids()), num_intervals=2
-        )
-        assert len(results) == 2
-        assert simulator.history == results
-        assert [r.interval_index for r in results] == [0, 1]
-
     def test_group_link_state_worst_member_rule(self, tiny_simulator):
         from repro.net.multicast import group_spectral_efficiency
 
