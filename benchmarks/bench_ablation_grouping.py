@@ -1,4 +1,4 @@
-"""Ext-2 ablation: DDQN-selected K versus fixed-K and random grouping.
+"""Ext-2 ablation: DDQN-selected K versus a silhouette sweep and fixed K.
 
 The paper motivates the DDQN + K-means++ two-step construction with the need
 to balance intra-group similarity against per-group multicast cost.  This

@@ -90,13 +90,10 @@ def default_scheme_config(**overrides) -> SchemeConfig:
 def build_scheme(
     sim_config: SimulationConfig | None = None,
     scheme_config: SchemeConfig | None = None,
-    k_strategy: str = "ddqn",
 ) -> DTResourcePredictionScheme:
     sim_config = sim_config if sim_config is not None else fig3_simulation_config()
     scheme_config = scheme_config if scheme_config is not None else default_scheme_config()
-    return DTResourcePredictionScheme(
-        StreamingSimulator(sim_config), scheme_config, k_strategy=k_strategy
-    )
+    return DTResourcePredictionScheme(StreamingSimulator(sim_config), scheme_config)
 
 
 def run_once(benchmark, experiment):

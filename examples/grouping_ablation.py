@@ -2,10 +2,12 @@
 """Ablation: how the multicast grouping strategy affects demand prediction.
 
 Compares the paper's two-step construction (DDQN-selected K + K-means++)
-against a silhouette sweep, several fixed-K configurations and random
-grouping, on the same simulated population.  For each strategy it reports
-the number of groups chosen, the clustering quality (silhouette), the actual
-radio usage and the prediction accuracy.
+against a silhouette sweep and several fixed-K configurations on the same
+simulated population.  A thin client of
+:func:`repro.analysis.run_grouping_ablation` with its defaults, the same
+rows ``benchmarks/bench_ablation_grouping.py`` records.  For each strategy
+it reports the number of groups chosen, the clustering quality
+(silhouette), the actual radio usage and the prediction accuracy.
 
 Run with::
 
@@ -14,58 +16,16 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import DTResourcePredictionScheme, SchemeConfig, SimulationConfig, StreamingSimulator
-
-
-def make_scheme(k_strategy: str, fixed_k: int | None = None) -> DTResourcePredictionScheme:
-    simulator = StreamingSimulator(
-        SimulationConfig(
-            num_users=24,
-            num_videos=80,
-            num_intervals=7,
-            interval_s=150.0,
-            seed=99,
-        )
-    )
-    scheme = DTResourcePredictionScheme(
-        simulator,
-        SchemeConfig(
-            warmup_intervals=2,
-            cnn_epochs=6,
-            ddqn_episodes=15,
-            mc_rollouts=8,
-            min_groups=2,
-            max_groups=6,
-            seed=1,
-        ),
-        k_strategy=k_strategy,
-    )
-    scheme.fixed_k = fixed_k
-    return scheme
+from repro.analysis import run_grouping_ablation
 
 
 def main() -> None:
-    strategies = [
-        ("DDQN + K-means++ (paper)", "ddqn", None),
-        ("silhouette sweep + K-means++", "silhouette", None),
-        ("fixed K=2", "fixed", 2),
-        ("fixed K=4", "fixed", 4),
-        ("fixed K=6", "fixed", 6),
-    ]
-
-    print(f"{'strategy':<32s} {'mean K':>6s} {'silhouette':>10s} "
+    print(f"{'strategy':<22s} {'mean K':>6s} {'silhouette':>10s} "
           f"{'actual RBs':>10s} {'accuracy':>9s}")
-    print("-" * 75)
-    for label, k_strategy, fixed_k in strategies:
-        scheme = make_scheme(k_strategy, fixed_k)
-        result = scheme.run(num_intervals=5)
-        mean_k = np.mean([e.grouping.num_groups for e in result.intervals])
-        mean_sil = np.mean([e.grouping.silhouette for e in result.intervals])
-        mean_rbs = result.actual_radio_series().mean()
-        accuracy = result.mean_radio_accuracy()
-        print(f"{label:<32s} {mean_k:>6.1f} {mean_sil:>10.3f} {mean_rbs:>10.2f} {accuracy:>9.2%}")
+    print("-" * 61)
+    for row in run_grouping_ablation():
+        print(f"{row.strategy:<22s} {row.mean_groups:>6.1f} {row.mean_silhouette:>10.3f} "
+              f"{row.mean_actual_blocks:>10.2f} {row.mean_accuracy:>9.2%}")
 
     print()
     print("Reading the table: the DDQN choice should land close to the silhouette")

@@ -220,11 +220,11 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
         runner = ScenarioRunner(get_scenario(args.scenario, overrides))
     except (KeyError, ValueError, TypeError) as error:
         # Unknown scenario names, unknown override paths and bad override
-        # values are routine user errors: one line, not a traceback.  Both
-        # the spec and the configs compiled from it validate their values,
-        # so building the runner surfaces every bad value.  The run itself
-        # stays outside this handler, so genuine runtime defects still
-        # surface with a full stack trace.
+        # values are routine user errors: one line, not a traceback.
+        # Building the runner compiles the spec, which checks each value a
+        # compiled config carries; a value only a component checks fails
+        # later, in run().  The run stays outside this handler, so genuine
+        # runtime defects still surface with a full stack trace.
         message = error.args[0] if error.args else error
         print(f"error: {message}", file=sys.stderr)
         return 2

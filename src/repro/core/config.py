@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
+#: How the grouping number K is chosen (see ``MulticastGroupConstructor.construct``).
+K_STRATEGIES = ("ddqn", "silhouette", "fixed")
 
 
 @dataclass
@@ -12,6 +16,9 @@ class SchemeConfig:
     The defaults are sized so the full pipeline (CNN training, DDQN
     training, per-interval prediction) runs in a few seconds in the test
     suite while still exercising every component the paper describes.
+
+    ``k_strategy`` picks the grouping number K; ``fixed_k`` pins it and is
+    set exactly when the strategy is ``"fixed"``.
     """
 
     # 1D-CNN feature compression.
@@ -26,6 +33,8 @@ class SchemeConfig:
     ddqn_episodes: int = 25
     ddqn_hidden_sizes: tuple = (32, 32)
     kmeans_restarts: int = 3
+    k_strategy: str = "ddqn"
+    fixed_k: Optional[int] = None
 
     # Group-based demand prediction.
     mc_rollouts: int = 12
@@ -44,6 +53,17 @@ class SchemeConfig:
             raise ValueError("cnn_epochs must be positive")
         if self.min_groups < 1 or self.max_groups < self.min_groups:
             raise ValueError("invalid group-number range")
+        if self.k_strategy not in K_STRATEGIES:
+            raise ValueError(
+                f"k_strategy must be one of {', '.join(K_STRATEGIES)}, got {self.k_strategy!r}"
+            )
+        if (self.k_strategy == "fixed") != (self.fixed_k is not None):
+            raise ValueError(
+                "fixed_k is set exactly when k_strategy='fixed', got "
+                f"k_strategy={self.k_strategy!r} and fixed_k={self.fixed_k!r}"
+            )
+        if self.fixed_k is not None and self.fixed_k < 1:
+            raise ValueError(f"fixed_k must be at least 1, got {self.fixed_k}")
         if self.ddqn_episodes <= 0:
             raise ValueError("ddqn_episodes must be positive")
         if self.mc_rollouts <= 0:

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster import KMeansPlusPlus, pairwise_euclidean, silhouette_score
+from repro.core.config import K_STRATEGIES
 from repro.rl.ddqn import DDQNAgent, DDQNConfig
 from repro.rl.env import (
     GroupingEnvConfig,
@@ -26,9 +27,6 @@ from repro.rl.env import (
     grouping_state,
 )
 from repro.rl.training import TrainingResult, train_agent
-
-#: How the grouping number K is chosen (see :meth:`MulticastGroupConstructor.construct`).
-K_STRATEGIES = ("ddqn", "silhouette", "fixed")
 
 
 @dataclass
@@ -71,8 +69,6 @@ class MulticastGroupConstructor:
         resource_weight: float = 0.35,
         seed: int = 0,
     ) -> None:
-        if min_groups < 1 or max_groups < min_groups:
-            raise ValueError("invalid group-number range")
         self.env_config = GroupingEnvConfig(
             min_groups=min_groups,
             max_groups=max_groups,

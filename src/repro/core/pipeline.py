@@ -37,7 +37,7 @@ from repro.core.accuracy import (
 from repro.core.config import SchemeConfig
 from repro.core.demand import DemandPredictorConfig, GroupDemandPrediction, GroupDemandPredictor
 from repro.core.features import CompressorConfig, UDTFeatureCompressor
-from repro.core.grouping import K_STRATEGIES, GroupingResult, MulticastGroupConstructor
+from repro.core.grouping import GroupingResult, MulticastGroupConstructor
 from repro.core.swiping import GroupSwipingProfile, abstract_group_swiping
 from repro.sim.simulator import IntervalResult, StreamingSimulator, round_robin_grouping
 
@@ -223,19 +223,15 @@ class EvaluationResult:
 
 
 class DTResourcePredictionScheme:
-    """The paper's DT-assisted resource demand prediction scheme, end to end."""
+    """The paper's DT-assisted scheme, end to end; ``config`` sets it up, K selection included."""
 
     def __init__(
         self,
         simulator: StreamingSimulator,
         config: Optional[SchemeConfig] = None,
-        k_strategy: str = "ddqn",
     ) -> None:
-        if k_strategy not in K_STRATEGIES:
-            raise ValueError(f"k_strategy must be one of {', '.join(K_STRATEGIES)}")
         self.simulator = simulator
         self.config = config if config is not None else SchemeConfig()
-        self.k_strategy = k_strategy
         sim_config = simulator.config
 
         num_channels = sum(
@@ -276,7 +272,6 @@ class DTResourcePredictionScheme:
                 seed=self.config.seed,
             ),
         )
-        self.fixed_k: Optional[int] = None
         self.warmed_up = False
         self._warmup_snapshots: List[np.ndarray] = []
         #: Scoped-group → cell map of the most recent prediction (written by
@@ -328,7 +323,7 @@ class DTResourcePredictionScheme:
         compressed_snapshots = [
             self.compressor.compress(tensor) for tensor in self._warmup_snapshots
         ]
-        if self.k_strategy == "ddqn":
+        if self.config.k_strategy == "ddqn":
             self.constructor.train(
                 snapshots=compressed_snapshots, episodes=self.config.ddqn_episodes
             )
@@ -362,8 +357,8 @@ class DTResourcePredictionScheme:
         grouping = self.constructor.construct(
             features,
             user_ids,
-            num_groups=self.fixed_k,
-            k_strategy=self.k_strategy,
+            num_groups=self.config.fixed_k,
+            k_strategy=self.config.k_strategy,
         )
         scoped_groups, cell_of_group = self.simulator.preview_scoped_grouping(
             grouping.groups()

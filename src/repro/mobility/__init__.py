@@ -1,4 +1,4 @@
-"""Mobility substrate: campus map, waypoint mobility and trajectories.
+"""Mobility substrate: campus map and trajectories.
 
 In the paper users are "initially randomly generated in the University of
 Waterloo campus and then move along different trajectories"; their movement
@@ -7,13 +7,11 @@ condition the UDTs record.  This subpackage provides:
 
 * :mod:`repro.mobility.campus` -- a networkx waypoint graph laid out like a
   campus (buildings connected by paths).
-* :mod:`repro.mobility.waypoint` -- free-space random-waypoint mobility.
 * :mod:`repro.mobility.trajectory` -- graph-constrained trajectories
   (shortest-path walks between buildings) and position traces.
 """
 
 from repro.mobility.campus import CampusConfig, CampusMap
-from repro.mobility.waypoint import RandomWaypointMobility, WaypointConfig
 from repro.mobility.trajectory import (
     GraphTrajectoryMobility,
     MobilityModel,
@@ -27,7 +25,5 @@ __all__ = [
     "GraphTrajectoryMobility",
     "MobilityModel",
     "PositionTrace",
-    "RandomWaypointMobility",
     "StaticMobility",
-    "WaypointConfig",
 ]

@@ -8,8 +8,7 @@ static user and a graph-constrained trajectory walker that repeatedly picks
 a destination building on the campus graph and walks the shortest path to it
 at a (per-leg) random pedestrian speed.
 
-Leg-based models (the graph walker here and the random-waypoint model in
-:mod:`repro.mobility.waypoint`) share :class:`LegMobility`, which keeps the
+The graph walker builds on :class:`LegMobility`, which keeps the
 piecewise-linear legs mirrored into contiguous NumPy arrays so a batch of
 ``n`` query times costs one ``np.searchsorted`` over the leg boundaries plus
 one vectorized interpolation -- O(n log legs) instead of the O(n × legs)

@@ -45,6 +45,9 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
     (capacity never changes results — no random draw depends on it — but
     keeping it spec-derived makes the compiled config equal the historical
     hand-wired ones field-for-field).
+
+    The configs check the values they carry, so a bad one raises here:
+    ``ValueError``, or ``KeyError`` for an unknown controller app.
     """
     warmup = spec.scheme.warmup_intervals if spec.mode == "scheme" else 0
     sim_config = SimulationConfig(
@@ -100,7 +103,6 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
             drop_probability=spec.engine.collection_drop_probability,
             delay_s=spec.engine.collection_delay_s,
         ),
-        feature_steps=spec.engine.feature_steps,
         seed=spec.seed,
     )
     scheme_config: Optional[SchemeConfig] = None
@@ -112,6 +114,8 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
             mc_rollouts=spec.scheme.mc_rollouts,
             min_groups=spec.scheme.min_groups,
             max_groups=spec.scheme.max_groups,
+            k_strategy=spec.scheme.k_strategy,
+            fixed_k=spec.scheme.fixed_k,
             feature_steps=spec.engine.feature_steps,
             seed=spec.scheme.seed,
         )

@@ -178,12 +178,7 @@ class ScenarioRunner:
         scheme: Optional[DTResourcePredictionScheme] = None
         with simulator:
             if spec.mode == "scheme":
-                scheme = DTResourcePredictionScheme(
-                    simulator,
-                    self.compiled.scheme_config,
-                    k_strategy=spec.scheme.k_strategy,
-                )
-                scheme.fixed_k = spec.scheme.fixed_k
+                scheme = DTResourcePredictionScheme(simulator, self.compiled.scheme_config)
                 scheme.warm_up()
                 evaluation = EvaluationResult()
             for step in range(spec.num_intervals):
@@ -340,8 +335,6 @@ class ScenarioRunner:
 
     @staticmethod
     def _resolve_cell(simulator: StreamingSimulator, cell: Union[int, str]) -> int:
-        if simulator.controller is None:
-            raise ValueError("cell events need controller_mode='handover'")
         if cell == "busiest":
             states = simulator.controller.cell_states
             return max(states, key=lambda cid: (states[cid].served_users, -cid))

@@ -15,6 +15,11 @@ without saying anything about *how* to run it.  The spec is pure data:
 Every entry point (CLI, examples, benchmarks, analysis runners) builds on
 this one spec → compile → run pipeline; named specs live in
 :mod:`repro.scenario.registry`.
+
+Each input has one check.  The compiled config that carries a value checks
+it, so ``compile_spec`` raises for a bad one; the spec checks only what no
+compiled config carries (mode, interval counts, timeline, churn phases,
+reservation lead and margin, grouping policy, draw engine).
 """
 
 from __future__ import annotations
@@ -97,8 +102,8 @@ class ControllerAppSpec:
     """One controller app in :attr:`ControllerSpec.apps`.
 
     ``name`` is the app's registry key (see :func:`repro.net.apps.app_names`)
-    and ``params`` its per-app knobs; unknown names or params fail fast at
-    spec construction / app build time.
+    and ``params`` its per-app knobs; ``compile_spec`` rejects unknown ones
+    through the app registry (``KeyError`` for a name, ``ValueError`` for a param).
     """
 
     name: str
@@ -153,6 +158,7 @@ class EdgeSpec:
     Defaults equal the historical single hard-wired
     :class:`~repro.edge.server.EdgeServerConfig`, so a default spec
     compiles (and runs) bit-for-bit like the pre-fleet simulator.
+    ``SimulationConfig`` checks every field.
     """
 
     num_servers: int = 1
@@ -160,14 +166,6 @@ class EdgeSpec:
     cpu_capacity_cycles_per_s: float = 3.0e9 * 16
     cycles_per_pixel: float = 12.0
     remote_fetch_penalty_s: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.num_servers < 1:
-            raise ValueError("edge.num_servers must be at least 1")
-        if self.cache_capacity_gbytes <= 0 or self.cpu_capacity_cycles_per_s <= 0:
-            raise ValueError("edge cache and CPU capacities must be positive")
-        if self.remote_fetch_penalty_s < 0:
-            raise ValueError("edge.remote_fetch_penalty_s must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,8 @@ class PlacementSpec:
     ``"first_fit"`` is the naive A/B baseline.
     ``reservation_lead_intervals > 0`` additionally books per-cell radio
     blocks that many intervals ahead of the scripted timeline
-    (:class:`~repro.placement.horizon.HorizonReservationPlanner`).
+    (:class:`~repro.placement.horizon.HorizonReservationPlanner`).  The spec
+    checks the lead and margin, ``SimulationConfig`` the other fields.
     """
 
     strategy: Optional[str] = None
@@ -192,21 +191,6 @@ class PlacementSpec:
     reservation_margin: float = 1.1
 
     def __post_init__(self) -> None:
-        if self.strategy is not None:
-            # Imported lazily, like the controller-app check: the spec layer
-            # must stay importable on its own.
-            from repro.placement.planner import PLACEMENT_STRATEGIES
-
-            if self.strategy not in PLACEMENT_STRATEGIES:
-                raise ValueError(
-                    f"placement.strategy must be one of "
-                    f"{', '.join(PLACEMENT_STRATEGIES)} (or None to disable), "
-                    f"got {self.strategy!r}"
-                )
-        if self.horizon_intervals < 1:
-            raise ValueError("placement.horizon_intervals must be at least 1")
-        if self.mispredict_threshold <= 0:
-            raise ValueError("placement.mispredict_threshold must be positive")
         if self.reservation_lead_intervals < 0:
             raise ValueError(
                 "placement.reservation_lead_intervals must be non-negative"
@@ -246,7 +230,7 @@ class EngineSpec:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """DT-assisted prediction scheme hyper-parameters (``mode="scheme"``)."""
+    """Prediction scheme hyper-parameters (``mode="scheme"``), checked by ``SchemeConfig``."""
 
     warmup_intervals: int = 2
     cnn_epochs: int = 6
@@ -258,24 +242,6 @@ class SchemeSpec:
     #: Group count pinned when ``k_strategy="fixed"`` (``None`` otherwise).
     fixed_k: Optional[int] = None
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        # Imported lazily, like the placement-strategy check: the spec layer
-        # must stay importable on its own.
-        from repro.core.grouping import K_STRATEGIES
-
-        if self.k_strategy not in K_STRATEGIES:
-            raise ValueError(
-                f"scheme.k_strategy must be one of {', '.join(K_STRATEGIES)}, "
-                f"got {self.k_strategy!r}"
-            )
-        if (self.k_strategy == "fixed") != (self.fixed_k is not None):
-            raise ValueError(
-                "scheme.fixed_k is set exactly when scheme.k_strategy='fixed', got "
-                f"k_strategy={self.k_strategy!r} and fixed_k={self.fixed_k!r}"
-            )
-        if self.fixed_k is not None and self.fixed_k < 1:
-            raise ValueError(f"scheme.fixed_k must be at least 1, got {self.fixed_k}")
 
 
 #: Raw-playback grouping policies (see :class:`GroupingSpec`).
@@ -400,8 +366,6 @@ class ScenarioSpec:
             raise ValueError("mode must be 'scheme' or 'playback'")
         if self.num_intervals <= 0:
             raise ValueError("num_intervals must be positive")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
         if self.spare_intervals < 0:
             raise ValueError("spare_intervals must be non-negative")
         for event in self.timeline:
@@ -417,31 +381,6 @@ class ScenarioSpec:
         for phase in self.population.churn_phases:
             if phase.start_interval < 0 or phase.end_interval <= phase.start_interval:
                 raise ValueError("churn phases need 0 <= start_interval < end_interval")
-        if self.placement.strategy is None and self.edge.num_servers > 1:
-            raise ValueError(
-                "edge.num_servers > 1 requires a placement.strategy: without "
-                "one every group runs on server 0 and the extra servers sit idle"
-            )
-        if self.controller.apps:
-            if self.controller.mode != "handover":
-                raise ValueError("controller.apps requires controller.mode='handover'")
-            # Imported lazily: repro.net.apps pulls in the controller module,
-            # and the spec layer must stay importable on its own.
-            from repro.net.apps import app_names, get_app_class
-
-            known = set(app_names())
-            for app in self.controller.apps:
-                if app.name not in known:
-                    raise ValueError(
-                        f"unknown controller app {app.name!r} (registered: "
-                        f"{', '.join(sorted(known))})"
-                    )
-                unknown = set(app.params) - set(get_app_class(app.name).default_params)
-                if unknown:
-                    raise ValueError(
-                        f"unknown params for controller app {app.name!r}: "
-                        f"{', '.join(sorted(unknown))}"
-                    )
 
     # ------------------------------------------------------------- overrides
     def with_overrides(self, overrides: Mapping[str, Any]) -> "ScenarioSpec":
@@ -458,9 +397,9 @@ class ScenarioSpec:
         :func:`dataclasses.replace` instead.
 
         All overrides of one section are applied in a single replace, so the
-        section's cross-field checks (``scheme.fixed_k`` goes with
-        ``scheme.k_strategy="fixed"``) see the final values whatever the
-        order of ``overrides``.
+        spec's checks see the final values whatever the order of
+        ``overrides``.  Cross-field rules such as ``scheme.fixed_k`` going
+        with ``scheme.k_strategy="fixed"`` are checked by ``compile_spec``.
         """
         return _replace_paths(self, [(path.split("."), value) for path, value in overrides.items()])
 

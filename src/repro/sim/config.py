@@ -110,7 +110,6 @@ class SimulationConfig:
 
     # Digital twins.
     collection_policy: CollectionPolicy = field(default_factory=CollectionPolicy)
-    feature_steps: int = 32
 
     seed: int = 0
 
@@ -142,19 +141,12 @@ class SimulationConfig:
                 raise ValueError("controller_apps requires controller_mode='handover'")
             # Imported lazily: repro.net.apps pulls in repro.net.controller,
             # which must stay importable without repro.sim at module level.
-            from repro.net.apps import app_names, normalize_app_entry
+            from repro.net.apps import create_app, normalize_app_entry
 
-            known = set(app_names())
-            normalized = []
-            for entry in self.controller_apps:
-                name, params = normalize_app_entry(entry)
-                if name not in known:
-                    raise ValueError(
-                        f"unknown controller app {name!r} (registered: "
-                        f"{', '.join(sorted(known))})"
-                    )
-                normalized.append((name, params))
-            self.controller_apps = tuple(normalized)
+            self.controller_apps = tuple(map(normalize_app_entry, self.controller_apps))
+            # The registry checks each name (KeyError), the app its params.
+            for name, params in self.controller_apps:
+                create_app(name, params)
         if self.handover_hysteresis_db < 0 or self.handover_time_to_trigger_s < 0:
             raise ValueError("handover hysteresis and time-to-trigger must be non-negative")
         if self.handover_load_bias_db < 0:
@@ -192,7 +184,9 @@ class SimulationConfig:
             raise ValueError("placement_horizon must be at least 1")
         if self.placement_mispredict_threshold <= 0:
             raise ValueError("placement_mispredict_threshold must be positive")
+        if self.swipe_gap_s < 0:
+            raise ValueError("swipe_gap_s must be non-negative")
+        if not 0.0 <= self.recommendation_popularity_weight <= 1.0:
+            raise ValueError("recommendation_popularity_weight must be in [0, 1]")
         if not 0.0 <= self.popularity_update_rate <= 1.0:
             raise ValueError("popularity_update_rate must be in [0, 1]")
-        if self.feature_steps <= 0:
-            raise ValueError("feature_steps must be positive")

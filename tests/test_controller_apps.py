@@ -26,7 +26,14 @@ from repro.net.apps import (
 )
 from repro.net.basestation import BaseStation, BaseStationConfig
 from repro.net.controller import ControllerConfig, HandoverEvent, RanController
-from repro.scenario import ControllerAppSpec, ControllerSpec, ScenarioSpec, get_scenario, run_scenario
+from repro.scenario import (
+    ControllerAppSpec,
+    ControllerSpec,
+    ScenarioSpec,
+    compile_spec,
+    get_scenario,
+    run_scenario,
+)
 from repro.sim.config import SimulationConfig
 
 ALL_APPS = [
@@ -404,26 +411,33 @@ class TestSpecAndConfigWiring:
 
     def test_apps_require_handover_mode(self):
         with pytest.raises(ValueError, match="handover"):
-            ScenarioSpec(
-                name="x", controller=ControllerSpec(mode="boundary", apps=("a3_handover",))
+            compile_spec(
+                ScenarioSpec(
+                    name="x",
+                    controller=ControllerSpec(mode="boundary", apps=("a3_handover",)),
+                )
             )
         with pytest.raises(ValueError, match="handover"):
             SimulationConfig(controller_mode="boundary", controller_apps=("a3_handover",))
 
     def test_unknown_app_and_params_rejected_at_spec_time(self):
-        with pytest.raises(ValueError, match="unknown controller app"):
-            ScenarioSpec(
-                name="x", controller=ControllerSpec(mode="handover", apps=("nope",))
+        with pytest.raises(KeyError, match="unknown controller app"):
+            compile_spec(
+                ScenarioSpec(
+                    name="x", controller=ControllerSpec(mode="handover", apps=("nope",))
+                )
             )
         with pytest.raises(ValueError, match="unknown params"):
-            ScenarioSpec(
-                name="x",
-                controller=ControllerSpec(
-                    mode="handover",
-                    apps=({"name": "cell_scoping", "params": {"bogus": 1}},),
-                ),
+            compile_spec(
+                ScenarioSpec(
+                    name="x",
+                    controller=ControllerSpec(
+                        mode="handover",
+                        apps=({"name": "cell_scoping", "params": {"bogus": 1}},),
+                    ),
+                )
             )
-        with pytest.raises(ValueError, match="unknown controller app"):
+        with pytest.raises(KeyError, match="unknown controller app"):
             SimulationConfig(controller_mode="handover", controller_apps=("nope",))
 
     def test_override_accepts_comma_separated_names(self):

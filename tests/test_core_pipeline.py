@@ -124,13 +124,12 @@ class TestScheme:
             mc_rollouts=4,
             min_groups=2,
             max_groups=4,
+            k_strategy=k_strategy,
             seed=0,
         )
         options.update(overrides)
         scheme_config = SchemeConfig(**options)
-        return DTResourcePredictionScheme(
-            StreamingSimulator(sim_config), scheme_config, k_strategy=k_strategy
-        )
+        return DTResourcePredictionScheme(StreamingSimulator(sim_config), scheme_config)
 
     def test_warm_up_trains_components(self):
         scheme = self.make_scheme()
@@ -175,8 +174,7 @@ class TestScheme:
         assert result.num_intervals == 2
 
     def test_fixed_strategy_uses_configured_k(self):
-        scheme = self.make_scheme(k_strategy="fixed")
-        scheme.fixed_k = 3
+        scheme = self.make_scheme(k_strategy="fixed", fixed_k=3)
         scheme.warm_up()
         evaluation = scheme.step()
         assert evaluation.grouping.num_groups == 3

@@ -282,10 +282,10 @@ class TestStageTiming:
                     history_intervals=2,
                     min_groups=2,
                     max_groups=3,
+                    k_strategy="fixed",
+                    fixed_k=2,
                 ),
-                k_strategy="fixed",
             )
-            scheme.fixed_k = 2
             scheme.run(num_intervals=1)
             assert scheme.timing["predict_s"] > 0.0
 

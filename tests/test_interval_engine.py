@@ -237,10 +237,10 @@ def _handover_scheme(num_users=12, num_cells=4, seed=3, eval_intervals=2):
             history_intervals=2,
             min_groups=2,
             max_groups=4,
+            k_strategy="fixed",
+            fixed_k=3,
         ),
-        k_strategy="fixed",
     )
-    scheme.fixed_k = 3
     return scheme
 
 
@@ -312,11 +312,14 @@ class TestScopedPredictionLoop:
         scheme = DTResourcePredictionScheme(
             sim,
             SchemeConfig(
-                warmup_intervals=2, cnn_epochs=2, ddqn_episodes=3, mc_rollouts=3
+                warmup_intervals=2,
+                cnn_epochs=2,
+                ddqn_episodes=3,
+                mc_rollouts=3,
+                k_strategy="fixed",
+                fixed_k=2,
             ),
-            k_strategy="fixed",
         )
-        scheme.fixed_k = 2
         result = scheme.run(num_intervals=2)
         assert result.cells() == []
         for evaluation in result.intervals:

@@ -10,9 +10,7 @@ from repro.mobility import (
     CampusMap,
     GraphTrajectoryMobility,
     PositionTrace,
-    RandomWaypointMobility,
     StaticMobility,
-    WaypointConfig,
 )
 
 
@@ -116,32 +114,6 @@ class TestGraphTrajectoryMobility:
     def test_invalid_speed_range(self, campus):
         with pytest.raises(ValueError):
             GraphTrajectoryMobility(campus, min_speed_mps=2.0, max_speed_mps=1.0)
-
-
-class TestRandomWaypoint:
-    def test_positions_stay_in_rectangle(self):
-        config = WaypointConfig(width_m=100.0, height_m=50.0)
-        model = RandomWaypointMobility(config, seed=4)
-        for t in np.linspace(0.0, 500.0, 60):
-            x, y = model.position(float(t))
-            assert -1e-6 <= x <= 100.0 + 1e-6
-            assert -1e-6 <= y <= 50.0 + 1e-6
-
-    def test_deterministic_for_same_seed(self):
-        a = RandomWaypointMobility(seed=9)
-        b = RandomWaypointMobility(seed=9)
-        for t in (0.0, 33.0, 150.0):
-            np.testing.assert_allclose(a.position(t), b.position(t))
-
-    def test_explicit_start_position(self):
-        model = RandomWaypointMobility(seed=1, start_position=np.array([10.0, 20.0]))
-        np.testing.assert_allclose(model.position(0.0), [10.0, 20.0])
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            WaypointConfig(width_m=0.0)
-        with pytest.raises(ValueError):
-            WaypointConfig(min_speed_mps=0.0)
 
 
 class TestPositionTrace:

@@ -222,10 +222,10 @@ class TestShardedPlaybackDeterminism:
                         history_intervals=2,
                         min_groups=2,
                         max_groups=3,
+                        k_strategy="fixed",
+                        fixed_k=2,
                     ),
-                    k_strategy="fixed",
                 )
-                scheme.fixed_k = 2
                 result = scheme.run(num_intervals=1)
             assert sim._pool is None, "context manager must close the pool"
             return (

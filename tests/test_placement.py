@@ -381,13 +381,15 @@ class TestHorizonReservationPlanner:
 class TestSpecWiring:
     def test_multi_server_requires_strategy(self):
         with pytest.raises(ValueError):
-            ScenarioSpec(name="x", edge=EdgeSpec(num_servers=3))
+            compile_spec(ScenarioSpec(name="x", edge=EdgeSpec(num_servers=3)))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
-            EdgeSpec(num_servers=0)
+            compile_spec(ScenarioSpec(name="x", edge=EdgeSpec(num_servers=0)))
         with pytest.raises(ValueError):
-            PlacementSpec(strategy="round_robin")
+            compile_spec(
+                ScenarioSpec(name="x", placement=PlacementSpec(strategy="round_robin"))
+            )
         with pytest.raises(ValueError):
             PlacementSpec(reservation_lead_intervals=-1)
         with pytest.raises(ValueError):

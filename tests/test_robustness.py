@@ -38,13 +38,13 @@ def small_scheme(sim_overrides=None, scheme_overrides=None, k_strategy="silhouet
         mc_rollouts=4,
         min_groups=2,
         max_groups=4,
+        k_strategy=k_strategy,
         seed=0,
     )
     scheme_options.update(scheme_overrides or {})
     return DTResourcePredictionScheme(
         StreamingSimulator(SimulationConfig(**sim_options)),
         SchemeConfig(**scheme_options),
-        k_strategy=k_strategy,
     )
 
 

@@ -80,7 +80,7 @@ class TestSpec:
             {"scheme.k_strategy": "fixed", "scheme.fixed_k": 3},
             {"scheme.fixed_k": 3, "scheme.k_strategy": "fixed"},
         ):
-            scheme = spec.with_overrides(overrides).scheme
+            scheme = compile_spec(spec.with_overrides(overrides)).scheme_config
             assert (scheme.k_strategy, scheme.fixed_k) == ("fixed", 3)
         for bad in (
             {"scheme.k_strategy": "fixed"},
@@ -88,7 +88,7 @@ class TestSpec:
             {"scheme.k_strategy": "fixed", "scheme.fixed_k": 0},
         ):
             with pytest.raises(ValueError, match="fixed_k"):
-                spec.with_overrides(bad)
+                compile_spec(spec.with_overrides(bad))
 
     def test_unknown_override_paths_raise(self):
         spec = get_scenario("campus_fig3")
@@ -423,6 +423,21 @@ class TestCli:
             ("campus_fig3", "grouping.policy=bogus"),
             ("edge_flash_crowd", "grouping.policy=bogus"),
             ("edge_flash_crowd", "grouping.num_groups=0"),
+            ("multicell_campus", "interval_s=0"),
+            ("multicell_campus", "edge.num_servers=0"),
+            ("multicell_campus", "edge.num_servers=2"),
+            ("multicell_campus", "edge.cache_capacity_gbytes=0"),
+            ("multicell_campus", "edge.remote_fetch_penalty_s=-1"),
+            ("multicell_campus", "placement.strategy=bogus"),
+            ("multicell_campus", "placement.horizon_intervals=0"),
+            ("multicell_campus", "placement.mispredict_threshold=0"),
+            ("multicell_campus", "catalog.recommendation_popularity_weight=2"),
+            ("campus_fig3", "controller.apps=a3_handover"),
+            ("campus_fig3", "engine.feature_steps=0"),
+            (
+                "cell_outage_storm",
+                'controller.apps=[{"name": "cell_scoping", "params": {"bogus": 1}}]',
+            ),
         ],
     )
     def test_bad_override_value_is_a_one_line_error(self, capsys, scenario, override):

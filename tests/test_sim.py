@@ -211,3 +211,8 @@ class TestStreamingSimulator:
             SimulationConfig(favourite_category="Opera")
         with pytest.raises(ValueError):
             SimulationConfig(favourite_user_fraction=1.5)
+        with pytest.raises(ValueError, match="swipe_gap_s"):
+            SimulationConfig(swipe_gap_s=-1.0)
+        for weight in (1.5, -0.1):
+            with pytest.raises(ValueError, match="recommendation_popularity_weight"):
+                SimulationConfig(recommendation_popularity_weight=weight)

@@ -24,7 +24,6 @@ from repro.core.demand import DemandPredictorConfig, GroupDemandPredictor, Group
 from repro.core.swiping import abstract_group_swiping
 from repro.mobility.campus import CampusConfig, CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, StaticMobility
-from repro.mobility.waypoint import RandomWaypointMobility, WaypointConfig
 from repro.net.basestation import BaseStation
 from repro.sim.simulator import GroupIntervalUsage, IntervalResult, singleton_grouping
 from repro.twin.attributes import CHANNEL_CONDITION, PREFERENCE, standard_attributes
@@ -131,16 +130,6 @@ class TestBatchedSamplingEquivalence:
         batch = batched.positions(times)
         single = np.array([scalar.position(float(t)) for t in times])
         np.testing.assert_array_equal(batch, single)
-
-    def test_waypoint_positions_match_scalar(self):
-        config = WaypointConfig(pause_time_s=0.0)
-        batched = RandomWaypointMobility(config, seed=5)
-        scalar = RandomWaypointMobility(config, seed=5)
-        times = np.linspace(0.0, 600.0, 173)
-        np.testing.assert_array_equal(
-            batched.positions(times),
-            np.array([scalar.position(float(t)) for t in times]),
-        )
 
     def test_static_positions(self):
         model = StaticMobility([3.0, 4.0])
