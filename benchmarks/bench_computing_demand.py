@@ -24,7 +24,7 @@ def _experiment():
 
 def _report(elapsed, scheme, result):
     interval_s = scheme.simulator.config.interval_s
-    cpu_capacity = scheme.simulator.config.cpu_capacity_cycles_per_s
+    cpu_capacity = scheme.simulator.config.edge_server.cpu_capacity_cycles_per_s
     path = write_benchmark_json(
         "computing_demand",
         [

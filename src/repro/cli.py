@@ -340,10 +340,7 @@ def _apps_command(args: argparse.Namespace) -> int:
                 [
                     entry["name"],
                     "yes" if entry["default"] else "-",
-                    ", ".join(
-                        f"{key}={'inherit' if value is None else value}"
-                        for key, value in entry["params"].items()
-                    )
+                    ", ".join(f"{key}={value}" for key, value in entry["params"].items())
                     or "-",
                     entry["description"],
                 ]

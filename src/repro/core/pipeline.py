@@ -267,7 +267,7 @@ class DTResourcePredictionScheme:
                 implementation_loss=sim_config.implementation_loss,
                 swipe_gap_s=sim_config.swipe_gap_s,
                 recommendation_popularity_weight=sim_config.recommendation_popularity_weight,
-                cycles_per_pixel=sim_config.cycles_per_pixel,
+                cycles_per_pixel=sim_config.edge_server.cycles_per_pixel,
                 mc_rollouts=self.config.mc_rollouts,
                 seed=self.config.seed,
             ),

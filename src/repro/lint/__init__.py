@@ -24,8 +24,9 @@ Five rule families (see ``docs/lint_rules.md`` for the full reference):
     export canonicality — ``to_dict`` dict keys are strings, numpy scalars
     are coerced before export.
 ``SPEC``
-    spec/config drift — every ``SimulationConfig`` field is set by
-    ``compile_spec`` (or explicitly allowlisted).
+    spec/config drift — every field of ``SimulationConfig`` and of the
+    configs nested in it is set by ``compile_spec`` (or explicitly
+    allowlisted).
 
 A committed baseline (``tests/goldens/lint_baseline.json``) grandfathers
 pre-existing findings so the CI gate starts green; new findings fail it.

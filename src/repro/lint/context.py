@@ -33,23 +33,20 @@ class LintConfig:
     rng_allowed_modules: Tuple[str, ...] = ("repro.sim.rng",)
     #: Modules whose transitive imports define the worker-reachable set.
     worker_entry_modules: Tuple[str, ...] = ("repro.sim.shard",)
-    #: ``(module, class)`` of the config dataclass and ``(module,
-    #: function)`` of the compiler checked by the SPEC family.
-    spec_config: Tuple[str, str] = ("repro.sim.config", "SimulationConfig")
+    #: ``(module, class)`` of each config dataclass the compiler builds,
+    #: nested ones included, and ``(module, function)`` of the compiler,
+    #: checked by the SPEC family.
+    spec_configs: Tuple[Tuple[str, str], ...] = (
+        ("repro.sim.config", "SimulationConfig"),
+        ("repro.net.controller", "ControllerConfig"),
+        ("repro.net.handover", "HandoverConfig"),
+        ("repro.edge.server", "EdgeServerConfig"),
+        ("repro.placement.manager", "PlacementConfig"),
+        ("repro.twin.collector", "CollectionPolicy"),
+    )
     spec_compiler: Tuple[str, str] = ("repro.scenario.compiler", "compile_spec")
     #: Config fields the compiler is allowed to leave at their defaults.
     spec_allowed_fields: Tuple[str, ...] = ()
-
-    def with_root(self, root: Path) -> "LintConfig":
-        return LintConfig(
-            root=root,
-            source_dirs=self.source_dirs,
-            rng_allowed_modules=self.rng_allowed_modules,
-            worker_entry_modules=self.worker_entry_modules,
-            spec_config=self.spec_config,
-            spec_compiler=self.spec_compiler,
-            spec_allowed_fields=self.spec_allowed_fields,
-        )
 
 
 @dataclass

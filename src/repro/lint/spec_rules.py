@@ -1,14 +1,19 @@
-"""Spec/config drift: every ``SimulationConfig`` field is spec-reachable.
+"""Spec/config drift: every field of every compiled config is spec-reachable.
 
 The declarative scenario API only stays the single source of truth while
 ``compile_spec`` maps *every* config field from some ``ScenarioSpec``
-field.  A config knob added without a compiler mapping silently runs every
-scenario at its default — unreachable from specs, overrides and the CLI —
-which is exactly the drift this family catches at review time.
+field.  The configs it builds are ``SimulationConfig`` and the ones nested
+in it (``ControllerConfig`` with its ``HandoverConfig``,
+``EdgeServerConfig``, ``PlacementConfig`` and ``CollectionPolicy``; see
+``LintConfig.spec_configs``).  A config knob added without a compiler
+mapping silently runs every scenario at its default — unreachable from
+specs, overrides and the CLI — which is exactly the drift this family
+catches at review time.
 
 ``SPEC001``
-    a field of the config dataclass that ``compile_spec`` neither passes
-    as a keyword nor lists in the explicit allowlist.
+    a field of one of those config dataclasses that ``compile_spec``
+    neither passes as a keyword to its constructor nor lists in the
+    explicit allowlist.
 """
 
 from __future__ import annotations
@@ -72,41 +77,43 @@ class SpecConfigDriftRule(Rule):
 
     def check(self, context: LintContext) -> Iterable[Finding]:
         config = context.config
-        config_module, config_class = config.spec_config
         compiler_module, compiler_function = config.spec_compiler
-        config_info = context.modules.get(config_module)
         compiler_info = context.modules.get(compiler_module)
-        if config_info is None or compiler_info is None:
-            return
-        fields = _class_fields(config_info.tree, config_class)
-        if fields is None:
-            return
-        keywords = _constructor_keywords(
-            compiler_info.tree, compiler_function, config_class
-        )
-        if keywords is None:
-            # The compiler never constructs the config at all — that is
-            # drift of its own, anchored on the function if present.
-            yield Finding(
-                rule=self.rule_id,
-                path=compiler_info.relpath,
-                line=1,
-                col=1,
-                context=compiler_function,
-                message=(
-                    f"{compiler_function} never constructs {config_class}"
-                ),
-                hint=self.hint,
-            )
+        if compiler_info is None:
             return
         allowed = set(config.spec_allowed_fields)
-        for statement in fields:
-            name = statement.target.id
-            if name in keywords or name in allowed:
+        for config_module, config_class in config.spec_configs:
+            config_info = context.modules.get(config_module)
+            if config_info is None:
                 continue
-            yield self.finding(
-                config_info,
-                statement,
-                f"{config_class}.{name} is never set by "
-                f"{compiler_function} — scenarios cannot reach it",
+            fields = _class_fields(config_info.tree, config_class)
+            if fields is None:
+                continue
+            keywords = _constructor_keywords(
+                compiler_info.tree, compiler_function, config_class
             )
+            if keywords is None:
+                # The compiler never constructs the config at all — that is
+                # drift of its own, anchored on the function if present.
+                yield Finding(
+                    rule=self.rule_id,
+                    path=compiler_info.relpath,
+                    line=1,
+                    col=1,
+                    context=compiler_function,
+                    message=(
+                        f"{compiler_function} never constructs {config_class}"
+                    ),
+                    hint=self.hint,
+                )
+                continue
+            for statement in fields:
+                name = statement.target.id
+                if name in keywords or name in allowed:
+                    continue
+                yield self.finding(
+                    config_info,
+                    statement,
+                    f"{config_class}.{name} is never set by "
+                    f"{compiler_function} — scenarios cannot reach it",
+                )

@@ -9,7 +9,7 @@ provides the small set of building blocks those two models need:
   ``forward`` / ``backward`` passes (Dense, Conv1D, pooling, dropout, ...).
 * :mod:`repro.ml.losses` -- the mean-squared-error loss the 1D-CNN trains
   with and the Huber loss the DDQN trains with.
-* :mod:`repro.ml.optim` -- SGD, momentum SGD and Adam optimisers.
+* :mod:`repro.ml.optim` -- the Adam optimiser both models train with.
 * :mod:`repro.ml.network` -- a ``Sequential`` container with ``fit`` /
   ``predict`` helpers.
 * :mod:`repro.ml.initializers` -- weight initialisation schemes.
@@ -40,7 +40,7 @@ from repro.ml.layers import (
 )
 from repro.ml.losses import HuberLoss, Loss, MSELoss
 from repro.ml.network import Sequential
-from repro.ml.optim import SGD, Adam, MomentumSGD, Optimizer
+from repro.ml.optim import Adam, Optimizer
 
 __all__ = [
     "Adam",
@@ -55,11 +55,9 @@ __all__ = [
     "Loss",
     "MSELoss",
     "MaxPool1D",
-    "MomentumSGD",
     "Optimizer",
     "Parameter",
     "ReLU",
-    "SGD",
     "Sequential",
     "Sigmoid",
     "Tanh",

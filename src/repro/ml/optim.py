@@ -1,4 +1,4 @@
-"""Gradient-descent optimisers.
+"""Gradient-descent optimisers: the :class:`Optimizer` base and Adam.
 
 Optimisers hold references to :class:`repro.ml.layers.Parameter` objects and
 update their ``value`` in place from the accumulated ``grad`` on every call
@@ -10,7 +10,7 @@ larger effective batch sizes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -51,36 +51,6 @@ class Optimizer:
         return total
 
 
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def step(self) -> None:
-        for param in self.parameters:
-            param.value -= self.learning_rate * param.grad
-
-
-class MomentumSGD(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        learning_rate: float,
-        momentum: float = 0.9,
-    ) -> None:
-        super().__init__(parameters, learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-
-    def step(self) -> None:
-        for velocity, param in zip(self._velocity, self.parameters):
-            velocity *= self.momentum
-            velocity -= self.learning_rate * param.grad
-            param.value += velocity
-
-
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015) with bias correction."""
 
@@ -114,20 +84,3 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-
-def build_optimizer(
-    name: str,
-    parameters: Sequence[Parameter],
-    learning_rate: float,
-    momentum: Optional[float] = None,
-) -> Optimizer:
-    """Factory used by configuration-driven training code."""
-    name = name.lower()
-    if name == "sgd":
-        return SGD(parameters, learning_rate)
-    if name in {"momentum", "momentum_sgd"}:
-        return MomentumSGD(parameters, learning_rate, momentum if momentum is not None else 0.9)
-    if name == "adam":
-        return Adam(parameters, learning_rate)
-    raise ValueError(f"unknown optimizer {name!r}; expected one of: sgd, momentum, adam")

@@ -185,7 +185,7 @@ DEFAULT_APP_STACK: Tuple[str, ...] = (
 )
 
 #: One app entry as accepted by :func:`build_app_stack` and
-#: ``SimulationConfig.controller_apps``.
+#: ``ControllerConfig.apps`` (which takes no live instances).
 AppEntry = Union[str, Mapping[str, Any], Tuple[str, Mapping[str, Any]], ControllerApp]
 
 

@@ -22,16 +22,14 @@ And two policies only expressible in the app architecture:
 ``ScenarioSpec`` knobs: each app's ``default_params`` are set per stack
 entry via ``ControllerSpec.apps`` (e.g. ``--override
 controller.apps='[{"name": "weak_member_demotion", "params":
-{"rssi_threshold_db": 8.0}}]'``); ``None``-valued params inherit the
-corresponding ``ControllerSpec``/``ControllerConfig`` field
-(``handover_*`` for ``a3_handover``, ``cell_overload_threshold`` /
-``cell_underload_threshold`` / ``cell_rebalance_fraction`` for the
-rebalancers).
+{"rssi_threshold_db": 8.0}}]'``).  ``a3_handover`` and the two rebalancers
+declare no params: they read the runtime's
+:class:`~repro.net.controller.ControllerConfig`, whose values the
+``ControllerSpec.handover_*`` and ``cell_*`` knobs set.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -52,26 +50,14 @@ from repro.net.handover import HandoverPolicy, StreakState
 class A3HandoverApp(ControllerApp):
     """A3 handover: hysteresis + time-to-trigger on mid-interval samples.
 
-    Params (``None`` inherits the runtime's ``ControllerConfig.handover``,
-    i.e. the ``ControllerSpec.handover_*`` knobs): ``hysteresis_db``,
-    ``time_to_trigger_s``, ``sample_period_s``, ``load_bias_db``.
+    No params: the rule is the runtime's ``ControllerConfig.handover``
+    (the ``ControllerSpec.handover_*`` knobs).
     """
 
     name = "a3_handover"
-    default_params = {
-        "hysteresis_db": None,
-        "time_to_trigger_s": None,
-        "sample_period_s": None,
-        "load_bias_db": None,
-    }
 
     def configure(self) -> None:
-        base = self.runtime.config.handover
-        overrides = {
-            key: float(value) for key, value in self.params.items() if value is not None
-        }
-        self.config = dataclasses.replace(base, **overrides) if overrides else base
-        self.policy = HandoverPolicy(self.config)
+        self.policy = HandoverPolicy(self.runtime.config.handover)
         #: Per-user A3 streaks carried across intervals, keyed *by user id*
         #: (not by position): the population churns via attach/detach, and
         #: a positional carry would silently apply one user's candidate/TTT
@@ -105,7 +91,7 @@ class A3HandoverApp(ControllerApp):
             serving_index,
             state=self._streaks,
             user_ids=ctx.user_ids,
-            cell_bias_db=runtime.cell_bias_db(self.config.load_bias_db),
+            cell_bias_db=runtime.cell_bias_db(),
         )
         for decision in decisions:
             runtime.schedule_handover(
@@ -192,43 +178,14 @@ class ProRataRebalanceApp(ControllerApp):
     much that it would itself cross the overload threshold.  Transfers
     are pro-rata on both sides, so the total budget is conserved.
 
-    Params (``None`` inherits ``ControllerConfig`` — the
-    ``ControllerSpec.cell_*`` knobs): ``rebalance_fraction``,
-    ``overload_threshold``, ``underload_threshold``.
+    No params: thresholds and fraction are the runtime's
+    ``ControllerConfig`` values (the ``ControllerSpec.cell_*`` knobs).
     """
 
     name = "prorata_rebalance"
-    default_params = {
-        "rebalance_fraction": None,
-        "overload_threshold": None,
-        "underload_threshold": None,
-    }
-
-    def configure(self) -> None:
-        config = self.runtime.config
-        self.rebalance_fraction = float(
-            self.params["rebalance_fraction"]
-            if self.params["rebalance_fraction"] is not None
-            else config.rebalance_fraction
-        )
-        self.overload_threshold = float(
-            self.params["overload_threshold"]
-            if self.params["overload_threshold"] is not None
-            else config.overload_threshold
-        )
-        self.underload_threshold = float(
-            self.params["underload_threshold"]
-            if self.params["underload_threshold"] is not None
-            else config.underload_threshold
-        )
 
     def on_interval_end(self, ctx: LoadContext) -> None:
-        deficits, surpluses = _classify_cells(
-            self.runtime,
-            self.overload_threshold,
-            self.underload_threshold,
-            self.rebalance_fraction,
-        )
+        deficits, surpluses = _classify_cells(self.runtime)
         total_deficit = sum(deficits.values())
         total_surplus = sum(surpluses.values())
         transfer = min(total_deficit, total_surplus)
@@ -253,27 +210,13 @@ class GreedyRebalanceApp(ControllerApp):
     counterpart of ``prorata_rebalance``.  Each realised transfer is
     emitted as a ``budget_transfer`` app event.
 
-    Params (``None`` inherits ``ControllerConfig`` — the
-    ``ControllerSpec.cell_*`` knobs): ``rebalance_fraction``,
-    ``overload_threshold``, ``underload_threshold``.
+    No params, like :class:`ProRataRebalanceApp`.
     """
 
     name = "greedy_rebalance"
-    default_params = {
-        "rebalance_fraction": None,
-        "overload_threshold": None,
-        "underload_threshold": None,
-    }
-
-    configure = ProRataRebalanceApp.configure
 
     def on_interval_end(self, ctx: LoadContext) -> None:
-        deficits, surpluses = _classify_cells(
-            self.runtime,
-            self.overload_threshold,
-            self.underload_threshold,
-            self.rebalance_fraction,
-        )
+        deficits, surpluses = _classify_cells(self.runtime)
         # Largest first; ties break on the lower cell id (deterministic).
         recipients = sorted(deficits.items(), key=lambda item: (-item[1], item[0]))
         donors = sorted(surpluses.items(), key=lambda item: (-item[1], item[0]))
@@ -411,10 +354,15 @@ class WeakMemberDemotionApp(ControllerApp):
         return new_scoped, new_cells, demotions
 
 
-def _classify_cells(
-    runtime, overload_threshold: float, underload_threshold: float, fraction: float
-) -> Tuple[Dict[int, float], Dict[int, float]]:
-    """Per-cell budget deficits and donatable surpluses (shared A/B base)."""
+def _classify_cells(runtime) -> Tuple[Dict[int, float], Dict[int, float]]:
+    """Per-cell budget deficits and donatable surpluses (shared A/B base).
+
+    Thresholds and fraction are the runtime's ``ControllerConfig`` values.
+    """
+    config = runtime.config
+    overload_threshold = config.overload_threshold
+    underload_threshold = config.underload_threshold
+    fraction = config.rebalance_fraction
     deficits: Dict[int, float] = {}
     surpluses: Dict[int, float] = {}
     for cell_id in runtime.cell_ids:

@@ -110,19 +110,31 @@ def cell_utilization(demand_blocks: float, budget_blocks: float) -> float:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Controller parameters.
+    """Controller parameters: the one home of every controller knob.
 
+    ``handover`` holds the A3 rule the ``a3_handover`` app runs and the
+    load bias :meth:`RanController.cell_bias_db` applies.
     ``overload_threshold`` / ``underload_threshold`` classify cells by
-    resource-block utilization; each interval the rebalance app moves at
-    most ``rebalance_fraction`` of an underloaded cell's budget towards
-    overloaded cells (total budget is conserved).  Apps inherit these
-    values unless their per-app params override them.
+    resource-block utilization, for the load reports and the rebalance
+    apps alike; each interval a rebalance app moves at most
+    ``rebalance_fraction`` of an underloaded cell's budget towards
+    overloaded cells (total budget is conserved).  Apps read these values
+    from the runtime and declare no copies of them.
+
+    ``apps`` is the controller-app stack: a sequence of app names,
+    ``(name, params)`` pairs or ``{"name", "params"}`` mappings (see
+    :mod:`repro.net.apps`), normalised to ``(name, params)`` tuples.  The
+    registry checks each name (``KeyError``), the app its params
+    (``ValueError``).  ``None`` builds the default stack (``a3_handover``,
+    ``cell_scoping``, ``prorata_rebalance``), which reproduces the
+    pre-framework monolithic controller bit-for-bit.
     """
 
     handover: HandoverConfig = field(default_factory=HandoverConfig)
     overload_threshold: float = 0.9
     underload_threshold: float = 0.5
     rebalance_fraction: float = 0.25
+    apps: Optional[Sequence] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.underload_threshold < self.overload_threshold:
@@ -131,23 +143,27 @@ class ControllerConfig:
             )
         if not 0.0 <= self.rebalance_fraction <= 1.0:
             raise ValueError("rebalance_fraction must be in [0, 1]")
+        if self.apps is not None:
+            # Imported lazily: repro.net.apps.builtin imports this module.
+            from repro.net.apps import create_app, normalize_app_entry
+
+            apps = tuple(map(normalize_app_entry, self.apps))
+            for name, params in apps:
+                create_app(name, params)
+            object.__setattr__(self, "apps", apps)
 
 
 class RanController:
     """Thin controller runtime: association, cell state, event bus, apps.
 
-    ``apps`` selects the policy stack: ``None`` builds the default
-    (``a3_handover``, ``cell_scoping``, ``prorata_rebalance``), otherwise
-    pass a sequence of app names, ``(name, params)`` pairs,
-    ``{"name", "params"}`` mappings or live
-    :class:`~repro.net.apps.base.ControllerApp` instances.
+    The policy stack is built from ``config.apps`` (see
+    :class:`ControllerConfig`).
     """
 
     def __init__(
         self,
         base_stations: Sequence,
         config: Optional[ControllerConfig] = None,
-        apps: Optional[Sequence] = None,
     ) -> None:
         if not base_stations:
             raise ValueError("need at least one base station")
@@ -185,7 +201,7 @@ class RanController:
         # must stay importable without the app layer loaded).
         from repro.net.apps import build_app_stack
 
-        self.apps = build_app_stack(apps)
+        self.apps = build_app_stack(self.config.apps)
         for app in self.apps:
             app.attach(self)
 
@@ -217,19 +233,18 @@ class RanController:
         for app in self.apps:
             app.on_user_detached(user_id)
 
-    def cell_bias_db(self, bias_db: Optional[float] = None) -> Optional[np.ndarray]:
+    def cell_bias_db(self) -> Optional[np.ndarray]:
         """Load-aware handover bias per cell (``None`` when disabled).
 
         Every cell whose utilization (as of the most recent load report, or
         an operator budget override such as an outage drill) exceeds the
-        overload threshold is discounted by ``bias_db`` (defaulting to
-        ``handover.load_bias_db``): candidates on it need that much extra
-        genuine margin, and its own users leave it that much more readily.
-        With the default ``load_bias_db == 0`` this returns ``None`` and
-        the pure-SNR decision sequence is preserved bit-for-bit.
+        overload threshold is discounted by ``handover.load_bias_db``:
+        candidates on it need that much extra genuine margin, and its own
+        users leave it that much more readily.  With the default
+        ``load_bias_db == 0`` this returns ``None`` and the pure-SNR
+        decision sequence is preserved bit-for-bit.
         """
-        if bias_db is None:
-            bias_db = self.config.handover.load_bias_db
+        bias_db = self.config.handover.load_bias_db
         if bias_db <= 0:
             return None
         bias = np.zeros(len(self.cell_ids))

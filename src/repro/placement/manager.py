@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.placement.demand import DemandForecaster, DemandSeries
-from repro.placement.planner import PlacementPlanner, ServerCapacity
+from repro.placement.planner import PLACEMENT_STRATEGIES, PlacementPlanner, ServerCapacity
 from repro.sim.events import EventQueue
 
 
@@ -64,15 +64,28 @@ class ReprovisionEvent:
 
 @dataclass
 class PlacementConfig:
-    """Knobs of the placement manager."""
+    """Knobs of the placement manager.
 
-    strategy: str = "drr"
+    ``strategy`` names the packing rule: ``"drr"`` packs by dominant
+    remaining resource, ``"first_fit"`` is the naive A/B baseline, and
+    ``None`` (the default) disables placement, so the simulator builds no
+    manager.  ``horizon_intervals`` is how far ahead demand is forecast;
+    a group whose observed cycles miss the forecast by more than
+    ``mispredict_threshold`` (relative error) is reprovisioned when
+    ``reprovision`` is on.  Every field is checked, enabled or not.
+    """
+
+    strategy: Optional[str] = None
     horizon_intervals: int = 3
     mispredict_threshold: float = 0.5
     reprovision: bool = True
-    ewma_alpha: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.strategy is not None and self.strategy not in PLACEMENT_STRATEGIES:
+            raise ValueError(
+                f"strategy must be one of {', '.join(PLACEMENT_STRATEGIES)} "
+                f"(or None to disable), got {self.strategy!r}"
+            )
         if self.horizon_intervals < 1:
             raise ValueError("horizon_intervals must be at least 1")
         if self.mispredict_threshold <= 0:
@@ -83,13 +96,11 @@ class PlacementManager:
     """Drives predictive placement of group jobs over an edge fleet."""
 
     def __init__(
-        self,
-        capacities: Sequence[ServerCapacity],
-        config: Optional[PlacementConfig] = None,
+        self, capacities: Sequence[ServerCapacity], config: PlacementConfig
     ) -> None:
-        self.config = config if config is not None else PlacementConfig()
-        self.planner = PlacementPlanner(capacities, strategy=self.config.strategy)
-        self.forecaster = DemandForecaster(alpha=self.config.ewma_alpha)
+        self.config = config
+        self.planner = PlacementPlanner(capacities, strategy=config.strategy)
+        self.forecaster = DemandForecaster()
         #: The ``repro.sim.events`` bus reprovision events fire on; consumers
         #: may attach callbacks before :meth:`observe_interval` runs it.
         self.events = EventQueue()

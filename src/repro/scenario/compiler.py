@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import SchemeConfig
+from repro.edge.server import EdgeServerConfig
+from repro.net.controller import ControllerConfig
+from repro.net.handover import HandoverConfig
+from repro.placement.manager import PlacementConfig
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.config import SimulationConfig
 from repro.twin.collector import CollectionPolicy
@@ -46,8 +50,12 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
     keeping it spec-derived makes the compiled config equal the historical
     hand-wired ones field-for-field).
 
-    The configs check the values they carry, so a bad one raises here:
-    ``ValueError``, or ``KeyError`` for an unknown controller app.
+    The controller, edge-server and placement configs are built here,
+    straight from their spec sections, and the simulator uses them as they
+    are.  The placement config is built even when ``placement.strategy``
+    is unset, so every spec value is checked.  The configs check the
+    values they carry, so a bad one raises here: ``ValueError``, or
+    ``KeyError`` for an unknown controller app.
     """
     warmup = spec.scheme.warmup_intervals if spec.mode == "scheme" else 0
     sim_config = SimulationConfig(
@@ -74,27 +82,31 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
         channel_sample_period_s=spec.topology.channel_sample_period_s,
         playback_workers=spec.engine.playback_workers,
         controller_mode=spec.controller.mode,
-        handover_hysteresis_db=spec.controller.handover_hysteresis_db,
-        handover_time_to_trigger_s=spec.controller.handover_time_to_trigger_s,
-        handover_sample_period_s=spec.controller.handover_sample_period_s,
-        handover_load_bias_db=spec.controller.handover_load_bias_db,
-        cell_overload_threshold=spec.controller.cell_overload_threshold,
-        cell_underload_threshold=spec.controller.cell_underload_threshold,
-        cell_rebalance_fraction=spec.controller.cell_rebalance_fraction,
-        controller_apps=(
-            tuple((app.name, dict(app.params)) for app in spec.controller.apps)
-            if spec.controller.apps
-            else None
+        controller=ControllerConfig(
+            handover=HandoverConfig(
+                hysteresis_db=spec.controller.handover_hysteresis_db,
+                time_to_trigger_s=spec.controller.handover_time_to_trigger_s,
+                sample_period_s=spec.controller.handover_sample_period_s,
+                load_bias_db=spec.controller.handover_load_bias_db,
+            ),
+            overload_threshold=spec.controller.cell_overload_threshold,
+            underload_threshold=spec.controller.cell_underload_threshold,
+            rebalance_fraction=spec.controller.cell_rebalance_fraction,
+            apps=tuple((app.name, app.params) for app in spec.controller.apps) or None,
         ),
         edge_servers=spec.edge.num_servers,
-        cache_capacity_gbytes=spec.edge.cache_capacity_gbytes,
-        cpu_capacity_cycles_per_s=spec.edge.cpu_capacity_cycles_per_s,
-        cycles_per_pixel=spec.edge.cycles_per_pixel,
-        remote_fetch_penalty_s=spec.edge.remote_fetch_penalty_s,
-        placement_strategy=spec.placement.strategy,
-        placement_horizon=spec.placement.horizon_intervals,
-        placement_mispredict_threshold=spec.placement.mispredict_threshold,
-        placement_reprovision=spec.placement.reprovision,
+        edge_server=EdgeServerConfig(
+            cache_capacity_gbytes=spec.edge.cache_capacity_gbytes,
+            cpu_capacity_cycles_per_s=spec.edge.cpu_capacity_cycles_per_s,
+            cycles_per_pixel=spec.edge.cycles_per_pixel,
+            remote_fetch_penalty_s=spec.edge.remote_fetch_penalty_s,
+        ),
+        placement=PlacementConfig(
+            strategy=spec.placement.strategy,
+            horizon_intervals=spec.placement.horizon_intervals,
+            mispredict_threshold=spec.placement.mispredict_threshold,
+            reprovision=spec.placement.reprovision,
+        ),
         recommendation_popularity_weight=spec.catalog.recommendation_popularity_weight,
         popularity_update_rate=spec.catalog.popularity_update_rate,
         swipe_gap_s=spec.catalog.swipe_gap_s,

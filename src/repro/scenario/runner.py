@@ -539,7 +539,7 @@ class ScenarioRunner:
                 "total_cycles": float(
                     sum(
                         sum(r.edge_utilization_by_server.values())
-                        * simulator.config.cpu_capacity_cycles_per_s
+                        * simulator.config.edge_server.cpu_capacity_cycles_per_s
                         * simulator.config.interval_s
                         for r in raw_results
                     )
@@ -556,8 +556,8 @@ class ScenarioRunner:
                     if r.edge_fragmentation is not None
                 ]
                 summary["placement"] = {
-                    "strategy": str(simulator.config.placement_strategy),
-                    "reprovision": bool(simulator.config.placement_reprovision),
+                    "strategy": str(simulator.config.placement.strategy),
+                    "reprovision": bool(simulator.config.placement.reprovision),
                     "reprovision_events": int(simulator.placement.total_reprovisions()),
                     "migrations": int(simulator.placement.total_migrations()),
                     "mean_fragmentation": (
@@ -580,7 +580,8 @@ class ScenarioRunner:
         if simulator.edge_fleet.num_servers <= 1 and simulator.placement is None:
             return {}
         capacity = (
-            simulator.config.cpu_capacity_cycles_per_s * simulator.config.interval_s
+            simulator.config.edge_server.cpu_capacity_cycles_per_s
+            * simulator.config.interval_s
         )
         servers = range(simulator.edge_fleet.num_servers)
         return {

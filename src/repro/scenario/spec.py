@@ -7,8 +7,9 @@ engine selection and a timeline of scripted :class:`ScenarioEvent`\\ s —
 without saying anything about *how* to run it.  The spec is pure data:
 
 * :func:`repro.scenario.compiler.compile_spec` lowers it deterministically
-  to a :class:`~repro.sim.config.SimulationConfig` (plus, for scheme-mode
-  scenarios, a :class:`~repro.core.config.SchemeConfig`), and
+  to a :class:`~repro.sim.config.SimulationConfig`, with the controller,
+  edge-server, placement and collection configs nested in it (plus, for
+  scheme-mode scenarios, a :class:`~repro.core.config.SchemeConfig`), and
 * :class:`repro.scenario.runner.ScenarioRunner` drives the compiled
   scenario and returns a typed, JSON-serializable ``RunResult``.
 
@@ -17,9 +18,10 @@ this one spec → compile → run pipeline; named specs live in
 :mod:`repro.scenario.registry`.
 
 Each input has one check.  The compiled config that carries a value checks
-it, so ``compile_spec`` raises for a bad one; the spec checks only what no
-compiled config carries (mode, interval counts, timeline, churn phases,
-reservation lead and margin, grouping policy, draw engine).
+it, so ``compile_spec`` raises for a bad one, and the message names that
+config's field (``horizon_intervals must be at least 1``); the spec checks
+only what no compiled config carries (mode, interval counts, timeline,
+churn phases, reservation lead and margin, grouping policy, draw engine).
 """
 
 from __future__ import annotations
@@ -102,8 +104,11 @@ class ControllerAppSpec:
     """One controller app in :attr:`ControllerSpec.apps`.
 
     ``name`` is the app's registry key (see :func:`repro.net.apps.app_names`)
-    and ``params`` its per-app knobs; ``compile_spec`` rejects unknown ones
-    through the app registry (``KeyError`` for a name, ``ValueError`` for a param).
+    and ``params`` its own knobs (``repro apps`` lists them; the
+    controller-wide knobs live on :class:`ControllerSpec`).
+    ``compile_spec`` rejects unknown ones through
+    :class:`~repro.net.controller.ControllerConfig` (``KeyError`` for a
+    name, ``ValueError`` for a param).
     """
 
     name: str
@@ -117,16 +122,21 @@ class ControllerAppSpec:
 class ControllerSpec:
     """RAN-controller mode, handover / load-balancing knobs and app stack.
 
+    ``compile_spec`` lowers this section to
+    :class:`~repro.net.controller.ControllerConfig`, which checks it in
+    either mode: the ``handover_*`` knobs become its
+    :class:`~repro.net.handover.HandoverConfig`, the ``cell_*`` knobs its
+    thresholds and rebalance fraction, and ``apps`` its app stack.  The
+    apps read the controller-wide knobs from there and have no per-app
+    copies of them.
+
     ``apps`` selects the controller-app stack for ``mode="handover"`` (see
     :mod:`repro.net.apps`): a tuple of :class:`ControllerAppSpec` entries.
     Any other entry is parsed by :func:`repro.net.apps.normalize_app_entry`,
-    the parser ``SimulationConfig.controller_apps`` uses too.  The
-    default empty tuple compiles to the built-in default stack
-    (``a3_handover``, ``cell_scoping``, ``prorata_rebalance``), which is
-    bit-identical to the historical monolithic controller.  The
-    ``handover_*`` knobs are the ``a3_handover`` app's inherited defaults
-    and the ``cell_*`` knobs those of the rebalance apps; per-app
-    ``params`` override them.
+    the parser ``ControllerConfig.apps`` uses too.  The default empty
+    tuple compiles to the built-in default stack (``a3_handover``,
+    ``cell_scoping``, ``prorata_rebalance``), which is bit-identical to the
+    historical monolithic controller.
     """
 
     mode: str = "boundary"
@@ -155,10 +165,11 @@ class ControllerSpec:
 class EdgeSpec:
     """The edge-server fleet: how many servers, and each server's build.
 
-    Defaults equal the historical single hard-wired
-    :class:`~repro.edge.server.EdgeServerConfig`, so a default spec
-    compiles (and runs) bit-for-bit like the pre-fleet simulator.
-    ``SimulationConfig`` checks every field.
+    ``compile_spec`` lowers the per-server fields to one
+    :class:`~repro.edge.server.EdgeServerConfig`, which checks them, and
+    ``num_servers`` to ``SimulationConfig.edge_servers``.  Defaults equal
+    the historical single hard-wired server, so a default spec compiles
+    (and runs) bit-for-bit like the pre-fleet simulator.
     """
 
     num_servers: int = 1
@@ -180,7 +191,9 @@ class PlacementSpec:
     ``reservation_lead_intervals > 0`` additionally books per-cell radio
     blocks that many intervals ahead of the scripted timeline
     (:class:`~repro.placement.horizon.HorizonReservationPlanner`).  The spec
-    checks the lead and margin, ``SimulationConfig`` the other fields.
+    checks the lead and margin; ``compile_spec`` lowers the other fields to
+    a :class:`~repro.placement.manager.PlacementConfig`, which checks them
+    even when ``strategy`` is unset.
     """
 
     strategy: Optional[str] = None

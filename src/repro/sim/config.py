@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.edge.server import EdgeServerConfig
+from repro.net.controller import ControllerConfig
+from repro.placement.manager import PlacementConfig
 from repro.twin.collector import CollectionPolicy
 from repro.video.categories import DEFAULT_CATEGORIES
 
@@ -64,44 +67,20 @@ class SimulationConfig:
     #: samples, per-cell multicast group scoping and cross-cell
     #: resource-block budget rebalancing.
     controller_mode: str = "boundary"
-    #: Controller-app stack for ``controller_mode="handover"``: a sequence
-    #: of app names, ``(name, params)`` pairs or ``{"name", "params"}``
-    #: mappings (see :mod:`repro.net.apps`), normalised to ``(name,
-    #: params)`` tuples.  ``None`` (default) builds the default stack
-    #: (``a3_handover``, ``cell_scoping``, ``prorata_rebalance``), which
-    #: reproduces the pre-framework monolithic controller bit-for-bit.
-    controller_apps: Optional[Sequence] = None
-    handover_hysteresis_db: float = 3.0
-    handover_time_to_trigger_s: float = 10.0
-    handover_sample_period_s: float = 5.0
-    #: Load-aware handover: cells the controller saw overloaded in the last
-    #: load report are discounted by this many dB in the A3 rule, steering
-    #: users away from them.  ``0.0`` (default) keeps handover pure-SNR.
-    handover_load_bias_db: float = 0.0
-    cell_overload_threshold: float = 0.9
-    cell_underload_threshold: float = 0.5
-    cell_rebalance_fraction: float = 0.25
+    #: The controller's knobs and app stack, passed to the controller as
+    #: they are; read only in handover mode, but checked in both.
+    controller: ControllerConfig = field(default_factory=ControllerConfig)
 
-    # Edge fleet (see repro.edge.server / repro.placement).  The per-server
-    # EdgeServerConfig fields are lifted here so cache size and CPU capacity
-    # are configurable (and spec-overridable) without code edits; defaults
-    # equal the EdgeServerConfig defaults, so a default config compiles to
-    # the historical single hard-wired server bit-for-bit.
+    # Edge fleet (see repro.placement.fleet): ``edge_servers`` copies of
+    # one server build.  The defaults are the historical single hard-wired
+    # server.
     edge_servers: int = 1
-    cache_capacity_gbytes: float = 8.0
-    cpu_capacity_cycles_per_s: float = 3.0e9 * 16  # 16 cores at 3 GHz
-    cycles_per_pixel: float = 12.0
-    remote_fetch_penalty_s: float = 0.2
+    edge_server: EdgeServerConfig = field(default_factory=EdgeServerConfig)
 
-    # Predictive placement (repro.placement).  ``None`` disables placement:
-    # every group runs on server 0 exactly like the pre-fleet simulator.
-    # ``"drr"`` packs by dominant remaining resource, ``"first_fit"`` is the
-    # naive A/B baseline.  A multi-server fleet needs a strategy — without
-    # one the extra servers would sit idle.
-    placement_strategy: Optional[str] = None
-    placement_horizon: int = 3
-    placement_mispredict_threshold: float = 0.5
-    placement_reprovision: bool = True
+    # Predictive placement (repro.placement).  ``placement.strategy=None``
+    # (the default) disables placement: every group runs on server 0
+    # exactly like the pre-fleet simulator.
+    placement: PlacementConfig = field(default_factory=PlacementConfig)
 
     # Viewing behaviour.
     swipe_gap_s: float = 0.5
@@ -136,54 +115,15 @@ class SimulationConfig:
             raise ValueError("controller_mode must be 'boundary' or 'handover'")
         if self.playback_workers < 1:
             raise ValueError("playback_workers must be at least 1")
-        if self.controller_apps is not None:
-            if self.controller_mode != "handover":
-                raise ValueError("controller_apps requires controller_mode='handover'")
-            # Imported lazily: repro.net.apps pulls in repro.net.controller,
-            # which must stay importable without repro.sim at module level.
-            from repro.net.apps import create_app, normalize_app_entry
-
-            self.controller_apps = tuple(map(normalize_app_entry, self.controller_apps))
-            # The registry checks each name (KeyError), the app its params.
-            for name, params in self.controller_apps:
-                create_app(name, params)
-        if self.handover_hysteresis_db < 0 or self.handover_time_to_trigger_s < 0:
-            raise ValueError("handover hysteresis and time-to-trigger must be non-negative")
-        if self.handover_load_bias_db < 0:
-            raise ValueError("handover_load_bias_db must be non-negative")
-        if self.handover_sample_period_s <= 0:
-            raise ValueError("handover_sample_period_s must be positive")
-        if not 0.0 < self.cell_underload_threshold < self.cell_overload_threshold:
-            raise ValueError(
-                "thresholds must satisfy 0 < cell_underload_threshold < cell_overload_threshold"
-            )
-        if not 0.0 <= self.cell_rebalance_fraction <= 1.0:
-            raise ValueError("cell_rebalance_fraction must be in [0, 1]")
+        if self.controller.apps is not None and self.controller_mode != "handover":
+            raise ValueError("controller apps require controller_mode='handover'")
         if self.edge_servers < 1:
             raise ValueError("edge_servers must be at least 1")
-        if self.cache_capacity_gbytes <= 0 or self.cpu_capacity_cycles_per_s <= 0:
-            raise ValueError("edge cache and CPU capacities must be positive")
-        if self.remote_fetch_penalty_s < 0:
-            raise ValueError("remote_fetch_penalty_s must be non-negative")
-        if self.placement_strategy is not None:
-            # Imported lazily: repro.placement imports repro.sim.events.
-            from repro.placement.planner import PLACEMENT_STRATEGIES
-
-            if self.placement_strategy not in PLACEMENT_STRATEGIES:
-                raise ValueError(
-                    f"placement_strategy must be one of "
-                    f"{', '.join(PLACEMENT_STRATEGIES)} (or None to disable), "
-                    f"got {self.placement_strategy!r}"
-                )
-        elif self.edge_servers > 1:
+        if self.edge_servers > 1 and self.placement.strategy is None:
             raise ValueError(
-                "edge_servers > 1 requires a placement_strategy: without one "
+                "edge_servers > 1 requires a placement strategy: without one "
                 "every group runs on server 0 and the extra servers sit idle"
             )
-        if self.placement_horizon < 1:
-            raise ValueError("placement_horizon must be at least 1")
-        if self.placement_mispredict_threshold <= 0:
-            raise ValueError("placement_mispredict_threshold must be positive")
         if self.swipe_gap_s < 0:
             raise ValueError("swipe_gap_s must be non-negative")
         if not 0.0 <= self.recommendation_popularity_weight <= 1.0:

@@ -36,9 +36,8 @@ import numpy as np
 
 from repro.behavior.preference import PreferenceModel, PreferenceVector, random_preference
 from repro.behavior.watching import WatchingDurationModel, WatchRecord
-from repro.edge.server import EdgeServerConfig
 from repro.placement.fleet import EdgeFleet
-from repro.placement.manager import PlacementConfig, PlacementManager, ReprovisionEvent
+from repro.placement.manager import PlacementManager, ReprovisionEvent
 from repro.placement.planner import ServerCapacity, fragmentation_index
 from repro.mobility.campus import CampusConfig, CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
@@ -46,12 +45,10 @@ from repro.net.basestation import BaseStationConfig, associate_users, place_base
 from repro.net.apps import AppEvent
 from repro.net.controller import (
     CellLoadEvent,
-    ControllerConfig,
     GroupScopeEvent,
     HandoverEvent,
     RanController,
 )
-from repro.net.handover import HandoverConfig
 from repro.sim.clock import SimulationClock
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import RngRegistry
@@ -287,21 +284,7 @@ class StreamingSimulator:
         # default boundary mode keeps the pre-controller behaviour exactly).
         self.controller: Optional[RanController] = None
         if config.controller_mode == "handover":
-            self.controller = RanController(
-                self.base_stations,
-                ControllerConfig(
-                    handover=HandoverConfig(
-                        hysteresis_db=config.handover_hysteresis_db,
-                        time_to_trigger_s=config.handover_time_to_trigger_s,
-                        sample_period_s=config.handover_sample_period_s,
-                        load_bias_db=config.handover_load_bias_db,
-                    ),
-                    overload_threshold=config.cell_overload_threshold,
-                    underload_threshold=config.cell_underload_threshold,
-                    rebalance_fraction=config.cell_rebalance_fraction,
-                ),
-                apps=config.controller_apps,
-            )
+            self.controller = RanController(self.base_stations, config.controller)
             for user_id, user in self.users.items():
                 self.controller.attach_user(user_id, user.serving_bs_id)
 
@@ -309,32 +292,17 @@ class StreamingSimulator:
         # behaves bit-for-bit like the historical hard-wired EdgeServer:
         # every group routes to server 0 in grouping order, so the cache
         # walk and cycle accounting are unchanged.
-        edge_config = EdgeServerConfig(
-            cache_capacity_gbytes=config.cache_capacity_gbytes,
-            cpu_capacity_cycles_per_s=config.cpu_capacity_cycles_per_s,
-            cycles_per_pixel=config.cycles_per_pixel,
-            remote_fetch_penalty_s=config.remote_fetch_penalty_s,
-        )
-        self.edge_fleet = EdgeFleet(
-            self.catalog, [edge_config] * config.edge_servers
-        )
+        edge = config.edge_server
+        self.edge_fleet = EdgeFleet(self.catalog, [edge] * config.edge_servers)
         self.edge_fleet.warm_caches()
         self.placement: Optional[PlacementManager] = None
-        if config.placement_strategy is not None:
+        if config.placement.strategy is not None:
             capacity = ServerCapacity(
-                cpu_cycles_per_interval=(
-                    config.cpu_capacity_cycles_per_s * config.interval_s
-                ),
-                cache_bytes=config.cache_capacity_gbytes * 1e9,
+                cpu_cycles_per_interval=edge.cpu_capacity_cycles_per_s * config.interval_s,
+                cache_bytes=edge.cache_capacity_gbytes * 1e9,
             )
             self.placement = PlacementManager(
-                [capacity] * config.edge_servers,
-                PlacementConfig(
-                    strategy=config.placement_strategy,
-                    horizon_intervals=config.placement_horizon,
-                    mispredict_threshold=config.placement_mispredict_threshold,
-                    reprovision=config.placement_reprovision,
-                ),
+                [capacity] * config.edge_servers, config.placement
             )
 
         # Digital twins.  The serving-cell attribute is only collected when
@@ -579,7 +547,7 @@ class StreamingSimulator:
         cycles_by_server = compute_usage.cycles_by_server()
         result.edge_utilization_by_server = {
             server: cycles
-            / (self.config.cpu_capacity_cycles_per_s * self.config.interval_s)
+            / (self.config.edge_server.cpu_capacity_cycles_per_s * self.config.interval_s)
             for server, cycles in cycles_by_server.items()
         }
         if self.placement is not None:

@@ -387,11 +387,13 @@ class TestSimulatorIntegration:
         with pytest.raises(ValueError):
             SimulationConfig(controller_mode="magic")
         with pytest.raises(ValueError):
-            SimulationConfig(handover_sample_period_s=0.0)
+            SimulationConfig(
+                controller=ControllerConfig(handover=HandoverConfig(sample_period_s=0.0))
+            )
         with pytest.raises(ValueError):
-            SimulationConfig(cell_underload_threshold=0.95)
+            SimulationConfig(controller=ControllerConfig(underload_threshold=0.95))
         with pytest.raises(ValueError):
-            SimulationConfig(cell_rebalance_fraction=-0.1)
+            SimulationConfig(controller=ControllerConfig(rebalance_fraction=-0.1))
 
 
 class TestLoadAwareHandover:
@@ -467,8 +469,11 @@ class TestLoadAwareHandover:
                     num_users=24,
                     num_base_stations=4,
                     seed=11,
-                    handover_load_bias_db=load_bias_db,
-                    handover_time_to_trigger_s=5.0,
+                    controller=ControllerConfig(
+                        handover=HandoverConfig(
+                            load_bias_db=load_bias_db, time_to_trigger_s=5.0
+                        )
+                    ),
                 )
             )
             dead = max(
@@ -492,4 +497,6 @@ class TestLoadAwareHandover:
         with pytest.raises(ValueError):
             HandoverConfig(load_bias_db=-1.0)
         with pytest.raises(ValueError):
-            SimulationConfig(handover_load_bias_db=-0.5)
+            SimulationConfig(
+                controller=ControllerConfig(handover=HandoverConfig(load_bias_db=-0.5))
+            )

@@ -1,11 +1,12 @@
 """Tests for the controller-app framework (:mod:`repro.net.apps`).
 
-Covers the app registry and stack construction, per-app behaviour (A3
-param inheritance, mid-interval re-scoping, weak-member demotion, greedy
-vs pro-rata rebalancing), the spec/config/CLI wiring of scenario-selected
-stacks, the ``controller_events`` export — and the headline determinism
-contract: the default app stack reproduces the pre-refactor monolithic
-controller bit-for-bit (golden-pinned digests).
+Covers the app registry and stack construction, per-app behaviour (the
+A3 rule read from the runtime's config, mid-interval re-scoping,
+weak-member demotion, greedy vs pro-rata rebalancing), the
+spec/config/CLI wiring of scenario-selected stacks, the
+``controller_events`` export — and the headline determinism contract:
+the default app stack reproduces the pre-refactor monolithic controller
+bit-for-bit (golden-pinned digests).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.net.apps import (
 )
 from repro.net.basestation import BaseStation, BaseStationConfig
 from repro.net.controller import ControllerConfig, HandoverEvent, RanController
+from repro.net.handover import HandoverConfig
 from repro.scenario import (
     ControllerAppSpec,
     ControllerSpec,
@@ -54,7 +56,7 @@ def _controller(num_cells=2, apps=None, **config_kwargs) -> RanController:
         )
         for index in range(num_cells)
     ]
-    return RanController(stations, ControllerConfig(**config_kwargs), apps=apps)
+    return RanController(stations, ControllerConfig(apps=apps, **config_kwargs))
 
 
 # ---------------------------------------------------------------- registry
@@ -169,19 +171,17 @@ class TestA3HandoverApp:
         controller = _controller()
         assert controller.app("a3_handover").policy.config == controller.config.handover
 
-    def test_param_overrides_replace_config_fields(self):
-        controller = _controller(
-            apps=[
-                ("a3_handover", {"hysteresis_db": 7.0, "time_to_trigger_s": 0.0}),
-                "cell_scoping",
-                "prorata_rebalance",
-            ]
-        )
-        policy = controller.app("a3_handover").policy
-        assert policy.config.hysteresis_db == 7.0
-        assert policy.config.time_to_trigger_s == 0.0
-        # Unspecified knobs still inherit.
-        assert policy.config.sample_period_s == controller.config.handover.sample_period_s
+    def test_controller_knobs_have_one_home_in_the_config(self):
+        # The apps declare no copies of the controller's knobs, so per-app
+        # params naming them are unknown params.
+        with pytest.raises(ValueError, match="unknown params"):
+            ControllerConfig(apps=[("a3_handover", {"hysteresis_db": 7.0})])
+        with pytest.raises(ValueError, match="unknown params"):
+            ControllerConfig(
+                apps=["a3_handover", ("prorata_rebalance", {"overload_threshold": 0.25})]
+            )
+        controller = _controller(handover=HandoverConfig(hysteresis_db=7.0))
+        assert controller.app("a3_handover").policy.config.hysteresis_db == 7.0
 
     def test_stack_without_a3_has_no_measurements_or_policy(self):
         controller = _controller(apps=["cell_scoping", "prorata_rebalance"])
@@ -418,7 +418,10 @@ class TestSpecAndConfigWiring:
                 )
             )
         with pytest.raises(ValueError, match="handover"):
-            SimulationConfig(controller_mode="boundary", controller_apps=("a3_handover",))
+            SimulationConfig(
+                controller_mode="boundary",
+                controller=ControllerConfig(apps=("a3_handover",)),
+            )
 
     def test_unknown_app_and_params_rejected_at_spec_time(self):
         with pytest.raises(KeyError, match="unknown controller app"):
@@ -438,7 +441,7 @@ class TestSpecAndConfigWiring:
                 )
             )
         with pytest.raises(KeyError, match="unknown controller app"):
-            SimulationConfig(controller_mode="handover", controller_apps=("nope",))
+            ControllerConfig(apps=("nope",))
 
     def test_override_accepts_comma_separated_names(self):
         spec = get_scenario(
@@ -481,13 +484,13 @@ class TestSpecAndConfigWiring:
             "cell_outage_storm", {"controller.apps": "a3_handover,cell_scoping"}
         )
         compiled = compile_spec(spec)
-        assert compiled.sim_config.controller_apps == (
+        assert compiled.sim_config.controller.apps == (
             ("a3_handover", {}),
             ("cell_scoping", {}),
         )
         # No apps -> None (the bit-identical default stack).
         default = compile_spec(get_scenario("cell_outage_storm"))
-        assert default.sim_config.controller_apps is None
+        assert default.sim_config.controller.apps is None
 
     def test_spec_to_dict_is_json_canonical(self):
         spec = get_scenario("weak_signal_demotion")

@@ -40,7 +40,7 @@ class TestGroupDemandPredictor:
                 implementation_loss=config.implementation_loss,
                 swipe_gap_s=config.swipe_gap_s,
                 recommendation_popularity_weight=config.recommendation_popularity_weight,
-                cycles_per_pixel=config.cycles_per_pixel,
+                cycles_per_pixel=config.edge_server.cycles_per_pixel,
                 mc_rollouts=rollouts,
                 seed=3,
             ),

@@ -13,6 +13,8 @@ from repro.core import (
     SchemeConfig,
 )
 from repro.core.demand import GroupDemandPrediction
+from repro.edge.server import EdgeServerConfig
+from repro.placement import PlacementConfig
 from repro.sim import SimulationConfig, StreamingSimulator
 
 
@@ -190,8 +192,8 @@ def _placement_scheme() -> DTResourcePredictionScheme:
         interval_s=90.0,
         seed=13,
         edge_servers=2,
-        placement_strategy="drr",
-        cpu_capacity_cycles_per_s=2e7,
+        edge_server=EdgeServerConfig(cpu_capacity_cycles_per_s=2e7),
+        placement=PlacementConfig(strategy="drr"),
     )
     scheme_config = SchemeConfig(
         warmup_intervals=1,

@@ -65,21 +65,27 @@ def execute(task):
 """
 
 CLEAN_CONFIG = """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+@dataclass(frozen=True)
+class PolicyConfig:
+    rate: float = 1.0
 
 @dataclass(frozen=True)
 class SimulationConfig:
     num_users: int = 10
     num_intervals: int = 4
+    policy: PolicyConfig = field(default_factory=PolicyConfig)
 """
 
 CLEAN_COMPILER = """
-from pkg.config import SimulationConfig
+from pkg.config import PolicyConfig, SimulationConfig
 
 def compile_spec(spec):
     return SimulationConfig(
         num_users=spec.num_users,
         num_intervals=spec.num_intervals,
+        policy=PolicyConfig(rate=spec.rate),
     )
 """
 
@@ -116,7 +122,7 @@ def build_project(root: Path, overrides=None, extra=None) -> LintConfig:
         root=root,
         rng_allowed_modules=("pkg.rng",),
         worker_entry_modules=("pkg.shard",),
-        spec_config=("pkg.config", "SimulationConfig"),
+        spec_configs=(("pkg.config", "SimulationConfig"), ("pkg.config", "PolicyConfig")),
         spec_compiler=("pkg.compiler", "compile_spec"),
     )
 
@@ -673,6 +679,16 @@ class TestSpecRule:
         )
         assert rules_of(findings) == ["SPEC001"]
         assert "hidden_knob" in findings[0].message
+
+    def test_unmapped_nested_config_field_flagged(self, tmp_path):
+        findings = scan(
+            tmp_path,
+            overrides={
+                "pkg/compiler.py": CLEAN_COMPILER.replace("rate=spec.rate", "")
+            },
+        )
+        assert rules_of(findings) == ["SPEC001"]
+        assert "PolicyConfig.rate" in findings[0].message
 
     def test_allowlist_suppresses_field(self, tmp_path):
         findings = scan(

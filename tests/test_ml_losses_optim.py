@@ -7,17 +7,13 @@ import pytest
 
 from repro.ml import (
     Adam,
-    Dense,
     HuberLoss,
     MSELoss,
-    MomentumSGD,
-    SGD,
     glorot_uniform,
     he_uniform,
     zeros_init,
 )
 from repro.ml.layers import Parameter
-from repro.ml.optim import build_optimizer
 
 
 @pytest.fixture
@@ -81,18 +77,12 @@ class TestOptimizers:
             optimizer.step()
         return np.linalg.norm(param.value)
 
-    def test_sgd_minimises_quadratic(self):
-        assert self._quadratic_step(lambda p: SGD(p, learning_rate=0.05)) < 1e-3
-
-    def test_momentum_minimises_quadratic(self):
-        assert self._quadratic_step(lambda p: MomentumSGD(p, learning_rate=0.05)) < 1e-3
-
     def test_adam_minimises_quadratic(self):
         assert self._quadratic_step(lambda p: Adam(p, learning_rate=0.05)) < 1e-2
 
     def test_gradient_clipping_limits_norm(self, rng):
         param = Parameter(np.zeros(3), name="w")
-        optimizer = SGD([param], learning_rate=0.1)
+        optimizer = Adam([param], learning_rate=0.1)
         param.grad += np.array([30.0, 40.0, 0.0])
         norm = optimizer.clip_gradients(max_norm=5.0)
         assert norm == pytest.approx(50.0)
@@ -100,21 +90,10 @@ class TestOptimizers:
 
     def test_zero_grad_resets(self, rng):
         param = Parameter(np.zeros(3), name="w")
-        optimizer = SGD([param], learning_rate=0.1)
+        optimizer = Adam([param], learning_rate=0.1)
         param.grad += 1.0
         optimizer.zero_grad()
         np.testing.assert_allclose(param.grad, 0.0)
-
-    def test_build_optimizer_by_name(self, rng):
-        layer = Dense(2, 2, rng)
-        for name, cls in (("sgd", SGD), ("momentum", MomentumSGD), ("adam", Adam)):
-            optimizer = build_optimizer(name, layer.parameters(), learning_rate=0.01)
-            assert isinstance(optimizer, cls)
-
-    def test_build_optimizer_unknown_name(self, rng):
-        layer = Dense(2, 2, rng)
-        with pytest.raises((ValueError, KeyError)):
-            build_optimizer("nadamax", layer.parameters(), learning_rate=0.01)
 
 
 class TestInitializers:

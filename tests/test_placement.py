@@ -412,17 +412,19 @@ class TestSpecWiring:
         )
         config = compile_spec(spec).sim_config
         assert config.edge_servers == 3
-        assert config.cache_capacity_gbytes == 2.0
-        assert config.cpu_capacity_cycles_per_s == 3.0e9
-        assert config.placement_strategy == "first_fit"
-        assert config.placement_horizon == 4
-        assert config.placement_mispredict_threshold == 0.25
-        assert config.placement_reprovision is False
+        assert config.edge_server.cache_capacity_gbytes == 2.0
+        assert config.edge_server.cpu_capacity_cycles_per_s == 3.0e9
+        assert config.placement == PlacementConfig(
+            strategy="first_fit",
+            horizon_intervals=4,
+            mispredict_threshold=0.25,
+            reprovision=False,
+        )
 
     def test_default_spec_compiles_single_server_no_placement(self):
         config = compile_spec(ScenarioSpec(name="x")).sim_config
         assert config.edge_servers == 1
-        assert config.placement_strategy is None
+        assert config.placement.strategy is None
 
     def test_placement_reachable_via_override(self):
         result = run_scenario(

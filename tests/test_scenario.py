@@ -11,13 +11,15 @@ Covers:
 * the runner — timeline events, churn phases, the JSON-canonical
   ``RunResult`` round-trip;
 * the registry + CLI — every registered scenario lists, compiles and
-  smoke-runs for one interval (the same matrix CI executes).
+  smoke-runs for one interval (the same matrix CI executes), and the
+  playback scenarios' whole exports are digest-pinned.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,18 @@ from repro.scenario import (
     scenario_names,
 )
 from repro.scenario.runner import MIN_POPULATION
+
+#: ``bench_e2e.digest`` of each playback scenario not pinned elsewhere, run
+#: at its registry defaults (own seed and interval count, one worker).
+#: ``multicell_campus`` and ``cell_outage_storm`` are pinned in
+#: ``test_controller_apps``; the scheme scenarios run ``Dense`` matmuls
+#: whose last bits may differ between BLAS kernels, so they stay unpinned.
+PLAYBACK_DIGESTS = {
+    "commuter_rush": "7826d5f7446b27d00312c2af7a27680d4f351ef371705bf0532cb7c830c5574c",
+    "edge_flash_crowd": "f318ac9b177397dfe2771f2ca3f1a404470d1d851aaf1d47fc28ff58cf4360d5",
+    "stadium_egress": "7c15a742336de08dbd23f17ebd5bffbb4ba2450d361f24dcbf489719b43c9035",
+    "weak_signal_demotion": "4aadccb48bf3321c868e432a1f6e3c1180036dd9841ed0bf18650746c12ba2f3",
+}
 
 
 def _tiny_fig3_overrides(num_users=10, num_intervals=2):
@@ -315,7 +329,7 @@ class TestRunner:
         spec = get_scenario("cell_outage_storm")
         assert spec.controller.handover_load_bias_db == 6.0
         compiled = compile_spec(spec)
-        assert compiled.sim_config.handover_load_bias_db == 6.0
+        assert compiled.sim_config.controller.handover.load_bias_db == 6.0
         sim = StreamingSimulator(compiled.sim_config)
         assert sim.controller.config.handover.load_bias_db == 6.0
 
@@ -363,6 +377,18 @@ class TestRegistry:
                 if result.edge_fragmentation is not None:
                     values.append(result.edge_fragmentation)
                 assert all(np.isfinite(v) and v >= 0.0 for v in values), name
+
+    @pytest.mark.parametrize("name", sorted(PLAYBACK_DIGESTS))
+    def test_playback_scenario_export_is_pinned(self, monkeypatch, name):
+        # One digest function for the benchmark and the pins.
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e")
+        )
+        from bench_e2e import digest
+
+        spec = get_scenario(name)
+        assert spec.mode == "playback" and spec.engine.playback_workers == 1
+        assert digest(run_scenario(name)) == PLAYBACK_DIGESTS[name]
 
 
 class TestCli:
@@ -438,6 +464,14 @@ class TestCli:
                 "cell_outage_storm",
                 'controller.apps=[{"name": "cell_scoping", "params": {"bogus": 1}}]',
             ),
+            (
+                "multicell_campus",
+                'controller.apps=["a3_handover", "cell_scoping", {"name": '
+                '"prorata_rebalance", "params": {"overload_threshold": 0.25}}]',
+            ),
+            ("multicell_campus", "controller.handover_hysteresis_db=-1"),
+            ("multicell_campus", "controller.cell_underload_threshold=0.95"),
+            ("campus_fig3", "controller.handover_sample_period_s=0"),
         ],
     )
     def test_bad_override_value_is_a_one_line_error(self, capsys, scenario, override):
