@@ -32,7 +32,7 @@ MARGINS = (1.0, 1.1, 1.3)
 
 def _dt_policy_run(margin: float, seed: int = 91):
     scheme = build_scheme(
-        fig3_simulation_config(seed=seed, num_intervals=EVAL_INTERVALS + 2),
+        fig3_simulation_config(seed=seed),
         default_scheme_config(mc_rollouts=8),
     )
     planner = ReservationPlanner(scheme, ReservationPolicy(margin=margin, quantise=False))
@@ -48,7 +48,7 @@ def _dt_policy_run(margin: float, seed: int = 91):
 def _last_value_run(margin: float = 1.1, seed: int = 91):
     """Baseline: reserve last interval's total demand, split evenly across groups."""
     scheme = build_scheme(
-        fig3_simulation_config(seed=seed, num_intervals=EVAL_INTERVALS + 2),
+        fig3_simulation_config(seed=seed),
         default_scheme_config(mc_rollouts=8),
     )
     scheme.warm_up()

@@ -47,7 +47,6 @@ def _build_simulator(cells: int, users: int) -> StreamingSimulator:
         SimulationConfig(
             num_users=users,
             num_videos=60,
-            num_intervals=INTERVALS,
             interval_s=300.0,
             num_base_stations=cells,
             area_width_m=1500.0,

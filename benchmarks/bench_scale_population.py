@@ -63,7 +63,7 @@ STAGE_KEYS = ("stage1_s", "playback_s", "collection_s")
 
 def build_simulator(users: int) -> StreamingSimulator:
     return StreamingSimulator(
-        SimulationConfig(num_users=users, num_intervals=INTERVALS, seed=SEED)
+        SimulationConfig(num_users=users, seed=SEED)
     )
 
 
@@ -90,7 +90,6 @@ def _worker_sweep_simulator(users: int, workers: int) -> StreamingSimulator:
     return StreamingSimulator(
         SimulationConfig(
             num_users=users,
-            num_intervals=WORKER_SWEEP_INTERVALS + 1,
             seed=SEED,
             playback_workers=workers,
         )
@@ -205,7 +204,6 @@ def large_population_experiment(
             sim = StreamingSimulator(
                 SimulationConfig(
                     num_users=users,
-                    num_intervals=intervals + 1,
                     interval_s=LARGE_INTERVAL_S,
                     seed=SEED,
                     playback_workers=worker_count,

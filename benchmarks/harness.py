@@ -69,9 +69,9 @@ def fig3_simulation_config(seed: int = 2023, **overrides) -> SimulationConfig:
     """The Fig. 3 scenario: a News-heavy population on a campus.
 
     Compiled from the canonical ``campus_fig3`` registry spec (one source of
-    truth; the registry defaults lower to the historical ``num_intervals=9``
-    capacity), then re-validated with any ``SimulationConfig`` field
-    overrides a benchmark wants.
+    truth), then re-validated with any ``SimulationConfig`` field overrides
+    a benchmark wants.  The run length is the caller's: pass it to
+    ``scheme.run`` or step the scheme.
     """
     config = compile_scenario("campus_fig3", {"seed": seed}).sim_config
     if overrides:

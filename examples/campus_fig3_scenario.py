@@ -19,8 +19,7 @@ Run with::
 
 or equivalently through the CLI (the full override set this script applies)::
 
-    python -m repro run campus_fig3 --intervals 8 \
-        --override spare_intervals=0 --override interval_s=300 \
+    python -m repro run campus_fig3 --intervals 8 --override interval_s=300 \
         --override population.num_users=30 --override catalog.num_videos=120 \
         --override scheme.cnn_epochs=8 --override scheme.ddqn_episodes=20 \
         --override scheme.mc_rollouts=12
@@ -42,7 +41,6 @@ def main() -> None:
         "campus_fig3",
         {
             "num_intervals": 8,
-            "spare_intervals": 0,
             "interval_s": 300.0,  # the paper's 5-minute reservation interval
             "population.num_users": 30,
             "catalog.num_videos": 120,

@@ -32,7 +32,6 @@ def main() -> None:
         SimulationConfig(
             num_users=18,
             num_videos=70,
-            num_intervals=12,
             interval_s=120.0,
             favourite_category="News",
             favourite_user_fraction=0.6,

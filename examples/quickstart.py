@@ -35,7 +35,6 @@ def main() -> None:
         SimulationConfig(
             num_users=24,
             num_videos=80,
-            num_intervals=8,
             interval_s=120.0,
             favourite_category="News",
             favourite_user_fraction=0.6,

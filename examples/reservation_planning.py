@@ -27,7 +27,6 @@ def main() -> None:
         SimulationConfig(
             num_users=24,
             num_videos=80,
-            num_intervals=9,
             interval_s=150.0,
             num_resource_blocks=100,
             seed=5,

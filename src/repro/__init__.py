@@ -29,7 +29,7 @@ or hand-wired against the runtime directly::
 
     from repro import DTResourcePredictionScheme, SchemeConfig, SimulationConfig, StreamingSimulator
 
-    simulator = StreamingSimulator(SimulationConfig(num_users=20, num_intervals=5))
+    simulator = StreamingSimulator(SimulationConfig(num_users=20))
     scheme = DTResourcePredictionScheme(simulator, SchemeConfig(warmup_intervals=2))
     result = scheme.run(num_intervals=3)
     print(f"mean radio-demand prediction accuracy: {result.mean_radio_accuracy():.2%}")

@@ -37,8 +37,7 @@ def _fig3_spec(seed: int, num_eval_intervals: int, **overrides) -> ScenarioSpec:
     """The ``campus_fig3`` registry spec, re-targeted for one experiment.
 
     ``overrides`` are dotted spec paths (``"population.num_users"``); the
-    ablations run with ``spare_intervals=0`` and lighter scheme knobs, which
-    they pass the same way.
+    ablations pass their lighter scheme knobs this way.
     """
     options = {"seed": seed, "num_intervals": num_eval_intervals}
     options.update(overrides)
@@ -170,7 +169,6 @@ def run_grouping_ablation(
             seed,
             num_eval_intervals,
             **{
-                "spare_intervals": 0,
                 "scheme.mc_rollouts": 8,
                 "scheme.k_strategy": k_strategy,
                 "scheme.fixed_k": fixed_k,
@@ -221,7 +219,6 @@ def run_staleness_ablation(
                 seed,
                 num_eval_intervals,
                 **{
-                    "spare_intervals": 0,
                     "scheme.mc_rollouts": 8,
                     "engine.collection_period_multiplier": policy.period_multiplier,
                     "engine.collection_drop_probability": policy.drop_probability,
@@ -278,11 +275,7 @@ def run_predictor_comparison(
             ARPredictor(order=2),
         ]
     )
-    spec = _fig3_spec(
-        seed,
-        num_eval_intervals,
-        **{"spare_intervals": 0, "scheme.mc_rollouts": 10},
-    )
+    spec = _fig3_spec(seed, num_eval_intervals, **{"scheme.mc_rollouts": 10})
     run = ScenarioRunner(spec).run()
     result = run.evaluation
     actual = result.actual_radio_series()
@@ -302,14 +295,7 @@ def run_predictor_comparison(
         )
 
     simulator = run.simulator
-    per_user = PerUserDemandPredictor(
-        simulator.catalog,
-        interval_s=simulator.config.interval_s,
-        rb_bandwidth_hz=simulator.config.rb_bandwidth_hz,
-        stream_bandwidth_hz=simulator.config.stream_bandwidth_hz,
-        implementation_loss=simulator.config.implementation_loss,
-        swipe_gap_s=simulator.config.swipe_gap_s,
-    )
+    per_user = PerUserDemandPredictor(simulator.catalog, simulator.config)
     window_end = simulator.clock.current_interval * simulator.config.interval_s
     window_start = window_end - simulator.config.interval_s
     comparison.unicast_blocks = per_user.total_resource_blocks(

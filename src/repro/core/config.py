@@ -16,6 +16,11 @@ class SchemeConfig:
     The defaults are sized so the full pipeline (CNN training, DDQN
     training, per-interval prediction) runs in a few seconds in the test
     suite while still exercising every component the paper describes.
+    Every field is reachable from a scenario spec (``SchemeSpec``, plus
+    ``EngineSpec.feature_steps``).  The components' other hyper-parameters
+    (compressed dimension, learning rate, DDQN layer sizes, K-means
+    restarts, swipe smoothing) run at their own defaults, and each
+    prediction reads the last played interval.
 
     ``k_strategy`` picks the grouping number K; ``fixed_k`` pins it and is
     set exactly when the strategy is ``"fixed"``.
@@ -23,23 +28,17 @@ class SchemeConfig:
 
     # 1D-CNN feature compression.
     feature_steps: int = 32
-    compressed_dim: int = 8
     cnn_epochs: int = 12
-    cnn_learning_rate: float = 1e-3
 
     # Two-step multicast group construction.
     min_groups: int = 2
     max_groups: int = 6
     ddqn_episodes: int = 25
-    ddqn_hidden_sizes: tuple = (32, 32)
-    kmeans_restarts: int = 3
     k_strategy: str = "ddqn"
     fixed_k: Optional[int] = None
 
     # Group-based demand prediction.
     mc_rollouts: int = 12
-    history_intervals: int = 1
-    swipe_laplace_smoothing: float = 1.0
 
     # Warm-up before the scheme starts predicting.
     warmup_intervals: int = 2
@@ -47,8 +46,8 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.feature_steps <= 0 or self.compressed_dim <= 0:
-            raise ValueError("feature_steps and compressed_dim must be positive")
+        if self.feature_steps <= 0:
+            raise ValueError("feature_steps must be positive")
         if self.cnn_epochs <= 0:
             raise ValueError("cnn_epochs must be positive")
         if self.min_groups < 1 or self.max_groups < self.min_groups:
@@ -68,5 +67,5 @@ class SchemeConfig:
             raise ValueError("ddqn_episodes must be positive")
         if self.mc_rollouts <= 0:
             raise ValueError("mc_rollouts must be positive")
-        if self.history_intervals <= 0 or self.warmup_intervals <= 0:
-            raise ValueError("history_intervals and warmup_intervals must be positive")
+        if self.warmup_intervals <= 0:
+            raise ValueError("warmup_intervals must be positive")

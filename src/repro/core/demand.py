@@ -24,10 +24,12 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.config import SchemeConfig
 from repro.core.swiping import GroupSwipingProfile
 from repro.edge.transcoding import TranscodingCostModel
 from repro.net.mcs import spectral_efficiency
 from repro.net.multicast import resource_blocks_for_traffic
+from repro.sim.config import SimulationConfig
 from repro.sim.rng import derive_stream, window_token
 from repro.twin.attributes import CHANNEL_CONDITION
 from repro.twin.manager import DigitalTwinManager
@@ -50,43 +52,33 @@ class GroupDemandPrediction:
     representation_name: str
 
 
-@dataclass
-class DemandPredictorConfig:
-    """Parameters of the group demand predictor (defaults match the simulator)."""
-
-    interval_s: float = 300.0
-    rb_bandwidth_hz: float = 180e3
-    stream_bandwidth_hz: float = 1.8e6
-    implementation_loss: float = 0.9
-    swipe_gap_s: float = 0.5
-    recommendation_popularity_weight: float = 0.5
-    cycles_per_pixel: float = 12.0
-    mc_rollouts: int = 12
-    beta_concentration: float = 4.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.interval_s <= 0 or self.rb_bandwidth_hz <= 0 or self.stream_bandwidth_hz <= 0:
-            raise ValueError("interval and bandwidths must be positive")
-        if self.mc_rollouts <= 0:
-            raise ValueError("mc_rollouts must be positive")
-        if not 0.0 <= self.recommendation_popularity_weight <= 1.0:
-            raise ValueError("recommendation_popularity_weight must be in [0, 1]")
-        if self.beta_concentration <= 0:
-            raise ValueError("beta_concentration must be positive")
+#: Concentration ``alpha + beta`` of the Beta law a rollout draws each
+#: swiping member's watched fraction from, around the group's mean.
+BETA_CONCENTRATION = 4.0
 
 
 class GroupDemandPredictor:
-    """Predicts per-group radio and computing demand from abstracted group info."""
+    """Predicts per-group radio and computing demand from abstracted group info.
+
+    The link, interval, viewing and transcoding settings are the
+    simulator's own (``sim_config``, whose ``edge_server`` gives the
+    cycles per pixel), so the prediction models the network it predicts.
+    ``scheme_config`` gives the number of Monte-Carlo rollouts and the
+    seed their streams derive from.
+    """
 
     def __init__(
         self,
         catalog: VideoCatalog,
-        config: Optional[DemandPredictorConfig] = None,
+        sim_config: SimulationConfig,
+        scheme_config: SchemeConfig,
     ) -> None:
         self.catalog = catalog
-        self.config = config if config is not None else DemandPredictorConfig()
-        self.transcoder = TranscodingCostModel(cycles_per_pixel=self.config.cycles_per_pixel)
+        self.sim_config = sim_config
+        self.scheme_config = scheme_config
+        self.transcoder = TranscodingCostModel(
+            cycles_per_pixel=sim_config.edge_server.cycles_per_pixel
+        )
 
     def _rollout_rng(
         self, group_id: int, window_start_s: Optional[float]
@@ -104,7 +96,7 @@ class GroupDemandPredictor:
         streams are unchanged.
         """
         return derive_stream(
-            (self.config.seed, group_id, window_token(window_start_s))
+            (self.scheme_config.seed, group_id, window_token(window_start_s))
         )
 
     # ---------------------------------------------------------- link state
@@ -128,10 +120,10 @@ class GroupDemandPredictor:
             member_means.append(float(values.mean()) if values.size else 0.0)
         worst = min(member_means) if member_means else 0.0
         efficiency = spectral_efficiency(
-            worst, implementation_loss=self.config.implementation_loss
+            worst, implementation_loss=self.sim_config.implementation_loss
         )
         ladder = self.catalog.reference_ladder()
-        representation = ladder.best_fitting(efficiency * self.config.stream_bandwidth_hz)
+        representation = ladder.best_fitting(efficiency * self.sim_config.stream_bandwidth_hz)
         return efficiency, representation
 
     # ----------------------------------------------------------- behaviour
@@ -159,9 +151,9 @@ class GroupDemandPredictor:
         rng: np.random.Generator,
     ) -> tuple:
         """One Monte-Carlo rollout of the group's shared stream for one interval."""
-        config = self.config
+        config = self.sim_config
         group_size = len(profile.member_ids)
-        kappa = config.beta_concentration
+        kappa = BETA_CONCENTRATION
 
         now = 0.0
         traffic = 0.0
@@ -202,7 +194,8 @@ class GroupDemandPredictor:
         window_end_s: Optional[float] = None,
     ) -> GroupDemandPrediction:
         """Predict one group's next-interval demand from its abstracted profile."""
-        config = self.config
+        config = self.sim_config
+        rollouts = self.scheme_config.mc_rollouts
         efficiency, representation = self.predict_link_state(
             profile.member_ids, twins, window_start_s, window_end_s
         )
@@ -214,11 +207,11 @@ class GroupDemandPredictor:
 
         rng = self._rollout_rng(profile.group_id, window_start_s)
         totals = np.zeros(4)
-        for _ in range(config.mc_rollouts):
+        for _ in range(rollouts):
             totals += np.array(
                 self._rollout(profile, video_ids, cumulative, representation, rng)
             )
-        traffic, cycles, engagement, videos = totals / config.mc_rollouts
+        traffic, cycles, engagement, videos = totals / rollouts
 
         blocks = resource_blocks_for_traffic(
             traffic,

@@ -35,7 +35,7 @@ from repro.core.accuracy import (
     prediction_accuracy_series,
 )
 from repro.core.config import SchemeConfig
-from repro.core.demand import DemandPredictorConfig, GroupDemandPrediction, GroupDemandPredictor
+from repro.core.demand import GroupDemandPrediction, GroupDemandPredictor
 from repro.core.features import CompressorConfig, UDTFeatureCompressor
 from repro.core.grouping import GroupingResult, MulticastGroupConstructor
 from repro.core.swiping import GroupSwipingProfile, abstract_group_swiping
@@ -241,9 +241,7 @@ class DTResourcePredictionScheme:
             CompressorConfig(
                 num_steps=self.config.feature_steps,
                 num_channels=num_channels,
-                compressed_dim=self.config.compressed_dim,
                 epochs=self.config.cnn_epochs,
-                learning_rate=self.config.cnn_learning_rate,
                 seed=self.config.seed,
             )
         )
@@ -254,24 +252,9 @@ class DTResourcePredictionScheme:
         self.constructor = MulticastGroupConstructor(
             min_groups=min_groups,
             max_groups=max_groups,
-            kmeans_restarts=self.config.kmeans_restarts,
-            ddqn_hidden_sizes=self.config.ddqn_hidden_sizes,
             seed=self.config.seed,
         )
-        self.demand_predictor = GroupDemandPredictor(
-            simulator.catalog,
-            DemandPredictorConfig(
-                interval_s=sim_config.interval_s,
-                rb_bandwidth_hz=sim_config.rb_bandwidth_hz,
-                stream_bandwidth_hz=sim_config.stream_bandwidth_hz,
-                implementation_loss=sim_config.implementation_loss,
-                swipe_gap_s=sim_config.swipe_gap_s,
-                recommendation_popularity_weight=sim_config.recommendation_popularity_weight,
-                cycles_per_pixel=sim_config.edge_server.cycles_per_pixel,
-                mc_rollouts=self.config.mc_rollouts,
-                seed=self.config.seed,
-            ),
-        )
+        self.demand_predictor = GroupDemandPredictor(simulator.catalog, sim_config, self.config)
         self.warmed_up = False
         self._warmup_snapshots: List[np.ndarray] = []
         #: Scoped-group → cell map of the most recent prediction (written by
@@ -284,10 +267,10 @@ class DTResourcePredictionScheme:
 
     # --------------------------------------------------------------- warm-up
     def _history_window(self) -> tuple:
-        """``(start_s, end_s)`` of the twin-data window used for the next prediction."""
+        """``(start_s, end_s)`` of the last played interval: the next prediction's window."""
         interval_s = self.simulator.config.interval_s
         end_s = self.simulator.clock.current_interval * interval_s
-        start_s = max(end_s - self.config.history_intervals * interval_s, 0.0)
+        start_s = max(end_s - interval_s, 0.0)
         return start_s, end_s
 
     def warm_up(self) -> None:
@@ -378,7 +361,6 @@ class DTResourcePredictionScheme:
                 categories,
                 start_s=start_s,
                 end_s=end_s,
-                laplace_smoothing=self.config.swipe_laplace_smoothing,
             )
             profiles[group_id] = profile
             predictions[group_id] = self.demand_predictor.predict_group(
@@ -426,17 +408,12 @@ class DTResourcePredictionScheme:
             cell_of_group=cell_of_group,
         )
 
-    def run(self, num_intervals: Optional[int] = None) -> EvaluationResult:
+    def run(self, num_intervals: int) -> EvaluationResult:
         """Warm up (if needed) and evaluate the scheme over ``num_intervals``."""
+        if num_intervals <= 0:
+            raise ValueError("num_intervals must be positive")
         self.warm_up()
-        remaining = (
-            num_intervals
-            if num_intervals is not None
-            else self.simulator.config.num_intervals - self.config.warmup_intervals
-        )
-        if remaining <= 0:
-            raise ValueError("no intervals left to evaluate after warm-up")
         result = EvaluationResult()
-        for _ in range(remaining):
+        for _ in range(num_intervals):
             result.intervals.append(self.step())
         return result

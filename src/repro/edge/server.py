@@ -33,6 +33,8 @@ class EdgeServerConfig:
             raise ValueError("cache_capacity_gbytes must be positive")
         if self.cpu_capacity_cycles_per_s <= 0:
             raise ValueError("cpu_capacity_cycles_per_s must be positive")
+        if self.cycles_per_pixel <= 0:
+            raise ValueError("cycles_per_pixel must be positive")
         if self.remote_fetch_penalty_s < 0:
             raise ValueError("remote_fetch_penalty_s must be non-negative")
 

@@ -39,6 +39,8 @@ class TranscodingCostModel:
     ``cycles = cycles_per_pixel * target_pixel_rate * duration * codec_factor``
     with a small fixed per-job overhead.  Transcoding to the source
     representation itself costs only the overhead (pass-through).
+    ``cycles_per_pixel`` comes from an
+    :class:`~repro.edge.server.EdgeServerConfig`, which checks it.
     """
 
     def __init__(
@@ -47,8 +49,6 @@ class TranscodingCostModel:
         codec_factor: float = 1.0,
         per_job_overhead_cycles: float = 5e7,
     ) -> None:
-        if cycles_per_pixel <= 0:
-            raise ValueError("cycles_per_pixel must be positive")
         if codec_factor <= 0:
             raise ValueError("codec_factor must be positive")
         if per_job_overhead_cycles < 0:

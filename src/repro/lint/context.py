@@ -43,10 +43,9 @@ class LintConfig:
         ("repro.edge.server", "EdgeServerConfig"),
         ("repro.placement.manager", "PlacementConfig"),
         ("repro.twin.collector", "CollectionPolicy"),
+        ("repro.core.config", "SchemeConfig"),
     )
     spec_compiler: Tuple[str, str] = ("repro.scenario.compiler", "compile_spec")
-    #: Config fields the compiler is allowed to leave at their defaults.
-    spec_allowed_fields: Tuple[str, ...] = ()
 
 
 @dataclass

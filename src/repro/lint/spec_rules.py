@@ -4,16 +4,16 @@ The declarative scenario API only stays the single source of truth while
 ``compile_spec`` maps *every* config field from some ``ScenarioSpec``
 field.  The configs it builds are ``SimulationConfig`` and the ones nested
 in it (``ControllerConfig`` with its ``HandoverConfig``,
-``EdgeServerConfig``, ``PlacementConfig`` and ``CollectionPolicy``; see
-``LintConfig.spec_configs``).  A config knob added without a compiler
-mapping silently runs every scenario at its default — unreachable from
-specs, overrides and the CLI — which is exactly the drift this family
-catches at review time.
+``EdgeServerConfig``, ``PlacementConfig`` and ``CollectionPolicy``), and
+the scheme's ``SchemeConfig``; see ``LintConfig.spec_configs``.  A config
+knob added without a compiler mapping silently runs every scenario at its
+default — unreachable from specs, overrides and the CLI — which is exactly
+the drift this family catches at review time.  There is no allowlist: a
+knob no spec should reach does not belong in a compiled config.
 
 ``SPEC001``
-    a field of one of those config dataclasses that ``compile_spec``
-    neither passes as a keyword to its constructor nor lists in the
-    explicit allowlist.
+    a field of one of those config dataclasses that ``compile_spec`` does
+    not pass as a keyword to its constructor.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class SpecConfigDriftRule(Rule):
     rule_id = "SPEC001"
     summary = "config field not set by compile_spec (spec/config drift)"
     hint = (
-        "map the field from a ScenarioSpec field in compile_spec, or add "
-        "it to LintConfig.spec_allowed_fields with a reason"
+        "map the field from a ScenarioSpec field in compile_spec, or "
+        "delete the knob"
     )
 
     def check(self, context: LintContext) -> Iterable[Finding]:
@@ -81,7 +81,6 @@ class SpecConfigDriftRule(Rule):
         compiler_info = context.modules.get(compiler_module)
         if compiler_info is None:
             return
-        allowed = set(config.spec_allowed_fields)
         for config_module, config_class in config.spec_configs:
             config_info = context.modules.get(config_module)
             if config_info is None:
@@ -109,7 +108,7 @@ class SpecConfigDriftRule(Rule):
                 continue
             for statement in fields:
                 name = statement.target.id
-                if name in keywords or name in allowed:
+                if name in keywords:
                     continue
                 yield self.finding(
                     config_info,

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.net.mcs import spectral_efficiency
 from repro.net.multicast import resource_blocks_for_traffic
+from repro.sim.config import SimulationConfig
 from repro.twin.attributes import CHANNEL_CONDITION
 from repro.twin.manager import DigitalTwinManager
 from repro.video.catalog import VideoCatalog
@@ -34,25 +35,15 @@ class PerUserPrediction:
 
 
 class PerUserDemandPredictor:
-    """Predicts each user's unicast radio demand from their own twin."""
+    """Predicts each user's unicast radio demand from their own twin.
 
-    def __init__(
-        self,
-        catalog: VideoCatalog,
-        interval_s: float = 300.0,
-        rb_bandwidth_hz: float = 180e3,
-        stream_bandwidth_hz: float = 1.8e6,
-        implementation_loss: float = 0.9,
-        swipe_gap_s: float = 0.5,
-    ) -> None:
-        if interval_s <= 0 or rb_bandwidth_hz <= 0 or stream_bandwidth_hz <= 0:
-            raise ValueError("interval and bandwidths must be positive")
+    The link, interval and viewing settings are the simulator's own
+    (``sim_config``), as for the group predictor.
+    """
+
+    def __init__(self, catalog: VideoCatalog, sim_config: SimulationConfig) -> None:
         self.catalog = catalog
-        self.interval_s = interval_s
-        self.rb_bandwidth_hz = rb_bandwidth_hz
-        self.stream_bandwidth_hz = stream_bandwidth_hz
-        self.implementation_loss = implementation_loss
-        self.swipe_gap_s = swipe_gap_s
+        self.sim_config = sim_config
 
     def predict_user(
         self,
@@ -62,15 +53,16 @@ class PerUserDemandPredictor:
         end_s: float,
     ) -> PerUserPrediction:
         """Predict one user's next-interval unicast demand from window ``[start, end)``."""
+        config = self.sim_config
         twin = twins.twin(user_id)
         records = twin.watch_records(start_s, end_s)
 
         # Radio link: mean of the user's recent channel-condition samples.
         snr_samples = twin.store(CHANNEL_CONDITION).window_values(start_s, end_s)
         mean_snr = float(snr_samples.mean()) if snr_samples.size else 0.0
-        efficiency = spectral_efficiency(mean_snr, implementation_loss=self.implementation_loss)
+        efficiency = spectral_efficiency(mean_snr, implementation_loss=config.implementation_loss)
         ladder = self.catalog.reference_ladder()
-        representation = ladder.best_fitting(efficiency * self.stream_bandwidth_hz)
+        representation = ladder.best_fitting(efficiency * config.stream_bandwidth_hz)
 
         # Behaviour: mean watch duration and mean bits per watched video.
         if records:
@@ -90,14 +82,14 @@ class PerUserDemandPredictor:
             mean_watch = 10.0
             mean_bits = representation.bits_for_duration(mean_watch)
 
-        slot = max(mean_watch + self.swipe_gap_s, 1e-3)
-        expected_videos = self.interval_s / slot
+        slot = max(mean_watch + config.swipe_gap_s, 1e-3)
+        expected_videos = config.interval_s / slot
         traffic = expected_videos * mean_bits
         blocks = resource_blocks_for_traffic(
             traffic,
             efficiency,
-            rb_bandwidth_hz=self.rb_bandwidth_hz,
-            interval_s=self.interval_s,
+            rb_bandwidth_hz=config.rb_bandwidth_hz,
+            interval_s=config.interval_s,
         )
         return PerUserPrediction(
             user_id=user_id,

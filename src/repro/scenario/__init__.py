@@ -1,8 +1,8 @@
 """Declarative scenario API: one spec → compile → run pipeline.
 
 Describe a workload as a :class:`ScenarioSpec` (topology, population,
-catalog, mobility, controller, engine, timeline), lower it with
-:func:`compile_spec`, and execute it with :class:`ScenarioRunner` — or go
+catalog, mobility, controller, engine, timeline) and execute it with
+:class:`ScenarioRunner`, which lowers it with :func:`compile_spec` — or go
 through the registry of named scenarios::
 
     from repro.scenario import run_scenario

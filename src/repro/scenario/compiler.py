@@ -28,27 +28,22 @@ class CompiledScenario:
 
     ``sim_config`` fully describes the ground-truth simulator;
     ``scheme_config`` is ``None`` for playback-mode scenarios.  The source
-    ``spec`` rides along because the runner still needs its runtime-only
-    parts (timeline, churn phases, grouping policy).
+    ``spec`` rides along with its runtime-only parts (run length, timeline,
+    churn phases, grouping policy), which no config carries.
     """
 
     spec: ScenarioSpec
     sim_config: SimulationConfig
     scheme_config: Optional[SchemeConfig]
 
-    @property
-    def mode(self) -> str:
-        return self.spec.mode
-
 
 def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
     """Lower ``spec`` to ``SimulationConfig`` (+ ``SchemeConfig``), purely.
 
-    The compiled ``num_intervals`` is the simulator's *capacity*: evaluated
-    intervals plus scheme warm-up plus the spec's ``spare_intervals``
-    (capacity never changes results — no random draw depends on it — but
-    keeping it spec-derived makes the compiled config equal the historical
-    hand-wired ones field-for-field).
+    Every field of the configs built here is set from a spec field (lint
+    rule ``SPEC001`` checks this).  The run length is not compiled: the
+    runner steps the simulator ``spec.num_intervals`` times after any
+    warm-up.
 
     The controller, edge-server and placement configs are built here,
     straight from their spec sections, and the simulator uses them as they
@@ -57,7 +52,6 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
     values they carry, so a bad one raises here: ``ValueError``, or
     ``KeyError`` for an unknown controller app.
     """
-    warmup = spec.scheme.warmup_intervals if spec.mode == "scheme" else 0
     sim_config = SimulationConfig(
         num_users=spec.population.num_users,
         num_videos=spec.catalog.num_videos,
@@ -68,7 +62,6 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
         favourite_user_fraction=spec.population.favourite_user_fraction,
         favourite_boost=spec.population.favourite_boost,
         preference_learning_rate=spec.population.preference_learning_rate,
-        num_intervals=spec.num_intervals + warmup + spec.spare_intervals,
         interval_s=spec.interval_s,
         area_width_m=spec.topology.area_width_m,
         area_height_m=spec.topology.area_height_m,

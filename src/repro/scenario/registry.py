@@ -95,7 +95,6 @@ def campus_fig3() -> ScenarioSpec:
         mode="scheme",
         num_intervals=6,
         interval_s=150.0,
-        spare_intervals=1,
         population=PopulationSpec(
             num_users=24,
             favourite_category="News",

@@ -1,6 +1,6 @@
-"""Scenario execution: compiled spec → :class:`RunResult`.
+"""Scenario execution: spec → :class:`RunResult`.
 
-:class:`ScenarioRunner` drives a compiled scenario end to end.  Scheme-mode
+:class:`ScenarioRunner` compiles a spec and drives it end to end.  Scheme-mode
 scenarios run the DT-assisted predict-then-observe loop
 (:class:`~repro.core.pipeline.DTResourcePredictionScheme`); playback-mode
 scenarios play raw ground-truth intervals under the spec's grouping policy.
@@ -22,7 +22,7 @@ from repro.core import DTResourcePredictionScheme
 from repro.core.pipeline import EvaluationResult
 from repro.core.reservation import ReservationPolicy
 from repro.placement.horizon import DemandShock, HorizonReservationPlanner
-from repro.scenario.compiler import CompiledScenario, compile_spec
+from repro.scenario.compiler import compile_spec
 from repro.scenario.spec import (
     BudgetChange,
     CellOutage,
@@ -158,13 +158,11 @@ class RunResult:
 
 
 class ScenarioRunner:
-    """Executes one compiled scenario and collects its :class:`RunResult`."""
+    """Compiles one scenario spec, runs it and collects its :class:`RunResult`."""
 
-    def __init__(self, scenario: Union[ScenarioSpec, CompiledScenario]) -> None:
-        self.compiled = (
-            scenario if isinstance(scenario, CompiledScenario) else compile_spec(scenario)
-        )
-        self.spec = self.compiled.spec
+    def __init__(self, spec: ScenarioSpec) -> None:
+        self.spec = spec
+        self.compiled = compile_spec(spec)
 
     # ---------------------------------------------------------------- driving
     def run(self) -> RunResult:

@@ -20,13 +20,14 @@ this one spec → compile → run pipeline; named specs live in
 Each input has one check.  The compiled config that carries a value checks
 it, so ``compile_spec`` raises for a bad one, and the message names that
 config's field (``horizon_intervals must be at least 1``); the spec checks
-only what no compiled config carries (mode, interval counts, timeline,
+only what no compiled config carries (mode, the interval count, timeline,
 churn phases, reservation lead and margin, grouping policy, draw engine).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -345,7 +346,11 @@ _EVENT_NAMES = {cls: name for name, cls in EVENT_TYPES.items()}
 # ------------------------------------------------------------- top-level spec
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One complete, declarative scenario description."""
+    """One complete, declarative scenario description.
+
+    ``num_intervals`` is the run length: the runner reads it from the spec,
+    and no compiled config carries it.
+    """
 
     name: str
     description: str = ""
@@ -354,11 +359,6 @@ class ScenarioSpec:
     #: played intervals in playback mode (scheme warm-up is extra).
     num_intervals: int = 8
     interval_s: float = 300.0
-    #: Extra interval capacity compiled into ``SimulationConfig`` beyond
-    #: warm-up + evaluated intervals (the hand-wired Fig. 3 runner sized its
-    #: config one interval larger than it ever played; keeping that here
-    #: makes the compiled config equal the historical one field-for-field).
-    spare_intervals: int = 0
     #: ``"scheme"`` runs the DT predict-then-observe loop; ``"playback"``
     #: plays raw ground-truth intervals under a grouping policy.
     mode: str = "playback"
@@ -379,8 +379,6 @@ class ScenarioSpec:
             raise ValueError("mode must be 'scheme' or 'playback'")
         if self.num_intervals <= 0:
             raise ValueError("num_intervals must be positive")
-        if self.spare_intervals < 0:
-            raise ValueError("spare_intervals must be non-negative")
         for event in self.timeline:
             if event.interval < 0:
                 raise ValueError("timeline event intervals must be non-negative")
@@ -470,7 +468,10 @@ def _leaf_value(node: Any, name: str, value: Any) -> Any:
             raise ValueError(f"field {name!r} is an integer; got {value!r}")
         return int(value)
     if isinstance(current, float) and value is not None:
-        return float(value)
+        number = float(value)
+        if math.isnan(number):
+            raise ValueError(f"field {name!r} must not be NaN")
+        return number
     return value
 
 

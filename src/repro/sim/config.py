@@ -21,6 +21,12 @@ class SimulationConfig:
     campus-sized area and moving along trajectories, and preferences updated
     from engagement time.  Everything else (user count, catalog size, BS
     parameters) is sized so a full experiment runs in seconds on a laptop.
+
+    This is the one home of every simulator setting.  The interval engine
+    (:class:`~repro.sim.shard.ShardStatic`) and both demand predictors
+    (:class:`~repro.core.demand.GroupDemandPredictor` and
+    :class:`~repro.predict.peruser.PerUserDemandPredictor`) read the link,
+    interval and transcoding settings from it rather than keeping copies.
     """
 
     # Population and content.
@@ -35,7 +41,6 @@ class SimulationConfig:
     preference_learning_rate: float = 0.2
 
     # Time structure.
-    num_intervals: int = 8
     interval_s: float = 300.0
 
     # Area, mobility and radio.
@@ -95,8 +100,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.num_users <= 0 or self.num_videos <= 0:
             raise ValueError("num_users and num_videos must be positive")
-        if self.num_intervals <= 0 or self.interval_s <= 0:
-            raise ValueError("num_intervals and interval_s must be positive")
+        if self.interval_s <= 0:
+            raise ValueError("interval_s must be positive")
         if self.num_base_stations <= 0:
             raise ValueError("num_base_stations must be positive")
         if self.area_width_m <= 0 or self.area_height_m <= 0:

@@ -68,6 +68,7 @@ from repro.mobility.campus import CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
 from repro.net.basestation import BaseStation
 from repro.net.multicast import group_spectral_efficiency, resource_blocks_for_traffic
+from repro.sim.config import SimulationConfig
 from repro.sim.rng import RngRegistry
 from repro.timegrid import time_grid
 from repro.twin.attributes import AttributeSpec
@@ -96,9 +97,12 @@ class ShardStatic:
     """Content/config state of the interval engine, fixed for a simulator's life.
 
     The parent builds it once; the inline path reads it directly and each
-    shard worker receives a copy at pool start.
+    shard worker receives a copy at pool start.  The link, interval and
+    viewing settings are read from ``config``, the simulator's own
+    :class:`~repro.sim.config.SimulationConfig`, not copied out of it.
     """
 
+    config: SimulationConfig
     registry: RngRegistry
     catalog: VideoCatalog
     watching_model: WatchingDurationModel
@@ -107,12 +111,6 @@ class ShardStatic:
     #: Column permutation mapping the catalog's sampling-category order onto
     #: the config-category order the plan's weight matrix uses.
     sampling_perm: np.ndarray
-    swipe_gap_s: float
-    rb_bandwidth_hz: float
-    interval_s: float
-    stream_bandwidth_hz: float
-    implementation_loss: float
-    channel_sample_period_s: float
     campus: CampusMap
     bs_by_id: Mapping[int, BaseStation]
     attributes: Dict[str, AttributeSpec]
@@ -230,8 +228,9 @@ def run_group_interval(
     serving = [int(bs_id) for bs_id in plan.serving[lo:hi]]
     weights = plan.weights[lo:hi]
     registry = static.registry
+    config = static.config
 
-    times = time_grid(start_s, end_s, static.channel_sample_period_s)
+    times = time_grid(start_s, end_s, config.channel_sample_period_s)
     rng = registry.channel_stream(interval_index, group_id)
     by_station: Dict[int, List[int]] = {}
     for uid, bs_id in zip(member_ids, serving):
@@ -247,10 +246,10 @@ def run_group_interval(
             mean_by_user[uid] = float(traces[row].mean())
     mean_snrs = [mean_by_user[uid] for uid in member_ids]
     efficiency = group_spectral_efficiency(
-        mean_snrs, implementation_loss=static.implementation_loss
+        mean_snrs, implementation_loss=config.implementation_loss
     )
     representation = static.catalog.reference_ladder().best_fitting(
-        efficiency * static.stream_bandwidth_hz
+        efficiency * config.stream_bandwidth_hz
     )
     stage1_done = time.perf_counter()
 
@@ -293,7 +292,7 @@ def run_group_interval(
         traffic_bits += video.bits_watched(representation, transmitted)
         requests.append((video.video_id, transmitted))
         videos_played += 1
-        now += transmitted + static.swipe_gap_s
+        now += transmitted + config.swipe_gap_s
     usage = GroupIntervalUsage(
         group_id=group_id,
         member_ids=member_ids,
@@ -303,8 +302,8 @@ def run_group_interval(
         resource_blocks=resource_blocks_for_traffic(
             traffic_bits,
             efficiency,
-            rb_bandwidth_hz=static.rb_bandwidth_hz,
-            interval_s=static.interval_s,
+            rb_bandwidth_hz=config.rb_bandwidth_hz,
+            interval_s=config.interval_s,
         ),
         computing_cycles=0.0,  # filled in after edge processing
         videos_played=videos_played,

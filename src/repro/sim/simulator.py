@@ -326,6 +326,7 @@ class StreamingSimulator:
         )
         config_index = {c: i for i, c in enumerate(config.categories)}
         self._static = ShardStatic(
+            config=config,
             registry=self._registry,
             catalog=self.catalog,
             watching_model=self.watching_model,
@@ -334,12 +335,6 @@ class StreamingSimulator:
             sampling_perm=np.array(
                 [config_index[c] for c in sampling_categories], dtype=np.intp
             ),
-            swipe_gap_s=config.swipe_gap_s,
-            rb_bandwidth_hz=config.rb_bandwidth_hz,
-            interval_s=config.interval_s,
-            stream_bandwidth_hz=config.stream_bandwidth_hz,
-            implementation_loss=config.implementation_loss,
-            channel_sample_period_s=config.channel_sample_period_s,
             campus=self.campus,
             bs_by_id=self._bs_by_id,
             attributes=dict(self.twins.attributes),

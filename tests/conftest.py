@@ -55,7 +55,6 @@ def tiny_sim_config() -> SimulationConfig:
     return SimulationConfig(
         num_users=8,
         num_videos=25,
-        num_intervals=3,
         interval_s=60.0,
         num_base_stations=2,
         num_buildings=8,

@@ -62,7 +62,7 @@ class TestEvaluationExport:
         scheme = DTResourcePredictionScheme(
             StreamingSimulator(
                 SimulationConfig(
-                    num_users=6, num_videos=20, num_intervals=3, interval_s=60.0, seed=2
+                    num_users=6, num_videos=20, interval_s=60.0, seed=2
                 )
             ),
             SchemeConfig(

@@ -239,7 +239,6 @@ def _handover_config(seed: int = 3, **overrides) -> SimulationConfig:
     options = dict(
         num_users=16,
         num_videos=30,
-        num_intervals=3,
         interval_s=300.0,
         num_base_stations=4,
         area_width_m=1200.0,
@@ -272,7 +271,6 @@ class TestSimulatorIntegration:
             SimulationConfig(
                 num_users=8,
                 num_videos=40,
-                num_intervals=2,
                 interval_s=120.0,
                 seed=123,
                 controller_mode="boundary",

@@ -18,7 +18,6 @@ from repro.core import (
     prediction_accuracy_series,
     root_mean_squared_error,
 )
-from repro.core.demand import DemandPredictorConfig
 from repro.core.features import summary_targets
 from repro.video import DEFAULT_CATEGORIES
 
@@ -251,7 +250,3 @@ class TestSwipingAbstractionAndRecommendation:
         categories = [small_catalog.get(vid).category for vid, _ in top[:5]]
         expected_news = min(5, len(small_catalog.by_category("News")))
         assert categories.count("News") >= expected_news
-
-    def test_invalid_recommendation_args(self):
-        with pytest.raises(ValueError):
-            DemandPredictorConfig(recommendation_popularity_weight=2.0)

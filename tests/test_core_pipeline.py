@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import DTResourcePredictionScheme, SchemeConfig, GroupDemandPredictor
-from repro.core.demand import DemandPredictorConfig
 from repro.core.swiping import abstract_group_swiping
 from repro.sim import SimulationConfig, StreamingSimulator
 
@@ -17,7 +16,6 @@ def module_simulator():
     config = SimulationConfig(
         num_users=12,
         num_videos=40,
-        num_intervals=5,
         interval_s=120.0,
         num_base_stations=2,
         seed=23,
@@ -30,20 +28,8 @@ def module_simulator():
 
 class TestGroupDemandPredictor:
     def make_predictor(self, simulator, rollouts=6):
-        config = simulator.config
         return GroupDemandPredictor(
-            simulator.catalog,
-            DemandPredictorConfig(
-                interval_s=config.interval_s,
-                rb_bandwidth_hz=config.rb_bandwidth_hz,
-                stream_bandwidth_hz=config.stream_bandwidth_hz,
-                implementation_loss=config.implementation_loss,
-                swipe_gap_s=config.swipe_gap_s,
-                recommendation_popularity_weight=config.recommendation_popularity_weight,
-                cycles_per_pixel=config.edge_server.cycles_per_pixel,
-                mc_rollouts=rollouts,
-                seed=3,
-            ),
+            simulator.catalog, simulator.config, SchemeConfig(mc_rollouts=rollouts, seed=3)
         )
 
     def test_prediction_fields_positive(self, module_simulator):
@@ -102,10 +88,11 @@ class TestGroupDemandPredictor:
         assert large.expected_traffic_bits >= small.expected_traffic_bits * 0.8
 
     def test_invalid_predictor_config(self):
+        """The predictor's settings are checked by the configs it reads."""
         with pytest.raises(ValueError):
-            DemandPredictorConfig(mc_rollouts=0)
+            SchemeConfig(mc_rollouts=0)
         with pytest.raises(ValueError):
-            DemandPredictorConfig(interval_s=0.0)
+            SimulationConfig(interval_s=0.0)
 
 
 class TestScheme:
@@ -113,7 +100,6 @@ class TestScheme:
         sim_config = SimulationConfig(
             num_users=10,
             num_videos=30,
-            num_intervals=4,
             interval_s=90.0,
             seed=31,
         )

@@ -136,7 +136,6 @@ class TestReservationPlanner:
         sim_config = SimulationConfig(
             num_users=10,
             num_videos=30,
-            num_intervals=6,
             interval_s=90.0,
             seed=13,
         )
@@ -188,7 +187,6 @@ def _placement_scheme() -> DTResourcePredictionScheme:
     sim_config = SimulationConfig(
         num_users=30,
         num_videos=40,
-        num_intervals=8,
         interval_s=90.0,
         seed=13,
         edge_servers=2,

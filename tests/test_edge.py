@@ -148,8 +148,9 @@ class TestTranscoding:
         assert model.total_cycles(jobs) == pytest.approx(2 * model.job_cycles(jobs[0]))
 
     def test_invalid_cost_model(self):
-        with pytest.raises(ValueError):
-            TranscodingCostModel(cycles_per_pixel=0.0)
+        """``cycles_per_pixel`` is checked where it lives, on the server config."""
+        with pytest.raises(ValueError, match="cycles_per_pixel"):
+            EdgeServerConfig(cycles_per_pixel=0.0)
 
 
 class TestEdgeServer:

@@ -45,7 +45,6 @@ def _config(workers: int = 1, **overrides) -> SimulationConfig:
     options = dict(
         num_users=40,
         num_videos=30,
-        num_intervals=2,
         interval_s=60.0,
         seed=23,
         playback_workers=workers,
@@ -117,7 +116,6 @@ class TestFullShardBitIdentity:
                 workers,
                 num_users=10_000,
                 num_videos=60,
-                num_intervals=1,
                 interval_s=30.0,
                 seed=17,
             )
@@ -145,7 +143,7 @@ class TestWorkerPopulationEpochs:
     def test_epoch_resync_after_churn(self):
         """Mid-run churn bumps the epoch; workers prune removed users from
         their persistent mobility caches on the next task they execute."""
-        config = _config(2, num_users=24, num_intervals=3)
+        config = _config(2, num_users=24)
         with StreamingSimulator(config) as sim:
             sim.run_interval(_grouping(sim.user_ids(), 4))
             removed = sim.user_ids()[5]
@@ -168,9 +166,7 @@ class TestWorkerPopulationEpochs:
         including growth that outgrows the plan segments mid-run."""
 
         def run(workers: int):
-            with StreamingSimulator(
-                _config(workers, num_users=20, num_intervals=3)
-            ) as sim:
+            with StreamingSimulator(_config(workers, num_users=20)) as sim:
                 fingerprints, versions = [], []
 
                 def step():
@@ -202,7 +198,7 @@ class TestSharedMemoryHygiene:
         the context manager's ``close()`` unlinks every published buffer."""
         before = set(_shard_segments())
         with pytest.raises(RuntimeError, match="mid-run crash"):
-            with StreamingSimulator(_config(2, num_intervals=2)) as sim:
+            with StreamingSimulator(_config(2)) as sim:
                 sim.run_interval(_grouping(sim.user_ids(), 10))
                 assert set(_shard_segments()) - before, (
                     "expected live repro-shard segments during the run"
@@ -238,7 +234,7 @@ class TestSharedMemoryHygiene:
         assert not glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-{plan.token}-*")
 
     def test_close_is_idempotent_and_releases_segments(self):
-        sim = StreamingSimulator(_config(2, num_intervals=1))
+        sim = StreamingSimulator(_config(2))
         before = set(_shard_segments())
         sim.run_interval(_grouping(sim.user_ids(), 10))
         sim.close()
@@ -254,13 +250,7 @@ class TestStageTiming:
         ids=["grouped-serial", "grouped-sharded"],
     )
     def test_every_engine_path_reports_stage_times(self, overrides):
-        options = dict(
-            num_users=20,
-            num_videos=30,
-            num_intervals=1,
-            interval_s=60.0,
-            seed=23,
-        )
+        options = dict(num_users=20, num_videos=30, interval_s=60.0, seed=23)
         options.update(overrides)
         with StreamingSimulator(SimulationConfig(**options)) as sim:
             result = sim.run_interval(_grouping(sim.user_ids(), 10))
@@ -269,9 +259,7 @@ class TestStageTiming:
             assert result.timing[key] >= 0.0
 
     def test_scheme_accumulates_predict_time(self):
-        with StreamingSimulator(
-            _config(1, num_users=8, num_videos=20, num_intervals=3)
-        ) as sim:
+        with StreamingSimulator(_config(1, num_users=8, num_videos=20)) as sim:
             scheme = DTResourcePredictionScheme(
                 sim,
                 SchemeConfig(
@@ -279,7 +267,6 @@ class TestStageTiming:
                     cnn_epochs=2,
                     ddqn_episodes=2,
                     mc_rollouts=2,
-                    history_intervals=2,
                     min_groups=2,
                     max_groups=3,
                     k_strategy="fixed",
@@ -329,9 +316,7 @@ class TestHybridFeatureTensor:
     """The population tensor equals the per-twin reference bit for bit."""
 
     def _simulator(self, **overrides):
-        return StreamingSimulator(
-            _config(1, num_users=10, num_intervals=3, **overrides)
-        )
+        return StreamingSimulator(_config(1, num_users=10, **overrides))
 
     def test_hybrid_matches_per_user_and_batched(self):
         """Fresh windows (warm-up shape) and sliding or repeated windows

@@ -28,7 +28,6 @@ def fig3_like_result():
     sim_config = SimulationConfig(
         num_users=16,
         num_videos=50,
-        num_intervals=6,
         interval_s=150.0,
         favourite_category="News",
         favourite_user_fraction=0.85,
@@ -110,7 +109,6 @@ class TestDigitalTwinStalenessEffect:
         sim_config = SimulationConfig(
             num_users=10,
             num_videos=30,
-            num_intervals=4,
             interval_s=100.0,
             collection_policy=policy,
             seed=seed,

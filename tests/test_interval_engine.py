@@ -150,7 +150,7 @@ def _interval_signature(result):
 class TestBatchedPlaybackEngine:
     def _config(self, **overrides):
         options = dict(
-            num_users=10, num_videos=30, num_intervals=2, interval_s=90.0, seed=31
+            num_users=10, num_videos=30, interval_s=90.0, seed=31
         )
         options.update(overrides)
         return SimulationConfig(**options)
@@ -213,12 +213,11 @@ class TestBatchedPlaybackEngine:
 
 
 # ----------------------------------------------------- scoped prediction loop
-def _handover_scheme(num_users=12, num_cells=4, seed=3, eval_intervals=2):
+def _handover_scheme(num_users=12, num_cells=4, seed=3):
     sim = StreamingSimulator(
         SimulationConfig(
             num_users=num_users,
             num_videos=25,
-            num_intervals=2 + eval_intervals,
             interval_s=120.0,
             num_base_stations=num_cells,
             area_width_m=1200.0,
@@ -234,7 +233,6 @@ def _handover_scheme(num_users=12, num_cells=4, seed=3, eval_intervals=2):
             cnn_epochs=2,
             ddqn_episodes=3,
             mc_rollouts=3,
-            history_intervals=2,
             min_groups=2,
             max_groups=4,
             k_strategy="fixed",
@@ -250,7 +248,6 @@ class TestScopedPredictionLoop:
             SimulationConfig(
                 num_users=10,
                 num_videos=20,
-                num_intervals=1,
                 num_base_stations=4,
                 area_width_m=1200.0,
                 area_height_m=1000.0,
@@ -272,9 +269,7 @@ class TestScopedPredictionLoop:
         assert preview_cells == cell_of_group
 
     def test_boundary_mode_preview_is_identity(self):
-        sim = StreamingSimulator(
-            SimulationConfig(num_users=4, num_videos=10, num_intervals=1, seed=0)
-        )
+        sim = StreamingSimulator(SimulationConfig(num_users=4, num_videos=10, seed=0))
         grouping = {7: sim.user_ids()[:2], 9: sim.user_ids()[2:]}
         scoped, cell_of_group = sim.preview_scoped_grouping(grouping)
         assert scoped == {7: grouping[7], 9: grouping[9]}
@@ -305,9 +300,7 @@ class TestScopedPredictionLoop:
 
     def test_boundary_scheme_keeps_logical_ids_and_empty_cell_series(self):
         sim = StreamingSimulator(
-            SimulationConfig(
-                num_users=8, num_videos=20, num_intervals=4, interval_s=120.0, seed=5
-            )
+            SimulationConfig(num_users=8, num_videos=20, interval_s=120.0, seed=5)
         )
         scheme = DTResourcePredictionScheme(
             sim,

@@ -690,16 +690,6 @@ class TestSpecRule:
         assert rules_of(findings) == ["SPEC001"]
         assert "PolicyConfig.rate" in findings[0].message
 
-    def test_allowlist_suppresses_field(self, tmp_path):
-        findings = scan(
-            tmp_path,
-            overrides={
-                "pkg/config.py": CLEAN_CONFIG + "    hidden_knob: float = 1.0\n"
-            },
-            spec_allowed_fields=("hidden_knob",),
-        )
-        assert findings == []
-
     def test_compiler_never_constructing_config_flagged(self, tmp_path):
         findings = scan(
             tmp_path,

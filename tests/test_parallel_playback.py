@@ -55,7 +55,6 @@ def _grouped_config(workers: int = 1, **overrides) -> SimulationConfig:
     options = dict(
         num_users=10,
         num_videos=30,
-        num_intervals=2,
         interval_s=90.0,
         seed=31,
         playback_workers=workers,
@@ -101,16 +100,16 @@ def _interval_fingerprint(result) -> tuple:
 
 
 def _run_grouped(workers: int, reverse_grouping: bool = False, **overrides):
-    """``(fingerprints, twin_tensor, watch_records_by_user)`` of a grouped run."""
+    """``(fingerprints, twin_tensor, watch_records_by_user)`` of a two-interval grouped run."""
     config = _grouped_config(workers, **overrides)
+    intervals = 2
     with StreamingSimulator(config) as sim:
         grouping = _grouping(sim, reverse=reverse_grouping)
         fingerprints = [
-            _interval_fingerprint(sim.run_interval(grouping))
-            for _ in range(config.num_intervals)
+            _interval_fingerprint(sim.run_interval(grouping)) for _ in range(intervals)
         ]
         tensor = sim.twins.feature_tensor(
-            0.0, config.num_intervals * config.interval_s, num_steps=16
+            0.0, intervals * config.interval_s, num_steps=16
         )
         watches = {uid: sim.twins.twin(uid).watch_records() for uid in sim.user_ids()}
     return fingerprints, tensor, watches
@@ -195,7 +194,7 @@ class TestShardedPlaybackDeterminism:
             assert compile_spec(named).sim_config == compile_spec(spec).sim_config
 
     def test_close_is_idempotent(self):
-        sim = StreamingSimulator(_grouped_config(2, num_intervals=1))
+        sim = StreamingSimulator(_grouped_config(2))
         sim.run_interval(_grouping(sim))
         sim.close()
         sim.close()
@@ -203,13 +202,7 @@ class TestShardedPlaybackDeterminism:
     def test_scheme_runs_sharded_end_to_end(self):
         def run(workers):
             sim = StreamingSimulator(
-                _grouped_config(
-                    workers,
-                    num_users=8,
-                    num_videos=20,
-                    num_intervals=3,
-                    interval_s=60.0,
-                )
+                _grouped_config(workers, num_users=8, num_videos=20, interval_s=60.0)
             )
             with sim:
                 scheme = DTResourcePredictionScheme(
@@ -219,7 +212,6 @@ class TestShardedPlaybackDeterminism:
                         cnn_epochs=2,
                         ddqn_episodes=2,
                         mc_rollouts=2,
-                        history_intervals=2,
                         min_groups=2,
                         max_groups=3,
                         k_strategy="fixed",
@@ -344,9 +336,7 @@ class TestRngRegistry:
     def test_mobility_stream_is_churn_independent(self):
         """Adding a user must not perturb existing users' draws (grouped)."""
         def positions_of_user_0(add_extra_user):
-            sim = StreamingSimulator(
-                _grouped_config(1, num_users=4, num_intervals=1)
-            )
+            sim = StreamingSimulator(_grouped_config(1, num_users=4))
             if add_extra_user:
                 sim.add_user()
             return sim.users[0].mobility.positions(np.arange(0.0, 300.0, 30.0))
@@ -428,7 +418,6 @@ class TestChurnSafeStreaks:
         config = _grouped_config(
             1,
             num_users=9,
-            num_intervals=3,
             num_base_stations=4,
             area_width_m=1200.0,
             area_height_m=1000.0,
@@ -496,7 +485,7 @@ class TestTimeGrid:
         drive channel sampling, collection and handover measurement must
         keep their per-interval sample counts once there.
         """
-        config = _grouped_config(1, num_users=6, num_intervals=1)
+        config = _grouped_config(1, num_users=6)
         with StreamingSimulator(config) as sim:
             # Far enough to matter for float grids, near enough that the
             # lazily-generated mobility legs stay cheap to extend.

@@ -76,12 +76,7 @@ class TestSeriesPredictors:
 class TestPerUserPredictor:
     def test_predictions_for_all_users(self, populated_simulator):
         sim = populated_simulator
-        predictor = PerUserDemandPredictor(
-            sim.catalog,
-            interval_s=sim.config.interval_s,
-            rb_bandwidth_hz=sim.config.rb_bandwidth_hz,
-            stream_bandwidth_hz=sim.config.stream_bandwidth_hz,
-        )
+        predictor = PerUserDemandPredictor(sim.catalog, sim.config)
         predictions = predictor.predict_all(sim.twins, 0.0, sim.config.interval_s)
         assert set(predictions) == set(sim.user_ids())
         for prediction in predictions.values():
@@ -93,17 +88,8 @@ class TestPerUserPredictor:
     def test_unicast_total_exceeds_multicast_actual(self, populated_simulator):
         """Per-user (unicast) reservations should cost more than the multicast actual usage."""
         sim = populated_simulator
-        predictor = PerUserDemandPredictor(
-            sim.catalog,
-            interval_s=sim.config.interval_s,
-            rb_bandwidth_hz=sim.config.rb_bandwidth_hz,
-            stream_bandwidth_hz=sim.config.stream_bandwidth_hz,
-        )
+        predictor = PerUserDemandPredictor(sim.catalog, sim.config)
         predictions = predictor.predict_all(sim.twins, 0.0, sim.config.interval_s)
         unicast_total = predictor.total_resource_blocks(predictions)
         multicast_actual = sim.history[0].total_resource_blocks
         assert unicast_total > multicast_actual * 0.8
-
-    def test_invalid_config(self, small_catalog):
-        with pytest.raises(ValueError):
-            PerUserDemandPredictor(small_catalog, interval_s=0.0)

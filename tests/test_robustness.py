@@ -26,7 +26,6 @@ def small_scheme(sim_overrides=None, scheme_overrides=None, k_strategy="silhouet
     sim_options = dict(
         num_users=6,
         num_videos=20,
-        num_intervals=4,
         interval_s=60.0,
         seed=3,
     )
@@ -54,7 +53,6 @@ class TestRadioOutage:
         config = SimulationConfig(
             num_users=4,
             num_videos=15,
-            num_intervals=2,
             interval_s=60.0,
             tx_power_dbm=-100.0,
             seed=1,
@@ -115,7 +113,7 @@ class TestEmptyTwins:
         assert values[-1] == pytest.approx(1.0)
 
     def test_churn_heavy_run_stays_consistent(self):
-        scheme = small_scheme(sim_overrides={"num_users": 8, "num_intervals": 6})
+        scheme = small_scheme(sim_overrides={"num_users": 8})
         scheme.warm_up()
         simulator = scheme.simulator
         rng = np.random.default_rng(0)

@@ -148,21 +148,12 @@ class TestCompile:
             assert a.scheme_config == b.scheme_config, name
             assert a.spec == b.spec, name
 
-    def test_compiled_capacity_accounts_for_warmup_and_spare(self):
-        spec = get_scenario("campus_fig3")  # scheme mode, warmup 2, spare 1
-        compiled = compile_spec(spec)
-        assert compiled.sim_config.num_intervals == spec.num_intervals + 3
-        playback = compile_spec(get_scenario("multicell_campus"))
-        assert playback.sim_config.num_intervals == 8
-        assert playback.scheme_config is None
-
     def test_campus_fig3_compiles_to_the_historical_config(self):
         """Field-for-field equality with the hand-wired Fig. 3 runner's config."""
         compiled = compile_spec(get_scenario("campus_fig3"))
         assert compiled.sim_config == SimulationConfig(
             num_users=24,
             num_videos=100,
-            num_intervals=9,
             interval_s=150.0,
             favourite_category="News",
             favourite_user_fraction=0.8,
@@ -186,7 +177,6 @@ class TestCompile:
         assert compiled.sim_config == SimulationConfig(
             num_users=48,
             num_videos=80,
-            num_intervals=8,
             interval_s=300.0,
             num_base_stations=4,
             area_width_m=1400.0,
@@ -196,6 +186,7 @@ class TestCompile:
             controller_mode="handover",
             seed=17,
         )
+        assert compiled.scheme_config is None
 
 
 class TestGoldenParity:
@@ -458,6 +449,9 @@ class TestCli:
             ("multicell_campus", "placement.horizon_intervals=0"),
             ("multicell_campus", "placement.mispredict_threshold=0"),
             ("multicell_campus", "catalog.recommendation_popularity_weight=2"),
+            ("multicell_campus", "topology.tx_power_dbm=NaN"),
+            ("multicell_campus", "topology.tx_power_dbm=nan"),
+            ("edge_flash_crowd", "edge.cycles_per_pixel=-1"),
             ("campus_fig3", "controller.apps=a3_handover"),
             ("campus_fig3", "engine.feature_steps=0"),
             (

@@ -191,7 +191,7 @@ class TestStreamingSimulator:
         highest-id user left, the next arrival took over their id — their
         kept twin (watch history included) and their keyed streams."""
         sim = StreamingSimulator(
-            SimulationConfig(num_users=5, num_videos=20, num_intervals=2, seed=3)
+            SimulationConfig(num_users=5, num_videos=20, seed=3)
         )
         sim.run_interval(singleton_grouping(sim.user_ids()))
         departed_records = sim.twins.twin(4).watch_records()

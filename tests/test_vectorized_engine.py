@@ -20,7 +20,8 @@ import pytest
 
 from repro import SimulationConfig, StreamingSimulator
 from repro.behavior.watching import WatchRecord
-from repro.core.demand import DemandPredictorConfig, GroupDemandPredictor, GroupDemandPrediction
+from repro.core.config import SchemeConfig
+from repro.core.demand import GroupDemandPredictor, GroupDemandPrediction
 from repro.core.swiping import abstract_group_swiping
 from repro.mobility.campus import CampusConfig, CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, StaticMobility
@@ -177,7 +178,7 @@ class TestBatchedSamplingEquivalence:
         ]
         sim = StreamingSimulator(
             SimulationConfig(
-                num_users=8, num_videos=40, num_intervals=2, interval_s=120.0, seed=123
+                num_users=8, num_videos=40, interval_s=120.0, seed=123
             )
         )
         for expected in golden:
@@ -194,7 +195,7 @@ class TestBatchedSamplingEquivalence:
 class TestSwipeTruncationFix:
     def test_boundary_truncated_completion_is_not_a_swipe(self):
         sim = StreamingSimulator(
-            SimulationConfig(num_users=3, num_videos=10, num_intervals=1, interval_s=45.0, seed=5)
+            SimulationConfig(num_users=3, num_videos=10, interval_s=45.0, seed=5)
         )
         # Every user intends to watch to the very end; anything shorter in the
         # records can only come from the interval boundary cap.
@@ -214,7 +215,7 @@ class TestSwipeTruncationFix:
 
     def test_intended_short_watch_is_still_a_swipe(self):
         sim = StreamingSimulator(
-            SimulationConfig(num_users=2, num_videos=10, num_intervals=1, interval_s=200.0, seed=5)
+            SimulationConfig(num_users=2, num_videos=10, interval_s=200.0, seed=5)
         )
         sim.watching_model.sample_watch_durations = (
             lambda video, weights, rng: np.full(len(weights), float(video.duration_s) * 0.25)
@@ -274,7 +275,7 @@ class TestOutageAccounting:
 
     def test_simulator_records_outage_metric(self):
         sim = StreamingSimulator(
-            SimulationConfig(num_users=2, num_videos=10, num_intervals=1, interval_s=30.0, seed=0)
+            SimulationConfig(num_users=2, num_videos=10, interval_s=30.0, seed=0)
         )
         result = sim.run_interval(singleton_grouping(sim.user_ids()))
         for group_id in result.outage_groups:
@@ -313,7 +314,7 @@ class TestPredictionOrderIndependence:
     def _predictor(self):
         catalog = VideoCatalog.generate(CatalogConfig(num_videos=30, seed=2))
         return GroupDemandPredictor(
-            catalog, DemandPredictorConfig(interval_s=120.0, mc_rollouts=6, seed=9)
+            catalog, SimulationConfig(interval_s=120.0), SchemeConfig(mc_rollouts=6, seed=9)
         )
 
     @staticmethod
