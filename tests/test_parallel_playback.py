@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import os
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.core.pipeline import DTResourcePredictionScheme
 from repro.core.config import SchemeConfig
 from repro.mobility.trajectory import GraphTrajectoryMobility
 from repro.net.handover import HandoverConfig, HandoverPolicy, StreakState
+from repro.scenario import run_scenario
 from repro.scenario.compiler import compile_spec
 from repro.scenario.spec import EngineSpec, ScenarioSpec
 from repro.sim.rng import RngRegistry, derive_stream
@@ -227,6 +229,50 @@ class TestShardedPlaybackDeterminism:
             )
 
         assert run(1) == run(2)
+
+
+# ------------------------------------------------------------ twin contents
+def _twin_contents_sha256(workers: int) -> str:
+    """sha256 of every twin's stores and watch records after a lossy run.
+
+    Two intervals of ``commuter_rush`` (three cells, handover, arrivals)
+    with lossy, slowed and delayed collection.  A playback run's
+    ``RunResult`` export does not include twin contents, so its digest
+    cannot see a collection change; this hash does.
+    """
+    result = run_scenario(
+        "commuter_rush",
+        {
+            "num_intervals": 2,
+            "engine.playback_workers": workers,
+            "engine.collection_drop_probability": 0.3,
+            "engine.collection_period_multiplier": 2.0,
+            "engine.collection_delay_s": 7.0,
+        },
+    )
+    twins = result.simulator.twins
+    digest = hashlib.sha256()
+    for uid in twins.user_ids():
+        twin = twins.twin(uid)
+        digest.update(f"user {uid}".encode())
+        for name in sorted(twin.attributes):
+            store = twin.store(name)
+            digest.update(name.encode())
+            digest.update(store.timestamps().tobytes())
+            digest.update(store.values().tobytes())
+        for record in twin.watch_records():
+            digest.update(repr(dataclasses.astuple(record)).encode())
+    return digest.hexdigest()
+
+
+#: The hash of the twin contents above, taken from the per-member collector
+#: before collection was batched per group.
+TWIN_CONTENTS_SHA256 = "b464962cd748902b855ce64ec44cfa600f0ef830c30ffcdc6b036807286bab30"
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_lossy_twin_contents_are_pinned(workers):
+    assert _twin_contents_sha256(workers) == TWIN_CONTENTS_SHA256
 
 
 # ------------------------------------------------------- group-task purity
