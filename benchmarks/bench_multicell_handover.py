@@ -25,6 +25,7 @@ import numpy as np
 from harness import benchmark_record, run_once, write_benchmark_json
 
 from repro import SimulationConfig, StreamingSimulator
+from repro.mobility import CampusConfig
 
 CELL_COUNTS = (1, 4, 9)
 POPULATIONS = (50, 100, 200)
@@ -49,8 +50,7 @@ def _build_simulator(cells: int, users: int) -> StreamingSimulator:
             num_videos=60,
             interval_s=300.0,
             num_base_stations=cells,
-            area_width_m=1500.0,
-            area_height_m=1200.0,
+            campus=CampusConfig(width_m=1500.0, height_m=1200.0),
             controller_mode="handover",
             seed=SEED,
         )

@@ -3,9 +3,8 @@
 Computing demand in the paper is the CPU load of transcoding the cached
 highest-representation videos down to the representation each multicast
 group can actually receive.  The cost model charges cycles proportionally to
-the pixel rate of the *target* representation times the transcoded duration,
-scaled by a codec complexity factor — the standard first-order model for
-software transcoding load.
+the pixel rate of the *target* representation times the transcoded duration
+— the standard first-order model for software transcoding load.
 """
 
 from __future__ import annotations
@@ -36,35 +35,27 @@ class TranscodingJob:
 class TranscodingCostModel:
     """Cycles-per-pixel transcoding cost.
 
-    ``cycles = cycles_per_pixel * target_pixel_rate * duration * codec_factor``
-    with a small fixed per-job overhead.  Transcoding to the source
-    representation itself costs only the overhead (pass-through).
-    ``cycles_per_pixel`` comes from an
-    :class:`~repro.edge.server.EdgeServerConfig`, which checks it.
+    ``cycles = cycles_per_pixel * target_pixel_rate * duration`` plus a
+    fixed per-job overhead.  Transcoding to the source representation
+    itself costs only the overhead (pass-through).  ``cycles_per_pixel``
+    comes from an :class:`~repro.edge.server.EdgeServerConfig`, which
+    checks it and holds its default.
     """
 
-    def __init__(
-        self,
-        cycles_per_pixel: float = 12.0,
-        codec_factor: float = 1.0,
-        per_job_overhead_cycles: float = 5e7,
-    ) -> None:
-        if codec_factor <= 0:
-            raise ValueError("codec_factor must be positive")
-        if per_job_overhead_cycles < 0:
-            raise ValueError("per_job_overhead_cycles must be non-negative")
+    #: Fixed cycles of every non-empty job; all a pass-through job costs.
+    PER_JOB_OVERHEAD_CYCLES = 5e7
+
+    def __init__(self, cycles_per_pixel: float) -> None:
         self.cycles_per_pixel = cycles_per_pixel
-        self.codec_factor = codec_factor
-        self.per_job_overhead_cycles = per_job_overhead_cycles
 
     def _transcode_cycles(self, source: Representation, target: Representation, duration_s: float) -> float:
         """The cost formula shared by :meth:`job_cycles` and :meth:`video_cycles`."""
         if duration_s == 0:
             return 0.0
         if target.name == source.name:
-            return self.per_job_overhead_cycles
-        work = self.cycles_per_pixel * target.pixel_rate * duration_s * self.codec_factor
-        return float(work + self.per_job_overhead_cycles)
+            return self.PER_JOB_OVERHEAD_CYCLES
+        work = self.cycles_per_pixel * target.pixel_rate * duration_s
+        return float(work + self.PER_JOB_OVERHEAD_CYCLES)
 
     def job_cycles(self, job: TranscodingJob) -> float:
         """CPU cycles needed for one transcoding job."""

@@ -38,6 +38,7 @@ class LintConfig:
     #: checked by the SPEC family.
     spec_configs: Tuple[Tuple[str, str], ...] = (
         ("repro.sim.config", "SimulationConfig"),
+        ("repro.mobility.campus", "CampusConfig"),
         ("repro.net.controller", "ControllerConfig"),
         ("repro.net.handover", "HandoverConfig"),
         ("repro.edge.server", "EdgeServerConfig"),

@@ -3,7 +3,7 @@
 The declarative scenario API only stays the single source of truth while
 ``compile_spec`` maps *every* config field from some ``ScenarioSpec``
 field.  The configs it builds are ``SimulationConfig`` and the ones nested
-in it (``ControllerConfig`` with its ``HandoverConfig``,
+in it (``CampusConfig``, ``ControllerConfig`` with its ``HandoverConfig``,
 ``EdgeServerConfig``, ``PlacementConfig`` and ``CollectionPolicy``), and
 the scheme's ``SchemeConfig``; see ``LintConfig.spec_configs``.  A config
 knob added without a compiler mapping silently runs every scenario at its

@@ -4,39 +4,48 @@ The campus is modelled as a planar graph: nodes are buildings / points of
 interest with 2-D coordinates, edges are walkable paths weighted by their
 Euclidean length.  Trajectory mobility walks shortest paths on this graph,
 producing the spatially-correlated movement (and hence channel dynamics)
-that free-space random waypoint lacks.
+that free-space random waypoint lacks.  The graph never changes after it
+is built, so each route is computed once and shared by every walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
 
+#: Chance that each non-tree edge, shortest first, is added as a footpath.
+EXTRA_EDGE_PROBABILITY = 0.15
+
+
 @dataclass
 class CampusConfig:
-    """Configuration of the synthetic campus generator."""
+    """Shape of the synthetic campus: its area and its number of buildings.
+
+    :class:`~repro.sim.config.SimulationConfig` carries one, so these are
+    the one home and the one check of the campus area and building count.
+    """
 
     width_m: float = 1000.0
     height_m: float = 800.0
-    num_buildings: int = 20
-    extra_edge_probability: float = 0.15
-    seed: int = 0
+    num_buildings: int = 18
 
     def __post_init__(self) -> None:
         if self.width_m <= 0 or self.height_m <= 0:
             raise ValueError("campus dimensions must be positive")
         if self.num_buildings < 2:
-            raise ValueError("need at least two buildings")
-        if not 0.0 <= self.extra_edge_probability <= 1.0:
-            raise ValueError("extra_edge_probability must be in [0, 1]")
+            raise ValueError("num_buildings must be at least 2")
 
 
 class CampusMap:
-    """A connected waypoint graph with 2-D node positions."""
+    """A connected waypoint graph with 2-D node positions.
+
+    The graph is treated as fixed once the map is built: the node list and
+    every route asked for are cached.
+    """
 
     def __init__(self, graph: nx.Graph) -> None:
         if graph.number_of_nodes() < 2:
@@ -47,11 +56,13 @@ class CampusMap:
             if "pos" not in data:
                 raise ValueError(f"node {node!r} is missing a 'pos' attribute")
         self.graph = graph
+        self._nodes = tuple(graph.nodes)
+        self._routes: Dict[Tuple[Hashable, Hashable], np.ndarray] = {}
 
     # ------------------------------------------------------------ accessors
     @property
     def nodes(self) -> List:
-        return list(self.graph.nodes)
+        return list(self._nodes)
 
     def position(self, node) -> np.ndarray:
         """2-D coordinates of ``node`` in metres."""
@@ -61,11 +72,24 @@ class CampusMap:
         return {node: self.position(node) for node in self.graph.nodes}
 
     def random_node(self, rng: np.random.Generator):
-        return self.nodes[int(rng.integers(len(self.nodes)))]
+        return self._nodes[int(rng.integers(len(self._nodes)))]
 
     def shortest_path(self, source, target) -> List:
         """Shortest path (by edge length) between two nodes."""
         return nx.shortest_path(self.graph, source, target, weight="length")
+
+    def route_positions(self, source, target) -> np.ndarray:
+        """Node positions along the shortest ``source`` → ``target`` path.
+
+        Computed once per ordered node pair and returned read-only, so the
+        walks that share a route cannot change it.
+        """
+        route = self._routes.get((source, target))
+        if route is None:
+            route = self.path_positions(self.shortest_path(source, target))
+            route.flags.writeable = False
+            self._routes[(source, target)] = route
+        return route
 
     def path_positions(self, path: Sequence) -> np.ndarray:
         """Stack of node positions along ``path`` (shape ``(len(path), 2)``)."""
@@ -79,8 +103,8 @@ class CampusMap:
 
     # ------------------------------------------------------------ generation
     @classmethod
-    def generate(cls, config: Optional[CampusConfig] = None) -> "CampusMap":
-        """Generate a random connected campus graph.
+    def generate(cls, config: Optional[CampusConfig] = None, seed: int = 0) -> "CampusMap":
+        """Generate a random connected campus graph from ``seed``.
 
         Buildings are scattered uniformly over the campus rectangle; the
         graph starts as a Euclidean minimum spanning tree (so it is always
@@ -91,7 +115,7 @@ class CampusMap:
         # Imported lazily: repro.sim.shard imports this module at load time.
         from repro.sim.rng import legacy_stream
 
-        rng = legacy_stream(config.seed)
+        rng = legacy_stream(seed)
         positions = np.column_stack(
             [
                 rng.uniform(0.0, config.width_m, size=config.num_buildings),
@@ -117,6 +141,6 @@ class CampusMap:
         ]
         non_tree_edges.sort(key=lambda edge: edge[2]["length"])
         for u, v, data in non_tree_edges:
-            if rng.random() < config.extra_edge_probability:
+            if rng.random() < EXTRA_EDGE_PROBABILITY:
                 graph.add_edge(u, v, **data)
         return cls(graph)

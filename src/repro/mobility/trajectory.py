@@ -231,9 +231,10 @@ class GraphTrajectoryMobility(LegMobility):
                 # A pause in place still advances time.
                 self._append_pause()
                 continue
-            path = self.campus.shortest_path(self._current_node, destination)
             speed = float(self._rng.uniform(self.min_speed_mps, self.max_speed_mps))
-            positions = self.campus.path_positions(path)
+            # Read-only rows of the campus's cached route: every leg's end
+            # points are views, shared with every other walk of the route.
+            positions = self.campus.route_positions(self._current_node, destination)
             for start, end in zip(positions[:-1], positions[1:]):
                 length = float(np.linalg.norm(end - start))
                 duration = length / speed if speed > 0 else 0.0
@@ -241,8 +242,8 @@ class GraphTrajectoryMobility(LegMobility):
                     _Leg(
                         start_time_s=self._generated_until_s,
                         end_time_s=self._generated_until_s + duration,
-                        start=np.asarray(start, dtype=np.float64),
-                        end=np.asarray(end, dtype=np.float64),
+                        start=start,
+                        end=end,
                     )
                 )
             self._current_node = destination

@@ -9,7 +9,7 @@ attribute the user digital twins collect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,6 +63,25 @@ class ChannelConfig:
             + 10.0 * np.log10(self.bandwidth_hz)
             + self.noise_figure_db
         )
+
+
+class SnrFades(NamedTuple):
+    """The random terms of a batch of SNR samples, in dB.
+
+    A term the channel config turns off is ``None``.
+    """
+
+    shadowing_db: Optional[np.ndarray]
+    fading_db: Optional[np.ndarray]
+
+    def added_to(self, mean_snr_db: np.ndarray) -> np.ndarray:
+        """``mean_snr_db`` plus the shadowing term, then plus the fading term."""
+        snr_db = mean_snr_db
+        if self.shadowing_db is not None:
+            snr_db = snr_db + self.shadowing_db
+        if self.fading_db is not None:
+            snr_db = snr_db + self.fading_db
+        return snr_db
 
 
 class ChannelModel:
@@ -144,13 +163,25 @@ class ChannelModel:
         count = distances.shape[0]
         if count == 0:
             return snr_db
+        return self.draw_fades(count, rng).added_to(snr_db)
+
+    def draw_fades(self, count: int, rng: np.random.Generator) -> SnrFades:
+        """The shadowing and fading terms of ``count`` SNR samples.
+
+        All shadowing values are one array call, then all fading values
+        another; a term the config turns off draws nothing.  The draws do not
+        depend on where the samples are, so a caller can draw them before it
+        knows the mean SNR they are added to.
+        """
         config = self.config
+        shadowing = None
+        fading = None
         if config.shadowing_std_db > 0:
-            snr_db = snr_db + rng.normal(0.0, config.shadowing_std_db, size=count)
+            shadowing = rng.normal(0.0, config.shadowing_std_db, size=count)
         if config.rayleigh_fading:
-            fading = np.maximum(rng.exponential(1.0, size=count), 1e-6)
-            snr_db = snr_db + 10.0 * np.log10(fading)
-        return snr_db
+            gain = np.maximum(rng.exponential(1.0, size=count), 1e-6)
+            fading = 10.0 * np.log10(gain)
+        return SnrFades(shadowing, fading)
 
     def shannon_rate_bps(self, snr_db: float, bandwidth_hz: Optional[float] = None) -> float:
         """Shannon capacity at the given SNR (upper bound used in sanity checks)."""

@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.core.config import SchemeConfig
 from repro.edge.server import EdgeServerConfig
+from repro.mobility.campus import CampusConfig
 from repro.net.controller import ControllerConfig
 from repro.net.handover import HandoverConfig
 from repro.placement.manager import PlacementConfig
@@ -45,12 +46,12 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
     runner steps the simulator ``spec.num_intervals`` times after any
     warm-up.
 
-    The controller, edge-server and placement configs are built here,
-    straight from their spec sections, and the simulator uses them as they
-    are.  The placement config is built even when ``placement.strategy``
-    is unset, so every spec value is checked.  The configs check the
-    values they carry, so a bad one raises here: ``ValueError``, or
-    ``KeyError`` for an unknown controller app.
+    The campus, controller, edge-server and placement configs are built
+    here, straight from their spec sections, and the simulator uses them
+    as they are.  The placement config is built even when
+    ``placement.strategy`` is unset, so every spec value is checked.  The
+    configs check the values they carry, so a bad one raises here:
+    ``ValueError``, or ``KeyError`` for an unknown controller app.
     """
     sim_config = SimulationConfig(
         num_users=spec.population.num_users,
@@ -63,9 +64,11 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
         favourite_boost=spec.population.favourite_boost,
         preference_learning_rate=spec.population.preference_learning_rate,
         interval_s=spec.interval_s,
-        area_width_m=spec.topology.area_width_m,
-        area_height_m=spec.topology.area_height_m,
-        num_buildings=spec.mobility.num_buildings,
+        campus=CampusConfig(
+            width_m=spec.topology.area_width_m,
+            height_m=spec.topology.area_height_m,
+            num_buildings=spec.mobility.num_buildings,
+        ),
         num_base_stations=spec.topology.num_cells,
         tx_power_dbm=spec.topology.tx_power_dbm,
         rb_bandwidth_hz=spec.topology.rb_bandwidth_hz,

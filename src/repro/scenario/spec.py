@@ -7,9 +7,10 @@ engine selection and a timeline of scripted :class:`ScenarioEvent`\\ s —
 without saying anything about *how* to run it.  The spec is pure data:
 
 * :func:`repro.scenario.compiler.compile_spec` lowers it deterministically
-  to a :class:`~repro.sim.config.SimulationConfig`, with the controller,
-  edge-server, placement and collection configs nested in it (plus, for
-  scheme-mode scenarios, a :class:`~repro.core.config.SchemeConfig`), and
+  to a :class:`~repro.sim.config.SimulationConfig`, with the campus,
+  controller, edge-server, placement and collection configs nested in it
+  (plus, for scheme-mode scenarios, a
+  :class:`~repro.core.config.SchemeConfig`), and
 * :class:`repro.scenario.runner.ScenarioRunner` drives the compiled
   scenario and returns a typed, JSON-serializable ``RunResult``.
 

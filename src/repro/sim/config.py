@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.edge.server import EdgeServerConfig
+from repro.mobility.campus import CampusConfig
 from repro.net.controller import ControllerConfig
 from repro.placement.manager import PlacementConfig
 from repro.twin.collector import CollectionPolicy
@@ -43,10 +44,9 @@ class SimulationConfig:
     # Time structure.
     interval_s: float = 300.0
 
-    # Area, mobility and radio.
-    area_width_m: float = 1000.0
-    area_height_m: float = 800.0
-    num_buildings: int = 18
+    # Area, mobility and radio.  The base stations are placed on a grid over
+    # the campus area.
+    campus: CampusConfig = field(default_factory=CampusConfig)
     num_base_stations: int = 2
     tx_power_dbm: float = 43.0
     rb_bandwidth_hz: float = 180e3
@@ -104,8 +104,6 @@ class SimulationConfig:
             raise ValueError("interval_s must be positive")
         if self.num_base_stations <= 0:
             raise ValueError("num_base_stations must be positive")
-        if self.area_width_m <= 0 or self.area_height_m <= 0:
-            raise ValueError("area dimensions must be positive")
         if not 0.0 <= self.favourite_user_fraction <= 1.0:
             raise ValueError("favourite_user_fraction must be in [0, 1]")
         if self.favourite_category is not None and self.favourite_category not in self.categories:

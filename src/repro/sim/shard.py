@@ -205,9 +205,12 @@ def run_group_interval(
 ) -> GroupOutcome:
     """One group's whole interval, as a pure function of its plan slices and keys.
 
-    Stage 1 draws every member's SNR trace from the group's channel stream:
-    one ``sample_snr_traces`` block per serving station, stations sorted so
-    the stream walk depends only on (members, associations).  The
+    Each member's trajectory is evaluated once, as one ``(members, times,
+    2)`` block on the sorted union of the stage-1 channel grid and the
+    collector's position grids; stages 1 and 3 read their own columns of
+    it.  Stage 1 draws every member's SNR trace from the group's channel
+    stream: one ``sample_snr_traces`` block per serving station, stations
+    sorted so the stream walk depends only on (members, associations).  The
     worst-member rule over the per-member mean SNRs then fixes the group's
     efficiency and representation.  Stage 2 plays the group's shared
     multicast stream: video choices and watch durations come from the
@@ -215,7 +218,8 @@ def run_group_interval(
     (config-category order) and video choices from its CDF row.  Stage 3
     runs the status collector for every member from their ``(interval,
     user)`` stream — samples and a lossy policy's drop decisions alike — into
-    one :class:`CollectedStatus` per member; no twin is touched.
+    one :class:`CollectedStatus` per member, in one collector call for the
+    whole group; no twin is touched.
     """
     # Imported lazily: repro.sim.simulator imports this module at load time.
     from repro.sim.simulator import GroupIntervalUsage
@@ -230,21 +234,30 @@ def run_group_interval(
     registry = static.registry
     config = static.config
 
-    times = time_grid(start_s, end_s, config.channel_sample_period_s)
+    channel_times = time_grid(start_s, end_s, config.channel_sample_period_s)
+    times = np.unique(
+        np.concatenate(
+            [
+                channel_times,
+                *static.collector.position_times(static.attributes, start_s, end_s),
+            ]
+        )
+    )
+    positions = np.stack([mobility_for(uid).positions(times) for uid in member_ids])
+    channel_columns = times.searchsorted(channel_times)
+
     rng = registry.channel_stream(interval_index, group_id)
     by_station: Dict[int, List[int]] = {}
-    for uid, bs_id in zip(member_ids, serving):
-        by_station.setdefault(bs_id, []).append(uid)
-    mean_by_user: Dict[int, float] = {}
+    for row, bs_id in enumerate(serving):
+        by_station.setdefault(bs_id, []).append(row)
+    mean_snrs = [0.0] * len(member_ids)
     for bs_id in sorted(by_station):
-        served = by_station[bs_id]
+        rows = by_station[bs_id]
         traces = static.bs_by_id[bs_id].sample_snr_traces(
-            np.stack([mobility_for(uid).positions(times) for uid in served], axis=0),
-            rng=rng,
+            positions[np.ix_(rows, channel_columns)], rng=rng
         )
-        for row, uid in enumerate(served):
-            mean_by_user[uid] = float(traces[row].mean())
-    mean_snrs = [mean_by_user[uid] for uid in member_ids]
+        for trace, row in zip(traces, rows):
+            mean_snrs[row] = float(trace.mean())
     efficiency = group_spectral_efficiency(
         mean_snrs, implementation_loss=config.implementation_loss
     )
@@ -311,19 +324,19 @@ def run_group_interval(
     )
     playback_done = time.perf_counter()
 
-    collection: Dict[int, CollectedStatus] = {}
-    for row, uid in enumerate(member_ids):
-        collection[uid] = static.collector.collect_interval(
-            static.attributes,
-            mobility_for(uid),
-            static.bs_by_id[serving[row]],
-            weights[row],
-            records[uid],
-            start_s,
-            end_s,
-            rng=registry.collection_stream(interval_index, uid),
-            serving_cell=serving[row] if static.report_cells else None,
-        )
+    statuses = static.collector.collect_interval(
+        static.attributes,
+        times,
+        positions,
+        [static.bs_by_id[bs_id] for bs_id in serving],
+        weights,
+        [records[uid] for uid in member_ids],
+        start_s,
+        end_s,
+        rngs=[registry.collection_stream(interval_index, uid) for uid in member_ids],
+        serving_cells=serving if static.report_cells else None,
+    )
+    collection: Dict[int, CollectedStatus] = dict(zip(member_ids, statuses))
 
     stage_times = (
         stage1_done - started,

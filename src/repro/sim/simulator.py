@@ -39,7 +39,7 @@ from repro.behavior.watching import WatchingDurationModel, WatchRecord
 from repro.placement.fleet import EdgeFleet
 from repro.placement.manager import PlacementManager, ReprovisionEvent
 from repro.placement.planner import ServerCapacity, fragmentation_index
-from repro.mobility.campus import CampusConfig, CampusMap
+from repro.mobility.campus import CampusMap
 from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
 from repro.net.basestation import BaseStationConfig, associate_users, place_base_stations
 from repro.net.apps import AppEvent
@@ -248,18 +248,11 @@ class StreamingSimulator:
         self.catalog.popularity.engagement_learning_rate = config.popularity_update_rate
 
         # Area, mobility and radio.
-        self.campus = CampusMap.generate(
-            CampusConfig(
-                width_m=config.area_width_m,
-                height_m=config.area_height_m,
-                num_buildings=config.num_buildings,
-                seed=config.seed,
-            )
-        )
+        self.campus = CampusMap.generate(config.campus, seed=config.seed)
         self.base_stations = place_base_stations(
             config.num_base_stations,
-            config.area_width_m,
-            config.area_height_m,
+            config.campus.width_m,
+            config.campus.height_m,
             BaseStationConfig(
                 tx_power_dbm=config.tx_power_dbm,
                 resource_block_bandwidth_hz=config.rb_bandwidth_hz,

@@ -5,15 +5,15 @@ server, each attribute at its own frequency.  The collector models that
 process against simulation entities:
 
 * channel condition and location are sampled at their attribute periods
-  from the user's mobility model and serving base station,
+  from the user's trajectory and serving base station,
 * watch records are pushed as sessions produce them, and
 * preference snapshots are written once per collection period.
 
 Collection is a pure function: :meth:`StatusCollector.collect_interval`
-returns what it collected as a :class:`CollectedStatus`, and the twin
-appends it with :meth:`~repro.twin.udt.UserDigitalTwin.record_status`.  A
-shard worker can therefore collect for a user whose twin lives in another
-process.
+collects a whole multicast group in one call and returns one
+:class:`CollectedStatus` per member, and each twin appends its own with
+:meth:`~repro.twin.udt.UserDigitalTwin.record_status`.  A shard worker can
+therefore collect for users whose twins live in another process.
 
 The :class:`CollectionPolicy` adds the imperfections the DT-staleness
 ablation varies: a collection-period multiplier (slower twins), a sample
@@ -28,8 +28,8 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.behavior.watching import WatchRecord
-from repro.mobility.trajectory import MobilityModel
 from repro.net.basestation import BaseStation
+from repro.net.channel import SnrFades
 from repro.timegrid import time_grid
 from repro.twin.attributes import (
     CHANNEL_CONDITION,
@@ -80,6 +80,9 @@ class CollectedStatus(NamedTuple):
 class StatusCollector:
     """Collects user status for UDTs over a reservation interval."""
 
+    #: The attributes collected from a user's position.
+    POSITION_ATTRIBUTES = (CHANNEL_CONDITION, LOCATION)
+
     def __init__(self, policy: Optional[CollectionPolicy] = None) -> None:
         self.policy = policy if policy is not None else CollectionPolicy.perfect()
 
@@ -90,8 +93,19 @@ class StatusCollector:
             return np.ones(count, dtype=bool)
         return rng.random(count) >= self.policy.drop_probability
 
-    def _sample_times(self, start_s: float, end_s: float, period_s: float) -> np.ndarray:
-        effective_period = period_s * self.policy.period_multiplier
+    def _kept_times(self, grid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return grid[self._keep_mask(grid.shape[0], rng)]
+
+    def _attribute_times(
+        self, spec: AttributeSpec, start_s: float, end_s: float
+    ) -> np.ndarray:
+        """The sample times of one attribute over ``[start_s, end_s)``.
+
+        One sample per collection period, scaled by the policy's period
+        multiplier; a period at or beyond the interval samples once, at
+        ``start_s``.
+        """
+        effective_period = spec.collection_period_s * self.policy.period_multiplier
         if effective_period >= end_s - start_s:
             return np.array([start_s])
         # Integer-step grid: at long horizons a float-step arange can gain
@@ -99,97 +113,175 @@ class StatusCollector:
         # the channel collection consumes for this user.
         return time_grid(start_s, end_s, effective_period)
 
-    def _kept_times(
-        self,
-        spec: AttributeSpec,
-        start_s: float,
-        end_s: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        times = self._sample_times(start_s, end_s, spec.collection_period_s)
-        return times[self._keep_mask(times.shape[0], rng)]
+    def position_times(
+        self, attributes: Mapping[str, AttributeSpec], start_s: float, end_s: float
+    ) -> List[np.ndarray]:
+        """The sample grids of the attributes read from a user's position.
+
+        One grid per attribute of :attr:`POSITION_ATTRIBUTES` in
+        ``attributes``; :meth:`collect_interval` reads every member's
+        position at each of these times.
+        """
+        return [
+            self._attribute_times(attributes[name], start_s, end_s)
+            for name in self.POSITION_ATTRIBUTES
+            if name in attributes
+        ]
 
     def collect_interval(
         self,
         attributes: Mapping[str, AttributeSpec],
-        mobility: MobilityModel,
-        base_station: BaseStation,
-        preference: np.ndarray,
-        records: Sequence[WatchRecord],
+        times: np.ndarray,
+        positions: np.ndarray,
+        base_stations: Sequence[BaseStation],
+        preferences: np.ndarray,
+        records: Sequence[Sequence[WatchRecord]],
         start_s: float,
         end_s: float,
-        rng: np.random.Generator,
-        serving_cell: Optional[int] = None,
-    ) -> CollectedStatus:
-        """Collect one reservation interval's worth of status for one user.
+        rngs: Sequence[np.random.Generator],
+        serving_cells: Optional[Sequence[int]] = None,
+    ) -> List[CollectedStatus]:
+        """Collect one reservation interval's status for a group of users.
 
-        ``attributes`` are the specs of the user's twin; only attributes it
-        has are collected.  Each attribute is collected as one batched
-        position/SNR evaluation, not a Python loop over individual samples.
-        ``preference`` is the user's preference weight row, in the twin's
-        category order.
+        Every per-member argument has one entry per member, in the same
+        order, and so has the returned list:
 
-        ``rng`` is the one stream every draw consumes: the keep decisions
-        and the channel-condition samples, attribute by attribute in the
-        order below.  The simulator passes the user's ``(seed, interval,
+        * ``positions[m]`` is member ``m``'s trajectory at ``times``, a
+          ``(members, len(times), 2)`` block.  ``times`` is sorted and holds
+          every grid of :meth:`position_times`;
+        * ``base_stations[m]`` is the member's serving station;
+        * ``preferences[m]`` is their preference weight row, in the twin's
+          category order;
+        * ``records[m]`` are their watch records, in playback order;
+        * ``rngs[m]`` is the one stream every draw for the member consumes;
+        * ``serving_cells[m]`` is the cell reported as their serving-cell
+          attribute; ``None`` collects no serving cell.
+
+        ``attributes`` are the specs of the members' twins; only attributes
+        they have are collected.  Each member's draws come from their own
+        stream only, in this order: channel keep mask, shadowing, fading,
+        location keep mask, record drops, preference keep mask, serving-cell
+        keep mask.  The simulator passes the member's ``(seed, interval,
         user)`` collection stream (see :class:`repro.sim.rng.RngRegistry`),
-        which makes each user's collected status independent of every other
-        user's and a deterministic per-user walk a shard worker can replay
-        exactly.  With ``drop_probability == 0`` no keep decision is drawn.
+        so each member's status is independent of every other member's and
+        a deterministic walk a shard worker can replay exactly.  With
+        ``drop_probability == 0`` no keep decision is drawn.  The mean SNR
+        under the channel-condition samples is one batched evaluation per
+        serving station.
         """
         if end_s <= start_s:
             raise ValueError("end_s must be greater than start_s")
-        delay = self.policy.delay_s
-        samples: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-
-        # Channel condition: sample SNR at the attribute's own frequency.
-        if CHANNEL_CONDITION in attributes:
-            times = self._kept_times(attributes[CHANNEL_CONDITION], start_s, end_s, rng)
-            if times.size:
-                positions = mobility.positions(times)
-                snrs = base_station.sample_snr_db_batch(positions, rng=rng)
-                samples[CHANNEL_CONDITION] = (times + delay, snrs[:, None])
-
-        # Location.
-        if LOCATION in attributes:
-            times = self._kept_times(attributes[LOCATION], start_s, end_s, rng)
-            if times.size:
-                samples[LOCATION] = (times + delay, mobility.positions(times))
-
-        # Watch records (the twin mirrors them into the watching-duration
-        # series).
-        if self.policy.drop_probability == 0.0:
-            kept_records = list(records)
-        else:
-            # One scalar draw per record, in record order.
-            kept_records = [
-                record
-                for record in records
-                if rng.random() >= self.policy.drop_probability
-            ]
-
-        # Preference snapshots.
+        policy = self.policy
+        delay = policy.delay_s
+        preferences = np.asarray(preferences, dtype=np.float64)
         if PREFERENCE in attributes:
-            vector = np.asarray(preference, dtype=np.float64)
             expected_dim = attributes[PREFERENCE].dimension
-            if vector.shape[0] != expected_dim:
+            if preferences.shape[1] != expected_dim:
                 raise ValueError(
-                    f"preference dimension {vector.shape[0]} does not match the UDT "
-                    f"attribute dimension {expected_dim}"
+                    f"preference dimension {preferences.shape[1]} does not match "
+                    f"the UDT attribute dimension {expected_dim}"
                 )
-            times = self._kept_times(attributes[PREFERENCE], start_s, end_s, rng)
-            if times.size:
-                samples[PREFERENCE] = (
-                    times + delay,
-                    np.tile(vector, (times.shape[0], 1)),
-                )
+        names = (CHANNEL_CONDITION, LOCATION, PREFERENCE) + (
+            (SERVING_CELL,) if serving_cells is not None else ()
+        )
+        grids = {
+            name: self._attribute_times(attributes[name], start_s, end_s)
+            for name in names
+            if name in attributes
+        }
+        columns = {
+            name: _grid_columns(times, grids[name])
+            for name in self.POSITION_ATTRIBUTES
+            if name in grids
+        }
 
-        # Serving cell (only collected when the RAN controller reports it).
-        if serving_cell is not None and SERVING_CELL in attributes:
-            times = self._kept_times(attributes[SERVING_CELL], start_s, end_s, rng)
-            if times.size:
-                samples[SERVING_CELL] = (
-                    times + delay,
-                    np.full((times.shape[0], 1), float(serving_cell)),
+        samples: List[Dict[str, Tuple[np.ndarray, np.ndarray]]] = []
+        kept_records: List[List[WatchRecord]] = []
+        # Per member with kept channel samples: their keep mask and fades.
+        channel_draws: Dict[int, Tuple[np.ndarray, SnrFades]] = {}
+        for row, rng in enumerate(rngs):
+            member: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+            if CHANNEL_CONDITION in grids:
+                keep = self._keep_mask(grids[CHANNEL_CONDITION].shape[0], rng)
+                count = int(np.count_nonzero(keep))
+                if count:
+                    channel = base_stations[row].channel
+                    assert channel is not None
+                    channel_draws[row] = (keep, channel.draw_fades(count, rng))
+            if LOCATION in grids:
+                keep = self._keep_mask(grids[LOCATION].shape[0], rng)
+                if keep.any():
+                    member[LOCATION] = (
+                        grids[LOCATION][keep] + delay,
+                        positions[row, columns[LOCATION][keep]],
+                    )
+            # Watch records (the twin mirrors them into the watching-duration
+            # series).
+            if policy.drop_probability == 0.0:
+                kept_records.append(list(records[row]))
+            else:
+                # One scalar draw per record, in record order.
+                kept_records.append(
+                    [
+                        record
+                        for record in records[row]
+                        if rng.random() >= policy.drop_probability
+                    ]
                 )
-        return CollectedStatus(samples=samples, records=kept_records)
+            if PREFERENCE in grids:
+                kept = self._kept_times(grids[PREFERENCE], rng)
+                if kept.size:
+                    member[PREFERENCE] = (
+                        kept + delay,
+                        np.tile(preferences[row], (kept.shape[0], 1)),
+                    )
+            if SERVING_CELL in grids:
+                assert serving_cells is not None
+                kept = self._kept_times(grids[SERVING_CELL], rng)
+                if kept.size:
+                    member[SERVING_CELL] = (
+                        kept + delay,
+                        np.full((kept.shape[0], 1), float(serving_cells[row])),
+                    )
+            samples.append(member)
+
+        # Channel condition: one mean-SNR evaluation per serving station
+        # over its members' kept samples, then each member's own fades.
+        by_station: Dict[int, List[int]] = {}
+        for row in channel_draws:
+            by_station.setdefault(base_stations[row].bs_id, []).append(row)
+        for rows in by_station.values():
+            kept_columns = [
+                columns[CHANNEL_CONDITION][channel_draws[row][0]] for row in rows
+            ]
+            means = base_stations[rows[0]].mean_snr_db_batch(
+                positions[
+                    np.repeat(rows, [kept.shape[0] for kept in kept_columns]),
+                    np.concatenate(kept_columns),
+                ]
+            )
+            offset = 0
+            for row, kept in zip(rows, kept_columns):
+                keep, fades = channel_draws[row]
+                snrs = fades.added_to(means[offset : offset + kept.shape[0]])
+                offset += kept.shape[0]
+                # First, so the samples follow the twins' attribute order.
+                samples[row] = {
+                    CHANNEL_CONDITION: (
+                        grids[CHANNEL_CONDITION][keep] + delay,
+                        snrs[:, None],
+                    ),
+                    **samples[row],
+                }
+        return [
+            CollectedStatus(samples=member, records=records_kept)
+            for member, records_kept in zip(samples, kept_records)
+        ]
+
+
+def _grid_columns(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The column of ``times`` that holds each time of ``grid``."""
+    columns = times.searchsorted(grid)
+    if (columns >= times.shape[0]).any() or not np.array_equal(times[columns], grid):
+        raise ValueError("times must hold every position attribute's sample times")
+    return columns

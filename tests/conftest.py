@@ -31,7 +31,7 @@ def small_catalog() -> VideoCatalog:
 @pytest.fixture(scope="session")
 def campus() -> CampusMap:
     """A small campus graph shared across the session."""
-    return CampusMap.generate(CampusConfig(num_buildings=10, seed=3))
+    return CampusMap.generate(CampusConfig(num_buildings=10), seed=3)
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ def tiny_sim_config() -> SimulationConfig:
         num_videos=25,
         interval_s=60.0,
         num_base_stations=2,
-        num_buildings=8,
+        campus=CampusConfig(num_buildings=8),
         seed=11,
     )
 

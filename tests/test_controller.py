@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import SimulationConfig, StreamingSimulator
+from repro.mobility import CampusConfig
 from repro.net.basestation import BaseStation, BaseStationConfig
 from repro.net.controller import (
     ControllerConfig,
@@ -241,8 +242,7 @@ def _handover_config(seed: int = 3, **overrides) -> SimulationConfig:
         num_videos=30,
         interval_s=300.0,
         num_base_stations=4,
-        area_width_m=1200.0,
-        area_height_m=1000.0,
+        campus=CampusConfig(width_m=1200.0, height_m=1000.0),
         controller_mode="handover",
         seed=seed,
     )

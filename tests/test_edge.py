@@ -101,9 +101,13 @@ class TestVideoCache:
         assert cache.stats.evictions == 0
 
 
+def _model() -> TranscodingCostModel:
+    return TranscodingCostModel(EdgeServerConfig().cycles_per_pixel)
+
+
 class TestTranscoding:
     def test_job_cycles_scale_with_duration(self, small_catalog):
-        model = TranscodingCostModel()
+        model = _model()
         video = next(iter(small_catalog))
         target = DEFAULT_LADDER.by_name("480p")
         short = model.video_cycles(video, target, watched_duration_s=2.0)
@@ -111,17 +115,19 @@ class TestTranscoding:
         assert long > short > 0
 
     def test_higher_target_costs_more(self, small_catalog):
-        model = TranscodingCostModel()
+        model = _model()
         video = next(iter(small_catalog))
         low = model.video_cycles(video, DEFAULT_LADDER.by_name("240p"))
         high = model.video_cycles(video, DEFAULT_LADDER.by_name("720p"))
         assert high > low
 
     def test_pass_through_costs_only_overhead(self, small_catalog):
-        model = TranscodingCostModel(per_job_overhead_cycles=123.0)
+        model = _model()
         video = next(iter(small_catalog))
         cycles = model.video_cycles(video, DEFAULT_LADDER.highest)
-        assert cycles == pytest.approx(123.0)
+        assert cycles == TranscodingCostModel.PER_JOB_OVERHEAD_CYCLES
+        transcoded = model.video_cycles(video, DEFAULT_LADDER.by_name("480p"))
+        assert transcoded > TranscodingCostModel.PER_JOB_OVERHEAD_CYCLES
 
     def test_upscaling_rejected(self):
         low = DEFAULT_LADDER.by_name("240p")
@@ -130,7 +136,7 @@ class TestTranscoding:
             TranscodingJob(video_id=0, source=low, target=high, duration_s=5.0)
 
     def test_zero_duration_costs_nothing(self):
-        model = TranscodingCostModel()
+        model = _model()
         job = TranscodingJob(
             video_id=0,
             source=DEFAULT_LADDER.highest,
@@ -140,7 +146,7 @@ class TestTranscoding:
         assert model.job_cycles(job) == 0.0
 
     def test_total_cycles_sums_jobs(self):
-        model = TranscodingCostModel()
+        model = _model()
         jobs = [
             TranscodingJob(0, DEFAULT_LADDER.highest, DEFAULT_LADDER.lowest, 5.0),
             TranscodingJob(1, DEFAULT_LADDER.highest, DEFAULT_LADDER.lowest, 5.0),

@@ -29,6 +29,7 @@ from repro import (
     StreamingSimulator,
 )
 from repro.behavior.watching import WatchingDurationModel
+from repro.mobility import CampusConfig
 from repro.scenario.registry import get_scenario
 from repro.sim.simulator import singleton_grouping
 from repro.twin.attributes import (
@@ -220,8 +221,7 @@ def _handover_scheme(num_users=12, num_cells=4, seed=3):
             num_videos=25,
             interval_s=120.0,
             num_base_stations=num_cells,
-            area_width_m=1200.0,
-            area_height_m=1000.0,
+            campus=CampusConfig(width_m=1200.0, height_m=1000.0),
             controller_mode="handover",
             seed=seed,
         )
@@ -249,8 +249,7 @@ class TestScopedPredictionLoop:
                 num_users=10,
                 num_videos=20,
                 num_base_stations=4,
-                area_width_m=1200.0,
-                area_height_m=1000.0,
+                campus=CampusConfig(width_m=1200.0, height_m=1000.0),
                 controller_mode="handover",
                 seed=11,
             )

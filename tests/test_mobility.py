@@ -33,7 +33,7 @@ class TestCampusMap:
             assert 0.0 <= y <= config.height_m
 
     def test_num_buildings_respected(self):
-        campus = CampusMap.generate(CampusConfig(num_buildings=12, seed=1))
+        campus = CampusMap.generate(CampusConfig(num_buildings=12), seed=1)
         assert len(campus.nodes) == 12
 
     def test_shortest_path_endpoints(self, campus):
@@ -49,13 +49,76 @@ class TestCampusMap:
             assert campus.path_length(path) > 0.0
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_buildings"):
             CampusConfig(num_buildings=1)
         with pytest.raises(ValueError):
             CampusConfig(width_m=-1.0)
 
     def test_random_node_is_member(self, campus, rng):
         assert campus.random_node(rng) in campus.nodes
+
+
+class TestRouteMemo:
+    def test_every_route_equals_its_shortest_path(self, campus):
+        for source in campus.nodes:
+            for target in campus.nodes:
+                route = campus.route_positions(source, target)
+                expected = campus.path_positions(campus.shortest_path(source, target))
+                np.testing.assert_array_equal(route, expected)
+                assert not route.flags.writeable
+                assert campus.route_positions(source, target) is route
+
+    def test_cached_route_rejects_in_place_writes(self, campus):
+        nodes = campus.nodes
+        route = campus.route_positions(nodes[0], nodes[-1])
+        with pytest.raises(ValueError):
+            route[0, 0] = -1.0
+
+    def test_legs_hold_read_only_route_views(self, campus):
+        model = GraphTrajectoryMobility(campus, seed=4)
+        model.positions([900.0])
+        walked = [leg for leg in model._legs if not np.array_equal(leg.start, leg.end)]
+        assert walked
+        for leg in walked:
+            with pytest.raises(ValueError):
+                leg.start[0] = -1.0
+            with pytest.raises(ValueError):
+                leg.end[0] = -1.0
+
+    def test_routes_are_computed_once_per_ordered_pair(self, monkeypatch):
+        import repro.mobility.campus as campus_module
+
+        calls = []
+        shortest_path = campus_module.nx.shortest_path
+
+        def counted(graph, source, target, **kwargs):
+            calls.append((source, target))
+            return shortest_path(graph, source, target, **kwargs)
+
+        monkeypatch.setattr(campus_module.nx, "shortest_path", counted)
+        campus = CampusMap.generate(CampusConfig(num_buildings=6), seed=2)
+        for seed in range(8):
+            GraphTrajectoryMobility(campus, seed=seed).positions([5000.0])
+        assert calls
+        assert len(calls) == len(set(calls))
+
+    def test_warm_cache_walks_equal_fresh_campus_walks(self):
+        config = CampusConfig(num_buildings=10)
+        warm = CampusMap.generate(config, seed=3)
+        for seed in range(6):
+            GraphTrajectoryMobility(warm, seed=100 + seed).positions([4000.0])
+        for seed in range(6):
+            fresh = CampusMap.generate(config, seed=3)
+            on_warm = GraphTrajectoryMobility(warm, seed=seed)
+            on_fresh = GraphTrajectoryMobility(fresh, seed=seed)
+            on_warm.positions([3000.0])
+            on_fresh.positions([3000.0])
+            assert len(on_warm._legs) == len(on_fresh._legs)
+            for a, b in zip(on_warm._legs, on_fresh._legs):
+                assert a.start_time_s == b.start_time_s
+                assert a.end_time_s == b.end_time_s
+                assert a.start.tobytes() == b.start.tobytes()
+                assert a.end.tobytes() == b.end.tobytes()
 
 
 class TestStaticMobility:

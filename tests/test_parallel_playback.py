@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import hashlib
 import os
+import types
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ import pytest
 from repro import SimulationConfig, StreamingSimulator
 from repro.core.pipeline import DTResourcePredictionScheme
 from repro.core.config import SchemeConfig
+from repro.mobility import CampusConfig
 from repro.mobility.trajectory import GraphTrajectoryMobility
 from repro.net.handover import HandoverConfig, HandoverPolicy, StreakState
 from repro.scenario import run_scenario
@@ -129,8 +131,7 @@ class TestShardedPlaybackDeterminism:
             "lossy-handover": dict(
                 num_users=12,
                 num_base_stations=4,
-                area_width_m=1200.0,
-                area_height_m=1000.0,
+                campus=CampusConfig(width_m=1200.0, height_m=1000.0),
                 controller_mode="handover",
                 collection_policy=CollectionPolicy(drop_probability=0.3, delay_s=2.0),
             ),
@@ -161,8 +162,7 @@ class TestShardedPlaybackDeterminism:
                 workers,
                 num_users=12,
                 num_base_stations=4,
-                area_width_m=1200.0,
-                area_height_m=1000.0,
+                campus=CampusConfig(width_m=1200.0, height_m=1000.0),
                 controller_mode="handover",
             )
             with StreamingSimulator(config) as sim:
@@ -342,6 +342,48 @@ class TestGroupTaskPurity:
                     np.testing.assert_array_equal(values, other.samples[name][1])
         assert dropped, "the lossy policy should drop some watch records"
 
+    def test_group_task_evaluates_each_trajectory_once(self):
+        """One ``positions`` call per member per interval, shared by the
+        stage-1 channel draws and every position attribute's collection."""
+        config = _grouped_config(
+            1,
+            num_users=9,
+            num_base_stations=3,
+            controller_mode="handover",
+            collection_policy=CollectionPolicy(drop_probability=0.3),
+        )
+        with StreamingSimulator(config) as sim:
+            ids = sim.user_ids()
+            grouping = {0: ids[:4], 1: ids[4:]}
+            interval = sim.clock.current_interval
+            plan = build_interval_plan(
+                grouping,
+                sim.users,
+                tuple(config.categories),
+                sim.catalog,
+                config.recommendation_popularity_weight,
+            )
+            calls = []
+
+            def mobility_for(uid):
+                def positions(times):
+                    calls.append(uid)
+                    return sim.users[uid].mobility.positions(times)
+
+                return types.SimpleNamespace(positions=positions)
+
+            for index in range(len(plan.group_ids)):
+                outcome = run_group_interval(
+                    sim._static,
+                    mobility_for,
+                    plan,
+                    interval,
+                    *sim.clock.interval_bounds(interval),
+                    index,
+                )
+                assert all(status.samples for status in outcome.collection.values())
+        assert sorted(calls) == ids
+
 
 # ------------------------------------------------------------- rng registry
 class TestRngRegistry:
@@ -465,8 +507,7 @@ class TestChurnSafeStreaks:
             1,
             num_users=9,
             num_base_stations=4,
-            area_width_m=1200.0,
-            area_height_m=1000.0,
+            campus=CampusConfig(width_m=1200.0, height_m=1000.0),
             controller_mode="handover",
         )
         with StreamingSimulator(config) as sim:

@@ -26,6 +26,7 @@ import pytest
 
 from repro import DTResourcePredictionScheme, SchemeConfig, SimulationConfig, StreamingSimulator
 from repro.cli import main as cli_main, parse_overrides
+from repro.mobility import CampusConfig
 from repro.scenario import (
     CellOutage,
     ChurnPhase,
@@ -179,8 +180,7 @@ class TestCompile:
             num_videos=80,
             interval_s=300.0,
             num_base_stations=4,
-            area_width_m=1400.0,
-            area_height_m=1100.0,
+            campus=CampusConfig(width_m=1400.0, height_m=1100.0),
             favourite_category="News",
             favourite_user_fraction=0.5,
             controller_mode="handover",
@@ -475,3 +475,13 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_one_building_campus_is_a_one_line_error(self, capsys):
+        """The building count is checked by the campus config compile_spec builds."""
+        code = cli_main(
+            ["run", "campus_fig3", "--intervals", "1", "--override", "mobility.num_buildings=1"]
+        )
+        captured = capsys.readouterr()
+        assert code != 0
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: num_buildings must be at least 2"]

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from collector_reference import reference_collect
 from repro.behavior import WatchRecord, random_preference
-from repro.mobility import StaticMobility
-from repro.net import BaseStation
+from repro.mobility import GraphTrajectoryMobility, StaticMobility
+from repro.net import BaseStation, ChannelConfig, ChannelModel
 from repro.twin import (
     AttributeSpec,
     CollectionPolicy,
@@ -17,7 +19,14 @@ from repro.twin import (
     UserDigitalTwin,
     standard_attributes,
 )
-from repro.twin.attributes import CHANNEL_CONDITION, LOCATION, PREFERENCE, WATCHING_DURATION
+from repro.twin.attributes import (
+    CHANNEL_CONDITION,
+    LOCATION,
+    PREFERENCE,
+    SERVING_CELL,
+    WATCHING_DURATION,
+    serving_cell_attribute,
+)
 
 
 @pytest.fixture
@@ -163,6 +172,23 @@ class TestUserDigitalTwin:
         assert twin.max_staleness_s(5.0) == float("inf")  # other attributes never collected
 
 
+def _collect_one(collector, attributes, mobility, bs, preference, records, start_s, end_s, rng):
+    """One member's status through the group call, as a group of one."""
+    times = np.unique(np.concatenate(collector.position_times(attributes, start_s, end_s)))
+    [status] = collector.collect_interval(
+        attributes,
+        times,
+        mobility.positions(times)[None],
+        [bs],
+        np.asarray(preference)[None],
+        [records],
+        start_s,
+        end_s,
+        rngs=[rng],
+    )
+    return status
+
+
 class TestStatusCollector:
     def _collect(self, policy, interval=(0.0, 60.0)):
         twin = UserDigitalTwin(0, attributes=standard_attributes(num_categories=8))
@@ -172,8 +198,8 @@ class TestStatusCollector:
         preference = random_preference(np.random.default_rng(0)).as_array()
         rng = np.random.default_rng(1)
         twin.record_status(
-            collector.collect_interval(
-                twin.attributes, mobility, bs, preference, [], *interval, rng=rng
+            _collect_one(
+                collector, twin.attributes, mobility, bs, preference, [], *interval, rng
             )
         )
         return twin
@@ -212,19 +238,147 @@ class TestStatusCollector:
         preference = random_preference(np.random.default_rng(0)).as_array()
         record = WatchRecord(0, 5, "News", 3.0, 10.0, swiped=True, timestamp_s=1.0)
         rng = np.random.default_rng(1)
-        status = collector.collect_interval(
-            twin.attributes,
-            mobility,
-            bs,
-            preference,
-            [record],
-            0.0,
-            30.0,
-            rng=rng,
+        status = _collect_one(
+            collector, twin.attributes, mobility, bs, preference, [record], 0.0, 30.0, rng
         )
         assert status.records == [record]
         twin.record_status(status)
         assert twin.watch_records() == [record]
+
+    def test_times_must_hold_every_position_grid(self):
+        collector = StatusCollector()
+        attributes = standard_attributes(num_categories=8)
+        times = np.arange(0.0, 60.0, 2.0)  # misses the odd seconds of the 1 s grid
+        with pytest.raises(ValueError, match="sample times"):
+            collector.collect_interval(
+                attributes,
+                times,
+                np.zeros((1, times.shape[0], 2)),
+                [BaseStation(bs_id=0, position=np.array([0.0, 0.0]))],
+                np.full((1, 8), 1.0 / 8),
+                [[]],
+                0.0,
+                60.0,
+                rngs=[np.random.default_rng(1)],
+            )
+
+
+#: Collection policies the group call is checked under: the period
+#: multiplier reaches past the 60 s interval for every attribute.
+policies = st.builds(
+    CollectionPolicy,
+    period_multiplier=st.one_of(
+        st.just(1.0), st.floats(min_value=0.3, max_value=4.0), st.sampled_from([60.0, 75.0])
+    ),
+    drop_probability=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.95)),
+    delay_s=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=30.0)),
+)
+
+
+class TestGroupCollectionMatchesReference:
+    """The group call equals the per-member reference collector, member by member."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(
+        policy=CollectionPolicy(period_multiplier=75.0, drop_probability=0.5, delay_s=7.0),
+        stations=[0, 1, 1, 0],
+        report_cells=True,
+        fading=True,
+        start_s=60.0,
+        seed=3,
+    )
+    @example(
+        policy=CollectionPolicy(),
+        stations=[1, 0, 1],
+        report_cells=False,
+        fading=False,
+        start_s=0.0,
+        seed=5,
+    )
+    @given(
+        policy=policies,
+        stations=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=5),
+        report_cells=st.booleans(),
+        fading=st.booleans(),
+        start_s=st.sampled_from([0.0, 60.0, 3000.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_group_call_equals_reference(
+        self, campus, policy, stations, report_cells, fading, start_s, seed
+    ):
+        end_s = start_s + 60.0
+        attributes = standard_attributes(num_categories=8)
+        if report_cells:
+            attributes[SERVING_CELL] = serving_cell_attribute()
+        base_stations = [
+            BaseStation(bs_id=0, position=np.array([250.0, 400.0])),
+            BaseStation(
+                bs_id=1,
+                position=np.array([750.0, 400.0]),
+                channel=ChannelModel(
+                    ChannelConfig(shadowing_std_db=4.0 * fading, rayleigh_fading=fading)
+                ),
+            ),
+        ]
+        served_by = [base_stations[index] for index in stations]
+        members = range(len(stations))
+        preferences = np.vstack(
+            [random_preference(np.random.default_rng((seed, m))).as_array() for m in members]
+        )
+        records = [
+            [
+                WatchRecord(m, video, "News", 2.0, 9.0, swiped=True, timestamp_s=start_s + video)
+                for video in range(m + 2)
+            ]
+            for m in members
+        ]
+        cells = [10 + index for index in stations]
+        collector = StatusCollector(policy)
+
+        # The group task's block: the collector's grids plus a 5 s channel grid.
+        times = np.unique(
+            np.concatenate(
+                [
+                    np.arange(start_s, end_s, 5.0),
+                    *collector.position_times(attributes, start_s, end_s),
+                ]
+            )
+        )
+        positions = np.stack(
+            [GraphTrajectoryMobility(campus, seed=(seed, m)).positions(times) for m in members]
+        )
+        statuses = collector.collect_interval(
+            attributes,
+            times,
+            positions,
+            served_by,
+            preferences,
+            records,
+            start_s,
+            end_s,
+            rngs=[np.random.default_rng((seed, m, 1)) for m in members],
+            serving_cells=cells if report_cells else None,
+        )
+
+        assert len(statuses) == len(stations)
+        for m, status in zip(members, statuses):
+            expected = reference_collect(
+                policy,
+                attributes,
+                GraphTrajectoryMobility(campus, seed=(seed, m)),
+                served_by[m],
+                preferences[m],
+                records[m],
+                start_s,
+                end_s,
+                rng=np.random.default_rng((seed, m, 1)),
+                serving_cell=cells[m] if report_cells else None,
+            )
+            assert status.records == expected.records
+            assert list(status.samples) == list(expected.samples)
+            for name, (sample_times, values) in expected.samples.items():
+                assert np.array_equal(status.samples[name][0], sample_times), name
+                assert np.array_equal(status.samples[name][1], values), name
 
 
 class TestDigitalTwinManager:

@@ -121,7 +121,7 @@ class TestTimeSeriesStoreEquivalence:
 
 class TestBatchedSamplingEquivalence:
     def _campus(self):
-        return CampusMap.generate(CampusConfig(num_buildings=8, seed=3))
+        return CampusMap.generate(CampusConfig(num_buildings=8), seed=3)
 
     def test_graph_mobility_positions_match_scalar(self):
         campus = self._campus()
