@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.mobility import (
     PositionTrace,
     StaticMobility,
 )
+from repro.sim.rng import RngRegistry
 
 
 @pytest.fixture
@@ -152,15 +155,17 @@ class TestGraphTrajectoryMobility:
         a = GraphTrajectoryMobility(campus, seed=5)
         b = GraphTrajectoryMobility(campus, seed=5)
         for t in (0.0, 50.0, 123.0, 400.0):
-            np.testing.assert_allclose(a.position(t), b.position(t))
+            np.testing.assert_array_equal(a.position(t), b.position(t))
 
     def test_position_query_order_does_not_matter(self, campus):
+        # Bitwise: sharded workers rebuild walks and query them in another
+        # order than the parent does.
         a = GraphTrajectoryMobility(campus, seed=7)
         b = GraphTrajectoryMobility(campus, seed=7)
         forward = [a.position(t).copy() for t in (10.0, 200.0, 350.0)]
         backward = [b.position(t).copy() for t in (350.0, 200.0, 10.0)][::-1]
         for x, y in zip(forward, backward):
-            np.testing.assert_allclose(x, y)
+            np.testing.assert_array_equal(x, y)
 
     def test_speed_is_plausible(self, campus):
         model = GraphTrajectoryMobility(campus, seed=3, min_speed_mps=1.0, max_speed_mps=2.0, pause_time_s=0.0)
@@ -177,6 +182,61 @@ class TestGraphTrajectoryMobility:
     def test_invalid_speed_range(self, campus):
         with pytest.raises(ValueError):
             GraphTrajectoryMobility(campus, min_speed_mps=2.0, max_speed_mps=1.0)
+
+
+#: Campuses of the walk pin, as (campus seed, buildings).
+PIN_CAMPUSES = ((3, 10), (0, 18), (7, 6))
+#: Walk settings of the pin: the default, no pause, and one fixed speed.
+PIN_SETTINGS = (
+    {},
+    {"pause_time_s": 0.0},
+    {"min_speed_mps": 1.5, "max_speed_mps": 1.5, "pause_time_s": 5.0},
+)
+
+
+def _pin_walk(campus, seed, settings) -> GraphTrajectoryMobility:
+    """A fresh walk; a ``(seed, user)`` pair seeds it as the simulator does."""
+    if not isinstance(seed, int):
+        seed = RngRegistry(seed[0]).mobility_seed(seed[1])
+    return GraphTrajectoryMobility(campus, seed=seed, **settings)
+
+
+def _walk_positions_sha256() -> str:
+    """sha256 of the positions of 45 walks under four kinds of query.
+
+    Each (campus, settings, seed) walk is built four times and asked for:
+    scalar positions in a non-monotone order, a sorted batch then an
+    integer grid over its first 10 minutes, the same batch shuffled, and a
+    two-day horizon.  Seeds include the simulator's per-user seed
+    sequences.
+    """
+    rng = np.random.default_rng(2024)
+    batch = np.sort(rng.uniform(0.0, 3600.0, size=257))
+    shuffled = rng.permutation(batch)
+    horizon = np.linspace(0.0, 2 * 86400.0, 2017)
+    digest = hashlib.sha256()
+    for campus_seed, buildings in PIN_CAMPUSES:
+        campus = CampusMap.generate(CampusConfig(num_buildings=buildings), seed=campus_seed)
+        seeds = (0, 1, 2, (campus_seed, 4), (9, 1000))
+        for settings in PIN_SETTINGS:
+            for seed in seeds:
+                scalar = _pin_walk(campus, seed, settings)
+                for t in (0.0, 450.5, 30.0, 1.0, 3599.0, 60.0, 1e-9):
+                    digest.update(scalar.position(t).tobytes())
+                batched = _pin_walk(campus, seed, settings)
+                digest.update(batched.positions(batch).tobytes())
+                digest.update(batched.positions(np.arange(0.0, 600.0, 1.0)).tobytes())
+                digest.update(_pin_walk(campus, seed, settings).positions(shuffled).tobytes())
+                digest.update(_pin_walk(campus, seed, settings).positions(horizon).tobytes())
+    return digest.hexdigest()
+
+
+#: Taken from the walks before their legs moved into one table.
+WALK_POSITIONS_SHA256 = "26e3821eef4c5edc993da61e3d50cf3b0c92c961d0c18da1d224f7ae9195f68a"
+
+
+def test_walk_positions_are_pinned():
+    assert _walk_positions_sha256() == WALK_POSITIONS_SHA256
 
 
 class TestPositionTrace:

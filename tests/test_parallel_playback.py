@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import os
 import types
 
@@ -47,6 +46,7 @@ from repro.sim.rng import RngRegistry, derive_stream
 from repro.sim.shard import build_interval_plan, run_group_interval
 from repro.timegrid import num_grid_steps, time_grid
 from repro.twin.collector import CollectionPolicy
+from twin_digest import twin_contents_sha256
 
 WORKER_COUNTS = [1, 2]
 _extra = os.environ.get("REPRO_TEST_PLAYBACK_WORKERS")
@@ -250,19 +250,7 @@ def _twin_contents_sha256(workers: int) -> str:
             "engine.collection_delay_s": 7.0,
         },
     )
-    twins = result.simulator.twins
-    digest = hashlib.sha256()
-    for uid in twins.user_ids():
-        twin = twins.twin(uid)
-        digest.update(f"user {uid}".encode())
-        for name in sorted(twin.attributes):
-            store = twin.store(name)
-            digest.update(name.encode())
-            digest.update(store.timestamps().tobytes())
-            digest.update(store.values().tobytes())
-        for record in twin.watch_records():
-            digest.update(repr(dataclasses.astuple(record)).encode())
-    return digest.hexdigest()
+    return twin_contents_sha256(result.simulator.twins)
 
 
 #: The hash of the twin contents above, taken from the per-member collector

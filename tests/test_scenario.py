@@ -40,6 +40,7 @@ from repro.scenario import (
     scenario_names,
 )
 from repro.scenario.runner import MIN_POPULATION
+from twin_digest import twin_contents_sha256
 
 #: ``bench_e2e.digest`` of each playback scenario not pinned elsewhere, run
 #: at its registry defaults (own seed and interval count, one worker).
@@ -51,6 +52,15 @@ PLAYBACK_DIGESTS = {
     "edge_flash_crowd": "f318ac9b177397dfe2771f2ca3f1a404470d1d851aaf1d47fc28ff58cf4360d5",
     "stadium_egress": "7c15a742336de08dbd23f17ebd5bffbb4ba2450d361f24dcbf489719b43c9035",
     "weak_signal_demotion": "4aadccb48bf3321c868e432a1f6e3c1180036dd9841ed0bf18650746c12ba2f3",
+}
+
+#: ``twin_contents_sha256`` of the same runs: the export holds no twin data,
+#: so only this hash sees a change to what the twins collect.
+PLAYBACK_TWIN_CONTENTS = {
+    "commuter_rush": "306d6e73ff01d8b4cfc0fa22b0bd52f2777a4694403878d0ff06ec7b0c4fc472",
+    "edge_flash_crowd": "53107660dafb58dcd81b21a63f9fef6a15df4ff1ccae46570b1cd8b29be9d20c",
+    "stadium_egress": "0f06ed488ca4f2a94d6318893800340ee4bc8385b54a37da7290d4a63fd61549",
+    "weak_signal_demotion": "f55c2a25b20b924dedd2beeec818312a935ef1364efaa6c692aedf53acbc4cd1",
 }
 
 
@@ -379,7 +389,9 @@ class TestRegistry:
 
         spec = get_scenario(name)
         assert spec.mode == "playback" and spec.engine.playback_workers == 1
-        assert digest(run_scenario(name)) == PLAYBACK_DIGESTS[name]
+        run = run_scenario(name)
+        assert digest(run) == PLAYBACK_DIGESTS[name]
+        assert twin_contents_sha256(run.simulator.twins) == PLAYBACK_TWIN_CONTENTS[name]
 
 
 class TestCli:
