@@ -26,7 +26,6 @@ class EdgeServerConfig:
     cache_capacity_gbytes: float = 8.0
     cpu_capacity_cycles_per_s: float = 3.0e9 * 16  # 16 cores at 3 GHz
     cycles_per_pixel: float = 12.0
-    remote_fetch_penalty_s: float = 0.2
 
     def __post_init__(self) -> None:
         if self.cache_capacity_gbytes <= 0:
@@ -35,8 +34,6 @@ class EdgeServerConfig:
             raise ValueError("cpu_capacity_cycles_per_s must be positive")
         if self.cycles_per_pixel <= 0:
             raise ValueError("cycles_per_pixel must be positive")
-        if self.remote_fetch_penalty_s < 0:
-            raise ValueError("remote_fetch_penalty_s must be non-negative")
 
 
 @dataclass
@@ -63,7 +60,11 @@ TranscodeRequest = Tuple[Video, Representation, float]
 
 
 class EdgeServer:
-    """Edge server performing cache lookups and transcoding for multicast groups."""
+    """Edge server performing cache lookups and transcoding for multicast groups.
+
+    A cache miss is counted and the video inserted; fetching it costs no
+    cycles, and no fetch delay is modelled.
+    """
 
     def __init__(
         self,
@@ -93,9 +94,8 @@ class EdgeServer:
 
         ``group_requests`` maps group id to the list of (video, target
         representation, duration) tuples that must be prepared for that
-        group.  Cache misses are counted; the miss penalty does not add
-        cycles (fetching is I/O), but missed videos are inserted so later
-        intervals hit.
+        group.  Cache misses are counted and add no cycles (fetching is
+        I/O); missed videos are inserted so later intervals hit.
         """
         usage = IntervalComputeUsage(interval_index=interval_index)
         for group_id, requests in group_requests.items():

@@ -6,16 +6,15 @@ changes the distance to the serving base station and therefore the channel
 condition the UDTs record.  This subpackage provides:
 
 * :mod:`repro.mobility.campus` -- a networkx waypoint graph laid out like a
-  campus (buildings connected by paths).
+  campus (buildings connected by paths), each route computed once.
 * :mod:`repro.mobility.trajectory` -- graph-constrained trajectories
-  (shortest-path walks between buildings) and position traces.
+  (shortest-path walks between buildings), each walk held in one leg table.
 """
 
 from repro.mobility.campus import CampusConfig, CampusMap
 from repro.mobility.trajectory import (
     GraphTrajectoryMobility,
     MobilityModel,
-    PositionTrace,
     StaticMobility,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "CampusMap",
     "GraphTrajectoryMobility",
     "MobilityModel",
-    "PositionTrace",
     "StaticMobility",
 ]

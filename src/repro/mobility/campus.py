@@ -68,9 +68,6 @@ class CampusMap:
         """2-D coordinates of ``node`` in metres."""
         return np.asarray(self.graph.nodes[node]["pos"], dtype=np.float64)
 
-    def positions(self) -> Dict:
-        return {node: self.position(node) for node in self.graph.nodes}
-
     def random_node(self, rng: np.random.Generator):
         return self._nodes[int(rng.integers(len(self._nodes)))]
 

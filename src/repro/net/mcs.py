@@ -54,10 +54,9 @@ def spectral_efficiency(snr_db: float, implementation_loss: float = 1.0) -> floa
     """Achievable spectral efficiency (bit/s/Hz) at ``snr_db``.
 
     Returns zero when the SNR is below the lowest MCS threshold (outage).
-    ``implementation_loss`` in (0, 1] scales the tabulated efficiency.
+    ``implementation_loss`` in (0, 1] scales the tabulated efficiency;
+    :class:`~repro.sim.config.SimulationConfig` checks the range.
     """
-    if not 0.0 < implementation_loss <= 1.0:
-        raise ValueError("implementation_loss must be in (0, 1]")
     entry = select_mcs(snr_db)
     if entry is None:
         return 0.0

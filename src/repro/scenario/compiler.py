@@ -95,7 +95,6 @@ def compile_spec(spec: ScenarioSpec) -> CompiledScenario:
             cache_capacity_gbytes=spec.edge.cache_capacity_gbytes,
             cpu_capacity_cycles_per_s=spec.edge.cpu_capacity_cycles_per_s,
             cycles_per_pixel=spec.edge.cycles_per_pixel,
-            remote_fetch_penalty_s=spec.edge.remote_fetch_penalty_s,
         ),
         placement=PlacementConfig(
             strategy=spec.placement.strategy,

@@ -178,7 +178,6 @@ class EdgeSpec:
     cache_capacity_gbytes: float = 8.0
     cpu_capacity_cycles_per_s: float = 3.0e9 * 16
     cycles_per_pixel: float = 12.0
-    remote_fetch_penalty_s: float = 0.2
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,8 @@ class SimulationConfig:
             raise ValueError("favourite_boost must be positive")
         if self.stream_bandwidth_hz <= 0 or self.rb_bandwidth_hz <= 0:
             raise ValueError("bandwidths must be positive")
+        if not 0.0 < self.implementation_loss <= 1.0:
+            raise ValueError("implementation_loss must be in (0, 1]")
         if self.channel_sample_period_s <= 0:
             raise ValueError("channel_sample_period_s must be positive")
         if self.controller_mode not in ("boundary", "handover"):

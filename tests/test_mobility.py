@@ -11,10 +11,20 @@ from repro.mobility import (
     CampusConfig,
     CampusMap,
     GraphTrajectoryMobility,
-    PositionTrace,
     StaticMobility,
 )
 from repro.sim.rng import RngRegistry
+
+
+def _leg_table(model: GraphTrajectoryMobility):
+    """The walk's legs: start times, durations, start points and deltas."""
+    size = model._size
+    return (
+        model._start_times[:size],
+        model._durations[:size],
+        model._starts[:size],
+        model._deltas[:size],
+    )
 
 
 @pytest.fixture
@@ -77,16 +87,32 @@ class TestRouteMemo:
         with pytest.raises(ValueError):
             route[0, 0] = -1.0
 
-    def test_legs_hold_read_only_route_views(self, campus):
+    def test_legs_hold_read_only_route_views(self):
+        # The leg table holds copies of the cached routes' rows: one leg per
+        # pair of consecutive rows, and the routes stay read-only.
+        campus = CampusMap.generate(CampusConfig(num_buildings=10), seed=3)
+        routes = []
+        route_positions = campus.route_positions
+
+        def recorded(source, target):
+            routes.append(route_positions(source, target))
+            return routes[-1]
+
+        campus.route_positions = recorded
         model = GraphTrajectoryMobility(campus, seed=4)
         model.positions([900.0])
-        walked = [leg for leg in model._legs if not np.array_equal(leg.start, leg.end)]
-        assert walked
-        for leg in walked:
-            with pytest.raises(ValueError):
-                leg.start[0] = -1.0
-            with pytest.raises(ValueError):
-                leg.end[0] = -1.0
+        start_times, durations, starts, deltas = _leg_table(model)
+        walked = np.any(deltas != 0.0, axis=1)
+        assert routes
+        np.testing.assert_array_equal(starts[walked], np.concatenate([r[:-1] for r in routes]))
+        steps = np.concatenate([np.diff(r, axis=0) for r in routes])
+        np.testing.assert_array_equal(deltas[walked], steps)
+        # Every pause is held at the walk's start or at a route's last row.
+        stops = {starts[0].tobytes()} | {r[-1].tobytes() for r in routes}
+        assert all(start.tobytes() in stops for start in starts[~walked])
+        np.testing.assert_allclose(start_times[1:], start_times[:-1] + durations[:-1])
+        for route in routes:
+            assert not route.flags.writeable
 
     def test_routes_are_computed_once_per_ordered_pair(self, monkeypatch):
         import repro.mobility.campus as campus_module
@@ -116,12 +142,8 @@ class TestRouteMemo:
             on_fresh = GraphTrajectoryMobility(fresh, seed=seed)
             on_warm.positions([3000.0])
             on_fresh.positions([3000.0])
-            assert len(on_warm._legs) == len(on_fresh._legs)
-            for a, b in zip(on_warm._legs, on_fresh._legs):
-                assert a.start_time_s == b.start_time_s
-                assert a.end_time_s == b.end_time_s
-                assert a.start.tobytes() == b.start.tobytes()
-                assert a.end.tobytes() == b.end.tobytes()
+            for a, b in zip(_leg_table(on_warm), _leg_table(on_fresh)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestStaticMobility:
@@ -169,10 +191,13 @@ class TestGraphTrajectoryMobility:
 
     def test_speed_is_plausible(self, campus):
         model = GraphTrajectoryMobility(campus, seed=3, min_speed_mps=1.0, max_speed_mps=2.0, pause_time_s=0.0)
-        times = np.arange(0.0, 300.0, 1.0)
-        trace = model.trace(times)
-        displacements = np.linalg.norm(np.diff(trace.positions, axis=0), axis=1)
+        positions = model.positions(np.arange(0.0, 300.0, 1.0))
+        displacements = np.linalg.norm(np.diff(positions, axis=0), axis=1)
         assert displacements.max() <= 2.0 + 1e-6
+        # With no pauses every leg is walked, at the trip's speed.
+        _, durations, _, deltas = _leg_table(model)
+        speeds = np.linalg.norm(deltas, axis=1) / durations
+        assert np.all((speeds > 1.0 - 1e-9) & (speeds < 2.0 + 1e-9))
 
     def test_negative_time_rejected(self, campus):
         model = GraphTrajectoryMobility(campus, seed=1)
@@ -237,22 +262,3 @@ WALK_POSITIONS_SHA256 = "26e3821eef4c5edc993da61e3d50cf3b0c92c961d0c18da1d224f7a
 
 def test_walk_positions_are_pinned():
     assert _walk_positions_sha256() == WALK_POSITIONS_SHA256
-
-
-class TestPositionTrace:
-    def test_distance_travelled(self):
-        trace = PositionTrace(times=[0.0, 1.0, 2.0], positions=[[0.0, 0.0], [3.0, 4.0], [3.0, 4.0]])
-        assert trace.distance_travelled() == pytest.approx(5.0)
-
-    def test_distances_to_point(self):
-        trace = PositionTrace(times=[0.0, 1.0], positions=[[0.0, 0.0], [3.0, 4.0]])
-        np.testing.assert_allclose(trace.distances_to([0.0, 0.0]), [0.0, 5.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PositionTrace(times=[0.0], positions=[[0.0, 0.0], [1.0, 1.0]])
-
-    def test_trace_from_model(self, campus):
-        model = GraphTrajectoryMobility(campus, seed=8)
-        trace = model.trace(np.arange(0.0, 50.0, 5.0))
-        assert len(trace) == 10

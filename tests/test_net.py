@@ -21,6 +21,7 @@ from repro.net import (
     spectral_efficiency,
 )
 from repro.net.basestation import place_base_stations
+from repro.sim.config import SimulationConfig
 
 
 @pytest.fixture
@@ -118,8 +119,10 @@ class TestMcs:
         )
 
     def test_invalid_implementation_loss(self):
-        with pytest.raises(ValueError):
-            spectral_efficiency(10.0, implementation_loss=0.0)
+        for loss in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="implementation_loss"):
+                SimulationConfig(implementation_loss=loss)
+        assert SimulationConfig(implementation_loss=1.0).implementation_loss == 1.0
 
 
 class TestBaseStations:

@@ -456,13 +456,13 @@ class TestCli:
             ("multicell_campus", "edge.num_servers=0"),
             ("multicell_campus", "edge.num_servers=2"),
             ("multicell_campus", "edge.cache_capacity_gbytes=0"),
-            ("multicell_campus", "edge.remote_fetch_penalty_s=-1"),
             ("multicell_campus", "placement.strategy=bogus"),
             ("multicell_campus", "placement.horizon_intervals=0"),
             ("multicell_campus", "placement.mispredict_threshold=0"),
             ("multicell_campus", "catalog.recommendation_popularity_weight=2"),
             ("multicell_campus", "topology.tx_power_dbm=NaN"),
             ("multicell_campus", "topology.tx_power_dbm=nan"),
+            ("multicell_campus", "topology.implementation_loss=0"),
             ("edge_flash_crowd", "edge.cycles_per_pixel=-1"),
             ("campus_fig3", "controller.apps=a3_handover"),
             ("campus_fig3", "engine.feature_steps=0"),
