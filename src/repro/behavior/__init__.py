@@ -7,7 +7,8 @@ a multicast group really needs.  This subpackage models the behaviour that
 generates those traces:
 
 * :mod:`repro.behavior.preference` -- per-user category preference vectors
-  updated from engagement time (the "preference" UDT attribute).
+  and the population-wide engagement update (the "preference" UDT
+  attribute).
 * :mod:`repro.behavior.watching` -- watching-duration model conditioned on
   how well a video matches the user's preference.
 * :mod:`repro.behavior.swiping` -- swipe-probability distributions derived
@@ -17,8 +18,8 @@ generates those traces:
 """
 
 from repro.behavior.preference import (
-    PreferenceModel,
     PreferenceVector,
+    blend_engagement,
     cosine_similarity,
     random_preference,
 )
@@ -31,13 +32,13 @@ from repro.behavior.swiping import (
 from repro.behavior.session import SessionConfig, SessionGenerator
 
 __all__ = [
-    "PreferenceModel",
     "PreferenceVector",
     "SessionConfig",
     "SessionGenerator",
     "SwipeProbabilityEstimator",
     "WatchRecord",
     "WatchingDurationModel",
+    "blend_engagement",
     "cosine_similarity",
     "empirical_swipe_distribution",
     "random_preference",

@@ -2,9 +2,10 @@
 
 A preference vector is a probability distribution over the category
 taxonomy.  The paper updates preferences "based on preference labels and
-engagement time"; :class:`PreferenceModel` implements that update as an
-exponential moving average between the stored preference and the observed
-engagement share per category.
+engagement time"; :func:`blend_engagement` implements that update for a
+whole population's preference table at once, as an exponential moving
+average between each stored row and the user's observed engagement share
+per category.
 """
 
 from __future__ import annotations
@@ -106,39 +107,47 @@ def cosine_similarity(a: PreferenceVector, b: PreferenceVector) -> float:
     return float(np.dot(va, vb) / denom)
 
 
-class PreferenceModel:
-    """Engagement-driven preference updates for a single user.
+def blend_engagement(
+    table: np.ndarray,
+    rows: np.ndarray,
+    categories: np.ndarray,
+    durations: np.ndarray,
+    learning_rate: float,
+) -> None:
+    """Blend each user's engagement share into their row of ``table``, in place.
 
-    The stored preference is blended with the engagement-time share observed
-    in the latest window: ``p <- (1 - lr) * p + lr * engagement_share``.
+    ``table`` holds one preference row per user, columns in category
+    order.  Each watch record contributes its duration ``durations[k]`` to
+    user row ``rows[k]`` and category column ``categories[k]``; each user's
+    records come in playback order.  A row with engagement total ``T``
+    becomes ``p <- (1 - lr) * p + lr * e / T``, clamped at zero and
+    renormalised.  Rows with no records or a zero total keep their values.
+
+    The arithmetic runs in the order of a per-user dictionary update: each
+    (user, category) engagement is summed over the user's records in
+    playback order, and the total adds the categories left to right in the
+    order they first appear in the user's records.
     """
-
-    def __init__(
-        self,
-        initial: PreferenceVector,
-        learning_rate: float = 0.2,
-    ) -> None:
-        if not 0.0 <= learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in [0, 1]")
-        self._preference = initial
-        self.learning_rate = learning_rate
-        self.categories = initial.categories
-
-    @property
-    def preference(self) -> PreferenceVector:
-        return self._preference
-
-    def update_from_engagement(self, engagement_seconds: Mapping[str, float]) -> PreferenceVector:
-        """Update the preference from per-category engagement time (seconds)."""
-        total = float(sum(max(v, 0.0) for v in engagement_seconds.values()))
-        if total <= 0:
-            return self._preference
-        observed = np.array(
-            [max(engagement_seconds.get(c, 0.0), 0.0) / total for c in self.categories]
-        )
-        current = self._preference.as_array(self.categories)
-        blended = (1.0 - self.learning_rate) * current + self.learning_rate * observed
-        self._preference = PreferenceVector(
-            dict(zip(self.categories, blended)), categories=self.categories
-        )
-        return self._preference
+    num_categories = table.shape[1]
+    users, inverse = np.unique(rows, return_inverse=True)
+    keys = inverse * num_categories + categories
+    cells = users.shape[0] * num_categories
+    engagement = np.maximum(
+        np.bincount(keys, weights=durations, minlength=cells), 0.0
+    ).reshape(users.shape[0], num_categories)
+    # Each category's first record per user; categories with no record sort
+    # last, where their zero engagement cannot change the total.
+    present, first = np.unique(keys, return_index=True)
+    first_seen = np.full(cells, keys.shape[0])
+    first_seen[present] = first
+    order = np.argsort(first_seen.reshape(engagement.shape), axis=1, kind="stable")
+    by_appearance = np.take_along_axis(engagement, order, axis=1)
+    total = by_appearance[:, 0].copy()
+    for column in range(1, num_categories):
+        total += by_appearance[:, column]
+    update = ~(total <= 0.0)
+    observed = engagement[update] / total[update, None]
+    blended = np.maximum(
+        (1.0 - learning_rate) * table[users[update]] + learning_rate * observed, 0.0
+    )
+    table[users[update]] = blended / blended.sum(axis=1)[:, None]

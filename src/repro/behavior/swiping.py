@@ -18,6 +18,7 @@ from typing import Dict, Iterable, Sequence
 import numpy as np
 
 from repro.behavior.watching import WatchRecord
+from repro.numeric import ordered_sum
 from repro.video.categories import DEFAULT_CATEGORIES
 
 
@@ -138,7 +139,7 @@ class SwipeProbabilityEstimator:
 
     def category_watch_share(self) -> Dict[str, float]:
         """Share of total engagement time per category (sums to one)."""
-        total = sum(self._engagement_seconds.values())
+        total = ordered_sum(self._engagement_seconds.values())
         if total <= 0:
             return {category: 1.0 / len(self.categories) for category in self.categories}
         return {

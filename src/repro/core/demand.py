@@ -29,6 +29,7 @@ from repro.core.swiping import GroupSwipingProfile
 from repro.edge.transcoding import TranscodingCostModel
 from repro.net.mcs import spectral_efficiency
 from repro.net.multicast import resource_blocks_for_traffic
+from repro.numeric import ordered_sum
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import derive_stream, window_token
 from repro.twin.attributes import CHANNEL_CONDITION
@@ -245,11 +246,11 @@ class GroupDemandPredictor:
             for p in predictions.values()
             if np.isfinite(p.radio_resource_blocks)
         ]
-        return float(sum(finite))
+        return float(ordered_sum(finite))
 
     @staticmethod
     def total_computing_cycles(predictions: Mapping[int, GroupDemandPrediction]) -> float:
-        return float(sum(p.computing_cycles for p in predictions.values()))
+        return float(ordered_sum(p.computing_cycles for p in predictions.values()))
 
     @staticmethod
     def radio_blocks_by_cell(

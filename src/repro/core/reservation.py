@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.demand import GroupDemandPrediction
 from repro.net.resources import ResourceGrid
+from repro.numeric import ordered_sum
 
 
 @dataclass
@@ -88,11 +89,11 @@ class AdmissionResult:
 
     @property
     def total_granted(self) -> float:
-        return float(sum(self.granted.values()))
+        return float(ordered_sum(self.granted.values()))
 
     @property
     def total_requested(self) -> float:
-        return float(sum(self.requested.values()))
+        return float(ordered_sum(self.requested.values()))
 
 
 class AdmissionController:
@@ -109,7 +110,7 @@ class AdmissionController:
 
     def admit(self, requests: Mapping[int, float]) -> AdmissionResult:
         requests = {gid: max(float(blocks), 0.0) for gid, blocks in requests.items()}
-        total = sum(requests.values())
+        total = ordered_sum(requests.values())
         if total <= self.total_blocks or total == 0.0:
             return AdmissionResult(granted=dict(requests), requested=dict(requests), scaled_down=False)
         scale = self.total_blocks / total

@@ -12,6 +12,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.numeric import ordered_sum
 from repro.video.catalog import Video
 
 
@@ -71,7 +72,7 @@ class VideoCache:
 
     @property
     def used_bytes(self) -> float:
-        return float(sum(entry.size_bytes for entry in self._entries.values()))
+        return float(ordered_sum(entry.size_bytes for entry in self._entries.values()))
 
     @property
     def free_bytes(self) -> float:

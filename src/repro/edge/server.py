@@ -15,6 +15,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.edge.cache import VideoCache
 from repro.edge.transcoding import TranscodingCostModel
+from repro.numeric import ordered_sum
 from repro.video.catalog import Video, VideoCatalog
 from repro.video.representations import Representation
 
@@ -46,7 +47,7 @@ class IntervalComputeUsage:
 
     @property
     def total_cycles(self) -> float:
-        return float(sum(self.cycles_by_group.values()))
+        return float(ordered_sum(self.cycles_by_group.values()))
 
     def utilization(self, cpu_capacity_cycles_per_s: float, interval_s: float) -> float:
         """Fraction of the CPU budget the interval consumed."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.numeric import ordered_sum
 from repro.video.catalog import Video
 from repro.video.representations import Representation
 
@@ -81,4 +82,4 @@ class TranscodingCostModel:
         return self._transcode_cycles(source, target, duration)
 
     def total_cycles(self, jobs: Iterable[TranscodingJob]) -> float:
-        return float(sum(self.job_cycles(job) for job in jobs))
+        return float(ordered_sum(self.job_cycles(job) for job in jobs))

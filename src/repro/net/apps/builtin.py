@@ -44,6 +44,7 @@ from repro.net.apps.base import (
 )
 from repro.net.controller import GroupScopeEvent, HandoverEvent
 from repro.net.handover import HandoverPolicy, StreakState
+from repro.numeric import ordered_sum
 
 
 @register_app
@@ -186,8 +187,8 @@ class ProRataRebalanceApp(ControllerApp):
 
     def on_interval_end(self, ctx: LoadContext) -> None:
         deficits, surpluses = _classify_cells(self.runtime)
-        total_deficit = sum(deficits.values())
-        total_surplus = sum(surpluses.values())
+        total_deficit = ordered_sum(deficits.values())
+        total_surplus = ordered_sum(surpluses.values())
         transfer = min(total_deficit, total_surplus)
         if transfer <= 0:
             return

@@ -23,7 +23,7 @@ from repro.net.mcs import spectral_efficiency
 
 def group_spectral_efficiency(
     member_snrs_db: Sequence[float],
-    implementation_loss: float = 0.9,
+    implementation_loss: float,
 ) -> float:
     """Spectral efficiency of a multicast group (worst-member rule)."""
     snrs = np.asarray(member_snrs_db, dtype=np.float64)
@@ -35,8 +35,8 @@ def group_spectral_efficiency(
 def resource_blocks_for_traffic(
     traffic_bits: float,
     efficiency_bps_hz: float,
-    rb_bandwidth_hz: float = 180e3,
-    interval_s: float = 300.0,
+    rb_bandwidth_hz: float,
+    interval_s: float,
 ) -> float:
     """Average number of resource blocks needed to move ``traffic_bits`` in ``interval_s``.
 

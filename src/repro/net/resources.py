@@ -17,6 +17,8 @@ from typing import Dict, List, Mapping
 
 import numpy as np
 
+from repro.numeric import ordered_sum
+
 
 class ResourceBlockBudget:
     """Tracks reservations against a fixed number of resource blocks."""
@@ -30,7 +32,7 @@ class ResourceBlockBudget:
     # ------------------------------------------------------------ accessors
     @property
     def reserved_blocks(self) -> float:
-        return float(sum(self._reservations.values()))
+        return float(ordered_sum(self._reservations.values()))
 
     @property
     def available_blocks(self) -> float:

@@ -25,6 +25,7 @@ from repro.edge.server import (
     IntervalComputeUsage,
     TranscodeRequest,
 )
+from repro.numeric import ordered_sum
 from repro.video.catalog import VideoCatalog
 
 
@@ -47,7 +48,7 @@ class FleetComputeUsage:
 
     @property
     def total_cycles(self) -> float:
-        return float(sum(u.total_cycles for u in self.usage_by_server.values()))
+        return float(ordered_sum(u.total_cycles for u in self.usage_by_server.values()))
 
     @property
     def cache_misses(self) -> int:
@@ -118,7 +119,7 @@ class EdgeFleet:
             seen: Dict[int, float] = {}
             for video, _target, _duration in requests:
                 seen.setdefault(video.video_id, video_size_bytes(video))
-            usage.cache_bytes_by_group[group_id] = float(sum(seen.values()))
+            usage.cache_bytes_by_group[group_id] = float(ordered_sum(seen.values()))
         return usage
 
     # ------------------------------------------------------------ reporting

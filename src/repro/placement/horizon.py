@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.reservation import AdmissionController, ReservationPolicy
 from repro.net.resources import ResourceGrid
+from repro.numeric import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ class HorizonReservationPlanner:
                 budget = self.scripted_budget(cell, future)
                 if budget <= 0.0:
                     granted_total = 0.0
-                    requested_total = float(sum(requests.values()))
+                    requested_total = float(ordered_sum(requests.values()))
                     scaled = True
                 else:
                     admitted = AdmissionController(budget).admit(requests)

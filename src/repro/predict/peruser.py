@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.net.mcs import spectral_efficiency
 from repro.net.multicast import resource_blocks_for_traffic
+from repro.numeric import ordered_sum
 from repro.sim.config import SimulationConfig
 from repro.twin.attributes import CHANNEL_CONDITION
 from repro.twin.manager import DigitalTwinManager
@@ -108,4 +109,4 @@ class PerUserDemandPredictor:
 
     def total_resource_blocks(self, predictions: Dict[int, PerUserPrediction]) -> float:
         finite = [p.resource_blocks for p in predictions.values() if np.isfinite(p.resource_blocks)]
-        return float(sum(finite))
+        return float(ordered_sum(finite))

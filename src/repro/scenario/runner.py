@@ -21,6 +21,7 @@ import numpy as np
 from repro.core import DTResourcePredictionScheme
 from repro.core.pipeline import EvaluationResult
 from repro.core.reservation import ReservationPolicy
+from repro.numeric import ordered_sum
 from repro.placement.horizon import DemandShock, HorizonReservationPlanner
 from repro.scenario.compiler import compile_spec
 from repro.scenario.spec import (
@@ -347,13 +348,10 @@ class ScenarioRunner:
         if grouping_spec.policy == "round_robin":
             return round_robin_grouping(user_ids, grouping_spec.num_groups)
         # "preference", the remaining policy GroupingSpec accepts.
-        categories = tuple(simulator.config.categories)
+        favourites = np.argmax(simulator.preference_weights(user_ids), axis=1)
         grouping: Dict[int, List[int]] = {}
-        for uid in user_ids:
-            weights = simulator.users[uid].preference.as_array(categories)
-            grouping.setdefault(
-                int(np.argmax(weights)) % grouping_spec.num_groups, []
-            ).append(uid)
+        for uid, favourite in zip(user_ids, favourites.tolist()):
+            grouping.setdefault(favourite % grouping_spec.num_groups, []).append(uid)
         return {gid: members for gid, members in sorted(grouping.items()) if members}
 
     # -------------------------------------------------------------- reporting
@@ -517,7 +515,7 @@ class ScenarioRunner:
             summary.setdefault("mean_actual_radio_blocks", float(actual.mean()))
             summary.setdefault(
                 "total_computing_cycles",
-                float(sum(r.total_computing_cycles for r in raw_results)),
+                float(ordered_sum(r.total_computing_cycles for r in raw_results)),
             )
             summary.setdefault(
                 "total_handovers", int(sum(r.num_handovers for r in raw_results))
@@ -529,14 +527,14 @@ class ScenarioRunner:
         if simulator is not None and raw_results:
             fleet = simulator.edge_fleet
             fleet_utilization = [
-                float(sum(r.edge_utilization_by_server.values())) / fleet.num_servers
+                float(ordered_sum(r.edge_utilization_by_server.values())) / fleet.num_servers
                 for r in raw_results
             ]
             summary["edge"] = {
                 "num_servers": int(fleet.num_servers),
                 "total_cycles": float(
-                    sum(
-                        sum(r.edge_utilization_by_server.values())
+                    ordered_sum(
+                        ordered_sum(r.edge_utilization_by_server.values())
                         * simulator.config.edge_server.cpu_capacity_cycles_per_s
                         * simulator.config.interval_s
                         for r in raw_results

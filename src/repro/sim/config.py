@@ -100,6 +100,12 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.num_users <= 0 or self.num_videos <= 0:
             raise ValueError("num_users and num_videos must be positive")
+        if self.zipf_exponent < 0:
+            raise ValueError("zipf_exponent must be non-negative")
+        if self.preference_concentration <= 0:
+            raise ValueError("preference_concentration must be positive")
+        if not 0.0 <= self.preference_learning_rate <= 1.0:
+            raise ValueError("preference_learning_rate must be in [0, 1]")
         if self.interval_s <= 0:
             raise ValueError("interval_s must be positive")
         if self.num_base_stations <= 0:
@@ -112,6 +118,8 @@ class SimulationConfig:
             raise ValueError("favourite_boost must be positive")
         if self.stream_bandwidth_hz <= 0 or self.rb_bandwidth_hz <= 0:
             raise ValueError("bandwidths must be positive")
+        if self.num_resource_blocks <= 0:
+            raise ValueError("num_resource_blocks must be positive")
         if not 0.0 < self.implementation_loss <= 1.0:
             raise ValueError("implementation_loss must be in (0, 1]")
         if self.channel_sample_period_s <= 0:

@@ -15,12 +15,14 @@ way whether it stays in the parent or goes to the worker pool:
   ``(seed, interval, group)`` stream with the worst-member rule, multicast
   playback from its watch stream, and twin status collection from each
   member's ``(seed, interval, user)`` stream.  It returns a
-  :class:`GroupOutcome` carrying each member's
-  :class:`~repro.twin.collector.CollectedStatus`; the parent folds outcomes
-  in group order and appends each status to the member's twin, which is
-  written nowhere else.  Inline intervals map it over the in-process plan
-  with the parent's mobility models; sharded intervals map
-  :func:`_run_shard_task` over the pool.
+  :class:`GroupOutcome` carrying the group's
+  :class:`~repro.twin.collector.CollectedStatus` (one block per attribute)
+  and each member's position at the interval's end; the parent folds
+  outcomes in group order, appends each group's status to its members'
+  twins in one call, which is the only place twins are written, and keeps
+  the end positions for the next boundary's association.  Inline intervals
+  map it over the in-process plan with the parent's mobility models;
+  sharded intervals map :func:`_run_shard_task` over the pool.
 
 * :class:`SharedIntervalPlan` — the parent-owned shared-memory fabric a
   sharded interval publishes its plan through.  Segments are ring-reused
@@ -146,8 +148,11 @@ class GroupOutcome(NamedTuple):
     representation: Representation
     #: Per-member mean SNR in dB, in ``usage.member_ids`` order.
     mean_snrs: List[float]
-    #: Per-member collected status, for the parent to append to the twins.
-    collection: Dict[int, CollectedStatus]
+    #: The group's collected status, for the parent to append to the twins.
+    collection: CollectedStatus
+    #: ``(members, 2)`` positions at the interval's end, in
+    #: ``usage.member_ids`` order.
+    end_positions: np.ndarray
     #: ``(stage1_s, playback_s, collection_s)`` of this task.
     stage_times: Tuple[float, float, float]
 
@@ -155,15 +160,17 @@ class GroupOutcome(NamedTuple):
 def build_interval_plan(
     grouping: Mapping[int, Sequence[int]],
     users: Mapping[int, Any],
+    preferences: np.ndarray,
     categories: Sequence[str],
     catalog: VideoCatalog,
     popularity_weight: float,
 ) -> IntervalPlan:
     """The :class:`IntervalPlan` of one interval's played grouping.
 
-    ``users`` maps a user id to its live state (``serving_bs_id``,
-    ``preference``).  ``weights`` holds one preference row per member slot
-    in config-category order (the collector's order); ``cdf`` holds one
+    ``users`` maps a user id to its live state (``serving_bs_id``), and
+    row ``u`` of ``preferences`` is user ``u``'s preference weights in
+    ``categories`` order (the config's, and the collector's).  ``weights``
+    gathers one of those rows per member slot; ``cdf`` holds one
     video-sampling CDF per group: the catalog's served-video distribution
     (:meth:`~repro.video.catalog.VideoCatalog.sampling_probabilities`) for
     the group's mean preference.
@@ -174,7 +181,7 @@ def build_interval_plan(
     np.cumsum([len(group) for group in members], out=offsets[1:])
     flat = [uid for group in members for uid in group]
     serving = np.array([users[uid].serving_bs_id for uid in flat], dtype=np.int64)
-    weights = np.vstack([users[uid].preference.as_array(categories) for uid in flat])
+    weights = preferences[np.array(flat, dtype=np.intp)]
     cdf = np.empty((len(members), len(catalog)))
     for row in range(len(members)):
         mean = weights[offsets[row] : offsets[row + 1]].mean(axis=0)
@@ -206,20 +213,21 @@ def run_group_interval(
     """One group's whole interval, as a pure function of its plan slices and keys.
 
     Each member's trajectory is evaluated once, as one ``(members, times,
-    2)`` block on the sorted union of the stage-1 channel grid and the
-    collector's position grids; stages 1 and 3 read their own columns of
-    it.  Stage 1 draws every member's SNR trace from the group's channel
-    stream: one ``sample_snr_traces`` block per serving station, stations
-    sorted so the stream walk depends only on (members, associations).  The
-    worst-member rule over the per-member mean SNRs then fixes the group's
+    2)`` block on the sorted union of the stage-1 channel grid, the
+    collector's position grids and the interval's end; stages 1 and 3 read
+    their own columns of it, and the end column is returned as the
+    members' positions at the next boundary.  Stage 1 draws every member's
+    SNR trace from the group's channel stream: one ``sample_snr_traces``
+    block per serving station, stations sorted so the stream walk depends
+    only on (members, associations).  The worst-member rule over the per-member mean SNRs then fixes the group's
     efficiency and representation.  Stage 2 plays the group's shared
     multicast stream: video choices and watch durations come from the
     group's watch stream, per-member weights from the plan's weight rows
     (config-category order) and video choices from its CDF row.  Stage 3
     runs the status collector for every member from their ``(interval,
     user)`` stream — samples and a lossy policy's drop decisions alike — into
-    one :class:`CollectedStatus` per member, in one collector call for the
-    whole group; no twin is touched.
+    one :class:`CollectedStatus` block per attribute, in one collector call
+    for the whole group; no twin is touched.
     """
     # Imported lazily: repro.sim.simulator imports this module at load time.
     from repro.sim.simulator import GroupIntervalUsage
@@ -240,10 +248,13 @@ def run_group_interval(
             [
                 channel_times,
                 *static.collector.position_times(static.attributes, start_s, end_s),
+                [end_s],
             ]
         )
     )
     positions = np.stack([mobility_for(uid).positions(times) for uid in member_ids])
+    # A copy: a view would keep the whole block alive in the parent.
+    end_positions = positions[:, times.searchsorted(end_s)].copy()
     channel_columns = times.searchsorted(channel_times)
 
     rng = registry.channel_stream(interval_index, group_id)
@@ -324,7 +335,7 @@ def run_group_interval(
     )
     playback_done = time.perf_counter()
 
-    statuses = static.collector.collect_interval(
+    collection = static.collector.collect_interval(
         static.attributes,
         times,
         positions,
@@ -336,7 +347,6 @@ def run_group_interval(
         rngs=[registry.collection_stream(interval_index, uid) for uid in member_ids],
         serving_cells=serving if static.report_cells else None,
     )
-    collection: Dict[int, CollectedStatus] = dict(zip(member_ids, statuses))
 
     stage_times = (
         stage1_done - started,
@@ -344,7 +354,14 @@ def run_group_interval(
         time.perf_counter() - playback_done,
     )
     return GroupOutcome(
-        usage, records, requests, representation, mean_snrs, collection, stage_times
+        usage,
+        records,
+        requests,
+        representation,
+        mean_snrs,
+        collection,
+        end_positions,
+        stage_times,
     )
 
 

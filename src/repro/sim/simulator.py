@@ -34,8 +34,9 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.behavior.preference import PreferenceModel, PreferenceVector, random_preference
+from repro.behavior.preference import blend_engagement, random_preference
 from repro.behavior.watching import WatchingDurationModel, WatchRecord
+from repro.numeric import ordered_sum
 from repro.placement.fleet import EdgeFleet
 from repro.placement.manager import PlacementManager, ReprovisionEvent
 from repro.placement.planner import ServerCapacity, fragmentation_index
@@ -68,16 +69,15 @@ from repro.video.catalog import CatalogConfig, VideoCatalog
 
 @dataclass
 class UserState:
-    """Live state of one simulated user."""
+    """Live state of one simulated user.
+
+    Preferences and boundary positions are held population-wide by the
+    simulator (see :meth:`StreamingSimulator.preference_weights`).
+    """
 
     user_id: int
     mobility: MobilityModel
-    preference_model: PreferenceModel
     serving_bs_id: int = 0
-
-    @property
-    def preference(self) -> PreferenceVector:
-        return self.preference_model.preference
 
 
 @dataclass
@@ -130,9 +130,9 @@ class IntervalResult:
     #: sharded: ``stage1_s`` (channel draws), ``playback_s`` (multicast
     #: playback) and ``collection_s`` (twin status collection) each sum the
     #: group tasks' own stage times; ``playback_s`` adds the parent's plan
-    #: build and record merge, ``collection_s`` its appends of the collected
-    #: status to the twins.  Time spent waiting on the worker pool counts in
-    #: none of them.
+    #: build and record merge, ``collection_s`` its one
+    #: :meth:`~repro.twin.manager.DigitalTwinManager.append_group` call per
+    #: group.  Time spent waiting on the worker pool counts in none of them.
     timing: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -187,15 +187,17 @@ class IntervalResult:
             for usage in self.usage_by_group.values()
             if np.isfinite(usage.resource_blocks)
         ]
-        return float(sum(finite))
+        return float(ordered_sum(finite))
 
     @property
     def total_computing_cycles(self) -> float:
-        return float(sum(usage.computing_cycles for usage in self.usage_by_group.values()))
+        return float(
+            ordered_sum(usage.computing_cycles for usage in self.usage_by_group.values())
+        )
 
     @property
     def total_traffic_bits(self) -> float:
-        return float(sum(usage.traffic_bits for usage in self.usage_by_group.values()))
+        return float(ordered_sum(usage.traffic_bits for usage in self.usage_by_group.values()))
 
 
 def singleton_grouping(user_ids: Sequence[int]) -> Dict[int, List[int]]:
@@ -261,7 +263,14 @@ class StreamingSimulator:
         )
         self._bs_by_id = {bs.bs_id: bs for bs in self.base_stations}
 
-        # Users.
+        # Users.  The preference weights live in one population table (a
+        # row per user id, config-category order) that each interval updates
+        # at once.  Each user's position at the current interval boundary is
+        # stored too: set when the user joins, then returned by the group
+        # tasks for the next boundary.
+        self.clock = SimulationClock(interval_s=config.interval_s)
+        self._category_column = {c: i for i, c in enumerate(config.categories)}
+        self._preferences = np.empty((config.num_users, len(config.categories)))
         self.users: Dict[int, UserState] = {}
         num_favoured = int(round(config.favourite_user_fraction * config.num_users))
         for user_id in range(config.num_users):
@@ -271,7 +280,10 @@ class StreamingSimulator:
                 else None
             )
             self.users[user_id] = self._new_user(user_id, favourite)
-        self._associate_users(time_s=0.0)
+        self._positions = {
+            uid: user.mobility.position(self.clock.now_s) for uid, user in self.users.items()
+        }
+        self._associate_users()
 
         # Event-driven multi-cell RAN controller (handover mode only; the
         # default boundary mode keeps the pre-controller behaviour exactly).
@@ -309,7 +321,6 @@ class StreamingSimulator:
 
         # Behaviour and bookkeeping.
         self.watching_model = WatchingDurationModel()
-        self.clock = SimulationClock(interval_s=config.interval_s)
         self.history: List[IntervalResult] = []
 
         # Static state of the per-group interval stages, read inline and
@@ -341,7 +352,7 @@ class StreamingSimulator:
         The preference draw uses the ``(seed, user, tag)`` setup stream and
         the trajectory ``SeedSequence((seed, user_id))``, so population churn
         never perturbs another user's draws and no two (seed, user) pairs
-        share a walk.
+        share a walk.  Fills the user's preference row.
         """
         config = self.config
         preference = random_preference(
@@ -351,13 +362,16 @@ class StreamingSimulator:
             favourite=favourite,
             favourite_boost=config.favourite_boost,
         )
+        rows = self._preferences.shape[0]
+        if user_id >= rows:
+            grown = np.empty((max(2 * rows, user_id + 1), self._preferences.shape[1]))
+            grown[:rows] = self._preferences
+            self._preferences = grown
+        self._preferences[user_id] = preference.as_array()
         return UserState(
             user_id=user_id,
             mobility=GraphTrajectoryMobility(
                 self.campus, seed=self._registry.mobility_seed(user_id)
-            ),
-            preference_model=PreferenceModel(
-                preference, learning_rate=config.preference_learning_rate
             ),
         )
 
@@ -419,6 +433,13 @@ class StreamingSimulator:
     def user_ids(self) -> List[int]:
         return sorted(self.users.keys())
 
+    def preference_weights(self, user_ids: Sequence[int]) -> np.ndarray:
+        """The users' preference weights, one row each in config-category order."""
+        missing = [uid for uid in user_ids if uid not in self.users]
+        if missing:
+            raise KeyError(f"unknown users {missing}")
+        return self._preferences[np.asarray(user_ids, dtype=np.intp)]
+
     def add_user(self, favourite: Optional[str] = None) -> int:
         """Add a user mid-simulation (churn) and register their digital twin.
 
@@ -435,6 +456,7 @@ class StreamingSimulator:
         self.twins.register_user(user_id)
         self._population_epoch += 1
         position = user.mobility.position(self.clock.now_s)
+        self._positions[user_id] = position
         user.serving_bs_id = int(associate_users([position], self.base_stations)[0])
         if self.controller is not None:
             self.controller.attach_user(user_id, user.serving_bs_id)
@@ -445,18 +467,22 @@ class StreamingSimulator:
         if user_id not in self.users:
             raise KeyError(f"unknown user {user_id}")
         del self.users[user_id]
+        del self._positions[user_id]
         self._population_epoch += 1
         if self.controller is not None:
             self.controller.detach_user(user_id)
         if not keep_twin:
             self.twins.remove_user(user_id)
 
-    def _associate_users(self, time_s: float) -> None:
-        """Re-associate every user with their strongest base station."""
+    def _associate_users(self) -> None:
+        """Re-associate every user with their strongest base station.
+
+        Reads each user's stored position at the current boundary.
+        """
         users = list(self.users.values())
         if not users:
             return
-        positions = np.array([user.mobility.position(time_s) for user in users])
+        positions = np.array([self._positions[user.user_id] for user in users])
         for user, bs_id in zip(users, associate_users(positions, self.base_stations)):
             user.serving_bs_id = int(bs_id)
 
@@ -476,7 +502,7 @@ class StreamingSimulator:
             return {gid: list(members) for gid, members in grouping.items()}, {}
         start_s, _ = self.clock.interval_bounds(self.clock.current_interval)
         return self.controller.preview_scope(
-            grouping, time_s=start_s, mean_snr_db=self._controller_mean_snr(start_s)
+            grouping, time_s=start_s, mean_snr_db=self._controller_mean_snr()
         )
 
     def run_interval(self, grouping: Mapping[int, Sequence[int]]) -> IntervalResult:
@@ -493,7 +519,7 @@ class StreamingSimulator:
         if self.controller is None:
             # Boundary mode: strongest-cell argmax at every interval start,
             # groups played exactly as given (the pre-controller behaviour).
-            self._associate_users(start_s)
+            self._associate_users()
             played_grouping: Mapping[int, Sequence[int]] = grouping
         else:
             # Handover mode: association evolves only through handover
@@ -503,7 +529,7 @@ class StreamingSimulator:
             scoped, cell_of_group, scope_events = self.controller.scope_grouping(
                 grouping,
                 time_s=start_s,
-                mean_snr_db=self._controller_mean_snr(start_s),
+                mean_snr_db=self._controller_mean_snr(),
             )
             played_grouping = scoped
             result.cell_of_group = cell_of_group
@@ -578,15 +604,17 @@ class StreamingSimulator:
         """Play every group of ``grouping``; fold the outcomes into ``result``.
 
         One driver wherever the work runs.  The parent builds the interval
-        plan; with one worker (or one group) builtin ``map`` runs
+        plan, gathering its weight rows from the preference table; with one
+        worker (or one group) builtin ``map`` runs
         :func:`~repro.sim.shard.run_group_interval` over it in this process,
         against the parent's own mobility models, otherwise the plan is
         published to shared memory and ``pool.map`` runs ``(plan handle,
         group index)`` tasks on the worker pool.  Either way outcomes arrive
         in sorted scoped-group order and are folded as they arrive: records
-        merged, and each member's collected status appended to their twin
-        with one ``record_status`` call — the only place an interval writes
-        twins.
+        merged, the members' end positions stored for the next boundary, and
+        the group's collected status appended to its members' twins with one
+        :meth:`~repro.twin.manager.DigitalTwinManager.append_group` call (one
+        block per attribute) — the only place an interval writes twins.
 
         Returns ``(events_by_user, transcode_requests)``.
         """
@@ -594,6 +622,7 @@ class StreamingSimulator:
         plan = build_interval_plan(
             grouping,
             self.users,
+            self._preferences,
             tuple(self.config.categories),
             self.catalog,
             self.config.recommendation_popularity_weight,
@@ -643,9 +672,9 @@ class StreamingSimulator:
                 (self.catalog.get(video_id), outcome.representation, transmitted)
                 for video_id, transmitted in outcome.requests
             ]
+            self._positions.update(zip(usage.member_ids, outcome.end_positions))
             record_started = time.perf_counter()
-            for uid, status in outcome.collection.items():
-                self.twins.twin(uid).record_status(status)
+            self.twins.append_group(usage.member_ids, outcome.collection)
             record_done = time.perf_counter()
             task_stage1_s, task_playback_s, task_collection_s = outcome.stage_times
             stage1_s += task_stage1_s
@@ -656,19 +685,20 @@ class StreamingSimulator:
         )
         return events_by_user, transcode_requests
 
-    def _controller_mean_snr(self, time_s: float):
+    def _controller_mean_snr(self):
         """Lazy per-user serving-cell mean-SNR lookup for controller apps.
 
         Returns ``user_ids -> {user_id: mean SNR dB towards the serving
-        cell at time_s}``.  Deterministic (mean SNR draws no randomness),
-        so the preview and playback scoping paths agree exactly.
+        cell at the current boundary}``, from the stored boundary positions.
+        Deterministic (mean SNR draws no randomness), so the preview and
+        playback scoping paths agree exactly.
         """
         def lookup(user_ids) -> Dict[int, float]:
             controller = self.controller
             return {
                 uid: float(
                     self._bs_by_id[controller.serving_cell[uid]].mean_snr_db(
-                        self.users[uid].mobility.position(time_s)
+                        self._positions[uid]
                     )
                 )
                 for uid in user_ids
@@ -737,14 +767,16 @@ class StreamingSimulator:
             raise ValueError(f"grouping does not cover users {sorted(missing)}")
 
     def _update_preferences(self, events_by_user: Dict[int, List[WatchRecord]]) -> None:
-        for uid, records in events_by_user.items():
-            engagement: Dict[str, float] = {}
-            for record in records:
-                engagement[record.category] = (
-                    engagement.get(record.category, 0.0) + record.watch_duration_s
-                )
-            if engagement:
-                self.users[uid].preference_model.update_from_engagement(engagement)
+        """Blend every user's engagement of the interval into the preference table."""
+        records = [record for records in events_by_user.values() for record in records]
+        column = self._category_column
+        blend_engagement(
+            self._preferences,
+            np.array([record.user_id for record in records], dtype=np.intp),
+            np.array([column[record.category] for record in records], dtype=np.intp),
+            np.array([record.watch_duration_s for record in records], dtype=np.float64),
+            self.config.preference_learning_rate,
+        )
 
     def _update_popularity(self, events_by_user: Dict[int, List[WatchRecord]]) -> None:
         engagement: Dict[int, float] = {}

@@ -9,13 +9,16 @@ about users it learns from these twins, so the twin layer also controls how
 * :mod:`repro.twin.attributes` -- attribute specifications (name, dimension,
   collection period).
 * :mod:`repro.twin.timeseries` -- per-attribute time-series stores with
-  window queries and staleness accounting.
+  window queries and staleness accounting, and the one check and one write
+  routine every append goes through.
 * :mod:`repro.twin.udt` -- :class:`UserDigitalTwin`.
 * :mod:`repro.twin.collector` -- samples live user state for UDTs at each
-  attribute's own frequency, with optional loss and delay, and returns it
-  for :meth:`UserDigitalTwin.record_status` to append.
-* :mod:`repro.twin.manager` -- the edge-side registry of all UDTs plus
-  group-level aggregation helpers.
+  attribute's own frequency, with optional loss and delay, and returns a
+  multicast group's status as one block per attribute.
+* :mod:`repro.twin.manager` -- the edge-side registry of all UDTs: appends
+  each group's collected status to its members' twins in one call
+  (:meth:`DigitalTwinManager.append_group`), plus group-level aggregation
+  helpers.
 """
 
 from repro.twin.attributes import (
@@ -25,7 +28,12 @@ from repro.twin.attributes import (
 )
 from repro.twin.timeseries import TimeSeriesStore
 from repro.twin.udt import UserDigitalTwin
-from repro.twin.collector import CollectedStatus, CollectionPolicy, StatusCollector
+from repro.twin.collector import (
+    CollectedStatus,
+    CollectionPolicy,
+    StatusBlock,
+    StatusCollector,
+)
 from repro.twin.manager import DigitalTwinManager
 from repro.twin.persistence import (
     load_manager,
@@ -42,6 +50,7 @@ __all__ = [
     "CollectionPolicy",
     "DEFAULT_ATTRIBUTES",
     "DigitalTwinManager",
+    "StatusBlock",
     "StatusCollector",
     "TimeSeriesStore",
     "UserDigitalTwin",

@@ -11,9 +11,11 @@ process against simulation entities:
 
 Collection is a pure function: :meth:`StatusCollector.collect_interval`
 collects a whole multicast group in one call and returns one
-:class:`CollectedStatus` per member, and each twin appends its own with
-:meth:`~repro.twin.udt.UserDigitalTwin.record_status`.  A shard worker can
-therefore collect for users whose twins live in another process.
+:class:`CollectedStatus` for the group, one :class:`StatusBlock` per
+attribute with the members' samples concatenated in member order, and
+:meth:`~repro.twin.manager.DigitalTwinManager.append_group` appends it to
+the members' twins in one call.  A shard worker can therefore collect for
+users whose twins live in another process.
 
 The :class:`CollectionPolicy` adds the imperfections the DT-staleness
 ablation varies: a collection-period multiplier (slower twins), a sample
@@ -23,7 +25,7 @@ drop probability (lossy uplink) and a reporting delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -67,14 +69,27 @@ class CollectionPolicy:
         return cls()
 
 
-class CollectedStatus(NamedTuple):
-    """One user's status collected over one interval, not yet in their twin."""
+class StatusBlock(NamedTuple):
+    """One attribute's samples of a group, concatenated in member order.
 
-    #: ``{attribute: (timestamps, values)}`` for every attribute with at
-    #: least one kept sample; ``values`` has one row per timestamp.
-    samples: Dict[str, Tuple[np.ndarray, np.ndarray]]
-    #: The watch records that survived the drop policy, in playback order.
-    records: List[WatchRecord]
+    Member ``m`` owns ``counts[m]`` consecutive samples, starting after the
+    samples of the members before it; ``values`` has one row per timestamp.
+    """
+
+    counts: np.ndarray
+    timestamps: np.ndarray
+    values: np.ndarray
+
+
+class CollectedStatus(NamedTuple):
+    """A group's status collected over one interval, not yet in the twins."""
+
+    #: One block per collected attribute: channel condition, location,
+    #: preference and serving cell, in that order.
+    samples: Dict[str, StatusBlock]
+    #: Each member's watch records that survived the drop policy, in
+    #: playback order.
+    records: List[List[WatchRecord]]
 
 
 class StatusCollector:
@@ -87,15 +102,6 @@ class StatusCollector:
         self.policy = policy if policy is not None else CollectionPolicy.perfect()
 
     # ------------------------------------------------------------ sampling
-    def _keep_mask(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """One keep decision per sample; draws nothing when nothing is dropped."""
-        if self.policy.drop_probability == 0.0:
-            return np.ones(count, dtype=bool)
-        return rng.random(count) >= self.policy.drop_probability
-
-    def _kept_times(self, grid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return grid[self._keep_mask(grid.shape[0], rng)]
-
     def _attribute_times(
         self, spec: AttributeSpec, start_s: float, end_s: float
     ) -> np.ndarray:
@@ -140,11 +146,11 @@ class StatusCollector:
         end_s: float,
         rngs: Sequence[np.random.Generator],
         serving_cells: Optional[Sequence[int]] = None,
-    ) -> List[CollectedStatus]:
+    ) -> CollectedStatus:
         """Collect one reservation interval's status for a group of users.
 
         Every per-member argument has one entry per member, in the same
-        order, and so has the returned list:
+        order, which is also the member order of the returned blocks:
 
         * ``positions[m]`` is member ``m``'s trajectory at ``times``, a
           ``(members, len(times), 2)`` block.  ``times`` is sorted and holds
@@ -158,21 +164,21 @@ class StatusCollector:
           attribute; ``None`` collects no serving cell.
 
         ``attributes`` are the specs of the members' twins; only attributes
-        they have are collected.  Each member's draws come from their own
-        stream only, in this order: channel keep mask, shadowing, fading,
-        location keep mask, record drops, preference keep mask, serving-cell
-        keep mask.  The simulator passes the member's ``(seed, interval,
-        user)`` collection stream (see :class:`repro.sim.rng.RngRegistry`),
-        so each member's status is independent of every other member's and
-        a deterministic walk a shard worker can replay exactly.  With
-        ``drop_probability == 0`` no keep decision is drawn.  The mean SNR
-        under the channel-condition samples is one batched evaluation per
-        serving station.
+        they have are collected, each into one :class:`StatusBlock`.  Each
+        member's draws come from their own stream only, in this order:
+        channel keep mask, shadowing, fading, location keep mask, record
+        drops, preference keep mask, serving-cell keep mask.  The simulator
+        passes the member's ``(seed, interval, user)`` collection stream
+        (see :class:`repro.sim.rng.RngRegistry`), so each member's status is
+        independent of every other member's and a deterministic walk a shard
+        worker can replay exactly.  With ``drop_probability == 0`` no keep
+        decision is drawn.  The mean SNR under the channel-condition samples
+        is one batched evaluation per serving station.
         """
         if end_s <= start_s:
             raise ValueError("end_s must be greater than start_s")
         policy = self.policy
-        delay = policy.delay_s
+        drop = policy.drop_probability
         preferences = np.asarray(preferences, dtype=np.float64)
         if PREFERENCE in attributes:
             expected_dim = attributes[PREFERENCE].dimension
@@ -195,65 +201,83 @@ class StatusCollector:
             if name in grids
         }
 
-        samples: List[Dict[str, Tuple[np.ndarray, np.ndarray]]] = []
+        # One keep row per member and attribute; drawn only when lossy.
+        members = len(rngs)
+        keeps = {
+            name: np.ones((members, grid.shape[0]), dtype=bool) for name, grid in grids.items()
+        }
         kept_records: List[List[WatchRecord]] = []
-        # Per member with kept channel samples: their keep mask and fades.
-        channel_draws: Dict[int, Tuple[np.ndarray, SnrFades]] = {}
+        # Per member with kept channel samples: their fades.
+        fades: Dict[int, SnrFades] = {}
         for row, rng in enumerate(rngs):
-            member: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-            if CHANNEL_CONDITION in grids:
-                keep = self._keep_mask(grids[CHANNEL_CONDITION].shape[0], rng)
+            if CHANNEL_CONDITION in keeps:
+                keep = keeps[CHANNEL_CONDITION][row]
+                if drop:
+                    keep[:] = rng.random(keep.shape[0]) >= drop
                 count = int(np.count_nonzero(keep))
                 if count:
                     channel = base_stations[row].channel
                     assert channel is not None
-                    channel_draws[row] = (keep, channel.draw_fades(count, rng))
-            if LOCATION in grids:
-                keep = self._keep_mask(grids[LOCATION].shape[0], rng)
-                if keep.any():
-                    member[LOCATION] = (
-                        grids[LOCATION][keep] + delay,
-                        positions[row, columns[LOCATION][keep]],
-                    )
+                    fades[row] = channel.draw_fades(count, rng)
+            if drop and LOCATION in keeps:
+                keeps[LOCATION][row] = rng.random(keeps[LOCATION].shape[1]) >= drop
             # Watch records (the twin mirrors them into the watching-duration
-            # series).
-            if policy.drop_probability == 0.0:
-                kept_records.append(list(records[row]))
+            # series); one scalar draw per record, in record order.
+            if drop:
+                kept_records.append([r for r in records[row] if rng.random() >= drop])
             else:
-                # One scalar draw per record, in record order.
-                kept_records.append(
-                    [
-                        record
-                        for record in records[row]
-                        if rng.random() >= policy.drop_probability
-                    ]
-                )
-            if PREFERENCE in grids:
-                kept = self._kept_times(grids[PREFERENCE], rng)
-                if kept.size:
-                    member[PREFERENCE] = (
-                        kept + delay,
-                        np.tile(preferences[row], (kept.shape[0], 1)),
-                    )
-            if SERVING_CELL in grids:
-                assert serving_cells is not None
-                kept = self._kept_times(grids[SERVING_CELL], rng)
-                if kept.size:
-                    member[SERVING_CELL] = (
-                        kept + delay,
-                        np.full((kept.shape[0], 1), float(serving_cells[row])),
-                    )
-            samples.append(member)
+                kept_records.append(list(records[row]))
+            for name in (PREFERENCE, SERVING_CELL):
+                if drop and name in keeps:
+                    keeps[name][row] = rng.random(keeps[name].shape[1]) >= drop
 
-        # Channel condition: one mean-SNR evaluation per serving station
-        # over its members' kept samples, then each member's own fades.
+        counts = {name: keep.sum(axis=1) for name, keep in keeps.items()}
+        values: Dict[str, np.ndarray] = {}
+        if CHANNEL_CONDITION in keeps:
+            values[CHANNEL_CONDITION] = self._channel_values(
+                positions,
+                base_stations,
+                keeps[CHANNEL_CONDITION],
+                columns[CHANNEL_CONDITION],
+                fades,
+            )
+        if LOCATION in keeps:
+            values[LOCATION] = positions[:, columns[LOCATION]][keeps[LOCATION]]
+        if PREFERENCE in keeps:
+            values[PREFERENCE] = np.repeat(preferences, counts[PREFERENCE], axis=0)
+        if SERVING_CELL in keeps:
+            assert serving_cells is not None
+            cells = np.asarray(serving_cells, dtype=np.float64)
+            values[SERVING_CELL] = np.repeat(cells, counts[SERVING_CELL])[:, None]
+        samples = {
+            name: StatusBlock(
+                counts[name],
+                np.broadcast_to(grids[name], keep.shape)[keep] + policy.delay_s,
+                values[name],
+            )
+            for name, keep in keeps.items()
+        }
+        return CollectedStatus(samples=samples, records=kept_records)
+
+    @staticmethod
+    def _channel_values(
+        positions: np.ndarray,
+        base_stations: Sequence[BaseStation],
+        keep: np.ndarray,
+        columns: np.ndarray,
+        fades: Mapping[int, SnrFades],
+    ) -> np.ndarray:
+        """The kept channel samples' SNRs, ``(kept, 1)`` in member order.
+
+        One mean-SNR evaluation per serving station over its members' kept
+        samples, then each member's own fades.
+        """
         by_station: Dict[int, List[int]] = {}
-        for row in channel_draws:
+        for row in fades:
             by_station.setdefault(base_stations[row].bs_id, []).append(row)
+        snrs: Dict[int, np.ndarray] = {}
         for rows in by_station.values():
-            kept_columns = [
-                columns[CHANNEL_CONDITION][channel_draws[row][0]] for row in rows
-            ]
+            kept_columns = [columns[keep[row]] for row in rows]
             means = base_stations[rows[0]].mean_snr_db_batch(
                 positions[
                     np.repeat(rows, [kept.shape[0] for kept in kept_columns]),
@@ -262,21 +286,11 @@ class StatusCollector:
             )
             offset = 0
             for row, kept in zip(rows, kept_columns):
-                keep, fades = channel_draws[row]
-                snrs = fades.added_to(means[offset : offset + kept.shape[0]])
+                snrs[row] = fades[row].added_to(means[offset : offset + kept.shape[0]])
                 offset += kept.shape[0]
-                # First, so the samples follow the twins' attribute order.
-                samples[row] = {
-                    CHANNEL_CONDITION: (
-                        grids[CHANNEL_CONDITION][keep] + delay,
-                        snrs[:, None],
-                    ),
-                    **samples[row],
-                }
-        return [
-            CollectedStatus(samples=member, records=records_kept)
-            for member, records_kept in zip(samples, kept_records)
-        ]
+        if not snrs:
+            return np.empty((0, 1))
+        return np.concatenate([snrs[row] for row in sorted(snrs)])[:, None]
 
 
 def _grid_columns(times: np.ndarray, grid: np.ndarray) -> np.ndarray:

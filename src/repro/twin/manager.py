@@ -1,9 +1,11 @@
 """Digital-twin manager: the edge-side registry of all user digital twins.
 
-The manager owns one :class:`~repro.twin.udt.UserDigitalTwin` per user and
-provides the population-level views the prediction pipeline consumes: the
-feature tensor over all users for a reservation interval (each twin's own
-feature matrix, stacked), group-level watch-record collections, and staleness
+The manager owns one :class:`~repro.twin.udt.UserDigitalTwin` per user.  It
+appends each multicast group's collected status to the members' twins in
+one call per group (:meth:`DigitalTwinManager.append_group`), and provides
+the population-level views the prediction pipeline consumes: the feature
+tensor over all users for a reservation interval (each twin's own feature
+matrix, stacked), group-level watch-record collections, and staleness
 reports.
 """
 
@@ -15,7 +17,9 @@ import numpy as np
 
 from repro.behavior.watching import WatchRecord
 from repro.twin.attributes import AttributeSpec, DEFAULT_ATTRIBUTES
-from repro.twin.udt import UserDigitalTwin
+from repro.twin.collector import CollectedStatus
+from repro.twin.timeseries import check_runs, write_runs
+from repro.twin.udt import UserDigitalTwin, append_watches, check_watches
 
 
 class DigitalTwinManager:
@@ -53,6 +57,30 @@ class DigitalTwinManager:
 
     def remove_user(self, user_id: int) -> None:
         self._twins.pop(user_id, None)
+
+    # ----------------------------------------------------------- appends
+    def append_group(self, user_ids: Sequence[int], status: CollectedStatus) -> None:
+        """Append one group's collected status to its members' twins.
+
+        ``user_ids[m]`` owns member ``m``'s samples of every block and
+        ``status.records[m]``.  Each attribute's block is checked once for
+        all members (shapes, time order within each member's samples, no
+        sample before the member's newest stored one) and every record's
+        user id against its member, before anything is written: a rejected
+        group leaves every twin as it was.  Then each member's samples are
+        copied into their stores and their records stored and mirrored into
+        the watching-duration series.
+        """
+        twins = [self.twin(uid) for uid in user_ids]
+        blocks = []
+        for name, block in status.samples.items():
+            stores = [twin.store(name) for twin in twins]
+            check_runs(stores, block.counts, block.timestamps, block.values)
+            blocks.append((stores, block))
+        check_watches(user_ids, status.records)
+        for stores, block in blocks:
+            write_runs(stores, block.counts, block.timestamps, block.values)
+        append_watches(twins, status.records)
 
     # --------------------------------------------------------- aggregation
     def feature_tensor(

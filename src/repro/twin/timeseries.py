@@ -10,17 +10,26 @@ Array-backed layout
 -------------------
 Samples live in two contiguous NumPy buffers — a ``(capacity,)`` float64
 timestamp array and a ``(capacity, dimension)`` float64 value matrix — whose
-first ``len(store)`` rows hold the samples.  :meth:`~TimeSeriesStore.append_batch`
-writes into the next free rows and doubles the capacity when it runs out, so
-appending is amortized O(batch).  Rows are never rewritten once filled, which
-makes :meth:`~TimeSeriesStore.timestamps` and :meth:`~TimeSeriesStore.values`
+first ``len(store)`` rows hold the samples.  Appends write into the next
+free rows and double the capacity when it runs out, so appending is
+amortized O(batch).  Rows are never rewritten once filled, which makes
+:meth:`~TimeSeriesStore.timestamps` and :meth:`~TimeSeriesStore.values`
 safe to hand out as read-only views.  Because timestamps are kept sorted
 (appends enforce non-decreasing time), every window query is a pair of
 ``np.searchsorted`` binary searches plus one contiguous slice: O(log n +
 result size).
+
+Every append goes through one check routine and one write routine over
+*runs*: one run of samples per store, concatenated.
+:meth:`~TimeSeriesStore.append_batch` appends a single run; a digital-twin
+group append (:meth:`~repro.twin.manager.DigitalTwinManager.append_group`)
+checks one run per member store with :func:`check_runs` for every
+attribute before it writes any of them with :func:`write_runs`.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -45,19 +54,6 @@ class TimeSeriesStore:
         self._size = 0
 
     # ------------------------------------------------------------ mutation
-    def _ensure_room(self, count: int) -> None:
-        """Make room for ``count`` more rows after the filled ones."""
-        capacity = self._times.shape[0]
-        if self._size + count <= capacity:
-            return
-        new_capacity = max(capacity * 2, self._size + count)
-        new_times = np.empty(new_capacity, dtype=np.float64)
-        new_values = np.empty((new_capacity, self.dimension), dtype=np.float64)
-        new_times[: self._size] = self._times[: self._size]
-        new_values[: self._size] = self._values[: self._size]
-        self._times = new_times
-        self._values = new_values
-
     def append_batch(self, timestamps_s, values) -> int:
         """Append samples (bulk copy into the buffers).
 
@@ -67,34 +63,34 @@ class TimeSeriesStore:
         """
         timestamps = np.asarray(timestamps_s, dtype=np.float64).reshape(-1)
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        if values.shape != (timestamps.shape[0], self.dimension):
-            raise ValueError(
-                f"expected values of shape ({timestamps.shape[0]}, {self.dimension}), "
-                f"got {values.shape}"
-            )
-        count = int(timestamps.shape[0])
-        if count == 0:
-            return 0
-        if count > 1 and np.any(timestamps[1:] < timestamps[:-1]):
-            raise ValueError("timestamps must be non-decreasing")
-        if self._size and timestamps[0] < self._times[self._size - 1]:
-            raise ValueError("timestamps must be non-decreasing")
-        self._ensure_room(count)
+        counts = np.array([timestamps.shape[0]])
+        check_runs([self], counts, timestamps, values)
+        write_runs([self], counts, timestamps, values)
+        return int(timestamps.shape[0])
+
+    def _write(self, timestamps: np.ndarray, values: np.ndarray) -> None:
+        """Copy checked samples into the next free rows, doubling when full."""
         row = self._size
-        self._times[row : row + count] = timestamps
-        self._values[row : row + count] = values
-        self._size += count
-        return count
+        end = row + timestamps.shape[0]
+        capacity = self._times.shape[0]
+        if end > capacity:
+            capacity = max(capacity * 2, end)
+            times = np.empty(capacity, dtype=np.float64)
+            times[:row] = self._times[:row]
+            grown = np.empty((capacity, self.dimension), dtype=np.float64)
+            grown[:row] = self._values[:row]
+            self._times, self._values = times, grown
+        self._times[row:end] = timestamps
+        self._values[row:end] = values
+        self._size = end
 
     # ------------------------------------------------------------ accessors
     def __len__(self) -> int:
         return self._size
 
     def latest_timestamp_s(self) -> float:
-        """Timestamp of the newest sample (raises when the store is empty)."""
-        if not self._size:
-            raise ValueError("store is empty")
-        return float(self._times[self._size - 1])
+        """Timestamp of the newest sample; ``-inf`` when the store is empty."""
+        return float(self._times[self._size - 1]) if self._size else -np.inf
 
     def latest_value(self) -> np.ndarray:
         """Newest value, or zeros when the store is empty."""
@@ -144,3 +140,54 @@ class TimeSeriesStore:
         # overhead (this runs once per attribute per user per feature query).
         np.maximum(indices, 0, out=indices)
         np.take(self._values[: self._size], indices, axis=0, out=out)
+
+
+def check_runs(
+    stores: Sequence[TimeSeriesStore],
+    counts: np.ndarray,
+    timestamps: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """Raise ``ValueError`` unless one run per store can be appended.
+
+    ``timestamps`` and ``values`` concatenate one run per store, store
+    ``i``'s run ``counts[i]`` samples long; the stores share one dimension.
+    Each run must be non-decreasing and must not precede its store's newest
+    sample.  Nothing is written.
+    """
+    total = int(counts.sum())
+    dimension = stores[0].dimension
+    if counts.shape != (len(stores),) or timestamps.shape != (total,):
+        raise ValueError(
+            f"expected {len(stores)} run lengths summing to {timestamps.shape[0]} "
+            f"timestamps, got {counts.tolist()}"
+        )
+    if values.shape != (total, dimension):
+        raise ValueError(f"expected values of shape ({total}, {dimension}), got {values.shape}")
+    if not total:
+        return
+    starts = np.cumsum(counts) - counts
+    decreasing = timestamps[1:] < timestamps[:-1]
+    # A run's first sample may precede the previous run's last one.
+    decreasing[starts[(starts > 0) & (starts < total)] - 1] = False
+    tails = np.array([store.latest_timestamp_s() for store in stores])
+    nonempty = counts > 0
+    if decreasing.any() or (timestamps[starts[nonempty]] < tails[nonempty]).any():
+        raise ValueError("timestamps must be non-decreasing")
+
+
+def write_runs(
+    stores: Sequence[TimeSeriesStore],
+    counts: np.ndarray,
+    timestamps: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """Append store ``i``'s run of ``counts[i]`` samples to it, unchecked.
+
+    The layout is :func:`check_runs`'; call that first.
+    """
+    start = 0
+    for store, count in zip(stores, counts.tolist()):
+        if count:
+            store._write(timestamps[start : start + count], values[start : start + count])
+            start += count

@@ -1,8 +1,12 @@
 """User digital twin.
 
 A :class:`UserDigitalTwin` bundles one time-series store per attribute for a
-single user.  Besides raw collection, it exposes the two views the
-prediction scheme needs:
+single user.  The simulator appends a whole multicast group's status at
+once through :meth:`~repro.twin.manager.DigitalTwinManager.append_group`;
+:meth:`UserDigitalTwin.record_batch` and
+:meth:`UserDigitalTwin.record_watches` append one twin's samples through
+the same check and write routines.  Besides raw collection, it exposes the
+two views the prediction scheme needs:
 
 * :meth:`feature_matrix` -- the attribute time series resampled onto a
   common grid and stacked into a ``(time, channels)`` matrix, the direct
@@ -13,16 +17,13 @@ prediction scheme needs:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.behavior.watching import WatchRecord
 from repro.twin.attributes import AttributeSpec, DEFAULT_ATTRIBUTES, WATCHING_DURATION
-from repro.twin.timeseries import TimeSeriesStore
-
-if TYPE_CHECKING:
-    from repro.twin.collector import CollectedStatus
+from repro.twin.timeseries import TimeSeriesStore, write_runs
 
 
 class UserDigitalTwin:
@@ -62,28 +63,8 @@ class UserDigitalTwin:
         A record older than the newest watching-duration sample is mirrored
         at that sample's time, so the series stays non-decreasing.
         """
-        for record in records:
-            if record.user_id != self.user_id:
-                raise ValueError(
-                    f"watch record of user {record.user_id} pushed to UDT of user {self.user_id}"
-                )
-        if not records:
-            return
-        self._watch_records.extend(records)
-        if WATCHING_DURATION in self._stores:
-            store = self._stores[WATCHING_DURATION]
-            timestamps = np.array([record.timestamp_s for record in records])
-            if len(store):
-                timestamps[0] = max(timestamps[0], store.latest_timestamp_s())
-            np.maximum.accumulate(timestamps, out=timestamps)
-            durations = np.array([[record.watch_duration_s] for record in records])
-            store.append_batch(timestamps, durations)
-
-    def record_status(self, status: "CollectedStatus") -> None:
-        """Append one interval's collected status, attribute by attribute."""
-        for attribute, (timestamps, values) in status.samples.items():
-            self.record_batch(attribute, timestamps, values)
-        self.record_watches(status.records)
+        check_watches([self.user_id], [records])
+        append_watches([self], [records])
 
     # -------------------------------------------------------------- queries
     def staleness_s(self, attribute: str, now_s: float) -> float:
@@ -137,3 +118,44 @@ class UserDigitalTwin:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         counts = {name: len(store) for name, store in self._stores.items()}
         return f"UserDigitalTwin(user_id={self.user_id}, samples={counts})"
+
+
+def check_watches(
+    user_ids: Sequence[int], records: Sequence[Sequence[WatchRecord]]
+) -> None:
+    """Raise ``ValueError`` unless every record of ``records[i]`` is user ``user_ids[i]``'s."""
+    for user_id, kept in zip(user_ids, records):
+        for record in kept:
+            if record.user_id != user_id:
+                raise ValueError(
+                    f"watch record of user {record.user_id} pushed to UDT of user {user_id}"
+                )
+
+
+def append_watches(
+    twins: Sequence[UserDigitalTwin], records: Sequence[Sequence[WatchRecord]]
+) -> None:
+    """Store ``records[i]`` in ``twins[i]`` and mirror the durations, unchecked.
+
+    The twins share their attributes.  Each twin's watching-duration run
+    starts no earlier than its newest sample: the first record's time is
+    clamped to it, and a running maximum keeps the run non-decreasing.
+    """
+    counts = np.array([len(kept) for kept in records])
+    for twin, kept in zip(twins, records):
+        twin._watch_records.extend(kept)
+    total = int(counts.sum())
+    if not total or WATCHING_DURATION not in twins[0]._stores:
+        return
+    stores = [twin._stores[WATCHING_DURATION] for twin in twins]
+    flat = [record for kept in records for record in kept]
+    # One padded row per twin: clamp each run's first time to the twin's
+    # newest sample, then take the running maximum along the row.
+    mask = np.arange(int(counts.max())) < counts[:, None]
+    padded = np.full(mask.shape, -np.inf)
+    padded[mask] = [record.timestamp_s for record in flat]
+    tails = [store.latest_timestamp_s() for store in stores]
+    np.maximum(padded[:, 0], tails, out=padded[:, 0])
+    np.maximum.accumulate(padded, axis=1, out=padded)
+    durations = np.array([[record.watch_duration_s] for record in flat])
+    write_runs(stores, counts, padded[mask], durations)

@@ -14,6 +14,8 @@ from typing import Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.numeric import ordered_sum
+
 
 def sampling_cdf(probabilities: np.ndarray) -> np.ndarray:
     """Normalised cumulative distribution for inverse-CDF sampling.
@@ -117,7 +119,7 @@ class ZipfPopularity(PopularityModel):
         ``engagement_seconds`` maps video ids to total watch time observed
         in the last reservation interval; unknown ids are ignored.
         """
-        total = float(sum(max(v, 0.0) for v in engagement_seconds.values()))
+        total = float(ordered_sum(max(v, 0.0) for v in engagement_seconds.values()))
         if total <= 0:
             return
         observed = np.array(
@@ -140,7 +142,7 @@ def category_popularity(
         category = video_categories.get(video_id)
         if category in totals:
             totals[category] += prob
-    total = sum(totals.values())
+    total = ordered_sum(totals.values())
     if total > 0:
         totals = {category: value / total for category, value in totals.items()}
     return totals

@@ -5,12 +5,13 @@ whole group in one call: it reads each member's positions from one
 trajectory block and evaluates the mean SNR once per serving station.  This
 module is the per-member collector it replaced, which queries the member's
 own mobility model at each attribute's kept times.  The group call must
-match it exactly, member by member.
+match it exactly, member by member: split per member, each of its blocks
+holds what this reference collects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,16 @@ from repro.twin.attributes import (
 from repro.twin.collector import CollectedStatus, CollectionPolicy
 
 
+class MemberStatus(NamedTuple):
+    """One member's status collected over one interval."""
+
+    #: ``{attribute: (timestamps, values)}`` for every attribute with at
+    #: least one kept sample; ``values`` has one row per timestamp.
+    samples: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    #: The watch records that survived the drop policy, in playback order.
+    records: List[WatchRecord]
+
+
 def reference_collect(
     policy: CollectionPolicy,
     attributes: Dict[str, AttributeSpec],
@@ -39,7 +50,7 @@ def reference_collect(
     end_s: float,
     rng: np.random.Generator,
     serving_cell: Optional[int] = None,
-) -> CollectedStatus:
+) -> MemberStatus:
     """One member's interval of status, attribute by attribute from ``rng``."""
 
     def kept_times(spec: AttributeSpec) -> np.ndarray:
@@ -81,4 +92,21 @@ def reference_collect(
                 times + delay,
                 np.full((times.shape[0], 1), float(serving_cell)),
             )
-    return CollectedStatus(samples=samples, records=kept_records)
+    return MemberStatus(samples=samples, records=kept_records)
+
+
+def member_samples(
+    status: CollectedStatus, member: int
+) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """Member ``member``'s ``{attribute: (timestamps, values)}`` of a group status.
+
+    Holds the attributes with at least one of the member's samples, in block
+    order: what :func:`reference_collect` returns for the member.
+    """
+    samples = {}
+    for name, block in status.samples.items():
+        start = int(block.counts[:member].sum())
+        stop = start + int(block.counts[member])
+        if stop > start:
+            samples[name] = (block.timestamps[start:stop], block.values[start:stop])
+    return samples

@@ -5,21 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.behavior import (
-    PreferenceModel,
     PreferenceVector,
     SessionConfig,
     SessionGenerator,
     SwipeProbabilityEstimator,
     WatchRecord,
     WatchingDurationModel,
+    blend_engagement,
     cosine_similarity,
     empirical_swipe_distribution,
     random_preference,
     swipe_probability_from_durations,
 )
 from repro.behavior.swiping import expected_transmitted_fraction
+from repro.sim import SimulationConfig
 from repro.video import DEFAULT_CATEGORIES
+from preference_reference import reference_engagement, reference_update
 
 
 @pytest.fixture
@@ -76,24 +81,88 @@ class TestPreferenceVector:
         assert cosine_similarity(a, a) == pytest.approx(1.0)
 
 
-class TestPreferenceModel:
+def _blend(table, records, learning_rate):
+    """``blend_engagement`` over ``(row, column, seconds)`` records."""
+    rows = np.array([row for row, _, _ in records], dtype=np.intp)
+    columns = np.array([column for _, column, _ in records], dtype=np.intp)
+    seconds = np.array([value for _, _, value in records], dtype=np.float64)
+    blend_engagement(table, rows, columns, seconds, learning_rate)
+
+
+@st.composite
+def engagement_cases(draw):
+    """Initial rows, each user's records in playback order, an interleaving, a rate."""
+    num_categories = draw(st.integers(min_value=1, max_value=12))
+    num_users = draw(st.integers(min_value=1, max_value=6))
+    seconds = st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=400.0, allow_nan=False)
+    )
+    records = [
+        draw(
+            st.lists(
+                st.tuples(st.integers(min_value=0, max_value=num_categories - 1), seconds),
+                max_size=14,
+            )
+        )
+        for _ in range(num_users)
+    ]
+    initial = [
+        draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+                min_size=num_categories,
+                max_size=num_categories,
+            )
+        )
+        for _ in range(num_users)
+    ]
+    order = draw(st.permutations([user for user, own in enumerate(records) for _ in own]))
+    learning_rate = draw(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    )
+    return num_categories, records, initial, order, learning_rate
+
+
+class TestBlendEngagement:
     def test_update_moves_towards_engagement(self):
-        initial = PreferenceVector({c: 1.0 for c in DEFAULT_CATEGORIES})
-        model = PreferenceModel(initial, learning_rate=0.5)
-        before = model.preference.weight("News")
-        model.update_from_engagement({"News": 100.0})
-        assert model.preference.weight("News") > before
+        table = np.full((1, len(DEFAULT_CATEGORIES)), 1.0 / len(DEFAULT_CATEGORIES))
+        news = DEFAULT_CATEGORIES.index("News")
+        before = table[0, news]
+        _blend(table, [(0, news, 100.0)], learning_rate=0.5)
+        assert table[0, news] > before
 
     def test_update_with_no_engagement_is_noop(self):
-        initial = PreferenceVector({c: 1.0 for c in DEFAULT_CATEGORIES})
-        model = PreferenceModel(initial, learning_rate=0.5)
-        model.update_from_engagement({})
-        assert model.preference == initial
+        table = np.full((2, len(DEFAULT_CATEGORIES)), 1.0 / len(DEFAULT_CATEGORIES))
+        before = table.copy()
+        _blend(table, [], learning_rate=0.5)
+        _blend(table, [(1, 0, 0.0), (1, 3, 0.0)], learning_rate=0.5)
+        assert table.tobytes() == before.tobytes()
 
     def test_invalid_learning_rate(self):
-        initial = PreferenceVector({"News": 1.0})
-        with pytest.raises(ValueError):
-            PreferenceModel(initial, learning_rate=1.5)
+        with pytest.raises(ValueError, match="preference_learning_rate"):
+            SimulationConfig(preference_learning_rate=1.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=engagement_cases())
+    def test_table_equals_per_user_reference(self, case):
+        """Bit for bit, row by row, whatever order the users' records interleave in."""
+        num_categories, records, initial, order, learning_rate = case
+        categories = tuple(f"c{index}" for index in range(num_categories))
+        vectors = [PreferenceVector(dict(zip(categories, row)), categories) for row in initial]
+        table = np.array([vector.as_array(categories) for vector in vectors])
+        cursor = [0] * len(records)
+        interleaved = []
+        for user in order:
+            column, seconds = records[user][cursor[user]]
+            cursor[user] += 1
+            interleaved.append((user, column, seconds))
+        _blend(table, interleaved, learning_rate)
+        for user, own in enumerate(records):
+            engagement = reference_engagement(
+                (categories[column], seconds) for column, seconds in own
+            )
+            expected = reference_update(vectors[user], categories, engagement, learning_rate)
+            assert table[user].tobytes() == expected.as_array(categories).tobytes(), user
 
 
 class TestWatchingDurationModel:

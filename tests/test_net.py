@@ -178,23 +178,25 @@ class TestMulticast:
 
     def test_group_efficiency_empty_rejected(self):
         with pytest.raises(ValueError):
-            group_spectral_efficiency([])
+            group_spectral_efficiency([], implementation_loss=0.9)
 
     def test_resource_blocks_for_traffic(self):
         blocks = resource_blocks_for_traffic(1e9, 2.0, rb_bandwidth_hz=180e3, interval_s=300.0)
         assert blocks == pytest.approx(1e9 / (2.0 * 180e3 * 300.0))
 
     def test_resource_blocks_zero_traffic(self):
-        assert resource_blocks_for_traffic(0.0, 2.0) == 0.0
+        blocks = resource_blocks_for_traffic(0.0, 2.0, rb_bandwidth_hz=180e3, interval_s=300.0)
+        assert blocks == 0.0
 
     def test_resource_blocks_outage_is_infinite(self):
-        assert np.isinf(resource_blocks_for_traffic(1e6, 0.0))
+        blocks = resource_blocks_for_traffic(1e6, 0.0, rb_bandwidth_hz=180e3, interval_s=300.0)
+        assert np.isinf(blocks)
 
     def test_resource_blocks_invalid_args(self):
         with pytest.raises(ValueError):
-            resource_blocks_for_traffic(-1.0, 2.0)
+            resource_blocks_for_traffic(-1.0, 2.0, rb_bandwidth_hz=180e3, interval_s=300.0)
         with pytest.raises(ValueError):
-            resource_blocks_for_traffic(1.0, 2.0, interval_s=0.0)
+            resource_blocks_for_traffic(1.0, 2.0, rb_bandwidth_hz=180e3, interval_s=0.0)
 
 
 class TestResources:

@@ -39,13 +39,14 @@ from repro.core.config import SchemeConfig
 from repro.mobility import CampusConfig
 from repro.mobility.trajectory import GraphTrajectoryMobility
 from repro.net.handover import HandoverConfig, HandoverPolicy, StreakState
-from repro.scenario import run_scenario
+from repro.scenario import ScenarioRunner, get_scenario, run_scenario
 from repro.scenario.compiler import compile_spec
-from repro.scenario.spec import EngineSpec, ScenarioSpec
+from repro.scenario.spec import EngineSpec, FlashCrowd, MassDeparture, ScenarioSpec
 from repro.sim.rng import RngRegistry, derive_stream
 from repro.sim.shard import build_interval_plan, run_group_interval
 from repro.timegrid import num_grid_steps, time_grid
 from repro.twin.collector import CollectionPolicy
+from collector_reference import member_samples
 from twin_digest import twin_contents_sha256
 
 WORKER_COUNTS = [1, 2]
@@ -295,6 +296,7 @@ class TestGroupTaskPurity:
             plan = build_interval_plan(
                 grouping,
                 sim.users,
+                sim._preferences,
                 tuple(config.categories),
                 sim.catalog,
                 config.recommendation_popularity_weight,
@@ -319,15 +321,20 @@ class TestGroupTaskPurity:
             assert first.records == second.records
             assert first.mean_snrs == second.mean_snrs
             assert first.requests == second.requests
-            assert list(first.collection) == list(second.collection)
-            for uid, status in first.collection.items():
-                other = second.collection[uid]
-                assert status.records == other.records
-                dropped |= len(status.records) < len(first.records[uid])
-                assert list(status.samples) == list(other.samples)
-                for name, (times, values) in status.samples.items():
-                    np.testing.assert_array_equal(times, other.samples[name][0])
-                    np.testing.assert_array_equal(values, other.samples[name][1])
+            np.testing.assert_array_equal(first.end_positions, second.end_positions)
+            members = first.usage.member_ids
+            assert len(first.collection.records) == len(second.collection.records)
+            assert len(first.collection.records) == len(members)
+            for m, uid in enumerate(members):
+                status = member_samples(first.collection, m)
+                other = member_samples(second.collection, m)
+                records = first.collection.records[m]
+                assert records == second.collection.records[m]
+                dropped |= len(records) < len(first.records[uid])
+                assert list(status) == list(other)
+                for name, (times, values) in status.items():
+                    np.testing.assert_array_equal(times, other[name][0])
+                    np.testing.assert_array_equal(values, other[name][1])
         assert dropped, "the lossy policy should drop some watch records"
 
     def test_group_task_evaluates_each_trajectory_once(self):
@@ -347,6 +354,7 @@ class TestGroupTaskPurity:
             plan = build_interval_plan(
                 grouping,
                 sim.users,
+                sim._preferences,
                 tuple(config.categories),
                 sim.catalog,
                 config.recommendation_popularity_weight,
@@ -369,8 +377,84 @@ class TestGroupTaskPurity:
                     *sim.clock.interval_bounds(interval),
                     index,
                 )
-                assert all(status.samples for status in outcome.collection.values())
+                assert all(
+                    member_samples(outcome.collection, m)
+                    for m in range(len(outcome.usage.member_ids))
+                )
         assert sorted(calls) == ids
+
+
+# ------------------------------------------------------- boundary positions
+class TestBoundaryPositions:
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize(
+        "name", ["stadium_egress", "edge_flash_crowd", "weak_signal_demotion"]
+    )
+    def test_stored_positions_are_the_walks_at_each_boundary(self, monkeypatch, name, workers):
+        """Association reads positions the group tasks return, not the walks.
+
+        After every interval, each user's stored position equals their walk's
+        ``position`` at the new boundary, bit for bit, through arrivals and
+        departures (``stadium_egress`` associates at every boundary,
+        ``edge_flash_crowd`` scopes through the handover controller, and
+        ``weak_signal_demotion``'s demotion app reads the controller's
+        mean-SNR lookup).  And the run calls ``position`` only to place
+        users: at set-up and in ``add_user``.
+        """
+        placing = [0]
+        stray = []
+        position = GraphTrajectoryMobility.position
+        run_interval = StreamingSimulator.run_interval
+        boundaries = []
+
+        def counted_position(self, time_s):
+            if not placing[0]:
+                stray.append(time_s)
+            return position(self, time_s)
+
+        def placing_users(method):
+            def placed(self, *args, **kwargs):
+                placing[0] += 1
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    placing[0] -= 1
+
+            return placed
+
+        def checked_run_interval(self, grouping):
+            result = run_interval(self, grouping)
+            placing[0] += 1
+            try:
+                for uid, user in self.users.items():
+                    walk = user.mobility.position(self.clock.now_s)
+                    assert self._positions[uid].tobytes() == walk.tobytes(), uid
+            finally:
+                placing[0] -= 1
+            assert set(self._positions) == set(self.users)
+            boundaries.append(self.clock.now_s)
+            return result
+
+        monkeypatch.setattr(GraphTrajectoryMobility, "position", counted_position)
+        for placer in ("__init__", "add_user"):
+            method = getattr(StreamingSimulator, placer)
+            monkeypatch.setattr(StreamingSimulator, placer, placing_users(method))
+        monkeypatch.setattr(StreamingSimulator, "run_interval", checked_run_interval)
+        spec = get_scenario(name, {"engine.playback_workers": workers})
+        if not spec.timeline:
+            spec = dataclasses.replace(
+                spec,
+                timeline=(
+                    FlashCrowd(interval=2, arrivals=12, favourite="News"),
+                    MassDeparture(interval=4, departures=12),
+                ),
+            )
+        run = ScenarioRunner(spec).run()
+        run.simulator.close()
+        num_users = [record["num_users"] for record in run.intervals]
+        assert len(set(num_users)) > 1, "the run should churn"
+        assert len(boundaries) == len(run.intervals)
+        assert stray == []
 
 
 # ------------------------------------------------------------- rng registry

@@ -66,6 +66,10 @@ class TestAccuracyProperties:
         assert closer >= farther - 1e-12
 
 
+#: The link settings ``SimulationConfig`` defaults to.
+LINK = {"rb_bandwidth_hz": 180e3, "interval_s": 300.0}
+
+
 class TestRadioProperties:
     @given(
         traffic=st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
@@ -73,8 +77,8 @@ class TestRadioProperties:
         efficiency=st.floats(min_value=0.1, max_value=6.0),
     )
     def test_resource_blocks_monotone_in_traffic(self, traffic, extra, efficiency):
-        low = resource_blocks_for_traffic(traffic, efficiency)
-        high = resource_blocks_for_traffic(traffic + extra, efficiency)
+        low = resource_blocks_for_traffic(traffic, efficiency, **LINK)
+        high = resource_blocks_for_traffic(traffic + extra, efficiency, **LINK)
         assert high >= low >= 0.0
 
     @given(
@@ -83,8 +87,8 @@ class TestRadioProperties:
         boost=st.floats(min_value=0.0, max_value=2.0),
     )
     def test_resource_blocks_antitone_in_efficiency(self, traffic, efficiency, boost):
-        worse = resource_blocks_for_traffic(traffic, efficiency)
-        better = resource_blocks_for_traffic(traffic, efficiency + boost)
+        worse = resource_blocks_for_traffic(traffic, efficiency, **LINK)
+        better = resource_blocks_for_traffic(traffic, efficiency + boost, **LINK)
         assert better <= worse + 1e-9
 
     @given(snr_a=st.floats(min_value=-30.0, max_value=40.0), delta=st.floats(min_value=0.0, max_value=40.0))

@@ -183,5 +183,7 @@ class TestReservationProperties:
         efficiency=st.floats(min_value=0.0, max_value=6.0),
     )
     def test_resource_blocks_never_negative(self, traffic, efficiency):
-        blocks = resource_blocks_for_traffic(traffic, efficiency)
+        blocks = resource_blocks_for_traffic(
+            traffic, efficiency, rb_bandwidth_hz=180e3, interval_s=300.0
+        )
         assert blocks >= 0.0 or np.isinf(blocks)

@@ -235,10 +235,9 @@ class TestGoldenParity:
         sim = StreamingSimulator(compile_spec(spec).sim_config)
 
         def preference_grouping(sim, num_groups=4):
-            categories = tuple(sim.config.categories)
             grouping = {}
             for uid in sim.user_ids():
-                weights = sim.users[uid].preference.as_array(categories)
+                weights = sim.preference_weights([uid])[0]
                 grouping.setdefault(int(np.argmax(weights)) % num_groups, []).append(uid)
             return {gid: members for gid, members in sorted(grouping.items()) if members}
 
@@ -478,6 +477,10 @@ class TestCli:
             ("multicell_campus", "controller.handover_hysteresis_db=-1"),
             ("multicell_campus", "controller.cell_underload_threshold=0.95"),
             ("campus_fig3", "controller.handover_sample_period_s=0"),
+            ("multicell_campus", "topology.rb_budget_blocks=-5"),
+            ("multicell_campus", "catalog.zipf_exponent=-1"),
+            ("multicell_campus", "population.preference_learning_rate=5"),
+            ("multicell_campus", "population.preference_concentration=0"),
         ],
     )
     def test_bad_override_value_is_a_one_line_error(self, capsys, scenario, override):
@@ -487,6 +490,30 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_interval_length_without_a_binary_form_runs_every_interval(self, tmp_path):
+        """Regression: with ``interval_s=45.6`` the clock stalled at interval 4
+        and the run died replaying it (``timestamps must be non-decreasing``)."""
+        out = tmp_path / "run.json"
+        code = cli_main(
+            [
+                "run",
+                "campus_fig3",
+                "--override",
+                "mode=playback",
+                "--override",
+                "interval_s=45.6",
+                "--override",
+                "population.num_users=6",
+                "--intervals",
+                "8",
+                "--json",
+                str(out),
+            ]
+        )
+        assert code == 0
+        intervals = json.loads(out.read_text())["intervals"]
+        assert [record["interval_index"] for record in intervals] == list(range(8))
 
     def test_one_building_campus_is_a_one_line_error(self, capsys):
         """The building count is checked by the campus config compile_spec builds."""

@@ -28,6 +28,19 @@ class TestClock:
         clock.advance_interval()
         assert clock.now_s == pytest.approx(300.0)
 
+    @pytest.mark.parametrize("interval_s", [0.1, 45.6, 299.9])
+    def test_index_advances_for_any_interval_length(self, interval_s):
+        """Regression: ``now_s // interval_s`` can round a boundary down to the
+        previous index, so the clock stalled (at interval 4 for 45.6 s), and
+        ``i * L + L`` missed the next start ``(i + 1) * L`` in the last bit."""
+        clock = SimulationClock(interval_s=interval_s)
+        for index in range(2000):
+            assert clock.current_interval == index
+            _, end_s = clock.interval_bounds(index)
+            assert clock.advance_interval() == index + 1
+            start_s, _ = clock.interval_bounds(index + 1)
+            assert end_s.hex() == start_s.hex() == clock.now_s.hex()
+
     def test_cannot_move_backwards(self):
         clock = SimulationClock()
         clock.advance(10.0)

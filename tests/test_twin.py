@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collector_reference import reference_collect
+from collector_reference import member_samples, reference_collect
 from repro.behavior import WatchRecord, random_preference
 from repro.mobility import GraphTrajectoryMobility, StaticMobility
 from repro.net import BaseStation, ChannelConfig, ChannelModel
@@ -19,6 +19,7 @@ from repro.twin import (
     UserDigitalTwin,
     standard_attributes,
 )
+from repro.twin.collector import CollectedStatus, StatusBlock
 from repro.twin.attributes import (
     CHANNEL_CONDITION,
     LOCATION,
@@ -175,7 +176,7 @@ class TestUserDigitalTwin:
 def _collect_one(collector, attributes, mobility, bs, preference, records, start_s, end_s, rng):
     """One member's status through the group call, as a group of one."""
     times = np.unique(np.concatenate(collector.position_times(attributes, start_s, end_s)))
-    [status] = collector.collect_interval(
+    return collector.collect_interval(
         attributes,
         times,
         mobility.positions(times)[None],
@@ -186,21 +187,22 @@ def _collect_one(collector, attributes, mobility, bs, preference, records, start
         end_s,
         rngs=[rng],
     )
-    return status
 
 
 class TestStatusCollector:
     def _collect(self, policy, interval=(0.0, 60.0)):
-        twin = UserDigitalTwin(0, attributes=standard_attributes(num_categories=8))
+        manager = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
+        twin = manager.register_user(0)
         collector = StatusCollector(policy=policy)
         mobility = StaticMobility([100.0, 100.0])
         bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
         preference = random_preference(np.random.default_rng(0)).as_array()
         rng = np.random.default_rng(1)
-        twin.record_status(
+        manager.append_group(
+            [0],
             _collect_one(
                 collector, twin.attributes, mobility, bs, preference, [], *interval, rng
-            )
+            ),
         )
         return twin
 
@@ -231,7 +233,8 @@ class TestStatusCollector:
             CollectionPolicy(drop_probability=1.0)
 
     def test_watch_events_recorded(self):
-        twin = UserDigitalTwin(0)
+        manager = DigitalTwinManager()
+        twin = manager.register_user(0)
         collector = StatusCollector()
         mobility = StaticMobility([10.0, 10.0])
         bs = BaseStation(bs_id=0, position=np.array([0.0, 0.0]))
@@ -241,8 +244,8 @@ class TestStatusCollector:
         status = _collect_one(
             collector, twin.attributes, mobility, bs, preference, [record], 0.0, 30.0, rng
         )
-        assert status.records == [record]
-        twin.record_status(status)
+        assert status.records == [[record]]
+        manager.append_group([0], status)
         assert twin.watch_records() == [record]
 
     def test_times_must_hold_every_position_grid(self):
@@ -347,7 +350,7 @@ class TestGroupCollectionMatchesReference:
         positions = np.stack(
             [GraphTrajectoryMobility(campus, seed=(seed, m)).positions(times) for m in members]
         )
-        statuses = collector.collect_interval(
+        status = collector.collect_interval(
             attributes,
             times,
             positions,
@@ -360,8 +363,10 @@ class TestGroupCollectionMatchesReference:
             serving_cells=cells if report_cells else None,
         )
 
-        assert len(statuses) == len(stations)
-        for m, status in zip(members, statuses):
+        assert len(status.records) == len(stations)
+        for block in status.samples.values():
+            assert block.counts.shape == (len(stations),)
+        for m in members:
             expected = reference_collect(
                 policy,
                 attributes,
@@ -374,11 +379,123 @@ class TestGroupCollectionMatchesReference:
                 rng=np.random.default_rng((seed, m, 1)),
                 serving_cell=cells[m] if report_cells else None,
             )
-            assert status.records == expected.records
-            assert list(status.samples) == list(expected.samples)
+            samples = member_samples(status, m)
+            assert status.records[m] == expected.records
+            assert list(samples) == list(expected.samples)
             for name, (sample_times, values) in expected.samples.items():
-                assert np.array_equal(status.samples[name][0], sample_times), name
-                assert np.array_equal(status.samples[name][1], values), name
+                assert np.array_equal(samples[name][0], sample_times), name
+                assert np.array_equal(samples[name][1], values), name
+
+
+def _group_status(start_s, users=(0, 1, 2)):
+    """A valid hand-built status of one group, every attribute with uneven runs."""
+    channel_counts = np.array([3, 0, 2])
+    location_counts = np.array([1, 2, 1])
+    records = [
+        [
+            WatchRecord(uid, 5, "News", 4.0 + uid, 10.0, swiped=True, timestamp_s=start_s + t)
+            for t in range(uid + 1)
+        ]
+        for uid in users
+    ]
+    return CollectedStatus(
+        samples={
+            CHANNEL_CONDITION: StatusBlock(
+                channel_counts,
+                start_s + np.array([0.0, 1.0, 2.0, 0.0, 1.0]),
+                np.arange(5.0)[:, None],
+            ),
+            LOCATION: StatusBlock(
+                location_counts,
+                start_s + np.array([5.0, 0.0, 5.0, 0.0]),
+                np.arange(8.0).reshape(4, 2),
+            ),
+            PREFERENCE: StatusBlock(
+                np.ones(3, dtype=np.int64), np.full(3, start_s), np.full((3, 8), 0.125)
+            ),
+        },
+        records=records,
+    )
+
+
+def _contents(manager):
+    """Every twin's stores and watch records, bit for bit."""
+    return {
+        uid: (
+            [
+                (name, twin.store(name).timestamps().tobytes(), twin.store(name).values().tobytes())
+                for name in twin.attributes
+            ],
+            twin.watch_records(),
+        )
+        for uid in manager.user_ids()
+        for twin in [manager.twin(uid)]
+    }
+
+
+def _with_block(status, name, **fields):
+    """``status`` with some fields of ``name``'s block replaced."""
+    block = status.samples[name]._replace(**fields)
+    return status._replace(samples={**status.samples, name: block})
+
+
+class TestGroupAppend:
+    @staticmethod
+    def _manager():
+        manager = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
+        manager.register_users([0, 1, 2])
+        manager.append_group([0, 1, 2], _group_status(0.0))
+        return manager
+
+    def test_group_append_equals_per_member_appends(self):
+        """Each member's slice of every block lands in their own stores, and the
+        watching-duration mirror clamps each member's first record to their tail."""
+        grouped = self._manager()
+        status = _group_status(60.0)
+        # User 1's first record precedes their newest mirrored sample.
+        status.records[1][0] = WatchRecord(1, 6, "News", 2.0, 10.0, swiped=True, timestamp_s=0.5)
+        grouped.append_group([0, 1, 2], status)
+
+        single = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
+        single.register_users([0, 1, 2])
+        for part in (_group_status(0.0), status):
+            for m, uid in enumerate([0, 1, 2]):
+                twin = single.twin(uid)
+                for name, samples in member_samples(part, m).items():
+                    twin.record_batch(name, *samples)
+                twin.record_watches(part.records[m])
+        assert _contents(grouped) == _contents(single)
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("times_out_of_order", "non-decreasing"),
+            ("times_before_tail", "non-decreasing"),
+            ("values_wrong_shape", "shape"),
+            ("record_of_other_user", "watch record of user 1 pushed to UDT of user 2"),
+        ],
+    )
+    def test_rejected_group_leaves_every_twin_unchanged(self, defect, message):
+        manager = self._manager()
+        before = _contents(manager)
+        status = _group_status(60.0)
+        if defect == "times_out_of_order":
+            # Member 2's two channel samples swap places.
+            status = _with_block(
+                status, CHANNEL_CONDITION, timestamps=60.0 + np.array([0.0, 1.0, 2.0, 1.0, 0.0])
+            )
+        elif defect == "times_before_tail":
+            # Member 0's location sample precedes their stored one at 5 s.
+            status = _with_block(status, LOCATION, timestamps=np.array([4.0, 60.0, 65.0, 60.0]))
+        elif defect == "values_wrong_shape":
+            status = _with_block(status, PREFERENCE, values=np.full((3, 7), 1.0 / 7))
+        else:
+            status.records[2].append(
+                WatchRecord(1, 7, "News", 1.0, 10.0, swiped=True, timestamp_s=70.0)
+            )
+        with pytest.raises(ValueError, match=message):
+            manager.append_group([0, 1, 2], status)
+        assert _contents(manager) == before
 
 
 class TestDigitalTwinManager:
