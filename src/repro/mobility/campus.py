@@ -5,11 +5,13 @@ interest with 2-D coordinates, edges are walkable paths weighted by their
 Euclidean length.  Trajectory mobility walks shortest paths on this graph,
 producing the spatially-correlated movement (and hence channel dynamics)
 that free-space random waypoint lacks.  The graph never changes after it
-is built, so each route is computed once and shared by every walk.
+is built, so each route is computed once, with its legs' deltas and
+lengths, and shared by every walk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -34,8 +36,8 @@ class CampusConfig:
     num_buildings: int = 18
 
     def __post_init__(self) -> None:
-        if self.width_m <= 0 or self.height_m <= 0:
-            raise ValueError("campus dimensions must be positive")
+        if not (0 < self.width_m < math.inf and 0 < self.height_m < math.inf):
+            raise ValueError("campus dimensions must be positive and finite")
         if self.num_buildings < 2:
             raise ValueError("num_buildings must be at least 2")
 
@@ -44,7 +46,8 @@ class CampusMap:
     """A connected waypoint graph with 2-D node positions.
 
     The graph is treated as fixed once the map is built: the node list and
-    every route asked for are cached.
+    every route asked for (its points, leg deltas and leg lengths) are
+    cached.
     """
 
     def __init__(self, graph: nx.Graph) -> None:
@@ -57,7 +60,9 @@ class CampusMap:
                 raise ValueError(f"node {node!r} is missing a 'pos' attribute")
         self.graph = graph
         self._nodes = tuple(graph.nodes)
-        self._routes: Dict[Tuple[Hashable, Hashable], np.ndarray] = {}
+        self._routes: Dict[
+            Tuple[Hashable, Hashable], Tuple[np.ndarray, np.ndarray, Tuple[float, ...]]
+        ] = {}
 
     # ------------------------------------------------------------ accessors
     @property
@@ -75,18 +80,28 @@ class CampusMap:
         """Shortest path (by edge length) between two nodes."""
         return nx.shortest_path(self.graph, source, target, weight="length")
 
-    def route_positions(self, source, target) -> np.ndarray:
-        """Node positions along the shortest ``source`` → ``target`` path.
+    def route_legs(
+        self, source, target
+    ) -> Tuple[np.ndarray, np.ndarray, Tuple[float, ...]]:
+        """The shortest ``source`` → ``target`` route as ``(points, deltas, lengths)``.
 
-        Computed once per ordered node pair and returned read-only, so the
-        walks that share a route cannot change it.
+        ``points`` are the node positions along the path, ``deltas`` the
+        step from each point to the next, and ``lengths`` each step's
+        length, one 1-D ``np.linalg.norm`` per leg (the batched ``axis=1``
+        norm can differ in the last bit).  Computed once per ordered node
+        pair; both arrays are read-only, so the walks that share a route
+        cannot change it.
         """
-        route = self._routes.get((source, target))
-        if route is None:
-            route = self.path_positions(self.shortest_path(source, target))
-            route.flags.writeable = False
-            self._routes[(source, target)] = route
-        return route
+        legs = self._routes.get((source, target))
+        if legs is None:
+            points = self.path_positions(self.shortest_path(source, target))
+            deltas = points[1:] - points[:-1]
+            lengths = tuple(float(np.linalg.norm(delta)) for delta in deltas)
+            points.flags.writeable = False
+            deltas.flags.writeable = False
+            legs = (points, deltas, lengths)
+            self._routes[(source, target)] = legs
+        return legs
 
     def path_positions(self, path: Sequence) -> np.ndarray:
         """Stack of node positions along ``path`` (shape ``(len(path), 2)``)."""

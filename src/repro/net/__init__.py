@@ -47,7 +47,7 @@ from repro.net.apps import (
     register_app,
 )
 from repro.net.multicast import group_spectral_efficiency, resource_blocks_for_traffic
-from repro.net.resources import ResourceBlockBudget, ResourceGrid
+from repro.net.resources import ResourceGrid
 
 __all__ = [
     "AppEvent",
@@ -74,7 +74,6 @@ __all__ = [
     "cell_utilization",
     "MCS_TABLE",
     "McsEntry",
-    "ResourceBlockBudget",
     "ResourceGrid",
     "associate_users",
     "group_spectral_efficiency",

@@ -1,8 +1,6 @@
 """Resource-block accounting.
 
-Radio resources are reserved in units of resource blocks (RBs).  The budget
-tracks how many RBs a base station has, how many have been reserved for each
-multicast group, and whether a reservation request can be admitted.
+Radio resources are reserved in units of resource blocks (RBs).
 :class:`ResourceGrid` is the one reserved-versus-used audit: it keeps a
 per-interval history so over- and under-provisioning can be audited after
 the fact.  The reservation planner of :mod:`repro.core.reservation` returns
@@ -16,58 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping
 
 import numpy as np
-
-from repro.numeric import ordered_sum
-
-
-class ResourceBlockBudget:
-    """Tracks reservations against a fixed number of resource blocks."""
-
-    def __init__(self, total_blocks: float) -> None:
-        if total_blocks <= 0:
-            raise ValueError("total_blocks must be positive")
-        self.total_blocks = float(total_blocks)
-        self._reservations: Dict[int, float] = {}
-
-    # ------------------------------------------------------------ accessors
-    @property
-    def reserved_blocks(self) -> float:
-        return float(ordered_sum(self._reservations.values()))
-
-    @property
-    def available_blocks(self) -> float:
-        return self.total_blocks - self.reserved_blocks
-
-    def reservation_for(self, group_id: int) -> float:
-        return self._reservations.get(group_id, 0.0)
-
-    def utilization(self) -> float:
-        """Fraction of the budget currently reserved (0..1)."""
-        return self.reserved_blocks / self.total_blocks
-
-    # ------------------------------------------------------------ mutations
-    def can_reserve(self, blocks: float) -> bool:
-        if blocks < 0:
-            raise ValueError("blocks must be non-negative")
-        return blocks <= self.available_blocks + 1e-9
-
-    def reserve(self, group_id: int, blocks: float) -> bool:
-        """Reserve ``blocks`` for ``group_id``; returns False when it does not fit."""
-        if blocks < 0:
-            raise ValueError("blocks must be non-negative")
-        current = self._reservations.get(group_id, 0.0)
-        extra = blocks - current
-        if extra > self.available_blocks + 1e-9:
-            return False
-        self._reservations[group_id] = blocks
-        return True
-
-    def release(self, group_id: int) -> float:
-        """Release a group's reservation and return how many blocks were freed."""
-        return self._reservations.pop(group_id, 0.0)
-
-    def clear(self) -> None:
-        self._reservations.clear()
 
 
 @dataclass

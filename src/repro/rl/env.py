@@ -19,9 +19,10 @@ problem:
   multicast channel, which is exactly the trade-off the paper's DDQN is
   meant to resolve.
 
-The snapshot-only part of the state costs an ``(n, n, d)`` difference
-tensor and the silhouette reward reads an ``(n, n)`` distance matrix, so
-both are computed once per snapshot and read by every step on it: once
+The snapshot-only part of the state costs every pairwise distance
+(computed in row blocks, never as one ``(n, n, d)`` difference tensor) and
+the silhouette reward reads an ``(n, n)`` distance matrix, so both are
+computed once per snapshot and read by every step on it: once
 per draw in :class:`GroupingEnvironment`, once per snapshot index in
 :class:`SnapshotReplayEnvironment`, whose episodes replay the same few
 snapshots over and over.
@@ -38,6 +39,9 @@ from repro.cluster import KMeansPlusPlus, pairwise_euclidean, silhouette_score
 
 #: Dimensionality of the state vector produced by :func:`grouping_state`.
 STATE_DIM = 8
+
+#: Bytes of pairwise differences :func:`_population_terms` holds at once.
+_BLOCK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -90,29 +94,41 @@ def grouping_state(
     return _state(_population_terms(features), previous_k, previous_quality, max_groups)
 
 
-def _population_terms(features: np.ndarray) -> Optional[Tuple[float, ...]]:
+def _population_terms(
+    features: np.ndarray, block_rows: Optional[int] = None
+) -> Optional[Tuple[float, ...]]:
     """The state entries that depend on the snapshot alone.
 
     Returns ``(num_users, spread, mean, min and max pairwise distance,
     dimension)`` for a ``(num_users, dim)`` float64 matrix, or ``None`` when
-    it has no users.  The distances come from one ``(n, n, d)`` difference
-    tensor.
+    it has no users.  The distances come ``block_rows`` rows at a time (by
+    default, rows worth about 8 MB of differences), each block one
+    ``(rows, n, d)`` difference tensor of which only the upper triangle is
+    kept, in row-major order: the same values, in the same order, as one
+    ``(n, n, d)`` tensor gives, without ever holding it.
     """
-    num_users = features.shape[0]
+    num_users, dim = features.shape
     if num_users == 0:
         return None
     centred = features - features.mean(axis=0, keepdims=True)
     spread = float(np.sqrt((centred**2).sum(axis=1)).mean())
     if num_users > 1:
-        diffs = features[:, None, :] - features[None, :, :]
-        distances = np.sqrt((diffs**2).sum(axis=-1))
-        upper = distances[np.triu_indices(num_users, k=1)]
+        if block_rows is None:
+            block_rows = max(1, _BLOCK_BYTES // (8 * num_users * max(dim, 1)))
+        columns = np.arange(num_users)
+        blocks = []
+        for lo in range(0, num_users - 1, block_rows):
+            hi = min(lo + block_rows, num_users - 1)
+            diffs = features[lo:hi, None, :] - features[None, :, :]
+            distances = np.sqrt((diffs**2).sum(axis=-1))
+            blocks.append(distances[columns[lo:hi, None] < columns[None, :]])
+        upper = np.concatenate(blocks)
         mean_dist = float(upper.mean())
         min_dist = float(upper.min())
         max_dist = float(upper.max())
     else:
         mean_dist = min_dist = max_dist = 0.0
-    return num_users, spread, mean_dist, min_dist, max_dist, features.shape[1]
+    return num_users, spread, mean_dist, min_dist, max_dist, dim
 
 
 def _state(

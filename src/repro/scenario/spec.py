@@ -209,8 +209,8 @@ class PlacementSpec:
             raise ValueError(
                 "placement.reservation_lead_intervals must be non-negative"
             )
-        if self.reservation_margin < 1.0:
-            raise ValueError("placement.reservation_margin must be at least 1.0")
+        if not 1.0 <= self.reservation_margin < math.inf:
+            raise ValueError("placement.reservation_margin must be finite and at least 1.0")
 
 
 @dataclass(frozen=True)

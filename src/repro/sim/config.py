@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -102,20 +103,20 @@ class SimulationConfig:
             raise ValueError("num_users and num_videos must be positive")
         if self.zipf_exponent < 0:
             raise ValueError("zipf_exponent must be non-negative")
-        if self.preference_concentration <= 0:
-            raise ValueError("preference_concentration must be positive")
+        if not 0 < self.preference_concentration < math.inf:
+            raise ValueError("preference_concentration must be positive and finite")
         if not 0.0 <= self.preference_learning_rate <= 1.0:
             raise ValueError("preference_learning_rate must be in [0, 1]")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
+        if not 0 < self.interval_s < math.inf:
+            raise ValueError("interval_s must be positive and finite")
         if self.num_base_stations <= 0:
             raise ValueError("num_base_stations must be positive")
         if not 0.0 <= self.favourite_user_fraction <= 1.0:
             raise ValueError("favourite_user_fraction must be in [0, 1]")
         if self.favourite_category is not None and self.favourite_category not in self.categories:
             raise ValueError("favourite_category must be one of categories")
-        if self.favourite_boost <= 0:
-            raise ValueError("favourite_boost must be positive")
+        if not 0 < self.favourite_boost < math.inf:
+            raise ValueError("favourite_boost must be positive and finite")
         if self.stream_bandwidth_hz <= 0 or self.rb_bandwidth_hz <= 0:
             raise ValueError("bandwidths must be positive")
         if self.num_resource_blocks <= 0:

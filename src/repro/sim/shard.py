@@ -20,9 +20,11 @@ way whether it stays in the parent or goes to the worker pool:
   and each member's position at the interval's end; the parent folds
   outcomes in group order, appends each group's status to its members'
   twins in one call, which is the only place twins are written, and keeps
-  the end positions for the next boundary's association.  Inline intervals
-  map it over the in-process plan with the parent's mobility models;
-  sharded intervals map :func:`_run_shard_task` over the pool.
+  the end positions for the next boundary's association.  The task reads
+  every member's positions with one call to a
+  :class:`~repro.mobility.trajectory.WalkTable`.  Inline intervals map it
+  over the in-process plan with the parent's walk table; sharded intervals
+  map :func:`_run_shard_task` over the pool.
 
 * :class:`SharedIntervalPlan` — the parent-owned shared-memory fabric a
   sharded interval publishes its plan through.  Segments are ring-reused
@@ -31,14 +33,14 @@ way whether it stays in the parent or goes to the worker pool:
   index)`` — no arrays are pickled per task.
 
 * :class:`ShardWorkerRuntime` — the persistent per-worker population state.
-  Each worker lazily reconstructs per-user mobility models from their
-  ``SeedSequence((seed, user_id))`` keys (bit-identical to the parent's,
-  since a trajectory is a pure function of campus + seed) and caches them
-  across intervals.  The population *epoch* — bumped by the parent on every
-  ``add_user``/``remove_user`` — gates resynchronisation: only when the
-  epoch advances does a worker prune departed users from its cache, and new
-  users materialise lazily on first touch, so churn resyncs exactly the
-  delta and ships no state at all.
+  Each worker keeps its own walk table, whose rows it builds lazily from
+  the users' ``SeedSequence((seed, user_id))`` keys (bit-identical to the
+  parent's rows, since a walk is a pure function of campus + seed) and
+  keeps across intervals.  The population *epoch* — bumped by the parent on
+  every ``add_user``/``remove_user`` — gates resynchronisation: only when
+  the epoch advances does a worker free departed users' rows, and new users
+  get a row on first touch, so churn resyncs exactly the delta and ships no
+  state at all.
 
 Serial and sharded runs are bit-identical for every worker count.
 """
@@ -52,7 +54,6 @@ from multiprocessing import resource_tracker, shared_memory
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -67,7 +68,7 @@ import numpy as np
 from repro.behavior.preference import PreferenceVector
 from repro.behavior.watching import WatchingDurationModel, WatchRecord
 from repro.mobility.campus import CampusMap
-from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
+from repro.mobility.trajectory import WalkTable
 from repro.net.basestation import BaseStation
 from repro.net.multicast import group_spectral_efficiency, resource_blocks_for_traffic
 from repro.sim.config import SimulationConfig
@@ -203,7 +204,7 @@ def build_interval_plan(
 
 def run_group_interval(
     static: ShardStatic,
-    mobility_for: Callable[[int], MobilityModel],
+    walks: WalkTable,
     plan: IntervalPlan,
     interval_index: int,
     start_s: float,
@@ -213,10 +214,10 @@ def run_group_interval(
     """One group's whole interval, as a pure function of its plan slices and keys.
 
     Each member's trajectory is evaluated once, as one ``(members, times,
-    2)`` block on the sorted union of the stage-1 channel grid, the
-    collector's position grids and the interval's end; stages 1 and 3 read
-    their own columns of it, and the end column is returned as the
-    members' positions at the next boundary.  Stage 1 draws every member's
+    2)`` block from one ``walks.positions`` call on the sorted union of the
+    stage-1 channel grid, the collector's position grids and the interval's
+    end; stages 1 and 3 read their own columns of it, and the end column is
+    returned as the members' positions at the next boundary.  Stage 1 draws every member's
     SNR trace from the group's channel stream: one ``sample_snr_traces``
     block per serving station, stations sorted so the stream walk depends
     only on (members, associations).  The worst-member rule over the per-member mean SNRs then fixes the group's
@@ -252,7 +253,7 @@ def run_group_interval(
             ]
         )
     )
-    positions = np.stack([mobility_for(uid).positions(times) for uid in member_ids])
+    positions = walks.positions(member_ids, times)
     # A copy: a view would keep the whole block alive in the parent.
     end_positions = positions[:, times.searchsorted(end_s)].copy()
     channel_columns = times.searchsorted(channel_times)
@@ -510,34 +511,24 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 
 class ShardWorkerRuntime:
-    """Persistent per-worker state: population caches + plan attachments."""
+    """Persistent per-worker state: the worker's walk table + plan attachments."""
 
     def __init__(self, static: ShardStatic) -> None:
         self.static = static
         self.epoch = -1
-        #: Lazily reconstructed per-user mobility models.  Pure functions of
-        #: (campus, per-user seed), so entries are bit-identical to the
-        #: parent's models no matter when they are built.
-        self.mobility: Dict[int, GraphTrajectoryMobility] = {}
+        #: The worker's own walk table, its rows built on first touch.  A
+        #: walk is a pure function of (campus, per-user seed), so each row is
+        #: bit-identical to the parent's no matter when it is built.
+        self.walks = WalkTable(static.campus, static.registry.mobility_seed)
         self._attached: Optional[dict] = None
 
     # ------------------------------------------------------------ population
-    def mobility_for(self, user_id: int) -> GraphTrajectoryMobility:
-        model = self.mobility.get(user_id)
-        if model is None:
-            model = GraphTrajectoryMobility(
-                self.static.campus, seed=self.static.registry.mobility_seed(user_id)
-            )
-            self.mobility[user_id] = model
-        return model
-
     def _resync_population(self, epoch: int, user_ids: np.ndarray) -> None:
-        """Epoch-gated delta resync: prune departed users, keep the rest."""
+        """Epoch-gated delta resync: free departed users' rows, keep the rest."""
         if epoch == self.epoch:
             return
         live = {int(uid) for uid in user_ids}
-        for uid in [uid for uid in self.mobility if uid not in live]:
-            del self.mobility[uid]
+        self.walks.free([uid for uid in self.walks.user_ids() if uid not in live])
         self.epoch = epoch
 
     # ----------------------------------------------------------------- plans
@@ -614,10 +605,10 @@ def _init_shard_worker(static: ShardStatic) -> None:
 
 
 def _probe_shard_worker(_: int) -> tuple:
-    """Test/debug hook: this worker's (pid, epoch, cached mobility ids)."""
+    """Test/debug hook: this worker's (pid, epoch, walk-table user ids)."""
     runtime = _WorkerRuntimeSlot.runtime
     assert runtime is not None, "shard worker not initialized"
-    return os.getpid(), runtime.epoch, tuple(sorted(runtime.mobility))
+    return os.getpid(), runtime.epoch, tuple(runtime.walks.user_ids())
 
 
 def _run_shard_task(task: tuple) -> GroupOutcome:
@@ -627,7 +618,7 @@ def _run_shard_task(task: tuple) -> GroupOutcome:
     assert runtime is not None, "shard worker not initialized"
     return run_group_interval(
         runtime.static,
-        runtime.mobility_for,
+        runtime.walks,
         runtime.plan_arrays(handle),
         handle.interval_index,
         handle.start_s,

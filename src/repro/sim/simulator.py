@@ -41,7 +41,7 @@ from repro.placement.fleet import EdgeFleet
 from repro.placement.manager import PlacementManager, ReprovisionEvent
 from repro.placement.planner import ServerCapacity, fragmentation_index
 from repro.mobility.campus import CampusMap
-from repro.mobility.trajectory import GraphTrajectoryMobility, MobilityModel
+from repro.mobility.trajectory import WalkTable
 from repro.net.basestation import BaseStationConfig, associate_users, place_base_stations
 from repro.net.apps import AppEvent
 from repro.net.controller import (
@@ -71,12 +71,12 @@ from repro.video.catalog import CatalogConfig, VideoCatalog
 class UserState:
     """Live state of one simulated user.
 
-    Preferences and boundary positions are held population-wide by the
-    simulator (see :meth:`StreamingSimulator.preference_weights`).
+    Preferences, walks and boundary positions are held population-wide by
+    the simulator (see :meth:`StreamingSimulator.preference_weights` and
+    :attr:`StreamingSimulator.walks`).
     """
 
     user_id: int
-    mobility: MobilityModel
     serving_bs_id: int = 0
 
 
@@ -265,10 +265,13 @@ class StreamingSimulator:
 
         # Users.  The preference weights live in one population table (a
         # row per user id, config-category order) that each interval updates
-        # at once.  Each user's position at the current interval boundary is
-        # stored too: set when the user joins, then returned by the group
-        # tasks for the next boundary.
+        # at once, and the walks in one walk table (a row per user, made on
+        # first touch from the user's keyed mobility seed).  Each user's
+        # position at the current interval boundary is stored too: set when
+        # the user joins, then returned by the group tasks for the next
+        # boundary.
         self.clock = SimulationClock(interval_s=config.interval_s)
+        self.walks = WalkTable(self.campus, self._registry.mobility_seed)
         self._category_column = {c: i for i, c in enumerate(config.categories)}
         self._preferences = np.empty((config.num_users, len(config.categories)))
         self.users: Dict[int, UserState] = {}
@@ -280,9 +283,10 @@ class StreamingSimulator:
                 else None
             )
             self.users[user_id] = self._new_user(user_id, favourite)
-        self._positions = {
-            uid: user.mobility.position(self.clock.now_s) for uid, user in self.users.items()
-        }
+        user_ids = list(self.users)
+        self._positions = dict(
+            zip(user_ids, self.walks.positions(user_ids, [self.clock.now_s])[:, 0])
+        )
         self._associate_users()
 
         # Event-driven multi-cell RAN controller (handover mode only; the
@@ -349,10 +353,11 @@ class StreamingSimulator:
     def _new_user(self, user_id: int, favourite: Optional[str]) -> UserState:
         """A fresh user drawn from their own keyed streams.
 
-        The preference draw uses the ``(seed, user, tag)`` setup stream and
-        the trajectory ``SeedSequence((seed, user_id))``, so population churn
-        never perturbs another user's draws and no two (seed, user) pairs
-        share a walk.  Fills the user's preference row.
+        The preference draw uses the ``(seed, user, tag)`` setup stream, and
+        the walk table builds the user's walk from ``SeedSequence((seed,
+        user_id))`` when it is first asked for, so population churn never
+        perturbs another user's draws and no two (seed, user) pairs share a
+        walk.  Fills the user's preference row.
         """
         config = self.config
         preference = random_preference(
@@ -368,12 +373,7 @@ class StreamingSimulator:
             grown[:rows] = self._preferences
             self._preferences = grown
         self._preferences[user_id] = preference.as_array()
-        return UserState(
-            user_id=user_id,
-            mobility=GraphTrajectoryMobility(
-                self.campus, seed=self._registry.mobility_seed(user_id)
-            ),
-        )
+        return UserState(user_id=user_id)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -407,8 +407,8 @@ class StreamingSimulator:
 
         Each worker boots a persistent
         :class:`repro.sim.shard.ShardWorkerRuntime` from the simulator's
-        static state: the population state (mobility models) lives in the
-        worker and tasks shrink to ``(plan handle, group index)``.  The pool
+        static state: the population state (its own walk table) lives in
+        the worker and tasks shrink to ``(plan handle, group index)``.  The pool
         survives across intervals and is torn down by :meth:`close`.
         """
         if self._pool is None:
@@ -455,7 +455,7 @@ class StreamingSimulator:
         self.users[user_id] = user
         self.twins.register_user(user_id)
         self._population_epoch += 1
-        position = user.mobility.position(self.clock.now_s)
+        position = self.walks.positions([user_id], [self.clock.now_s])[0, 0]
         self._positions[user_id] = position
         user.serving_bs_id = int(associate_users([position], self.base_stations)[0])
         if self.controller is not None:
@@ -468,6 +468,7 @@ class StreamingSimulator:
             raise KeyError(f"unknown user {user_id}")
         del self.users[user_id]
         del self._positions[user_id]
+        self.walks.free([user_id])
         self._population_epoch += 1
         if self.controller is not None:
             self.controller.detach_user(user_id)
@@ -607,7 +608,7 @@ class StreamingSimulator:
         plan, gathering its weight rows from the preference table; with one
         worker (or one group) builtin ``map`` runs
         :func:`~repro.sim.shard.run_group_interval` over it in this process,
-        against the parent's own mobility models, otherwise the plan is
+        against the parent's own walk table, otherwise the plan is
         published to shared memory and ``pool.map`` runs ``(plan handle,
         group index)`` tasks on the worker pool.  Either way outcomes arrive
         in sorted scoped-group order and are folded as they arrive: records
@@ -649,7 +650,7 @@ class StreamingSimulator:
                 functools.partial(
                     run_group_interval,
                     self._static,
-                    lambda uid: self.users[uid].mobility,
+                    self.walks,
                     plan,
                     result.interval_index,
                     result.start_s,
@@ -713,16 +714,11 @@ class StreamingSimulator:
         assert self.controller is not None
         controller = self.controller
 
-        # Handover: one batched position query per user over the interval's
+        # Handover: one walk-table query for every user over the interval's
         # measurement grid, one mean-SNR tensor, no randomness consumed.
         user_ids = self.user_ids()
         times = controller.measurement_times(start_s, end_s)
-        if user_ids and times.size:
-            positions = np.stack(
-                [self.users[uid].mobility.positions(times) for uid in user_ids], axis=1
-            )
-        else:
-            positions = np.zeros((times.size, len(user_ids), 2))
+        positions = self.walks.positions(user_ids, times).transpose(1, 0, 2)
         result.handover_events = controller.observe_interval(
             times, positions, user_ids, end_s
         )

@@ -16,7 +16,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.behavior.watching import WatchRecord
-from repro.mobility.trajectory import MobilityModel
 from repro.net.basestation import BaseStation
 from repro.timegrid import time_grid
 from repro.twin.attributes import (
@@ -27,6 +26,7 @@ from repro.twin.attributes import (
     AttributeSpec,
 )
 from repro.twin.collector import CollectedStatus, CollectionPolicy
+from walk_reference import MobilityModel
 
 
 class MemberStatus(NamedTuple):

@@ -10,7 +10,6 @@ from repro.net import (
     ChannelConfig,
     ChannelModel,
     MCS_TABLE,
-    ResourceBlockBudget,
     ResourceGrid,
     associate_users,
     group_spectral_efficiency,
@@ -200,33 +199,6 @@ class TestMulticast:
 
 
 class TestResources:
-    def test_budget_reserve_and_release(self):
-        budget = ResourceBlockBudget(100.0)
-        assert budget.reserve(0, 40.0)
-        assert budget.reserve(1, 50.0)
-        assert budget.available_blocks == pytest.approx(10.0)
-        assert not budget.reserve(2, 20.0)
-        assert budget.release(0) == pytest.approx(40.0)
-        assert budget.available_blocks == pytest.approx(50.0)
-
-    def test_budget_re_reservation_replaces(self):
-        budget = ResourceBlockBudget(100.0)
-        budget.reserve(0, 40.0)
-        assert budget.reserve(0, 70.0)
-        assert budget.reserved_blocks == pytest.approx(70.0)
-
-    def test_budget_utilization(self):
-        budget = ResourceBlockBudget(50.0)
-        budget.reserve(0, 25.0)
-        assert budget.utilization() == pytest.approx(0.5)
-
-    def test_budget_invalid(self):
-        with pytest.raises(ValueError):
-            ResourceBlockBudget(0.0)
-        budget = ResourceBlockBudget(10.0)
-        with pytest.raises(ValueError):
-            budget.reserve(0, -1.0)
-
     def test_grid_over_and_under_provisioning(self):
         grid = ResourceGrid()
         grid.record_interval(0, reserved={0: 50.0, 1: 20.0}, used={0: 30.0, 1: 25.0})

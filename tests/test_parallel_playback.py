@@ -36,18 +36,18 @@ import pytest
 from repro import SimulationConfig, StreamingSimulator
 from repro.core.pipeline import DTResourcePredictionScheme
 from repro.core.config import SchemeConfig
-from repro.mobility import CampusConfig
-from repro.mobility.trajectory import GraphTrajectoryMobility
+from repro.mobility import CampusConfig, WalkTable
 from repro.net.handover import HandoverConfig, HandoverPolicy, StreakState
 from repro.scenario import ScenarioRunner, get_scenario, run_scenario
 from repro.scenario.compiler import compile_spec
 from repro.scenario.spec import EngineSpec, FlashCrowd, MassDeparture, ScenarioSpec
 from repro.sim.rng import RngRegistry, derive_stream
-from repro.sim.shard import build_interval_plan, run_group_interval
+from repro.sim.shard import _probe_shard_worker, build_interval_plan, run_group_interval
 from repro.timegrid import num_grid_steps, time_grid
 from repro.twin.collector import CollectionPolicy
 from collector_reference import member_samples
 from twin_digest import twin_contents_sha256
+from walk_reference import GraphTrajectoryMobility
 
 WORKER_COUNTS = [1, 2]
 _extra = os.environ.get("REPRO_TEST_PLAYBACK_WORKERS")
@@ -232,6 +232,53 @@ class TestShardedPlaybackDeterminism:
         assert run(1) == run(2)
 
 
+# ------------------------------------------------- departures, then arrivals
+def _departures_then_arrivals(workers: int, monkeypatch):
+    """``(records, twin hash, worker probes)`` of a run whose users leave
+    and others then arrive, so each worker frees departed users' walk rows
+    and gives them to newcomers.  Each probe, taken as the run closes, is
+    ``(worker epoch, worker's walk users, parent epoch, live users)``."""
+    probes = []
+    close = StreamingSimulator.close
+
+    def probing_close(self):
+        if self._pool is not None and not probes:
+            for _, epoch, walks in self._pool.map(_probe_shard_worker, range(8)):
+                probes.append((epoch, walks, self._population_epoch, self.user_ids()))
+        close(self)
+
+    monkeypatch.setattr(StreamingSimulator, "close", probing_close)
+    spec = dataclasses.replace(
+        get_scenario(
+            "multicell_campus",
+            {"num_intervals": 5, "population.num_users": 30, "engine.playback_workers": workers},
+        ),
+        timeline=(
+            MassDeparture(interval=1, departures=12),
+            FlashCrowd(interval=3, arrivals=16, favourite="News"),
+        ),
+    )
+    run = ScenarioRunner(spec).run()
+    records = [
+        {key: value for key, value in record.items() if key != "timing"}
+        for record in run.to_dict()["intervals"]
+    ]
+    return records, twin_contents_sha256(run.simulator.twins), probes
+
+
+def test_departures_then_arrivals_match_serial(monkeypatch):
+    serial, serial_twins, _ = _departures_then_arrivals(1, monkeypatch)
+    assert [record["num_users"] for record in serial] == [30, 18, 18, 34, 34]
+    for workers in [w for w in WORKER_COUNTS if w > 1]:
+        sharded, sharded_twins, probes = _departures_then_arrivals(workers, monkeypatch)
+        assert sharded == serial, f"workers={workers} diverged"
+        assert sharded_twins == serial_twins
+        synced = [(walks, live) for epoch, walks, current, live in probes if epoch == current]
+        assert synced, "no worker observed the last population epoch"
+        for walks, live in synced:
+            assert set(walks) <= set(live), "a worker kept a departed user's walk"
+
+
 # ------------------------------------------------------------ twin contents
 def _twin_contents_sha256(workers: int) -> str:
     """sha256 of every twin's stores and watch records after a lossy run.
@@ -304,7 +351,7 @@ class TestGroupTaskPurity:
             task = functools.partial(
                 run_group_interval,
                 sim._static,
-                lambda uid: sim.users[uid].mobility,
+                sim.walks,
                 plan,
                 interval,
                 *sim.clock.interval_bounds(interval),
@@ -338,8 +385,9 @@ class TestGroupTaskPurity:
         assert dropped, "the lossy policy should drop some watch records"
 
     def test_group_task_evaluates_each_trajectory_once(self):
-        """One ``positions`` call per member per interval, shared by the
-        stage-1 channel draws and every position attribute's collection."""
+        """One walk-table call per task, covering every member once, shared
+        by the stage-1 channel draws and every position attribute's
+        collection."""
         config = _grouped_config(
             1,
             num_users=9,
@@ -361,27 +409,28 @@ class TestGroupTaskPurity:
             )
             calls = []
 
-            def mobility_for(uid):
-                def positions(times):
-                    calls.append(uid)
-                    return sim.users[uid].mobility.positions(times)
+            def positions(user_ids, times):
+                calls.append(list(user_ids))
+                return sim.walks.positions(user_ids, times)
 
-                return types.SimpleNamespace(positions=positions)
-
+            walks = types.SimpleNamespace(positions=positions)
             for index in range(len(plan.group_ids)):
+                before = len(calls)
                 outcome = run_group_interval(
                     sim._static,
-                    mobility_for,
+                    walks,
                     plan,
                     interval,
                     *sim.clock.interval_bounds(interval),
                     index,
                 )
+                assert calls[before:] == [outcome.usage.member_ids]
                 assert all(
                     member_samples(outcome.collection, m)
                     for m in range(len(outcome.usage.member_ids))
                 )
-        assert sorted(calls) == ids
+        assert len(calls) == len(plan.group_ids)
+        assert sorted(uid for call in calls for uid in call) == ids
 
 
 # ------------------------------------------------------- boundary positions
@@ -393,24 +442,24 @@ class TestBoundaryPositions:
     def test_stored_positions_are_the_walks_at_each_boundary(self, monkeypatch, name, workers):
         """Association reads positions the group tasks return, not the walks.
 
-        After every interval, each user's stored position equals their walk's
-        ``position`` at the new boundary, bit for bit, through arrivals and
-        departures (``stadium_egress`` associates at every boundary,
-        ``edge_flash_crowd`` scopes through the handover controller, and
-        ``weak_signal_demotion``'s demotion app reads the controller's
-        mean-SNR lookup).  And the run calls ``position`` only to place
-        users: at set-up and in ``add_user``.
+        After every interval, each user's stored position equals a fresh
+        reference walk's ``position`` at the new boundary, bit for bit,
+        through arrivals and departures (``stadium_egress`` associates at
+        every boundary, ``edge_flash_crowd`` scopes through the handover
+        controller, and ``weak_signal_demotion``'s demotion app reads the
+        controller's mean-SNR lookup).  And the run asks the walk table for
+        a single time only to place users: at set-up and in ``add_user``.
         """
         placing = [0]
-        stray = []
-        position = GraphTrajectoryMobility.position
+        placed, stray = [], []
+        positions = WalkTable.positions
         run_interval = StreamingSimulator.run_interval
         boundaries = []
 
-        def counted_position(self, time_s):
-            if not placing[0]:
-                stray.append(time_s)
-            return position(self, time_s)
+        def counted_positions(self, user_ids, times_s):
+            if np.size(times_s) == 1:
+                (placed if placing[0] else stray).append(times_s)
+            return positions(self, user_ids, times_s)
 
         def placing_users(method):
             def placed(self, *args, **kwargs):
@@ -424,18 +473,16 @@ class TestBoundaryPositions:
 
         def checked_run_interval(self, grouping):
             result = run_interval(self, grouping)
-            placing[0] += 1
-            try:
-                for uid, user in self.users.items():
-                    walk = user.mobility.position(self.clock.now_s)
-                    assert self._positions[uid].tobytes() == walk.tobytes(), uid
-            finally:
-                placing[0] -= 1
+            for uid in self.users:
+                walk = GraphTrajectoryMobility(
+                    self.campus, seed=self._registry.mobility_seed(uid)
+                ).position(self.clock.now_s)
+                assert self._positions[uid].tobytes() == walk.tobytes(), uid
             assert set(self._positions) == set(self.users)
             boundaries.append(self.clock.now_s)
             return result
 
-        monkeypatch.setattr(GraphTrajectoryMobility, "position", counted_position)
+        monkeypatch.setattr(WalkTable, "positions", counted_positions)
         for placer in ("__init__", "add_user"):
             method = getattr(StreamingSimulator, placer)
             monkeypatch.setattr(StreamingSimulator, placer, placing_users(method))
@@ -454,6 +501,7 @@ class TestBoundaryPositions:
         num_users = [record["num_users"] for record in run.intervals]
         assert len(set(num_users)) > 1, "the run should churn"
         assert len(boundaries) == len(run.intervals)
+        assert placed, "set-up places users with one single-time call"
         assert stray == []
 
 
@@ -481,16 +529,13 @@ class TestRngRegistry:
         legacy_b = 1 * 1000 + 0
         assert legacy_a == legacy_b  # the documented collision
         times = np.arange(0.0, 600.0, 30.0)
-        collided_a = GraphTrajectoryMobility(campus, seed=legacy_a).positions(times)
-        collided_b = GraphTrajectoryMobility(campus, seed=legacy_b).positions(times)
+        collided_a, collided_b = WalkTable(
+            campus, [legacy_a, legacy_b].__getitem__
+        ).positions([0, 1], times)
         np.testing.assert_array_equal(collided_a, collided_b)
 
-        keyed_a = GraphTrajectoryMobility(
-            campus, seed=RngRegistry(0).mobility_seed(1000)
-        ).positions(times)
-        keyed_b = GraphTrajectoryMobility(
-            campus, seed=RngRegistry(1).mobility_seed(0)
-        ).positions(times)
+        keyed = [RngRegistry(0).mobility_seed(1000), RngRegistry(1).mobility_seed(0)]
+        keyed_a, keyed_b = WalkTable(campus, keyed.__getitem__).positions([0, 1], times)
         assert not np.array_equal(keyed_a, keyed_b)
 
     def test_mobility_stream_is_churn_independent(self):
@@ -499,7 +544,7 @@ class TestRngRegistry:
             sim = StreamingSimulator(_grouped_config(1, num_users=4))
             if add_extra_user:
                 sim.add_user()
-            return sim.users[0].mobility.positions(np.arange(0.0, 300.0, 30.0))
+            return sim.walks.positions([0], np.arange(0.0, 300.0, 30.0))[0]
 
         np.testing.assert_array_equal(
             positions_of_user_0(False), positions_of_user_0(True)

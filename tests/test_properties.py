@@ -11,7 +11,7 @@ from repro.behavior import PreferenceVector, WatchRecord, SwipeProbabilityEstima
 from repro.behavior.swiping import expected_transmitted_fraction
 from repro.cluster import KMeansPlusPlus, silhouette_score
 from repro.core.accuracy import prediction_accuracy
-from repro.net import ResourceBlockBudget, resource_blocks_for_traffic, spectral_efficiency
+from repro.net import resource_blocks_for_traffic, spectral_efficiency
 from repro.rl import ReplayBuffer
 from repro.twin import TimeSeriesStore
 from repro.video import DEFAULT_CATEGORIES, zipf_weights
@@ -191,15 +191,3 @@ class TestReplayAndBudgetProperties:
         for i in range(pushes):
             buffer.push(np.array([float(i)]), 0, 0.0, np.array([0.0]), False)
         assert len(buffer) == min(capacity, pushes)
-
-    @given(
-        total=st.floats(min_value=1.0, max_value=1000.0),
-        requests=st.lists(st.floats(min_value=0.0, max_value=500.0), max_size=20),
-    )
-    def test_budget_never_over_reserves(self, total, requests):
-        budget = ResourceBlockBudget(total)
-        for group_id, blocks in enumerate(requests):
-            budget.reserve(group_id, blocks)
-        assert budget.reserved_blocks <= budget.total_blocks + 1e-6
-        assert budget.available_blocks >= -1e-6
-        assert 0.0 <= budget.utilization() <= 1.0 + 1e-9

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.cluster.metrics
 import repro.rl.env
@@ -23,7 +24,8 @@ from repro.rl import (
     grouping_state,
     train_agent,
 )
-from repro.rl.env import STATE_DIM
+from repro.rl.env import STATE_DIM, _population_terms
+from population_terms_reference import reference_population_terms
 
 
 @pytest.fixture
@@ -354,3 +356,37 @@ class TestTrainingLoop:
             agent, _LineEnvironment(), episodes=6, rng=np.random.default_rng(0)
         )
         assert np.isfinite(result.mean_return(last=2))
+
+
+# ------------------------------------------------- blocked population terms
+@settings(max_examples=150, deadline=None)
+@given(
+    num_users=st.integers(0, 50),
+    dim=st.integers(1, 19),
+    block_rows=st.one_of(st.none(), st.integers(1, 60)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    duplicates=st.booleans(),
+)
+@example(num_users=0, dim=3, block_rows=1, seed=0, scale=1.0, duplicates=False)
+@example(num_users=1, dim=3, block_rows=1, seed=0, scale=1.0, duplicates=False)
+@example(num_users=2, dim=3, block_rows=1, seed=0, scale=1.0, duplicates=False)
+@example(num_users=2, dim=3, block_rows=5, seed=0, scale=1.0, duplicates=False)
+@example(num_users=9, dim=8, block_rows=1, seed=1, scale=1.0, duplicates=True)
+@example(num_users=9, dim=8, block_rows=10, seed=1, scale=1.0, duplicates=False)
+def test_blocked_population_terms_equal_the_whole_tensor(
+    num_users, dim, block_rows, seed, scale, duplicates
+):
+    """Row blocks of any size give the whole-tensor tuple exactly."""
+    features = np.random.default_rng(seed).normal(size=(num_users, dim)) * scale
+    if duplicates and num_users > 1:
+        features[1::2] = features[0]
+    assert _population_terms(features, block_rows) == reference_population_terms(features)
+
+
+def test_default_blocks_split_a_large_population():
+    # 700 users x 8 dims is several default blocks.
+    features = np.random.default_rng(3).normal(size=(700, 8))
+    rows = repro.rl.env._BLOCK_BYTES // (8 * 700 * 8)
+    assert 1 < rows < 700
+    assert _population_terms(features) == reference_population_terms(features)

@@ -481,6 +481,12 @@ class TestCli:
             ("multicell_campus", "catalog.zipf_exponent=-1"),
             ("multicell_campus", "population.preference_learning_rate=5"),
             ("multicell_campus", "population.preference_concentration=0"),
+            ("edge_flash_crowd", "interval_s=inf"),
+            ("edge_flash_crowd", "topology.area_width_m=inf"),
+            ("edge_flash_crowd", "topology.area_height_m=inf"),
+            ("edge_flash_crowd", "population.favourite_boost=inf"),
+            ("edge_flash_crowd", "population.preference_concentration=inf"),
+            ("edge_flash_crowd", "placement.reservation_margin=inf"),
         ],
     )
     def test_bad_override_value_is_a_one_line_error(self, capsys, scenario, override):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from collector_reference import member_samples, reference_collect
 from repro.behavior import WatchRecord, random_preference
-from repro.mobility import GraphTrajectoryMobility, StaticMobility
+from repro.mobility import WalkTable
 from repro.net import BaseStation, ChannelConfig, ChannelModel
 from repro.twin import (
     AttributeSpec,
@@ -28,6 +28,7 @@ from repro.twin.attributes import (
     WATCHING_DURATION,
     serving_cell_attribute,
 )
+from walk_reference import GraphTrajectoryMobility, StaticMobility
 
 
 @pytest.fixture
@@ -347,9 +348,7 @@ class TestGroupCollectionMatchesReference:
                 ]
             )
         )
-        positions = np.stack(
-            [GraphTrajectoryMobility(campus, seed=(seed, m)).positions(times) for m in members]
-        )
+        positions = WalkTable(campus, lambda m: (seed, m)).positions(members, times)
         status = collector.collect_interval(
             attributes,
             times,

@@ -24,13 +24,14 @@ from repro.core.config import SchemeConfig
 from repro.core.demand import GroupDemandPredictor, GroupDemandPrediction
 from repro.core.swiping import abstract_group_swiping
 from repro.mobility.campus import CampusConfig, CampusMap
-from repro.mobility.trajectory import GraphTrajectoryMobility, StaticMobility
+from repro.mobility.trajectory import WalkTable
 from repro.net.basestation import BaseStation
 from repro.sim.simulator import GroupIntervalUsage, IntervalResult, singleton_grouping
 from repro.twin.attributes import CHANNEL_CONDITION, PREFERENCE, standard_attributes
 from repro.twin.manager import DigitalTwinManager
 from repro.twin.timeseries import TimeSeriesStore
 from repro.video.catalog import CatalogConfig, VideoCatalog
+from walk_reference import StaticMobility
 
 
 class ReferenceStore:
@@ -125,11 +126,11 @@ class TestBatchedSamplingEquivalence:
 
     def test_graph_mobility_positions_match_scalar(self):
         campus = self._campus()
-        batched = GraphTrajectoryMobility(campus, seed=11)
-        scalar = GraphTrajectoryMobility(campus, seed=11)
+        batched = WalkTable(campus, lambda _: 11)
+        scalar = WalkTable(campus, lambda _: 11)
         times = np.linspace(0.0, 900.0, 301)
-        batch = batched.positions(times)
-        single = np.array([scalar.position(float(t)) for t in times])
+        batch = batched.positions([0], times)[0]
+        single = np.array([scalar.positions([0], [float(t)])[0, 0] for t in times])
         np.testing.assert_array_equal(batch, single)
 
     def test_static_positions(self):
