@@ -116,21 +116,12 @@ def run_fig3_experiment(
     num_users: int = 24,
     num_eval_intervals: int = 6,
     interval_s: float = 150.0,
-    playback_workers: int = 1,
 ) -> Fig3Result:
-    """Run the paper's Fig. 3 scenario and return both panels' data.
-
-    ``playback_workers`` shards each interval over that many processes;
-    results are identical for any worker count.
-    """
+    """Run the paper's Fig. 3 scenario and return both panels' data."""
     spec = _fig3_spec(
         seed,
         num_eval_intervals,
-        **{
-            "interval_s": interval_s,
-            "population.num_users": num_users,
-            "engine.playback_workers": playback_workers,
-        },
+        **{"interval_s": interval_s, "population.num_users": num_users},
     )
     result = ScenarioRunner(spec).run().evaluation
 

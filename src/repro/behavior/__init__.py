@@ -1,20 +1,21 @@
-"""User behaviour substrate: preferences, watching duration, swiping, sessions.
+"""User behaviour substrate: preferences, watching duration and swiping.
 
 The paper's core observation is that users' swiping behaviour (abandoning a
 short video before it finishes) determines how much of each pre-cached video
 is actually transmitted, and therefore how much radio and computing resource
-a multicast group really needs.  This subpackage models the behaviour that
-generates those traces:
+a multicast group really needs.  This subpackage holds the behaviour models
+the simulator's playback draws from and the estimators that read its
+traces:
 
 * :mod:`repro.behavior.preference` -- per-user category preference vectors
   and the population-wide engagement update (the "preference" UDT
   attribute).
-* :mod:`repro.behavior.watching` -- watching-duration model conditioned on
-  how well a video matches the user's preference.
+* :mod:`repro.behavior.watching` -- the watch record, and the batched
+  watching-duration sampler conditioned on how well a video matches each
+  viewer's preference, which the interval engine's group task draws every
+  watch from.
 * :mod:`repro.behavior.swiping` -- swipe-probability distributions derived
   from watching durations.
-* :mod:`repro.behavior.session` -- a session generator producing the
-  per-user watch records the UDTs collect.
 """
 
 from repro.behavior.preference import (
@@ -29,12 +30,9 @@ from repro.behavior.swiping import (
     empirical_swipe_distribution,
     swipe_probability_from_durations,
 )
-from repro.behavior.session import SessionConfig, SessionGenerator
 
 __all__ = [
     "PreferenceVector",
-    "SessionConfig",
-    "SessionGenerator",
     "SwipeProbabilityEstimator",
     "WatchRecord",
     "WatchingDurationModel",

@@ -12,11 +12,9 @@ prediction scheme needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from repro.behavior.preference import PreferenceVector
 from repro.video.catalog import Video
 
 
@@ -97,39 +95,6 @@ class WatchingDurationModel:
             min(self.completion_probability_gain * preference_weight, self.MAX_COMPLETION_PROBABILITY)
         )
 
-    def sample_watch_duration(
-        self,
-        video: Video,
-        preference: PreferenceVector,
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
-        """Sample how many seconds of ``video`` the user watches.
-
-        ``rng`` is required.  The historical ``None`` fallback built a
-        *fresh* seed-0 generator per call, so repeated calls without a
-        generator all returned the same draw.
-        """
-        if rng is None:
-            raise ValueError(
-                "sample_watch_duration requires an explicit rng; derive one "
-                "from the repro.sim.rng registry (the historical fallback, "
-                "legacy_stream(0), returned the same draw on every call)"
-            )
-        weight = preference.weight(video.category)
-        # Inlined completion_probability / mean_watched_fraction (hot path).
-        if rng.random() < min(
-            self.completion_probability_gain * weight, self.MAX_COMPLETION_PROBABILITY
-        ):
-            return float(video.duration_s)
-        mean = min(
-            self.base_mean_fraction * (1.0 + self.preference_gain * weight),
-            self.MAX_MEAN_WATCHED_FRACTION,
-        )
-        alpha = mean * self.concentration
-        beta = (1.0 - mean) * self.concentration
-        fraction = float(rng.beta(alpha, beta))
-        return float(fraction * video.duration_s)
-
     def sample_watch_durations(
         self,
         video: Video,
@@ -139,11 +104,10 @@ class WatchingDurationModel:
         """Sample one watch duration per viewer in a single batched draw.
 
         ``preference_weights`` holds each viewer's preference weight for
-        ``video``'s category.  The marginal distribution of every entry is
-        identical to :meth:`sample_watch_duration`; only the generator walk
-        differs (one ``random`` array and one ``beta`` array per call instead
-        of interleaved scalar draws), which is what the interval engine's
-        playback loop wants on its hot path.
+        ``video``'s category.  A viewer watches to the end with probability
+        :meth:`completion_probability`; otherwise the watched fraction is a
+        Beta draw with mean :meth:`mean_watched_fraction`.  The draws are
+        one ``random`` array and one ``beta`` array per call.
         """
         weights = np.asarray(preference_weights, dtype=np.float64)
         completion = np.minimum(
@@ -158,11 +122,3 @@ class WatchingDurationModel:
         completed = rng.random(weights.shape[0]) < completion
         fractions = rng.beta(alpha, beta)
         return np.where(completed, 1.0, fractions) * video.duration_s
-
-    def expected_watch_duration(self, video: Video, preference: PreferenceVector) -> float:
-        """Closed-form expectation of the watch duration (used by predictors)."""
-        weight = preference.weight(video.category)
-        p_complete = self.completion_probability(weight)
-        mean_fraction = self.mean_watched_fraction(weight)
-        expected_fraction = p_complete * 1.0 + (1.0 - p_complete) * mean_fraction
-        return float(expected_fraction * video.duration_s)

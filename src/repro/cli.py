@@ -36,8 +36,9 @@ from repro.analysis import (
     run_predictor_comparison,
     run_staleness_ablation,
 )
-from repro.dataset import ChallengeDatasetConfig, ChallengeDatasetGenerator, save_dataset
+from repro.dataset import generate_dataset, save_dataset
 from repro.scenario import ScenarioRunner, get_scenario, scenario_names
+from repro.sim import SimulationConfig
 
 
 def _add_fig3_parser(subparsers) -> None:
@@ -49,15 +50,6 @@ def _add_fig3_parser(subparsers) -> None:
     parser.add_argument("--intervals", type=int, default=6, help="evaluated reservation intervals")
     parser.add_argument(
         "--interval-seconds", type=float, default=150.0, help="reservation interval length"
-    )
-    parser.add_argument(
-        "--playback-workers",
-        type=int,
-        default=1,
-        help=(
-            "processes each interval is sharded over (results are identical "
-            "to a single-worker run for the same seed)"
-        ),
     )
     parser.add_argument(
         "--json",
@@ -149,7 +141,11 @@ def _add_simple_parser(subparsers, name: str, help_text: str) -> None:
 
 def _add_dataset_parser(subparsers) -> None:
     parser = subparsers.add_parser(
-        "dataset", help="generate a synthetic short-video-streaming-challenge dataset"
+        "dataset",
+        help=(
+            "record the simulator's unicast playback as a synthetic "
+            "short-video-streaming-challenge dataset"
+        ),
     )
     parser.add_argument("--output", required=True, help="output JSON path")
     parser.add_argument("--users", type=int, default=40)
@@ -360,7 +356,6 @@ def _run_fig3(args: argparse.Namespace) -> int:
         num_users=args.users,
         num_eval_intervals=args.intervals,
         interval_s=args.interval_seconds,
-        playback_workers=args.playback_workers,
     )
     _emit_json(result.to_dict(), args.json)
     if args.json == "-":
@@ -446,13 +441,18 @@ def _run_predictors(args: argparse.Namespace) -> int:
 
 
 def _run_dataset(args: argparse.Namespace) -> int:
-    config = ChallengeDatasetConfig(
-        num_videos=args.videos,
+    # No favoured users, and no learning from viewing: each user keeps the
+    # preference the dataset records, and each video its popularity.
+    config = SimulationConfig(
         num_users=args.users,
-        num_intervals=args.intervals,
+        num_videos=args.videos,
         seed=args.seed,
+        favourite_category=None,
+        favourite_user_fraction=0.0,
+        preference_learning_rate=0.0,
+        popularity_update_rate=0.0,
     )
-    bundle = ChallengeDatasetGenerator(config).generate()
+    bundle = generate_dataset(config, num_intervals=args.intervals)
     path = save_dataset(bundle, args.output)
     print(
         f"wrote {bundle.num_videos} videos, {bundle.num_users} users, "

@@ -2,23 +2,22 @@
 
 The paper generates "video bitrates and users' swiping behaviors" from the
 public short-video-streaming-challenge dataset, which is not redistributable
-here.  This subpackage generates a dataset with the same schema and the same
-statistical structure (heavy-tailed video popularity, per-segment VBR
-bitrate traces, preference-skewed watch/swipe traces), plus a JSON
-loader/saver and train/test splitting so experiments are repeatable.
+here.  This subpackage records the simulator's own unicast playback in the
+same schema: the video catalog with heavy-tailed popularity and per-segment
+VBR bitrate traces, each user's preference, and every watch the user made
+(:func:`generate_dataset`), plus a JSON loader/saver and train/test
+splitting so experiments are repeatable.
 """
 
-from repro.dataset.schema import DatasetBundle, SwipeTraceRecord, UserRecord, VideoRecord
-from repro.dataset.generator import ChallengeDatasetConfig, ChallengeDatasetGenerator
+from repro.dataset.schema import DatasetBundle, UserRecord, VideoRecord
+from repro.dataset.generator import generate_dataset
 from repro.dataset.loader import load_dataset, save_dataset, train_test_split
 
 __all__ = [
-    "ChallengeDatasetConfig",
-    "ChallengeDatasetGenerator",
     "DatasetBundle",
-    "SwipeTraceRecord",
     "UserRecord",
     "VideoRecord",
+    "generate_dataset",
     "load_dataset",
     "save_dataset",
     "train_test_split",

@@ -1,107 +1,41 @@
-"""Synthetic challenge-dataset generator.
+"""Dataset generator: the simulator's own unicast playback, recorded.
 
-Builds a :class:`~repro.dataset.schema.DatasetBundle` by (1) generating a
-video catalog with Zipf popularity and per-segment VBR traces and (2)
-simulating preference-driven viewing sessions for a population of users over
-several reservation intervals.  The result has the same shape as the public
-short-video-streaming-challenge data the paper consumes.
+:func:`generate_dataset` runs :class:`~repro.sim.simulator.StreamingSimulator`
+with every user in a group of their own (the unicast baseline) and exports
+what the simulation already holds: the video catalog with its per-segment
+VBR traces, each user's preference row and each interval's watch records.
+Each watch is therefore drawn by the same group task, from the same law, as
+the watches the paper loop is scored against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
-import numpy as np
-
-from repro.behavior.preference import PreferenceVector, random_preference
-from repro.behavior.session import SessionConfig, SessionGenerator
-from repro.behavior.watching import WatchingDurationModel
-from repro.dataset.schema import DatasetBundle, SwipeTraceRecord, UserRecord, VideoRecord
-from repro.video.catalog import CatalogConfig, VideoCatalog
-from repro.video.categories import DEFAULT_CATEGORIES
+from repro.behavior.watching import WatchRecord
+from repro.dataset.schema import DatasetBundle, UserRecord, VideoRecord
+from repro.sim.config import SimulationConfig
+from repro.sim.simulator import StreamingSimulator, singleton_grouping
 
 
-@dataclass
-class ChallengeDatasetConfig:
-    """Configuration of the synthetic dataset generator."""
+def generate_dataset(config: SimulationConfig, num_intervals: int) -> DatasetBundle:
+    """Play ``num_intervals`` unicast intervals of ``config`` and export them.
 
-    num_videos: int = 150
-    num_users: int = 40
-    num_intervals: int = 6
-    interval_s: float = 300.0
-    categories: Sequence[str] = DEFAULT_CATEGORIES
-    zipf_exponent: float = 1.0
-    preference_concentration: float = 0.7
-    favourite_category: Optional[str] = None
-    favourite_user_fraction: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_videos <= 0 or self.num_users <= 0 or self.num_intervals <= 0:
-            raise ValueError("num_videos, num_users and num_intervals must be positive")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if not 0.0 <= self.favourite_user_fraction <= 1.0:
-            raise ValueError("favourite_user_fraction must be in [0, 1]")
-        if self.favourite_category is not None and self.favourite_category not in self.categories:
-            raise ValueError("favourite_category must be one of categories")
-
-
-class ChallengeDatasetGenerator:
-    """Generates synthetic video bitrate traces and user swipe traces."""
-
-    def __init__(self, config: Optional[ChallengeDatasetConfig] = None) -> None:
-        self.config = config if config is not None else ChallengeDatasetConfig()
-
-    # ------------------------------------------------------------- building
-    def build_catalog(self) -> VideoCatalog:
-        config = self.config
-        return VideoCatalog.generate(
-            CatalogConfig(
-                num_videos=config.num_videos,
-                categories=config.categories,
-                zipf_exponent=config.zipf_exponent,
-                seed=config.seed,
+    Users are exported with their preferences as drawn at set-up, videos in
+    catalog order, and traces interval by interval, each interval's users
+    in id order and each user's records in playback order.
+    """
+    if num_intervals < 1:
+        raise ValueError("num_intervals must be at least 1")
+    with StreamingSimulator(config) as simulator:
+        user_ids = simulator.user_ids()
+        users = [
+            UserRecord(
+                user_id=user_id,
+                preference={c: float(w) for c, w in zip(config.categories, row)},
             )
-        )
-
-    def build_preferences(self, rng: np.random.Generator) -> List[PreferenceVector]:
-        """One preference vector per user, optionally biasing a user subset."""
-        config = self.config
-        preferences: List[PreferenceVector] = []
-        num_favoured = int(round(config.favourite_user_fraction * config.num_users))
-        for user_id in range(config.num_users):
-            favourite = (
-                config.favourite_category
-                if config.favourite_category is not None and user_id < num_favoured
-                else None
-            )
-            preferences.append(
-                random_preference(
-                    rng,
-                    categories=config.categories,
-                    concentration=config.preference_concentration,
-                    favourite=favourite,
-                )
-            )
-        return preferences
-
-    def generate(self) -> DatasetBundle:
-        """Generate the full dataset bundle."""
-        config = self.config
-        # Imported lazily: repro.sim pulls in modules that import this one.
-        from repro.sim.rng import legacy_stream
-
-        rng = legacy_stream(config.seed)
-        catalog = self.build_catalog()
-        preferences = self.build_preferences(rng)
-        generator = SessionGenerator(
-            catalog,
-            WatchingDurationModel(),
-            SessionConfig(session_duration_s=config.interval_s),
-        )
-
+            for user_id, row in zip(user_ids, simulator.preference_weights(user_ids))
+        ]
         videos = [
             VideoRecord(
                 video_id=video.video_id,
@@ -112,37 +46,19 @@ class ChallengeDatasetGenerator:
                     name: sizes.tolist() for name, sizes in video.segment_sizes.items()
                 },
             )
-            for video in catalog
+            for video in simulator.catalog
         ]
-        users = [
-            UserRecord(user_id=user_id, preference=preference.as_dict())
-            for user_id, preference in enumerate(preferences)
-        ]
+        grouping = singleton_grouping(user_ids)
+        traces: List[WatchRecord] = []
+        for _ in range(num_intervals):
+            result = simulator.run_interval(grouping)
+            for user_id in user_ids:
+                traces.extend(result.events_by_user[user_id])
 
-        traces: List[SwipeTraceRecord] = []
-        for interval in range(config.num_intervals):
-            start = interval * config.interval_s
-            sessions = generator.generate_population_sessions(
-                preferences, rng=rng, start_time_s=start, duration_s=config.interval_s
-            )
-            for records in sessions:
-                for record in records:
-                    traces.append(
-                        SwipeTraceRecord(
-                            user_id=record.user_id,
-                            video_id=record.video_id,
-                            category=record.category,
-                            timestamp_s=record.timestamp_s,
-                            watch_duration_s=record.watch_duration_s,
-                            video_duration_s=record.video_duration_s,
-                            swiped=record.swiped,
-                        )
-                    )
-
-        metadata = {
-            "interval_s": config.interval_s,
-            "num_intervals": float(config.num_intervals),
-            "seed": float(config.seed),
-            "zipf_exponent": config.zipf_exponent,
-        }
-        return DatasetBundle(videos=videos, users=users, swipe_traces=traces, metadata=metadata)
+    metadata = {
+        "interval_s": config.interval_s,
+        "num_intervals": float(num_intervals),
+        "seed": float(config.seed),
+        "zipf_exponent": config.zipf_exponent,
+    }
+    return DatasetBundle(videos=videos, users=users, swipe_traces=traces, metadata=metadata)

@@ -3,15 +3,18 @@
 The bundle mirrors the structure of the public short-video-streaming
 challenge data: a table of videos (category, duration, per-segment bitrate
 trace at each representation), a table of users (initial preference) and a
-table of swipe traces (which user watched which video for how long).  All
-records are plain dataclasses with dictionary round-tripping so the bundle
-can be serialised to JSON.
+table of swipe traces (which user watched which video for how long).  Videos
+and users are plain dataclasses with dictionary round-tripping; a swipe
+trace is the simulator's own :class:`~repro.behavior.watching.WatchRecord`,
+written under the file's trace keys, so the bundle serialises to JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List
+
+from repro.behavior.watching import WatchRecord
 
 
 @dataclass
@@ -75,44 +78,30 @@ class UserRecord:
         )
 
 
-@dataclass
-class SwipeTraceRecord:
-    """One viewing in the swipe trace."""
+def _trace_to_dict(record: WatchRecord) -> dict:
+    """One watch record as a swipe-trace entry of the file, in the file's key order."""
+    return {
+        "user_id": record.user_id,
+        "video_id": record.video_id,
+        "category": record.category,
+        "timestamp_s": record.timestamp_s,
+        "watch_duration_s": record.watch_duration_s,
+        "video_duration_s": record.video_duration_s,
+        "swiped": record.swiped,
+    }
 
-    user_id: int
-    video_id: int
-    category: str
-    timestamp_s: float
-    watch_duration_s: float
-    video_duration_s: float
-    swiped: bool
 
-    def __post_init__(self) -> None:
-        if self.watch_duration_s < 0 or self.video_duration_s <= 0:
-            raise ValueError("durations must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "video_id": self.video_id,
-            "category": self.category,
-            "timestamp_s": self.timestamp_s,
-            "watch_duration_s": self.watch_duration_s,
-            "video_duration_s": self.video_duration_s,
-            "swiped": self.swiped,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SwipeTraceRecord":
-        return cls(
-            user_id=int(data["user_id"]),
-            video_id=int(data["video_id"]),
-            category=str(data["category"]),
-            timestamp_s=float(data["timestamp_s"]),
-            watch_duration_s=float(data["watch_duration_s"]),
-            video_duration_s=float(data["video_duration_s"]),
-            swiped=bool(data["swiped"]),
-        )
+def _trace_from_dict(data: dict) -> WatchRecord:
+    """The watch record of one swipe-trace entry of the file."""
+    return WatchRecord(
+        user_id=int(data["user_id"]),
+        video_id=int(data["video_id"]),
+        category=str(data["category"]),
+        timestamp_s=float(data["timestamp_s"]),
+        watch_duration_s=float(data["watch_duration_s"]),
+        video_duration_s=float(data["video_duration_s"]),
+        swiped=bool(data["swiped"]),
+    )
 
 
 @dataclass
@@ -121,7 +110,7 @@ class DatasetBundle:
 
     videos: List[VideoRecord] = field(default_factory=list)
     users: List[UserRecord] = field(default_factory=list)
-    swipe_traces: List[SwipeTraceRecord] = field(default_factory=list)
+    swipe_traces: List[WatchRecord] = field(default_factory=list)
     metadata: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -136,9 +125,6 @@ class DatasetBundle:
     def num_traces(self) -> int:
         return len(self.swipe_traces)
 
-    def traces_for_user(self, user_id: int) -> List[SwipeTraceRecord]:
-        return [trace for trace in self.swipe_traces if trace.user_id == user_id]
-
     def categories(self) -> List[str]:
         seen: List[str] = []
         for video in self.videos:
@@ -150,7 +136,7 @@ class DatasetBundle:
         return {
             "videos": [video.to_dict() for video in self.videos],
             "users": [user.to_dict() for user in self.users],
-            "swipe_traces": [trace.to_dict() for trace in self.swipe_traces],
+            "swipe_traces": [_trace_to_dict(trace) for trace in self.swipe_traces],
             "metadata": dict(self.metadata),
         }
 
@@ -159,6 +145,6 @@ class DatasetBundle:
         return cls(
             videos=[VideoRecord.from_dict(v) for v in data.get("videos", [])],
             users=[UserRecord.from_dict(u) for u in data.get("users", [])],
-            swipe_traces=[SwipeTraceRecord.from_dict(t) for t in data.get("swipe_traces", [])],
+            swipe_traces=[_trace_from_dict(t) for t in data.get("swipe_traces", [])],
             metadata={str(k): float(v) for k, v in data.get("metadata", {}).items()},
         )

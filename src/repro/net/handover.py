@@ -19,6 +19,7 @@ never shift one user's streak onto another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -60,8 +61,8 @@ class HandoverConfig:
             raise ValueError("hysteresis_db must be non-negative")
         if self.time_to_trigger_s < 0:
             raise ValueError("time_to_trigger_s must be non-negative")
-        if self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
+        if not 0 < self.sample_period_s < math.inf:
+            raise ValueError("sample_period_s must be positive and finite")
         if self.load_bias_db < 0:
             raise ValueError("load_bias_db must be non-negative")
 

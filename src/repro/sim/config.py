@@ -117,14 +117,19 @@ class SimulationConfig:
             raise ValueError("favourite_category must be one of categories")
         if not 0 < self.favourite_boost < math.inf:
             raise ValueError("favourite_boost must be positive and finite")
-        if self.stream_bandwidth_hz <= 0 or self.rb_bandwidth_hz <= 0:
-            raise ValueError("bandwidths must be positive")
+        if not -math.inf < self.tx_power_dbm < math.inf:
+            raise ValueError("tx_power_dbm must be finite")
+        # An infinite stream bandwidth is allowed: it means "unlimited".
+        if self.stream_bandwidth_hz <= 0:
+            raise ValueError("stream_bandwidth_hz must be positive")
+        if not 0 < self.rb_bandwidth_hz < math.inf:
+            raise ValueError("rb_bandwidth_hz must be positive and finite")
         if self.num_resource_blocks <= 0:
             raise ValueError("num_resource_blocks must be positive")
         if not 0.0 < self.implementation_loss <= 1.0:
             raise ValueError("implementation_loss must be in (0, 1]")
-        if self.channel_sample_period_s <= 0:
-            raise ValueError("channel_sample_period_s must be positive")
+        if not 0 < self.channel_sample_period_s < math.inf:
+            raise ValueError("channel_sample_period_s must be positive and finite")
         if self.controller_mode not in ("boundary", "handover"):
             raise ValueError("controller_mode must be 'boundary' or 'handover'")
         if self.playback_workers < 1:

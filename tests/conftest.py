@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.behavior import SessionConfig, SessionGenerator, WatchingDurationModel, random_preference
 from repro.mobility import CampusConfig, CampusMap
 from repro.sim import SimulationConfig, StreamingSimulator
 from repro.video import CatalogConfig, VideoCatalog
@@ -32,21 +31,6 @@ def small_catalog() -> VideoCatalog:
 def campus() -> CampusMap:
     """A small campus graph shared across the session."""
     return CampusMap.generate(CampusConfig(num_buildings=10), seed=3)
-
-
-@pytest.fixture
-def preferences(rng):
-    """Six random preference vectors."""
-    return [random_preference(rng) for _ in range(6)]
-
-
-@pytest.fixture
-def session_generator(small_catalog) -> SessionGenerator:
-    return SessionGenerator(
-        small_catalog,
-        WatchingDurationModel(),
-        SessionConfig(session_duration_s=60.0),
-    )
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from hypothesis import strategies as st
 
 from repro.behavior import (
     PreferenceVector,
-    SessionConfig,
-    SessionGenerator,
     SwipeProbabilityEstimator,
     WatchRecord,
     WatchingDurationModel,
@@ -22,7 +22,7 @@ from repro.behavior import (
     swipe_probability_from_durations,
 )
 from repro.behavior.swiping import expected_transmitted_fraction
-from repro.sim import SimulationConfig
+from repro.sim import SimulationConfig, StreamingSimulator, singleton_grouping
 from repro.video import DEFAULT_CATEGORIES
 from preference_reference import reference_engagement, reference_update
 
@@ -182,8 +182,9 @@ class TestWatchingDurationModel:
         model = WatchingDurationModel()
         preference = PreferenceVector({c: 1.0 for c in DEFAULT_CATEGORIES})
         for video in list(small_catalog)[:10]:
-            duration = model.sample_watch_duration(video, preference, rng)
-            assert 0.0 <= duration <= video.duration_s + 1e-9
+            weights = np.full(5, preference.weight(video.category))
+            for duration in model.sample_watch_durations(video, weights, rng):
+                assert 0.0 <= duration <= video.duration_s + 1e-9
 
     def test_preferred_category_watched_longer_on_average(self, rng, small_catalog):
         model = WatchingDurationModel()
@@ -191,19 +192,14 @@ class TestWatchingDurationModel:
         loving = PreferenceVector({video.category: 1.0})
         indifferent = PreferenceVector({c: 1.0 for c in DEFAULT_CATEGORIES})
         love_mean = np.mean(
-            [model.sample_watch_duration(video, loving, rng) for _ in range(200)]
+            model.sample_watch_durations(video, np.full(200, loving.weight(video.category)), rng)
         )
         meh_mean = np.mean(
-            [model.sample_watch_duration(video, indifferent, rng) for _ in range(200)]
+            model.sample_watch_durations(
+                video, np.full(200, indifferent.weight(video.category)), rng
+            )
         )
         assert love_mean > meh_mean
-
-    def test_expected_watch_duration_between_zero_and_duration(self, small_catalog):
-        model = WatchingDurationModel()
-        preference = PreferenceVector({c: 1.0 for c in DEFAULT_CATEGORIES})
-        video = next(iter(small_catalog))
-        expected = model.expected_watch_duration(video, preference)
-        assert 0.0 < expected <= video.duration_s
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -290,66 +286,75 @@ class TestSwiping:
             expected_transmitted_fraction(1.5, 0.5)
 
 
+def _unicast(sim: StreamingSimulator, num_intervals: int = 1):
+    """Each interval's result with every user in a group of their own."""
+    return [sim.run_interval(singleton_grouping(sim.user_ids())) for _ in range(num_intervals)]
+
+
 class TestSessions:
-    def test_session_covers_requested_duration(self, session_generator, rng):
-        preference = random_preference(rng)
-        records = session_generator.generate_session(0, preference, rng=rng, duration_s=60.0)
-        assert records, "session should contain at least one viewing"
-        assert records[-1].timestamp_s + records[-1].watch_duration_s <= 60.0 + 1e-6
-        last_start = records[-1].timestamp_s
-        assert last_start < 60.0
+    """The simulator's unicast playback: the watch records ``repro dataset``
+    records, one user per group."""
 
-    def test_events_are_time_ordered(self, session_generator, rng):
-        records = session_generator.generate_session(0, random_preference(rng), rng=rng)
-        starts = [record.timestamp_s for record in records]
-        assert starts == sorted(starts)
-
-    def test_watch_durations_within_video(self, session_generator, rng):
-        records = session_generator.generate_session(1, random_preference(rng), rng=rng)
-        for record in records:
-            assert 0.0 <= record.watch_duration_s <= record.video_duration_s + 1e-9
-
-    def test_population_sessions_one_per_user(self, session_generator, rng, preferences):
-        sessions = session_generator.generate_population_sessions(preferences, rng=rng)
-        assert len(sessions) == len(preferences)
-        for user_id, records in enumerate(sessions):
-            assert all(record.user_id == user_id for record in records)
-
-    def test_preferred_category_dominates_engagement(self, small_catalog, rng):
-        generator = SessionGenerator(
-            small_catalog,
-            WatchingDurationModel(),
-            SessionConfig(session_duration_s=600.0, recommendation_popularity_weight=0.1),
+    def test_session_covers_requested_duration(self):
+        sim = StreamingSimulator(
+            SimulationConfig(num_users=4, num_videos=30, interval_s=60.0, seed=21)
         )
+        for result in _unicast(sim, 2):
+            for records in result.events_by_user.values():
+                assert records, "each user-interval should contain at least one viewing"
+                last = records[-1]
+                assert last.timestamp_s + last.watch_duration_s <= result.end_s + 1e-6
+                assert last.timestamp_s < result.end_s
+
+    def test_events_are_time_ordered(self):
+        sim = StreamingSimulator(
+            SimulationConfig(num_users=4, num_videos=30, interval_s=60.0, seed=21)
+        )
+        starts = {uid: [] for uid in sim.user_ids()}
+        for result in _unicast(sim, 2):
+            for uid, records in result.events_by_user.items():
+                starts[uid].extend(record.timestamp_s for record in records)
+        for user_starts in starts.values():
+            assert user_starts == sorted(user_starts)
+
+    def test_preferred_category_dominates_engagement(self):
+        # Seed 7 and 30 videos build the ``small_catalog`` fixture's catalog.
+        config = SimulationConfig(
+            num_users=1,
+            num_videos=30,
+            interval_s=600.0,
+            recommendation_popularity_weight=0.1,
+            seed=7,
+        )
+        sim = StreamingSimulator(config)
         preference = PreferenceVector({"News": 0.9, **{c: 0.1 for c in DEFAULT_CATEGORIES[1:]}})
-        records = generator.generate_session(0, preference, rng=rng, duration_s=600.0)
+        sim._preferences[0] = preference.as_array(config.categories)
+        (result,) = _unicast(sim)
         engagement: dict = {}
-        for record in records:
+        for record in result.events_by_user[0]:
             engagement[record.category] = (
                 engagement.get(record.category, 0.0) + record.watch_duration_s
             )
         assert engagement.get("News", 0.0) == max(engagement.values())
 
-    def test_watch_cut_by_session_end_is_not_a_swipe(self, small_catalog, rng):
-        """Regression: the session-final watch used to count as a swipe.
+    def test_watch_cut_by_session_end_is_not_a_swipe(self):
+        """Regression: the interval-final watch used to count as a swipe.
 
-        ``swiped`` reflects the intended duration, as in the simulator's
-        playback; only the recorded duration is capped at the session end.
+        ``swiped`` reflects the intended duration; only the recorded
+        duration is capped at the interval end.
         """
 
         class FinishingModel(WatchingDurationModel):
-            def sample_watch_duration(self, video, preference, rng=None):
-                return float(video.duration_s)
+            def sample_watch_durations(self, video, preference_weights, rng):
+                return np.full(len(preference_weights), float(video.duration_s))
 
-        generator = SessionGenerator(small_catalog, FinishingModel())
-        records = generator.generate_session(0, random_preference(rng), rng=rng, duration_s=1.0)
+        sim = StreamingSimulator(
+            SimulationConfig(num_users=1, num_videos=30, interval_s=1.0, seed=21)
+        )
+        sim._static = dataclasses.replace(sim._static, watching_model=FinishingModel())
+        (result,) = _unicast(sim)
+        records = result.events_by_user[0]
         assert len(records) == 1
         assert records[0].watch_duration_s == pytest.approx(1.0)
         assert records[0].watch_duration_s < records[0].video_duration_s
         assert not records[0].swiped
-
-    def test_invalid_session_config(self):
-        with pytest.raises(ValueError):
-            SessionConfig(session_duration_s=0.0)
-        with pytest.raises(ValueError):
-            SessionConfig(recommendation_popularity_weight=2.0)

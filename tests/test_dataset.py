@@ -1,29 +1,39 @@
-"""Unit tests for the synthetic challenge-dataset generator and loader."""
+"""Unit tests for the challenge-style dataset generator and loader."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.behavior import WatchRecord
 from repro.dataset import (
-    ChallengeDatasetConfig,
-    ChallengeDatasetGenerator,
-    SwipeTraceRecord,
+    DatasetBundle,
     UserRecord,
     VideoRecord,
+    generate_dataset,
     load_dataset,
     save_dataset,
     train_test_split,
 )
+from repro.sim import SimulationConfig
 from repro.video import DEFAULT_CATEGORIES, DEFAULT_LADDER
+
+
+def _config(**fields) -> SimulationConfig:
+    """``repro dataset``'s settings: no favoured users, nothing learned."""
+    defaults = dict(
+        favourite_category=None,
+        favourite_user_fraction=0.0,
+        preference_learning_rate=0.0,
+        popularity_update_rate=0.0,
+    )
+    return SimulationConfig(**{**defaults, **fields})
 
 
 @pytest.fixture(scope="module")
 def small_bundle():
-    config = ChallengeDatasetConfig(
-        num_videos=20, num_users=6, num_intervals=2, interval_s=60.0, seed=5
-    )
-    return ChallengeDatasetGenerator(config).generate()
+    config = _config(num_videos=20, num_users=6, interval_s=60.0, seed=5)
+    return generate_dataset(config, num_intervals=2)
 
 
 class TestSchema:
@@ -42,7 +52,7 @@ class TestSchema:
         assert UserRecord.from_dict(record.to_dict()) == record
 
     def test_swipe_record_roundtrip(self):
-        record = SwipeTraceRecord(
+        record = WatchRecord(
             user_id=1,
             video_id=2,
             category="Music",
@@ -51,24 +61,30 @@ class TestSchema:
             video_duration_s=15.0,
             swiped=True,
         )
-        assert SwipeTraceRecord.from_dict(record.to_dict()) == record
+        trace = DatasetBundle(swipe_traces=[record]).to_dict()["swipe_traces"][0]
+        assert list(trace) == [
+            "user_id",
+            "video_id",
+            "category",
+            "timestamp_s",
+            "watch_duration_s",
+            "video_duration_s",
+            "swiped",
+        ]
+        loaded = DatasetBundle.from_dict({"swipe_traces": [trace]})
+        assert loaded.swipe_traces == [record]
 
     def test_invalid_durations_rejected(self):
         with pytest.raises(ValueError):
             VideoRecord(video_id=1, category="News", duration_s=0.0, segment_duration_s=1.0)
         with pytest.raises(ValueError):
-            SwipeTraceRecord(0, 0, "News", 0.0, -1.0, 10.0, True)
+            WatchRecord(0, 0, "News", -1.0, 10.0, True, timestamp_s=0.0)
 
     def test_bundle_accessors(self, small_bundle):
         assert small_bundle.num_videos == 20
         assert small_bundle.num_users == 6
         assert small_bundle.num_traces == len(small_bundle.swipe_traces)
         assert set(small_bundle.categories()) <= set(DEFAULT_CATEGORIES)
-
-    def test_traces_for_user(self, small_bundle):
-        traces = small_bundle.traces_for_user(0)
-        assert traces
-        assert all(t.user_id == 0 for t in traces)
 
 
 class TestGenerator:
@@ -92,31 +108,32 @@ class TestGenerator:
         assert timestamps.max() < 2 * 60.0
 
     def test_deterministic_given_seed(self):
-        config = ChallengeDatasetConfig(num_videos=10, num_users=3, num_intervals=1, seed=9)
-        a = ChallengeDatasetGenerator(config).generate()
-        b = ChallengeDatasetGenerator(config).generate()
+        config = _config(num_videos=10, num_users=3, seed=9)
+        a = generate_dataset(config, num_intervals=1)
+        b = generate_dataset(config, num_intervals=1)
         assert a.num_traces == b.num_traces
-        assert a.swipe_traces[0].to_dict() == b.swipe_traces[0].to_dict()
+        assert a.swipe_traces[0] == b.swipe_traces[0]
 
     def test_favoured_users_prefer_category(self):
-        config = ChallengeDatasetConfig(
+        config = _config(
             num_videos=30,
             num_users=10,
-            num_intervals=1,
             favourite_category="News",
             favourite_user_fraction=0.5,
             seed=2,
         )
-        bundle = ChallengeDatasetGenerator(config).generate()
+        bundle = generate_dataset(config, num_intervals=1)
         favoured = [u.preference["News"] for u in bundle.users[:5]]
         others = [u.preference["News"] for u in bundle.users[5:]]
         assert np.mean(favoured) > np.mean(others)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            ChallengeDatasetConfig(num_users=0)
+            generate_dataset(_config(num_users=3, num_videos=10), num_intervals=0)
         with pytest.raises(ValueError):
-            ChallengeDatasetConfig(favourite_category="Opera")
+            _config(num_users=0)
+        with pytest.raises(ValueError):
+            _config(favourite_category="Opera")
 
 
 class TestLoader:

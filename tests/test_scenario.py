@@ -12,13 +12,17 @@ Covers:
   ``RunResult`` round-trip;
 * the registry + CLI — every registered scenario lists, compiles and
   smoke-runs for one interval (the same matrix CI executes), and the
-  playback scenarios' whole exports are digest-pinned.
+  playback scenarios' whole exports, and the scheme scenarios' at two
+  intervals, are digest-pinned.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +49,7 @@ from twin_digest import twin_contents_sha256
 #: ``bench_e2e.digest`` of each playback scenario not pinned elsewhere, run
 #: at its registry defaults (own seed and interval count, one worker).
 #: ``multicell_campus`` and ``cell_outage_storm`` are pinned in
-#: ``test_controller_apps``; the scheme scenarios run ``Dense`` matmuls
-#: whose last bits may differ between BLAS kernels, so they stay unpinned.
+#: ``test_controller_apps``.
 PLAYBACK_DIGESTS = {
     "commuter_rush": "7826d5f7446b27d00312c2af7a27680d4f351ef371705bf0532cb7c830c5574c",
     "edge_flash_crowd": "f318ac9b177397dfe2771f2ca3f1a404470d1d851aaf1d47fc28ff58cf4360d5",
@@ -62,6 +65,25 @@ PLAYBACK_TWIN_CONTENTS = {
     "stadium_egress": "0f06ed488ca4f2a94d6318893800340ee4bc8385b54a37da7290d4a63fd61549",
     "weak_signal_demotion": "f55c2a25b20b924dedd2beeec818312a935ef1364efaa6c692aedf53acbc4cd1",
 }
+
+#: ``bench_e2e.digest`` of the scheme scenarios at ``num_intervals=2``, with
+#: their registry settings otherwise (own seed, one worker).  The scheme runs
+#: ``Dense`` and ``Conv1D`` matmuls, whose last bits may depend on the BLAS
+#: kernel; at this length both exports read the same under every OpenBLAS
+#: kernel family tried, and the pin test re-runs them under another one.
+SCHEME_DIGESTS = {
+    "campus_fig3": "2451452f4949152740f0a2233222a92518b5b1ce01c86472407662b9dfbaeaf1",
+    "flash_crowd": "0331512fc955f069cb8d66b9237710e9c4a5030cbe2cb0a9518d3cf1a7112336",
+}
+
+#: Prints ``{scenario: digest}`` for the scenarios named on its command line.
+_SCHEME_DIGEST_SCRIPT = """
+import json, sys
+from bench_e2e import digest
+from repro.scenario import run_scenario
+names = sys.argv[1:]
+print(json.dumps({n: digest(run_scenario(n, {"num_intervals": 2})) for n in names}))
+"""
 
 
 def _tiny_fig3_overrides(num_users=10, num_intervals=2):
@@ -393,6 +415,38 @@ class TestRegistry:
         assert twin_contents_sha256(run.simulator.twins) == PLAYBACK_TWIN_CONTENTS[name]
 
 
+    def test_scheme_scenario_export_is_pinned(self, monkeypatch):
+        """Both scheme scenarios' exports, in this process and in a child that
+        picks OpenBLAS's Prescott kernels.  A pin that depends on the kernel's
+        bits then fails on any machine whose OpenBLAS picks its kernel at run
+        time; a build that does not ignores the variable and runs the default
+        kernel twice."""
+        root = Path(__file__).resolve().parents[1]
+        bench_dir = str(root / "benchmarks" / "e2e")
+        monkeypatch.syspath_prepend(bench_dir)
+        from bench_e2e import digest
+
+        for name, expected in SCHEME_DIGESTS.items():
+            spec = get_scenario(name)
+            assert spec.mode == "scheme" and spec.engine.playback_workers == 1
+            assert digest(run_scenario(name, {"num_intervals": 2})) == expected, name
+
+        env = dict(
+            os.environ,
+            OPENBLAS_CORETYPE="Prescott",
+            PYTHONPATH=os.pathsep.join([str(root / "src"), bench_dir]),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", _SCHEME_DIGEST_SCRIPT, *SCHEME_DIGESTS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout.splitlines()[-1]) == SCHEME_DIGESTS
+
+
 class TestCli:
     def test_parse_overrides(self):
         overrides = parse_overrides(
@@ -487,6 +541,11 @@ class TestCli:
             ("edge_flash_crowd", "population.favourite_boost=inf"),
             ("edge_flash_crowd", "population.preference_concentration=inf"),
             ("edge_flash_crowd", "placement.reservation_margin=inf"),
+            ("campus_fig3", "topology.tx_power_dbm=inf"),
+            ("multicell_campus", "topology.tx_power_dbm=-inf"),
+            ("campus_fig3", "topology.rb_bandwidth_hz=inf"),
+            ("edge_flash_crowd", "topology.channel_sample_period_s=inf"),
+            ("multicell_campus", "controller.handover_sample_period_s=inf"),
         ],
     )
     def test_bad_override_value_is_a_one_line_error(self, capsys, scenario, override):
