@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 
 from harness import benchmark_record, run_once, write_benchmark_json
-from repro.analysis import run_staleness_ablation
+from repro.analysis import run_staleness_ablation, staleness_ablation_runners
 from repro.twin.collector import CollectionPolicy
 
 
@@ -31,7 +31,9 @@ POLICIES = {
 def _experiment():
     started = time.perf_counter()
     rows = run_staleness_ablation(
-        seeds=list(SEEDS), num_eval_intervals=EVAL_INTERVALS, policies=POLICIES
+        staleness_ablation_runners(
+            seeds=list(SEEDS), num_eval_intervals=EVAL_INTERVALS, policies=POLICIES
+        )
     )
     elapsed_s = (time.perf_counter() - started) / len(rows)
     return [

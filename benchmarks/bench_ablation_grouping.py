@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from harness import benchmark_record, run_once, write_benchmark_json
-from repro.analysis import run_grouping_ablation
+from repro.analysis import grouping_ablation_runners, run_grouping_ablation
 
 
 EVAL_INTERVALS = 4
@@ -24,7 +24,9 @@ EVAL_INTERVALS = 4
 
 def _experiment():
     started = time.perf_counter()
-    rows = run_grouping_ablation(seed=77, num_eval_intervals=EVAL_INTERVALS, fixed_ks=[2, 4, 6])
+    rows = run_grouping_ablation(
+        grouping_ablation_runners(seed=77, num_eval_intervals=EVAL_INTERVALS, fixed_ks=[2, 4, 6])
+    )
     elapsed_s = (time.perf_counter() - started) / len(rows)
     return [
         {

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 
 from harness import benchmark_record, run_once, write_benchmark_json
-from repro.analysis import run_predictor_comparison
+from repro.analysis import predictor_comparison_runner, run_predictor_comparison
 from repro.predict import (
     EwmaPredictor,
     LastValuePredictor,
@@ -31,8 +31,7 @@ from repro.predict import (
 def _experiment():
     started = time.perf_counter()
     comparison = run_predictor_comparison(
-        seed=55,
-        num_eval_intervals=8,
+        predictor_comparison_runner(seed=55, num_eval_intervals=8),
         baselines=[
             LastValuePredictor(),
             MovingAveragePredictor(window=3),

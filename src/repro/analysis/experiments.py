@@ -1,19 +1,24 @@
 """Reusable experiment runners, built on the declarative scenario API.
 
-Each runner is now a thin wrapper over the one spec → compile → run
-pipeline (:mod:`repro.scenario`): it takes the registered ``campus_fig3``
-spec, applies the experiment's overrides, executes it through
-:class:`~repro.scenario.runner.ScenarioRunner` and post-processes the
-:class:`~repro.scenario.runner.RunResult` into the small result dataclasses
-the CLI and user scripts consume.  The compiled configs are field-for-field
-identical to the hand-wired ones these runners used to build, so all
-recorded numbers are unchanged (pinned by the scenario golden tests).
+Each experiment is a thin client of the one spec → compile → run pipeline
+(:mod:`repro.scenario`), in two steps.  A builder (:func:`fig3_runner`,
+:func:`grouping_ablation_runners`, :func:`staleness_ablation_runners`,
+:func:`predictor_comparison_runner`) applies the experiment's overrides to
+the registered ``campus_fig3`` spec and compiles each scenario into a
+:class:`~repro.scenario.runner.ScenarioRunner`; building the spec and
+compiling it check every value they carry, so a bad setting fails there,
+before anything runs.  The ``run_*`` function runs the scenarios and
+post-processes each :class:`~repro.scenario.runner.RunResult` into the small
+result dataclasses the CLI and user scripts consume.  The compiled configs
+are field-for-field identical to the hand-wired ones these runners used to
+build, so all recorded numbers are unchanged (pinned by the scenario golden
+tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,19 +34,19 @@ from repro.predict import (
     PerUserDemandPredictor,
     SeriesPredictor,
 )
-from repro.scenario import ScenarioRunner, ScenarioSpec, get_scenario
+from repro.scenario import ScenarioRunner, get_scenario
 from repro.twin.collector import CollectionPolicy
 
 
-def _fig3_spec(seed: int, num_eval_intervals: int, **overrides) -> ScenarioSpec:
-    """The ``campus_fig3`` registry spec, re-targeted for one experiment.
+def _fig3_runner(seed: int, num_eval_intervals: int, **overrides) -> ScenarioRunner:
+    """The ``campus_fig3`` registry spec, re-targeted for one experiment, compiled.
 
     ``overrides`` are dotted spec paths (``"population.num_users"``); the
     ablations pass their lighter scheme knobs this way.
     """
     options = {"seed": seed, "num_intervals": num_eval_intervals}
     options.update(overrides)
-    return get_scenario("campus_fig3", options)
+    return ScenarioRunner(get_scenario("campus_fig3", options))
 
 
 # ------------------------------------------------------------------ Fig. 3 scenario
@@ -111,19 +116,23 @@ def select_news_group(profiles: Dict[int, GroupSwipingProfile]) -> int:
     return max(candidates, key=lambda gid: len(profiles[gid].member_ids))
 
 
-def run_fig3_experiment(
+def fig3_runner(
     seed: int = 2023,
     num_users: int = 24,
     num_eval_intervals: int = 6,
     interval_s: float = 150.0,
-) -> Fig3Result:
-    """Run the paper's Fig. 3 scenario and return both panels' data."""
-    spec = _fig3_spec(
+) -> ScenarioRunner:
+    """The paper's Fig. 3 scenario at these settings, compiled."""
+    return _fig3_runner(
         seed,
         num_eval_intervals,
         **{"interval_s": interval_s, "population.num_users": num_users},
     )
-    result = ScenarioRunner(spec).run().evaluation
+
+
+def run_fig3_experiment(runner: ScenarioRunner) -> Fig3Result:
+    """Run a Fig. 3 scenario (:func:`fig3_runner`) and return both panels' data."""
+    result = runner.run().evaluation
 
     last = result.intervals[-1]
     group_id = select_news_group(last.profiles)
@@ -146,17 +155,17 @@ class GroupingAblationRow:
     mean_accuracy: float
 
 
-def run_grouping_ablation(
+def grouping_ablation_runners(
     seed: int = 77,
     num_eval_intervals: int = 4,
     fixed_ks: Optional[List[int]] = None,
-) -> List[GroupingAblationRow]:
-    """Compare DDQN-K, silhouette-sweep and fixed-K grouping on one scenario."""
+) -> Dict[str, ScenarioRunner]:
+    """One compiled scenario per grouping strategy (DDQN-K, silhouette sweep,
+    each fixed K), keyed by the strategy's row label, in row order."""
     fixed_ks = fixed_ks if fixed_ks is not None else [2, 4, 6]
     plans = [("ddqn", None), ("silhouette", None)] + [("fixed", k) for k in fixed_ks]
-    rows: List[GroupingAblationRow] = []
-    for k_strategy, fixed_k in plans:
-        spec = _fig3_spec(
+    return {
+        k_strategy if fixed_k is None else f"fixed (K={fixed_k})": _fig3_runner(
             seed,
             num_eval_intervals,
             **{
@@ -165,8 +174,15 @@ def run_grouping_ablation(
                 "scheme.fixed_k": fixed_k,
             },
         )
-        result = ScenarioRunner(spec).run().evaluation
-        label = k_strategy if fixed_k is None else f"fixed (K={fixed_k})"
+        for k_strategy, fixed_k in plans
+    }
+
+
+def run_grouping_ablation(runners: Mapping[str, ScenarioRunner]) -> List[GroupingAblationRow]:
+    """One row per strategy of :func:`grouping_ablation_runners`, in its order."""
+    rows: List[GroupingAblationRow] = []
+    for label, runner in runners.items():
+        result = runner.run().evaluation
         rows.append(
             GroupingAblationRow(
                 strategy=label,
@@ -188,12 +204,13 @@ class StalenessAblationRow:
     mean_accuracy: float
 
 
-def run_staleness_ablation(
+def staleness_ablation_runners(
     seeds: Optional[List[int]] = None,
     num_eval_intervals: int = 4,
     policies: Optional[Dict[str, CollectionPolicy]] = None,
-) -> List[StalenessAblationRow]:
-    """Measure prediction accuracy as digital-twin collection degrades."""
+) -> Dict[str, List[ScenarioRunner]]:
+    """One compiled scenario per collection policy and seed, keyed by the
+    policy's label."""
     seeds = seeds if seeds is not None else [11, 12]
     if policies is None:
         policies = {
@@ -202,11 +219,9 @@ def run_staleness_ablation(
             "8x period + 30% loss": CollectionPolicy(period_multiplier=8.0, drop_probability=0.3),
             "20x period + 70% loss": CollectionPolicy(period_multiplier=20.0, drop_probability=0.7),
         }
-    rows: List[StalenessAblationRow] = []
-    for label, policy in policies.items():
-        accuracies = []
-        for seed in seeds:
-            spec = _fig3_spec(
+    return {
+        label: [
+            _fig3_runner(
                 seed,
                 num_eval_intervals,
                 **{
@@ -216,13 +231,28 @@ def run_staleness_ablation(
                     "engine.collection_delay_s": policy.delay_s,
                 },
             )
-            result = ScenarioRunner(spec).run().evaluation
-            accuracies.append(result.mean_radio_accuracy())
+            for seed in seeds
+        ]
+        for label, policy in policies.items()
+    }
+
+
+def run_staleness_ablation(
+    runners: Mapping[str, Sequence[ScenarioRunner]],
+) -> List[StalenessAblationRow]:
+    """Prediction accuracy as twin collection degrades: one row per policy of
+    :func:`staleness_ablation_runners`, its accuracy the mean over the seeds."""
+    rows: List[StalenessAblationRow] = []
+    for label, policy_runners in runners.items():
+        accuracies = [
+            runner.run().evaluation.mean_radio_accuracy() for runner in policy_runners
+        ]
+        engine = policy_runners[0].spec.engine
         rows.append(
             StalenessAblationRow(
                 label=label,
-                period_multiplier=policy.period_multiplier,
-                drop_probability=policy.drop_probability,
+                period_multiplier=engine.collection_period_multiplier,
+                drop_probability=engine.collection_drop_probability,
                 mean_accuracy=float(np.mean(accuracies)),
             )
         )
@@ -249,12 +279,25 @@ class PredictorComparisonResult:
         return 1.0 - self.multicast_actual_blocks / self.unicast_blocks
 
 
+def predictor_comparison_runner(seed: int = 55, num_eval_intervals: int = 8) -> ScenarioRunner:
+    """The scenario the predictor comparison runs, compiled.
+
+    The history-only baselines forecast from at least one interval of
+    history, so the comparison needs two intervals or more.
+    """
+    if num_eval_intervals < 2:
+        raise ValueError(
+            f"the predictor comparison needs at least 2 intervals, got {num_eval_intervals}"
+        )
+    return _fig3_runner(seed, num_eval_intervals, **{"scheme.mc_rollouts": 10})
+
+
 def run_predictor_comparison(
-    seed: int = 55,
-    num_eval_intervals: int = 8,
+    runner: ScenarioRunner,
     baselines: Optional[List[SeriesPredictor]] = None,
 ) -> PredictorComparisonResult:
-    """Compare the DT-assisted scheme with history-only and per-user baselines."""
+    """Compare the DT-assisted scheme with history-only and per-user baselines
+    on :func:`predictor_comparison_runner`'s scenario."""
     baselines = (
         baselines
         if baselines is not None
@@ -266,8 +309,7 @@ def run_predictor_comparison(
             ARPredictor(order=2),
         ]
     )
-    spec = _fig3_spec(seed, num_eval_intervals, **{"scheme.mc_rollouts": 10})
-    run = ScenarioRunner(spec).run()
+    run = runner.run()
     result = run.evaluation
     actual = result.actual_radio_series()
 

@@ -30,13 +30,17 @@ import sys
 from typing import Any, Dict, Optional, Sequence
 
 from repro.analysis import (
+    fig3_runner,
     format_table,
+    grouping_ablation_runners,
+    predictor_comparison_runner,
     run_fig3_experiment,
     run_grouping_ablation,
     run_predictor_comparison,
     run_staleness_ablation,
+    staleness_ablation_runners,
 )
-from repro.dataset import generate_dataset, save_dataset
+from repro.dataset import check_num_intervals, generate_dataset, save_dataset
 from repro.scenario import ScenarioRunner, get_scenario, scenario_names
 from repro.sim import SimulationConfig
 
@@ -202,12 +206,24 @@ def _emit_json(payload: dict, destination: Optional[str]) -> None:
             handle.write(text + "\n")
 
 
+def _user_error(error: Exception) -> int:
+    """Report a bad command-line value as one ``error:`` line; exit code 2.
+
+    Every command builds and compiles its specs (or builds its config), which
+    checks each value they carry, inside a handler that calls this, and runs
+    them outside it, so genuine runtime defects still surface with a full
+    stack trace.
+    """
+    message = error.args[0] if error.args else error
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _run_scenario_command(args: argparse.Namespace) -> int:
     try:
         overrides = parse_overrides(args.override)
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _user_error(error)
     if args.intervals is not None:
         overrides["num_intervals"] = args.intervals
     if args.seed is not None:
@@ -216,14 +232,10 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
         runner = ScenarioRunner(get_scenario(args.scenario, overrides))
     except (KeyError, ValueError, TypeError) as error:
         # Unknown scenario names, unknown override paths and bad override
-        # values are routine user errors: one line, not a traceback.
-        # Building the runner compiles the spec, which checks each value a
-        # compiled config carries; a value only a component checks fails
-        # later, in run().  The run stays outside this handler, so genuine
-        # runtime defects still surface with a full stack trace.
-        message = error.args[0] if error.args else error
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        # values are routine user errors.  Building the runner compiles the
+        # spec, which checks each value a compiled config carries; a value
+        # only a component checks fails later, in run().
+        return _user_error(error)
     result = runner.run()
     _emit_json(result.to_dict(), args.json)
     if args.json == "-":
@@ -351,12 +363,16 @@ def _apps_command(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ subcommands
 def _run_fig3(args: argparse.Namespace) -> int:
-    result = run_fig3_experiment(
-        seed=args.seed,
-        num_users=args.users,
-        num_eval_intervals=args.intervals,
-        interval_s=args.interval_seconds,
-    )
+    try:
+        runner = fig3_runner(
+            seed=args.seed,
+            num_users=args.users,
+            num_eval_intervals=args.intervals,
+            interval_s=args.interval_seconds,
+        )
+    except ValueError as error:
+        return _user_error(error)
+    result = run_fig3_experiment(runner)
     _emit_json(result.to_dict(), args.json)
     if args.json == "-":
         return 0
@@ -388,10 +404,14 @@ def _run_fig3(args: argparse.Namespace) -> int:
 
 
 def _run_grouping(args: argparse.Namespace) -> int:
-    rows = run_grouping_ablation(
-        seed=args.seed if args.seed is not None else 77,
-        num_eval_intervals=args.intervals,
-    )
+    try:
+        runners = grouping_ablation_runners(
+            seed=args.seed if args.seed is not None else 77,
+            num_eval_intervals=args.intervals,
+        )
+    except ValueError as error:
+        return _user_error(error)
+    rows = run_grouping_ablation(runners)
     print("Grouping-strategy ablation")
     print(
         format_table(
@@ -407,7 +427,11 @@ def _run_grouping(args: argparse.Namespace) -> int:
 
 def _run_staleness(args: argparse.Namespace) -> int:
     seeds = [args.seed] if args.seed is not None else None
-    rows = run_staleness_ablation(seeds=seeds, num_eval_intervals=args.intervals)
+    try:
+        runners = staleness_ablation_runners(seeds=seeds, num_eval_intervals=args.intervals)
+    except ValueError as error:
+        return _user_error(error)
+    rows = run_staleness_ablation(runners)
     print("Digital-twin staleness ablation")
     print(
         format_table(
@@ -422,10 +446,14 @@ def _run_staleness(args: argparse.Namespace) -> int:
 
 
 def _run_predictors(args: argparse.Namespace) -> int:
-    result = run_predictor_comparison(
-        seed=args.seed if args.seed is not None else 55,
-        num_eval_intervals=max(args.intervals, 4),
-    )
+    try:
+        runner = predictor_comparison_runner(
+            seed=args.seed if args.seed is not None else 55,
+            num_eval_intervals=args.intervals,
+        )
+    except ValueError as error:
+        return _user_error(error)
+    result = run_predictor_comparison(runner)
     print("Predictor comparison (mean radio-demand prediction accuracy)")
     print(
         format_table(
@@ -443,15 +471,19 @@ def _run_predictors(args: argparse.Namespace) -> int:
 def _run_dataset(args: argparse.Namespace) -> int:
     # No favoured users, and no learning from viewing: each user keeps the
     # preference the dataset records, and each video its popularity.
-    config = SimulationConfig(
-        num_users=args.users,
-        num_videos=args.videos,
-        seed=args.seed,
-        favourite_category=None,
-        favourite_user_fraction=0.0,
-        preference_learning_rate=0.0,
-        popularity_update_rate=0.0,
-    )
+    try:
+        config = SimulationConfig(
+            num_users=args.users,
+            num_videos=args.videos,
+            seed=args.seed,
+            favourite_category=None,
+            favourite_user_fraction=0.0,
+            preference_learning_rate=0.0,
+            popularity_update_rate=0.0,
+        )
+        check_num_intervals(args.intervals)
+    except ValueError as error:
+        return _user_error(error)
     bundle = generate_dataset(config, num_intervals=args.intervals)
     path = save_dataset(bundle, args.output)
     print(

@@ -10,13 +10,14 @@ splitting so experiments are repeatable.
 """
 
 from repro.dataset.schema import DatasetBundle, UserRecord, VideoRecord
-from repro.dataset.generator import generate_dataset
+from repro.dataset.generator import check_num_intervals, generate_dataset
 from repro.dataset.loader import load_dataset, save_dataset, train_test_split
 
 __all__ = [
     "DatasetBundle",
     "UserRecord",
     "VideoRecord",
+    "check_num_intervals",
     "generate_dataset",
     "load_dataset",
     "save_dataset",

@@ -18,6 +18,12 @@ from repro.sim.config import SimulationConfig
 from repro.sim.simulator import StreamingSimulator, singleton_grouping
 
 
+def check_num_intervals(num_intervals: int) -> None:
+    """Raise ``ValueError`` unless a dataset can hold ``num_intervals`` intervals."""
+    if num_intervals < 1:
+        raise ValueError("num_intervals must be at least 1")
+
+
 def generate_dataset(config: SimulationConfig, num_intervals: int) -> DatasetBundle:
     """Play ``num_intervals`` unicast intervals of ``config`` and export them.
 
@@ -25,8 +31,7 @@ def generate_dataset(config: SimulationConfig, num_intervals: int) -> DatasetBun
     catalog order, and traces interval by interval, each interval's users
     in id order and each user's records in playback order.
     """
-    if num_intervals < 1:
-        raise ValueError("num_intervals must be at least 1")
+    check_num_intervals(num_intervals)
     with StreamingSimulator(config) as simulator:
         user_ids = simulator.user_ids()
         users = [

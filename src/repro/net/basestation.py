@@ -57,7 +57,9 @@ class BaseStation:
     def distances_to(self, points) -> np.ndarray:
         """Euclidean distance to each row of ``points`` (shape ``(n, 2)``)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.linalg.norm(self.position[None, :] - points, axis=1)
+        dx = points[:, 0] - self.position[0]
+        dy = points[:, 1] - self.position[1]
+        return np.sqrt(dx * dx + dy * dy)
 
     def mean_snr_db(self, point: Sequence[float]) -> float:
         """Average SNR a user at ``point`` would see from this BS."""

@@ -65,23 +65,26 @@ class ChannelConfig:
         )
 
 
-class SnrFades(NamedTuple):
-    """The random terms of a batch of SNR samples, in dB.
+def fading_db(gains: np.ndarray) -> np.ndarray:
+    """Rayleigh fading terms in dB of unit-mean exponential power gains.
 
-    A term the channel config turns off is ``None``.
+    Gains are floored at 1e-6 (-60 dB) first.  The one home of this
+    arithmetic: per-sample SNRs and the twin collector's blocks both use it.
+    """
+    return 10.0 * np.log10(np.maximum(gains, 1e-6))
+
+
+class SnrFades(NamedTuple):
+    """The random draws of a batch of SNR samples.
+
+    ``shadowing_db`` is the log-normal shadowing in dB and ``fading_gains``
+    the Rayleigh power gains (see :func:`fading_db`); a term the channel
+    config turns off is ``None``.  A sample's SNR is its mean SNR plus the
+    shadowing, then plus the fading in dB.
     """
 
     shadowing_db: Optional[np.ndarray]
-    fading_db: Optional[np.ndarray]
-
-    def added_to(self, mean_snr_db: np.ndarray) -> np.ndarray:
-        """``mean_snr_db`` plus the shadowing term, then plus the fading term."""
-        snr_db = mean_snr_db
-        if self.shadowing_db is not None:
-            snr_db = snr_db + self.shadowing_db
-        if self.fading_db is not None:
-            snr_db = snr_db + self.fading_db
-        return snr_db
+    fading_gains: Optional[np.ndarray]
 
 
 class ChannelModel:
@@ -163,25 +166,29 @@ class ChannelModel:
         count = distances.shape[0]
         if count == 0:
             return snr_db
-        return self.draw_fades(count, rng).added_to(snr_db)
+        shadowing, gains = self.draw_fades(count, rng)
+        if shadowing is not None:
+            snr_db = snr_db + shadowing
+        if gains is not None:
+            snr_db = snr_db + fading_db(gains)
+        return snr_db
 
     def draw_fades(self, count: int, rng: np.random.Generator) -> SnrFades:
-        """The shadowing and fading terms of ``count`` SNR samples.
+        """The shadowing and fading draws of ``count`` SNR samples.
 
-        All shadowing values are one array call, then all fading values
+        All shadowing values are one array call, then all fading gains
         another; a term the config turns off draws nothing.  The draws do not
         depend on where the samples are, so a caller can draw them before it
         knows the mean SNR they are added to.
         """
         config = self.config
         shadowing = None
-        fading = None
+        gains = None
         if config.shadowing_std_db > 0:
             shadowing = rng.normal(0.0, config.shadowing_std_db, size=count)
         if config.rayleigh_fading:
-            gain = np.maximum(rng.exponential(1.0, size=count), 1e-6)
-            fading = 10.0 * np.log10(gain)
-        return SnrFades(shadowing, fading)
+            gains = rng.exponential(1.0, size=count)
+        return SnrFades(shadowing, gains)
 
     def shannon_rate_bps(self, snr_db: float, bandwidth_hz: Optional[float] = None) -> float:
         """Shannon capacity at the given SNR (upper bound used in sanity checks)."""

@@ -228,7 +228,9 @@ def run_group_interval(
     runs the status collector for every member from their ``(interval,
     user)`` stream — samples and a lossy policy's drop decisions alike — into
     one :class:`CollectedStatus` block per attribute, in one collector call
-    for the whole group; no twin is touched.
+    for the whole group, whose streams are derived as one batch
+    (:meth:`~repro.sim.rng.RngRegistry.collection_streams`); no twin is
+    touched.
     """
     # Imported lazily: repro.sim.simulator imports this module at load time.
     from repro.sim.simulator import GroupIntervalUsage
@@ -237,8 +239,9 @@ def run_group_interval(
     lo = int(plan.offsets[group_index])
     hi = int(plan.offsets[group_index + 1])
     group_id = int(plan.group_ids[group_index])
-    member_ids = [int(uid) for uid in plan.user_ids[lo:hi]]
-    serving = [int(bs_id) for bs_id in plan.serving[lo:hi]]
+    member_ids: List[int] = plan.user_ids[lo:hi].tolist()
+    serving = plan.serving[lo:hi]
+    serving_ids: List[int] = serving.tolist()
     weights = plan.weights[lo:hi]
     registry = static.registry
     config = static.config
@@ -259,17 +262,13 @@ def run_group_interval(
     channel_columns = times.searchsorted(channel_times)
 
     rng = registry.channel_stream(interval_index, group_id)
-    by_station: Dict[int, List[int]] = {}
-    for row, bs_id in enumerate(serving):
-        by_station.setdefault(bs_id, []).append(row)
-    mean_snrs = [0.0] * len(member_ids)
-    for bs_id in sorted(by_station):
-        rows = by_station[bs_id]
-        traces = static.bs_by_id[bs_id].sample_snr_traces(
-            positions[np.ix_(rows, channel_columns)], rng=rng
-        )
-        for trace, row in zip(traces, rows):
-            mean_snrs[row] = float(trace.mean())
+    channel_positions = positions[:, channel_columns]
+    member_means = np.empty(len(member_ids))
+    for bs_id in sorted(set(serving_ids)):
+        rows = serving == bs_id
+        traces = static.bs_by_id[bs_id].sample_snr_traces(channel_positions[rows], rng=rng)
+        member_means[rows] = traces.mean(axis=1)
+    mean_snrs: List[float] = member_means.tolist()
     efficiency = group_spectral_efficiency(
         mean_snrs, implementation_loss=config.implementation_loss
     )
@@ -283,7 +282,7 @@ def run_group_interval(
     cdf = plan.cdf[group_index]
     # Gathered into the catalog's sampling-category order once per group.
     member_weights = weights[:, static.sampling_perm]
-    records: Dict[int, List[WatchRecord]] = {uid: [] for uid in member_ids}
+    member_records: List[List[WatchRecord]] = [[] for _ in member_ids]
     now = start_s
     traffic_bits = 0.0
     videos_played = 0
@@ -292,27 +291,27 @@ def run_group_interval(
     while now < end_s:
         row = sample_index(cdf, rng)
         video = catalog.get(int(static.video_ids[row]))
-        durations = static.watching_model.sample_watch_durations(
+        durations: List[float] = static.watching_model.sample_watch_durations(
             video, member_weights[:, static.category_indices[row]], rng
-        )
-        member_durations: Dict[int, float] = dict(zip(member_ids, durations.tolist()))
-        transmitted = min(max(member_durations.values()), end_s - now)
-        for uid, duration in member_durations.items():
+        ).tolist()
+        transmitted = min(max(durations), end_s - now)
+        for uid, duration, records in zip(member_ids, durations, member_records):
             # `swiped` reflects the user's *intended* (uncapped) duration: a
             # watch cut short only by the interval boundary is not a swipe.
             # Engagement and traffic use the interval-capped time.
             swiped = duration < video.duration_s - 1e-9
             duration = min(duration, end_s - now)
-            record = WatchRecord(
-                user_id=uid,
-                video_id=video.video_id,
-                category=video.category,
-                watch_duration_s=duration,
-                video_duration_s=video.duration_s,
-                swiped=swiped,
-                timestamp_s=now,
+            records.append(
+                WatchRecord(
+                    user_id=uid,
+                    video_id=video.video_id,
+                    category=video.category,
+                    watch_duration_s=duration,
+                    video_duration_s=video.duration_s,
+                    swiped=swiped,
+                    timestamp_s=now,
+                )
             )
-            records[uid].append(record)
             engagement_seconds += duration
         traffic_bits += video.bits_watched(representation, transmitted)
         requests.append((video.video_id, transmitted))
@@ -340,13 +339,13 @@ def run_group_interval(
         static.attributes,
         times,
         positions,
-        [static.bs_by_id[bs_id] for bs_id in serving],
+        [static.bs_by_id[bs_id] for bs_id in serving_ids],
         weights,
-        [records[uid] for uid in member_ids],
+        member_records,
         start_s,
         end_s,
-        rngs=[registry.collection_stream(interval_index, uid) for uid in member_ids],
-        serving_cells=serving if static.report_cells else None,
+        rngs=registry.collection_streams(interval_index, plan.user_ids[lo:hi]),
+        serving_cells=serving_ids if static.report_cells else None,
     )
 
     stage_times = (
@@ -356,7 +355,7 @@ def run_group_interval(
     )
     return GroupOutcome(
         usage,
-        records,
+        dict(zip(member_ids, member_records)),
         requests,
         representation,
         mean_snrs,

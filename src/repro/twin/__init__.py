@@ -9,8 +9,9 @@ about users it learns from these twins, so the twin layer also controls how
 * :mod:`repro.twin.attributes` -- attribute specifications (name, dimension,
   collection period).
 * :mod:`repro.twin.timeseries` -- per-attribute time-series stores with
-  window queries and staleness accounting, and the one check and one write
-  routine every append goes through.
+  window queries and zero-order-hold resampling, and the one check and one
+  write routine every append goes through (writes keep references to the
+  appended blocks; a store's first read copies them in).
 * :mod:`repro.twin.udt` -- :class:`UserDigitalTwin`.
 * :mod:`repro.twin.collector` -- samples live user state for UDTs at each
   attribute's own frequency, with optional loss and delay, and returns a
@@ -26,12 +27,11 @@ from repro.twin.attributes import (
     DEFAULT_ATTRIBUTES,
     standard_attributes,
 )
-from repro.twin.timeseries import TimeSeriesStore
+from repro.twin.timeseries import StatusBlock, TimeSeriesStore
 from repro.twin.udt import UserDigitalTwin
 from repro.twin.collector import (
     CollectedStatus,
     CollectionPolicy,
-    StatusBlock,
     StatusCollector,
 )
 from repro.twin.manager import DigitalTwinManager

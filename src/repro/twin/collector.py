@@ -25,13 +25,14 @@ drop probability (lossy uplink) and a reporting delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
+from itertools import compress
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.behavior.watching import WatchRecord
 from repro.net.basestation import BaseStation
-from repro.net.channel import SnrFades
+from repro.net.channel import fading_db
 from repro.timegrid import time_grid
 from repro.twin.attributes import (
     CHANNEL_CONDITION,
@@ -40,6 +41,7 @@ from repro.twin.attributes import (
     SERVING_CELL,
     AttributeSpec,
 )
+from repro.twin.timeseries import StatusBlock
 
 
 @dataclass
@@ -69,23 +71,12 @@ class CollectionPolicy:
         return cls()
 
 
-class StatusBlock(NamedTuple):
-    """One attribute's samples of a group, concatenated in member order.
-
-    Member ``m`` owns ``counts[m]`` consecutive samples, starting after the
-    samples of the members before it; ``values`` has one row per timestamp.
-    """
-
-    counts: np.ndarray
-    timestamps: np.ndarray
-    values: np.ndarray
-
-
 class CollectedStatus(NamedTuple):
     """A group's status collected over one interval, not yet in the twins."""
 
     #: One block per collected attribute: channel condition, location,
-    #: preference and serving cell, in that order.
+    #: preference and serving cell, in that order.  Member ``m``'s run of
+    #: each block is their samples of that attribute.
     samples: Dict[str, StatusBlock]
     #: Each member's watch records that survived the drop policy, in
     #: playback order.
@@ -144,7 +135,7 @@ class StatusCollector:
         records: Sequence[Sequence[WatchRecord]],
         start_s: float,
         end_s: float,
-        rngs: Sequence[np.random.Generator],
+        rngs: Iterable[np.random.Generator],
         serving_cells: Optional[Sequence[int]] = None,
     ) -> CollectedStatus:
         """Collect one reservation interval's status for a group of users.
@@ -159,7 +150,11 @@ class StatusCollector:
         * ``preferences[m]`` is their preference weight row, in the twin's
           category order;
         * ``records[m]`` are their watch records, in playback order;
-        * ``rngs[m]`` is the one stream every draw for the member consumes;
+        * ``rngs`` yields the one stream every draw for member ``m``
+          consumes, as its ``m``-th item.  The members' draws are taken
+          strictly in member order, each member's before the next item is
+          taken, so one generator re-pointed at each member in turn (what
+          :meth:`repro.sim.rng.RngRegistry.collection_streams` yields) serves;
         * ``serving_cells[m]`` is the cell reported as their serving-cell
           attribute; ``None`` collects no serving cell.
 
@@ -167,13 +162,16 @@ class StatusCollector:
         they have are collected, each into one :class:`StatusBlock`.  Each
         member's draws come from their own stream only, in this order:
         channel keep mask, shadowing, fading, location keep mask, record
-        drops, preference keep mask, serving-cell keep mask.  The simulator
-        passes the member's ``(seed, interval, user)`` collection stream
-        (see :class:`repro.sim.rng.RngRegistry`), so each member's status is
-        independent of every other member's and a deterministic walk a shard
-        worker can replay exactly.  With ``drop_probability == 0`` no keep
-        decision is drawn.  The mean SNR under the channel-condition samples
-        is one batched evaluation per serving station.
+        drops (one uniform per record), preference keep mask, serving-cell
+        keep mask.  The simulator passes the members' ``(seed, interval,
+        user)`` collection streams (see :class:`repro.sim.rng.RngRegistry`),
+        so each member's status is independent of every other member's and a
+        deterministic walk a shard worker can replay exactly.  With
+        ``drop_probability == 0`` no keep decision is drawn.  Only the draws
+        run member by member: the mean SNR under the channel-condition
+        samples is one evaluation per serving station over its members'
+        rows, and the fading terms and every block are computed once for the
+        whole group.
         """
         if end_s <= start_s:
             raise ValueError("end_s must be greater than start_s")
@@ -202,45 +200,68 @@ class StatusCollector:
         }
 
         # One keep row per member and attribute; drawn only when lossy.
-        members = len(rngs)
+        members = len(base_stations)
         keeps = {
             name: np.ones((members, grid.shape[0]), dtype=bool) for name, grid in grids.items()
         }
+        channel_keep = keeps.get(CHANNEL_CONDITION)
+        # The keep masks drawn after the records, in draw order.
+        late_keeps = [keeps[name] for name in (PREFERENCE, SERVING_CELL) if name in keeps]
         kept_records: List[List[WatchRecord]] = []
-        # Per member with kept channel samples: their fades.
-        fades: Dict[int, SnrFades] = {}
-        for row, rng in enumerate(rngs):
-            if CHANNEL_CONDITION in keeps:
-                keep = keeps[CHANNEL_CONDITION][row]
+        shadowing: List[np.ndarray] = []
+        gains: List[np.ndarray] = []
+        for row, rng in zip(range(members), rngs, strict=True):
+            if channel_keep is not None:
+                count = channel_keep.shape[1]
                 if drop:
-                    keep[:] = rng.random(keep.shape[0]) >= drop
-                count = int(np.count_nonzero(keep))
+                    keep = channel_keep[row]
+                    keep[:] = rng.random(count) >= drop
+                    count = int(np.count_nonzero(keep))
                 if count:
                     channel = base_stations[row].channel
                     assert channel is not None
-                    fades[row] = channel.draw_fades(count, rng)
-            if drop and LOCATION in keeps:
+                    fades = channel.draw_fades(count, rng)
+                    if fades.shadowing_db is not None:
+                        shadowing.append(fades.shadowing_db)
+                    if fades.fading_gains is not None:
+                        gains.append(fades.fading_gains)
+            if not drop:
+                kept_records.append(list(records[row]))
+                continue
+            if LOCATION in keeps:
                 keeps[LOCATION][row] = rng.random(keeps[LOCATION].shape[1]) >= drop
             # Watch records (the twin mirrors them into the watching-duration
-            # series); one scalar draw per record, in record order.
-            if drop:
-                kept_records.append([r for r in records[row] if rng.random() >= drop])
-            else:
-                kept_records.append(list(records[row]))
-            for name in (PREFERENCE, SERVING_CELL):
-                if drop and name in keeps:
-                    keeps[name][row] = rng.random(keeps[name].shape[1]) >= drop
+            # series): one uniform per record, in record order.
+            kept = (rng.random(len(records[row])) >= drop).tolist()
+            kept_records.append(list(compress(records[row], kept)))
+            for late_keep in late_keeps:
+                late_keep[row] = rng.random(late_keep.shape[1]) >= drop
 
         counts = {name: keep.sum(axis=1) for name, keep in keeps.items()}
         values: Dict[str, np.ndarray] = {}
-        if CHANNEL_CONDITION in keeps:
-            values[CHANNEL_CONDITION] = self._channel_values(
-                positions,
-                base_stations,
-                keeps[CHANNEL_CONDITION],
-                columns[CHANNEL_CONDITION],
-                fades,
-            )
+        if channel_keep is not None:
+            # Mean SNRs: one evaluation per station, over its members' rows.
+            channel_positions = positions[:, columns[CHANNEL_CONDITION]]
+            station_ids = np.array([station.bs_id for station in base_stations])
+            snr = np.empty(channel_keep.shape)
+            for bs_id in set(station_ids.tolist()):
+                rows = station_ids == bs_id
+                station = base_stations[int(rows.argmax())]
+                snr[rows] = station.mean_snr_db_batch(
+                    channel_positions[rows].reshape(-1, 2)
+                ).reshape(-1, channel_keep.shape[1])
+            snr = snr[channel_keep]
+            # Each member's terms, where their station's channel has them.
+            channels = [station.channel for station in base_stations]
+            if shadowing:
+                shadowed = [channel.config.shadowing_std_db > 0 for channel in channels]
+                snr[np.repeat(shadowed, counts[CHANNEL_CONDITION])] += np.concatenate(shadowing)
+            if gains:
+                faded = [channel.config.rayleigh_fading for channel in channels]
+                snr[np.repeat(faded, counts[CHANNEL_CONDITION])] += fading_db(
+                    np.concatenate(gains)
+                )
+            values[CHANNEL_CONDITION] = snr[:, None]
         if LOCATION in keeps:
             values[LOCATION] = positions[:, columns[LOCATION]][keeps[LOCATION]]
         if PREFERENCE in keeps:
@@ -258,39 +279,6 @@ class StatusCollector:
             for name, keep in keeps.items()
         }
         return CollectedStatus(samples=samples, records=kept_records)
-
-    @staticmethod
-    def _channel_values(
-        positions: np.ndarray,
-        base_stations: Sequence[BaseStation],
-        keep: np.ndarray,
-        columns: np.ndarray,
-        fades: Mapping[int, SnrFades],
-    ) -> np.ndarray:
-        """The kept channel samples' SNRs, ``(kept, 1)`` in member order.
-
-        One mean-SNR evaluation per serving station over its members' kept
-        samples, then each member's own fades.
-        """
-        by_station: Dict[int, List[int]] = {}
-        for row in fades:
-            by_station.setdefault(base_stations[row].bs_id, []).append(row)
-        snrs: Dict[int, np.ndarray] = {}
-        for rows in by_station.values():
-            kept_columns = [columns[keep[row]] for row in rows]
-            means = base_stations[rows[0]].mean_snr_db_batch(
-                positions[
-                    np.repeat(rows, [kept.shape[0] for kept in kept_columns]),
-                    np.concatenate(kept_columns),
-                ]
-            )
-            offset = 0
-            for row, kept in zip(rows, kept_columns):
-                snrs[row] = fades[row].added_to(means[offset : offset + kept.shape[0]])
-                offset += kept.shape[0]
-        if not snrs:
-            return np.empty((0, 1))
-        return np.concatenate([snrs[row] for row in sorted(snrs)])[:, None]
 
 
 def _grid_columns(times: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -5,8 +5,7 @@ appends each multicast group's collected status to the members' twins in
 one call per group (:meth:`DigitalTwinManager.append_group`), and provides
 the population-level views the prediction pipeline consumes: the feature
 tensor over all users for a reservation interval (each twin's own feature
-matrix, stacked), group-level watch-record collections, and staleness
-reports.
+matrix, stacked) and group-level watch-record collections.
 """
 
 from __future__ import annotations
@@ -66,20 +65,22 @@ class DigitalTwinManager:
         ``status.records[m]``.  Each attribute's block is checked once for
         all members (shapes, time order within each member's samples, no
         sample before the member's newest stored one) and every record's
-        user id against its member, before anything is written: a rejected
-        group leaves every twin as it was.  Then each member's samples are
-        copied into their stores and their records stored and mirrored into
-        the watching-duration series.
+        user id against its member, before anything is kept: a rejected
+        group leaves every twin as it was.  Then each member's stores keep a
+        reference to their run of each block, whose arrays become
+        read-only (a store copies its runs in on its next read, see
+        :mod:`repro.twin.timeseries`), and their records are stored and
+        mirrored into the watching-duration series.
         """
         twins = [self.twin(uid) for uid in user_ids]
         blocks = []
         for name, block in status.samples.items():
             stores = [twin.store(name) for twin in twins]
-            check_runs(stores, block.counts, block.timestamps, block.values)
+            check_runs(stores, block)
             blocks.append((stores, block))
         check_watches(user_ids, status.records)
         for stores, block in blocks:
-            write_runs(stores, block.counts, block.timestamps, block.values)
+            write_runs(stores, block)
         append_watches(twins, status.records)
 
     # --------------------------------------------------------- aggregation
@@ -125,14 +126,3 @@ class DigitalTwinManager:
         for uid in ids:
             records.extend(self.twin(uid).watch_records(start_s, end_s))
         return records
-
-    # ------------------------------------------------------------ staleness
-    def staleness_report(self, now_s: float) -> Dict[int, float]:
-        """Worst-attribute staleness per user."""
-        return {uid: twin.max_staleness_s(now_s) for uid, twin in self._twins.items()}
-
-    def stale_users(self, now_s: float, threshold_s: float) -> List[int]:
-        """Users whose twins are older than ``threshold_s`` on any attribute."""
-        if threshold_s < 0:
-            raise ValueError("threshold_s must be non-negative")
-        return [uid for uid, age in self.staleness_report(now_s).items() if age > threshold_s]

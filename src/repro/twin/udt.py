@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.behavior.watching import WatchRecord
 from repro.twin.attributes import AttributeSpec, DEFAULT_ATTRIBUTES, WATCHING_DURATION
-from repro.twin.timeseries import TimeSeriesStore, write_runs
+from repro.twin.timeseries import StatusBlock, TimeSeriesStore, write_runs
 
 
 class UserDigitalTwin:
@@ -67,13 +67,6 @@ class UserDigitalTwin:
         append_watches([self], [records])
 
     # -------------------------------------------------------------- queries
-    def staleness_s(self, attribute: str, now_s: float) -> float:
-        return self.store(attribute).staleness_s(now_s)
-
-    def max_staleness_s(self, now_s: float) -> float:
-        """Worst staleness across attributes (``inf`` if any attribute is empty)."""
-        return max(self.store(name).staleness_s(now_s) for name in self.attributes)
-
     def watch_records(
         self,
         start_s: Optional[float] = None,
@@ -158,4 +151,4 @@ def append_watches(
     np.maximum(padded[:, 0], tails, out=padded[:, 0])
     np.maximum.accumulate(padded, axis=1, out=padded)
     durations = np.array([[record.watch_duration_s] for record in flat])
-    write_runs(stores, counts, padded[mask], durations)
+    write_runs(stores, StatusBlock(counts, padded[mask], durations))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import format_table, run_fig3_experiment
+from repro.analysis import fig3_runner, format_table, run_fig3_experiment
 from repro.cli import build_parser, main
 from repro.sim import singleton_grouping
 
@@ -29,7 +29,9 @@ class TestFormatTable:
 
 class TestAnalysisRunners:
     def test_fig3_runner_produces_both_panels(self):
-        result = run_fig3_experiment(seed=4, num_users=10, num_eval_intervals=2, interval_s=80.0)
+        result = run_fig3_experiment(
+            fig3_runner(seed=4, num_users=10, num_eval_intervals=2, interval_s=80.0)
+        )
         cumulative = list(result.cumulative_swiping().values())
         assert cumulative[-1] == pytest.approx(1.0)
         rows = result.demand_rows()
@@ -68,6 +70,37 @@ class TestCli:
         assert "Fig. 3(a)" in out
         assert "Fig. 3(b)" in out
         assert "mean radio accuracy" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig3", "--users", "0"], "num_users and num_videos must be positive"),
+            (["fig3", "--intervals", "0"], "num_intervals must be positive"),
+            (["dataset", "--users", "0"], "num_users and num_videos must be positive"),
+            (["dataset", "--intervals", "0"], "num_intervals must be at least 1"),
+            (["grouping-ablation", "--intervals", "0"], "num_intervals must be positive"),
+            (["staleness-ablation", "--intervals", "0"], "num_intervals must be positive"),
+            (
+                ["predictors", "--intervals", "0"],
+                "the predictor comparison needs at least 2 intervals, got 0",
+            ),
+            (
+                ["predictors", "--intervals", "1"],
+                "the predictor comparison needs at least 2 intervals, got 1",
+            ),
+        ],
+    )
+    def test_bad_value_is_a_one_line_error(self, argv, message, tmp_path, capsys):
+        """Each analysis command reports a bad value as ``repro run`` does,
+        before running anything (no output file is written)."""
+        output = tmp_path / "bundle.json"
+        if argv[0] == "dataset":
+            argv = argv + ["--output", str(output)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not output.exists()
 
 
 class TestSimulatorChurn:

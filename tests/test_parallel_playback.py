@@ -32,6 +32,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import SimulationConfig, StreamingSimulator
 from repro.core.pipeline import DTResourcePredictionScheme
@@ -41,7 +42,7 @@ from repro.net.handover import HandoverConfig, HandoverPolicy, StreakState
 from repro.scenario import ScenarioRunner, get_scenario, run_scenario
 from repro.scenario.compiler import compile_spec
 from repro.scenario.spec import EngineSpec, FlashCrowd, MassDeparture, ScenarioSpec
-from repro.sim.rng import RngRegistry, derive_stream
+from repro.sim.rng import COLLECTION_STREAM, RngRegistry, derive_stream, derive_streams
 from repro.sim.shard import _probe_shard_worker, build_interval_plan, run_group_interval
 from repro.timegrid import num_grid_steps, time_grid
 from repro.twin.collector import CollectionPolicy
@@ -506,7 +507,55 @@ class TestBoundaryPositions:
 
 
 # ------------------------------------------------------------- rng registry
+#: Key words of every kind ``derive_stream`` accepts: small, zero, negative,
+#: either side of 2**32, and past 2**64 (masked).
+_KEY_WORDS = st.one_of(
+    st.integers(min_value=0, max_value=300),
+    st.just(0),
+    st.integers(min_value=-(2**70), max_value=-1),
+    st.integers(min_value=2**32 - 2, max_value=2**32 + 1),
+    st.integers(min_value=2**32, max_value=2**70),
+)
+
+
+def _assert_same_stream(stream, key):
+    """``stream`` is ``derive_stream(key)``: its state, then its first draws."""
+    reference = derive_stream(key)
+    assert stream.bit_generator.state == reference.bit_generator.state, key
+    assert np.array_equal(stream.random(3), reference.random(3))
+    assert np.array_equal(stream.normal(size=2), reference.normal(size=2))
+    # A 32-bit draw leaves half a word buffered; the next re-point drops it.
+    assert stream.integers(0, 1000, dtype=np.uint32) == reference.integers(
+        0, 1000, dtype=np.uint32
+    )
+
+
 class TestRngRegistry:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.integers(min_value=1, max_value=6).flatmap(
+            lambda width: st.lists(
+                st.lists(_KEY_WORDS, min_size=width, max_size=width), min_size=1, max_size=8
+            )
+        )
+    )
+    def test_batched_streams_equal_derive_stream(self, keys):
+        """Keys of mixed uint32 layouts in one batch, each its own stream."""
+        words = np.array([[word & (2**64 - 1) for word in key] for key in keys], dtype=np.uint64)
+        for key, stream in zip(keys, derive_streams(words), strict=True):
+            _assert_same_stream(stream, key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=_KEY_WORDS,
+        interval=st.integers(min_value=0, max_value=2**40),
+        user_ids=st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=12),
+    )
+    def test_collection_streams_equal_derive_stream(self, seed, interval, user_ids):
+        streams = RngRegistry(seed).collection_streams(interval, np.array(user_ids))
+        for user_id, stream in zip(user_ids, streams, strict=True):
+            _assert_same_stream(stream, (seed, interval, user_id, COLLECTION_STREAM))
+
     def test_streams_are_reproducible_and_distinct(self):
         registry = RngRegistry(seed=9)
         a = registry.watch_stream(3, 7).random(4)

@@ -150,18 +150,6 @@ class TestTimeSeriesProperties:
         resampled = resampled[:, 0]
         assert set(np.round(resampled, 9)).issubset(set(np.round(values, 9)))
 
-    @given(
-        values=st.lists(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False), min_size=1, max_size=30),
-        now=st.floats(min_value=0.0, max_value=1000.0),
-    )
-    def test_staleness_consistent_with_latest_timestamp(self, values, now):
-        store = TimeSeriesStore(dimension=1)
-        for index, value in enumerate(values):
-            store.append_batch([float(index)], [[value]])
-        latest = float(len(values) - 1)
-        if now >= latest:
-            assert store.staleness_s(now) == pytest.approx(now - latest)
-
 
 class TestClusteringProperties:
     @settings(max_examples=25, deadline=None)

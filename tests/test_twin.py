@@ -10,6 +10,7 @@ from collector_reference import member_samples, reference_collect
 from repro.behavior import WatchRecord, random_preference
 from repro.mobility import WalkTable
 from repro.net import BaseStation, ChannelConfig, ChannelModel
+from repro.sim.rng import derive_streams
 from repro.twin import (
     AttributeSpec,
     CollectionPolicy,
@@ -84,12 +85,6 @@ class TestTimeSeriesStore:
         store = TimeSeriesStore(dimension=1)
         store.append_batch(np.arange(5.0), np.arange(5.0)[:, None])
         np.testing.assert_array_equal(store.window_values(1.0, 3.0)[:, 0], [1.0, 2.0])
-
-    def test_staleness(self):
-        store = TimeSeriesStore(dimension=1)
-        assert store.staleness_s(10.0) == float("inf")
-        store.append_batch([4.0], [[1.0]])
-        assert store.staleness_s(10.0) == pytest.approx(6.0)
 
     def test_resample_zero_order_hold(self):
         store = TimeSeriesStore(dimension=1)
@@ -167,11 +162,6 @@ class TestUserDigitalTwin:
         twin = UserDigitalTwin(0)
         with pytest.raises(ValueError):
             twin.feature_matrix(10.0, 10.0)
-
-    def test_max_staleness(self):
-        twin = UserDigitalTwin(0)
-        twin.record_batch(CHANNEL_CONDITION, [0.0], [[1.0]])
-        assert twin.max_staleness_s(5.0) == float("inf")  # other attributes never collected
 
 
 def _collect_one(collector, attributes, mobility, bs, preference, records, start_s, end_s, rng):
@@ -287,7 +277,8 @@ class TestGroupCollectionMatchesReference:
         policy=CollectionPolicy(period_multiplier=75.0, drop_probability=0.5, delay_s=7.0),
         stations=[0, 1, 1, 0],
         report_cells=True,
-        fading=True,
+        shadowing=True,
+        rayleigh=True,
         start_s=60.0,
         seed=3,
     )
@@ -295,21 +286,44 @@ class TestGroupCollectionMatchesReference:
         policy=CollectionPolicy(),
         stations=[1, 0, 1],
         report_cells=False,
-        fading=False,
+        shadowing=False,
+        rayleigh=False,
         start_s=0.0,
         seed=5,
+    )
+    @example(
+        policy=CollectionPolicy(drop_probability=0.3),
+        stations=[1, 0, 0, 1, 1],
+        report_cells=False,
+        shadowing=True,
+        rayleigh=False,
+        start_s=0.0,
+        seed=7,
+    )
+    @example(
+        policy=CollectionPolicy(),
+        stations=[0, 1, 0],
+        report_cells=True,
+        shadowing=False,
+        rayleigh=True,
+        start_s=60.0,
+        seed=11,
     )
     @given(
         policy=policies,
         stations=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=5),
         report_cells=st.booleans(),
-        fading=st.booleans(),
+        shadowing=st.booleans(),
+        rayleigh=st.booleans(),
         start_s=st.sampled_from([0.0, 60.0, 3000.0]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_group_call_equals_reference(
-        self, campus, policy, stations, report_cells, fading, start_s, seed
+        self, campus, policy, stations, report_cells, shadowing, rayleigh, start_s, seed
     ):
+        """Station 1 switches its shadowing and its Rayleigh fading on and off
+        independently of each other; station 0 keeps the default channel.  The
+        group call draws from one generator re-pointed at each member in turn."""
         end_s = start_s + 60.0
         attributes = standard_attributes(num_categories=8)
         if report_cells:
@@ -320,7 +334,7 @@ class TestGroupCollectionMatchesReference:
                 bs_id=1,
                 position=np.array([750.0, 400.0]),
                 channel=ChannelModel(
-                    ChannelConfig(shadowing_std_db=4.0 * fading, rayleigh_fading=fading)
+                    ChannelConfig(shadowing_std_db=4.0 * shadowing, rayleigh_fading=rayleigh)
                 ),
             ),
         ]
@@ -358,7 +372,7 @@ class TestGroupCollectionMatchesReference:
             records,
             start_s,
             end_s,
-            rngs=[np.random.default_rng((seed, m, 1)) for m in members],
+            rngs=derive_streams(np.array([[seed, m, 1] for m in members])),
             serving_cells=cells if report_cells else None,
         )
 
@@ -497,6 +511,83 @@ class TestGroupAppend:
         assert _contents(manager) == before
 
 
+#: Each store reader, with what it returns for a store holding ``(times,
+#: values)``; every reader except the last two copies pending runs in.
+_READ_GRID = np.linspace(-10.0, 200.0, 23)
+_STORE_READERS = {
+    "timestamps": (lambda store: store.timestamps(), lambda times, values: times),
+    "values": (lambda store: store.values(), lambda times, values: values),
+    "window_values": (
+        lambda store: store.window_values(30.0, 125.0),
+        lambda times, values: values[(times >= 30.0) & (times < 125.0)],
+    ),
+    "resample_into": (
+        lambda store: _resampled(store, _READ_GRID),
+        lambda times, values: values[
+            np.maximum(times.searchsorted(_READ_GRID, side="right") - 1, 0)
+        ],
+    ),
+    "latest_value": (lambda store: store.latest_value(), lambda times, values: values[-1]),
+    "len": (len, lambda times, values: times.shape[0]),
+    "latest_timestamp_s": (
+        lambda store: store.latest_timestamp_s(),
+        lambda times, values: times[-1],
+    ),
+}
+
+
+def _resampled(store, grid):
+    out = np.empty((grid.shape[0], store.dimension))
+    store.resample_into(grid, out)
+    return out
+
+
+class TestCopyOnRead:
+    """Group appends keep references to their blocks; reads copy them in."""
+
+    @pytest.mark.parametrize("reader", sorted(_STORE_READERS))
+    def test_every_reader_sees_runs_appended_since_the_last_read(self, reader):
+        read, expected = _STORE_READERS[reader]
+        parts = [_group_status(start_s) for start_s in (0.0, 60.0, 120.0)]
+        manager = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
+        manager.register_users([0, 1, 2])
+        stores = [
+            (m, name, manager.twin(uid).store(name))
+            for m, uid in enumerate([0, 1, 2])
+            for name in parts[0].samples
+        ]
+        # The first read copies part 0 in; parts 1 and 2 are pending at the
+        # second read.
+        for appended, upto in (([parts[0]], 1), (parts[1:], 3)):
+            for part in appended:
+                manager.append_group([0, 1, 2], part)
+            for m, name, store in stores:
+                runs = [
+                    member_samples(part, m)[name]
+                    for part in parts[:upto]
+                    if name in member_samples(part, m)
+                ]
+                if not runs:
+                    assert len(store) == 0
+                    continue
+                times = np.concatenate([run[0] for run in runs])
+                values = np.concatenate([run[1] for run in runs])
+                assert np.array_equal(read(store), expected(times, values)), (m, name)
+
+    def test_appended_block_arrays_are_read_only(self):
+        manager = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
+        manager.register_users([0, 1, 2])
+        status = _group_status(0.0)
+        manager.append_group([0, 1, 2], status)
+        for block in status.samples.values():
+            with pytest.raises(ValueError):
+                block.timestamps[0] = -1.0
+            with pytest.raises(ValueError):
+                block.values[0] = -1.0
+        # The stores' copies are their own: the twins read what was appended.
+        assert manager.twin(0).store(CHANNEL_CONDITION).timestamps().tolist() == [0.0, 1.0, 2.0]
+
+
 class TestDigitalTwinManager:
     def test_register_and_lookup(self):
         manager = DigitalTwinManager()
@@ -534,14 +625,6 @@ class TestDigitalTwinManager:
         records = manager.watch_records()
         assert [record.user_id for record in records] == [0, 1]
         assert sum(record.watch_duration_s for record in records) == pytest.approx(10.0)
-
-    def test_staleness_report_and_stale_users(self):
-        manager = DigitalTwinManager(attributes={"x": AttributeSpec("x", 1, 1.0)})
-        manager.register_users([0, 1])
-        manager.twin(0).record_batch("x", [0.0], [[1.0]])
-        manager.twin(1).record_batch("x", [90.0], [[1.0]])
-        stale = manager.stale_users(now_s=100.0, threshold_s=50.0)
-        assert stale == [0]
 
     def test_remove_user(self):
         manager = DigitalTwinManager()
