@@ -10,12 +10,13 @@ traces:
 * :mod:`repro.behavior.preference` -- per-user category preference vectors
   and the population-wide engagement update (the "preference" UDT
   attribute).
-* :mod:`repro.behavior.watching` -- the watch record, and the batched
+* :mod:`repro.behavior.watching` -- the watch record, a group's watch
+  records of one interval as one block of arrays, and the batched
   watching-duration sampler conditioned on how well a video matches each
   viewer's preference, which the interval engine's group task draws every
   watch from.
-* :mod:`repro.behavior.swiping` -- swipe-probability distributions derived
-  from watching durations.
+* :mod:`repro.behavior.swiping` -- the swipe-probability estimator over
+  watch records.
 """
 
 from repro.behavior.preference import (
@@ -25,11 +26,7 @@ from repro.behavior.preference import (
     random_preference,
 )
 from repro.behavior.watching import WatchingDurationModel, WatchRecord
-from repro.behavior.swiping import (
-    SwipeProbabilityEstimator,
-    empirical_swipe_distribution,
-    swipe_probability_from_durations,
-)
+from repro.behavior.swiping import SwipeProbabilityEstimator
 
 __all__ = [
     "PreferenceVector",
@@ -38,7 +35,5 @@ __all__ = [
     "WatchingDurationModel",
     "blend_engagement",
     "cosine_similarity",
-    "empirical_swipe_distribution",
     "random_preference",
-    "swipe_probability_from_durations",
 ]

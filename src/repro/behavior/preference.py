@@ -119,9 +119,11 @@ def blend_engagement(
     ``table`` holds one preference row per user, columns in category
     order.  Each watch record contributes its duration ``durations[k]`` to
     user row ``rows[k]`` and category column ``categories[k]``; each user's
-    records come in playback order.  A row with engagement total ``T``
-    becomes ``p <- (1 - lr) * p + lr * e / T``, clamped at zero and
-    renormalised.  Rows with no records or a zero total keep their values.
+    records come in playback order, and the users in any order (the
+    simulator passes its watch blocks' arrays, group by group).  A row with
+    engagement total ``T`` becomes ``p <- (1 - lr) * p + lr * e / T``,
+    clamped at zero and renormalised.  Rows with no records or a zero
+    total keep their values.
 
     The arithmetic runs in the order of a per-user dictionary update: each
     (user, category) engagement is summed over the user's records in

@@ -3,7 +3,7 @@
 The paper abstracts each multicast group's *swiping probability
 distribution* from the watching durations stored in the UDTs, and uses it to
 quantify how much of each pre-cached video will actually be played.  This
-module provides the empirical estimators that turn raw watch records into:
+module provides the empirical estimator that turns raw watch records into:
 
 * a per-category swipe probability (probability the user abandons a video
   of that category before it finishes), and
@@ -20,53 +20,6 @@ import numpy as np
 from repro.behavior.watching import WatchRecord
 from repro.numeric import ordered_sum
 from repro.video.categories import DEFAULT_CATEGORIES
-
-
-def swipe_probability_from_durations(
-    watch_durations_s: Sequence[float],
-    video_durations_s: Sequence[float],
-    completion_tolerance: float = 1e-6,
-) -> float:
-    """Fraction of viewings abandoned before the video finished."""
-    watch = np.asarray(watch_durations_s, dtype=np.float64)
-    video = np.asarray(video_durations_s, dtype=np.float64)
-    if watch.shape != video.shape:
-        raise ValueError("watch and video duration arrays must have the same shape")
-    if watch.size == 0:
-        return 0.0
-    if np.any(video <= 0):
-        raise ValueError("video durations must be positive")
-    swiped = watch < video - completion_tolerance
-    return float(swiped.mean())
-
-
-def empirical_swipe_distribution(
-    records: Iterable[WatchRecord],
-    categories: Sequence[str] = DEFAULT_CATEGORIES,
-    laplace_smoothing: float = 1.0,
-) -> Dict[str, float]:
-    """Per-category swipe probability with Laplace smoothing.
-
-    Categories with no observations fall back to the smoothed prior of 0.5,
-    which keeps the downstream demand prediction well defined for cold
-    categories.
-    """
-    if laplace_smoothing < 0:
-        raise ValueError("laplace_smoothing must be non-negative")
-    swipes = {category: 0.0 for category in categories}
-    counts = {category: 0.0 for category in categories}
-    for record in records:
-        if record.category not in swipes:
-            continue
-        counts[record.category] += 1.0
-        if record.swiped:
-            swipes[record.category] += 1.0
-    distribution = {}
-    for category in categories:
-        numerator = swipes[category] + laplace_smoothing
-        denominator = counts[category] + 2.0 * laplace_smoothing
-        distribution[category] = numerator / denominator if denominator > 0 else 0.5
-    return distribution
 
 
 class SwipeProbabilityEstimator:

@@ -15,12 +15,16 @@ way whether it stays in the parent or goes to the worker pool:
   ``(seed, interval, group)`` stream with the worst-member rule, multicast
   playback from its watch stream, and twin status collection from each
   member's ``(seed, interval, user)`` stream.  It returns a
-  :class:`GroupOutcome` carrying the group's
-  :class:`~repro.twin.collector.CollectedStatus` (one block per attribute)
-  and each member's position at the interval's end; the parent folds
-  outcomes in group order, appends each group's status to its members'
-  twins in one call, which is the only place twins are written, and keeps
-  the end positions for the next boundary's association.  The task reads
+  :class:`GroupOutcome` carrying the group's watch records as one
+  :class:`~repro.behavior.watching.WatchBlock` of arrays (no record object
+  is built), the group's :class:`~repro.twin.collector.CollectedStatus`
+  (one block per attribute, plus the watch block and the collector's keep
+  mask over it) and each member's position at the interval's end; the
+  parent folds outcomes in group order, appends each group's status to its
+  members' twins in one call, which is the only place twins are written,
+  and keeps the watch blocks for the interval's preference and popularity
+  updates and the end positions for the next boundary's association.  The
+  pickled outcome is a handful of arrays per group.  The task reads
   every member's positions with one call to a
   :class:`~repro.mobility.trajectory.WalkTable`.  Inline intervals map it
   over the in-process plan with the parent's walk table; sharded intervals
@@ -66,17 +70,18 @@ from typing import (
 import numpy as np
 
 from repro.behavior.preference import PreferenceVector
-from repro.behavior.watching import WatchingDurationModel, WatchRecord
+from repro.behavior.watching import WatchBlock, WatchingDurationModel
 from repro.mobility.campus import CampusMap
 from repro.mobility.trajectory import WalkTable
 from repro.net.basestation import BaseStation
 from repro.net.multicast import group_spectral_efficiency, resource_blocks_for_traffic
+from repro.numeric import ordered_sum
 from repro.sim.config import SimulationConfig
 from repro.sim.rng import RngRegistry
 from repro.timegrid import time_grid
 from repro.twin.attributes import AttributeSpec
 from repro.twin.collector import CollectedStatus, StatusCollector
-from repro.video.catalog import VideoCatalog
+from repro.video.catalog import Video, VideoCatalog
 from repro.video.popularity import sample_index, sampling_cdf
 from repro.video.representations import Representation
 
@@ -141,8 +146,9 @@ class GroupOutcome(NamedTuple):
     """Everything one group's interval produced, for the parent to fold."""
 
     usage: GroupIntervalUsage
-    #: Per-member watch records, in playback order.
-    records: Dict[int, List[WatchRecord]]
+    #: The group's watch records, one row per member in ``usage.member_ids``
+    #: order.
+    records: WatchBlock
     #: ``(video_id, transmitted_s)`` pairs; the parent re-resolves videos
     #: for edge transcoding.
     requests: List[Tuple[int, float]]
@@ -224,11 +230,15 @@ def run_group_interval(
     efficiency and representation.  Stage 2 plays the group's shared
     multicast stream: video choices and watch durations come from the
     group's watch stream, per-member weights from the plan's weight rows
-    (config-category order) and video choices from its CDF row.  Stage 3
-    runs the status collector for every member from their ``(interval,
-    user)`` stream — samples and a lossy policy's drop decisions alike — into
-    one :class:`CollectedStatus` block per attribute, in one collector call
-    for the whole group, whose streams are derived as one batch
+    (config-category order) and video choices from its CDF row.  Each
+    video's draws are one array over the members; the stream carries the
+    video for its longest watch, capped at the interval end, and the
+    viewings become one :class:`~repro.behavior.watching.WatchBlock`,
+    checked once.  Stage 3 runs the status collector for every member from
+    their ``(interval, user)`` stream — samples and a lossy policy's drop
+    decisions alike, the watch records' included — into one
+    :class:`CollectedStatus` block per attribute, in one collector call for
+    the whole group, whose streams are derived as one batch
     (:meth:`~repro.sim.rng.RngRegistry.collection_streams`); no twin is
     touched.
     """
@@ -282,41 +292,44 @@ def run_group_interval(
     cdf = plan.cdf[group_index]
     # Gathered into the catalog's sampling-category order once per group.
     member_weights = weights[:, static.sampling_perm]
-    member_records: List[List[WatchRecord]] = [[] for _ in member_ids]
+    videos: List[Video] = []
+    starts: List[float] = []
+    drawn: List[np.ndarray] = []
     now = start_s
     traffic_bits = 0.0
-    videos_played = 0
-    engagement_seconds = 0.0
     requests: List[Tuple[int, float]] = []
     while now < end_s:
         row = sample_index(cdf, rng)
         video = catalog.get(int(static.video_ids[row]))
-        durations: List[float] = static.watching_model.sample_watch_durations(
+        durations = static.watching_model.sample_watch_durations(
             video, member_weights[:, static.category_indices[row]], rng
-        ).tolist()
-        transmitted = min(max(durations), end_s - now)
-        for uid, duration, records in zip(member_ids, durations, member_records):
-            # `swiped` reflects the user's *intended* (uncapped) duration: a
-            # watch cut short only by the interval boundary is not a swipe.
-            # Engagement and traffic use the interval-capped time.
-            swiped = duration < video.duration_s - 1e-9
-            duration = min(duration, end_s - now)
-            records.append(
-                WatchRecord(
-                    user_id=uid,
-                    video_id=video.video_id,
-                    category=video.category,
-                    watch_duration_s=duration,
-                    video_duration_s=video.duration_s,
-                    swiped=swiped,
-                    timestamp_s=now,
-                )
-            )
-            engagement_seconds += duration
+        )
+        transmitted = min(float(durations.max()), end_s - now)
+        videos.append(video)
+        starts.append(now)
+        drawn.append(durations)
         traffic_bits += video.bits_watched(representation, transmitted)
         requests.append((video.video_id, transmitted))
-        videos_played += 1
         now += transmitted + config.swipe_gap_s
+    # (videos, members) grids.  `swiped` reflects each member's *intended*
+    # (uncapped) duration: a watch cut short only by the interval boundary
+    # is not a swipe.  The records and the engagement use the interval-capped
+    # time; the engagement adds it left to right, video by video and member
+    # by member (a numpy sum would add pairwise).
+    lengths = np.array([video.duration_s for video in videos])
+    start_times = np.array(starts)
+    uncapped = np.array(drawn)
+    capped = np.minimum(uncapped, (end_s - start_times)[:, None])
+    watches = WatchBlock(
+        member_ids=np.array(member_ids, dtype=np.int64),
+        video_ids=np.array([video.video_id for video in videos], dtype=np.int64),
+        categories=tuple(video.category for video in videos),
+        video_durations_s=lengths,
+        start_times_s=start_times,
+        watch_durations_s=np.ascontiguousarray(capped.T),
+        swiped=np.ascontiguousarray((uncapped < (lengths - 1e-9)[:, None]).T),
+    )
+    watches.check()
     usage = GroupIntervalUsage(
         group_id=group_id,
         member_ids=member_ids,
@@ -330,8 +343,8 @@ def run_group_interval(
             interval_s=config.interval_s,
         ),
         computing_cycles=0.0,  # filled in after edge processing
-        videos_played=videos_played,
-        engagement_seconds=engagement_seconds,
+        videos_played=len(videos),
+        engagement_seconds=ordered_sum(capped.ravel().tolist()),
     )
     playback_done = time.perf_counter()
 
@@ -341,7 +354,7 @@ def run_group_interval(
         positions,
         [static.bs_by_id[bs_id] for bs_id in serving_ids],
         weights,
-        member_records,
+        watches,
         start_s,
         end_s,
         rngs=registry.collection_streams(interval_index, plan.user_ids[lo:hi]),
@@ -355,7 +368,7 @@ def run_group_interval(
     )
     return GroupOutcome(
         usage,
-        dict(zip(member_ids, member_records)),
+        watches,
         requests,
         representation,
         mean_snrs,

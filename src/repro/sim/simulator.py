@@ -35,7 +35,12 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.behavior.preference import blend_engagement, random_preference
-from repro.behavior.watching import WatchingDurationModel, WatchRecord
+from repro.behavior.watching import (
+    WatchBlock,
+    WatchingDurationModel,
+    WatchRecord,
+    video_engagement,
+)
 from repro.numeric import ordered_sum
 from repro.placement.fleet import EdgeFleet
 from repro.placement.manager import PlacementManager, ReprovisionEvent
@@ -107,8 +112,9 @@ class IntervalResult:
     start_s: float
     end_s: float
     usage_by_group: Dict[int, GroupIntervalUsage] = field(default_factory=dict)
-    #: Each user's watch records of the interval, in playback order.
-    events_by_user: Dict[int, List[WatchRecord]] = field(default_factory=dict)
+    #: The interval's watch records, one block per played group in sorted
+    #: scoped-group order (see :attr:`events_by_user`).
+    watch_blocks: List[WatchBlock] = field(default_factory=list)
     mean_snr_by_user: Dict[int, float] = field(default_factory=dict)
     #: RAN-controller outputs; empty in ``controller_mode="boundary"``.
     cell_of_group: Dict[int, int] = field(default_factory=dict)
@@ -128,12 +134,42 @@ class IntervalResult:
     placement_events: List[ReprovisionEvent] = field(default_factory=list)
     #: Per-stage seconds of this interval, defined the same way inline and
     #: sharded: ``stage1_s`` (channel draws), ``playback_s`` (multicast
-    #: playback) and ``collection_s`` (twin status collection) each sum the
-    #: group tasks' own stage times; ``playback_s`` adds the parent's plan
-    #: build and record merge, ``collection_s`` its one
+    #: playback, the watch blocks included) and ``collection_s`` (twin
+    #: status collection) each sum the group tasks' own stage times;
+    #: ``playback_s`` adds the parent's plan build and its fold of each
+    #: outcome's usage, mean SNRs, watch block, transcode requests and end
+    #: positions, ``collection_s`` its one
     #: :meth:`~repro.twin.manager.DigitalTwinManager.append_group` call per
-    #: group.  Time spent waiting on the worker pool counts in none of them.
+    #: group.  Time spent waiting on the worker pool counts in none of them,
+    #: and neither do the preference and popularity updates after the fold.
     timing: Dict[str, float] = field(default_factory=dict)
+    _events_by_user: Optional[Dict[int, List[WatchRecord]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def events_by_user(self) -> Dict[int, List[WatchRecord]]:
+        """Each user's watch records of the interval, in playback order.
+
+        Keyed by ascending user id: every user the interval played, which
+        is every simulated user, in the simulator's own user order, since
+        user ids only grow.  Built from :attr:`watch_blocks` on first read
+        and kept (copy-on-read): a run that never reads it builds no
+        :class:`~repro.behavior.watching.WatchRecord`.
+        """
+        if self._events_by_user is None:
+            rows = sorted(
+                (
+                    (user_id, block, row)
+                    for block in self.watch_blocks
+                    for row, user_id in enumerate(block.member_ids.tolist())
+                ),
+                key=lambda item: item[0],
+            )
+            self._events_by_user = {
+                user_id: block.records(row) for user_id, block, row in rows
+            }
+        return self._events_by_user
 
     @property
     def num_handovers(self) -> int:
@@ -547,7 +583,7 @@ class StreamingSimulator:
                 interval_index, list(played_grouping.keys()), time_s=start_s
             )
 
-        events_by_user, transcode_requests = self._play_groups(played_grouping, result)
+        transcode_requests = self._play_groups(played_grouping, result)
 
         # Edge transcoding for all groups of this interval, routed over the
         # fleet (all groups on server 0 when placement is disabled — the
@@ -574,10 +610,10 @@ class StreamingSimulator:
             )
 
         # Behavioural updates (the twins were written while folding).
-        self._update_preferences(events_by_user)
-        self._update_popularity(events_by_user)
-
-        result.events_by_user = events_by_user
+        self._update_preferences(result.watch_blocks)
+        engagement = video_engagement(result.watch_blocks)
+        if engagement:
+            self.catalog.popularity.update_from_engagement(engagement)
 
         # RAN-controller end-of-interval phase: handover evaluation on
         # mid-interval samples (events applied for the *next* interval),
@@ -611,13 +647,15 @@ class StreamingSimulator:
         against the parent's own walk table, otherwise the plan is
         published to shared memory and ``pool.map`` runs ``(plan handle,
         group index)`` tasks on the worker pool.  Either way outcomes arrive
-        in sorted scoped-group order and are folded as they arrive: records
-        merged, the members' end positions stored for the next boundary, and
-        the group's collected status appended to its members' twins with one
+        in sorted scoped-group order and are folded as they arrive: each
+        group's watch block kept on ``result``, the members' end positions
+        stored for the next boundary, and the group's collected status
+        appended to its members' twins with one
         :meth:`~repro.twin.manager.DigitalTwinManager.append_group` call (one
-        block per attribute) — the only place an interval writes twins.
+        block per attribute, plus the watch block) — the only place an
+        interval writes twins.
 
-        Returns ``(events_by_user, transcode_requests)``.
+        Returns the transcode requests by group id.
         """
         started = time.perf_counter()
         plan = build_interval_plan(
@@ -659,7 +697,6 @@ class StreamingSimulator:
                 range(num_groups),
             )
 
-        events_by_user: Dict[int, List[WatchRecord]] = {uid: [] for uid in self.users}
         transcode_requests: Dict[int, List[tuple]] = {}
         stage1_s, playback_s, collection_s = 0.0, plan_s, 0.0
         for outcome in outcomes:
@@ -667,8 +704,7 @@ class StreamingSimulator:
             usage = outcome.usage
             result.usage_by_group[usage.group_id] = usage
             result.mean_snr_by_user.update(zip(usage.member_ids, outcome.mean_snrs))
-            for uid, records in outcome.records.items():
-                events_by_user[uid].extend(records)
+            result.watch_blocks.append(outcome.records)
             transcode_requests[usage.group_id] = [
                 (self.catalog.get(video_id), outcome.representation, transmitted)
                 for video_id, transmitted in outcome.requests
@@ -684,7 +720,7 @@ class StreamingSimulator:
         result.timing.update(
             stage1_s=stage1_s, playback_s=playback_s, collection_s=collection_s
         )
-        return events_by_user, transcode_requests
+        return transcode_requests
 
     def _controller_mean_snr(self):
         """Lazy per-user serving-cell mean-SNR lookup for controller apps.
@@ -762,24 +798,27 @@ class StreamingSimulator:
         if missing:
             raise ValueError(f"grouping does not cover users {sorted(missing)}")
 
-    def _update_preferences(self, events_by_user: Dict[int, List[WatchRecord]]) -> None:
-        """Blend every user's engagement of the interval into the preference table."""
-        records = [record for records in events_by_user.values() for record in records]
+    def _update_preferences(self, blocks: Sequence[WatchBlock]) -> None:
+        """Blend every user's engagement of the interval into the preference table.
+
+        Each block's records go in member by member, each member's in
+        playback order, which is all :func:`blend_engagement` needs.
+        """
         column = self._category_column
         blend_engagement(
             self._preferences,
-            np.array([record.user_id for record in records], dtype=np.intp),
-            np.array([column[record.category] for record in records], dtype=np.intp),
-            np.array([record.watch_duration_s for record in records], dtype=np.float64),
+            np.concatenate(
+                [np.repeat(block.member_ids, len(block.categories)) for block in blocks]
+            ),
+            np.concatenate(
+                [
+                    np.tile(
+                        np.array([column[c] for c in block.categories], dtype=np.intp),
+                        len(block.member_ids),
+                    )
+                    for block in blocks
+                ]
+            ),
+            np.concatenate([block.watch_durations_s.ravel() for block in blocks]),
             self.config.preference_learning_rate,
         )
-
-    def _update_popularity(self, events_by_user: Dict[int, List[WatchRecord]]) -> None:
-        engagement: Dict[int, float] = {}
-        for records in events_by_user.values():
-            for record in records:
-                engagement[record.video_id] = (
-                    engagement.get(record.video_id, 0.0) + record.watch_duration_s
-                )
-        if engagement:
-            self.catalog.popularity.update_from_engagement(engagement)

@@ -12,10 +12,13 @@ about users it learns from these twins, so the twin layer also controls how
   window queries and zero-order-hold resampling, and the one check and one
   write routine every append goes through (writes keep references to the
   appended blocks; a store's first read copies them in).
-* :mod:`repro.twin.udt` -- :class:`UserDigitalTwin`.
+* :mod:`repro.twin.udt` -- :class:`UserDigitalTwin`, which keeps its
+  watch records as references into the appended watch blocks and builds
+  the record objects on its first read.
 * :mod:`repro.twin.collector` -- samples live user state for UDTs at each
   attribute's own frequency, with optional loss and delay, and returns a
-  multicast group's status as one block per attribute.
+  multicast group's status as one block per attribute, plus the group's
+  watch block and the records a lossy uplink keeps of it.
 * :mod:`repro.twin.manager` -- the edge-side registry of all UDTs: appends
   each group's collected status to its members' twins in one call
   (:meth:`DigitalTwinManager.append_group`), plus group-level aggregation

@@ -6,16 +6,21 @@ process against simulation entities:
 
 * channel condition and location are sampled at their attribute periods
   from the user's trajectory and serving base station,
-* watch records are pushed as sessions produce them, and
+* watch records are pushed as playback produces them: the group's
+  :class:`~repro.behavior.watching.WatchBlock`, of which a lossy uplink
+  keeps a random subset, and
 * preference snapshots are written once per collection period.
 
 Collection is a pure function: :meth:`StatusCollector.collect_interval`
 collects a whole multicast group in one call and returns one
 :class:`CollectedStatus` for the group, one :class:`StatusBlock` per
-attribute with the members' samples concatenated in member order, and
+attribute with the members' samples concatenated in member order, plus the
+group's watch block and a ``(members, videos)`` keep mask over it (``None``
+when nothing is dropped), and
 :meth:`~repro.twin.manager.DigitalTwinManager.append_group` appends it to
-the members' twins in one call.  A shard worker can therefore collect for
-users whose twins live in another process.
+the members' twins in one call.  No record object is built on the way.  A
+shard worker can therefore collect for users whose twins live in another
+process.
 
 The :class:`CollectionPolicy` adds the imperfections the DT-staleness
 ablation varies: a collection-period multiplier (slower twins), a sample
@@ -25,12 +30,11 @@ drop probability (lossy uplink) and a reporting delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.behavior.watching import WatchRecord
+from repro.behavior.watching import WatchBlock
 from repro.net.basestation import BaseStation
 from repro.net.channel import fading_db
 from repro.timegrid import time_grid
@@ -49,9 +53,11 @@ class CollectionPolicy:
     """Imperfections applied while collecting user status.
 
     ``period_multiplier`` scales every attribute's collection period (2.0
-    means twice as stale), ``drop_probability`` silently discards samples,
-    and ``delay_s`` shifts the recorded timestamps backwards (the twin only
-    learns about a sample that much later).
+    means twice as stale; an infinite multiplier samples once per interval),
+    ``drop_probability`` silently discards samples, and ``delay_s`` shifts
+    the recorded timestamps backwards (the twin only learns about a sample
+    that much later).  The delay must be finite: an infinite one would stamp
+    every sample at ``+inf``.
     """
 
     period_multiplier: float = 1.0
@@ -63,8 +69,8 @@ class CollectionPolicy:
             raise ValueError("period_multiplier must be positive")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
+        if not 0.0 <= self.delay_s < np.inf:
+            raise ValueError("delay_s must be non-negative and finite")
 
     @classmethod
     def perfect(cls) -> "CollectionPolicy":
@@ -78,9 +84,11 @@ class CollectedStatus(NamedTuple):
     #: preference and serving cell, in that order.  Member ``m``'s run of
     #: each block is their samples of that attribute.
     samples: Dict[str, StatusBlock]
-    #: Each member's watch records that survived the drop policy, in
-    #: playback order.
-    records: List[List[WatchRecord]]
+    #: The group's watch records; row ``m`` is member ``m``'s.
+    watches: WatchBlock
+    #: ``(members, videos)`` mask of the watch records that survived the
+    #: drop policy; ``None`` when the policy drops nothing.
+    kept: Optional[np.ndarray]
 
 
 class StatusCollector:
@@ -132,7 +140,7 @@ class StatusCollector:
         positions: np.ndarray,
         base_stations: Sequence[BaseStation],
         preferences: np.ndarray,
-        records: Sequence[Sequence[WatchRecord]],
+        watches: WatchBlock,
         start_s: float,
         end_s: float,
         rngs: Iterable[np.random.Generator],
@@ -149,7 +157,8 @@ class StatusCollector:
         * ``base_stations[m]`` is the member's serving station;
         * ``preferences[m]`` is their preference weight row, in the twin's
           category order;
-        * ``records[m]`` are their watch records, in playback order;
+        * row ``m`` of ``watches`` holds their watch records, in playback
+          order;
         * ``rngs`` yields the one stream every draw for member ``m``
           consumes, as its ``m``-th item.  The members' draws are taken
           strictly in member order, each member's before the next item is
@@ -162,12 +171,13 @@ class StatusCollector:
         they have are collected, each into one :class:`StatusBlock`.  Each
         member's draws come from their own stream only, in this order:
         channel keep mask, shadowing, fading, location keep mask, record
-        drops (one uniform per record), preference keep mask, serving-cell
-        keep mask.  The simulator passes the members' ``(seed, interval,
-        user)`` collection streams (see :class:`repro.sim.rng.RngRegistry`),
-        so each member's status is independent of every other member's and a
-        deterministic walk a shard worker can replay exactly.  With
-        ``drop_probability == 0`` no keep decision is drawn.  Only the draws
+        keep row (one uniform per record), preference keep mask,
+        serving-cell keep mask.  The simulator passes the members' ``(seed,
+        interval, user)`` collection streams (see
+        :class:`repro.sim.rng.RngRegistry`), so each member's status is
+        independent of every other member's and a deterministic walk a shard
+        worker can replay exactly.  With ``drop_probability == 0`` no keep
+        decision is drawn.  Only the draws
         run member by member: the mean SNR under the channel-condition
         samples is one evaluation per serving station over its members'
         rows, and the fading terms and every block are computed once for the
@@ -175,6 +185,12 @@ class StatusCollector:
         """
         if end_s <= start_s:
             raise ValueError("end_s must be greater than start_s")
+        members = len(base_stations)
+        if watches.member_ids.shape != (members,):
+            raise ValueError(
+                f"expected watch records of {members} members, "
+                f"got {watches.member_ids.shape[0]}"
+            )
         policy = self.policy
         drop = policy.drop_probability
         preferences = np.asarray(preferences, dtype=np.float64)
@@ -200,14 +216,13 @@ class StatusCollector:
         }
 
         # One keep row per member and attribute; drawn only when lossy.
-        members = len(base_stations)
         keeps = {
             name: np.ones((members, grid.shape[0]), dtype=bool) for name, grid in grids.items()
         }
         channel_keep = keeps.get(CHANNEL_CONDITION)
         # The keep masks drawn after the records, in draw order.
         late_keeps = [keeps[name] for name in (PREFERENCE, SERVING_CELL) if name in keeps]
-        kept_records: List[List[WatchRecord]] = []
+        kept = np.ones(watches.swiped.shape, dtype=bool) if drop else None
         shadowing: List[np.ndarray] = []
         gains: List[np.ndarray] = []
         for row, rng in zip(range(members), rngs, strict=True):
@@ -225,15 +240,13 @@ class StatusCollector:
                         shadowing.append(fades.shadowing_db)
                     if fades.fading_gains is not None:
                         gains.append(fades.fading_gains)
-            if not drop:
-                kept_records.append(list(records[row]))
+            if kept is None:
                 continue
             if LOCATION in keeps:
                 keeps[LOCATION][row] = rng.random(keeps[LOCATION].shape[1]) >= drop
             # Watch records (the twin mirrors them into the watching-duration
             # series): one uniform per record, in record order.
-            kept = (rng.random(len(records[row])) >= drop).tolist()
-            kept_records.append(list(compress(records[row], kept)))
+            kept[row] = rng.random(kept.shape[1]) >= drop
             for late_keep in late_keeps:
                 late_keep[row] = rng.random(late_keep.shape[1]) >= drop
 
@@ -278,7 +291,7 @@ class StatusCollector:
             )
             for name, keep in keeps.items()
         }
-        return CollectedStatus(samples=samples, records=kept_records)
+        return CollectedStatus(samples=samples, watches=watches, kept=kept)
 
 
 def _grid_columns(times: np.ndarray, grid: np.ndarray) -> np.ndarray:

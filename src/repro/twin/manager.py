@@ -61,16 +61,18 @@ class DigitalTwinManager:
     def append_group(self, user_ids: Sequence[int], status: CollectedStatus) -> None:
         """Append one group's collected status to its members' twins.
 
-        ``user_ids[m]`` owns member ``m``'s samples of every block and
-        ``status.records[m]``.  Each attribute's block is checked once for
-        all members (shapes, time order within each member's samples, no
-        sample before the member's newest stored one) and every record's
-        user id against its member, before anything is kept: a rejected
-        group leaves every twin as it was.  Then each member's stores keep a
-        reference to their run of each block, whose arrays become
-        read-only (a store copies its runs in on its next read, see
-        :mod:`repro.twin.timeseries`), and their records are stored and
-        mirrored into the watching-duration series.
+        ``user_ids[m]`` owns member ``m``'s samples of every block and row
+        ``m`` of ``status.watches``.  Each attribute's block is checked once
+        for all members (shapes, time order within each member's samples, no
+        sample before the member's newest stored one), and so are the watch
+        block's members (they must be ``user_ids``) and the keep mask's
+        shape, before anything is kept: a rejected group leaves every twin
+        as it was.  Then each member's stores keep a reference to their run
+        of each block, whose arrays become read-only (a store copies its
+        runs in on its next read, see :mod:`repro.twin.timeseries`); each
+        twin likewise keeps a reference to its row of the watch block and
+        builds the records on its next read, and the kept durations are
+        mirrored into the watching-duration series from the arrays.
         """
         twins = [self.twin(uid) for uid in user_ids]
         blocks = []
@@ -78,10 +80,10 @@ class DigitalTwinManager:
             stores = [twin.store(name) for twin in twins]
             check_runs(stores, block)
             blocks.append((stores, block))
-        check_watches(user_ids, status.records)
+        check_watches(user_ids, status.watches, status.kept)
         for stores, block in blocks:
             write_runs(stores, block)
-        append_watches(twins, status.records)
+        append_watches(twins, status.watches, status.kept)
 
     # --------------------------------------------------------- aggregation
     def feature_tensor(

@@ -13,15 +13,24 @@ two views the prediction scheme needs:
   input of the 1D-CNN compressor, and
 * :meth:`watch_records` -- the watch records collected during a window,
   which feed the swiping-probability abstraction.
+
+Watch records are kept the way the stores keep samples (see
+:mod:`repro.twin.timeseries`): an append keeps a reference to the group's
+:class:`~repro.behavior.watching.WatchBlock` with the twin's row and keep
+row, marks the block's arrays read-only and mirrors the kept durations into
+the watching-duration series from the arrays.  The first
+:meth:`~UserDigitalTwin.watch_records` call after an append builds the
+appended :class:`~repro.behavior.watching.WatchRecord` objects, once; a
+twin that is never asked for its records builds none.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.behavior.watching import WatchRecord
+from repro.behavior.watching import WatchBlock, WatchRecord
 from repro.twin.attributes import AttributeSpec, DEFAULT_ATTRIBUTES, WATCHING_DURATION
 from repro.twin.timeseries import StatusBlock, TimeSeriesStore, write_runs
 
@@ -45,7 +54,11 @@ class UserDigitalTwin:
         self._stores: Dict[str, TimeSeriesStore] = {
             name: TimeSeriesStore(spec.dimension) for name, spec in self.attributes.items()
         }
+        #: Watch records built so far, oldest first.
         self._watch_records: List[WatchRecord] = []
+        #: Watch runs appended since the last read, oldest first, each
+        #: ``(block, row, keep row or None)``.
+        self._pending_watches: List[Tuple[WatchBlock, int, Optional[np.ndarray]]] = []
 
     # ------------------------------------------------------------ collection
     def store(self, attribute: str) -> TimeSeriesStore:
@@ -60,11 +73,14 @@ class UserDigitalTwin:
     def record_watches(self, records: Sequence[WatchRecord]) -> None:
         """Store watch records and mirror their durations into the time series.
 
-        A record older than the newest watching-duration sample is mirrored
-        at that sample's time, so the series stays non-decreasing.
+        The records go in as a one-member block, through the group append's
+        routines.  A record older than the newest watching-duration sample
+        is mirrored at that sample's time, so the series stays
+        non-decreasing.
         """
-        check_watches([self.user_id], [records])
-        append_watches([self], [records])
+        block = WatchBlock.from_records(self.user_id, records)
+        check_watches([self.user_id], block, None)
+        append_watches([self], block, None)
 
     # -------------------------------------------------------------- queries
     def watch_records(
@@ -72,7 +88,13 @@ class UserDigitalTwin:
         start_s: Optional[float] = None,
         end_s: Optional[float] = None,
     ) -> List[WatchRecord]:
-        """Watch records whose timestamps fall in ``[start_s, end_s)``."""
+        """Watch records whose timestamps fall in ``[start_s, end_s)``.
+
+        Builds the records appended since the last call first.
+        """
+        for block, row, keep in self._pending_watches:
+            self._watch_records.extend(block.records(row, keep))
+        self._pending_watches.clear()
         records = self._watch_records
         if start_s is not None:
             records = [r for r in records if r.timestamp_s >= start_s]
@@ -114,41 +136,56 @@ class UserDigitalTwin:
 
 
 def check_watches(
-    user_ids: Sequence[int], records: Sequence[Sequence[WatchRecord]]
+    user_ids: Sequence[int], block: WatchBlock, kept: Optional[np.ndarray]
 ) -> None:
-    """Raise ``ValueError`` unless every record of ``records[i]`` is user ``user_ids[i]``'s."""
-    for user_id, kept in zip(user_ids, records):
-        for record in kept:
-            if record.user_id != user_id:
-                raise ValueError(
-                    f"watch record of user {record.user_id} pushed to UDT of user {user_id}"
-                )
+    """Raise ``ValueError`` unless row ``i`` of ``block`` is user ``user_ids[i]``'s.
+
+    ``kept``, if given, must mask the block's ``(members, videos)`` grid.
+    """
+    if not np.array_equal(block.member_ids, user_ids):
+        raise ValueError(
+            f"watch records of users {block.member_ids.tolist()} pushed to the UDTs "
+            f"of users {list(user_ids)}"
+        )
+    if kept is not None and kept.shape != block.swiped.shape:
+        raise ValueError(f"expected a keep mask of shape {block.swiped.shape}, got {kept.shape}")
 
 
 def append_watches(
-    twins: Sequence[UserDigitalTwin], records: Sequence[Sequence[WatchRecord]]
+    twins: Sequence[UserDigitalTwin], block: WatchBlock, kept: Optional[np.ndarray]
 ) -> None:
-    """Store ``records[i]`` in ``twins[i]`` and mirror the durations, unchecked.
+    """Keep row ``i`` of ``block`` in ``twins[i]`` and mirror its durations, unchecked.
 
-    The twins share their attributes.  Each twin's watching-duration run
-    starts no earlier than its newest sample: the first record's time is
-    clamped to it, and a running maximum keeps the run non-decreasing.
+    Only the records ``kept`` marks are kept (all when it is ``None``).  The
+    block's arrays are marked read-only: each twin keeps a reference and
+    builds its records on its next :meth:`~UserDigitalTwin.watch_records`
+    call.  The twins share their attributes.  Each twin's watching-duration
+    run starts no earlier than its newest sample: the first kept record's
+    time is clamped to it, and a running maximum keeps the run
+    non-decreasing.
     """
-    counts = np.array([len(kept) for kept in records])
-    for twin, kept in zip(twins, records):
-        twin._watch_records.extend(kept)
-    total = int(counts.sum())
-    if not total or WATCHING_DURATION not in twins[0]._stores:
+    for array in block:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    members, videos = block.swiped.shape
+    counts = np.full(members, videos) if kept is None else kept.sum(axis=1)
+    for row, (twin, count) in enumerate(zip(twins, counts.tolist())):
+        if count:
+            twin._pending_watches.append((block, row, None if kept is None else kept[row]))
+    if not counts.any() or WATCHING_DURATION not in twins[0]._stores:
         return
     stores = [twin._stores[WATCHING_DURATION] for twin in twins]
-    flat = [record for kept in records for record in kept]
-    # One padded row per twin: clamp each run's first time to the twin's
-    # newest sample, then take the running maximum along the row.
-    mask = np.arange(int(counts.max())) < counts[:, None]
-    padded = np.full(mask.shape, -np.inf)
-    padded[mask] = [record.timestamp_s for record in flat]
+    # One row per twin, its dropped records at -inf: clamp the row's first
+    # time to the twin's newest sample, then take the running maximum along
+    # the row, which carries that clamp to the first kept record.
+    times = np.tile(block.start_times_s, (members, 1))
+    if kept is not None:
+        times[~kept] = -np.inf
     tails = [store.latest_timestamp_s() for store in stores]
-    np.maximum(padded[:, 0], tails, out=padded[:, 0])
-    np.maximum.accumulate(padded, axis=1, out=padded)
-    durations = np.array([[record.watch_duration_s] for record in flat])
-    write_runs(stores, StatusBlock(counts, padded[mask], durations))
+    np.maximum(times[:, 0], tails, out=times[:, 0])
+    np.maximum.accumulate(times, axis=1, out=times)
+    if kept is None:
+        run = StatusBlock(counts, times.ravel(), block.watch_durations_s.reshape(-1, 1))
+    else:
+        run = StatusBlock(counts, times[kept], block.watch_durations_s[kept][:, None])
+    write_runs(stores, run)

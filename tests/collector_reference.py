@@ -4,9 +4,11 @@
 whole group in one call: it reads each member's positions from one
 trajectory block and evaluates the mean SNR once per serving station.  This
 module is the per-member collector it replaced, which queries the member's
-own mobility model at each attribute's kept times.  The group call must
-match it exactly, member by member: split per member, each of its blocks
-holds what this reference collects.
+own mobility model at each attribute's kept times and keeps watch records
+from a list, one draw per record.  The group call must match it exactly,
+member by member: split per member, each of its blocks holds what this
+reference collects, and the rows of its watch block, masked by its keep
+mask, hold the records this reference keeps.
 """
 
 from __future__ import annotations
@@ -93,6 +95,12 @@ def reference_collect(
                 np.full((times.shape[0], 1), float(serving_cell)),
             )
     return MemberStatus(samples=samples, records=kept_records)
+
+
+def member_records(status: CollectedStatus, member: int) -> List[WatchRecord]:
+    """Member ``member``'s kept watch records of a group status, in playback order."""
+    keep = None if status.kept is None else status.kept[member]
+    return status.watches.records(member, keep)
 
 
 def member_samples(

@@ -17,9 +17,7 @@ from repro.behavior import (
     WatchingDurationModel,
     blend_engagement,
     cosine_similarity,
-    empirical_swipe_distribution,
     random_preference,
-    swipe_probability_from_durations,
 )
 from repro.behavior.swiping import expected_transmitted_fraction
 from repro.sim import SimulationConfig, StreamingSimulator, singleton_grouping
@@ -219,23 +217,6 @@ class TestWatchRecord:
 
 
 class TestSwiping:
-    def test_swipe_probability_from_durations(self):
-        prob = swipe_probability_from_durations([5.0, 10.0], [10.0, 10.0])
-        assert prob == pytest.approx(0.5)
-
-    def test_swipe_probability_empty_is_zero(self):
-        assert swipe_probability_from_durations([], []) == 0.0
-
-    def test_swipe_probability_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            swipe_probability_from_durations([1.0], [1.0, 2.0])
-
-    def test_empirical_distribution_smoothing(self):
-        records = [WatchRecord(0, 1, "News", 2.0, 10.0, swiped=True)]
-        dist = empirical_swipe_distribution(records, categories=("News", "Game"))
-        assert 0.0 < dist["News"] < 1.0
-        assert dist["Game"] == pytest.approx(0.5)
-
     def test_estimator_swipe_probability_converges(self, rng):
         estimator = SwipeProbabilityEstimator(("News", "Game"), laplace_smoothing=0.5)
         for i in range(200):

@@ -46,7 +46,7 @@ from repro.sim.rng import COLLECTION_STREAM, RngRegistry, derive_stream, derive_
 from repro.sim.shard import _probe_shard_worker, build_interval_plan, run_group_interval
 from repro.timegrid import num_grid_steps, time_grid
 from repro.twin.collector import CollectionPolicy
-from collector_reference import member_samples
+from collector_reference import member_records, member_samples
 from twin_digest import twin_contents_sha256
 from walk_reference import GraphTrajectoryMobility
 
@@ -313,6 +313,16 @@ def test_lossy_twin_contents_are_pinned(workers):
 
 
 # ------------------------------------------------------- group-task purity
+def _assert_blocks_equal(first, second) -> None:
+    """Two watch blocks hold the same records, array for array."""
+    assert first.categories == second.categories
+    for name in ("member_ids", "video_ids", "video_durations_s", "start_times_s",
+                 "watch_durations_s", "swiped"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 def _twin_sizes(sim: StreamingSimulator) -> dict:
     """Per user: every store's sample count and the watch-record count."""
     sizes = {}
@@ -366,19 +376,23 @@ class TestGroupTaskPurity:
         for index in indices:
             first, second = forward[index], backward[index]
             assert first.usage == second.usage
-            assert first.records == second.records
+            _assert_blocks_equal(first.records, second.records)
             assert first.mean_snrs == second.mean_snrs
             assert first.requests == second.requests
             np.testing.assert_array_equal(first.end_positions, second.end_positions)
             members = first.usage.member_ids
-            assert len(first.collection.records) == len(second.collection.records)
-            assert len(first.collection.records) == len(members)
+            assert first.records.member_ids.tolist() == members
+            assert first.collection.watches is first.records
+            _assert_blocks_equal(first.collection.watches, second.collection.watches)
+            assert first.collection.kept.shape == first.records.swiped.shape
+            np.testing.assert_array_equal(first.collection.kept, second.collection.kept)
             for m, uid in enumerate(members):
                 status = member_samples(first.collection, m)
                 other = member_samples(second.collection, m)
-                records = first.collection.records[m]
-                assert records == second.collection.records[m]
-                dropped |= len(records) < len(first.records[uid])
+                records = member_records(first.collection, m)
+                assert records == member_records(second.collection, m)
+                assert all(record.user_id == uid for record in records)
+                dropped |= len(records) < len(first.records.records(m))
                 assert list(status) == list(other)
                 for name, (times, values) in status.items():
                     np.testing.assert_array_equal(times, other[name][0])

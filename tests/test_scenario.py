@@ -546,6 +546,7 @@ class TestCli:
             ("campus_fig3", "topology.rb_bandwidth_hz=inf"),
             ("edge_flash_crowd", "topology.channel_sample_period_s=inf"),
             ("multicell_campus", "controller.handover_sample_period_s=inf"),
+            ("commuter_rush", "engine.collection_delay_s=inf"),
         ],
     )
     def test_bad_override_value_is_a_one_line_error(self, capsys, scenario, override):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collector_reference import member_samples, reference_collect
+from collector_reference import member_records, member_samples, reference_collect
 from repro.behavior import WatchRecord, random_preference
+from repro.behavior.watching import WatchBlock
 from repro.mobility import WalkTable
 from repro.net import BaseStation, ChannelConfig, ChannelModel
 from repro.sim.rng import derive_streams
@@ -165,7 +168,7 @@ class TestUserDigitalTwin:
 
 
 def _collect_one(collector, attributes, mobility, bs, preference, records, start_s, end_s, rng):
-    """One member's status through the group call, as a group of one."""
+    """User 0's status through the group call, as a group of one."""
     times = np.unique(np.concatenate(collector.position_times(attributes, start_s, end_s)))
     return collector.collect_interval(
         attributes,
@@ -173,10 +176,28 @@ def _collect_one(collector, attributes, mobility, bs, preference, records, start
         mobility.positions(times)[None],
         [bs],
         np.asarray(preference)[None],
-        [records],
+        WatchBlock.from_records(0, records),
         start_s,
         end_s,
         rngs=[rng],
+    )
+
+
+def _watch_block(member_ids, start_times_s, video_ids=None):
+    """A group's watch block: every member watches every video, member ``m``
+    for ``2 + m`` seconds of each 9 s video, the first member to the end."""
+    members = len(member_ids)
+    videos = len(start_times_s)
+    durations = np.tile(2.0 + np.arange(members, dtype=np.float64)[:, None], (1, videos))
+    durations[0] = 9.0
+    return WatchBlock(
+        member_ids=np.array(member_ids, dtype=np.int64),
+        video_ids=np.arange(videos, dtype=np.int64) if video_ids is None else np.array(video_ids),
+        categories=tuple(("News", "Game")[v % 2] for v in range(videos)),
+        video_durations_s=np.full(videos, 9.0),
+        start_times_s=np.asarray(start_times_s, dtype=np.float64),
+        watch_durations_s=durations,
+        swiped=durations < 9.0,
     )
 
 
@@ -235,7 +256,9 @@ class TestStatusCollector:
         status = _collect_one(
             collector, twin.attributes, mobility, bs, preference, [record], 0.0, 30.0, rng
         )
-        assert status.records == [[record]]
+        assert status.kept is None
+        assert status.watches.records(0) == [record]
+        assert member_records(status, 0) == [record]
         manager.append_group([0], status)
         assert twin.watch_records() == [record]
 
@@ -250,7 +273,24 @@ class TestStatusCollector:
                 np.zeros((1, times.shape[0], 2)),
                 [BaseStation(bs_id=0, position=np.array([0.0, 0.0]))],
                 np.full((1, 8), 1.0 / 8),
-                [[]],
+                WatchBlock.from_records(0, []),
+                0.0,
+                60.0,
+                rngs=[np.random.default_rng(1)],
+            )
+
+    def test_watch_block_must_hold_every_member(self):
+        collector = StatusCollector()
+        attributes = standard_attributes(num_categories=8)
+        times = np.unique(np.concatenate(collector.position_times(attributes, 0.0, 60.0)))
+        with pytest.raises(ValueError, match="watch records of 1 members, got 2"):
+            collector.collect_interval(
+                attributes,
+                times,
+                np.zeros((1, times.shape[0], 2)),
+                [BaseStation(bs_id=0, position=np.array([0.0, 0.0]))],
+                np.full((1, 8), 1.0 / 8),
+                _watch_block([0, 1], [0.0, 10.0]),
                 0.0,
                 60.0,
                 rngs=[np.random.default_rng(1)],
@@ -343,13 +383,7 @@ class TestGroupCollectionMatchesReference:
         preferences = np.vstack(
             [random_preference(np.random.default_rng((seed, m))).as_array() for m in members]
         )
-        records = [
-            [
-                WatchRecord(m, video, "News", 2.0, 9.0, swiped=True, timestamp_s=start_s + video)
-                for video in range(m + 2)
-            ]
-            for m in members
-        ]
+        watches = _watch_block(list(members), start_s + np.arange(4.0))
         cells = [10 + index for index in stations]
         collector = StatusCollector(policy)
 
@@ -369,14 +403,17 @@ class TestGroupCollectionMatchesReference:
             positions,
             served_by,
             preferences,
-            records,
+            watches,
             start_s,
             end_s,
             rngs=derive_streams(np.array([[seed, m, 1] for m in members])),
             serving_cells=cells if report_cells else None,
         )
 
-        assert len(status.records) == len(stations)
+        assert status.watches is watches
+        assert (status.kept is None) == (policy.drop_probability == 0.0)
+        if status.kept is not None:
+            assert status.kept.shape == watches.swiped.shape
         for block in status.samples.values():
             assert block.counts.shape == (len(stations),)
         for m in members:
@@ -386,14 +423,14 @@ class TestGroupCollectionMatchesReference:
                 GraphTrajectoryMobility(campus, seed=(seed, m)),
                 served_by[m],
                 preferences[m],
-                records[m],
+                watches.records(m),
                 start_s,
                 end_s,
                 rng=np.random.default_rng((seed, m, 1)),
                 serving_cell=cells[m] if report_cells else None,
             )
             samples = member_samples(status, m)
-            assert status.records[m] == expected.records
+            assert member_records(status, m) == expected.records
             assert list(samples) == list(expected.samples)
             for name, (sample_times, values) in expected.samples.items():
                 assert np.array_equal(samples[name][0], sample_times), name
@@ -401,16 +438,12 @@ class TestGroupCollectionMatchesReference:
 
 
 def _group_status(start_s, users=(0, 1, 2)):
-    """A valid hand-built status of one group, every attribute with uneven runs."""
+    """A valid hand-built status of one group, every attribute with uneven runs.
+
+    Member ``m`` keeps the first ``m + 1`` of the group's three watch records.
+    """
     channel_counts = np.array([3, 0, 2])
     location_counts = np.array([1, 2, 1])
-    records = [
-        [
-            WatchRecord(uid, 5, "News", 4.0 + uid, 10.0, swiped=True, timestamp_s=start_s + t)
-            for t in range(uid + 1)
-        ]
-        for uid in users
-    ]
     return CollectedStatus(
         samples={
             CHANNEL_CONDITION: StatusBlock(
@@ -427,7 +460,8 @@ def _group_status(start_s, users=(0, 1, 2)):
                 np.ones(3, dtype=np.int64), np.full(3, start_s), np.full((3, 8), 0.125)
             ),
         },
-        records=records,
+        watches=_watch_block(users, start_s + np.arange(3.0), video_ids=[5, 6, 7]),
+        kept=np.arange(3) < np.arange(1, 4)[:, None],
     )
 
 
@@ -462,11 +496,16 @@ class TestGroupAppend:
 
     def test_group_append_equals_per_member_appends(self):
         """Each member's slice of every block lands in their own stores, and the
-        watching-duration mirror clamps each member's first record to their tail."""
+        watching-duration mirror clamps each member's first kept record to
+        their tail, also when the record before it was dropped."""
         grouped = self._manager()
         status = _group_status(60.0)
-        # User 1's first record precedes their newest mirrored sample.
-        status.records[1][0] = WatchRecord(1, 6, "News", 2.0, 10.0, swiped=True, timestamp_s=0.5)
+        # The first two records precede users 1 and 2's newest mirrored
+        # samples (at 1 s and 2 s); user 1's first one is dropped.
+        status = status._replace(
+            watches=status.watches._replace(start_times_s=np.array([0.5, 0.75, 62.0])),
+            kept=np.array([[True, False, False], [False, True, True], [True, True, True]]),
+        )
         grouped.append_group([0, 1, 2], status)
 
         single = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
@@ -476,8 +515,12 @@ class TestGroupAppend:
                 twin = single.twin(uid)
                 for name, samples in member_samples(part, m).items():
                     twin.record_batch(name, *samples)
-                twin.record_watches(part.records[m])
+                twin.record_watches(member_records(part, m))
         assert _contents(grouped) == _contents(single)
+        mirrored = [
+            grouped.twin(uid).store(WATCHING_DURATION).timestamps().tolist() for uid in (1, 2)
+        ]
+        assert mirrored == [[0.0, 1.0, 1.0, 62.0], [0.0, 1.0, 2.0, 2.0, 2.0, 62.0]]
 
     @pytest.mark.parametrize(
         "defect, message",
@@ -485,7 +528,11 @@ class TestGroupAppend:
             ("times_out_of_order", "non-decreasing"),
             ("times_before_tail", "non-decreasing"),
             ("values_wrong_shape", "shape"),
-            ("record_of_other_user", "watch record of user 1 pushed to UDT of user 2"),
+            (
+                "records_of_other_users",
+                "watch records of users [0, 1, 3] pushed to the UDTs of users [0, 1, 2]",
+            ),
+            ("keep_mask_wrong_shape", "keep mask of shape (3, 3)"),
         ],
     )
     def test_rejected_group_leaves_every_twin_unchanged(self, defect, message):
@@ -502,11 +549,14 @@ class TestGroupAppend:
             status = _with_block(status, LOCATION, timestamps=np.array([4.0, 60.0, 65.0, 60.0]))
         elif defect == "values_wrong_shape":
             status = _with_block(status, PREFERENCE, values=np.full((3, 7), 1.0 / 7))
-        else:
-            status.records[2].append(
-                WatchRecord(1, 7, "News", 1.0, 10.0, swiped=True, timestamp_s=70.0)
+        elif defect == "records_of_other_users":
+            # The watch block's last member is not the group's.
+            status = status._replace(
+                watches=status.watches._replace(member_ids=np.array([0, 1, 3]))
             )
-        with pytest.raises(ValueError, match=message):
+        else:
+            status = status._replace(kept=status.kept[:, :2])
+        with pytest.raises(ValueError, match=re.escape(message)):
             manager.append_group([0, 1, 2], status)
         assert _contents(manager) == before
 
@@ -574,6 +624,26 @@ class TestCopyOnRead:
                 values = np.concatenate([run[1] for run in runs])
                 assert np.array_equal(read(store), expected(times, values)), (m, name)
 
+    def test_watch_records_see_records_appended_since_the_last_read(self):
+        """A twin builds its records on read, from every block appended since
+        its last read; a window filters the built records."""
+        parts = [_group_status(start_s) for start_s in (0.0, 60.0, 120.0)]
+        manager = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
+        manager.register_users([0, 1, 2])
+        # The first read builds part 0's records; parts 1 and 2 are pending
+        # at the second read.
+        for appended, upto in (([parts[0]], 1), (parts[1:], 3)):
+            for part in appended:
+                manager.append_group([0, 1, 2], part)
+            for m, uid in enumerate([0, 1, 2]):
+                expected = [
+                    record for part in parts[:upto] for record in member_records(part, m)
+                ]
+                assert len(expected) == upto * (m + 1)
+                assert manager.twin(uid).watch_records() == expected
+        for m, uid in enumerate([0, 1, 2]):
+            assert manager.twin(uid).watch_records(60.0, 120.0) == member_records(parts[1], m)
+
     def test_appended_block_arrays_are_read_only(self):
         manager = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
         manager.register_users([0, 1, 2])
@@ -584,6 +654,9 @@ class TestCopyOnRead:
                 block.timestamps[0] = -1.0
             with pytest.raises(ValueError):
                 block.values[0] = -1.0
+        for array in (status.watches.watch_durations_s, status.watches.start_times_s):
+            with pytest.raises(ValueError):
+                array[0] = -1.0
         # The stores' copies are their own: the twins read what was appended.
         assert manager.twin(0).store(CHANNEL_CONDITION).timestamps().tolist() == [0.0, 1.0, 2.0]
 
