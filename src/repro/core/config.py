@@ -8,6 +8,10 @@ from typing import Optional
 #: How the grouping number K is chosen (see ``MulticastGroupConstructor.construct``).
 K_STRATEGIES = ("ddqn", "silhouette", "fixed")
 
+#: The fewest feature steps the 1D-CNN compressor takes: its encoder halves
+#: the window in each of its two ``MaxPool1D(2)`` layers.
+MIN_FEATURE_STEPS = 4
+
 
 @dataclass
 class SchemeConfig:
@@ -46,8 +50,11 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.feature_steps <= 0:
-            raise ValueError("feature_steps must be positive")
+        if self.feature_steps < MIN_FEATURE_STEPS:
+            raise ValueError(
+                f"feature_steps must be at least {MIN_FEATURE_STEPS} (the 1D-CNN pools "
+                f"the window twice), got {self.feature_steps}"
+            )
         if self.cnn_epochs <= 0:
             raise ValueError("cnn_epochs must be positive")
         if self.min_groups < 1 or self.max_groups < self.min_groups:

@@ -108,18 +108,24 @@ class GroupDemandPredictor:
         start_s: Optional[float],
         end_s: Optional[float],
     ) -> tuple:
-        """``(efficiency, representation)`` predicted from recent channel conditions."""
-        member_means = []
-        for uid in member_ids:
-            store = twins.twin(uid).store(CHANNEL_CONDITION)
-            if start_s is None or end_s is None:
-                values = store.values()
-            else:
-                values = store.window_values(start_s, end_s)
-            if values.size == 0:
-                values = store.values()
-            member_means.append(float(values.mean()) if values.size else 0.0)
-        worst = min(member_means) if member_means else 0.0
+        """``(efficiency, representation)`` predicted from recent channel conditions.
+
+        Each member's channel is the mean of their channel-condition samples
+        in ``[start_s, end_s)``, or of all their samples when the window
+        holds none (or is not given), 0 dB without samples; the group's is
+        the worst member's.  The means are gathered from the twin tables for
+        the whole group at once.
+        """
+        ids = np.asarray(member_ids, dtype=np.int64)
+        windowed = start_s is not None and end_s is not None
+        if windowed:
+            means, counts = twins.window_means(CHANNEL_CONDITION, ids, start_s, end_s)
+            empty = counts == 0
+            if empty.any():
+                means[empty] = twins.window_means(CHANNEL_CONDITION, ids[empty])[0]
+        else:
+            means = twins.window_means(CHANNEL_CONDITION, ids)[0]
+        worst = float(means.min()) if means.size else 0.0
         efficiency = spectral_efficiency(
             worst, implementation_loss=self.sim_config.implementation_loss
         )

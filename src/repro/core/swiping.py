@@ -3,7 +3,8 @@
 "We abstract multicast groups' swiping probabilities from the watching
 duration stored in UDTs" — this module does exactly that: it gathers the
 watch records that a group's members accumulated in their digital twins
-over a history window and summarises them into a
+over a history window, as columns gathered from the twin tables for the
+whole group, and summarises them into a
 :class:`GroupSwipingProfile` (per-category swipe probability, mean watched
 fraction, engagement share, cumulative swiping distribution and mean
 preference), which is everything the demand predictor needs to know about
@@ -74,21 +75,21 @@ def abstract_group_swiping(
     member_ids = list(member_ids)
     if not member_ids:
         raise ValueError("a group needs at least one member")
+    records = twins.watch_columns(member_ids, start_s, end_s)
+    index = {category: code for code, category in enumerate(categories)}
+    codes = np.array([index.get(name, -1) for name in records.categories], dtype=np.intp)
     estimator = SwipeProbabilityEstimator(categories, laplace_smoothing=laplace_smoothing)
-    records = twins.watch_records(member_ids, start_s, end_s)
-    estimator.observe_many(records)
-
-    if records:
-        mean_watch = float(np.mean([record.watch_duration_s for record in records]))
-    else:
-        mean_watch = 10.0
+    estimator.observe(
+        codes[records.category_codes],
+        records.watch_durations_s,
+        records.video_durations_s,
+        records.swiped,
+    )
+    num_records = records.watch_durations_s.shape[0]
+    mean_watch = float(records.watch_durations_s.mean()) if num_records else 10.0
 
     # Mean of the members' latest preference snapshots.
-    vectors = []
-    for uid in member_ids:
-        store = twins.twin(uid).store(PREFERENCE)
-        vectors.append(store.latest_value())
-    mean_vector = np.mean(np.vstack(vectors), axis=0)
+    mean_vector = np.mean(twins.latest_values(PREFERENCE, member_ids), axis=0)
     if mean_vector.shape[0] != len(categories) or not np.any(mean_vector):
         mean_vector = np.ones(len(categories))
     mean_preference = PreferenceVector(
@@ -104,5 +105,5 @@ def abstract_group_swiping(
         cumulative_swiping=estimator.cumulative_distribution(),
         mean_preference=mean_preference,
         mean_watch_duration_s=mean_watch,
-        num_observations=len(records),
+        num_observations=num_records,
     )

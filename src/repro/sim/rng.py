@@ -241,13 +241,18 @@ def legacy_stream(
     every golden.  Centralising the construction here keeps ``repro lint``'s
     RNG001 invariant — *no generator is built outside this module* — while
     staying bit-identical: this is ``np.random.default_rng`` applied to the
-    very same seed the call site used historically.
+    very same seed the call site used historically.  A negative integer seed
+    is taken modulo 2**64, as :func:`derive_seed_sequence` masks key words
+    (``default_rng`` rejects negative seeds); every non-negative seed is
+    passed on unchanged.
 
     Every call site of this shim is legacy by definition.  New code must
     derive its stream from a structured key (:func:`derive_stream` /
     :class:`RngRegistry`); an existing site graduates whenever its goldens
     are deliberately re-baselined.
     """
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        seed = int(seed) & _MASK
     return np.random.default_rng(seed)
 
 

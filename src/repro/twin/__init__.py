@@ -8,21 +8,22 @@ about users it learns from these twins, so the twin layer also controls how
 
 * :mod:`repro.twin.attributes` -- attribute specifications (name, dimension,
   collection period).
-* :mod:`repro.twin.timeseries` -- per-attribute time-series stores with
-  window queries and zero-order-hold resampling, and the one check and one
-  write routine every append goes through (writes keep references to the
-  appended blocks; a store's first read copies them in).
-* :mod:`repro.twin.udt` -- :class:`UserDigitalTwin`, which keeps its
-  watch records as references into the appended watch blocks and builds
-  the record objects on its first read.
+* :mod:`repro.twin.timeseries` -- the population's time-series tables, one
+  per attribute with a row per twin, kept as column chunks that are never
+  copied to grow; each append is one check and one write of a group's block,
+  and reads gather many rows at once (zero-order hold, window means, newest
+  values).
+* :mod:`repro.twin.udt` -- the watch-record table (the groups' watch blocks,
+  indexed per interval by row) and :class:`UserDigitalTwin`, one user's view
+  of the tables.
 * :mod:`repro.twin.collector` -- samples live user state for UDTs at each
   attribute's own frequency, with optional loss and delay, and returns a
   multicast group's status as one block per attribute, plus the group's
   watch block and the records a lossy uplink keeps of it.
-* :mod:`repro.twin.manager` -- the edge-side registry of all UDTs: appends
-  each group's collected status to its members' twins in one call
-  (:meth:`DigitalTwinManager.append_group`), plus group-level aggregation
-  helpers.
+* :mod:`repro.twin.manager` -- the edge-side registry that owns the tables:
+  appends each group's collected status to its members' rows in one call
+  (:meth:`DigitalTwinManager.append_group`) and reads them for whole groups
+  as arrays.
 """
 
 from repro.twin.attributes import (
@@ -30,22 +31,14 @@ from repro.twin.attributes import (
     DEFAULT_ATTRIBUTES,
     standard_attributes,
 )
-from repro.twin.timeseries import StatusBlock, TimeSeriesStore
-from repro.twin.udt import UserDigitalTwin
+from repro.twin.timeseries import StatusBlock, StoreView
+from repro.twin.udt import UserDigitalTwin, WatchColumns
 from repro.twin.collector import (
     CollectedStatus,
     CollectionPolicy,
     StatusCollector,
 )
 from repro.twin.manager import DigitalTwinManager
-from repro.twin.persistence import (
-    load_manager,
-    manager_from_dict,
-    manager_to_dict,
-    save_manager,
-    twin_from_dict,
-    twin_to_dict,
-)
 
 __all__ = [
     "AttributeSpec",
@@ -55,13 +48,8 @@ __all__ = [
     "DigitalTwinManager",
     "StatusBlock",
     "StatusCollector",
-    "TimeSeriesStore",
+    "StoreView",
     "UserDigitalTwin",
-    "load_manager",
-    "manager_from_dict",
-    "manager_to_dict",
-    "save_manager",
+    "WatchColumns",
     "standard_attributes",
-    "twin_from_dict",
-    "twin_to_dict",
 ]

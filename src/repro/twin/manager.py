@@ -1,91 +1,193 @@
-"""Digital-twin manager: the edge-side registry of all user digital twins.
+"""Digital-twin manager: the edge-side registry and tables of all user digital twins.
 
-The manager owns one :class:`~repro.twin.udt.UserDigitalTwin` per user.  It
-appends each multicast group's collected status to the members' twins in
-one call per group (:meth:`DigitalTwinManager.append_group`), and provides
-the population-level views the prediction pipeline consumes: the feature
-tensor over all users for a reservation interval (each twin's own feature
-matrix, stacked) and group-level watch-record collections.
+The manager owns every twin's data as population tables with one row per
+twin: an :class:`~repro.twin.timeseries.AttributeTable` per attribute and a
+:class:`~repro.twin.udt.WatchTable` of watch records.  It appends each
+multicast group's collected status to the members' rows in one call per
+group (:meth:`DigitalTwinManager.append_group`), and reads the tables for
+whole groups as arrays: the feature tensor over all users for a reservation
+interval (:meth:`~DigitalTwinManager.feature_tensor`), a group's watch
+records (:meth:`~DigitalTwinManager.watch_columns`), window means
+(:meth:`~DigitalTwinManager.window_means`) and newest values
+(:meth:`~DigitalTwinManager.latest_values`).
+:meth:`~DigitalTwinManager.twin` gives one user's view of its rows.
+
+A row belongs to one twin for good: a user registered again after
+:meth:`~DigitalTwinManager.remove_user` gets a new, empty row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+import weakref
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.behavior.watching import WatchRecord
-from repro.twin.attributes import AttributeSpec, DEFAULT_ATTRIBUTES
+from repro.behavior.watching import WatchBlock
+from repro.twin.attributes import AttributeSpec, DEFAULT_ATTRIBUTES, WATCHING_DURATION
 from repro.twin.collector import CollectedStatus
-from repro.twin.timeseries import check_runs, write_runs
-from repro.twin.udt import UserDigitalTwin, append_watches, check_watches
+from repro.twin.timeseries import AttributeTable
+from repro.twin.udt import (
+    UserDigitalTwin,
+    WatchColumns,
+    WatchTable,
+    check_watches,
+    watching_run,
+)
 
 
 class DigitalTwinManager:
-    """Registry and aggregator of user digital twins."""
+    """Registry, tables and aggregator of user digital twins."""
 
     def __init__(self, attributes: Optional[Mapping[str, AttributeSpec]] = None) -> None:
         self.attributes: Dict[str, AttributeSpec] = dict(
             attributes if attributes is not None else DEFAULT_ATTRIBUTES
         )
-        self._twins: Dict[int, UserDigitalTwin] = {}
+        if not self.attributes:
+            raise ValueError("a UDT needs at least one attribute")
+        self._tables: Dict[str, AttributeTable] = {
+            name: AttributeTable(spec.dimension) for name, spec in self.attributes.items()
+        }
+        self._watches = WatchTable()
+        self._num_rows = 0
+        #: Registered user ids, sorted, and each one's row.
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._id_rows = np.zeros(0, dtype=np.intp)
+        #: The views handed out and still referenced, by user id.
+        self._views: "weakref.WeakValueDictionary[int, UserDigitalTwin]" = (
+            weakref.WeakValueDictionary()
+        )
 
     # ------------------------------------------------------------ registry
     def __len__(self) -> int:
-        return len(self._twins)
+        return self._ids.shape[0]
 
     def __contains__(self, user_id: int) -> bool:
-        return user_id in self._twins
+        position = int(self._ids.searchsorted(user_id))
+        return position < self._ids.shape[0] and bool(self._ids[position] == user_id)
 
     def user_ids(self) -> List[int]:
-        return sorted(self._twins.keys())
+        return self._ids.tolist()
+
+    def _rows(self, user_ids: Sequence[int]) -> np.ndarray:
+        """The rows of ``user_ids``; ``KeyError`` names the first unregistered one."""
+        ids = np.asarray(user_ids, dtype=np.int64).reshape(-1)
+        positions = self._ids.searchsorted(ids)
+        np.minimum(positions, max(self._ids.shape[0] - 1, 0), out=positions)
+        found = (self._ids[positions] == ids) if self._ids.shape[0] else np.zeros(ids.shape, bool)
+        if not found.all():
+            missing = int(ids[np.argmin(found)])
+            raise KeyError(f"no digital twin registered for user {missing}")
+        return self._id_rows[positions]
+
+    def _register(self, user_ids: Sequence[int]) -> None:
+        ids = np.asarray(user_ids, dtype=np.int64).reshape(-1)
+        if (ids < 0).any():
+            raise ValueError("user_id must be non-negative")
+        new = np.unique(ids)
+        new = new[~np.isin(new, self._ids)]
+        if not new.size:
+            return
+        rows = np.arange(self._num_rows, self._num_rows + new.shape[0])
+        self._num_rows += new.shape[0]
+        for table in self._tables.values():
+            table.add_rows(new.shape[0])
+        self._watches.add_rows(new.shape[0])
+        ids = np.concatenate([self._ids, new])
+        order = np.argsort(ids, kind="stable")
+        self._ids = ids[order]
+        self._id_rows = np.concatenate([self._id_rows, rows])[order]
+
+    def _adopt(self, twin: UserDigitalTwin) -> int:
+        """Register ``twin.user_id`` with ``twin`` as its view; return its row."""
+        self._register([twin.user_id])
+        self._views[twin.user_id] = twin
+        return int(self._rows([twin.user_id])[0])
 
     def register_user(self, user_id: int) -> UserDigitalTwin:
         """Create (or return the existing) twin for ``user_id``."""
-        if user_id not in self._twins:
-            self._twins[user_id] = UserDigitalTwin(user_id, attributes=self.attributes)
-        return self._twins[user_id]
+        self._register([user_id])
+        return self.twin(user_id)
 
     def register_users(self, user_ids: Iterable[int]) -> List[UserDigitalTwin]:
-        return [self.register_user(uid) for uid in user_ids]
+        ids = list(user_ids)
+        self._register(ids)
+        return [self._twin(uid, row) for uid, row in zip(ids, self._rows(ids).tolist())]
 
     def twin(self, user_id: int) -> UserDigitalTwin:
-        if user_id not in self._twins:
-            raise KeyError(f"no digital twin registered for user {user_id}")
-        return self._twins[user_id]
+        """``user_id``'s view of its rows."""
+        twin = self._views.get(user_id)
+        if twin is None:
+            twin = self._twin(user_id, int(self._rows([user_id])[0]))
+        return twin
+
+    def _twin(self, user_id: int, row: int) -> UserDigitalTwin:
+        twin = self._views.get(user_id)
+        if twin is None:
+            twin = UserDigitalTwin._view(self, user_id, row)
+            self._views[user_id] = twin
+        return twin
 
     def remove_user(self, user_id: int) -> None:
-        self._twins.pop(user_id, None)
+        """Unregister ``user_id``; its row keeps its data, and no later twin reads it."""
+        if user_id not in self:
+            return
+        position = int(self._ids.searchsorted(user_id))
+        self._ids = np.delete(self._ids, position)
+        self._id_rows = np.delete(self._id_rows, position)
+        self._views.pop(user_id, None)
+
+    def _table(self, name: str) -> AttributeTable:
+        if name not in self._tables:
+            raise KeyError(f"the UDTs have no attribute {name!r}")
+        return self._tables[name]
 
     # ----------------------------------------------------------- appends
     def append_group(self, user_ids: Sequence[int], status: CollectedStatus) -> None:
-        """Append one group's collected status to its members' twins.
+        """Append one group's collected status to its members' rows.
 
         ``user_ids[m]`` owns member ``m``'s samples of every block and row
         ``m`` of ``status.watches``.  Each attribute's block is checked once
         for all members (shapes, time order within each member's samples, no
         sample before the member's newest stored one), and so are the watch
         block's members (they must be ``user_ids``) and the keep mask's
-        shape, before anything is kept: a rejected group leaves every twin
-        as it was.  Then each member's stores keep a reference to their run
-        of each block, whose arrays become read-only (a store copies its
-        runs in on its next read, see :mod:`repro.twin.timeseries`); each
-        twin likewise keeps a reference to its row of the watch block and
-        builds the records on its next read, and the kept durations are
-        mirrored into the watching-duration series from the arrays.
+        shape, before anything is kept: a rejected group leaves every row,
+        chunk and watch index as it was.  Then each block's runs are copied
+        into its table, the watch block is indexed for the members' rows
+        (its arrays become read-only) and the kept durations are mirrored
+        into the watching-duration series.
         """
-        twins = [self.twin(uid) for uid in user_ids]
-        blocks = []
+        rows = self._rows(user_ids)
+        if np.unique(rows).shape[0] != rows.shape[0]:
+            raise ValueError(f"a group's members must be distinct, got {list(user_ids)}")
         for name, block in status.samples.items():
-            stores = [twin.store(name) for twin in twins]
-            check_runs(stores, block)
-            blocks.append((stores, block))
+            self._table(name).check(rows, block)
         check_watches(user_ids, status.watches, status.kept)
-        for stores, block in blocks:
-            write_runs(stores, block)
-        append_watches(twins, status.watches, status.kept)
+        for name, block in status.samples.items():
+            self._tables[name].write(rows, block)
+        self._append_watches(rows, status.watches, status.kept)
 
-    # --------------------------------------------------------- aggregation
+    def _append_watches(
+        self, rows: np.ndarray, block: WatchBlock, kept: Optional[np.ndarray]
+    ) -> None:
+        """Index ``block`` for ``rows`` and mirror its kept durations, unchecked."""
+        for array in block:
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        self._watches.append(rows, block, kept)
+        table = self._tables.get(WATCHING_DURATION)
+        if table is not None:
+            run = watching_run(block, kept, table.tails(rows))
+            if run is not None:
+                table.write(rows, run)
+
+    # --------------------------------------------------------------- reads
+    def _hold(self, rows: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
+        column = 0
+        for table in self._tables.values():
+            table.hold(rows, times, out[:, :, column : column + table.dimension])
+            column += table.dimension
+
     def feature_tensor(
         self,
         start_s: float,
@@ -93,13 +195,13 @@ class DigitalTwinManager:
         num_steps: int = 32,
         user_ids: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Stacked per-user feature matrices, shape ``(users, num_steps, channels)``.
+        """Zero-order hold of every user's attributes, shape ``(users, num_steps, channels)``.
 
         Users are ordered by ``user_ids`` (default: sorted registry order),
         which is also the row order of everything derived downstream
-        (compressed features, cluster labels, multicast groups).  Row ``u``
-        is twin ``u``'s own zero-order hold on one shared grid, so it equals
-        ``twin(u).feature_matrix(...)``.
+        (compressed features, cluster labels, multicast groups).  Channels
+        are the attributes in insertion order, each its own table's hold on
+        one shared grid, so row ``u`` equals ``twin(u).feature_matrix(...)``.
         """
         ids = list(user_ids) if user_ids is not None else self.user_ids()
         if not ids:
@@ -109,22 +211,41 @@ class DigitalTwinManager:
         if num_steps <= 0:
             raise ValueError("num_steps must be positive")
         times = np.linspace(start_s, end_s, num_steps, endpoint=False)
-        twins = [self.twin(uid) for uid in ids]
-        channels = sum(spec.dimension for spec in twins[0].attributes.values())
-        tensor = np.empty((len(twins), num_steps, channels))
-        for twin, rows in zip(twins, tensor):
-            twin.resample_into(times, rows)
+        rows = self._rows(ids)
+        channels = sum(table.dimension for table in self._tables.values())
+        tensor = np.empty((len(ids), num_steps, channels))
+        self._hold(rows, times, tensor)
         return tensor
 
-    def watch_records(
+    def watch_columns(
         self,
-        user_ids: Optional[Sequence[int]] = None,
+        user_ids: Sequence[int],
         start_s: Optional[float] = None,
         end_s: Optional[float] = None,
-    ) -> List[WatchRecord]:
-        """All watch records of the given users over a window."""
-        ids = list(user_ids) if user_ids is not None else self.user_ids()
-        records: List[WatchRecord] = []
-        for uid in ids:
-            records.extend(self.twin(uid).watch_records(start_s, end_s))
-        return records
+    ) -> WatchColumns:
+        """The users' watch records with ``start_s <= timestamp < end_s``, as columns.
+
+        User by user in ``user_ids``' order, each user's records in the
+        order they were appended; ``None`` leaves that side of the window
+        open.
+        """
+        return self._watches.columns(self._rows(user_ids), start_s, end_s)
+
+    def window_means(
+        self,
+        name: str,
+        user_ids: Sequence[int],
+        start_s: Optional[float] = None,
+        end_s: Optional[float] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(means, counts)`` of each user's ``name`` samples in ``[start_s, end_s)``.
+
+        ``means[i]`` equals ``twin(user_ids[i]).store(name)``'s window values'
+        ``mean()`` bit for bit (0.0 when ``counts[i]`` is 0); ``None`` leaves
+        that side of the window open.
+        """
+        return self._table(name).window_means(self._rows(user_ids), start_s, end_s)
+
+    def latest_values(self, name: str, user_ids: Sequence[int]) -> np.ndarray:
+        """``(users, dimension)``: each user's newest ``name`` value, zeros if none."""
+        return self._table(name).latest_values(self._rows(user_ids))

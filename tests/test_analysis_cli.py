@@ -71,6 +71,16 @@ class TestCli:
         assert "Fig. 3(b)" in out
         assert "mean radio accuracy" in out
 
+    def test_negative_seed_runs_fig3_and_dataset(self, tmp_path, capsys):
+        """A negative seed is taken modulo 2**64, as every keyed stream takes it."""
+        assert main(["fig3", "--users", "6", "--intervals", "3", "--seed", "-1"]) == 0
+        assert "mean radio accuracy" in capsys.readouterr().out
+        output = tmp_path / "bundle.json"
+        argv = ["dataset", "--output", str(output), "--users", "3", "--videos", "8"]
+        assert main(argv + ["--intervals", "1", "--seed", "-1"]) == 0
+        assert output.exists()
+        assert "swipe traces" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv, message",
         [

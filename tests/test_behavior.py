@@ -23,6 +23,7 @@ from repro.behavior.swiping import expected_transmitted_fraction
 from repro.sim import SimulationConfig, StreamingSimulator, singleton_grouping
 from repro.video import DEFAULT_CATEGORIES
 from preference_reference import reference_engagement, reference_update
+from swiping_reference import record_columns
 
 
 @pytest.fixture
@@ -222,7 +223,8 @@ class TestSwiping:
         for i in range(200):
             swiped = bool(rng.random() < 0.3)
             duration = 3.0 if swiped else 10.0
-            estimator.observe(WatchRecord(0, i, "News", duration, 10.0, swiped=swiped))
+            record = WatchRecord(0, i, "News", duration, 10.0, swiped=swiped)
+            estimator.observe(*record_columns([record], estimator.categories))
         assert estimator.swipe_probability("News") == pytest.approx(0.3, abs=0.08)
 
     def test_estimator_unknown_category_raises(self):
@@ -235,9 +237,8 @@ class TestSwiping:
         for i in range(100):
             category = str(rng.choice(DEFAULT_CATEGORIES))
             watch = float(rng.uniform(1.0, 10.0))
-            estimator.observe(
-                WatchRecord(0, i, category, watch, 10.0, swiped=watch < 10.0 - 1e-9)
-            )
+            record = WatchRecord(0, i, category, watch, 10.0, swiped=watch < 10.0 - 1e-9)
+            estimator.observe(*record_columns([record], estimator.categories))
         cumulative = estimator.cumulative_distribution()
         values = list(cumulative.values())
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -246,8 +247,10 @@ class TestSwiping:
     def test_estimator_merge_adds_counts(self):
         a = SwipeProbabilityEstimator(("News",), laplace_smoothing=0.0)
         b = SwipeProbabilityEstimator(("News",), laplace_smoothing=0.0)
-        a.observe(WatchRecord(0, 1, "News", 2.0, 10.0, swiped=True))
-        b.observe(WatchRecord(1, 2, "News", 10.0, 10.0, swiped=False))
+        a.observe(*record_columns([WatchRecord(0, 1, "News", 2.0, 10.0, swiped=True)], ("News",)))
+        b.observe(
+            *record_columns([WatchRecord(1, 2, "News", 10.0, 10.0, swiped=False)], ("News",))
+        )
         merged = a.merge(b)
         assert merged.mean_watched_fraction("News") == pytest.approx(0.6)
         assert merged.swipe_probability("News") == pytest.approx(0.5)
@@ -256,7 +259,8 @@ class TestSwiping:
         estimator = SwipeProbabilityEstimator(DEFAULT_CATEGORIES)
         for i in range(50):
             category = str(rng.choice(DEFAULT_CATEGORIES))
-            estimator.observe(WatchRecord(0, i, category, 5.0, 10.0, swiped=True))
+            record = WatchRecord(0, i, category, 5.0, 10.0, swiped=True)
+            estimator.observe(*record_columns([record], estimator.categories))
         assert sum(estimator.category_watch_share().values()) == pytest.approx(1.0)
 
     def test_expected_transmitted_fraction(self):

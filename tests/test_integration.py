@@ -73,7 +73,8 @@ class TestEndToEndScheme:
         """Fig. 3(a): the News-favoured population watches News most."""
         scheme, _ = fig3_like_result
         totals = {}
-        for record in scheme.simulator.twins.watch_records():
+        twins = scheme.simulator.twins
+        for record in twins.watch_columns(twins.user_ids()).records():
             totals[record.category] = totals.get(record.category, 0.0) + record.watch_duration_s
         assert max(totals, key=totals.get) == "News"
 

@@ -42,7 +42,13 @@ from repro.net.handover import HandoverConfig, HandoverPolicy, StreakState
 from repro.scenario import ScenarioRunner, get_scenario, run_scenario
 from repro.scenario.compiler import compile_spec
 from repro.scenario.spec import EngineSpec, FlashCrowd, MassDeparture, ScenarioSpec
-from repro.sim.rng import COLLECTION_STREAM, RngRegistry, derive_stream, derive_streams
+from repro.sim.rng import (
+    COLLECTION_STREAM,
+    RngRegistry,
+    derive_stream,
+    derive_streams,
+    legacy_stream,
+)
 from repro.sim.shard import _probe_shard_worker, build_interval_plan, run_group_interval
 from repro.timegrid import num_grid_steps, time_grid
 from repro.twin.collector import CollectionPolicy
@@ -545,6 +551,14 @@ def _assert_same_stream(stream, key):
 
 
 class TestRngRegistry:
+    def test_legacy_stream_masks_only_negative_seeds(self):
+        """A negative seed is taken modulo 2**64; a non-negative one is passed on."""
+        pairs = [(-1, 2**64 - 1), (-5, 2**64 - 5), (np.int64(-3), 2**64 - 3)]
+        pairs += [(seed, seed) for seed in (0, 2023, 2**64 - 1, 2**70 + 3)]
+        for seed, expected in pairs:
+            drawn = legacy_stream(seed).random(4)
+            assert drawn.tolist() == np.random.default_rng(expected).random(4).tolist()
+
     @settings(max_examples=60, deadline=None)
     @given(
         keys=st.integers(min_value=1, max_value=6).flatmap(

@@ -13,8 +13,9 @@ from repro.cluster import KMeansPlusPlus, silhouette_score
 from repro.core.accuracy import prediction_accuracy
 from repro.net import resource_blocks_for_traffic, spectral_efficiency
 from repro.rl import ReplayBuffer
-from repro.twin import TimeSeriesStore
+from repro.twin import AttributeSpec, UserDigitalTwin
 from repro.video import DEFAULT_CATEGORIES, zipf_weights
+from swiping_reference import record_columns
 
 
 # ----------------------------------------------------------------- strategies
@@ -124,9 +125,8 @@ class TestSwipingProperties:
         estimator = SwipeProbabilityEstimator(DEFAULT_CATEGORIES)
         for category, fraction in records:
             watch = fraction * 10.0
-            estimator.observe(
-                WatchRecord(0, 0, category, watch, 10.0, swiped=watch < 10.0 - 1e-9)
-            )
+            record = WatchRecord(0, 0, category, watch, 10.0, swiped=watch < 10.0 - 1e-9)
+            estimator.observe(*record_columns([record], estimator.categories))
         for value in estimator.swipe_distribution().values():
             assert 0.0 <= value <= 1.0
         share = estimator.category_watch_share()
@@ -141,7 +141,7 @@ class TestTimeSeriesProperties:
         values=st.lists(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False), min_size=1, max_size=40)
     )
     def test_resample_values_come_from_appended_samples(self, values):
-        store = TimeSeriesStore(dimension=1)
+        store = UserDigitalTwin(0, {"x": AttributeSpec("x", 1, 1.0)}).store("x")
         for index, value in enumerate(values):
             store.append_batch([float(index)], [[value]])
         query = np.linspace(0.0, len(values) + 5.0, 17)

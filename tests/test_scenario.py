@@ -519,6 +519,8 @@ class TestCli:
             ("edge_flash_crowd", "edge.cycles_per_pixel=-1"),
             ("campus_fig3", "controller.apps=a3_handover"),
             ("campus_fig3", "engine.feature_steps=0"),
+            ("campus_fig3", "engine.feature_steps=3"),
+            ("campus_fig3", "engine.feature_steps=1"),
             (
                 "cell_outage_storm",
                 'controller.apps=[{"name": "cell_scoping", "params": {"bogus": 1}}]',
@@ -556,6 +558,15 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("seed_args", [["--seed", "-5"], ["--override", "seed=-3"]])
+    def test_negative_seed_runs(self, capsys, seed_args):
+        """A negative seed is taken modulo 2**64, as every keyed stream takes it."""
+        code = cli_main(["run", "commuter_rush", "--intervals", "1", "--json", "-", *seed_args])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["spec"]["seed"] == int(seed_args[-1].split("=")[-1])
+        assert len(payload["intervals"]) == 1
 
     def test_interval_length_without_a_binary_form_runs_every_interval(self, tmp_path):
         """Regression: with ``interval_s=45.6`` the clock stalled at interval 4

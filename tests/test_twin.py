@@ -19,7 +19,6 @@ from repro.twin import (
     CollectionPolicy,
     DigitalTwinManager,
     StatusCollector,
-    TimeSeriesStore,
     UserDigitalTwin,
     standard_attributes,
 )
@@ -38,6 +37,12 @@ from walk_reference import GraphTrajectoryMobility, StaticMobility
 @pytest.fixture
 def rng():
     return np.random.default_rng(41)
+
+
+def _store(dimension):
+    """A fresh twin's store of one ``dimension``-wide attribute."""
+    twin = UserDigitalTwin(0, attributes={"x": AttributeSpec("x", dimension, 1.0)})
+    return twin.store("x")
 
 
 class TestAttributes:
@@ -65,52 +70,52 @@ class TestAttributes:
         assert specs[PREFERENCE].dimension == 5
 
 
-class TestTimeSeriesStore:
+class TestStoreView:
     def test_append_and_latest(self):
-        store = TimeSeriesStore(dimension=2)
+        store = _store(2)
         store.append_batch([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
         assert len(store) == 2
         np.testing.assert_allclose(store.latest_value(), [3.0, 4.0])
         assert store.latest_timestamp_s() == 1.0
 
     def test_non_decreasing_timestamps_enforced(self):
-        store = TimeSeriesStore(dimension=1)
+        store = _store(1)
         store.append_batch([5.0], [[1.0]])
         with pytest.raises(ValueError):
             store.append_batch([4.0], [[2.0]])
 
     def test_dimension_enforced(self):
-        store = TimeSeriesStore(dimension=2)
+        store = _store(2)
         with pytest.raises(ValueError):
             store.append_batch([0.0], [[1.0]])
 
     def test_window_query_half_open(self):
-        store = TimeSeriesStore(dimension=1)
+        store = _store(1)
         store.append_batch(np.arange(5.0), np.arange(5.0)[:, None])
         np.testing.assert_array_equal(store.window_values(1.0, 3.0)[:, 0], [1.0, 2.0])
 
     def test_resample_zero_order_hold(self):
-        store = TimeSeriesStore(dimension=1)
+        store = _store(1)
         store.append_batch([0.0, 10.0], [[1.0], [2.0]])
         resampled = np.empty((4, 1))
         store.resample_into(np.array([0.0, 5.0, 10.0, 20.0]), resampled)
         np.testing.assert_allclose(resampled[:, 0], [1.0, 1.0, 2.0, 2.0])
 
     def test_resample_empty_store_is_zeros(self):
-        store = TimeSeriesStore(dimension=3)
+        store = _store(3)
         resampled = np.ones((2, 3))
         store.resample_into(np.array([0.0, 1.0]), resampled)
         np.testing.assert_allclose(resampled, 0.0)
 
     def test_timestamps_and_values_are_read_only_views(self):
-        store = TimeSeriesStore(dimension=2)
+        store = _store(2)
         store.append_batch([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
         times, values = store.timestamps(), store.values()
         with pytest.raises(ValueError):
             times[0] = 9.0
         with pytest.raises(ValueError):
             values[0, 0] = 9.0
-        # Appends never rewrite filled rows, so earlier views stay valid.
+        # Later appends leave arrays already read as they were.
         store.append_batch(np.arange(2.0, 40.0), np.zeros((38, 2)))
         np.testing.assert_array_equal(times, [0.0, 1.0])
         np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
@@ -592,8 +597,8 @@ def _resampled(store, grid):
     return out
 
 
-class TestCopyOnRead:
-    """Group appends keep references to their blocks; reads copy them in."""
+class TestReadsSeeAppends:
+    """Every reader sees every run appended before it."""
 
     @pytest.mark.parametrize("reader", sorted(_STORE_READERS))
     def test_every_reader_sees_runs_appended_since_the_last_read(self, reader):
@@ -606,8 +611,7 @@ class TestCopyOnRead:
             for m, uid in enumerate([0, 1, 2])
             for name in parts[0].samples
         ]
-        # The first read copies part 0 in; parts 1 and 2 are pending at the
-        # second read.
+        # Part 0 is read before parts 1 and 2 are appended.
         for appended, upto in (([parts[0]], 1), (parts[1:], 3)):
             for part in appended:
                 manager.append_group([0, 1, 2], part)
@@ -625,13 +629,12 @@ class TestCopyOnRead:
                 assert np.array_equal(read(store), expected(times, values)), (m, name)
 
     def test_watch_records_see_records_appended_since_the_last_read(self):
-        """A twin builds its records on read, from every block appended since
-        its last read; a window filters the built records."""
+        """A twin's records are every kept record appended before the read,
+        in append order; a window selects them by timestamp."""
         parts = [_group_status(start_s) for start_s in (0.0, 60.0, 120.0)]
         manager = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
         manager.register_users([0, 1, 2])
-        # The first read builds part 0's records; parts 1 and 2 are pending
-        # at the second read.
+        # Part 0 is read before parts 1 and 2 are appended.
         for appended, upto in (([parts[0]], 1), (parts[1:], 3)):
             for part in appended:
                 manager.append_group([0, 1, 2], part)
@@ -644,20 +647,21 @@ class TestCopyOnRead:
         for m, uid in enumerate([0, 1, 2]):
             assert manager.twin(uid).watch_records(60.0, 120.0) == member_records(parts[1], m)
 
-    def test_appended_block_arrays_are_read_only(self):
+    def test_appended_watch_blocks_are_read_only_and_samples_copied(self):
+        """The tables copy the sample blocks and keep the watch block."""
         manager = DigitalTwinManager(attributes=standard_attributes(num_categories=8))
         manager.register_users([0, 1, 2])
         status = _group_status(0.0)
         manager.append_group([0, 1, 2], status)
+        before = _contents(manager)
         for block in status.samples.values():
-            with pytest.raises(ValueError):
-                block.timestamps[0] = -1.0
-            with pytest.raises(ValueError):
-                block.values[0] = -1.0
+            block.timestamps[0] = -1.0
+            block.values[0] = -1.0
         for array in (status.watches.watch_durations_s, status.watches.start_times_s):
             with pytest.raises(ValueError):
                 array[0] = -1.0
-        # The stores' copies are their own: the twins read what was appended.
+        # The tables' copies are their own: the twins read what was appended.
+        assert _contents(manager) == before
         assert manager.twin(0).store(CHANNEL_CONDITION).timestamps().tolist() == [0.0, 1.0, 2.0]
 
 
@@ -695,7 +699,7 @@ class TestDigitalTwinManager:
         manager.register_users([0, 1])
         manager.twin(0).record_watches([WatchRecord(0, 5, "News", 4.0, 10.0, swiped=True, timestamp_s=0.0)])
         manager.twin(1).record_watches([WatchRecord(1, 5, "News", 6.0, 10.0, swiped=True, timestamp_s=0.0)])
-        records = manager.watch_records()
+        records = manager.watch_columns(manager.user_ids()).records()
         assert [record.user_id for record in records] == [0, 1]
         assert sum(record.watch_duration_s for record in records) == pytest.approx(10.0)
 

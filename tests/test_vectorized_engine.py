@@ -2,8 +2,8 @@
 
 Covers four things:
 
-* equivalence of the array-backed :class:`TimeSeriesStore` with the original
-  list-backed implementation (kept here as a reference),
+* equivalence of a twin's store view of the population tables with the
+  original list-backed store (kept here as a reference),
 * equivalence of batched mobility/SNR sampling with the scalar code paths
   (SNR sample by sample on identical seeds, and in distribution over many
   samples), including a pinned-golden end-to-end run of the engine,
@@ -29,13 +29,14 @@ from repro.net.basestation import BaseStation
 from repro.sim.simulator import GroupIntervalUsage, IntervalResult, singleton_grouping
 from repro.twin.attributes import CHANNEL_CONDITION, PREFERENCE, standard_attributes
 from repro.twin.manager import DigitalTwinManager
-from repro.twin.timeseries import TimeSeriesStore
+from repro.twin.attributes import AttributeSpec
+from repro.twin.udt import UserDigitalTwin
 from repro.video.catalog import CatalogConfig, VideoCatalog
 from walk_reference import StaticMobility
 
 
 class ReferenceStore:
-    """The original list-backed TimeSeriesStore semantics (pre-vectorization)."""
+    """The original list-backed store semantics (pre-vectorization)."""
 
     def __init__(self, dimension):
         self.dimension = dimension
@@ -72,11 +73,17 @@ class ReferenceStore:
         return values[indices]
 
 
+def _store(dimension):
+    """A fresh twin's store of one ``dimension``-wide attribute."""
+    twin = UserDigitalTwin(0, attributes={"x": AttributeSpec("x", dimension, 1.0)})
+    return twin.store("x")
+
+
 class TestTimeSeriesStoreEquivalence:
     @pytest.mark.parametrize("dimension", [1, 3])
     def test_random_workload_matches_reference(self, dimension):
         rng = np.random.default_rng(42)
-        store = TimeSeriesStore(dimension=dimension)
+        store = _store(dimension)
         reference = ReferenceStore(dimension=dimension)
         t = 0.0
         for _ in range(200):
@@ -101,8 +108,8 @@ class TestTimeSeriesStoreEquivalence:
         rng = np.random.default_rng(1)
         timestamps = np.cumsum(rng.uniform(0.0, 1.0, size=50))
         values = rng.normal(size=(50, 2))
-        sequential = TimeSeriesStore(dimension=2)
-        batched = TimeSeriesStore(dimension=2)
+        sequential = _store(2)
+        batched = _store(2)
         for t, v in zip(timestamps, values):
             sequential.append_batch([t], v[None, :])
         batched.append_batch(timestamps, values)
@@ -111,7 +118,7 @@ class TestTimeSeriesStoreEquivalence:
         assert len(batched) == 50
 
     def test_append_batch_rejects_unsorted_or_stale_timestamps(self):
-        store = TimeSeriesStore(dimension=1)
+        store = _store(1)
         with pytest.raises(ValueError):
             store.append_batch([1.0, 0.5], [[1.0], [2.0]])
         store.append_batch([5.0], [[1.0]])
