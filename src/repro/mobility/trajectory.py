@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.mobility.campus import CampusMap
+from repro.timegrid import counts_at
 
 #: Leg columns (and user rows) a new table makes room for.
 _INITIAL_CAPACITY = 16
@@ -231,19 +232,8 @@ class WalkTable:
         num_rows, num_times = rows.size, grid.size
         if width:
             # Leg index = number of the row's leg starts at or before t,
-            # minus one, clamped at 0: rank each start among the sorted
-            # times, count starts per (row, first time reaching them), and
-            # accumulate, all in integers.  Padding starts (+inf) rank past
-            # every time, into each row's spare last bin.  Each row ranks
-            # ``width`` starts, so the rows before row ``i`` add ``i *
-            # width`` to the running count.
-            bins = np.arange(num_rows)
-            first = grid.searchsorted(self._start_times[rows, :width])
-            first += (bins * (num_times + 1))[:, None]
-            counts = np.bincount(first.ravel(), minlength=num_rows * (num_times + 1)).cumsum()
-            indices = counts.reshape(num_rows, num_times + 1)[:, :num_times] - (
-                bins * width + 1
-            )[:, None]
+            # minus one, clamped at 0, counted in integers.
+            indices = counts_at(self._start_times[rows, :width], grid) - 1
             np.maximum(indices, 0, out=indices)
         else:
             indices = np.zeros((num_rows, num_times), dtype=np.intp)

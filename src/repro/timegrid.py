@@ -17,10 +17,15 @@ is an exact single multiply-add away from ``start_s``, the count is stable
 at any horizon, and for well-behaved spans the values are bit-identical to
 what ``np.arange`` produced (so identical-seed golden runs are preserved).
 
+:func:`counts_at` places rows of sorted times on a sorted grid, counting in
+integers: the walk table finds each position's leg with it, and the twin
+tables each held sample.
+
 This module is dependency-free on purpose: it is shared by the network
-(:mod:`repro.net.handover`), simulation (:mod:`repro.sim.simulator`) and
-twin (:mod:`repro.twin.collector`) layers, which sit at different depths of
-the package import graph.
+(:mod:`repro.net.handover`), simulation (:mod:`repro.sim.simulator`),
+mobility (:mod:`repro.mobility.trajectory`) and twin
+(:mod:`repro.twin.collector`, :mod:`repro.twin.timeseries`) layers, which
+sit at different depths of the package import graph.
 """
 
 from __future__ import annotations
@@ -60,3 +65,23 @@ def time_grid(start_s: float, end_s: float, step_s: float) -> np.ndarray:
     """
     count = num_grid_steps(start_s, end_s, step_s)
     return start_s + step_s * np.arange(count)
+
+
+def counts_at(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``(rows, len(grid))``: how many of each row's ``times`` are ``<= grid[j]``.
+
+    ``times`` is ``(rows, width)``, each row sorted, padded with ``+inf``;
+    ``grid`` is sorted.  Each time is ranked among the grid with one
+    ``searchsorted``, the ranks are counted per (row, rank) and accumulated,
+    all in integers, so no time is shifted by an offset.  Padding ranks past
+    every grid time, into each row's spare last bin; each row ranks
+    ``width`` times, so the rows before row ``i`` add ``i * width`` to the
+    running count.
+    """
+    rows, width = times.shape
+    steps = grid.shape[0]
+    bins = np.arange(rows)
+    first = grid.searchsorted(times)
+    first += (bins * (steps + 1))[:, None]
+    counts = np.bincount(first.ravel(), minlength=rows * (steps + 1)).cumsum()
+    return counts.reshape(rows, steps + 1)[:, :steps] - (bins * width)[:, None]

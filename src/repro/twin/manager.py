@@ -50,9 +50,11 @@ class DigitalTwinManager:
         }
         self._watches = WatchTable()
         self._num_rows = 0
-        #: Registered user ids, sorted, and each one's row.
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._id_rows = np.zeros(0, dtype=np.intp)
+        #: Each registered user's row.
+        self._row_of: Dict[int, int] = {}
+        #: The registered ids, sorted, and their rows: the group lookups'
+        #: index, rebuilt on first use after the registry changes.
+        self._index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: The views handed out and still referenced, by user id.
         self._views: "weakref.WeakValueDictionary[int, UserDigitalTwin]" = (
             weakref.WeakValueDictionary()
@@ -60,66 +62,75 @@ class DigitalTwinManager:
 
     # ------------------------------------------------------------ registry
     def __len__(self) -> int:
-        return self._ids.shape[0]
+        return len(self._row_of)
 
     def __contains__(self, user_id: int) -> bool:
-        position = int(self._ids.searchsorted(user_id))
-        return position < self._ids.shape[0] and bool(self._ids[position] == user_id)
+        return user_id in self._row_of
 
     def user_ids(self) -> List[int]:
-        return self._ids.tolist()
+        return self._sorted_index()[0].tolist()
+
+    def _sorted_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._index is None:
+            count = len(self._row_of)
+            ids = np.fromiter(self._row_of.keys(), dtype=np.int64, count=count)
+            rows = np.fromiter(self._row_of.values(), dtype=np.intp, count=count)
+            order = np.argsort(ids)
+            self._index = (ids[order], rows[order])
+        return self._index
 
     def _rows(self, user_ids: Sequence[int]) -> np.ndarray:
         """The rows of ``user_ids``; ``KeyError`` names the first unregistered one."""
         ids = np.asarray(user_ids, dtype=np.int64).reshape(-1)
-        positions = self._ids.searchsorted(ids)
-        np.minimum(positions, max(self._ids.shape[0] - 1, 0), out=positions)
-        found = (self._ids[positions] == ids) if self._ids.shape[0] else np.zeros(ids.shape, bool)
+        known, rows = self._sorted_index()
+        positions = known.searchsorted(ids)
+        np.minimum(positions, max(known.shape[0] - 1, 0), out=positions)
+        found = known[positions] == ids if known.shape[0] else np.zeros(ids.shape, dtype=bool)
         if not found.all():
             missing = int(ids[np.argmin(found)])
             raise KeyError(f"no digital twin registered for user {missing}")
-        return self._id_rows[positions]
+        return rows[positions]
 
-    def _register(self, user_ids: Sequence[int]) -> None:
-        ids = np.asarray(user_ids, dtype=np.int64).reshape(-1)
-        if (ids < 0).any():
+    def _register(self, user_ids: Sequence[int]) -> List[int]:
+        """Give every new id of ``user_ids`` the next free row; return each id's row."""
+        if any(user_id < 0 for user_id in user_ids):
             raise ValueError("user_id must be non-negative")
-        new = np.unique(ids)
-        new = new[~np.isin(new, self._ids)]
-        if not new.size:
-            return
-        rows = np.arange(self._num_rows, self._num_rows + new.shape[0])
-        self._num_rows += new.shape[0]
-        for table in self._tables.values():
-            table.add_rows(new.shape[0])
-        self._watches.add_rows(new.shape[0])
-        ids = np.concatenate([self._ids, new])
-        order = np.argsort(ids, kind="stable")
-        self._ids = ids[order]
-        self._id_rows = np.concatenate([self._id_rows, rows])[order]
+        added = self._num_rows
+        rows = []
+        for user_id in user_ids:
+            row = self._row_of.get(user_id)
+            if row is None:
+                row = self._row_of[user_id] = self._num_rows
+                self._num_rows += 1
+            rows.append(row)
+        added = self._num_rows - added
+        if added:
+            for table in self._tables.values():
+                table.add_rows(added)
+            self._watches.add_rows(added)
+            self._index = None
+        return rows
 
     def _adopt(self, twin: UserDigitalTwin) -> int:
         """Register ``twin.user_id`` with ``twin`` as its view; return its row."""
-        self._register([twin.user_id])
+        row = self._register([twin.user_id])[0]
         self._views[twin.user_id] = twin
-        return int(self._rows([twin.user_id])[0])
+        return row
 
     def register_user(self, user_id: int) -> UserDigitalTwin:
         """Create (or return the existing) twin for ``user_id``."""
-        self._register([user_id])
-        return self.twin(user_id)
+        return self._twin(user_id, self._register([user_id])[0])
 
     def register_users(self, user_ids: Iterable[int]) -> List[UserDigitalTwin]:
         ids = list(user_ids)
-        self._register(ids)
-        return [self._twin(uid, row) for uid, row in zip(ids, self._rows(ids).tolist())]
+        return [self._twin(uid, row) for uid, row in zip(ids, self._register(ids))]
 
     def twin(self, user_id: int) -> UserDigitalTwin:
         """``user_id``'s view of its rows."""
-        twin = self._views.get(user_id)
-        if twin is None:
-            twin = self._twin(user_id, int(self._rows([user_id])[0]))
-        return twin
+        row = self._row_of.get(user_id)
+        if row is None:
+            raise KeyError(f"no digital twin registered for user {user_id}")
+        return self._twin(user_id, row)
 
     def _twin(self, user_id: int, row: int) -> UserDigitalTwin:
         twin = self._views.get(user_id)
@@ -130,12 +141,9 @@ class DigitalTwinManager:
 
     def remove_user(self, user_id: int) -> None:
         """Unregister ``user_id``; its row keeps its data, and no later twin reads it."""
-        if user_id not in self:
-            return
-        position = int(self._ids.searchsorted(user_id))
-        self._ids = np.delete(self._ids, position)
-        self._id_rows = np.delete(self._id_rows, position)
-        self._views.pop(user_id, None)
+        if self._row_of.pop(user_id, None) is not None:
+            self._index = None
+            self._views.pop(user_id, None)
 
     def _table(self, name: str) -> AttributeTable:
         if name not in self._tables:
@@ -158,7 +166,8 @@ class DigitalTwinManager:
         into the watching-duration series.
         """
         rows = self._rows(user_ids)
-        if np.unique(rows).shape[0] != rows.shape[0]:
+        ordered = np.sort(rows)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError(f"a group's members must be distinct, got {list(user_ids)}")
         for name, block in status.samples.items():
             self._table(name).check(rows, block)
@@ -249,3 +258,4 @@ class DigitalTwinManager:
     def latest_values(self, name: str, user_ids: Sequence[int]) -> np.ndarray:
         """``(users, dimension)``: each user's newest ``name`` value, zeros if none."""
         return self._table(name).latest_values(self._rows(user_ids))
+

@@ -26,8 +26,8 @@ number of members.  Reads are array gathers over rows:
 
 * :meth:`AttributeTable.hold` -- zero-order hold of many rows onto one
   sorted grid, what the 1D-CNN compressor consumes.  Each row's samples are
-  ranked among the grid times and counted per (row, time) in integers, as
-  :meth:`repro.mobility.trajectory.WalkTable.positions` finds legs; chunks
+  ranked among the grid times and counted per (row, time) in integers
+  (:func:`repro.timegrid.counts_at`, as the walk table finds legs); chunks
   are visited from the newest back until every row has a sample at or
   before the grid's first time.
 * :meth:`AttributeTable.window_means` -- each row's mean over a window.
@@ -42,6 +42,8 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
+
+from repro.timegrid import counts_at
 
 #: Per-row bookkeeping arrays start with room for this many rows.
 _INITIAL_ROWS = 16
@@ -77,25 +79,6 @@ class _Chunk:
         #: Bounds of the timestamps written so far.
         self.earliest = np.inf
         self.latest = -np.inf
-
-
-def _counts_at(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """``(rows, len(grid))``: how many of each row's ``times`` are ``<= grid[j]``.
-
-    ``times`` is ``(rows, width)``, each row sorted and padded with ``+inf``;
-    ``grid`` is sorted.  Each time is ranked among the grid with one
-    ``searchsorted``, the ranks are counted per (row, rank) and accumulated,
-    all in integers.  Padding ranks past every grid time, into each row's
-    spare last bin; each row ranks ``width`` times, so the rows before row
-    ``i`` add ``i * width`` to the running count.
-    """
-    rows, width = times.shape
-    steps = grid.shape[0]
-    bins = np.arange(rows)
-    first = grid.searchsorted(times)
-    first += (bins * (steps + 1))[:, None]
-    counts = np.bincount(first.ravel(), minlength=rows * (steps + 1)).cumsum()
-    return counts.reshape(rows, steps + 1)[:, :steps] - (bins * width)[:, None]
 
 
 def _grown(array: np.ndarray, size: int, fill) -> np.ndarray:
@@ -201,8 +184,9 @@ class AttributeTable:
             chunk.times[owners, columns] = timestamps
             chunk.values[owners, columns] = values
         chunk.fill[rows] += runs
-        chunk.earliest = min(chunk.earliest, float(timestamps[starts].min()))
-        chunk.latest = max(chunk.latest, float(timestamps[ends - 1].max()))
+        # Each run is sorted, so the block's extremes are its runs' ends.
+        chunk.earliest = min(chunk.earliest, float(timestamps.min()))
+        chunk.latest = max(chunk.latest, float(timestamps.max()))
         index = len(self._chunks) - 1
         self._sizes[rows] += runs
         self._tails[rows] = timestamps[ends - 1]
@@ -256,7 +240,7 @@ class AttributeTable:
             width = int(chunk.fill[here].max())
             if not width:
                 continue
-            counts = _counts_at(chunk.times[here, :width], grid)
+            counts = counts_at(chunk.times[here, :width], grid)
             found = (counts > 0) & (chunk_of[pending] < 0)
             if found.any():
                 used.add(index)

@@ -205,7 +205,7 @@ class TestTablesMatchPerUserStores:
 
 def _state(manager):
     """Every row, chunk and watch index of ``manager``'s tables, as bytes."""
-    state = [manager._ids.tobytes(), manager._id_rows.tobytes(), manager._num_rows]
+    state = [sorted(manager._row_of.items()), manager._num_rows]
     for table in manager._tables.values():
         state += [table.num_rows, table._sizes.tobytes(), table._tails.tobytes()]
         state += [table._first.tobytes(), table._last.tobytes()]
