@@ -15,6 +15,10 @@ Design notes
 * Every backward pass returns the gradient with respect to the layer input,
   allowing the :class:`repro.ml.network.Sequential` container to chain layers
   without any graph machinery.
+* :class:`Conv1D` runs on im2col rows (Chellapilla et al., 2006): each
+  window of the input is one row of a ``(batch * out_len, kernel *
+  in_channels)`` matrix, so the forward pass and both gradients are single
+  matrix products.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.ml.initializers import glorot_uniform, he_uniform, zeros_init
 
@@ -138,11 +143,11 @@ class Dense(Layer):
 
 
 def _sliding_windows(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
-    """Return windows of shape ``(batch, out_len, kernel, channels)``.
+    """Return C-contiguous windows of shape ``(batch, out_len, kernel, channels)``.
 
-    Implemented with fancy indexing rather than stride tricks to keep the
-    code obviously correct; the tensors involved here are small (tens of
-    users, short digital-twin histories).
+    ``windows[b, o, k, c] == x[b, o * stride + k, c]``.  The windows are one
+    copy of a strided view, so :class:`Conv1D` reads them as im2col rows
+    with a reshape.
     """
     batch, length, channels = x.shape
     out_len = (length - kernel_size) // stride + 1
@@ -150,10 +155,8 @@ def _sliding_windows(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray
         raise ValueError(
             f"input length {length} too short for kernel {kernel_size} with stride {stride}"
         )
-    starts = np.arange(out_len) * stride
-    idx = starts[:, None] + np.arange(kernel_size)[None, :]
-    windows = x[:, idx, :]  # (batch, out_len, kernel, channels)
-    return windows
+    view = sliding_window_view(x, kernel_size, axis=1)[:, ::stride]
+    return np.ascontiguousarray(view.transpose(0, 1, 3, 2))
 
 
 class Conv1D(Layer):
@@ -185,7 +188,7 @@ class Conv1D(Layer):
             he_uniform((kernel_size, in_channels, out_channels), rng), name="conv1d.weight"
         )
         self.bias = Parameter(zeros_init((out_channels,)), name="conv1d.bias") if use_bias else None
-        self._windows: Optional[np.ndarray] = None
+        self._rows: Optional[np.ndarray] = None
         self._input_shape: Optional[tuple] = None
 
     def _pad(self, x: np.ndarray) -> np.ndarray:
@@ -202,36 +205,36 @@ class Conv1D(Layer):
                 f"Conv1D expected {self.in_channels} input channels, got {x.shape[2]}"
             )
         self._input_shape = x.shape
-        padded = self._pad(x)
-        windows = _sliding_windows(padded, self.kernel_size, self.stride)
-        self._windows = windows
-        # windows: (B, O, K, Cin); weight: (K, Cin, Cout) -> out: (B, O, Cout)
-        out = np.einsum("bokc,kcd->bod", windows, self.weight.value)
+        windows = _sliding_windows(self._pad(x), self.kernel_size, self.stride)
+        batch, out_len = windows.shape[:2]
+        # One im2col row per window: (B * O, K * Cin) @ (K * Cin, Cout).
+        self._rows = windows.reshape(batch * out_len, -1)
+        kernel = self.weight.value.reshape(-1, self.out_channels)
+        out = (self._rows @ kernel).reshape(batch, out_len, self.out_channels)
         if self.bias is not None:
             out = out + self.bias.value
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        windows = self._require_cache(self._windows, "input windows")
+        rows = self._require_cache(self._rows, "input windows")
         input_shape = self._require_cache(self._input_shape, "input shape")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        # Weight gradient: sum over batch and output positions.
-        self.weight.grad += np.einsum("bokc,bod->kcd", windows, grad_output)
+        grad_rows = grad_output.reshape(-1, self.out_channels)
+        self.weight.grad += (rows.T @ grad_rows).reshape(self.weight.shape)
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=(0, 1))
-        # Input gradient: scatter each window's contribution back.
+        # Input gradient: each window's rows, scattered back one kernel tap
+        # at a time (tap k of every window lands on a strided slice).
         batch, length, channels = input_shape
+        out_len = grad_output.shape[1]
+        kernel = self.weight.value.reshape(-1, self.out_channels)
+        grad_windows = (grad_rows @ kernel.T).reshape(batch, out_len, self.kernel_size, channels)
         padded_len = length + 2 * self.padding
         grad_padded = np.zeros((batch, padded_len, channels), dtype=np.float64)
-        # contribution per window: (B, O, K, Cin)
-        grad_windows = np.einsum("bod,kcd->bokc", grad_output, self.weight.value)
-        out_len = grad_output.shape[1]
-        starts = np.arange(out_len) * self.stride
-        for o, start in enumerate(starts):
-            grad_padded[:, start : start + self.kernel_size, :] += grad_windows[:, o, :, :]
-        if self.padding:
-            grad_padded = grad_padded[:, self.padding : padded_len - self.padding, :]
-        return grad_padded
+        span = self.stride * (out_len - 1) + 1
+        for k in range(self.kernel_size):
+            grad_padded[:, k : k + span : self.stride, :] += grad_windows[:, :, k, :]
+        return grad_padded[:, self.padding : self.padding + length, :]
 
     def parameters(self) -> List[Parameter]:
         params = [self.weight]

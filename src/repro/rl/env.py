@@ -20,10 +20,10 @@ problem:
   meant to resolve.
 
 The snapshot-only part of the state costs every pairwise distance
-(computed in row blocks, never as one ``(n, n, d)`` difference tensor) and
-the silhouette reward reads an ``(n, n)`` distance matrix, so both are
-computed once per snapshot and read by every step on it: once
-per draw in :class:`GroupingEnvironment`, once per snapshot index in
+(computed in row blocks over the upper triangle, never as one ``(n, n, d)``
+difference tensor) and the silhouette reward reads an ``(n, n)`` distance
+matrix, so both are computed once per snapshot and read by every step on
+it: once per draw in :class:`GroupingEnvironment`, once per snapshot index in
 :class:`SnapshotReplayEnvironment`, whose episodes replay the same few
 snapshots over and over.
 """
@@ -40,8 +40,9 @@ from repro.cluster import KMeansPlusPlus, pairwise_euclidean, silhouette_score
 #: Dimensionality of the state vector produced by :func:`grouping_state`.
 STATE_DIM = 8
 
-#: Bytes of pairwise differences :func:`_population_terms` holds at once.
-_BLOCK_BYTES = 1 << 23
+#: Bytes of pairwise differences :func:`_population_terms` holds at once,
+#: sized to stay in cache.
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,13 @@ def _population_terms(
     Returns ``(num_users, spread, mean, min and max pairwise distance,
     dimension)`` for a ``(num_users, dim)`` float64 matrix, or ``None`` when
     it has no users.  The distances come ``block_rows`` rows at a time (by
-    default, rows worth about 8 MB of differences), each block one
-    ``(rows, n, d)`` difference tensor of which only the upper triangle is
-    kept, in row-major order: the same values, in the same order, as one
-    ``(n, n, d)`` tensor gives, without ever holding it.
+    default, as many rows as ``_BLOCK_BYTES`` of differences against every
+    user holds).  Block ``[lo, hi)`` differences its rows against columns
+    ``lo + 1`` onwards only, and writes the upper triangle of that
+    ``(rows, n - lo - 1, d)`` tensor, in row-major order, into one array of
+    all ``n (n - 1) / 2`` distances: the same values, in the same order, as
+    one ``(n, n, d)`` tensor gives, without ever holding it or the lower
+    triangle.
     """
     num_users, dim = features.shape
     if num_users == 0:
@@ -116,13 +120,15 @@ def _population_terms(
         if block_rows is None:
             block_rows = max(1, _BLOCK_BYTES // (8 * num_users * max(dim, 1)))
         columns = np.arange(num_users)
-        blocks = []
+        upper = np.empty(num_users * (num_users - 1) // 2)
+        filled = 0
         for lo in range(0, num_users - 1, block_rows):
             hi = min(lo + block_rows, num_users - 1)
-            diffs = features[lo:hi, None, :] - features[None, :, :]
+            diffs = features[lo:hi, None, :] - features[None, lo + 1 :, :]
             distances = np.sqrt((diffs**2).sum(axis=-1))
-            blocks.append(distances[columns[lo:hi, None] < columns[None, :]])
-        upper = np.concatenate(blocks)
+            block = distances[columns[lo:hi, None] < columns[None, lo + 1 :]]
+            upper[filled : filled + block.size] = block
+            filled += block.size
         mean_dist = float(upper.mean())
         min_dist = float(upper.min())
         max_dist = float(upper.max())

@@ -121,9 +121,9 @@ class DigitalTwinManager:
         """Create (or return the existing) twin for ``user_id``."""
         return self._twin(user_id, self._register([user_id])[0])
 
-    def register_users(self, user_ids: Iterable[int]) -> List[UserDigitalTwin]:
-        ids = list(user_ids)
-        return [self._twin(uid, row) for uid, row in zip(ids, self._register(ids))]
+    def register_users(self, user_ids: Iterable[int]) -> None:
+        """Give every new id of ``user_ids`` a row; :meth:`twin` makes views on demand."""
+        self._register(list(user_ids))
 
     def twin(self, user_id: int) -> UserDigitalTwin:
         """``user_id``'s view of its rows."""

@@ -1,9 +1,10 @@
 """Whole-tensor reference for the grouping state's population terms.
 
 :func:`repro.rl.env._population_terms` computes the pairwise distances in
-row blocks and keeps only their upper triangle.  This module is the
-function it replaced, which builds one ``(n, n, d)`` difference tensor; the
-blocked function must return the same tuple (``==``) for any block size.
+row blocks, each differenced only against the columns after its first row,
+and keeps the upper triangle.  This module is the function it replaced,
+which builds one ``(n, n, d)`` difference tensor; the blocked function must
+return the same tuple (``==``) for any block size.
 """
 
 from __future__ import annotations

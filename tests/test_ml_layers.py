@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.ml import (
     Conv1D,
@@ -21,7 +22,8 @@ from gradcheck import (
     check_layer_input_gradient,
     check_layer_parameter_gradients,
 )
-from repro.ml.layers import count_parameters
+from repro.ml.layers import _sliding_windows, count_parameters
+from conv1d_reference import reference_backward, reference_forward, reference_windows
 
 
 @pytest.fixture
@@ -110,6 +112,81 @@ class TestConv1D:
         layer = Conv1D(2, 3, kernel_size=3, rng=rng)
         error = check_layer_parameter_gradients(layer, rng.normal(size=(2, 6, 2)))
         assert error < 1e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    batch=st.integers(1, 20),
+    length=st.integers(1, 40),
+    in_channels=st.integers(1, 12),
+    out_channels=st.integers(1, 16),
+    kernel_size=st.integers(1, 5),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    use_bias=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    batch=1, length=1, in_channels=1, out_channels=1, kernel_size=5, stride=3,
+    padding=2, use_bias=True, scale=1.0, seed=0,
+)
+@example(
+    batch=20, length=32, in_channels=12, out_channels=16, kernel_size=3, stride=1,
+    padding=1, use_bias=True, scale=1.0, seed=1,
+)
+def test_conv1d_matches_the_einsum_reference(
+    batch, length, in_channels, out_channels, kernel_size, stride, padding, use_bias, scale, seed
+):
+    """The im2col products sum in another order than the einsum reference.
+    Each side of an ``n``-term sum is within ``n * eps * S`` of the exact
+    value, ``S`` being the same sum over absolute values, so the two may
+    differ by ``2 * n * eps * S``.  The windows and the bias gradient are
+    unchanged."""
+    assume(length + 2 * padding >= kernel_size)
+    rng = np.random.default_rng(seed)
+    layer = Conv1D(
+        in_channels, out_channels, kernel_size, rng, stride=stride, padding=padding,
+        use_bias=use_bias,
+    )
+    weight = layer.weight.value
+    bias = None
+    if use_bias:
+        bias = layer.bias.value = rng.normal(size=out_channels) * scale
+    x = rng.normal(size=(batch, length, in_channels)) * scale
+    out_len = (length + 2 * padding - kernel_size) // stride + 1
+    grad_output = rng.normal(size=(batch, out_len, out_channels))
+
+    # The references and their bounds, fixed before the layer runs.
+    eps = np.finfo(np.float64).eps
+    out_ref = reference_forward(x, weight, bias, stride, padding)
+    abs_bias = None if bias is None else np.abs(bias)
+    out_abs = reference_forward(np.abs(x), np.abs(weight), abs_bias, stride, padding)
+    out_terms = kernel_size * in_channels + (bias is not None)
+    grad_input_ref, grad_weight_ref, grad_bias_ref = reference_backward(
+        x, weight, grad_output, stride, padding
+    )
+    grad_input_abs, grad_weight_abs, _ = reference_backward(
+        np.abs(x), np.abs(weight), np.abs(grad_output), stride, padding
+    )
+    input_terms = out_channels * -(-kernel_size // stride)
+    weight_terms = batch * out_len
+
+    padded = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
+    windows = _sliding_windows(padded, kernel_size, stride)
+    assert windows.flags.c_contiguous
+    assert np.array_equal(windows, reference_windows(padded, kernel_size, stride))
+
+    out = layer.forward(x)
+    grad_input = layer.backward(grad_output)
+    assert out.shape == out_ref.shape and grad_input.shape == x.shape
+    assert np.all(np.abs(out - out_ref) <= 2 * out_terms * eps * out_abs)
+    assert np.all(np.abs(grad_input - grad_input_ref) <= 2 * input_terms * eps * grad_input_abs)
+    assert np.all(
+        np.abs(layer.weight.grad - grad_weight_ref) <= 2 * weight_terms * eps * grad_weight_abs
+    )
+    if use_bias:
+        assert np.array_equal(layer.bias.grad, grad_bias_ref)
 
 
 class TestPoolingAndReshaping:

@@ -377,8 +377,9 @@ class ReferenceTwinManager:
             self._twins[user_id] = ReferenceTwin(user_id, attributes=self.attributes)
         return self._twins[user_id]
 
-    def register_users(self, user_ids: Iterable[int]) -> List[ReferenceTwin]:
-        return [self.register_user(uid) for uid in user_ids]
+    def register_users(self, user_ids: Iterable[int]) -> None:
+        for uid in user_ids:
+            self.register_user(uid)
 
     def twin(self, user_id: int) -> ReferenceTwin:
         if user_id not in self._twins:
