@@ -23,8 +23,8 @@ class SchemeConfig:
     Every field is reachable from a scenario spec (``SchemeSpec``, plus
     ``EngineSpec.feature_steps``).  The components' other hyper-parameters
     (compressed dimension, learning rate, DDQN layer sizes, K-means
-    restarts, swipe smoothing) run at their own defaults, and each
-    prediction reads the last played interval.
+    restarts, reward weights, swipe smoothing) keep the values their own
+    modules set, and each prediction reads the last played interval.
 
     ``k_strategy`` picks the grouping number K; ``fixed_k`` pins it and is
     set exactly when the strategy is ``"fixed"``.

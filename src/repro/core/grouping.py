@@ -21,12 +21,18 @@ from repro.core.config import K_STRATEGIES
 from repro.rl.ddqn import DDQNAgent, DDQNConfig
 from repro.rl.env import (
     GroupingEnvConfig,
-    GroupingEnvironment,
     SnapshotReplayEnvironment,
     STATE_DIM,
     grouping_state,
 )
 from repro.rl.training import TrainingResult, train_agent
+
+#: K-means++ restarts of every grouping the constructor makes.  The DDQN's
+#: training rewards cluster with ``GroupingEnvConfig.kmeans_restarts``.
+KMEANS_RESTARTS = 3
+
+#: Hidden-layer widths of the DDQN's Q-networks.
+DDQN_HIDDEN_SIZES = (32, 32)
 
 
 @dataclass
@@ -59,31 +65,14 @@ class GroupingResult:
 class MulticastGroupConstructor:
     """Builds multicast groups from compressed user features."""
 
-    def __init__(
-        self,
-        min_groups: int = 2,
-        max_groups: int = 6,
-        kmeans_restarts: int = 3,
-        ddqn_hidden_sizes: Sequence[int] = (32, 32),
-        similarity_weight: float = 1.0,
-        resource_weight: float = 0.35,
-        seed: int = 0,
-    ) -> None:
-        self.env_config = GroupingEnvConfig(
-            min_groups=min_groups,
-            max_groups=max_groups,
-            similarity_weight=similarity_weight,
-            resource_weight=resource_weight,
-            kmeans_restarts=max(kmeans_restarts - 1, 1),
-            seed=seed,
-        )
-        self.kmeans_restarts = kmeans_restarts
+    def __init__(self, min_groups: int = 2, max_groups: int = 6, seed: int = 0) -> None:
+        self.env_config = GroupingEnvConfig(min_groups=min_groups, max_groups=max_groups, seed=seed)
         self.seed = seed
         self.agent = DDQNAgent(
             DDQNConfig(
                 state_dim=STATE_DIM,
                 num_actions=self.env_config.num_actions,
-                hidden_sizes=tuple(ddqn_hidden_sizes),
+                hidden_sizes=DDQN_HIDDEN_SIZES,
                 min_replay_size=32,
                 batch_size=32,
                 seed=seed,
@@ -98,21 +87,13 @@ class MulticastGroupConstructor:
         self._last_quality = 0.0
 
     # -------------------------------------------------------------- training
-    def train(
-        self,
-        snapshots: Optional[Sequence[np.ndarray]] = None,
-        episodes: int = 25,
-    ) -> TrainingResult:
+    def train(self, snapshots: Sequence[np.ndarray], episodes: int = 25) -> TrainingResult:
         """Train the DDQN grouping-number selector.
 
         ``snapshots`` are compressed-feature matrices observed in past
-        reservation intervals; when omitted, the synthetic snapshot
-        generator of :class:`GroupingEnvironment` is used.
+        reservation intervals (at least one); the episodes replay them.
         """
-        if snapshots is not None and len(snapshots):
-            env = SnapshotReplayEnvironment(snapshots=list(snapshots), config=self.env_config)
-        else:
-            env = GroupingEnvironment(self.env_config)
+        env = SnapshotReplayEnvironment(snapshots=list(snapshots), config=self.env_config)
         result = train_agent(self.agent, env, episodes=episodes, rng=self._rng)
         self.trained = True
         return result
@@ -143,9 +124,7 @@ class MulticastGroupConstructor:
             if k == 1:
                 score = 0.0
             else:
-                result = KMeansPlusPlus(k, restarts=self.kmeans_restarts).fit(
-                    features, rng=self._rng
-                )
+                result = KMeansPlusPlus(k, restarts=KMEANS_RESTARTS).fit(features, rng=self._rng)
                 score = silhouette_score(features, result.labels, distances)
             cost = self.env_config.resource_weight * k / self.env_config.max_groups
             score = self.env_config.similarity_weight * score - cost
@@ -193,7 +172,7 @@ class MulticastGroupConstructor:
             centroids = features.mean(axis=0, keepdims=True)
             quality = 0.0
         else:
-            result = KMeansPlusPlus(k, restarts=self.kmeans_restarts).fit(features, rng=self._rng)
+            result = KMeansPlusPlus(k, restarts=KMEANS_RESTARTS).fit(features, rng=self._rng)
             labels = result.labels
             centroids = result.centroids
             quality = silhouette_score(features, labels, distances)

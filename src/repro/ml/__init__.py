@@ -5,8 +5,9 @@ and a double deep Q-network (to select the multicast grouping number).
 PyTorch is not available in the offline environment, so this subpackage
 provides the small set of building blocks those two models need:
 
-* :mod:`repro.ml.layers` -- trainable and activation layers with explicit
-  ``forward`` / ``backward`` passes (Dense, Conv1D, pooling, dropout, ...).
+* :mod:`repro.ml.layers` -- the layers with explicit ``forward`` /
+  ``backward`` passes: Dense, Conv1D, max and global-average pooling, and
+  ReLU.
 * :mod:`repro.ml.losses` -- the mean-squared-error loss the 1D-CNN trains
   with and the Huber loss the DDQN trains with.
 * :mod:`repro.ml.optim` -- the Adam optimiser both models train with.
@@ -27,40 +28,29 @@ from repro.ml.initializers import (
 from repro.ml.layers import (
     Conv1D,
     Dense,
-    Dropout,
-    Flatten,
     GlobalAveragePool1D,
     Layer,
-    LeakyReLU,
     MaxPool1D,
     Parameter,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
 from repro.ml.losses import HuberLoss, Loss, MSELoss
 from repro.ml.network import Sequential
-from repro.ml.optim import Adam, Optimizer
+from repro.ml.optim import Adam
 
 __all__ = [
     "Adam",
     "Conv1D",
     "Dense",
-    "Dropout",
-    "Flatten",
     "GlobalAveragePool1D",
     "HuberLoss",
     "Layer",
-    "LeakyReLU",
     "Loss",
     "MSELoss",
     "MaxPool1D",
-    "Optimizer",
     "Parameter",
     "ReLU",
     "Sequential",
-    "Sigmoid",
-    "Tanh",
     "glorot_uniform",
     "he_uniform",
     "zeros_init",

@@ -23,7 +23,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -244,37 +244,37 @@ class Conv1D(Layer):
 
 
 class MaxPool1D(Layer):
-    """Max pooling over the time axis (channels-last layout)."""
+    """Max pooling over non-overlapping windows of the time axis (channels-last)."""
 
-    def __init__(self, pool_size: int = 2, stride: Optional[int] = None) -> None:
+    def __init__(self, pool_size: int = 2) -> None:
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
         self.pool_size = pool_size
-        self.stride = stride if stride is not None else pool_size
         self._input_shape: Optional[tuple] = None
         self._argmax: Optional[np.ndarray] = None
+
+    def _whole_windows(self, x: np.ndarray) -> np.ndarray:
+        whole = x.shape[1] // self.pool_size
+        return x[:, : whole * self.pool_size].reshape(x.shape[0], whole, self.pool_size, x.shape[2])
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError(f"MaxPool1D expects (batch, length, channels); got {x.shape}")
+        if x.shape[1] < self.pool_size:
+            raise ValueError(f"input length {x.shape[1]} too short for pool {self.pool_size}")
         self._input_shape = x.shape
-        windows = _sliding_windows(x, self.pool_size, self.stride)
+        windows = self._whole_windows(x)  # a view: (B, O, pool_size, C)
         self._argmax = windows.argmax(axis=2)  # (B, O, C)
         return windows.max(axis=2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         shape = self._require_cache(self._input_shape, "input shape")
         argmax = self._require_cache(self._argmax, "argmax indices")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        batch, length, channels = shape
         grad_input = np.zeros(shape, dtype=np.float64)
-        out_len = grad_output.shape[1]
-        b_idx = np.arange(batch)[:, None, None]
-        c_idx = np.arange(channels)[None, None, :]
-        starts = (np.arange(out_len) * self.stride)[None, :, None]
-        positions = starts + argmax  # (B, O, C)
-        np.add.at(grad_input, (b_idx, positions, c_idx), grad_output)
+        # "+ 0.0" stores a -0.0 gradient as +0.0, as adding it onto zeros did.
+        routed = np.asarray(grad_output, dtype=np.float64)[:, :, None, :] + 0.0
+        np.put_along_axis(self._whole_windows(grad_input), argmax[:, :, None, :], routed, axis=2)
         return grad_input
 
 
@@ -298,22 +298,6 @@ class GlobalAveragePool1D(Layer):
         return np.repeat(grad_output[:, None, :], length, axis=1) / float(length)
 
 
-class Flatten(Layer):
-    """Flatten all dimensions except the batch dimension."""
-
-    def __init__(self) -> None:
-        self._input_shape: Optional[tuple] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        shape = self._require_cache(self._input_shape, "input shape")
-        return np.asarray(grad_output, dtype=np.float64).reshape(shape)
-
-
 class ReLU(Layer):
     """Rectified linear unit activation."""
 
@@ -328,85 +312,3 @@ class ReLU(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         mask = self._require_cache(self._mask, "activation mask")
         return np.asarray(grad_output, dtype=np.float64) * mask
-
-
-class LeakyReLU(Layer):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be non-negative")
-        self.negative_slope = negative_slope
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask = self._require_cache(self._mask, "activation mask")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        return np.where(mask, grad_output, self.negative_slope * grad_output)
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.tanh(np.asarray(x, dtype=np.float64))
-        self._output = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        out = self._require_cache(self._output, "activation output")
-        return np.asarray(grad_output, dtype=np.float64) * (1.0 - out * out)
-
-
-class Sigmoid(Layer):
-    """Logistic sigmoid activation."""
-
-    def __init__(self) -> None:
-        self._output: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = 1.0 / (1.0 + np.exp(-x))
-        self._output = out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        out = self._require_cache(self._output, "activation output")
-        return np.asarray(grad_output, dtype=np.float64) * out * (1.0 - out)
-
-
-class Dropout(Layer):
-    """Inverted dropout; a no-op outside of training."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self.rng = rng
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if not training or self.rate == 0.0:
-            self._mask = np.ones_like(x)
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep).astype(np.float64) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask = self._require_cache(self._mask, "dropout mask")
-        return np.asarray(grad_output, dtype=np.float64) * mask
-
-
-def count_parameters(layers: Iterable[Layer]) -> int:
-    """Total number of scalar trainable parameters across ``layers``."""
-    return sum(int(np.prod(p.shape)) for layer in layers for p in layer.parameters())

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.ml.layers import Layer, Parameter
 from repro.ml.losses import Loss, MSELoss
-from repro.ml.optim import Adam, Optimizer
+from repro.ml.optim import Adam
 
 
 @dataclass
@@ -17,21 +17,6 @@ class TrainingHistory:
     """Per-epoch loss curve recorded by :meth:`Sequential.fit`."""
 
     train_loss: List[float] = field(default_factory=list)
-    validation_loss: List[float] = field(default_factory=list)
-
-    def last(self) -> float:
-        if not self.train_loss:
-            raise ValueError("no epochs recorded")
-        return self.train_loss[-1]
-
-    def improved(self, patience: int, min_delta: float = 1e-6) -> bool:
-        """Whether the training loss improved within the last ``patience`` epochs."""
-        curve = self.validation_loss if self.validation_loss else self.train_loss
-        if len(curve) <= patience:
-            return True
-        recent_best = min(curve[-patience:])
-        previous_best = min(curve[:-patience])
-        return recent_best < previous_best - min_delta
 
 
 class Sequential:
@@ -66,7 +51,7 @@ class Sequential:
         return self.forward(x, training=training)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Run a forward pass in inference mode (dropout disabled)."""
+        """Run a forward pass in inference mode (``training=False``)."""
         return self.forward(x, training=False)
 
     # ------------------------------------------------------------ parameters
@@ -76,9 +61,6 @@ class Sequential:
     def zero_grad(self) -> None:
         for layer in self.layers:
             layer.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(int(np.prod(p.shape)) for p in self.parameters())
 
     # -------------------------------------------------------- weight copying
     def get_weights(self) -> List[np.ndarray]:
@@ -103,20 +85,13 @@ class Sequential:
         """Hard-copy weights from ``other`` (e.g. online -> target network)."""
         self.set_weights(other.get_weights())
 
-    def soft_update_from(self, other: "Sequential", tau: float) -> None:
-        """Polyak averaging: ``theta <- tau * theta_other + (1 - tau) * theta``."""
-        if not 0.0 < tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
-        for mine, theirs in zip(self.parameters(), other.parameters()):
-            mine.value = (1.0 - tau) * mine.value + tau * theirs.value
-
     # --------------------------------------------------------------- training
     def train_batch(
         self,
         x: np.ndarray,
         y: np.ndarray,
         loss: Loss,
-        optimizer: Optimizer,
+        optimizer: Adam,
         grad_clip: Optional[float] = None,
     ) -> float:
         """Run one optimisation step on a single mini-batch and return the loss."""
@@ -137,11 +112,9 @@ class Sequential:
         epochs: int = 10,
         batch_size: int = 32,
         loss: Optional[Loss] = None,
-        optimizer: Optional[Optimizer] = None,
+        optimizer: Optional[Adam] = None,
         rng: Optional[np.random.Generator] = None,
-        validation_data: Optional[tuple] = None,
         grad_clip: Optional[float] = None,
-        callback: Optional[Callable[[int, float], None]] = None,
     ) -> TrainingHistory:
         """Train with mini-batch gradient descent.
 
@@ -167,7 +140,7 @@ class Sequential:
 
         history = TrainingHistory()
         n = x.shape[0]
-        for epoch in range(epochs):
+        for _ in range(epochs):
             order = rng.permutation(n)
             epoch_losses = []
             for start in range(0, n, batch_size):
@@ -176,12 +149,5 @@ class Sequential:
                     x[batch_idx], y[batch_idx], loss, optimizer, grad_clip=grad_clip
                 )
                 epoch_losses.append(batch_loss)
-            mean_loss = float(np.mean(epoch_losses))
-            history.train_loss.append(mean_loss)
-            if validation_data is not None:
-                val_x, val_y = validation_data
-                val_pred = self.predict(np.asarray(val_x, dtype=np.float64))
-                history.validation_loss.append(loss.value(val_pred, np.asarray(val_y)))
-            if callback is not None:
-                callback(epoch, mean_loss)
+            history.train_loss.append(float(np.mean(epoch_losses)))
         return history

@@ -1,11 +1,10 @@
-"""Gradient-descent optimisers: the :class:`Optimizer` base and Adam.
+"""The Adam optimiser both learners train with.
 
-Optimisers hold references to :class:`repro.ml.layers.Parameter` objects and
-update their ``value`` in place from the accumulated ``grad`` on every call
-to :meth:`Optimizer.step`.  Gradients are *not* cleared automatically; the
-:class:`repro.ml.network.Sequential` training helpers call ``zero_grad``
-explicitly, which keeps gradient accumulation available for users that want
-larger effective batch sizes.
+:class:`Adam` holds references to :class:`repro.ml.layers.Parameter`
+objects and updates their ``value`` in place from the accumulated ``grad``
+on every call to :meth:`Adam.step`.  Gradients are *not* cleared
+automatically: :meth:`repro.ml.network.Sequential.train_batch` and the DDQN
+agent call ``zero_grad`` before each backward pass.
 """
 
 from __future__ import annotations
@@ -17,19 +16,31 @@ import numpy as np
 from repro.ml.layers import Parameter
 
 
-class Optimizer:
-    """Base optimiser interface."""
+class Adam:
+    """Adam optimiser (Kingma & Ba, 2015) with bias correction."""
 
-    def __init__(self, parameters: Sequence[Parameter], learning_rate: float) -> None:
+    def __init__(
+        self,
+        parameters: Sequence[Parameter],
+        learning_rate: float = 1e-3,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        epsilon: float = 1e-8,
+    ) -> None:
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         self.learning_rate = float(learning_rate)
-
-    def step(self) -> None:
-        raise NotImplementedError
+        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
+            raise ValueError("betas must be in [0, 1)")
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.epsilon = float(epsilon)
+        self._m = [np.zeros_like(p.value) for p in self.parameters]
+        self._v = [np.zeros_like(p.value) for p in self.parameters]
+        self._t = 0
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -49,28 +60,6 @@ class Optimizer:
             for param in self.parameters:
                 param.grad *= scale
         return total
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015) with bias correction."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
-        super().__init__(parameters, learning_rate)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
-        self._m = [np.zeros_like(p.value) for p in self.parameters]
-        self._v = [np.zeros_like(p.value) for p in self.parameters]
-        self._t = 0
 
     def step(self) -> None:
         self._t += 1

@@ -99,7 +99,3 @@ class ReplayBuffer:
             next_states=np.stack([t.next_state for t in chosen]),
             dones=np.array([t.done for t in chosen], dtype=bool),
         )
-
-    def clear(self) -> None:
-        self._storage.clear()
-        self._next_index = 0

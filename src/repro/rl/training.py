@@ -22,13 +22,6 @@ class TrainingResult:
     def num_episodes(self) -> int:
         return len(self.episode_returns)
 
-    def mean_return(self, last: Optional[int] = None) -> float:
-        """Mean episodic return, optionally over only the ``last`` episodes."""
-        if not self.episode_returns:
-            return float("nan")
-        returns = self.episode_returns if last is None else self.episode_returns[-last:]
-        return float(np.mean(returns))
-
 
 #: Hard cap on episode length (protects against environments that never
 #: emit ``done``).

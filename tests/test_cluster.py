@@ -1,4 +1,4 @@
-"""Unit tests for K-means++, cluster metrics and the baseline groupers."""
+"""Unit tests for K-means++ and the cluster metrics."""
 
 from __future__ import annotations
 
@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
-    AgglomerativeGrouper,
-    FixedKGrouper,
     KMeansPlusPlus,
-    RandomGrouper,
-    SingleGroupGrouper,
     inertia,
     kmeans_plus_plus_init,
     pairwise_euclidean,
@@ -187,33 +183,3 @@ class TestKMeansPlusPlus:
         a = KMeansPlusPlus(3).fit(points, rng=np.random.default_rng(0))
         b = KMeansPlusPlus(3).fit(points, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(a.labels, b.labels)
-
-
-class TestBaselineGroupers:
-    def test_single_group(self, three_blobs):
-        points, _ = three_blobs
-        labels = SingleGroupGrouper().group(points)
-        assert set(labels) == {0}
-
-    def test_random_grouper_covers_all_groups(self, three_blobs, rng):
-        points, _ = three_blobs
-        labels = RandomGrouper(4).group(points, rng=rng)
-        assert set(labels) == {0, 1, 2, 3}
-
-    def test_random_grouper_too_few_points(self, rng):
-        with pytest.raises(ValueError):
-            RandomGrouper(5).group(np.zeros((3, 2)), rng=rng)
-
-    def test_fixed_k_grouper_matches_kmeans_quality(self, three_blobs, rng):
-        points, _ = three_blobs
-        labels = FixedKGrouper(3).group(points, rng=rng)
-        assert silhouette_score(points, labels) > 0.8
-
-    def test_agglomerative_recovers_blobs(self, three_blobs):
-        points, labels = three_blobs
-        predicted = AgglomerativeGrouper(3).group(points)
-        assert silhouette_score(points, predicted) > 0.8
-
-    def test_agglomerative_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            AgglomerativeGrouper(0)

@@ -6,24 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.ml import (
-    Conv1D,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAveragePool1D,
-    LeakyReLU,
-    MaxPool1D,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
+from repro.ml import Conv1D, Dense, GlobalAveragePool1D, MaxPool1D, ReLU
 from gradcheck import (
     check_layer_input_gradient,
     check_layer_parameter_gradients,
 )
-from repro.ml.layers import _sliding_windows, count_parameters
+from repro.ml.layers import _sliding_windows
 from conv1d_reference import reference_backward, reference_forward, reference_windows
+from maxpool_reference import ReferenceMaxPool1D
 
 
 @pytest.fixture
@@ -212,17 +202,51 @@ class TestPoolingAndReshaping:
         error = check_layer_input_gradient(layer, rng.normal(size=(2, 5, 3)))
         assert error < 1e-6
 
-    def test_flatten_roundtrip_shape(self, rng):
-        layer = Flatten()
-        x = rng.normal(size=(4, 5, 3))
-        out = layer.forward(x)
-        assert out.shape == (4, 15)
-        grad = layer.backward(out)
-        assert grad.shape == x.shape
+
+def _with_ties(rng: np.random.Generator, shape: tuple, tie_share: float) -> np.ndarray:
+    """Normal draws, a ``tie_share`` of them replaced by -0.0, 0.0, -1.0 or 1.0."""
+    values = rng.normal(size=shape)
+    tied = rng.random(shape) < tie_share
+    values[tied] = rng.choice(np.array([-0.0, 0.0, -1.0, 1.0]), size=int(tied.sum()))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    batch=st.integers(1, 8),
+    length=st.integers(1, 40),
+    channels=st.integers(1, 6),
+    pool_size=st.integers(1, 4),
+    tie_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(batch=1, length=3, channels=1, pool_size=4, tie_share=0.0, seed=0)
+@example(batch=8, length=32, channels=6, pool_size=2, tie_share=1.0, seed=1)
+def test_maxpool_matches_the_strided_reference(
+    batch, length, channels, pool_size, tie_share, seed
+):
+    """The reshape view and ``put_along_axis`` agree with the strided
+    windows and ``np.add.at`` in every byte, ties and signed zeros included."""
+    rng = np.random.default_rng(seed)
+    x = _with_ties(rng, (batch, length, channels), tie_share)
+    layer, reference = MaxPool1D(pool_size), ReferenceMaxPool1D(pool_size)
+    if length < pool_size:
+        for pool in (layer, reference):
+            with pytest.raises(ValueError, match="too short"):
+                pool.forward(x)
+        return
+    out, out_ref = layer.forward(x), reference.forward(x)
+    assert out.shape == out_ref.shape == (batch, length // pool_size, channels)
+    assert out.tobytes() == out_ref.tobytes()
+    assert layer._argmax.tobytes() == reference._argmax.tobytes()
+    grad_output = _with_ties(rng, out.shape, tie_share)
+    grad_input, grad_input_ref = layer.backward(grad_output), reference.backward(grad_output)
+    assert grad_input.shape == x.shape
+    assert grad_input.tobytes() == grad_input_ref.tobytes()
 
 
 class TestActivations:
-    @pytest.mark.parametrize("activation", [ReLU(), Tanh(), Sigmoid(), LeakyReLU(0.1)])
+    @pytest.mark.parametrize("activation", [ReLU()])
     def test_input_gradient(self, activation, rng):
         error = check_layer_input_gradient(activation, rng.normal(size=(3, 7)) + 0.05)
         assert error < 1e-5
@@ -230,40 +254,3 @@ class TestActivations:
     def test_relu_clips_negatives(self):
         out = ReLU().forward(np.array([[-1.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 2.0]])
-
-    def test_leaky_relu_keeps_scaled_negatives(self):
-        out = LeakyReLU(0.1).forward(np.array([[-1.0, 2.0]]))
-        np.testing.assert_allclose(out, [[-0.1, 2.0]])
-
-    def test_sigmoid_range(self, rng):
-        out = Sigmoid().forward(rng.normal(size=(10, 4)) * 5)
-        assert np.all(out > 0) and np.all(out < 1)
-
-    def test_tanh_range(self, rng):
-        out = Tanh().forward(rng.normal(size=(10, 4)) * 5)
-        assert np.all(out > -1) and np.all(out < 1)
-
-
-class TestDropout:
-    def test_identity_at_inference(self, rng):
-        layer = Dropout(0.5, rng)
-        x = rng.normal(size=(4, 6))
-        np.testing.assert_allclose(layer.forward(x, training=False), x)
-
-    def test_zeroes_some_units_in_training(self, rng):
-        layer = Dropout(0.5, rng)
-        x = np.ones((20, 20))
-        out = layer.forward(x, training=True)
-        assert (out == 0).sum() > 0
-
-    def test_scaling_preserves_expectation(self, rng):
-        layer = Dropout(0.3, rng)
-        x = np.ones((200, 200))
-        out = layer.forward(x, training=True)
-        assert abs(out.mean() - 1.0) < 0.05
-
-
-def test_count_parameters(rng):
-    layers = [Dense(4, 8, rng), ReLU(), Dense(8, 2, rng)]
-    # (4*8 + 8) + (8*2 + 2)
-    assert count_parameters(layers) == 58

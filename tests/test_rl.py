@@ -71,12 +71,6 @@ class TestReplayBuffer:
         with pytest.raises(ValueError, match="requires an explicit rng"):
             buffer.sample(4)
 
-    def test_clear(self):
-        buffer = ReplayBuffer(capacity=8)
-        buffer.push(np.zeros(2), 0, 0.0, np.zeros(2), False)
-        buffer.clear()
-        assert len(buffer) == 0
-
 
 class TestEpsilonSchedules:
     def test_linear_decay_endpoints(self):
@@ -347,15 +341,6 @@ class TestTrainingLoop:
             returns.append(episode_return)
         # A trained greedy agent should always pick action 1 and earn +10.
         assert np.mean(returns) > 0
-
-    def test_mean_return_window(self):
-        agent = DDQNAgent(
-            DDQNConfig(state_dim=2, num_actions=2, hidden_sizes=(8,), batch_size=8, min_replay_size=8)
-        )
-        result = train_agent(
-            agent, _LineEnvironment(), episodes=6, rng=np.random.default_rng(0)
-        )
-        assert np.isfinite(result.mean_return(last=2))
 
 
 # ------------------------------------------------- blocked population terms
