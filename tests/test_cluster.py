@@ -183,3 +183,31 @@ class TestKMeansPlusPlus:
         a = KMeansPlusPlus(3).fit(points, rng=np.random.default_rng(0))
         b = KMeansPlusPlus(3).fit(points, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_fit_requires_rng(self, three_blobs):
+        points, _ = three_blobs
+        with pytest.raises(ValueError, match="requires an explicit rng"):
+            KMeansPlusPlus(3).fit(points)
+
+    def test_single_cluster_is_the_population_mean(self, three_blobs, rng):
+        points, _ = three_blobs
+        result = KMeansPlusPlus(1).fit(points, rng=rng)
+        np.testing.assert_array_equal(result.labels, 0)
+        np.testing.assert_allclose(result.centroids, points.mean(axis=0, keepdims=True))
+
+    def test_more_clusters_than_blobs_leaves_none_empty(self, three_blobs, rng):
+        points, _ = three_blobs
+        result = KMeansPlusPlus(4).fit(points, rng=rng)
+        assert set(result.labels) == {0, 1, 2, 3}
+
+    def test_result_is_a_lloyd_fixed_point(self, three_blobs, rng):
+        points, _ = three_blobs
+        result = KMeansPlusPlus(3).fit(points, rng=rng)
+        for k in range(3):
+            np.testing.assert_allclose(
+                result.centroids[k], points[result.labels == k].mean(axis=0)
+            )
+        assert result.inertia == pytest.approx(
+            inertia(points, result.labels, result.centroids)
+        )
+        assert silhouette_score(points, result.labels) > 0.8

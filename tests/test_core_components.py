@@ -19,6 +19,7 @@ from repro.core import (
     root_mean_squared_error,
 )
 from repro.core.features import summary_targets
+from repro.rl.env import STATE_DIM
 from repro.video import DEFAULT_CATEGORIES
 
 from compressor_training_reference import reference_compress, reference_fit
@@ -204,6 +205,29 @@ class TestGroupConstructor:
         constructor = MulticastGroupConstructor()
         with pytest.raises(ValueError):
             constructor.construct(rng.normal(size=(5, 3)), list(range(5)), k_strategy="magic")
+
+    def test_train_requires_snapshots(self):
+        constructor = MulticastGroupConstructor(min_groups=2, max_groups=5, seed=3)
+        with pytest.raises(ValueError, match="snapshots must not be empty"):
+            constructor.train(snapshots=[], episodes=1)
+        assert not constructor.trained
+
+    def test_train_replays_the_snapshots_for_each_episode(self, rng):
+        features = self.make_features(rng)
+        constructor = MulticastGroupConstructor(min_groups=2, max_groups=5, seed=3)
+        result = constructor.train(snapshots=[features, features[:12]], episodes=3)
+        assert constructor.trained
+        assert result.num_episodes == 3
+        assert len(result.episode_lengths) == 3
+
+    def test_reward_and_network_settings(self):
+        constructor = MulticastGroupConstructor(min_groups=2, max_groups=6, seed=1)
+        config = constructor.env_config
+        assert (config.min_groups, config.max_groups, config.seed) == (2, 6, 1)
+        assert (config.similarity_weight, config.resource_weight) == (1.0, 0.35)
+        assert config.kmeans_restarts == 2
+        shapes = [param.shape for param in constructor.agent.online.parameters()]
+        assert shapes == [(STATE_DIM, 32), (32,), (32, 32), (32,), (32, 5), (5,)]
 
     def test_grouping_result_groups(self, rng):
         result = GroupingResult(

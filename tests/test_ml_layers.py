@@ -202,6 +202,26 @@ class TestPoolingAndReshaping:
         error = check_layer_input_gradient(layer, rng.normal(size=(2, 5, 3)))
         assert error < 1e-6
 
+    def test_global_average_pool_rejects_wrong_rank(self, rng):
+        with pytest.raises(ValueError):
+            GlobalAveragePool1D().forward(rng.normal(size=(4, 5)))
+
+    def test_maxpool_rejects_non_positive_pool(self):
+        with pytest.raises(ValueError):
+            MaxPool1D(pool_size=0)
+
+    def test_maxpool_rejects_wrong_rank(self, rng):
+        with pytest.raises(ValueError):
+            MaxPool1D(pool_size=2).forward(rng.normal(size=(4, 6)))
+
+    def test_maxpool_drops_the_trailing_partial_window(self):
+        layer = MaxPool1D(pool_size=2)
+        x = np.array([[[1.0], [3.0], [2.0], [5.0], [9.0]]])
+        out = layer.forward(x)
+        np.testing.assert_allclose(out[0, :, 0], [3.0, 5.0])
+        grad_input = layer.backward(np.array([[[10.0], [20.0]]]))
+        np.testing.assert_allclose(grad_input[0, :, 0], [0.0, 10.0, 0.0, 20.0, 0.0])
+
 
 def _with_ties(rng: np.random.Generator, shape: tuple, tie_share: float) -> np.ndarray:
     """Normal draws, a ``tie_share`` of them replaced by -0.0, 0.0, -1.0 or 1.0."""
@@ -254,3 +274,34 @@ class TestActivations:
     def test_relu_clips_negatives(self):
         out = ReLU().forward(np.array([[-1.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 2.0]])
+
+    def test_relu_gradient_passes_only_positive_inputs(self):
+        layer = ReLU()
+        layer.forward(np.array([[-1.0, 0.0, 2.0]]))
+        grad_input = layer.backward(np.array([[5.0, 5.0, 5.0]]))
+        np.testing.assert_allclose(grad_input, [[0.0, 0.0, 5.0]])
+
+
+def _layer_cases():
+    """One instance and a matching input shape of every layer type."""
+    rng = np.random.default_rng(4)
+    return [
+        pytest.param(lambda: Dense(4, 3, rng), (2, 4), id="dense"),
+        pytest.param(lambda: Conv1D(2, 3, kernel_size=3, rng=rng, padding=1), (2, 6, 2), id="conv1d"),
+        pytest.param(lambda: MaxPool1D(pool_size=2), (2, 6, 3), id="maxpool"),
+        pytest.param(GlobalAveragePool1D, (2, 5, 3), id="global_average_pool"),
+        pytest.param(ReLU, (3, 7), id="relu"),
+    ]
+
+
+@pytest.mark.parametrize("make_layer, shape", _layer_cases())
+def test_training_flag_leaves_the_output_unchanged(make_layer, shape, rng):
+    layer = make_layer()
+    x = rng.normal(size=shape)
+    np.testing.assert_array_equal(layer.forward(x, training=True), layer.forward(x, training=False))
+
+
+@pytest.mark.parametrize("make_layer, shape", _layer_cases())
+def test_backward_before_forward_raises(make_layer, shape):
+    with pytest.raises(RuntimeError, match="called before forward"):
+        make_layer().backward(np.ones(shape))

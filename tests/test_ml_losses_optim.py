@@ -95,6 +95,43 @@ class TestOptimizers:
         optimizer.zero_grad()
         np.testing.assert_allclose(param.grad, 0.0)
 
+    def test_adam_first_step_moves_each_weight_by_the_learning_rate(self):
+        # Bias correction makes the first step -lr * g / (|g| + eps).
+        param = Parameter(np.zeros(3), name="w")
+        optimizer = Adam([param], learning_rate=0.01)
+        param.grad += np.array([4.0, -0.5, 0.0])
+        optimizer.step()
+        np.testing.assert_allclose(param.value, [-0.01, 0.01, 0.0], rtol=1e-6)
+
+    def test_clipping_leaves_small_gradients_unchanged(self):
+        param = Parameter(np.zeros(2), name="w")
+        optimizer = Adam([param], learning_rate=0.1)
+        param.grad += np.array([3.0, 4.0])
+        assert optimizer.clip_gradients(max_norm=10.0) == pytest.approx(5.0)
+        np.testing.assert_array_equal(param.grad, [3.0, 4.0])
+
+    def test_clipping_rejects_non_positive_norm(self):
+        optimizer = Adam([Parameter(np.zeros(2), name="w")])
+        with pytest.raises(ValueError, match="max_norm"):
+            optimizer.clip_gradients(max_norm=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"learning_rate": 0.0}, "learning rate"),
+            ({"beta1": 1.0}, "betas"),
+            ({"beta2": -0.1}, "betas"),
+        ],
+        ids=["learning_rate", "beta1", "beta2"],
+    )
+    def test_adam_rejects_invalid_hyperparameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Adam([Parameter(np.zeros(2), name="w")], **kwargs)
+
+    def test_adam_rejects_no_parameters(self):
+        with pytest.raises(ValueError, match="no parameters"):
+            Adam([])
+
 
 class TestInitializers:
     def test_zeros_init(self):

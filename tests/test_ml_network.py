@@ -53,6 +53,37 @@ class TestSequentialBasics:
         for a, b in zip(net.get_weights(), target.get_weights()):
             np.testing.assert_allclose(a, b)
 
+    def test_copy_weights_from_does_not_alias_the_source(self, rng):
+        net = make_mlp(rng)
+        target = make_mlp(np.random.default_rng(100))
+        target.copy_weights_from(net)
+        copied = target.get_weights()
+        for param in net.parameters():
+            param.value += 1.0
+        for before, after in zip(copied, target.get_weights()):
+            np.testing.assert_array_equal(before, after)
+
+    def test_set_weights_rejects_wrong_count(self, rng):
+        net = make_mlp(rng)
+        with pytest.raises(ValueError, match="expected 4 weight arrays"):
+            net.set_weights(net.get_weights()[:-1])
+
+    def test_parameters_list_every_weight_in_layer_order(self, rng):
+        net = make_mlp(rng)
+        shapes = [param.shape for param in net.parameters()]
+        assert shapes == [(3, 8), (8,), (8, 2), (2,)]
+        # (3*8 + 8) + (8*2 + 2) = 32 + 18
+        assert sum(param.value.size for param in net.parameters()) == 50
+
+    def test_zero_grad_clears_every_layer(self, rng):
+        net = make_mlp(rng)
+        net.forward(rng.normal(size=(4, 3)), training=True)
+        net.backward(np.ones((4, 2)))
+        assert any(np.any(param.grad != 0) for param in net.parameters())
+        net.zero_grad()
+        for param in net.parameters():
+            np.testing.assert_array_equal(param.grad, 0.0)
+
 
 class TestTraining:
     def test_fit_reduces_loss_on_linear_data(self, rng):
@@ -78,6 +109,19 @@ class TestTraining:
         net = make_mlp(rng, in_dim=2, out_dim=1)
         with pytest.raises(ValueError):
             net.fit(np.zeros((4, 2)), np.zeros((4, 1)), epochs=0)
+
+    def test_fit_rejects_non_positive_batch_size(self, rng):
+        net = make_mlp(rng, in_dim=2, out_dim=1)
+        with pytest.raises(ValueError):
+            net.fit(np.zeros((4, 2)), np.zeros((4, 1)), batch_size=0)
+
+    def test_fit_records_one_mean_batch_loss_per_epoch(self, rng):
+        net = make_mlp(rng, in_dim=2, out_dim=1)
+        x = rng.normal(size=(32, 2))
+        y = x.sum(axis=1, keepdims=True)
+        history = net.fit(x, y, epochs=3, batch_size=8, rng=np.random.default_rng(0))
+        assert len(history.train_loss) == 3
+        assert all(np.isfinite(loss) and loss > 0 for loss in history.train_loss)
 
     def test_fit_requires_rng(self, rng):
         net = make_mlp(rng, in_dim=2, out_dim=1)

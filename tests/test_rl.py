@@ -71,6 +71,31 @@ class TestReplayBuffer:
         with pytest.raises(ValueError, match="requires an explicit rng"):
             buffer.sample(4)
 
+    def test_full_buffer_keeps_the_newest(self, rng):
+        buffer = ReplayBuffer(capacity=2)
+        for i in range(5):
+            buffer.push(np.array([float(i)]), 0, float(i), np.array([0.0]), False)
+        batch = buffer.sample(2, rng=rng)
+        assert sorted(batch.rewards) == [3.0, 4.0]
+
+    def test_push_stores_copies_of_the_states(self, rng):
+        buffer = ReplayBuffer(capacity=4)
+        state, next_state = np.zeros(2), np.ones(2)
+        buffer.push(state, 1, 0.5, next_state, True)
+        state += 7.0
+        next_state += 7.0
+        batch = buffer.sample(1, rng=rng)
+        np.testing.assert_array_equal(batch.states, [[0.0, 0.0]])
+        np.testing.assert_array_equal(batch.next_states, [[1.0, 1.0]])
+
+    def test_rejects_non_positive_capacity_and_batch(self, rng):
+        with pytest.raises(ValueError, match="capacity"):
+            ReplayBuffer(capacity=0)
+        buffer = ReplayBuffer(capacity=4)
+        buffer.push(np.zeros(2), 0, 0.0, np.zeros(2), False)
+        with pytest.raises(ValueError, match="batch_size"):
+            buffer.sample(0, rng=rng)
+
 
 class TestEpsilonSchedules:
     def test_linear_decay_endpoints(self):
@@ -315,6 +340,36 @@ class TestTrainingLoop:
             train_agent(
                 agent, _LineEnvironment(), episodes=1, rng=np.random.default_rng(0)
             )
+
+    def test_episode_returns_sum_the_step_rewards(self):
+        class _RecordingLine(_LineEnvironment):
+            def __init__(self):
+                super().__init__()
+                self.rewards = []
+
+            def reset(self, rng=None):
+                self.rewards.append([])
+                return super().reset(rng)
+
+            def step(self, action):
+                outcome = super().step(action)
+                self.rewards[-1].append(outcome.reward)
+                return outcome
+
+        agent = DDQNAgent(
+            DDQNConfig(state_dim=2, num_actions=2, hidden_sizes=(8,), batch_size=8, min_replay_size=8)
+        )
+        env = _RecordingLine()
+        result = train_agent(agent, env, episodes=6, rng=np.random.default_rng(0))
+        assert result.episode_returns == [sum(rewards) for rewards in env.rewards]
+        assert result.episode_lengths == [len(rewards) for rewards in env.rewards]
+
+    def test_train_agent_rejects_non_positive_episodes(self):
+        agent = DDQNAgent(
+            DDQNConfig(state_dim=2, num_actions=2, hidden_sizes=(8,), batch_size=8, min_replay_size=8)
+        )
+        with pytest.raises(ValueError, match="episodes"):
+            train_agent(agent, _LineEnvironment(), episodes=0, rng=np.random.default_rng(0))
 
     def test_train_agent_requires_rng(self):
         agent = DDQNAgent(
