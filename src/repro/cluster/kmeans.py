@@ -6,12 +6,25 @@ multicast groups chosen by the DDQN agent.  The implementation below follows
 Arthur & Vassilvitskii (2007): D^2-weighted seeding followed by Lloyd
 iterations, with an optional number of restarts keeping the lowest-inertia
 solution.
+
+The restarts run as one batch and give the same floats as one restart at a
+time.  :meth:`KMeansPlusPlus.fit` draws every restart's seeds first, in the
+order one restart after another would (Lloyd's iterations draw nothing, so
+the generator ends where it would), then runs Lloyd's iterations for all
+restarts at once, each restart with its own stop:
+
+* a squared distance is summed over the coordinates in the order
+  ``np.sum(axis=-1)`` adds a row (see :func:`_sum_over_coordinates`);
+* a centroid adds its cluster's members in point order starting from 0.0,
+  one ``np.bincount`` per coordinate, as ``members.mean(axis=0)`` does.  For
+  one-coordinate points numpy sums the ``(m, 1)`` gather pairwise instead,
+  so there each cluster takes one contiguous sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +44,44 @@ class KMeansResult:
         return int(self.centroids.shape[0])
 
 
+def _sum_over_coordinates(terms: np.ndarray) -> np.ndarray:
+    """Sum the non-negative ``terms`` (shape ``(d, ...)``) over their first axis.
+
+    The terms are added in the order ``np.sum(axis=-1)`` adds a length-``d``
+    row, numpy's pairwise summation: below 8 terms left to right; up to 128,
+    eight running sums combined as ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``,
+    then the tail; above 128, the two halves split at a multiple of 8.
+    """
+    count = terms.shape[0]
+    if count < 8:
+        # A reduction over the leading axis adds its rows in order from 0.0.
+        return terms.sum(axis=0)
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        return _sum_over_coordinates(terms[:half]) + _sum_over_coordinates(terms[half:])
+    whole = count - count % 8
+    lanes = terms[:8]
+    if whole > 8:
+        # Lane j adds terms j, j + 8, j + 16, ... in order.
+        lanes = terms[:whole].reshape(whole // 8, 8, *terms.shape[1:]).sum(axis=0)
+    pairs = lanes[0::2] + lanes[1::2]
+    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for row in terms[whole:]:
+        total += row
+    return total
+
+
+def _squared_distances(points_t: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``(len(centroids), n)`` squared distances from each centroid to the points.
+
+    ``points_t`` is the ``(d, n)`` transpose of the points.
+    """
+    terms = points_t[:, None, :] - centroids.T[:, :, None]
+    np.square(terms, out=terms)
+    return _sum_over_coordinates(terms)
+
+
 def kmeans_plus_plus_init(
     points: np.ndarray,
     num_clusters: int,
@@ -41,10 +92,11 @@ def kmeans_plus_plus_init(
     n = points.shape[0]
     if num_clusters > n:
         raise ValueError(f"cannot seed {num_clusters} clusters from {n} points")
+    points_t = np.ascontiguousarray(points.T)
     centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    closest_sq = np.sum((points - centroids[0]) ** 2, axis=1)
+    closest_sq = _squared_distances(points_t, centroids[:1])[0]
     for k in range(1, num_clusters):
         total = closest_sq.sum()
         if total <= 1e-15:
@@ -55,15 +107,17 @@ def kmeans_plus_plus_init(
             probabilities = closest_sq / total
             idx = int(rng.choice(n, p=probabilities))
         centroids[k] = points[idx]
-        dist_sq = np.sum((points - centroids[k]) ** 2, axis=1)
+        dist_sq = _squared_distances(points_t, centroids[k : k + 1])[0]
         closest_sq = np.minimum(closest_sq, dist_sq)
     return centroids
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Assign each point to its nearest centroid (squared Euclidean)."""
-    distances = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    return distances.argmin(axis=1)
+def _nearest(points_t: np.ndarray, centroids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every restart's squared distances ``(R, K, n)`` and nearest centroids ``(R, n)``."""
+    restarts, k, d = centroids.shape
+    distances = _squared_distances(points_t, centroids.reshape(restarts * k, d))
+    distances = distances.reshape(restarts, k, -1)
+    return distances, distances.argmin(axis=1)
 
 
 class KMeansPlusPlus:
@@ -114,35 +168,45 @@ class KMeansPlusPlus:
             raise ValueError(
                 f"cannot form {self.num_clusters} clusters from {points.shape[0]} points"
             )
-        best: Optional[KMeansResult] = None
-        for _ in range(self.restarts):
-            result = self._single_run(points, rng)
-            if best is None or result.inertia < best.inertia:
-                best = result
-        assert best is not None
-        return best
-
-    def _single_run(self, points: np.ndarray, rng: np.random.Generator) -> KMeansResult:
-        centroids = kmeans_plus_plus_init(points, self.num_clusters, rng)
-        labels = _assign(points, centroids)
+        restarts, k = self.restarts, self.num_clusters
+        centroids = np.stack([kmeans_plus_plus_init(points, k, rng) for _ in range(restarts)])
+        points_t = np.ascontiguousarray(points.T)
+        # Every restart's copy of the points, for one weighted bincount per
+        # coordinate over all restarts' clusters.
+        tiled_t = np.tile(points_t, restarts)
+        offsets = k * np.arange(restarts)[:, None]
+        distances, labels = _nearest(points_t, centroids)
+        active = np.ones(restarts, dtype=bool)
         for _ in range(self.max_iterations):
-            new_centroids = centroids.copy()
-            for k in range(self.num_clusters):
-                members = points[labels == k]
-                if members.shape[0] == 0:
-                    # Re-seed empty clusters at the point farthest from its
-                    # centroid, the standard remedy that keeps exactly K
-                    # groups (the multicast scheduler requires all K groups
-                    # to exist).
-                    distances = np.sum((points - centroids[labels]) ** 2, axis=1)
-                    new_centroids[k] = points[int(distances.argmax())]
-                else:
-                    new_centroids[k] = members.mean(axis=0)
-            movement = float(np.sqrt(np.sum((new_centroids - centroids) ** 2)))
-            centroids = new_centroids
-            labels = _assign(points, centroids)
-            if movement < self.tolerance:
+            slots = (labels + offsets).ravel()
+            counts = np.bincount(slots, minlength=restarts * k)
+            sums = np.zeros((restarts * k, points.shape[1]))
+            if points.shape[1] == 1:
+                for slot in np.flatnonzero(counts):
+                    sums[slot, 0] = tiled_t[0, slots == slot].sum()
+            else:
+                for j, row in enumerate(tiled_t):
+                    sums[:, j] = np.bincount(slots, weights=row, minlength=restarts * k)
+            # An empty cluster's 0 / 1 is replaced below.
+            new_centroids = sums / np.maximum(counts, 1)[:, None]
+            empty = np.flatnonzero(counts == 0)
+            if empty.size:
+                # Re-seed empty clusters at the point farthest from its
+                # centroid, the standard remedy that keeps exactly K groups
+                # (the multicast scheduler requires all K groups to exist).
+                own = np.take_along_axis(distances, labels[:, None, :], axis=1)[:, 0, :]
+                new_centroids[empty] = points[own.argmax(axis=1)[empty // k]]
+            new_centroids = new_centroids.reshape(centroids.shape)
+            step = (new_centroids - centroids).reshape(restarts, -1)
+            movement = np.sqrt(np.sum(step**2, axis=1))
+            # A restart that has stopped keeps its centroids and labels.
+            np.copyto(centroids, new_centroids, where=active[:, None, None])
+            distances, labels = _nearest(points_t, centroids)
+            active &= ~(movement < self.tolerance)
+            if not active.any():
                 break
-        return KMeansResult(
-            labels=labels, centroids=centroids, inertia=inertia(points, labels, centroids)
-        )
+        inertias = [inertia(points, labels[r], centroids[r]) for r in range(restarts)]
+        # min keeps the first of equal inertias: a later restart wins only
+        # with a strictly lower one.
+        best = min(range(restarts), key=inertias.__getitem__)
+        return KMeansResult(labels=labels[best], centroids=centroids[best], inertia=inertias[best])

@@ -194,7 +194,10 @@ class Conv1D(Layer):
     def _pad(self, x: np.ndarray) -> np.ndarray:
         if self.padding == 0:
             return x
-        return np.pad(x, ((0, 0), (self.padding, self.padding), (0, 0)))
+        batch, length, channels = x.shape
+        padded = np.zeros((batch, length + 2 * self.padding, channels), dtype=np.float64)
+        padded[:, self.padding : self.padding + length] = x
+        return padded
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -265,7 +268,19 @@ class MaxPool1D(Layer):
             raise ValueError(f"input length {x.shape[1]} too short for pool {self.pool_size}")
         self._input_shape = x.shape
         windows = self._whole_windows(x)  # a view: (B, O, pool_size, C)
-        self._argmax = windows.argmax(axis=2)  # (B, O, C)
+        # argmax over the window axis in pool_size - 1 comparisons, by
+        # argmax's rule: a slot takes the index when it is strictly greater
+        # than the best so far or is the first NaN, and nothing beats a NaN.
+        best = windows[:, :, 0, :]
+        first_max = np.zeros(best.shape, dtype=np.intp)  # (B, O, C)
+        for slot in range(1, self.pool_size):
+            candidate = windows[:, :, slot, :]
+            beats = ~((candidate <= best) | np.isnan(best))
+            # Later slots have larger indices, so the winner's is the maximum.
+            np.maximum(first_max, slot * beats, out=first_max)
+            if slot + 1 < self.pool_size:
+                best = np.maximum(best, candidate)
+        self._argmax = first_max
         return windows.max(axis=2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -28,13 +28,12 @@ from repro.video.representations import (
 )
 from repro.video.segments import Segment, segment_sizes_bits
 from repro.video.catalog import CatalogConfig, Video, VideoCatalog
-from repro.video.popularity import PopularityModel, ZipfPopularity, zipf_weights
+from repro.video.popularity import ZipfPopularity, zipf_weights
 
 __all__ = [
     "CatalogConfig",
     "DEFAULT_CATEGORIES",
     "DEFAULT_LADDER",
-    "PopularityModel",
     "Representation",
     "RepresentationLadder",
     "Segment",

@@ -1,4 +1,4 @@
-"""Video popularity models.
+"""Video popularity model.
 
 The edge server caches "popular short videos with the highest
 representation", and the videos served to a group mix *video popularity*
@@ -50,26 +50,7 @@ def zipf_weights(num_items: int, exponent: float = 1.0) -> np.ndarray:
     return weights / weights.sum()
 
 
-class PopularityModel:
-    """Interface of popularity models: a probability per video id."""
-
-    def probabilities(self) -> Dict[int, float]:
-        """Mapping ``video_id -> probability`` summing to one."""
-        raise NotImplementedError
-
-    def probability(self, video_id: int) -> float:
-        return self.probabilities().get(video_id, 0.0)
-
-    def top(self, count: int) -> list:
-        """The ``count`` most popular video ids, most popular first."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        probs = self.probabilities()
-        ordered = sorted(probs.items(), key=lambda item: (-item[1], item[0]))
-        return [video_id for video_id, _ in ordered[:count]]
-
-
-class ZipfPopularity(PopularityModel):
+class ZipfPopularity:
     """Zipf popularity over a fixed ranking with optional engagement updates.
 
     Parameters
@@ -111,7 +92,16 @@ class ZipfPopularity(PopularityModel):
         return self._version
 
     def probabilities(self) -> Dict[int, float]:
+        """Mapping ``video_id -> probability`` summing to one."""
         return {vid: float(w) for vid, w in zip(self._video_ids, self._weights)}
+
+    def top(self, count: int) -> list:
+        """The ``count`` most popular video ids, most popular first."""
+        if count <= 0:
+            raise ValueError("count must be positive")
+        probs = self.probabilities()
+        ordered = sorted(probs.items(), key=lambda item: (-item[1], item[0]))
+        return [video_id for video_id, _ in ordered[:count]]
 
     def update_from_engagement(self, engagement_seconds: Mapping[int, float]) -> None:
         """Blend the current distribution with observed engagement time.

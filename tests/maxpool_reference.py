@@ -1,11 +1,12 @@
 """Strided-window reference for :class:`repro.ml.layers.MaxPool1D`.
 
-``MaxPool1D`` reads its windows as a reshape view of the input and writes
-each window's gradient with one ``np.put_along_axis``.  This module is the
-layer it replaced: windows copied out of a strided view, any stride, and the
-input gradient scattered with ``np.add.at``.  With the stride equal
+``MaxPool1D`` reads its windows as a reshape view of the input, finds each
+window's first maximum with one comparison per extra slot and writes each
+window's gradient with one ``np.put_along_axis``.  This module is the layer
+it replaced: windows copied out of a strided view, any stride, ``argmax``,
+and the input gradient scattered with ``np.add.at``.  With the stride equal
 to the pool size, the two must agree in every byte: the output, the argmax
-and the input gradient, signed zeros included.
+and the input gradient, signed zeros and NaN included.
 """
 
 from __future__ import annotations

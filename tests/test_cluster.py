@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.cluster import (
     KMeansPlusPlus,
@@ -13,6 +14,7 @@ from repro.cluster import (
     silhouette_score,
 )
 
+from kmeans_reference import reference_fit, reference_init
 from silhouette_reference import reference_silhouette
 
 
@@ -211,3 +213,59 @@ class TestKMeansPlusPlus:
             inertia(points, result.labels, result.centroids)
         )
         assert silhouette_score(points, result.labels) > 0.8
+
+
+def _kmeans_points(rng: np.random.Generator, n: int, d: int, kind: str, scale: float) -> np.ndarray:
+    """``n`` points of one kind, times ``scale``.
+
+    ``"normal"`` points are distinct; ``"duplicated"`` points repeat at most
+    three distinct rows, so seeding and Lloyd's steps leave clusters empty
+    and re-seed them; ``"grid"`` points are small integers, so distances tie
+    exactly.
+    """
+    if kind == "normal":
+        points = rng.normal(size=(n, d))
+    elif kind == "duplicated":
+        distinct = rng.normal(size=(int(rng.integers(1, 4)), d))
+        points = distinct[rng.integers(distinct.shape[0], size=n)]
+    else:
+        points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    return points * scale
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.sampled_from([1, 2, 7, 8, 9, 16, 17, 130]),
+    k=st.integers(1, 8),
+    restarts=st.integers(1, 4),
+    max_iterations=st.sampled_from([1, 2, 3, 100]),
+    tolerance=st.sampled_from([1e-6, 1e-2]),
+    kind=st.sampled_from(["normal", "duplicated", "grid"]),
+    scale=st.sampled_from([1e-3, 0.37, 1.0, 29.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=6, d=2, k=3, restarts=2, max_iterations=100, tolerance=1e-6,
+         kind="duplicated", scale=1.0, seed=0)
+@example(n=60, d=1, k=8, restarts=4, max_iterations=100, tolerance=1e-6,
+         kind="normal", scale=1e3, seed=1)
+@example(n=60, d=130, k=8, restarts=4, max_iterations=3, tolerance=1e-6,
+         kind="grid", scale=1e-3, seed=2)
+def test_kmeans_matches_the_one_restart_reference(
+    n, d, k, restarts, max_iterations, tolerance, kind, scale, seed
+):
+    """Batched restarts give the reference's bytes: labels, centroids,
+    inertia, the seeding's centroids and the generator's state after each call."""
+    assume(k <= n)
+    points = _kmeans_points(np.random.default_rng(seed), n, d, kind, scale)
+    rng, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    result = KMeansPlusPlus(k, max_iterations, tolerance, restarts).fit(points, rng=rng)
+    expected = reference_fit(points, k, rng_ref, max_iterations, tolerance, restarts)
+    assert result.labels.dtype == expected.labels.dtype
+    assert result.labels.tobytes() == expected.labels.tobytes()
+    assert result.centroids.tobytes() == expected.centroids.tobytes()
+    assert np.float64(result.inertia).tobytes() == np.float64(expected.inertia).tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    seeds = kmeans_plus_plus_init(points, k, rng)
+    assert seeds.tobytes() == reference_init(points, k, rng_ref).tobytes()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state

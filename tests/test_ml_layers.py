@@ -224,10 +224,15 @@ class TestPoolingAndReshaping:
 
 
 def _with_ties(rng: np.random.Generator, shape: tuple, tie_share: float) -> np.ndarray:
-    """Normal draws, a ``tie_share`` of them replaced by -0.0, 0.0, -1.0 or 1.0."""
+    """Normal draws, a ``tie_share`` of them replaced by -0.0, 0.0, -1.0, 1.0, -inf, inf or NaN.
+
+    NaN holds a pooling layer to argmax's rule, where the first NaN is the
+    maximum of its window.
+    """
     values = rng.normal(size=shape)
     tied = rng.random(shape) < tie_share
-    values[tied] = rng.choice(np.array([-0.0, 0.0, -1.0, 1.0]), size=int(tied.sum()))
+    specials = np.array([-0.0, 0.0, -1.0, 1.0, -np.inf, np.inf, np.nan])
+    values[tied] = rng.choice(specials, size=int(tied.sum()))
     return values
 
 
@@ -245,8 +250,9 @@ def _with_ties(rng: np.random.Generator, shape: tuple, tie_share: float) -> np.n
 def test_maxpool_matches_the_strided_reference(
     batch, length, channels, pool_size, tie_share, seed
 ):
-    """The reshape view and ``put_along_axis`` agree with the strided
-    windows and ``np.add.at`` in every byte, ties and signed zeros included."""
+    """The reshape view, the comparison argmax and ``put_along_axis`` agree
+    with the strided windows, ``argmax`` and ``np.add.at`` in every byte:
+    ties, signed zeros, infinities and NaN included."""
     rng = np.random.default_rng(seed)
     x = _with_ties(rng, (batch, length, channels), tie_share)
     layer, reference = MaxPool1D(pool_size), ReferenceMaxPool1D(pool_size)

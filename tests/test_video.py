@@ -193,9 +193,9 @@ class TestPopularity:
 
     def test_engagement_update_shifts_mass(self):
         model = ZipfPopularity([0, 1, 2], exponent=1.0, engagement_learning_rate=0.5)
-        before = model.probability(2)
+        before = model.probabilities()[2]
         model.update_from_engagement({2: 100.0})
-        assert model.probability(2) > before
+        assert model.probabilities()[2] > before
         assert sum(model.probabilities().values()) == pytest.approx(1.0)
 
     def test_engagement_update_ignores_empty(self):
